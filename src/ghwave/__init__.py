@@ -31,7 +31,6 @@ from .dynamics import (  # noqa: E402,F401
     SamplerConfig,
     StateVector,
     WaveIntegrator,
-    evolve,
     sample_attractor,
 )
 from .ghmetric import (  # noqa: E402,F401

@@ -227,10 +227,14 @@ def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | 
                 Diagnostic("perturbation.family", f"family {cfg.family!r} does not fit a {cfg.kind} domain")
             )
 
+    sampler = SamplerConfig(**sampler_kwargs)
+    if sampler.t_cap < sampler.t_transient + sampler.t_window:
+        diags.append(Diagnostic("sampler.t_cap", f"t_cap ({sampler.t_cap}) ends the run before t_transient + t_window"))
+
     if diags:
         return None, diags
 
-    cfg.sampler = SamplerConfig(**sampler_kwargs) if sampler_kwargs else SamplerConfig()
+    cfg.sampler = sampler
     if "dt" not in sampler_kwargs:
         cfg.sampler.dt = cfg.dt
     cfg.family_params = family_params

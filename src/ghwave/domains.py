@@ -14,7 +14,6 @@ derivatives; see `FAMILIES`.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -43,7 +42,6 @@ __all__ = [
     "radial_bump_map_2d",
     "make_family",
     "FAMILIES",
-    "export_field_csv",
 ]
 
 Array = npt.NDArray[np.float64]
@@ -641,23 +639,3 @@ def transfer_state(
     q = h_src(pre)
     out, n_out = _interp_zero_ext(mesh, vals, q)
     return (out, n_out) if return_outside_count else out
-
-
-def export_field_csv(fieldv: CoefficientField, path) -> None:
-    """CSV rows: point coordinates, H entries row-major, determinant."""
-    d = fieldv.dim
-    header = (
-        [f"x{i}" for i in range(d)]
-        + [f"H{i}{j}" for i in range(d) for j in range(d)]
-        + ["det"]
-    )
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(fieldv.points.shape[0]):
-            row = (
-                [f"{v:.17g}" for v in fieldv.points[k]]
-                + [f"{v:.17g}" for v in fieldv.H[k].ravel()]
-                + [f"{fieldv.det[k]:.17g}"]
-            )
-            writer.writerow(row)

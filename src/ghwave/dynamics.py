@@ -31,7 +31,7 @@ nonincreasing for every theta >= 1/2, exactly at theta = 1/2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +39,8 @@ import numpy.typing as npt
 from scipy.optimize import curve_fit
 from scipy.sparse.linalg import splu
 
-from .domains import CoefficientField, DiffeoMap, make_pullback
-from .operators import DiscreteOperator, Mesh, NonlinearitySpec, NormPack, assemble_operators, x_norm
+from .domains import DiffeoMap, deviation_norms, make_pullback
+from .operators import DiscreteOperator, Mesh, NonlinearitySpec, NormPack, pullback_operator, x_norm
 
 __all__ = [
     "StateVector",
@@ -54,8 +54,6 @@ __all__ = [
     "BlowupError",
     "NonDissipativeError",
     "WaveIntegrator",
-    "step",
-    "evolve",
     "solve_trajectory",
     "energy_profile",
     "lipschitz_constants",
@@ -63,6 +61,7 @@ __all__ = [
     "sample_attractor",
     "conjugated_flow_error",
     "random_state",
+    "x0_sqdist",
     "calibration_state",
     "export_trajectory_csv",
     "export_energy_csv",
@@ -81,7 +80,11 @@ class NonDissipativeError(RuntimeError):
 
 @dataclass
 class StateVector:
-    """Displacement/velocity pair on the interior nodes."""
+    """Displacement/velocity pair on the interior nodes.
+
+    `u` and `v` have shape (dim,) for one state or (dim, k) for a block of k
+    states, one per column.
+    """
 
     u: Array
     v: Array
@@ -95,28 +98,19 @@ class StateVector:
     def copy(self) -> "StateVector":
         return StateVector(self.u.copy(), self.v.copy())
 
-    def __sub__(self, other: "StateVector") -> "StateVector":
-        return StateVector(self.u - other.u, self.v - other.v)
-
-    def __add__(self, other: "StateVector") -> "StateVector":
-        return StateVector(self.u + other.u, self.v + other.v)
-
-    def scaled(self, c: float) -> "StateVector":
-        return StateVector(c * self.u, c * self.v)
-
-    def flat(self) -> Array:
-        return np.concatenate([self.u, self.v])
-
 
 THETA_SHIFT = 0.5  # theta = 1/2 + THETA_SHIFT * dt
 
 
 class WaveIntegrator:
-    """Prefactorized one-step map for a fixed (operator, nonlinearity, dt)."""
+    """Prefactorized one-step map for a fixed (operator, nonlinearity, dt).
 
-    def __init__(
-        self, op: DiscreteOperator, f: NonlinearitySpec, dt: float, theta: float | None = None
-    ):
+    Every method takes a single state or a block of states (see
+    `StateVector`); each column of a block evolves exactly as it would alone,
+    since the sparse products and the LU solve treat columns independently.
+    """
+
+    def __init__(self, op: DiscreteOperator, f: NonlinearitySpec, dt: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
         cap = 0.5 / np.sqrt(op.lambda_max_estimate())
@@ -128,15 +122,13 @@ class WaveIntegrator:
         self.op = op
         self.f = f
         self.dt = float(dt)
-        self.theta = float(theta) if theta is not None else min(0.5 + THETA_SHIFT * dt, 0.75)
-        if self.theta < 0.5:
-            raise ValueError("theta below 1/2 loses the energy inequality")
+        self.theta = min(0.5 + THETA_SHIFT * dt, 0.75)
         b = self.dt * self.theta
-        self._b = b
         S = ((1.0 + b) * op.M + b**2 * op.K).tocsc()
         self._S_lu = splu(S)
 
     def step(self, state: StateVector) -> StateVector:
+        """One theta-scheme step of length dt."""
         op, dt, th = self.op, self.dt, self.theta
         u, v = state.u, state.v
         umid = u + 0.5 * dt * v
@@ -152,32 +144,21 @@ class WaveIntegrator:
             raise BlowupError("non-finite state after step")
         return StateVector(u_new, v_new)
 
-
-def step(state: StateVector, dt: float, op: DiscreteOperator, f: NonlinearitySpec) -> StateVector:
-    """Single theta-scheme step (builds a fresh factorization)."""
-    return WaveIntegrator(op, f, dt).step(state)
-
-
-def evolve(
-    state: StateVector, t: float, dt: float, op: DiscreteOperator, f: NonlinearitySpec
-) -> StateVector:
-    """Advance by time t: repeated steps plus a final partial step onto t."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return state.copy()
-    n_full = int(np.floor(t / dt + 1e-9))
-    rem = t - n_full * dt
-    integ = WaveIntegrator(op, f, dt)
-    cur = state
-    try:
-        for _ in range(n_full):
-            cur = integ.step(cur)
-        if rem > 1e-12 * max(1.0, t):
-            cur = WaveIntegrator(op, f, rem).step(cur)
-    except BlowupError as exc:
-        raise BlowupError(f"blow-up while evolving over [0, {t}]") from exc
-    return cur.copy() if cur is state else cur
+    def advance(self, state: StateVector, t: float) -> StateVector:
+        """Advance by time t: full steps of dt, then one partial step onto t."""
+        if t < 0:
+            raise ValueError("t must be nonnegative")
+        n_full = int(np.floor(t / self.dt + 1e-9))
+        rem = t - n_full * self.dt
+        cur = state.copy()
+        try:
+            for _ in range(n_full):
+                cur = self.step(cur)
+            if rem > 1e-12 * max(1.0, t):
+                cur = WaveIntegrator(self.op, self.f, rem).step(cur)
+        except BlowupError as exc:
+            raise BlowupError(f"blow-up while evolving over [0, {t}]") from exc
+        return cur
 
 
 @dataclass
@@ -360,19 +341,15 @@ def lipschitz_envelope_check(
         consts = lipschitz_constants(f.l, op.lambda1)
     integ = WaveIntegrator(op, f, dt)
     n = int(round(t_final / dt))
-    a, b = s0, s1
-    times = [0.0]
-    ratios = [1.0]
+    pair = StateVector(np.column_stack([s0.u, s1.u]), np.column_stack([s0.v, s1.v]))
+    times = np.arange(n + 1) * dt
+    ratios = np.ones(n + 1)
     for k in range(1, n + 1):
-        a = integ.step(a)
-        b = integ.step(b)
-        t = k * dt
-        sep = x_norm(a.u - b.u, a.v - b.v, pack, 0)
-        times.append(t)
-        ratios.append(sep / (z0 * np.exp(consts.C * t)))
-    ratios_arr = np.array(ratios)
-    mx = float(ratios_arr.max())
-    return LipschitzCheck(np.array(times), ratios_arr, mx, consts, mx <= slack)
+        pair = integ.step(pair)
+        sep = x_norm(pair.u[:, 0] - pair.u[:, 1], pair.v[:, 0] - pair.v[:, 1], pack, 0)
+        ratios[k] = sep / (z0 * np.exp(consts.C * times[k]))
+    mx = float(ratios.max())
+    return LipschitzCheck(times, ratios, mx, consts, mx <= slack)
 
 
 @dataclass
@@ -512,8 +489,14 @@ class AttractorSample:
         prefix = Path(prefix)
         meta = json.loads(prefix.with_suffix(".json").read_text())
         n, dim, m = meta["n"], meta["dim"], meta["m"]
-        raw = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype="<f8")
         sizes = [n * 2 * dim, n * n, n * (m + 1) * 2 * dim, m + 1]
+        path = prefix.with_suffix(".bin")
+        data = path.read_bytes()
+        if len(data) != 8 * sum(sizes):
+            raise ValueError(f"{path}: {len(data)} bytes, expected {8 * sum(sizes)} for n={n}, dim={dim}, m={m}")
+        raw = np.frombuffer(data, dtype="<f8")
+        if not np.all(np.isfinite(raw)):
+            raise ValueError(f"{path}: non-finite values")
         parts = np.split(raw, np.cumsum(sizes)[:-1])
         cfg_kwargs = meta["config"]
         cfg = SamplerConfig(**{k: cfg_kwargs[k] for k in cfg_kwargs})
@@ -529,17 +512,17 @@ class AttractorSample:
         )
 
 
-def _pairwise_x0(states: Array, op: DiscreteOperator) -> Array:
-    """Pairwise X^0 distances via the Gram trick (states: (n, 2, dim))."""
+def x0_sqdist(states: Array, op: DiscreteOperator) -> Array:
+    """Squared X^0 distances between all rows of `states` (n, 2, dim).
+
+    Gram trick: with G = U K U^T + V M V^T, d^2(i, j) = G_ii + G_jj - 2 G_ij,
+    clipped at 0 against cancellation.  Symmetrizing is left to the caller.
+    """
     U = states[:, 0, :]
     V = states[:, 1, :]
     G = U @ (op.K @ U.T) + V @ (op.M @ V.T)
     dg = np.diag(G)
-    d2 = np.maximum(dg[:, None] + dg[None, :] - 2 * G, 0.0)
-    d = np.sqrt(d2)
-    d = 0.5 * (d + d.T)
-    np.fill_diagonal(d, 0.0)
-    return d
+    return np.maximum(dg[:, None] + dg[None, :] - 2 * G, 0.0)
 
 
 def farthest_point_indices(d: Array, k: int) -> npt.NDArray[np.intp]:
@@ -576,76 +559,69 @@ def sample_attractor(
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5A17]))
     pack = NormPack(op)
     integ = WaveIntegrator(op, f, cfg.dt)
-    pool: list[Array] = []
-    prov: list[tuple[int, float]] = []
+    n_ics = cfg.n_ics
+    ics = [random_state(op, rng, cfg.radius, cfg.n_modes) for _ in range(n_ics)]
+    # all ICs advance together, one column each
+    state = StateVector(np.column_stack([s.u for s in ics]), np.column_stack([s.v for s in ics]))
     window_start = int(round(cfg.t_transient / cfg.dt))
     window_end = window_start + int(round(cfg.t_window / cfg.dt))
-    for ic in range(cfg.n_ics):
-        state = random_state(op, rng, cfg.radius, cfg.n_modes)
-        e_prev = _e2(state, pack, f)
-        consec = 0
-        plateaued = False
-        k = 0
-        if window_start == 0:
-            pool.append(np.stack([state.u, state.v]))
-            prov.append((ic, 0.0))
-        while True:
-            state = integ.step(state)
-            k += 1
-            t = k * cfg.dt
-            if window_start <= k <= window_end and (k - window_start) % cfg.stride == 0:
-                pool.append(np.stack([state.u, state.v]))
-                prov.append((ic, t))
-            if not plateaued:
-                e_now = _e2(state, pack, f)
-                slope = abs(e_now - e_prev) / cfg.dt
-                e_prev = e_now
-                consec = consec + 1 if slope < cfg.plateau_tol * e_now + cfg.plateau_floor else 0
-                if t >= cfg.t_transient and consec >= cfg.plateau_window:
-                    plateaued = True
-            if plateaued and k >= window_end:
-                break
-            if t >= cfg.t_cap:
-                raise NonDissipativeError(
-                    f"energy of ic {ic} never plateaued before t_cap = {cfg.t_cap}"
-                )
-    pool_arr = np.array(pool)
-    if len(pool) <= cfg.max_points:
-        keep = np.arange(len(pool), dtype=np.intp)
-        d_pool = _pairwise_x0(pool_arr, op)
+
+    snaps: list[tuple[float, StateVector]] = [(0.0, state)] if window_start == 0 else []
+    e_prev = np.array([_e2(s, pack, f) for s in ics])
+    consec = np.zeros(n_ics, dtype=np.intp)
+    plateaued = np.zeros(n_ics, dtype=bool)
+    k = 0
+    while True:
+        state = integ.step(state)
+        k += 1
+        t = k * cfg.dt
+        if window_start <= k <= window_end and (k - window_start) % cfg.stride == 0:
+            snaps.append((t, state))
+        # a plateaued IC keeps stepping until every IC is done, but its
+        # settling test is over
+        todo = np.flatnonzero(~plateaued)
+        if todo.size:
+            e_now = np.array([_e2(StateVector(state.u[:, i], state.v[:, i]), pack, f) for i in todo])
+            slope = np.abs(e_now - e_prev[todo]) / cfg.dt
+            e_prev[todo] = e_now
+            settled = slope < cfg.plateau_tol * e_now + cfg.plateau_floor
+            consec[todo] = np.where(settled, consec[todo] + 1, 0)
+            if t >= cfg.t_transient:
+                plateaued[todo] = consec[todo] >= cfg.plateau_window
+        if plateaued.all() and k >= window_end:
+            break
+        if t >= cfg.t_cap:
+            ic = int(np.argmin(plateaued))
+            raise NonDissipativeError(f"energy of ic {ic} never plateaued before t_cap = {cfg.t_cap}")
+    # the pool is IC-major: every snapshot of ic 0, then of ic 1, ...
+    snap_u = np.array([st.u for _, st in snaps])  # (n_snaps, dim, n_ics)
+    snap_v = np.array([st.v for _, st in snaps])
+    pool_arr = np.stack([snap_u, snap_v], axis=1).transpose(3, 0, 1, 2).reshape(n_ics * len(snaps), 2, -1)
+    prov = [(ic, t) for ic in range(n_ics) for t, _ in snaps]
+    d_pool = np.sqrt(x0_sqdist(pool_arr, op))
+    d_pool = 0.5 * (d_pool + d_pool.T)
+    np.fill_diagonal(d_pool, 0.0)
+    if len(prov) <= cfg.max_points:
+        keep = np.arange(len(prov), dtype=np.intp)
     else:
-        d_pool = _pairwise_x0(pool_arr, op)
         keep = farthest_point_indices(d_pool, cfg.max_points)
     states = pool_arr[keep]
     provenance = [prov[i] for i in keep]
-    dist = d_pool[np.ix_(keep, keep)].copy()
-    dist = 0.5 * (dist + dist.T)
-    np.fill_diagonal(dist, 0.0)
+    dist = d_pool[np.ix_(keep, keep)]
     m = cfg.flow_grid_m
     flow_times = np.linspace(0.0, 1.0, m + 1)
     flow = np.empty((states.shape[0], m + 1, 2, states.shape[2]))
-    for i in range(states.shape[0]):
-        cur = StateVector(states[i, 0].copy(), states[i, 1].copy())
-        flow[i, 0] = states[i]
-        for j in range(1, m + 1):
-            cur = evolve(cur, flow_times[j] - flow_times[j - 1], cfg.dt, op, f)
-            flow[i, j] = np.stack([cur.u, cur.v])
-    # invariance proxy: worst distance from any flow image back to the sample
-    flat = flow.reshape(-1, 2, states.shape[2])
-    cross = _cross_x0(flat, states, op)
-    eps_inv = float(cross.min(axis=1).max())
+    flow[:, 0] = states
+    cur = StateVector(states[:, 0].T.copy(), states[:, 1].T.copy())
+    for j in range(1, m + 1):
+        cur = integ.advance(cur, flow_times[j] - flow_times[j - 1])
+        flow[:, j, 0] = cur.u.T
+        flow[:, j, 1] = cur.v.T
+    # invariance proxy: worst distance from any flow image back to the sample;
+    # flow[:, 0] is the sample itself, i.e. every (m+1)-th row of the table
+    d2_flow = x0_sqdist(flow.reshape(-1, 2, states.shape[2]), op)
+    eps_inv = float(np.sqrt(d2_flow[:, :: m + 1]).min(axis=1).max())
     return AttractorSample(states, dist, provenance, flow, flow_times, eps_inv, int(seed), cfg)
-
-
-def _cross_x0(a: Array, b: Array, op: DiscreteOperator) -> Array:
-    """Cross X^0 distances between two state arrays (na, 2, dim) x (nb, 2, dim)."""
-    Ua, Va = a[:, 0, :], a[:, 1, :]
-    Ub, Vb = b[:, 0, :], b[:, 1, :]
-    G = Ua @ (op.K @ Ub.T) + Va @ (op.M @ Vb.T)
-    da = np.einsum("ij,ij->i", Ua, (op.K @ Ua.T).T) + np.einsum("ij,ij->i", Va, (op.M @ Va.T).T)
-    db = np.einsum("ij,ij->i", Ub, (op.K @ Ub.T).T) + np.einsum("ij,ij->i", Vb, (op.M @ Vb.T).T)
-    d2 = np.maximum(da[:, None] + db[None, :] - 2 * G, 0.0)
-    return np.sqrt(d2)
 
 
 @dataclass
@@ -678,26 +654,23 @@ def conjugated_flow_error(
     reference problem's X^0 norm, together with the deviation norms of the
     conjugating field (h_0 -> h_n).
     """
-    from .domains import deviation_norms, identity_map
-
-    quad = mesh.quadrature_points()
-    ident = identity_map(mesh.domain)
-    op0 = assemble_operators(mesh, make_pullback(ident, h_0, quad))
-    opn = assemble_operators(mesh, make_pullback(ident, h_n, quad))
-    dev_field = make_pullback(h_0, h_n, quad)
-    det_dev, hbar_dev = deviation_norms(dev_field)
+    op0 = pullback_operator(mesh, h_0)
+    opn = pullback_operator(mesh, h_n)
+    det_dev, hbar_dev = deviation_norms(make_pullback(h_0, h_n, mesh.quadrature_points()))
     pack0 = NormPack(op0)
     tg = np.asarray(t_grid, dtype=float)
     if tg.ndim != 1 or tg.size == 0 or np.any(np.diff(tg) <= 0) or tg[0] < 0:
         raise ValueError("t_grid must be increasing and nonnegative")
+    integ0 = WaveIntegrator(op0, f, dt)
+    integn = WaveIntegrator(opn, f, dt)
     errs = np.empty(tg.size)
-    a = v0.copy()
-    b = v0.copy()
+    a = v0
+    b = v0
     t_prev = 0.0
     for i, t in enumerate(tg):
         if t > t_prev:
-            a = evolve(a, t - t_prev, dt, op0, f)
-            b = evolve(b, t - t_prev, dt, opn, f)
+            a = integ0.advance(a, t - t_prev)
+            b = integn.advance(b, t - t_prev)
             t_prev = t
         errs[i] = x_norm(a.u - b.u, a.v - b.v, pack0, 0)
     return ConjugationErrorCurve(tg, errs, det_dev, hbar_dev)

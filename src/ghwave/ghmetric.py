@@ -10,9 +10,8 @@ two-point-versus-one-point example {0} vs {0,3} evaluates to 3 here.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
@@ -78,12 +77,6 @@ class FiniteMetricSpace:
 
     def diameter(self) -> float:
         return float(self.d.max(initial=0.0))
-
-    @staticmethod
-    def from_points(points: Array) -> "FiniteMetricSpace":
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        diff = p[:, None, :] - p[None, :, :]
-        return FiniteMetricSpace(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
 
 
 @dataclass(frozen=True)
@@ -265,28 +258,6 @@ class GHEstimate:
     backward: MapCandidate
     restarts: int
     seed: int
-    candidates_forward: list[MapCandidate] = field(default_factory=list)
-    candidates_backward: list[MapCandidate] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "value": self.value,
-                "forward": {
-                    "assignment": self.forward.assignment.tolist(),
-                    "distortion": self.forward.distortion,
-                    "deficit": self.forward.deficit,
-                },
-                "backward": {
-                    "assignment": self.backward.assignment.tolist(),
-                    "distortion": self.backward.distortion,
-                    "deficit": self.backward.deficit,
-                },
-                "restarts": self.restarts,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        )
 
 
 def _one_sided_search(
@@ -347,8 +318,6 @@ def gh_upper(
         backward=bwd[0],
         restarts=budget,
         seed=seed,
-        candidates_forward=fwd[:8],
-        candidates_backward=bwd[:8],
     )
 
 
@@ -422,6 +391,9 @@ def _interp_flow_d2(
     Flow states between stored samples are norm-interpolated: for p on the
     segment [a, b] at weight w, d^2(p, q) = (1-w) d^2(a,q) + w d^2(b,q)
     - w(1-w) d^2(a,b), exact when the metric comes from a quadratic form.
+    `targets` holds universe indices that broadcast against (n_points,
+    n_query, 1): a 1-D array gives every point the same targets, an
+    (n_points, n_query, 1) array one target per point and query time.
     Returns (n_points, n_query, n_targets).
     """
     qt = np.clip(query_t, times[0], times[-1])
@@ -429,8 +401,8 @@ def _interp_flow_d2(
     w = (qt - times[j]) / (times[j + 1] - times[j])
     a = traj[:, j]  # (n, q)
     b = traj[:, j + 1]
-    d2a = d2[a[:, :, None], targets[None, None, :]]
-    d2b = d2[b[:, :, None], targets[None, None, :]]
+    d2a = d2[a[:, :, None], targets]
+    d2b = d2[b[:, :, None], targets]
     d2ab = d2[a, b][:, :, None]
     w3 = w[None, :, None]
     return (1.0 - w3) * d2a + w3 * d2b - w3 * (1.0 - w3) * d2ab
@@ -449,24 +421,12 @@ def _commutation_eps(fx: FlowSample, fy: FlowSample, m: IntArray, rho: float) ->
     read at reparametrized times through norm interpolation between stored
     samples (exact for quadratic-form metrics).
     """
-    ty = fy.times
-    n = fx.n
-    d2 = fx.universe_d2
-    best = np.full(n, np.inf)
-    tgt = fy.traj_idx[m]  # (n, q)
+    best = np.full(fx.n, np.inf)
+    tgt = fy.traj_idx[m][:, :, None]  # (n, q, 1): Phi^Y(t_j) m(x)
     for s in _S_GRID:
         alpha = Reparametrization(s, rho)
-        qt = np.clip(alpha(ty), fx.times[0], fx.times[-1])
-        j = np.clip(np.searchsorted(fx.times, qt, side="right") - 1, 0, len(fx.times) - 2)
-        w = (qt - fx.times[j]) / (fx.times[j + 1] - fx.times[j])
-        a = fx.traj_idx[:, j]  # (n, q)
-        b = fx.traj_idx[:, j + 1]
-        d2a = d2[a, tgt]
-        d2b = d2[b, tgt]
-        d2ab = d2[a, b]
-        wv = w[None, :]
-        mism2 = (1 - wv) * d2a + wv * d2b - wv * (1 - wv) * d2ab
-        mism = np.sqrt(np.maximum(mism2.max(axis=1), 0.0))
+        mism2 = _interp_flow_d2(fx.universe_d2, fx.traj_idx, fx.times, alpha(fy.times), tgt)
+        mism = np.sqrt(np.maximum(mism2.max(axis=(1, 2)), 0.0))
         cand = np.maximum(mism, alpha.max_deviation())
         best = np.minimum(best, cand)
     return float(best.max(initial=0.0))

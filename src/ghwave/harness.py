@@ -28,9 +28,10 @@ from .dynamics import (
     random_state,
     sample_attractor,
     solve_trajectory,
+    x0_sqdist,
 )
 from .ghmetric import FiniteMetricSpace, FlowSample, dgh_dynamical, gh_lower, gh_upper
-from .operators import DiscreteOperator, assemble_operators, identity_operator
+from .operators import DiscreteOperator, assemble_operators, identity_operator, pullback_operator
 
 __all__ = [
     "ContinuityRow",
@@ -175,11 +176,7 @@ def build_flow_pair(
     all_states = np.concatenate(
         [sa.flow.reshape(na * mp1, 2, -1), sb.flow.reshape(nb * mp1, 2, -1)], axis=0
     )
-    U = all_states[:, 0, :]
-    V = all_states[:, 1, :]
-    G = U @ (op.K @ U.T) + V @ (op.M @ V.T)
-    dg = np.diag(G)
-    d2 = np.maximum(dg[:, None] + dg[None, :] - 2 * G, 0.0)
+    d2 = x0_sqdist(all_states, op)
     d2 = 0.5 * (d2 + d2.T)
     np.fill_diagonal(d2, 0.0)
     ta = np.arange(na * mp1, dtype=np.intp).reshape(na, mp1)
@@ -238,15 +235,13 @@ def run_stability_study(cfg: ScenarioConfig, out_dir=None) -> StabilityResult:
     h_full = gen(a1)
     h_half = gen(amid)
 
-    quad = mesh.quadrature_points()
     d_full = _c2_gap(h_anchor, h_full, mesh)
     d_half = _c2_gap(h_anchor, h_half, mesh)
 
     op_univ = identity_operator(mesh)
-    ident = identity_map(mesh.domain)
-    op_anchor = assemble_operators(mesh, make_pullback(ident, h_anchor, quad))
-    op_full = assemble_operators(mesh, make_pullback(ident, h_full, quad))
-    op_half = assemble_operators(mesh, make_pullback(ident, h_half, quad))
+    op_anchor = pullback_operator(mesh, h_anchor)
+    op_full = pullback_operator(mesh, h_full)
+    op_half = pullback_operator(mesh, h_half)
 
     s_anchor = sample_attractor(op_anchor, f, cfg.sampler, cfg.seed)
     s_full = sample_attractor(op_full, f, cfg.sampler, cfg.seed)

@@ -22,7 +22,7 @@ import numpy.typing as npt
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .domains import CoefficientField, ReferenceDomain
+from .domains import CoefficientField, DiffeoMap, ReferenceDomain, identity_map, make_pullback
 
 __all__ = [
     "Mesh",
@@ -33,18 +33,28 @@ __all__ = [
     "ValidationFailure",
     "ConvergenceFailure",
     "assemble_operators",
+    "pullback_operator",
     "identity_operator",
     "first_eigenvalue",
     "x_norm",
     "default_nonlinearity",
     "linear_nonlinearity",
     "validate_f",
-    "export_matrix_coo",
 ]
 
 Array = npt.NDArray[np.float64]
 
 _GP = 1.0 / np.sqrt(3.0)  # 2-point Gauss abscissa on [-1, 1]
+# 2x2 Gauss points in cell-local coordinates on [0, 1]^2, in the fixed order
+# shared by the quadrature sample points and the Q1 assembly
+_GAUSS_2X2 = np.array(
+    [
+        (0.5 - 0.5 * _GP, 0.5 - 0.5 * _GP),
+        (0.5 + 0.5 * _GP, 0.5 - 0.5 * _GP),
+        (0.5 - 0.5 * _GP, 0.5 + 0.5 * _GP),
+        (0.5 + 0.5 * _GP, 0.5 + 0.5 * _GP),
+    ]
+)
 
 
 class ConvergenceFailure(RuntimeError):
@@ -112,18 +122,10 @@ class Mesh:
         hx, hy = self.spacing
         cx = self.axes[0][:-1]
         cy = self.axes[1][:-1]
-        offs = np.array(
-            [
-                (0.5 - 0.5 * _GP, 0.5 - 0.5 * _GP),
-                (0.5 + 0.5 * _GP, 0.5 - 0.5 * _GP),
-                (0.5 - 0.5 * _GP, 0.5 + 0.5 * _GP),
-                (0.5 + 0.5 * _GP, 0.5 + 0.5 * _GP),
-            ]
-        )
-        # cell-major (x-major cells), then the fixed 4-point order above
+        # cell-major (x-major cells), then the fixed order of _GAUSS_2X2
         CX, CY = np.meshgrid(cx, cy, indexing="ij")
         base = np.column_stack([CX.ravel(), CY.ravel()])
-        pts = base[:, None, :] + offs[None, :, :] * np.array([hx, hy])
+        pts = base[:, None, :] + _GAUSS_2X2[None, :, :] * np.array([hx, hy])
         return pts.reshape(-1, 2)
 
     def interpolate_nodal(self, fn: Callable[[Array], Array]) -> Array:
@@ -134,9 +136,11 @@ class Mesh:
 class DiscreteOperator:
     """Interior-node mass and stiffness matrices for one pullback field.
 
-    Immutable after construction; safe to share between threads.  The first
-    eigenvalue is computed lazily and cached, together with its residual and
-    iteration count (see `eig_report`).
+    M and K are fixed at construction.  Derived data is filled in lazily on
+    first use: the first eigenvalue with its residual and iteration count
+    (`eig_report`), and the M/K factorizations and lambda_max bound in
+    `_cache`.  The caches are filled without a lock; two threads using a fresh
+    operator at once may compute an entry twice, to the same value.
     """
 
     mesh: Mesh
@@ -210,21 +214,13 @@ def _assemble_2d(mesh: Mesh, fieldv: CoefficientField) -> tuple[sp.csr_matrix, s
     nn = (n + 1) ** 2
     ncell = n * n
     # local Q1 shape values / gradients at the 4 Gauss points (fixed order)
-    qloc = np.array(
-        [
-            (0.5 - 0.5 * _GP, 0.5 - 0.5 * _GP),
-            (0.5 + 0.5 * _GP, 0.5 - 0.5 * _GP),
-            (0.5 - 0.5 * _GP, 0.5 + 0.5 * _GP),
-            (0.5 + 0.5 * _GP, 0.5 + 0.5 * _GP),
-        ]
-    )
     # local node order: (0,0), (1,0), (0,1), (1,1) in (ix, iy) offsets
     def shape_vals(xi, eta):
         return np.array([(1 - xi) * (1 - eta), xi * (1 - eta), (1 - xi) * eta, xi * eta])
 
-    N = np.stack([shape_vals(xi, eta) for xi, eta in qloc])  # (4q, 4n)
+    N = np.stack([shape_vals(xi, eta) for xi, eta in _GAUSS_2X2])  # (4q, 4n)
     G = np.zeros((4, 4, 2))  # (q, node, comp)
-    for qi, (xi, eta) in enumerate(qloc):
+    for qi, (xi, eta) in enumerate(_GAUSS_2X2):
         G[qi, 0] = (-(1 - eta) / hx, -(1 - xi) / hy)
         G[qi, 1] = ((1 - eta) / hx, -xi / hy)
         G[qi, 2] = (-eta / hx, (1 - xi) / hy)
@@ -270,12 +266,15 @@ def assemble_operators(mesh: Mesh, fieldv: CoefficientField) -> DiscreteOperator
     return DiscreteOperator(mesh, Mi, Ki)
 
 
+def pullback_operator(mesh: Mesh, h: DiffeoMap) -> DiscreteOperator:
+    """Operator of the domain h(Omega) pulled back to the reference mesh."""
+    fieldv = make_pullback(identity_map(mesh.domain), h, mesh.quadrature_points())
+    return assemble_operators(mesh, fieldv)
+
+
 def identity_operator(mesh: Mesh) -> DiscreteOperator:
     """Operator of the unperturbed reference domain (identity pullback)."""
-    from .domains import identity_map, make_pullback
-
-    ident = identity_map(mesh.domain)
-    return assemble_operators(mesh, make_pullback(ident, ident, mesh.quadrature_points()))
+    return pullback_operator(mesh, identity_map(mesh.domain))
 
 
 def first_eigenvalue(op: DiscreteOperator, tol: float = 1e-10, max_iter: int = 1000) -> float:
@@ -432,12 +431,3 @@ def validate_f(specv: NonlinearitySpec, span: float = 10.0, samples: int = 4001)
         dissipativity_min_ratio=diss,
         passed=(fd_err < 1e-4) and (diss > 0),
     )
-
-
-def export_matrix_coo(A: sp.spmatrix, path) -> None:
-    """Plain-text coordinate format: `row col value` per line."""
-    coo = A.tocoo()
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"% {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v:.17g}\n")

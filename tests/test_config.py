@@ -126,6 +126,18 @@ def test_sampler_dt_override_kept():
     assert cfg.sampler.dt == 0.005
 
 
+def test_sampler_cap_before_window_end_rejected():
+    # the sampler would otherwise run up to t_cap and only then fail
+    text = "[sampler]\nt_transient = 8.0\nt_window = 11.0\nt_cap = 18.5\n[run]\nseed = 1\n"
+    cfg, diags = parse_config(text)
+    assert cfg is None
+    (d,) = [d for d in diags if d.key == "sampler.t_cap"]
+    assert "before t_transient + t_window" in d.message
+    cfg, diags = parse_config(text.replace("18.5", "19.0"))
+    assert diags == []
+    assert cfg.sampler.t_cap == 19.0
+
+
 def test_estimates_t_final_renamed_attr():
     cfg, diags = parse_config("[estimates]\nt_final = 3.5\n[run]\nseed = 1\n")
     assert diags == []

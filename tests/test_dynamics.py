@@ -21,6 +21,7 @@ from ghwave.operators import (
     x_norm,
 )
 from ghwave.dynamics import (
+    AttractorSample,
     BlowupError,
     NonDissipativeError,
     SamplerConfig,
@@ -29,7 +30,6 @@ from ghwave.dynamics import (
     calibration_state,
     conjugated_flow_error,
     energy_profile,
-    evolve,
     lipschitz_constants,
     lipschitz_envelope_check,
     random_state,
@@ -67,7 +67,7 @@ def test_zero_state_is_fixed_point():
     op = identity_operator(Mesh(UNIT, 16))
     f = default_nonlinearity()
     s = StateVector(np.zeros(op.n), np.zeros(op.n))
-    out = evolve(s, 1.0, 0.01, op, f)
+    out = WaveIntegrator(op, f, 0.01).advance(s, 1.0)
     assert np.all(out.u == 0.0)
     assert np.all(out.v == 0.0)
 
@@ -78,7 +78,7 @@ def test_single_mode_matches_closed_form():
     phi = _mode(op)
     s = StateVector(phi.copy(), np.zeros_like(phi))
     t_final = 2.0
-    out = evolve(s, t_final, 5e-4, op, f)
+    out = WaveIntegrator(op, f, 5e-4).advance(s, t_final)
     alpha = _modal_exact(op, 1, 1.0, t_final)
     assert np.abs(out.u - alpha * phi).max() < 2e-6
 
@@ -93,7 +93,7 @@ def test_time_convergence_order_at_least_1_9():
     alpha = _modal_exact(op, 1, 1.0, t_final)
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
-        out = evolve(StateVector(phi.copy(), np.zeros_like(phi)), t_final, dt, op, f)
+        out = WaveIntegrator(op, f, dt).advance(StateVector(phi.copy(), np.zeros_like(phi)), t_final)
         errs.append(np.abs(out.u - alpha * phi).max())
     orders = [np.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
     assert min(orders) >= 1.9
@@ -105,15 +105,36 @@ def test_step_size_cap_enforced():
         WaveIntegrator(op, default_nonlinearity(), dt=0.1)
 
 
-def test_evolve_semigroup_composition():
+def test_advance_semigroup_composition():
     op = identity_operator(Mesh(UNIT, 16))
     f = default_nonlinearity()
     rng = np.random.default_rng(5)
     s = random_state(op, rng, radius=1.0)
-    one = evolve(s, 0.5, 0.01, op, f)
-    two = evolve(evolve(s, 0.3, 0.01, op, f), 0.2, 0.01, op, f)
+    integ = WaveIntegrator(op, f, 0.01)
+    one = integ.advance(s, 0.5)
+    two = integ.advance(integ.advance(s, 0.3), 0.2)
     assert np.array_equal(one.u, two.u)
     assert np.array_equal(one.v, two.v)
+
+
+@pytest.mark.parametrize(
+    "domain, resolution, dt",
+    [(UNIT, 24, 0.005), (ReferenceDomain("rectangle", ((0.0, 1.0), (0.0, 1.0))), 12, 0.01)],
+)
+def test_block_step_matches_single_states(domain, resolution, dt):
+    # a (dim, 3) block must evolve column by column exactly like three
+    # separate integrations: the sampler and the flow table rely on it
+    op = identity_operator(Mesh(domain, resolution))
+    integ = WaveIntegrator(op, default_nonlinearity(), dt)
+    rng = np.random.default_rng(41)
+    singles = [random_state(op, rng, radius=2.0) for _ in range(3)]
+    block = StateVector(np.column_stack([s.u for s in singles]), np.column_stack([s.v for s in singles]))
+    for _ in range(300):
+        block = integ.step(block)
+        singles = [integ.step(s) for s in singles]
+    for i, s in enumerate(singles):
+        assert np.array_equal(block.u[:, i], s.u)
+        assert np.array_equal(block.v[:, i], s.v)
 
 
 def test_energy_nonincreasing_per_step_without_forcing():
@@ -297,6 +318,35 @@ def test_sample_save_load_roundtrip(tmp_path):
     assert a.provenance == b.provenance
     assert a.eps_inv == b.eps_inv
     assert a.seed == b.seed
+
+
+def _saved_sample(tmp_path):
+    op = identity_operator(Mesh(UNIT, 16))
+    sample_attractor(op, default_nonlinearity(), _FAST, seed=12).save(tmp_path / "s")
+    return tmp_path / "s.bin"
+
+
+def test_sample_load_rejects_truncated_file(tmp_path):
+    path = _saved_sample(tmp_path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="s.bin.*bytes, expected"):
+        AttractorSample.load(tmp_path / "s")
+
+
+def test_sample_load_rejects_overlong_file(tmp_path):
+    path = _saved_sample(tmp_path)
+    path.write_bytes(path.read_bytes() + np.zeros(3).tobytes())
+    with pytest.raises(ValueError, match="s.bin.*bytes, expected"):
+        AttractorSample.load(tmp_path / "s")
+
+
+def test_sample_load_rejects_non_finite_values(tmp_path):
+    path = _saved_sample(tmp_path)
+    raw = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
+    raw[5] = np.nan
+    path.write_bytes(raw.tobytes())
+    with pytest.raises(ValueError, match="s.bin.*non-finite"):
+        AttractorSample.load(tmp_path / "s")
 
 
 # --- conjugated flows ----------------------------------------------------------

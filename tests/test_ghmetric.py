@@ -191,6 +191,9 @@ def test_interp_flow_d2_matches_segment_geometry():
     assert out[0, 0, 0] == pytest.approx(0.125**2, rel=1e-12)
     # halfway along 1 -> 1.5 is 1.25
     assert out[1, 0, 0] == pytest.approx(1.25**2, rel=1e-12)
+    # one target per point and query time, as commutation scoring passes them
+    own = _interp_flow_d2(d2, traj, times, q, np.array([[[0]], [[1]]], dtype=np.intp))
+    assert own[:, 0, 0] == pytest.approx([0.125**2, 0.25**2], rel=1e-12)
 
 
 def _make_flow(points_t0, points_t1, all_pts=None):
