@@ -89,13 +89,12 @@ def _cmd_solve(args) -> int:
     import numpy as np
 
     from .dynamics import energy_profile, export_energy_csv, export_trajectory_csv, random_state, solve_trajectory
-    from .operators import identity_operator
 
     cfg = _load(args)
     if cfg is None:
         return 2
     out = _out_dir(args)
-    op = identity_operator(cfg.make_mesh())
+    op = cfg.reference_operator()
     f = cfg.make_nonlinearity()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
     s0 = random_state(op, rng, cfg.sampler.radius, cfg.sampler.n_modes)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .domains import FAMILIES, PerturbationFamily, ReferenceDomain, make_family
-from .dynamics import SamplerConfig
-from .operators import Mesh, NonlinearitySpec, default_nonlinearity
+from .dynamics import SamplerConfig, stability_cap
+from .operators import DiscreteOperator, Mesh, NonlinearitySpec, default_nonlinearity, identity_operator
 
 __all__ = ["Diagnostic", "ScenarioConfig", "parse_config", "load_config", "DEFAULT_SCHEDULE"]
 
@@ -65,6 +65,7 @@ class ScenarioConfig:
     # [run]
     seed: int = 0
     threads: int = 1
+    _reference_op: DiscreteOperator | None = field(default=None, init=False, repr=False, compare=False)
 
     def make_domain(self) -> ReferenceDomain:
         if self.kind == "interval":
@@ -73,6 +74,14 @@ class ScenarioConfig:
 
     def make_mesh(self) -> Mesh:
         return Mesh(self.make_domain(), self.resolution)
+
+    def reference_operator(self) -> DiscreteOperator:
+        """Identity-pullback operator of the mesh; the config-time dt check and
+        the studies share one assembly of it."""
+        mesh = self.make_mesh()
+        if self._reference_op is None or self._reference_op.mesh != mesh:
+            self._reference_op = identity_operator(mesh)
+        return self._reference_op
 
     def make_family(self) -> PerturbationFamily:
         return make_family(self.family, self.make_domain(), self.schedule, self.family_params)
@@ -231,6 +240,15 @@ def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | 
     if sampler.t_cap < sampler.t_transient + sampler.t_window:
         diags.append(Diagnostic("sampler.t_cap", f"t_cap ({sampler.t_cap}) ends the run before t_transient + t_window"))
 
+    if diags:
+        return None, diags
+
+    # the cap of the unperturbed operator; each perturbed operator's cap is
+    # still checked when an integrator is built on it
+    cap = stability_cap(cfg.reference_operator())
+    for key, dt in (("solver.dt", cfg.dt), ("sampler.dt", sampler_kwargs.get("dt"))):
+        if dt is not None and dt > cap:
+            diags.append(Diagnostic(key, f"dt ({dt}) exceeds the stability cap {cap:.3e} of the reference mesh"))
     if diags:
         return None, diags
 

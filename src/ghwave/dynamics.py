@@ -54,6 +54,7 @@ __all__ = [
     "BlowupError",
     "NonDissipativeError",
     "WaveIntegrator",
+    "stability_cap",
     "solve_trajectory",
     "energy_profile",
     "lipschitz_constants",
@@ -102,6 +103,11 @@ class StateVector:
 THETA_SHIFT = 0.5  # theta = 1/2 + THETA_SHIFT * dt
 
 
+def stability_cap(op: DiscreteOperator) -> float:
+    """Largest dt accepted on `op`: 0.5/sqrt(lambda_max estimate), plus 1e-12 relative."""
+    return 0.5 / np.sqrt(op.lambda_max_estimate()) * (1 + 1e-12)
+
+
 class WaveIntegrator:
     """Prefactorized one-step map for a fixed (operator, nonlinearity, dt).
 
@@ -113,8 +119,8 @@ class WaveIntegrator:
     def __init__(self, op: DiscreteOperator, f: NonlinearitySpec, dt: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
-        cap = 0.5 / np.sqrt(op.lambda_max_estimate())
-        if dt > cap * (1 + 1e-12):
+        cap = stability_cap(op)
+        if dt > cap:
             raise ValueError(
                 f"dt = {dt:.3e} exceeds the stability cap {cap:.3e} "
                 f"(0.5/sqrt(lambda_max estimate))"
@@ -163,14 +169,14 @@ class WaveIntegrator:
 
 @dataclass
 class Trajectory:
-    """States recorded at uniformly spaced times."""
+    """States recorded at uniformly spaced times, one column of `states` each."""
 
     times: Array
-    states: list[StateVector]
+    states: StateVector
     op: DiscreteOperator
 
     def __post_init__(self) -> None:
-        if len(self.states) != len(self.times):
+        if self.states.u.shape[1:] != self.times.shape:
             raise ValueError("times/states length mismatch")
 
 
@@ -185,23 +191,20 @@ def solve_trajectory(
     integ = WaveIntegrator(op, f, dt)
     n_steps = int(round(t_final / dt))
     times = [0.0]
-    states = [state.copy()]
+    us, vs = [state.u], [state.v]
     cur = state
     for k in range(1, n_steps + 1):
         cur = integ.step(cur)
         if k % record_every == 0 or k == n_steps:
             times.append(k * dt)
-            states.append(cur.copy())
-    return Trajectory(np.array(times), states, op)
+            us.append(cur.u)
+            vs.append(cur.v)
+    return Trajectory(np.array(times), StateVector(np.column_stack(us), np.column_stack(vs)), op)
 
 
-def _u_tt(state: StateVector, pack: NormPack, f: NonlinearitySpec) -> Array:
-    """Algebraic acceleration -v - M^{-1}Ku - f(u) from the semi-discrete law."""
-    return -state.v - pack.apply_A(state.u) - f.f(state.u)
-
-
-def _e2(state: StateVector, pack: NormPack, f: NonlinearitySpec) -> float:
-    acc = _u_tt(state, pack, f)
+def _e2(state: StateVector, pack: NormPack, f: NonlinearitySpec) -> float | Array:
+    """E2 per state, with u_tt = -v - M^{-1}Ku - f(u) from the semi-discrete law."""
+    acc = -state.v - pack.apply_A(state.u) - f.f(state.u)
     return pack.norm0(acc) ** 2 + pack.norm1(state.v) ** 2 + pack.norm2(state.u) ** 2
 
 
@@ -283,7 +286,7 @@ def _fit_envelope(times: Array, e2: Array) -> tuple[float, float, float]:
 
 def energy_profile(traj: Trajectory, f: NonlinearitySpec) -> EnergyProfile:
     pack = NormPack(traj.op)
-    e2 = np.array([_e2(s, pack, f) for s in traj.states])
+    e2 = _e2(traj.states, pack, f)
     a, b, c = _fit_envelope(traj.times, e2)
     env = a + b * np.exp(-c * traj.times)
     floor = 1e-15 * max(float(e2.max(initial=0.0)), 1.0)
@@ -567,7 +570,7 @@ def sample_attractor(
     window_end = window_start + int(round(cfg.t_window / cfg.dt))
 
     snaps: list[tuple[float, StateVector]] = [(0.0, state)] if window_start == 0 else []
-    e_prev = np.array([_e2(s, pack, f) for s in ics])
+    e_prev = _e2(state, pack, f)
     consec = np.zeros(n_ics, dtype=np.intp)
     plateaued = np.zeros(n_ics, dtype=bool)
     k = 0
@@ -577,26 +580,23 @@ def sample_attractor(
         t = k * cfg.dt
         if window_start <= k <= window_end and (k - window_start) % cfg.stride == 0:
             snaps.append((t, state))
-        # a plateaued IC keeps stepping until every IC is done, but its
-        # settling test is over
-        todo = np.flatnonzero(~plateaued)
-        if todo.size:
-            e_now = np.array([_e2(StateVector(state.u[:, i], state.v[:, i]), pack, f) for i in todo])
-            slope = np.abs(e_now - e_prev[todo]) / cfg.dt
-            e_prev[todo] = e_now
-            settled = slope < cfg.plateau_tol * e_now + cfg.plateau_floor
-            consec[todo] = np.where(settled, consec[todo] + 1, 0)
-            if t >= cfg.t_transient:
-                plateaued[todo] = consec[todo] >= cfg.plateau_window
+        # a plateaued IC keeps stepping until every IC is done; its settling
+        # test is over, so its later E2 values are never read
+        e_now = _e2(state, pack, f)
+        slope = np.abs(e_now - e_prev) / cfg.dt
+        e_prev = e_now
+        settled = slope < cfg.plateau_tol * e_now + cfg.plateau_floor
+        consec = np.where(settled, consec + 1, 0)
+        if t >= cfg.t_transient:
+            plateaued |= consec >= cfg.plateau_window
         if plateaued.all() and k >= window_end:
             break
         if t >= cfg.t_cap:
             ic = int(np.argmin(plateaued))
             raise NonDissipativeError(f"energy of ic {ic} never plateaued before t_cap = {cfg.t_cap}")
     # the pool is IC-major: every snapshot of ic 0, then of ic 1, ...
-    snap_u = np.array([st.u for _, st in snaps])  # (n_snaps, dim, n_ics)
-    snap_v = np.array([st.v for _, st in snaps])
-    pool_arr = np.stack([snap_u, snap_v], axis=1).transpose(3, 0, 1, 2).reshape(n_ics * len(snaps), 2, -1)
+    snap_uv = np.array([(st.u, st.v) for _, st in snaps])  # (n_snaps, 2, dim, n_ics)
+    pool_arr = snap_uv.transpose(3, 0, 1, 2).reshape(n_ics * len(snaps), 2, -1)
     prov = [(ic, t) for ic in range(n_ics) for t, _ in snaps]
     d_pool = np.sqrt(x0_sqdist(pool_arr, op))
     d_pool = 0.5 * (d_pool + d_pool.T)
@@ -666,24 +666,21 @@ def conjugated_flow_error(
     errs = np.empty(tg.size)
     a = v0
     b = v0
-    t_prev = 0.0
-    for i, t in enumerate(tg):
-        if t > t_prev:
-            a = integ0.advance(a, t - t_prev)
-            b = integn.advance(b, t - t_prev)
-            t_prev = t
+    for i, step in enumerate(np.diff(tg, prepend=0.0)):
+        a = integ0.advance(a, step)
+        b = integn.advance(b, step)
         errs[i] = x_norm(a.u - b.u, a.v - b.v, pack0, 0)
     return ConjugationErrorCurve(tg, errs, det_dev, hbar_dev)
 
 
 def export_trajectory_csv(traj: Trajectory, path) -> None:
     """Rows: t, then u and v nodal values (17 significant digits)."""
-    dim = traj.states[0].u.shape[0]
+    dim = traj.states.u.shape[0]
     header = ["t"] + [f"u{i}" for i in range(dim)] + [f"v{i}" for i in range(dim)]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for t, s in zip(traj.times, traj.states):
-            vals = [t, *s.u, *s.v]
+        for j, t in enumerate(traj.times):
+            vals = [t, *traj.states.u[:, j], *traj.states.v[:, j]]
             fh.write(",".join(f"{x:.17g}" for x in vals) + "\n")
 
 

@@ -187,8 +187,7 @@ def _descend(dx: Array, dy: Array, m: IntArray, rng: np.random.Generator, kicks:
             # T[a, t, b] = |dx[a, b] - dy[t, cur[b]]|, contribution of pair
             # (a, b) if coordinate a moved to t; self-pairs removed.
             T = np.abs(dx[:, None, :] - dy[np.newaxis, :, :][:, :, cur])
-            for a in range(nx):
-                T[a, :, a] = 0.0
+            T[np.arange(nx), :, np.arange(nx)] = 0.0
             dis_move = T.max(axis=2)  # (nx, ny): worst pair involving a
             # worst pair NOT involving a: exclude row/col a from base matrix
             base = np.abs(dx - dy[np.ix_(cur, cur)])
@@ -209,21 +208,20 @@ def _descend(dx: Array, dy: Array, m: IntArray, rng: np.random.Generator, kicks:
 
 
 def _excl_max(base: Array) -> Array:
-    """For each index a: max of base over pairs (i, j) with i != a and j != a."""
+    """For each index a: max of base over pairs (i, j) with i != a and j != a.
+
+    Row i loses its maximum only when a is its argmax; then its second largest
+    value (the maximum again under a tie) stands in.
+    """
     n = base.shape[0]
     if n <= 2:
         return np.zeros(n)
-    out = np.empty(n)
-    flat = base.copy()
-    for a in range(n):
-        saved_row = flat[a].copy()
-        saved_col = flat[:, a].copy()
-        flat[a] = -np.inf
-        flat[:, a] = -np.inf
-        out[a] = flat.max()
-        flat[a] = saved_row
-        flat[:, a] = saved_col
-    return np.maximum(out, 0.0)
+    top2 = np.partition(base, n - 2, axis=1)[:, n - 2 :]  # (second largest, largest) per row
+    arg = np.argmax(base, axis=1)
+    # rows[a, i]: max of row i over the columns j != a
+    rows = np.where(arg[None, :] == np.arange(n)[:, None], top2[None, :, 0], top2[None, :, 1])
+    np.fill_diagonal(rows, -np.inf)
+    return np.maximum(rows.max(axis=1), 0.0)
 
 
 def _deficit_after_move(dy: Array, cur: IntArray) -> Array:
@@ -235,11 +233,10 @@ def _deficit_after_move(dy: Array, cur: IntArray) -> Array:
     """
     nx = cur.shape[0]
     D = dy[:, cur]  # (ny, nx) distances from every y to current image
-    order = np.argsort(D, axis=1)
-    i0 = order[:, 0]
-    m0 = D[np.arange(D.shape[0]), i0]
+    i0 = np.argmin(D, axis=1)
+    m0 = D.min(axis=1)
     if nx >= 2:
-        m1 = D[np.arange(D.shape[0]), order[:, 1]]
+        m1 = np.partition(D, 1, axis=1)[:, 1]  # the smallest again under a tie
     else:
         m1 = np.full(D.shape[0], np.inf)
     # rest[y, a]: min over image excluding coordinate a

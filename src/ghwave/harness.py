@@ -31,7 +31,7 @@ from .dynamics import (
     x0_sqdist,
 )
 from .ghmetric import FiniteMetricSpace, FlowSample, dgh_dynamical, gh_lower, gh_upper
-from .operators import DiscreteOperator, assemble_operators, identity_operator, pullback_operator
+from .operators import DiscreteOperator, assemble_operators, pullback_operator
 
 __all__ = [
     "ContinuityRow",
@@ -127,7 +127,7 @@ def run_continuity_study(cfg: ScenarioConfig, out_dir=None) -> ContinuityResult:
     mesh = cfg.make_mesh()
     f = cfg.make_nonlinearity()
     family = cfg.make_family()
-    op_ref = identity_operator(mesh)
+    op_ref = cfg.reference_operator()
     sample_ref = sample_attractor(op_ref, f, cfg.sampler, cfg.seed)
     sample_ctrl = sample_attractor(op_ref, f, cfg.sampler, cfg.seed + 1)
     space_ref = FiniteMetricSpace(sample_ref.dist, validate=False)
@@ -238,7 +238,7 @@ def run_stability_study(cfg: ScenarioConfig, out_dir=None) -> StabilityResult:
     d_full = _c2_gap(h_anchor, h_full, mesh)
     d_half = _c2_gap(h_anchor, h_half, mesh)
 
-    op_univ = identity_operator(mesh)
+    op_univ = cfg.reference_operator()
     op_anchor = pullback_operator(mesh, h_anchor)
     op_full = pullback_operator(mesh, h_full)
     op_half = pullback_operator(mesh, h_half)
@@ -309,7 +309,7 @@ def run_estimate_checks(cfg: ScenarioConfig, out_dir=None) -> EstimateResult:
     """
     mesh = cfg.make_mesh()
     f = cfg.make_nonlinearity()
-    op = identity_operator(mesh)
+    op = cfg.reference_operator()
 
     max_ratio = 0.0
     for k in range(cfg.n_pairs):

@@ -306,9 +306,15 @@ def first_eigenvalue(op: DiscreteOperator, tol: float = 1e-10, max_iter: int = 1
     )
 
 
+def _sqrt_dot(a: Array, b: Array) -> float | Array:
+    """sqrt(max(a^T b, 0)) per column; `vecdot` on rows keeps the bits of 1-D `a @ b`."""
+    dots = np.vecdot(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
+    return np.sqrt(np.maximum(dots, 0.0))
+
+
 @dataclass
 class NormPack:
-    """Discrete norms induced by one operator.
+    """Discrete norms of one state (dim,), or per column of a block (dim, k).
 
     ||u||_0 = sqrt(u^T M u), ||u||_1 = sqrt(u^T K u), ||u||_2 = ||M^{-1} K u||_0.
     Product norms: level 0 -> sqrt(||u||_1^2 + ||v||_0^2),
@@ -317,16 +323,15 @@ class NormPack:
 
     op: DiscreteOperator
 
-    def norm0(self, u: Array) -> float:
-        return float(np.sqrt(max(u @ (self.op.M @ u), 0.0)))
+    def norm0(self, u: Array) -> float | Array:
+        return _sqrt_dot(u, self.op.M @ u)
 
-    def norm1(self, u: Array) -> float:
-        return float(np.sqrt(max(u @ (self.op.K @ u), 0.0)))
+    def norm1(self, u: Array) -> float | Array:
+        return _sqrt_dot(u, self.op.K @ u)
 
-    def norm2(self, u: Array) -> float:
+    def norm2(self, u: Array) -> float | Array:
         ku = self.op.K @ u
-        w = self.op.solve_M(ku)
-        return float(np.sqrt(max(w @ ku, 0.0)))
+        return _sqrt_dot(self.op.solve_M(ku), ku)
 
     def apply_A(self, u: Array) -> Array:
         """M^{-1} K u, the discrete Dirichlet Laplacian action."""

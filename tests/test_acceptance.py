@@ -70,7 +70,7 @@ def test_solver_time_order(verdict):
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
         traj = solve_trajectory(StateVector(phi.copy(), np.zeros_like(phi)), t_final, dt, op, f)
-        errs.append(float(np.abs(traj.states[-1].u - alpha * phi).max()))
+        errs.append(float(np.abs(traj.states.u[:, -1] - alpha * phi).max()))
     orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
     verdict(
         min(orders) >= 1.9,

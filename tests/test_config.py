@@ -2,6 +2,7 @@
 
 import pytest
 
+from ghwave.cli import main
 from ghwave.config import DEFAULT_SCHEDULE, ScenarioConfig, load_config, parse_config
 
 GOOD = """
@@ -136,6 +137,19 @@ def test_sampler_cap_before_window_end_rejected():
     cfg, diags = parse_config(text.replace("18.5", "19.0"))
     assert diags == []
     assert cfg.sampler.t_cap == 19.0
+
+
+def test_dt_above_reference_stability_cap_rejected(tmp_path):
+    # at resolution 48 on [0, pi] the cap is 0.5/sqrt(4/h^2) = h/4, about 0.016
+    text = "[domain]\nresolution = 48\n[solver]\ndt = 0.05\n[sampler]\ndt = 0.05\n[run]\nseed = 1\n"
+    cfg, diags = parse_config(text)
+    assert cfg is None
+    assert _diag_keys(diags) == {"solver.dt", "sampler.dt"}
+    assert all("stability cap" in d.message for d in diags)
+    p = tmp_path / "fast.cfg"
+    p.write_text(text)
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_estimates_t_final_renamed_attr():

@@ -27,6 +27,7 @@ from ghwave.dynamics import (
     SamplerConfig,
     StateVector,
     WaveIntegrator,
+    _e2,
     calibration_state,
     conjugated_flow_error,
     energy_profile,
@@ -135,6 +136,13 @@ def test_block_step_matches_single_states(domain, resolution, dt):
     for i, s in enumerate(singles):
         assert np.array_equal(block.u[:, i], s.u)
         assert np.array_equal(block.v[:, i], s.v)
+    # the norms and E2 of a block must also be those of its columns, bit for
+    # bit: the settling test and the energy profile evaluate blocks
+    pack = NormPack(op)
+    for norm in (pack.norm0, pack.norm1, pack.norm2):
+        assert np.array_equal(norm(block.u), [norm(s.u) for s in singles])
+    f = default_nonlinearity()
+    assert np.array_equal(_e2(block, pack, f), [_e2(s, pack, f) for s in singles])
 
 
 def test_energy_nonincreasing_per_step_without_forcing():

@@ -24,6 +24,8 @@ from ghwave.ghmetric import (
     gh_lower,
     gh_upper,
     is_eps_isometry,
+    _deficit_after_move,
+    _excl_max,
     _interp_flow_d2,
 )
 
@@ -131,6 +133,40 @@ def test_upper_witnesses_verify():
     eps = est.value + 1e-12
     assert is_eps_isometry(X.d, Y.d, est.forward.assignment, eps)
     assert is_eps_isometry(Y.d, X.d, est.backward.assignment, eps)
+
+
+def test_excl_max_matches_masked_max():
+    # pair-distortion matrices are symmetric with a zero diagonal; small
+    # integer entries make ties, including ties at a row maximum
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        n = int(rng.integers(1, 30))
+        b = rng.integers(0, 4, size=(n, n)).astype(float) if trial % 2 else rng.random((n, n))
+        b = b + b.T
+        np.fill_diagonal(b, 0.0)
+        want = np.zeros(n)
+        for a in range(n):
+            keep = np.arange(n) != a
+            want[a] = b[np.ix_(keep, keep)].max(initial=0.0)
+        assert np.array_equal(_excl_max(b), want)
+
+
+def test_deficit_after_move_matches_moved_maps():
+    # every single-coordinate move scored by the two-smallest trick equals the
+    # deficit of the moved map, ties and one-point images included
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        ny, nx = (int(k) for k in rng.integers(1, 9, size=2))
+        d = rng.integers(0, 3, size=(ny, ny)).astype(float) if trial % 2 else rng.random((ny, ny))
+        d = d + d.T
+        np.fill_diagonal(d, 0.0)
+        cur = rng.integers(0, ny, size=nx).astype(np.intp)
+        got = _deficit_after_move(d, cur)
+        for a in range(nx):
+            for t in range(ny):
+                moved = cur.copy()
+                moved[a] = t
+                assert got[a, t] == coverage_deficit(d, moved)
 
 
 def test_distortion_and_deficit_hand_values():
