@@ -58,7 +58,7 @@ def _run_study(args, name: str) -> int:
         "stability": harness.run_stability_study,
         "estimates": harness.run_estimate_checks,
     }[name]
-    result = timer.run(name, runner, cfg, out)
+    result = timer.run(name, runner, cfg, out, timer=timer)
     harness.write_report([result.payload()], out)
     harness.write_timing(timer.timings, out)
     print(f"{name}: {'PASS' if result.passed else 'FAIL'}  (report: {out / 'report.json'})")

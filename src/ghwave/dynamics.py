@@ -40,7 +40,7 @@ from scipy.optimize import curve_fit
 from scipy.sparse.linalg import splu
 
 from .domains import DiffeoMap, deviation_norms, make_pullback
-from .operators import DiscreteOperator, Mesh, NonlinearitySpec, NormPack, pullback_operator, x_norm
+from .operators import DiscreteOperator, Mesh, NonlinearitySpec, NormPack, _sqrt_dot, pullback_operator, x_norm
 
 __all__ = [
     "StateVector",
@@ -203,9 +203,15 @@ def solve_trajectory(
 
 
 def _e2(state: StateVector, pack: NormPack, f: NonlinearitySpec) -> float | Array:
-    """E2 per state, with u_tt = -v - M^{-1}Ku - f(u) from the semi-discrete law."""
-    acc = -state.v - pack.apply_A(state.u) - f.f(state.u)
-    return pack.norm0(acc) ** 2 + pack.norm1(state.v) ** 2 + pack.norm2(state.u) ** 2
+    """E2 per state, with u_tt = -v - M^{-1}Ku - f(u) from the semi-discrete law.
+
+    K u and M^{-1} K u are formed once and serve both u_tt and ||u||_2, with
+    the operands `NormPack.norm2` takes.
+    """
+    ku = pack.op.K @ state.u
+    au = pack.op.solve_M(ku)
+    acc = -state.v - au - f.f(state.u)
+    return pack.norm0(acc) ** 2 + pack.norm1(state.v) ** 2 + _sqrt_dot(au, ku) ** 2
 
 
 @dataclass

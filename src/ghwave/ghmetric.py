@@ -165,41 +165,68 @@ def _greedy_init(dx: Array, dy: Array) -> IntArray:
     return m
 
 
+def _pair_moves(dx: Array, dy: Array, cur: IntArray, b: IntArray, out: Array) -> None:
+    """out[j, a, t] = |dx[a, b_j] - dy[t, cur[b_j]]|: pair (a, b_j) if a moved to t.
+
+    Self-pairs (a == b_j) are 0, so with b = all of X, out.max(axis=0) is the
+    worst pair involving a after its move.  `out` is (len(b), nx, ny).
+    """
+    np.subtract(dx[:, b].T[:, :, None], dy[:, cur[b]].T[:, None, :], out=out)
+    np.abs(out, out=out)
+    out[np.arange(b.size), b, :] = 0.0
+
+
 def _descend(dx: Array, dy: Array, m: IntArray, rng: np.random.Generator, kicks: int) -> tuple[float, IntArray]:
     """Best-improvement coordinate descent on max(distortion, deficit).
 
     Each pass scores every single-coordinate move (a -> t) exactly and takes
     the best strict improvement; after convergence the map is kicked (a
     random fraction of coordinates reassigned) and descent repeats.
+
+    Cost: the pair table T (nx * nx * ny floats, allocated once) is filled
+    once per phase, O(nx^2 ny).  An accepted move a* -> t* changes only
+    cur[a*]: it rewrites the slab T[a*], O(nx ny), and rescans only the
+    (a, t) cells whose worst pair was (a, a*) and got better, reading T at
+    most once; the rest of a pass is O(nx ny + nx^2).  Every score is a max,
+    min or abs of the same floats a full rebuild takes, so moves and ties
+    are those of the rebuild.
     """
     nx, ny = dx.shape[0], dy.shape[0]
     best = m.copy()
     best_val = max(distortion(dx, dy, best), coverage_deficit(dy, best))
     cur = best.copy()
     n_kick = max(1, -(-nx // 8))
+    T = np.empty((nx, nx, ny))  # T[b, a, t], see _pair_moves
     for phase in range(kicks + 1):
         if phase > 0:
             cur = best.copy()
             coords = rng.choice(nx, size=min(n_kick, nx), replace=False)
             cur[coords] = rng.integers(0, ny, size=coords.size)
+        _pair_moves(dx, dy, cur, np.arange(nx), T)
+        dis_move = T.max(axis=0)  # (nx, ny): worst pair involving a after a -> t
         while True:
-            cur_val = max(distortion(dx, dy, cur), coverage_deficit(dy, cur))
-            # T[a, t, b] = |dx[a, b] - dy[t, cur[b]]|, contribution of pair
-            # (a, b) if coordinate a moved to t; self-pairs removed.
-            T = np.abs(dx[:, None, :] - dy[np.newaxis, :, :][:, :, cur])
-            T[np.arange(nx), :, np.arange(nx)] = 0.0
-            dis_move = T.max(axis=2)  # (nx, ny): worst pair involving a
+            base = np.abs(dx - dy[cur[:, None], cur])  # its max is the distortion
+            cur_val = max(float(base.max(initial=0.0)), coverage_deficit(dy, cur))
             # worst pair NOT involving a: exclude row/col a from base matrix
-            base = np.abs(dx - dy[np.ix_(cur, cur)])
             base_excl = _excl_max(base)
             dis_after = np.maximum(dis_move, base_excl[:, None])
             dfc_after = _deficit_after_move(dy, cur)
             val_after = np.maximum(dis_after, dfc_after)
             a_best, t_best = np.unravel_index(np.argmin(val_after), val_after.shape)
-            if val_after[a_best, t_best] < cur_val - 1e-15:
-                cur[a_best] = t_best
-            else:
+            if val_after[a_best, t_best] >= cur_val - 1e-15:
                 break
+            cur[a_best] = t_best
+            old = T[a_best].copy()
+            _pair_moves(dx, dy, cur, np.array([a_best]), T[a_best : a_best + 1])
+            ia, it = np.nonzero((old == dis_move) & (T[a_best] < old))
+            np.maximum(dis_move, T[a_best], out=dis_move)
+            # rescan the cells whose worst pair was (a, a*) and got better; a
+            # gathered float costs about ten streamed ones, so past 1/16 of the
+            # cells one pass over T is cheaper and needs no large temporary
+            if 16 * ia.size > dis_move.size:
+                T.max(axis=0, out=dis_move)
+            else:
+                dis_move[ia, it] = T[:, ia, it].max(axis=0)
         cur_val = max(distortion(dx, dy, cur), coverage_deficit(dy, cur))
         if cur_val < best_val:
             best_val = cur_val
@@ -227,23 +254,27 @@ def _excl_max(base: Array) -> Array:
 def _deficit_after_move(dy: Array, cur: IntArray) -> Array:
     """(nx, ny) matrix of covering deficits after moving coordinate a to t.
 
-    Uses the two-smallest trick: for each y the min over the image is either
-    the global min (if not attained only at the moved coordinate) or the
-    second-smallest.
+    Two-smallest trick: for each y the min over the image is m0 (its nearest
+    image distance, first attained at coordinate i0[y]) unless a == i0[y],
+    when it is m1, the second smallest.  Moving a to t then leaves
+    B = min(m0, dy[y, t]) or C = min(m1, dy[y, t]), so
+    deficit[a, t] = max(max_{i0[y] != a} B[y, t], max_{i0[y] == a} C[y, t]).
+    As C >= B, the first max may run over every y: one column max of B, plus
+    the maxima of C over the groups of y sharing i0 (one scatter-max, cheaper
+    than sorting by i0 on small spaces), in O(ny (nx + ny)).
     """
-    nx = cur.shape[0]
+    nx, ny = cur.shape[0], dy.shape[0]
     D = dy[:, cur]  # (ny, nx) distances from every y to current image
     i0 = np.argmin(D, axis=1)
     m0 = D.min(axis=1)
     if nx >= 2:
         m1 = np.partition(D, 1, axis=1)[:, 1]  # the smallest again under a tie
     else:
-        m1 = np.full(D.shape[0], np.inf)
-    # rest[y, a]: min over image excluding coordinate a
-    rest = np.where(np.arange(nx)[None, :] == i0[:, None], m1[:, None], m0[:, None])
-    # after moving a to t, min over image = min(rest[y, a], dy[y, t])
-    after = np.minimum(rest[:, :, None], dy[:, None, :])  # (ny, nx, nt)
-    return after.max(axis=0)  # (nx, nt)
+        m1 = np.full(ny, np.inf)
+    b_max = np.minimum(m0[:, None], dy).max(axis=0)  # deficit once t joins the image
+    c_max = np.full((nx, ny), -np.inf)  # -inf: a is no point's nearest image
+    np.maximum.at(c_max, i0, np.minimum(m1[:, None], dy))
+    return np.maximum(b_max[None, :], c_max)
 
 
 @dataclass
@@ -300,9 +331,11 @@ def gh_upper(
 ) -> GHEstimate:
     """Seeded multistart estimate of the two-sided objective.
 
-    Restart 0 uses a deterministic greedy initialization, the rest are random;
-    increasing `budget` with the same seed never worsens the value.  With the
-    same seed the result is identical for any thread count.
+    Restart 0 starts at the identity when both spaces have the same size
+    (index-matched samples) and at the deterministic greedy matching
+    otherwise, restart 1 at the greedy matching, the rest at random maps;
+    increasing `budget` with the same seed never worsens the value.  With
+    the same seed the result is identical for any thread count.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -117,22 +118,26 @@ class ContinuityResult:
         }
 
 
-def run_continuity_study(cfg: ScenarioConfig, out_dir=None) -> ContinuityResult:
+def run_continuity_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | None = None) -> ContinuityResult:
     """Sampled-attractor GH distance against perturbation size.
 
     The reference operator is resampled with seed+1 as a same-distribution
     control; the resulting gh_upper value is the sampling noise floor that
-    the smallest perturbation is compared against.
+    the smallest perturbation is compared against.  `timer` collects the
+    wall clock of the assembly, sampling and GH-search stages.
     """
+    clock = timer or StudyTimer()
     mesh = cfg.make_mesh()
     f = cfg.make_nonlinearity()
     family = cfg.make_family()
     op_ref = cfg.reference_operator()
-    sample_ref = sample_attractor(op_ref, f, cfg.sampler, cfg.seed)
-    sample_ctrl = sample_attractor(op_ref, f, cfg.sampler, cfg.seed + 1)
+    with clock.stage("continuity.sample"):
+        sample_ref = sample_attractor(op_ref, f, cfg.sampler, cfg.seed)
+        sample_ctrl = sample_attractor(op_ref, f, cfg.sampler, cfg.seed + 1)
     space_ref = FiniteMetricSpace(sample_ref.dist, validate=False)
     space_ctrl = FiniteMetricSpace(sample_ctrl.dist, validate=False)
-    floor = gh_upper(space_ref, space_ctrl, cfg.budget, cfg.seed, cfg.threads).value
+    with clock.stage("continuity.search"):
+        floor = gh_upper(space_ref, space_ctrl, cfg.budget, cfg.seed, cfg.threads).value
 
     writer = CsvWriter(Path(out_dir) / "continuity.csv", ["delta", "det_dev", "hbar_dev", "gh_lower", "gh_upper"]) if out_dir else None
     rows: list[ContinuityRow] = []
@@ -140,13 +145,16 @@ def run_continuity_study(cfg: ScenarioConfig, out_dir=None) -> ContinuityResult:
     ident = identity_map(mesh.domain)
     try:
         for h in family.maps():
-            field = make_pullback(ident, h, quad)
-            op = assemble_operators(mesh, field)
+            with clock.stage("continuity.assemble"):
+                field = make_pullback(ident, h, quad)
+                op = assemble_operators(mesh, field)
             det_dev, hbar_dev = deviation_norms(field)
-            sample = sample_attractor(op, f, cfg.sampler, cfg.seed)
+            with clock.stage("continuity.sample"):
+                sample = sample_attractor(op, f, cfg.sampler, cfg.seed)
             space = FiniteMetricSpace(sample.dist, validate=False)
-            low = gh_lower(space_ref, space)
-            up = gh_upper(space_ref, space, cfg.budget, cfg.seed, cfg.threads).value
+            with clock.stage("continuity.search"):
+                low = gh_lower(space_ref, space)
+                up = gh_upper(space_ref, space, cfg.budget, cfg.seed, cfg.threads).value
             row = ContinuityRow(h.delta, det_dev, hbar_dev, low, up)
             rows.append(row)
             if writer:
@@ -216,16 +224,18 @@ class StabilityResult:
         }
 
 
-def run_stability_study(cfg: ScenarioConfig, out_dir=None) -> StabilityResult:
+def run_stability_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | None = None) -> StabilityResult:
     """Dynamical distance between two perturbed systems, then at half gap.
 
     The pair is (schedule[0], schedule[1]); the half-gap partner is the
     amplitude midpoint, which for amplitude-linear families halves the C^2
     distance exactly.  Both estimates must come with verified witnesses and
-    the half-gap epsilon must not exceed the full-gap one.
+    the half-gap epsilon must not exceed the full-gap one.  `timer` collects
+    the wall clock of the sampling, flow-pair and GH-search stages.
     """
     if len(cfg.schedule) < 2:
         raise ValueError("stability study needs at least two schedule amplitudes")
+    clock = timer or StudyTimer()
     mesh = cfg.make_mesh()
     f = cfg.make_nonlinearity()
     gen = cfg.make_family().generator
@@ -243,14 +253,20 @@ def run_stability_study(cfg: ScenarioConfig, out_dir=None) -> StabilityResult:
     op_full = pullback_operator(mesh, h_full)
     op_half = pullback_operator(mesh, h_half)
 
-    s_anchor = sample_attractor(op_anchor, f, cfg.sampler, cfg.seed)
-    s_full = sample_attractor(op_full, f, cfg.sampler, cfg.seed)
-    s_half = sample_attractor(op_half, f, cfg.sampler, cfg.seed)
+    with clock.stage("stability.sample"):
+        s_anchor = sample_attractor(op_anchor, f, cfg.sampler, cfg.seed)
+        s_full = sample_attractor(op_full, f, cfg.sampler, cfg.seed)
+        s_half = sample_attractor(op_half, f, cfg.sampler, cfg.seed)
 
-    fa, fb = build_flow_pair(s_anchor, s_full, op_univ)
-    est_full = dgh_dynamical(fa, fb, cfg.rho, cfg.budget, cfg.seed, cfg.threads)
-    ga, gb = build_flow_pair(s_anchor, s_half, op_univ)
-    est_half = dgh_dynamical(ga, gb, cfg.rho, cfg.budget, cfg.seed, cfg.threads)
+    def estimate(s_other: AttractorSample):
+        # one flow universe alive at a time: it is the study's largest array
+        with clock.stage("stability.flow_pair"):
+            fx, fy = build_flow_pair(s_anchor, s_other, op_univ)
+        with clock.stage("stability.search"):
+            return dgh_dynamical(fx, fy, cfg.rho, cfg.budget, cfg.seed, cfg.threads)
+
+    est_full = estimate(s_full)
+    est_half = estimate(s_half)
 
     result = StabilityResult(
         d_full, d_half, est_full.value, est_half.value, est_full.certified, est_half.certified
@@ -300,24 +316,27 @@ class EstimateResult:
         }
 
 
-def run_estimate_checks(cfg: ScenarioConfig, out_dir=None) -> EstimateResult:
+def run_estimate_checks(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | None = None) -> EstimateResult:
     """Numerical confirmation of the three analytic workhorses.
 
     1. Trajectory-pair separation under the Gronwall envelope exp(Ct).
     2. Second-order energy under a decaying exponential envelope.
     3. Conjugated-flow error shrinking with the perturbation schedule.
+    `timer` collects the wall clock of each of the three checks.
     """
+    clock = timer or StudyTimer()
     mesh = cfg.make_mesh()
     f = cfg.make_nonlinearity()
     op = cfg.reference_operator()
 
     max_ratio = 0.0
-    for k in range(cfg.n_pairs):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7, k]))
-        s0 = random_state(op, rng, radius=1.0, n_modes=cfg.sampler.n_modes)
-        s1 = random_state(op, rng, radius=1.0, n_modes=cfg.sampler.n_modes)
-        chk = lipschitz_envelope_check(s0, s1, cfg.estimate_t_final, cfg.dt, op, f)
-        max_ratio = max(max_ratio, chk.max_ratio)
+    with clock.stage("estimates.gronwall"):
+        for k in range(cfg.n_pairs):
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7, k]))
+            s0 = random_state(op, rng, radius=1.0, n_modes=cfg.sampler.n_modes)
+            s1 = random_state(op, rng, radius=1.0, n_modes=cfg.sampler.n_modes)
+            chk = lipschitz_envelope_check(s0, s1, cfg.estimate_t_final, cfg.dt, op, f)
+            max_ratio = max(max_ratio, chk.max_ratio)
     gronwall_ok = max_ratio <= 1.05
 
     # single-frequency scenario: superpositions of modes carry beat patterns
@@ -325,9 +344,10 @@ def run_estimate_checks(cfg: ScenarioConfig, out_dir=None) -> EstimateResult:
     # shape check rides the fundamental mode where the envelope is clean; the
     # 24 s horizon leaves >= 5 ripple crests in the fit window even when the
     # fundamental is slow (oscillation rate is at least sqrt(ell - 1/4))
-    s0 = calibration_state(op, radius=1.0)
-    traj = solve_trajectory(s0, 24.0, cfg.dt, op, f, record_every=5)
-    prof = energy_profile(traj, f)
+    with clock.stage("estimates.energy"):
+        s0 = calibration_state(op, radius=1.0)
+        traj = solve_trajectory(s0, 24.0, cfg.dt, op, f, record_every=5)
+        prof = energy_profile(traj, f)
     envelope_ok = prof.c > 0 and prof.overshoot <= 0.05
 
     family = cfg.make_family()
@@ -336,9 +356,10 @@ def run_estimate_checks(cfg: ScenarioConfig, out_dir=None) -> EstimateResult:
     t_grid = np.linspace(0.0, 1.0, 11)[1:]
     conj: list[tuple[float, float]] = []
     h0 = family.base_map()
-    for amp, h in zip(family.schedule, family.maps()):
-        curve = conjugated_flow_error(h, h0, v0, t_grid, mesh, f, cfg.dt)
-        conj.append((amp, curve.max_error))
+    with clock.stage("estimates.conjugation"):
+        for amp, h in zip(family.schedule, family.maps()):
+            curve = conjugated_flow_error(h, h0, v0, t_grid, mesh, f, cfg.dt)
+            conj.append((amp, curve.max_error))
     errs = [e for _, e in conj]
     conj_ok = all(b < a for a, b in zip(errs, errs[1:])) and errs[-1] < 1e-3
 
@@ -384,11 +405,20 @@ def write_timing(timings: dict[str, float], out_dir) -> Path:
 
 
 class StudyTimer:
+    """Wall-clock seconds per study and per named stage, for timing.json."""
+
     def __init__(self) -> None:
         self.timings: dict[str, float] = {}
 
     def run(self, name: str, fn, *args, **kwargs):
+        with self.stage(name):
+            return fn(*args, **kwargs)
+
+    @contextmanager
+    def stage(self, name: str):
+        """Add the wall clock of the block to `name`; a stage may recur."""
         t0 = time.perf_counter()
-        out = fn(*args, **kwargs)
-        self.timings[name] = time.perf_counter() - t0
-        return out
+        try:
+            yield
+        finally:
+            self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - t0

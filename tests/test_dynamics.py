@@ -143,6 +143,10 @@ def test_block_step_matches_single_states(domain, resolution, dt):
         assert np.array_equal(norm(block.u), [norm(s.u) for s in singles])
     f = default_nonlinearity()
     assert np.array_equal(_e2(block, pack, f), [_e2(s, pack, f) for s in singles])
+    # E2 forms K u and its M solve once; the bits are those of the norm methods
+    acc = -block.v - pack.apply_A(block.u) - f.f(block.u)
+    want = pack.norm0(acc) ** 2 + pack.norm1(block.v) ** 2 + pack.norm2(block.u) ** 2
+    assert np.array_equal(_e2(block, pack, f), want)
 
 
 def test_energy_nonincreasing_per_step_without_forcing():

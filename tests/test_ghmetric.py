@@ -25,6 +25,7 @@ from ghwave.ghmetric import (
     gh_upper,
     is_eps_isometry,
     _deficit_after_move,
+    _descend,
     _excl_max,
     _interp_flow_d2,
 )
@@ -152,21 +153,86 @@ def test_excl_max_matches_masked_max():
 
 
 def test_deficit_after_move_matches_moved_maps():
-    # every single-coordinate move scored by the two-smallest trick equals the
-    # deficit of the moved map, ties and one-point images included
+    # every single-coordinate move scored by the grouped two-smallest trick
+    # equals the deficit of the moved map: ties, one-point images, and
+    # coordinates that are no point's nearest image (an empty group: maps
+    # onto a few targets with repeats) included
     rng = np.random.default_rng(12)
-    for trial in range(60):
-        ny, nx = (int(k) for k in rng.integers(1, 9, size=2))
+    for trial in range(90):
+        ny, nx = (int(k) for k in rng.integers(1, 21, size=2))
         d = rng.integers(0, 3, size=(ny, ny)).astype(float) if trial % 2 else rng.random((ny, ny))
         d = d + d.T
         np.fill_diagonal(d, 0.0)
-        cur = rng.integers(0, ny, size=nx).astype(np.intp)
+        targets = ny if trial % 3 else min(ny, 3)
+        cur = rng.integers(0, targets, size=nx).astype(np.intp)
         got = _deficit_after_move(d, cur)
         for a in range(nx):
             for t in range(ny):
                 moved = cur.copy()
                 moved[a] = t
                 assert got[a, t] == coverage_deficit(d, moved)
+
+
+def _descend_rebuilt(dx, dy, m, rng, kicks):
+    """The descent with every move table rebuilt on every pass: the reference
+    the incremental tables in `_descend` must reproduce bit for bit."""
+    nx, ny = dx.shape[0], dy.shape[0]
+    best = m.copy()
+    best_val = max(distortion(dx, dy, best), coverage_deficit(dy, best))
+    cur = best.copy()
+    n_kick = max(1, -(-nx // 8))
+    for phase in range(kicks + 1):
+        if phase > 0:
+            cur = best.copy()
+            coords = rng.choice(nx, size=min(n_kick, nx), replace=False)
+            cur[coords] = rng.integers(0, ny, size=coords.size)
+        while True:
+            cur_val = max(distortion(dx, dy, cur), coverage_deficit(dy, cur))
+            T = np.abs(dx[:, None, :] - dy[:, cur][None, :, :])  # T[a, t, b]
+            T[np.arange(nx), :, np.arange(nx)] = 0.0
+            dis_move = T.max(axis=2)
+            base = np.abs(dx - dy[np.ix_(cur, cur)])
+            base_excl = np.zeros(nx)
+            for a in range(nx):
+                keep = np.arange(nx) != a
+                base_excl[a] = base[np.ix_(keep, keep)].max(initial=0.0)
+            D = dy[:, cur]
+            dfc_after = np.empty((nx, ny))
+            for a in range(nx):
+                rest = np.delete(D, a, axis=1).min(axis=1, initial=np.inf)
+                dfc_after[a] = np.minimum(rest[:, None], dy).max(axis=0)
+            val_after = np.maximum(np.maximum(dis_move, base_excl[:, None]), dfc_after)
+            a_best, t_best = np.unravel_index(np.argmin(val_after), val_after.shape)
+            if val_after[a_best, t_best] < cur_val - 1e-15:
+                cur[a_best] = t_best
+            else:
+                break
+        cur_val = max(distortion(dx, dy, cur), coverage_deficit(dy, cur))
+        if cur_val < best_val:
+            best_val = cur_val
+            best = cur.copy()
+    return best_val, best
+
+
+def test_descend_matches_rebuilt_tables():
+    # the incremental pair table and grouped deficit must take exactly the
+    # moves of a descent that rebuilds everything each pass, so the same
+    # (value, map) comes out: unequal sizes, one-point spaces and integer
+    # distances (ties at a row maximum and at the nearest image) included
+    rng = np.random.default_rng(13)
+    for trial in range(60):
+        nx, ny = (int(k) for k in rng.integers(1, 16, size=2))
+        if trial % 2:
+            X = FiniteMetricSpace(np.abs(np.subtract.outer(*2 * [rng.integers(0, 5, nx)])).astype(float))
+            Y = FiniteMetricSpace(np.abs(np.subtract.outer(*2 * [rng.integers(0, 5, ny)])).astype(float))
+        else:
+            X, Y = _random_space(rng, nx), _random_space(rng, ny)
+        m0 = rng.integers(0, ny, size=nx).astype(np.intp)
+        seed = int(rng.integers(2**32))
+        got = _descend(X.d, Y.d, m0, np.random.default_rng(seed), kicks=2)
+        want = _descend_rebuilt(X.d, Y.d, m0, np.random.default_rng(seed), kicks=2)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
 
 
 def test_distortion_and_deficit_hand_values():

@@ -1,6 +1,7 @@
 """Study drivers, CSV/report determinism, and the CLI front end."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +82,24 @@ def test_timing_sidecar_separate_from_report(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert timing == {"continuity": 12.346}
     assert "timing" not in report
+
+
+def test_timing_sidecar_records_study_stages(tmp_path):
+    # each study reports its stages' wall clock beside its own total; the
+    # stages nest inside the study, and none of it reaches report.json
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "determinism_tiny.cfg"
+    stages = {
+        "continuity": {"sample", "assemble", "search"},
+        "stability": {"sample", "flow_pair", "search"},
+        "estimates": {"gronwall", "energy", "conjugation"},
+    }
+    for study, names in stages.items():
+        out = tmp_path / study
+        assert main([study, "--config", str(cfg), "--out", str(out)]) == 0
+        timing = json.loads((out / "timing.json").read_text())
+        assert set(timing) == {study} | {f"{study}.{n}" for n in names}
+        assert sum(timing[f"{study}.{n}"] for n in names) <= timing[study] + 0.002 * len(names)
+        assert study + "." not in (out / "report.json").read_text()
 
 
 def test_build_flow_pair_universe_indices():
