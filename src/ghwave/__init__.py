@@ -17,7 +17,6 @@ from .domains import (  # noqa: E402,F401
     c2_distance,
     make_family,
     make_pullback,
-    transfer_state,
 )
 from .operators import (  # noqa: E402,F401
     DiscreteOperator,

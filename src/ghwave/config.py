@@ -15,11 +15,14 @@ from pathlib import Path
 
 from .domains import FAMILIES, PerturbationFamily, ReferenceDomain, make_family
 from .dynamics import SamplerConfig, stability_cap
+from .ghmetric import _S_GRID, Reparametrization
 from .operators import DiscreteOperator, Mesh, NonlinearitySpec, default_nonlinearity, identity_operator
 
 __all__ = ["Diagnostic", "ScenarioConfig", "parse_config", "load_config", "DEFAULT_SCHEDULE"]
 
 DEFAULT_SCHEDULE = (0.04, 0.02, 0.01, 0.005, 0.0025)
+
+_S_MAX = float(max(abs(_S_GRID)))  # largest |s| of the dynamical distance's reparametrizations
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,11 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, str]]] = {
     },
     "gh": {
         "budget": (_INT, lambda n: n >= 1, "at least 1"),
-        "rho": (_FLOAT, lambda x: x > 0, "positive"),
+        "rho": (
+            _FLOAT,
+            lambda x: x > 0 and Reparametrization.monotone(_S_MAX, x),
+            f"positive and below {1 / _S_MAX:.6g}, so that |s * rho| < 1 for every reparametrization |s| <= {_S_MAX:g}",
+        ),
     },
     "estimates": {
         "n_pairs": (_INT, lambda n: n >= 1, "at least 1"),

@@ -4,9 +4,11 @@ A perturbed domain is the image h(Omega) of a reference interval or rectangle
 under a C2 diffeomorphism h close to the identity.  Instead of meshing each
 image domain, the wave problem on h(Omega) is pulled back to the reference
 domain: the change of variables turns the Laplacian into a variable-coefficient
-operator described pointwise by the Jacobian matrix H, its inverse-transpose
-Hbar, and the Jacobian determinant.  Everything downstream (assembly, flows,
-attractor comparisons) consumes the CoefficientField produced here.
+operator described pointwise by the Jacobian matrix H = Dh, its
+inverse-transpose Hbar, and the Jacobian determinant.  The reference domain
+is the one base of every pullback, so all problems share one mesh and one
+coefficient space.  Everything downstream (assembly, flows, attractor
+comparisons) consumes the CoefficientField produced here.
 
 All shipped map families are closed-form with hand-coded first and second
 derivatives; see `FAMILIES`.
@@ -25,17 +27,13 @@ __all__ = [
     "DiffeoMap",
     "PerturbationFamily",
     "CoefficientField",
-    "SingularMapError",
     "OrientationError",
     "c2_distance",
     "default_c2_grid",
     "make_pullback",
     "deviation_norms",
-    "transfer_state",
-    "invert_map",
     "identity_map",
     "affine_map_1d",
-    "scale_map",
     "bump_map_1d",
     "polybump_map_1d",
     "shear_map_2d",
@@ -45,14 +43,6 @@ __all__ = [
 ]
 
 Array = npt.NDArray[np.float64]
-
-NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 50
-
-
-class SingularMapError(RuntimeError):
-    """Newton inversion of a map failed to converge at some point."""
-
 
 class OrientationError(RuntimeError):
     """A pullback Jacobian determinant was non-positive at some point."""
@@ -107,8 +97,7 @@ class DiffeoMap:
 
     `delta` is the C2 distance to the identity on the default sample grid and
     must stay below 1 for the map to count as an admissible perturbation.
-    `key` identifies the family and its parameters; two maps compare equal iff
-    their keys and domains match.
+    `key` identifies the family and its parameters.
     """
 
     domain: ReferenceDomain
@@ -126,11 +115,6 @@ class DiffeoMap:
 
     def hess(self, x: Array) -> Array:
         return self.hess_fn(np.atleast_2d(np.asarray(x, dtype=float)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DiffeoMap):
-            return NotImplemented
-        return self.key == other.key and self.domain == other.domain
 
     def check_derivatives(self, points: Array, rel_tol: float = 1e-6) -> float:
         """Finite-difference cross-check of jac/hess against the map.
@@ -244,27 +228,6 @@ def affine_map_1d(domain: ReferenceDomain, scale: float = 1.0, shift: float = 0.
         return np.zeros((x.shape[0], 1, 1, 1))
 
     return _finalize(DiffeoMap(domain, mp, jc, hs, key=("affine1d", s, q)))
-
-
-def scale_map(domain: ReferenceDomain, *scales: float) -> DiffeoMap:
-    """Coordinatewise h(x) = diag(scales) x in any dimension."""
-    d = domain.dim
-    if len(scales) != d:
-        raise ValueError(f"need {d} scale factor(s)")
-    if any(s <= 0 for s in scales):
-        raise ValueError("scale factors must be positive")
-    svec = np.array(scales, dtype=float)
-
-    def mp(x: Array) -> Array:
-        return x * svec
-
-    def jc(x: Array) -> Array:
-        return np.broadcast_to(np.diag(svec), (x.shape[0], d, d)).copy()
-
-    def hs(x: Array) -> Array:
-        return np.zeros((x.shape[0], d, d, d))
-
-    return _finalize(DiffeoMap(domain, mp, jc, hs, key=("scale",) + tuple(svec)))
 
 
 def bump_map_1d(
@@ -408,16 +371,6 @@ class PerturbationFamily:
     def maps(self) -> list[DiffeoMap]:
         return [self.generator(s) for s in self.schedule]
 
-    def base_map(self) -> DiffeoMap:
-        return identity_map(self.domain)
-
-    def validate(self) -> None:
-        """Check that delta(h_s) is nonincreasing along the schedule."""
-        deltas = [m.delta for m in self.maps()]
-        for a, b in zip(deltas, deltas[1:]):
-            if b > a + 1e-12:
-                raise ValueError(f"family deltas increase along the schedule: {deltas}")
-
 
 # family name -> (builder(domain, schedule, params) -> PerturbationFamily, param keys)
 def _fam_bump1d(domain, schedule, params):
@@ -478,51 +431,12 @@ def make_family(
     return FAMILIES[name](domain, tuple(schedule), params or {})
 
 
-def invert_map(h: DiffeoMap, targets: Array) -> Array:
-    """Solve h(p) = y for each row y of `targets` by damped Newton.
-
-    Tolerance 1e-12 on the residual max-norm, at most 50 iterations; raises
-    SingularMapError naming the first offending point on failure.
-    """
-    y = np.atleast_2d(np.asarray(targets, dtype=float))
-    p = y.copy()  # near-identity maps: the target is a good start
-    res = h(p) - y
-    for _ in range(NEWTON_MAX_ITER):
-        norms = np.abs(res).max(axis=1)
-        active = norms > NEWTON_TOL
-        if not active.any():
-            return p
-        pa = p[active]
-        ra = res[active]
-        J = h.jac(pa)
-        try:
-            step = np.linalg.solve(J, ra[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularMapError(f"singular Jacobian while inverting near {pa[0]}") from exc
-        lam = np.ones(pa.shape[0])
-        cur = np.abs(ra).max(axis=1)
-        for _ in range(8):  # halve the step until the residual contracts
-            trial = pa - lam[:, None] * step
-            tres = h(trial) - y[active]
-            tnorm = np.abs(tres).max(axis=1)
-            good = tnorm <= (1 - 0.25 * lam) * cur
-            if good.all():
-                break
-            lam[~good] *= 0.5
-        p[active] = pa - lam[:, None] * step
-        res[active] = h(p[active]) - y[active]
-    bad = np.abs(res).max(axis=1) > NEWTON_TOL
-    raise SingularMapError(
-        f"Newton inversion failed at {int(bad.sum())} point(s); first target {y[np.argmax(bad)]}"
-    )
-
-
 @dataclass
 class CoefficientField:
     """Pointwise pullback data at quadrature points.
 
-    H[i] = Jacobian of (h_new o h_ref^{-1}) at points[i]; Hbar = transpose of
-    the inverse of H; det = |det H| (positive by the orientation check).
+    H[i] = Jacobian of the map h at points[i]; Hbar = transpose of the inverse
+    of H; det = |det H| (positive by the orientation check).
     """
 
     points: Array  # (nq, d)
@@ -550,30 +464,21 @@ class CoefficientField:
         return self.points.shape[1]
 
 
-def make_pullback(h_ref: DiffeoMap, h_new: DiffeoMap, quad: Array) -> CoefficientField:
-    """Coefficient field of the composition h_new o h_ref^{-1} at `quad` points.
+def make_pullback(h: DiffeoMap, quad: Array) -> CoefficientField:
+    """Coefficient field of the map h at the `quad` points of its reference domain.
 
-    When h_ref == h_new the field is exactly the identity.  Raises
-    OrientationError if any determinant is non-positive.
+    H = Dh, Hbar = H^{-T} and det = det H.  Raises OrientationError if any
+    determinant is non-positive.
     """
     pts = np.atleast_2d(np.asarray(quad, dtype=float))
-    d = pts.shape[1]
-    if d != h_ref.domain.dim:
-        raise ValueError("quadrature dimension does not match the maps")
-    if h_ref == h_new:
-        n = pts.shape[0]
-        eye = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-        return CoefficientField(pts, eye, eye.copy(), np.ones(n))
-    pre = invert_map(h_ref, pts)
-    J_new = h_new.jac(pre)
-    J_ref = h_ref.jac(pre)
-    # H = J_new J_ref^{-1}, via solves on the transposed systems
-    H = np.linalg.solve(J_ref.transpose(0, 2, 1), J_new.transpose(0, 2, 1)).transpose(0, 2, 1)
+    if pts.shape[1] != h.domain.dim:
+        raise ValueError("quadrature dimension does not match the map")
+    H = h.jac(pts)
     det = np.linalg.det(H)
     if np.any(det <= 0):
         k = int(np.argmax(det <= 0))
         raise OrientationError(
-            f"pullback determinant {det[k]:.3e} <= 0 at point {pts[k]}; maps are incompatible"
+            f"pullback determinant {det[k]:.3e} <= 0 at point {pts[k]}; h reverses orientation"
         )
     Hbar = np.linalg.inv(H).transpose(0, 2, 1)
     return CoefficientField(pts, H, Hbar, det)
@@ -587,55 +492,3 @@ def deviation_norms(fieldv: CoefficientField) -> tuple[float, float]:
     hbar_dev = float(np.sqrt((diff**2).sum(axis=(1, 2))).max())
     return det_dev, hbar_dev
 
-
-def _interp_zero_ext(mesh, values: Array, pts: Array) -> tuple[Array, int]:
-    """P1/Q1 interpolation of nodal values with zero extension outside."""
-    lo, hi = mesh.domain.lower, mesh.domain.upper
-    outside = np.any((pts < lo - 1e-12) | (pts > hi + 1e-12), axis=1)
-    clipped = np.clip(pts, lo, hi)
-    if mesh.domain.dim == 1:
-        out = np.interp(clipped[:, 0], mesh.axes[0], values)
-    else:
-        nx, ny = mesh.resolution, mesh.resolution
-        hx = (hi[0] - lo[0]) / nx
-        hy = (hi[1] - lo[1]) / ny
-        gx = np.clip((clipped[:, 0] - lo[0]) / hx, 0, nx - 1e-12)
-        gy = np.clip((clipped[:, 1] - lo[1]) / hy, 0, ny - 1e-12)
-        ix, iy = gx.astype(int), gy.astype(int)
-        fx, fy = gx - ix, gy - iy
-        V = values.reshape(nx + 1, ny + 1)
-        out = (
-            V[ix, iy] * (1 - fx) * (1 - fy)
-            + V[ix + 1, iy] * fx * (1 - fy)
-            + V[ix, iy + 1] * (1 - fx) * fy
-            + V[ix + 1, iy + 1] * fx * fy
-        )
-    out = np.where(outside, 0.0, out)
-    return out, int(outside.sum())
-
-
-def transfer_state(
-    u: Array,
-    h_src: DiffeoMap,
-    h_dst: DiffeoMap,
-    mesh,
-    return_outside_count: bool = False,
-):
-    """Sample u o (h_src o h_dst^{-1}) on the mesh nodes.
-
-    `u` holds nodal values on the reference mesh of the h_src problem.  Points
-    that land outside the source domain take the Dirichlet value zero; the
-    number of such points is available via `return_outside_count`.  For
-    h_src == h_dst the transfer is the exact identity.
-    """
-    vals = np.asarray(u, dtype=float).ravel()
-    if vals.shape[0] != mesh.n_nodes:
-        raise ValueError(f"grid function has {vals.shape[0]} values, mesh has {mesh.n_nodes} nodes")
-    if h_src == h_dst:
-        out = vals.copy()
-        return (out, 0) if return_outside_count else out
-    nodes = mesh.nodes
-    pre = invert_map(h_dst, nodes)
-    q = h_src(pre)
-    out, n_out = _interp_zero_ext(mesh, vals, q)
-    return (out, n_out) if return_outside_count else out

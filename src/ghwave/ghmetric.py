@@ -402,8 +402,12 @@ class Reparametrization:
     rho: float = 1.0
 
     def __post_init__(self) -> None:
-        if abs(self.s * self.rho) >= 1.0:
+        if not self.monotone(self.s, self.rho):
             raise ValueError("|s * rho| must be below 1 for monotonicity")
+
+    @staticmethod
+    def monotone(s: float, rho: float) -> bool:
+        return abs(s * rho) < 1.0
 
     def __call__(self, t: Array) -> Array:
         t = np.asarray(t, dtype=float)

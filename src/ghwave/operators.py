@@ -29,8 +29,6 @@ __all__ = [
     "DiscreteOperator",
     "NormPack",
     "NonlinearitySpec",
-    "FValidationReport",
-    "ValidationFailure",
     "ConvergenceFailure",
     "assemble_operators",
     "pullback_operator",
@@ -38,8 +36,6 @@ __all__ = [
     "first_eigenvalue",
     "x_norm",
     "default_nonlinearity",
-    "linear_nonlinearity",
-    "validate_f",
 ]
 
 Array = npt.NDArray[np.float64]
@@ -59,10 +55,6 @@ _GAUSS_2X2 = np.array(
 
 class ConvergenceFailure(RuntimeError):
     """Inverse power iteration exceeded its iteration cap."""
-
-
-class ValidationFailure(ValueError):
-    """A nonlinearity violated one of its declared hypotheses."""
 
 
 @dataclass(frozen=True)
@@ -89,10 +81,6 @@ class Mesh:
     @property
     def spacing(self) -> tuple[float, ...]:
         return tuple((hi - lo) / self.resolution for lo, hi in self.domain.bounds)
-
-    @property
-    def n_nodes(self) -> int:
-        return (self.resolution + 1) ** self.domain.dim
 
     @property
     def nodes(self) -> Array:
@@ -128,24 +116,22 @@ class Mesh:
         pts = base[:, None, :] + _GAUSS_2X2[None, :, :] * np.array([hx, hy])
         return pts.reshape(-1, 2)
 
-    def interpolate_nodal(self, fn: Callable[[Array], Array]) -> Array:
-        return np.asarray(fn(self.nodes), dtype=float).ravel()
-
 
 @dataclass
 class DiscreteOperator:
     """Interior-node mass and stiffness matrices for one pullback field.
 
-    M and K are fixed at construction.  Derived data is filled in lazily on
-    first use: the first eigenvalue with its residual and iteration count
-    (`eig_report`), and the M/K factorizations and lambda_max bound in
-    `_cache`.  The caches are filled without a lock; two threads using a fresh
+    M and K are fixed at construction, with the field `coeffs` they were
+    assembled from.  Derived data is filled in lazily on first use: the first
+    eigenvalue with its residual and iteration count (`eig_report`), and the
+    M/K factorizations and lambda_max bound in `_cache`.  The caches are filled without a lock; two threads using a fresh
     operator at once may compute an entry twice, to the same value.
     """
 
     mesh: Mesh
     M: sp.csr_matrix
     K: sp.csr_matrix
+    coeffs: CoefficientField = field(repr=False)
     _lambda1: float | None = field(default=None, repr=False)
     eig_report: dict | None = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
@@ -263,13 +249,12 @@ def assemble_operators(mesh: Mesh, fieldv: CoefficientField) -> DiscreteOperator
     # enforce exact symmetry against accumulation-order roundoff
     Mi = ((Mi + Mi.T) * 0.5).tocsr()
     Ki = ((Ki + Ki.T) * 0.5).tocsr()
-    return DiscreteOperator(mesh, Mi, Ki)
+    return DiscreteOperator(mesh, Mi, Ki, fieldv)
 
 
 def pullback_operator(mesh: Mesh, h: DiffeoMap) -> DiscreteOperator:
     """Operator of the domain h(Omega) pulled back to the reference mesh."""
-    fieldv = make_pullback(identity_map(mesh.domain), h, mesh.quadrature_points())
-    return assemble_operators(mesh, fieldv)
+    return assemble_operators(mesh, make_pullback(h, mesh.quadrature_points()))
 
 
 def identity_operator(mesh: Mesh) -> DiscreteOperator:
@@ -349,20 +334,10 @@ def x_norm(u: Array, v: Array, pack: NormPack, level: int) -> float:
 
 @dataclass
 class NonlinearitySpec:
-    """Scalar nonlinearity with declared bounds.
-
-    f and fprime are vectorized scalar callables; `l` bounds |f'|, `gamma`
-    is the growth exponent used for |f''| <= C(|u|^gamma + 1); `diss_a` and
-    `diss_r` parameterize the sign condition f(u) sign(u) >= diss_a |u| - diss_r.
-    """
+    """Scalar nonlinearity: f is a vectorized callable and `l` bounds |f'|."""
 
     f: Callable[[Array], Array]
-    fprime: Callable[[Array], Array]
     l: float
-    gamma: float = 0.0
-    diss_a: float = 1.0
-    diss_r: float = 1.0
-    name: str = ""
 
     def __post_init__(self) -> None:
         if self.l <= 0:
@@ -370,69 +345,11 @@ class NonlinearitySpec:
 
 
 def default_nonlinearity(a: float = 1.0, b: float = 0.5) -> NonlinearitySpec:
-    """f(u) = a u + b sin(u); |f'| <= a + |b|, f'' bounded (gamma = 0)."""
+    """f(u) = a u + b sin(u); |f'| <= a + |b|."""
     if a <= abs(b):
         raise ValueError("need a > |b| for the sign condition")
 
     def f(u):
         return a * u + b * np.sin(u)
 
-    def fp(u):
-        return a + b * np.cos(u)
-
-    return NonlinearitySpec(
-        f, fp, l=a + abs(b), gamma=0.0, diss_a=a - abs(b), diss_r=abs(b), name=f"a*u+b*sin(u)[a={a},b={b}]"
-    )
-
-
-def linear_nonlinearity(a: float = 1.0) -> NonlinearitySpec:
-    def f(u):
-        return a * u
-
-    def fp(u):
-        return np.full_like(np.asarray(u, dtype=float), a)
-
-    return NonlinearitySpec(f, fp, l=a, gamma=0.0, diss_a=a, diss_r=0.0, name=f"a*u[a={a}]")
-
-
-@dataclass
-class FValidationReport:
-    max_abs_fprime: float
-    fprime_fd_rel_err: float
-    fpp_growth_constant: float
-    dissipativity_min_ratio: float
-    passed: bool
-
-
-def validate_f(specv: NonlinearitySpec, span: float = 10.0, samples: int = 4001) -> FValidationReport:
-    """Sampled check of the declared hypotheses on [-span, span].
-
-    Raises ValidationFailure naming the offending u if |f'| exceeds l.
-    """
-    u = np.linspace(-span, span, samples)
-    fp = specv.fprime(u)
-    worst = float(np.abs(fp).max())
-    if worst > specv.l * (1 + 1e-12):
-        k = int(np.argmax(np.abs(fp)))
-        raise ValidationFailure(
-            f"|f'({u[k]:.6g})| = {abs(fp[k]):.6g} exceeds the declared bound l = {specv.l}"
-        )
-    eps = 1e-6 * max(1.0, span)
-    fd = (specv.f(u + eps) - specv.f(u - eps)) / (2 * eps)
-    denom = max(1.0, worst)
-    fd_err = float(np.abs(fd - fp).max() / denom)
-    fpp = (specv.fprime(u + eps) - specv.fprime(u - eps)) / (2 * eps)
-    growth = float(np.max(np.abs(fpp) / (np.abs(u) ** specv.gamma + 1.0)))
-    r = specv.diss_r if specv.diss_r > 0 else 1.0
-    mask = (np.abs(u) >= r / 2) & (np.abs(u) <= r)
-    if not mask.any():
-        mask = np.abs(u) >= span / 2
-    ratios = specv.f(u[mask]) / u[mask]
-    diss = float(ratios.min())
-    return FValidationReport(
-        max_abs_fprime=worst,
-        fprime_fd_rel_err=fd_err,
-        fpp_growth_constant=growth,
-        dissipativity_min_ratio=diss,
-        passed=(fd_err < 1e-4) and (diss > 0),
-    )
+    return NonlinearitySpec(f, l=a + abs(b))

@@ -1,9 +1,12 @@
 """Config parsing and diagnostics addressing."""
 
+from pathlib import Path
+
 import pytest
 
 from ghwave.cli import main
 from ghwave.config import DEFAULT_SCHEDULE, ScenarioConfig, load_config, parse_config
+from ghwave.ghmetric import _S_GRID, Reparametrization
 
 GOOD = """
 [domain]
@@ -149,6 +152,23 @@ def test_dt_above_reference_stability_cap_rejected(tmp_path):
     p = tmp_path / "fast.cfg"
     p.write_text(text)
     assert main(["solve", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_rho_beyond_reparametrization_grid_rejected(tmp_path):
+    # every s the dynamical distance tries needs |s * rho| < 1, or a stability
+    # run fails only after sampling; the largest |s| is 0.95
+    cfg, diags = parse_config("[gh]\nrho = 1.05\n[run]\nseed = 1\n")
+    assert diags == []
+    for s in _S_GRID:
+        Reparametrization(s, cfg.rho)
+    cfg, diags = parse_config("[gh]\nrho = 1.1\n[run]\nseed = 1\n")
+    assert cfg is None
+    assert _diag_keys(diags) == {"gh.rho"}
+    tiny = Path(__file__).resolve().parents[1] / "configs" / "determinism_tiny.cfg"
+    p = tmp_path / "rho.cfg"
+    p.write_text(tiny.read_text().replace("[gh]\n", "[gh]\nrho = 1.1\n"))
+    assert main(["stability", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
 
 

@@ -1,4 +1,4 @@
-"""Assembly, eigenvalues, norms, and nonlinearity validation.
+"""Assembly, eigenvalues, norms, and the nonlinearity spec.
 
 The 1d identity-coefficient matrices have closed forms under midpoint
 quadrature, and the generalized eigenvalues of that (K, M) pencil are
@@ -11,23 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghwave.domains import (
-    ReferenceDomain,
-    affine_map_1d,
-    identity_map,
-    make_pullback,
-    scale_map,
-)
+from ghwave.domains import ReferenceDomain, affine_map_1d, radial_bump_map_2d
 from ghwave.operators import (
     Mesh,
     NormPack,
-    ValidationFailure,
-    assemble_operators,
     default_nonlinearity,
     first_eigenvalue,
     identity_operator,
-    linear_nonlinearity,
-    validate_f,
+    pullback_operator,
     x_norm,
 )
 
@@ -94,8 +85,7 @@ def test_affine_pullback_matrices_exact_1d():
     n = 12
     mesh = Mesh(UNIT, n)
     s = 1.25
-    fld = make_pullback(identity_map(UNIT), affine_map_1d(UNIT, s), mesh.quadrature_points())
-    op = assemble_operators(mesh, fld)
+    op = pullback_operator(mesh, affine_map_1d(UNIT, s))
     base = identity_operator(mesh)
     np.testing.assert_allclose(op.K.toarray(), base.K.toarray() / s, rtol=1e-13)
     np.testing.assert_allclose(op.M.toarray(), base.M.toarray() * s, rtol=1e-13)
@@ -107,16 +97,14 @@ def test_affine_pullback_eigenvalue_scales_1d():
     n = 64
     mesh = Mesh(UNIT, n)
     s = 1.25
-    fld = make_pullback(identity_map(UNIT), affine_map_1d(UNIT, s), mesh.quadrature_points())
-    op = assemble_operators(mesh, fld)
+    op = pullback_operator(mesh, affine_map_1d(UNIT, s))
     base = identity_operator(mesh)
     assert op.lambda1 == pytest.approx(base.lambda1 / s**2, rel=1e-9)
 
 
-def test_scale_pullback_2d_runs_and_stays_spd():
+def test_radial_bump_pullback_2d_runs_and_stays_spd():
     mesh = Mesh(SQUARE, 12)
-    fld = make_pullback(identity_map(SQUARE), scale_map(SQUARE, 1.1, 0.95), mesh.quadrature_points())
-    op = assemble_operators(mesh, fld)
+    op = pullback_operator(mesh, radial_bump_map_2d(SQUARE, 0.05))
     rng = np.random.default_rng(3)
     for _ in range(5):
         u = rng.standard_normal(op.n)
@@ -162,24 +150,6 @@ def test_lambda_max_estimate_frozen_1d():
     n = 24
     op = identity_operator(Mesh(UNIT, n))
     assert op.lambda_max_estimate() == pytest.approx(4.0 * n**2, rel=1e-12)
-
-
-def test_default_nonlinearity_validates():
-    rep = validate_f(default_nonlinearity())
-    assert rep.passed
-    assert rep.max_abs_fprime <= 1.5 + 1e-12
-
-
-def test_cubic_violates_declared_bound():
-    spec = linear_nonlinearity(1.0)
-    bad = type(spec)(
-        f=lambda u: u**3,
-        fprime=lambda u: 3 * u**2,
-        l=1.0,
-        name="u^3",
-    )
-    with pytest.raises(ValidationFailure):
-        validate_f(bad)
 
 
 def test_default_nonlinearity_requires_sign_margin():
