@@ -8,13 +8,10 @@ whose verdict is negative also exits 1.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .config import ScenarioConfig, load_config
-from .dynamics import AttractorSample
-from .ghmetric import EXACT_SIZE_CAP, FiniteMetricSpace, gh_exact, gh_lower, gh_upper
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -67,24 +64,6 @@ def _run_study(args, name: str) -> int:
     return 0
 
 
-def _cmd_gh(args) -> int:
-    sa = AttractorSample.load(args.sample_a)
-    sb = AttractorSample.load(args.sample_b)
-    X = FiniteMetricSpace(sa.dist, validate=False)
-    Y = FiniteMetricSpace(sb.dist, validate=False)
-    est = gh_upper(X, Y, budget=args.budget, seed=args.seed, threads=args.threads)
-    doc = {
-        "lower": gh_lower(X, Y),
-        "upper": est.value,
-        "n_a": X.n,
-        "n_b": Y.n,
-    }
-    if max(X.n, Y.n) <= EXACT_SIZE_CAP:
-        doc["exact"] = gh_exact(X, Y)
-    print(json.dumps(doc, sort_keys=True, indent=2))
-    return 0
-
-
 def _cmd_solve(args) -> int:
     import numpy as np
 
@@ -122,14 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=blurb)
         _add_common(p)
         p.set_defaults(fn=lambda a, n=name: _run_study(a, n))
-
-    pg = sub.add_parser("gh", help="distance estimates between two saved samples")
-    pg.add_argument("sample_a", help="prefix of a saved sample (without .json/.bin)")
-    pg.add_argument("sample_b", help="prefix of a saved sample (without .json/.bin)")
-    pg.add_argument("--budget", type=int, default=64)
-    pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--threads", type=int, default=1)
-    pg.set_defaults(fn=_cmd_gh)
 
     ps = sub.add_parser("solve", help="integrate one random initial state and dump CSVs")
     _add_common(ps)

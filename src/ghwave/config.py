@@ -244,8 +244,18 @@ def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | 
             )
 
     sampler = SamplerConfig(**sampler_kwargs)
+    if "dt" not in sampler_kwargs:
+        sampler.dt = cfg.dt
     if sampler.t_cap < sampler.t_transient + sampler.t_window:
         diags.append(Diagnostic("sampler.t_cap", f"t_cap ({sampler.t_cap}) ends the run before t_transient + t_window"))
+    if sampler.pool_size > sampler.max_points:
+        diags.append(
+            Diagnostic(
+                "sampler.max_points",
+                f"{sampler.n_ics} ICs x {sampler.pool_size // sampler.n_ics} snapshots at dt {sampler.dt} "
+                f"= {sampler.pool_size} points exceeds max_points ({sampler.max_points}); every snapshot is kept",
+            )
+        )
 
     if diags:
         return None, diags
@@ -260,8 +270,6 @@ def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | 
         return None, diags
 
     cfg.sampler = sampler
-    if "dt" not in sampler_kwargs:
-        cfg.sampler.dt = cfg.dt
     cfg.family_params = family_params
     return cfg, []
 

@@ -30,17 +30,15 @@ nonincreasing for every theta >= 1/2, exactly at theta = 1/2.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import numpy.typing as npt
 from scipy.optimize import curve_fit
 from scipy.sparse.linalg import splu
 
-from .domains import DiffeoMap, deviation_norms
-from .operators import DiscreteOperator, Mesh, NonlinearitySpec, NormPack, _sqrt_dot, identity_operator, pullback_operator, x_norm
+from .domains import DiffeoMap
+from .operators import DiscreteOperator, Mesh, NonlinearitySpec, NormPack, _sqrt_dot, pullback_operator, x_norm
 
 __all__ = [
     "StateVector",
@@ -370,10 +368,9 @@ def lipschitz_envelope_check(
 class SamplerConfig:
     """Attractor sampling knobs (defaults follow the shipped scenarios)."""
 
-    # 8 ICs x 12 snapshots at 1 s spacing fills max_points exactly: when the
-    # pool is no larger than max_points the subsample step is the identity,
-    # so clouds from nearby operators stay point-for-point comparable instead
-    # of picking up selection jitter from the distance-driven thinning
+    # 8 ICs x 12 snapshots at 1 s spacing fills max_points exactly; every
+    # snapshot is kept, so clouds sampled with one seed on nearby operators
+    # stay point-for-point comparable, and max_points only bounds the pool
     n_ics: int = 8
     radius: float = 2.0
     t_transient: float = 8.0
@@ -395,6 +392,11 @@ class SamplerConfig:
             raise ValueError("t_transient, t_window and dt must be positive")
         if self.stride < 1 or self.max_points < 1 or self.flow_grid_m < 1:
             raise ValueError("stride, max_points and flow_grid_m must be positive")
+
+    @property
+    def pool_size(self) -> int:
+        """Points in a sample: n_ics times the snapshots of the window at this dt."""
+        return self.n_ics * (int(round(self.t_window / self.dt)) // self.stride + 1)
 
 
 def _mode_shapes(mesh: Mesh, n_modes: int) -> Array:
@@ -458,69 +460,23 @@ def calibration_state(op: DiscreteOperator, radius: float = 1.0) -> StateVector:
 class AttractorSample:
     """Post-transient snapshot cloud with its metric and flow table.
 
-    `states` is (n, 2, dim) (u and v per point), `dist` the pairwise X^0
-    distance matrix in this operator's own norm, `provenance` one
-    (ic_index, sample_time) pair per point, and `flow` the forward images at
-    times j/m, j = 0..m, as states (n, m+1, 2, dim) with flow[:, 0] equal to
-    the points themselves.  `eps_inv` is the invariance proxy: the largest
-    distance from any flow image to the sampled set.
+    `flow` holds the forward images of the n sampled points at times j/m,
+    j = 0..m, as states (n, m+1, 2, dim) (u and v per image); its time-0
+    column is the points themselves, see `states`.  `dist` is the pairwise
+    X^0 distance matrix in this operator's own norm, and `eps_inv` the
+    invariance proxy: the largest distance from any flow image to the
+    sampled set.
     """
 
-    states: Array
     dist: Array
-    provenance: list[tuple[int, float]]
     flow: Array
     flow_times: Array
     eps_inv: float
-    seed: int
-    config: SamplerConfig
 
     @property
-    def n(self) -> int:
-        return self.states.shape[0]
-
-    def save(self, prefix) -> None:
-        prefix = Path(prefix)
-        meta = {
-            "n": int(self.n),
-            "dim": int(self.states.shape[2]),
-            "m": int(self.flow.shape[1] - 1),
-            "seed": int(self.seed),
-            "eps_inv": float(self.eps_inv),
-            "provenance": [[int(i), float(t)] for i, t in self.provenance],
-            "config": {k: (v if isinstance(v, (int, str)) else float(v)) for k, v in vars(self.config).items()},
-        }
-        prefix.with_suffix(".json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-        with open(prefix.with_suffix(".bin"), "wb") as fh:
-            for arr in (self.states, self.dist, self.flow, self.flow_times):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-    @staticmethod
-    def load(prefix) -> "AttractorSample":
-        prefix = Path(prefix)
-        meta = json.loads(prefix.with_suffix(".json").read_text())
-        n, dim, m = meta["n"], meta["dim"], meta["m"]
-        sizes = [n * 2 * dim, n * n, n * (m + 1) * 2 * dim, m + 1]
-        path = prefix.with_suffix(".bin")
-        data = path.read_bytes()
-        if len(data) != 8 * sum(sizes):
-            raise ValueError(f"{path}: {len(data)} bytes, expected {8 * sum(sizes)} for n={n}, dim={dim}, m={m}")
-        raw = np.frombuffer(data, dtype="<f8")
-        if not np.all(np.isfinite(raw)):
-            raise ValueError(f"{path}: non-finite values")
-        parts = np.split(raw, np.cumsum(sizes)[:-1])
-        cfg_kwargs = meta["config"]
-        cfg = SamplerConfig(**{k: cfg_kwargs[k] for k in cfg_kwargs})
-        return AttractorSample(
-            states=parts[0].reshape(n, 2, dim).copy(),
-            dist=parts[1].reshape(n, n).copy(),
-            provenance=[(int(i), float(t)) for i, t in meta["provenance"]],
-            flow=parts[2].reshape(n, m + 1, 2, dim).copy(),
-            flow_times=parts[3].copy(),
-            eps_inv=float(meta["eps_inv"]),
-            seed=int(meta["seed"]),
-            config=cfg,
-        )
+    def states(self) -> Array:
+        """The sampled points, (n, 2, dim): the time-0 column of `flow`."""
+        return self.flow[:, 0]
 
 
 def x0_sqdist(states: Array, op: DiscreteOperator) -> Array:
@@ -536,22 +492,6 @@ def x0_sqdist(states: Array, op: DiscreteOperator) -> Array:
     return np.maximum(dg[:, None] + dg[None, :] - 2 * G, 0.0)
 
 
-def farthest_point_indices(d: Array, k: int) -> npt.NDArray[np.intp]:
-    """Greedy farthest-point subset; starts at the point with max row sum."""
-    n = d.shape[0]
-    k = min(k, n)
-    start = int(np.argmax(d.sum(axis=1)))
-    chosen = [start]
-    mind = d[start].copy()
-    for _ in range(k - 1):
-        nxt = int(np.argmax(mind))
-        if mind[nxt] <= 0.0 and len(chosen) > 1:
-            break  # exhausted distinct points
-        chosen.append(nxt)
-        mind = np.minimum(mind, d[nxt])
-    return np.array(chosen, dtype=np.intp)
-
-
 def sample_attractor(
     op: DiscreteOperator, f: NonlinearitySpec, cfg: SamplerConfig, seed: int
 ) -> AttractorSample:
@@ -563,10 +503,15 @@ def sample_attractor(
     settling test: the per-step slope |dE2/dt| < plateau_tol * E2 +
     plateau_floor for `plateau_window` consecutive steps (a single zero
     crossing of the oscillating slope does not count) before `t_cap`,
-    otherwise NonDissipativeError.  The pool is reduced to `max_points` by
-    farthest-point selection in the X^0 metric; if everything fits, the
-    original snapshot order is kept.
+    otherwise NonDissipativeError.  Every snapshot is a sample point, in
+    IC-major order (all snapshots of ic 0, then of ic 1, ...); a pool larger
+    than `max_points` is a ValueError before any stepping.
     """
+    if cfg.pool_size > cfg.max_points:
+        raise ValueError(
+            f"{cfg.n_ics} ICs x {cfg.pool_size // cfg.n_ics} snapshots = {cfg.pool_size} points "
+            f"exceeds max_points = {cfg.max_points}"
+        )
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5A17]))
     pack = NormPack(op)
     integ = WaveIntegrator(op, f, cfg.dt)
@@ -577,7 +522,7 @@ def sample_attractor(
     window_start = int(round(cfg.t_transient / cfg.dt))
     window_end = window_start + int(round(cfg.t_window / cfg.dt))
 
-    snaps: list[tuple[float, StateVector]] = [(0.0, state)] if window_start == 0 else []
+    snaps: list[StateVector] = [state] if window_start == 0 else []
     e_prev = _e2(state, pack, f)
     consec = np.zeros(n_ics, dtype=np.intp)
     plateaued = np.zeros(n_ics, dtype=bool)
@@ -587,7 +532,7 @@ def sample_attractor(
         k += 1
         t = k * cfg.dt
         if window_start <= k <= window_end and (k - window_start) % cfg.stride == 0:
-            snaps.append((t, state))
+            snaps.append(state)
         # a plateaued IC keeps stepping until every IC is done; its settling
         # test is over, so its later E2 values are never read
         e_now = _e2(state, pack, f)
@@ -602,20 +547,12 @@ def sample_attractor(
         if t >= cfg.t_cap:
             ic = int(np.argmin(plateaued))
             raise NonDissipativeError(f"energy of ic {ic} never plateaued before t_cap = {cfg.t_cap}")
-    # the pool is IC-major: every snapshot of ic 0, then of ic 1, ...
-    snap_uv = np.array([(st.u, st.v) for _, st in snaps])  # (n_snaps, 2, dim, n_ics)
-    pool_arr = snap_uv.transpose(3, 0, 1, 2).reshape(n_ics * len(snaps), 2, -1)
-    prov = [(ic, t) for ic in range(n_ics) for t, _ in snaps]
-    d_pool = np.sqrt(x0_sqdist(pool_arr, op))
-    d_pool = 0.5 * (d_pool + d_pool.T)
-    np.fill_diagonal(d_pool, 0.0)
-    if len(prov) <= cfg.max_points:
-        keep = np.arange(len(prov), dtype=np.intp)
-    else:
-        keep = farthest_point_indices(d_pool, cfg.max_points)
-    states = pool_arr[keep]
-    provenance = [prov[i] for i in keep]
-    dist = d_pool[np.ix_(keep, keep)]
+    # IC-major: every snapshot of ic 0, then of ic 1, ...
+    snap_uv = np.array([(st.u, st.v) for st in snaps])  # (n_snaps, 2, dim, n_ics)
+    states = snap_uv.transpose(3, 0, 1, 2).reshape(n_ics * len(snaps), 2, -1)
+    dist = np.sqrt(x0_sqdist(states, op))
+    dist = 0.5 * (dist + dist.T)
+    np.fill_diagonal(dist, 0.0)
     m = cfg.flow_grid_m
     flow_times = np.linspace(0.0, 1.0, m + 1)
     flow = np.empty((states.shape[0], m + 1, 2, states.shape[2]))
@@ -629,7 +566,7 @@ def sample_attractor(
     # flow[:, 0] is the sample itself, i.e. every (m+1)-th row of the table
     d2_flow = x0_sqdist(flow.reshape(-1, 2, states.shape[2]), op)
     eps_inv = float(np.sqrt(d2_flow[:, :: m + 1]).min(axis=1).max())
-    return AttractorSample(states, dist, provenance, flow, flow_times, eps_inv, int(seed), cfg)
+    return AttractorSample(dist, flow, flow_times, eps_inv)
 
 
 @dataclass
@@ -638,8 +575,6 @@ class ConjugationErrorCurve:
 
     times: Array
     errors: Array
-    det_dev: float
-    hbar_dev: float
 
     @property
     def max_error(self) -> float:
@@ -650,20 +585,17 @@ def conjugated_flow_error(
     h_n: DiffeoMap,
     v0: StateVector,
     t_grid: Array,
-    mesh: Mesh,
+    op0: DiscreteOperator,
     f: NonlinearitySpec,
     dt: float,
 ) -> ConjugationErrorCurve:
-    """Evolve one coefficient vector under the reference operator and h_n's, and compare.
+    """Evolve one coefficient vector under the reference operator op0 and h_n's, and compare.
 
     The shared discrete space makes the pullback identification the identity
     on coefficients, so the curve reports ||T_n(t) V0 - T_0(t) V0|| in the
-    reference problem's X^0 norm, together with the deviation norms of the
-    field of h_n.
+    reference problem's X^0 norm.
     """
-    op0 = identity_operator(mesh)
-    opn = pullback_operator(mesh, h_n)
-    det_dev, hbar_dev = deviation_norms(opn.coeffs)
+    opn = pullback_operator(op0.mesh, h_n)
     pack0 = NormPack(op0)
     tg = np.asarray(t_grid, dtype=float)
     if tg.ndim != 1 or tg.size == 0 or np.any(np.diff(tg) <= 0) or tg[0] < 0:
@@ -677,7 +609,7 @@ def conjugated_flow_error(
         a = integ0.advance(a, step)
         b = integn.advance(b, step)
         errs[i] = x_norm(a.u - b.u, a.v - b.v, pack0, 0)
-    return ConjugationErrorCurve(tg, errs, det_dev, hbar_dev)
+    return ConjugationErrorCurve(tg, errs)
 
 
 def export_trajectory_csv(traj: Trajectory, path) -> None:

@@ -284,8 +284,6 @@ class GHEstimate:
     value: float
     forward: MapCandidate
     backward: MapCandidate
-    restarts: int
-    seed: int
 
 
 def _one_sided_search(
@@ -341,14 +339,7 @@ def gh_upper(
         raise ValueError("budget must be at least 1")
     fwd = _one_sided_search(X.d, Y.d, budget, seed, 1, threads)
     bwd = _one_sided_search(Y.d, X.d, budget, seed, 2, threads)
-    value = max(fwd[0].objective, bwd[0].objective)
-    return GHEstimate(
-        value=value,
-        forward=fwd[0],
-        backward=bwd[0],
-        restarts=budget,
-        seed=seed,
-    )
+    return GHEstimate(max(fwd[0].objective, bwd[0].objective), fwd[0], bwd[0])
 
 
 # ---------------------------------------------------------------------------
@@ -361,32 +352,26 @@ class FlowSample:
 
     `universe_d2` holds squared distances for every enriched point (base
     points of all compared samples plus their flow images, in one common
-    metric); `base_idx` are this sample's base points, `traj_idx[i, j]` the
-    universe index of the j-th flow image of base point i (time j/m), with
-    traj_idx[:, 0] == base_idx.
+    metric); `traj_idx[i, j]` is the universe index of the j-th flow image
+    of base point i (time j/m), so column 0 holds the base points themselves.
     """
 
     universe_d2: Array
-    base_idx: IntArray
     traj_idx: IntArray
     times: Array
 
     def __post_init__(self) -> None:
-        self.base_idx = np.asarray(self.base_idx, dtype=np.intp)
         self.traj_idx = np.asarray(self.traj_idx, dtype=np.intp)
-        if self.traj_idx.shape[0] != self.base_idx.shape[0]:
-            raise ValueError("traj_idx rows must match base points")
-        if not np.array_equal(self.traj_idx[:, 0], self.base_idx):
-            raise ValueError("flow at time 0 must be the base point itself")
         if self.times.shape[0] != self.traj_idx.shape[1]:
             raise ValueError("times must match flow columns")
 
     @property
     def n(self) -> int:
-        return self.base_idx.shape[0]
+        return self.traj_idx.shape[0]
 
     def metric(self) -> FiniteMetricSpace:
-        d2 = self.universe_d2[np.ix_(self.base_idx, self.base_idx)]
+        base = self.traj_idx[:, 0]
+        d2 = self.universe_d2[np.ix_(base, base)]
         return FiniteMetricSpace(np.sqrt(np.maximum(d2, 0.0)), validate=False)
 
 

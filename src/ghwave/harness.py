@@ -187,9 +187,7 @@ def build_flow_pair(
     np.fill_diagonal(d2, 0.0)
     ta = np.arange(na * mp1, dtype=np.intp).reshape(na, mp1)
     tb = (na * mp1 + np.arange(nb * mp1, dtype=np.intp)).reshape(nb, mp1)
-    fa = FlowSample(d2, ta[:, 0].copy(), ta, sa.flow_times)
-    fb = FlowSample(d2, tb[:, 0].copy(), tb, sb.flow_times)
-    return fa, fb
+    return FlowSample(d2, ta, sa.flow_times), FlowSample(d2, tb, sb.flow_times)
 
 
 @dataclass
@@ -299,7 +297,6 @@ def run_estimate_checks(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
     `timer` collects the wall clock of each of the three checks.
     """
     clock = timer or StudyTimer()
-    mesh = cfg.make_mesh()
     f = cfg.make_nonlinearity()
     op = cfg.reference_operator()
 
@@ -331,7 +328,7 @@ def run_estimate_checks(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
     conj: list[tuple[float, float]] = []
     with clock.stage("estimates.conjugation"):
         for amp, h in zip(family.schedule, family.maps()):
-            curve = conjugated_flow_error(h, v0, t_grid, mesh, f, cfg.dt)
+            curve = conjugated_flow_error(h, v0, t_grid, op, f, cfg.dt)
             conj.append((amp, curve.max_error))
     errs = [e for _, e in conj]
     conj_ok = all(b < a for a, b in zip(errs, errs[1:])) and errs[-1] < 1e-3

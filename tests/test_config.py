@@ -119,9 +119,23 @@ def test_multiple_diagnostics_reported_together():
 
 
 def test_sampler_dt_follows_solver_dt():
-    cfg, diags = parse_config("[solver]\ndt = 0.002\n[run]\nseed = 1\n")
+    # half the default dt with twice the default stride keeps the 96-point pool
+    cfg, diags = parse_config("[solver]\ndt = 0.002\n[sampler]\nstride = 500\n[run]\nseed = 1\n")
     assert diags == []
     assert cfg.sampler.dt == 0.002
+
+
+def test_sampler_pool_above_max_points_rejected():
+    # the pool is counted at the sampler's effective dt: halving the solver dt
+    # doubles the snapshots per IC, 8 x 23 = 184 points against max_points 96
+    cfg, diags = parse_config("[solver]\ndt = 0.002\n[run]\nseed = 1\n")
+    assert cfg is None
+    (d,) = diags
+    assert d.key == "sampler.max_points"
+    assert "184 points exceeds max_points (96)" in d.message
+    cfg, diags = parse_config("[solver]\ndt = 0.002\n[sampler]\ndt = 0.004\n[run]\nseed = 1\n")
+    assert diags == []
+    assert cfg.sampler.pool_size == 96
 
 
 def test_sampler_dt_override_kept():

@@ -305,15 +305,7 @@ def _make_flow(points_t0, points_t1, all_pts=None):
     d2 = (pts[:, None] - pts[None, :]) ** 2
     n = len(base)
     traj = np.column_stack([np.arange(n), np.arange(n) + n]).astype(np.intp)
-    return FlowSample(d2, np.arange(n, dtype=np.intp), traj, np.array([0.0, 1.0]))
-
-
-def test_flow_sample_validates_base_column():
-    pts = np.array([0.0, 1.0, 2.0, 3.0])
-    d2 = (pts[:, None] - pts[None, :]) ** 2
-    bad_traj = np.array([[2, 3], [1, 0]], dtype=np.intp)
-    with pytest.raises(ValueError):
-        FlowSample(d2, np.array([0, 1], dtype=np.intp), bad_traj, np.array([0.0, 1.0]))
+    return FlowSample(d2, traj, np.array([0.0, 1.0]))
 
 
 def test_dgh_identical_flows_is_zero():

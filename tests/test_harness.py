@@ -178,10 +178,8 @@ def test_shipped_configs_parse():
     for p in paths:
         cfg, diags = load_config(p)
         assert cfg is not None, (p.name, diags)
-        # pool == max_points keeps the selection stage the identity
-        s = cfg.sampler
-        snaps = round(s.t_window / (s.dt * s.stride)) + 1
-        assert cfg.sampler.n_ics * snaps == s.max_points, p.name
+        # every shipped cloud fills max_points exactly
+        assert cfg.sampler.pool_size == cfg.sampler.max_points, p.name
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
@@ -224,22 +222,6 @@ def test_cli_solve_writes_csvs(tmp_path, capsys):
     assert "decay rate" in capsys.readouterr().out
 
 
-def test_cli_gh_on_saved_samples(tmp_path, capsys):
-    op = identity_operator(Mesh(UNIT, 16))
-    f = default_nonlinearity()
-    small = SamplerConfig(
-        n_ics=1, radius=1.0, t_transient=1.0, t_window=1.0, stride=50,
-        max_points=5, dt=0.01, flow_grid_m=2, n_modes=3,
-    )
-    sample_attractor(op, f, small, seed=1).save(tmp_path / "a")
-    sample_attractor(op, f, small, seed=2).save(tmp_path / "b")
-    rc = main(["gh", str(tmp_path / "a"), str(tmp_path / "b"), "--budget", "8"])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["lower"] <= doc["exact"] <= doc["upper"] + 1e-12
-    assert doc["n_a"] == doc["n_b"] == 3  # one IC, three snapshots
-
-
 def test_cli_seed_override(tmp_path):
     p = tmp_path / "fast.cfg"
     p.write_text(_CLI_CFG)
@@ -255,7 +237,10 @@ def test_cli_seed_override(tmp_path):
 
 
 def test_cli_runtime_error_single_line(tmp_path, capsys):
-    rc = main(["gh", str(tmp_path / "missing_a"), str(tmp_path / "missing_b")])
+    # a valid config the stability study cannot use: it needs two amplitudes
+    p = tmp_path / "one_amp.cfg"
+    p.write_text(_CLI_CFG + "\n[perturbation]\nschedule = 0.04\n")
+    rc = main(["stability", "--config", str(p), "--out", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
