@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ScenarioConfig, load_config
+from .config import ScenarioConfig, load_config, range_diagnostic
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -24,15 +24,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _load(args) -> ScenarioConfig | None:
     cfg, diags = load_config(args.config)
+    # --seed and --threads override [run] keys and pass the same range checks
+    overrides = {k: v for k, v in (("seed", args.seed), ("threads", args.threads)) if v is not None}
+    diags += [d for k, v in overrides.items() if (d := range_diagnostic("run", k, v))]
     if diags:
-        for d in diags:
-            print(str(d), file=sys.stderr)
+        print(*diags, sep="\n", file=sys.stderr)
         return None
     assert cfg is not None
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
+    for k, v in overrides.items():
+        setattr(cfg, k, v)
     return cfg
 
 
@@ -67,7 +67,8 @@ def _run_study(args, name: str) -> int:
 def _cmd_solve(args) -> int:
     import numpy as np
 
-    from .dynamics import energy_profile, export_energy_csv, export_trajectory_csv, random_state, solve_trajectory
+    from .dynamics import energy_profile, random_state, solve_trajectory
+    from .harness import CsvWriter
 
     cfg = _load(args)
     if cfg is None:
@@ -79,8 +80,12 @@ def _cmd_solve(args) -> int:
     s0 = random_state(op, rng, cfg.sampler.radius, cfg.sampler.n_modes)
     traj = solve_trajectory(s0, cfg.t_final, cfg.dt, op, f, record_every=max(1, int(round(cfg.t_final / cfg.dt)) // 400))
     prof = energy_profile(traj, f)
-    export_trajectory_csv(traj, out / "trajectory.csv")
-    export_energy_csv(prof, out / "energy.csv")
+    with CsvWriter(out / "trajectory.csv", ["t"] + [f"{c}{i}" for c in "uv" for i in range(len(traj.states.u))]) as w:
+        for t, u, v in zip(traj.times, traj.states.u.T, traj.states.v.T):
+            w.row([t, *u, *v])
+    with CsvWriter(out / "energy.csv", ["t", "e2", "envelope"]) as w:
+        for row in zip(traj.times, prof.e2, prof.envelope(traj.times)):
+            w.row(row)
     print(
         f"solve: {len(traj.times)} snapshots to t={cfg.t_final}; "
         f"decay rate {prof.c:.4g}, envelope overshoot {prof.overshoot:.3%} "

@@ -18,7 +18,7 @@ from .dynamics import SamplerConfig, stability_cap
 from .ghmetric import _S_GRID, Reparametrization
 from .operators import DiscreteOperator, Mesh, NonlinearitySpec, default_nonlinearity, identity_operator
 
-__all__ = ["Diagnostic", "ScenarioConfig", "parse_config", "load_config", "DEFAULT_SCHEDULE"]
+__all__ = ["Diagnostic", "ScenarioConfig", "parse_config", "load_config", "range_diagnostic", "DEFAULT_SCHEDULE"]
 
 DEFAULT_SCHEDULE = (0.04, 0.02, 0.01, 0.005, 0.0025)
 
@@ -159,6 +159,13 @@ def _parse_schedule(raw: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
+def range_diagnostic(section: str, key: str, val: object) -> Diagnostic | None:
+    """The diagnostic of a typed value outside the schema's range for section.key, else None."""
+    _, pred, rng = _SCHEMA[section][key]
+    hint = f"; must be {rng}" if rng else ""
+    return None if pred(val) else Diagnostic(f"{section}.{key}", f"value {val!r} out of range{hint}")
+
+
 def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | None, list[Diagnostic]]:
     """Parse INI text; on any diagnostic the config result is None."""
     cp = configparser.ConfigParser(interpolation=None)
@@ -188,7 +195,7 @@ def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | 
                     continue
                 diags.append(Diagnostic(addr, f"unknown key; expected one of {sorted(schema)}"))
                 continue
-            typ, pred, rng = schema[key]
+            typ = schema[key][0]
             if typ == _STR:
                 val: object = raw.strip()
             else:
@@ -197,9 +204,8 @@ def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | 
                 except ValueError:
                     diags.append(Diagnostic(addr, f"expected {'an integer' if typ == _INT else 'a number'}, got {raw!r}"))
                     continue
-            if not pred(val):
-                hint = f"; must be {rng}" if rng else ""
-                diags.append(Diagnostic(addr, f"value {val!r} out of range{hint}"))
+            if diag := range_diagnostic(section, key, val):
+                diags.append(diag)
                 continue
             if section == "sampler":
                 sampler_kwargs[key] = val  # type: ignore[assignment]

@@ -48,7 +48,6 @@ __all__ = [
     "LipschitzCheck",
     "SamplerConfig",
     "AttractorSample",
-    "ConjugationErrorCurve",
     "BlowupError",
     "NonDissipativeError",
     "WaveIntegrator",
@@ -62,8 +61,6 @@ __all__ = [
     "random_state",
     "x0_sqdist",
     "calibration_state",
-    "export_trajectory_csv",
-    "export_energy_csv",
 ]
 
 Array = npt.NDArray[np.float64]
@@ -164,6 +161,21 @@ class WaveIntegrator:
             raise BlowupError(f"blow-up while evolving over [0, {t}]") from exc
         return cur
 
+    def record(self, state: StateVector, times: Array) -> StateVector:
+        """States at each time of the increasing grid `times` (>= 0), on a trailing axis.
+
+        One `advance` per grid difference, the first from 0, so time 0 gives the
+        start state and a time off the dt lattice a partial step.  u and v are
+        (dim, T) for one state, (dim, k, T) for a block.
+        """
+        steps = np.diff(np.asarray(times, dtype=float), prepend=0.0)
+        u = np.empty(state.u.shape + steps.shape)
+        v = np.empty_like(u)
+        for i, t in enumerate(steps):
+            state = self.advance(state, t)
+            u[..., i], v[..., i] = state.u, state.v
+        return StateVector(u, v)
+
 
 @dataclass
 class Trajectory:
@@ -186,18 +198,10 @@ def solve_trajectory(
     f: NonlinearitySpec,
     record_every: int = 1,
 ) -> Trajectory:
-    integ = WaveIntegrator(op, f, dt)
+    """States at time 0, every `record_every` steps of dt, and the last step."""
     n_steps = int(round(t_final / dt))
-    times = [0.0]
-    us, vs = [state.u], [state.v]
-    cur = state
-    for k in range(1, n_steps + 1):
-        cur = integ.step(cur)
-        if k % record_every == 0 or k == n_steps:
-            times.append(k * dt)
-            us.append(cur.u)
-            vs.append(cur.v)
-    return Trajectory(np.array(times), StateVector(np.column_stack(us), np.column_stack(vs)), op)
+    times = np.union1d(np.arange(0, n_steps + 1, record_every), n_steps) * dt
+    return Trajectory(times, WaveIntegrator(op, f, dt).record(state, times), op)
 
 
 def _e2(state: StateVector, pack: NormPack, f: NonlinearitySpec) -> float | Array:
@@ -325,10 +329,9 @@ GRONWALL_SLACK = 1.05  # largest accepted ratio of separation to the exp(C t) en
 
 @dataclass
 class LipschitzCheck:
-    times: Array
-    ratios: Array
+    """Largest pair separation / (||Z(0)|| exp(C t)) on the step grid; `passed` if <= GRONWALL_SLACK."""
+
     max_ratio: float
-    constants: LipschitzConstants
     passed: bool
 
 
@@ -351,17 +354,12 @@ def lipschitz_envelope_check(
         raise ValueError("initial states coincide; the envelope ratio is undefined")
     if consts is None:
         consts = lipschitz_constants(f.l, op.lambda1)
-    integ = WaveIntegrator(op, f, dt)
-    n = int(round(t_final / dt))
     pair = StateVector(np.column_stack([s0.u, s1.u]), np.column_stack([s0.v, s1.v]))
-    times = np.arange(n + 1) * dt
-    ratios = np.ones(n + 1)
-    for k in range(1, n + 1):
-        pair = integ.step(pair)
-        sep = x_norm(pair.u[:, 0] - pair.u[:, 1], pair.v[:, 0] - pair.v[:, 1], pack, 0)
-        ratios[k] = sep / (z0 * np.exp(consts.C * times[k]))
-    mx = float(ratios.max())
-    return LipschitzCheck(times, ratios, mx, consts, mx <= GRONWALL_SLACK)
+    times = np.arange(int(round(t_final / dt)) + 1) * dt
+    pair = WaveIntegrator(op, f, dt).record(pair, times)
+    sep = x_norm(pair.u[:, 0] - pair.u[:, 1], pair.v[:, 0] - pair.v[:, 1], pack, 0)
+    mx = float((sep / (z0 * np.exp(consts.C * times))).max())
+    return LipschitzCheck(mx, mx <= GRONWALL_SLACK)
 
 
 @dataclass
@@ -555,30 +553,13 @@ def sample_attractor(
     np.fill_diagonal(dist, 0.0)
     m = cfg.flow_grid_m
     flow_times = np.linspace(0.0, 1.0, m + 1)
-    flow = np.empty((states.shape[0], m + 1, 2, states.shape[2]))
-    flow[:, 0] = states
-    cur = StateVector(states[:, 0].T.copy(), states[:, 1].T.copy())
-    for j in range(1, m + 1):
-        cur = integ.advance(cur, flow_times[j] - flow_times[j - 1])
-        flow[:, j, 0] = cur.u.T
-        flow[:, j, 1] = cur.v.T
+    rec = integ.record(StateVector(states[:, 0].T.copy(), states[:, 1].T.copy()), flow_times)
+    flow = np.ascontiguousarray(np.stack([rec.u, rec.v]).transpose(2, 3, 0, 1))  # (n, m+1, 2, dim)
     # invariance proxy: worst distance from any flow image back to the sample;
     # flow[:, 0] is the sample itself, i.e. every (m+1)-th row of the table
     d2_flow = x0_sqdist(flow.reshape(-1, 2, states.shape[2]), op)
     eps_inv = float(np.sqrt(d2_flow[:, :: m + 1]).min(axis=1).max())
     return AttractorSample(dist, flow, flow_times, eps_inv)
-
-
-@dataclass
-class ConjugationErrorCurve:
-    """X^0 mismatch of a pulled-back flow against the reference flow."""
-
-    times: Array
-    errors: Array
-
-    @property
-    def max_error(self) -> float:
-        return float(self.errors.max())
 
 
 def conjugated_flow_error(
@@ -588,44 +569,16 @@ def conjugated_flow_error(
     op0: DiscreteOperator,
     f: NonlinearitySpec,
     dt: float,
-) -> ConjugationErrorCurve:
-    """Evolve one coefficient vector under the reference operator op0 and h_n's, and compare.
+) -> Array:
+    """||T_n(t) V0 - T_0(t) V0|| in op0's X^0 norm at each time of the increasing, nonnegative `t_grid`.
 
-    The shared discrete space makes the pullback identification the identity
-    on coefficients, so the curve reports ||T_n(t) V0 - T_0(t) V0|| in the
-    reference problem's X^0 norm.
+    T_0 runs on the reference operator op0 and T_n on h_n's pullback; the shared
+    discrete space makes the pullback identification the identity on coefficients.
     """
     opn = pullback_operator(op0.mesh, h_n)
-    pack0 = NormPack(op0)
     tg = np.asarray(t_grid, dtype=float)
     if tg.ndim != 1 or tg.size == 0 or np.any(np.diff(tg) <= 0) or tg[0] < 0:
         raise ValueError("t_grid must be increasing and nonnegative")
-    integ0 = WaveIntegrator(op0, f, dt)
-    integn = WaveIntegrator(opn, f, dt)
-    errs = np.empty(tg.size)
-    a = v0
-    b = v0
-    for i, step in enumerate(np.diff(tg, prepend=0.0)):
-        a = integ0.advance(a, step)
-        b = integn.advance(b, step)
-        errs[i] = x_norm(a.u - b.u, a.v - b.v, pack0, 0)
-    return ConjugationErrorCurve(tg, errs)
-
-
-def export_trajectory_csv(traj: Trajectory, path) -> None:
-    """Rows: t, then u and v nodal values (17 significant digits)."""
-    dim = traj.states.u.shape[0]
-    header = ["t"] + [f"u{i}" for i in range(dim)] + [f"v{i}" for i in range(dim)]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for j, t in enumerate(traj.times):
-            vals = [t, *traj.states.u[:, j], *traj.states.v[:, j]]
-            fh.write(",".join(f"{x:.17g}" for x in vals) + "\n")
-
-
-def export_energy_csv(profile: EnergyProfile, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,e2,envelope\n")
-        env = profile.envelope(profile.times)
-        for t, e, g in zip(profile.times, profile.e2, env):
-            fh.write(f"{t:.17g},{e:.17g},{g:.17g}\n")
+    a = WaveIntegrator(op0, f, dt).record(v0, tg)
+    b = WaveIntegrator(opn, f, dt).record(v0, tg)
+    return x_norm(a.u - b.u, a.v - b.v, NormPack(op0), 0)

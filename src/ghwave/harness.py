@@ -328,8 +328,7 @@ def run_estimate_checks(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
     conj: list[tuple[float, float]] = []
     with clock.stage("estimates.conjugation"):
         for amp, h in zip(family.schedule, family.maps()):
-            curve = conjugated_flow_error(h, v0, t_grid, op, f, cfg.dt)
-            conj.append((amp, curve.max_error))
+            conj.append((amp, float(conjugated_flow_error(h, v0, t_grid, op, f, cfg.dt).max())))
     errs = [e for _, e in conj]
     conj_ok = all(b < a for a, b in zip(errs, errs[1:])) and errs[-1] < 1e-3
 

@@ -323,12 +323,13 @@ class NormPack:
         return self.op.solve_M(self.op.K @ u)
 
 
-def x_norm(u: Array, v: Array, pack: NormPack, level: int) -> float:
-    """Product phase-space norm at the requested smoothness level (0 or 1)."""
+def x_norm(u: Array, v: Array, pack: NormPack, level: int) -> float | Array:
+    """Product phase-space norm at level 0 or 1 (see `NormPack`): an np.float64 for
+    one state, or one per column of a (dim, k) block, bit for bit that column's alone."""
     if level == 0:
-        return float(np.sqrt(pack.norm1(u) ** 2 + pack.norm0(v) ** 2))
+        return np.sqrt(pack.norm1(u) ** 2 + pack.norm0(v) ** 2)
     if level == 1:
-        return float(np.sqrt(pack.norm2(u) ** 2 + pack.norm1(v) ** 2))
+        return np.sqrt(pack.norm2(u) ** 2 + pack.norm1(v) ** 2)
     raise ValueError(f"unsupported norm level {level}")
 
 

@@ -120,7 +120,7 @@ def test_conjugated_flow_convergence(verdict):
     v0 = random_state(op, rng, radius=1.0, n_modes=4)
     t_grid = np.linspace(0.0, 1.0, 11)[1:]
     errs = [
-        conjugated_flow_error(h, v0, t_grid, op, f, cfg.dt).max_error
+        conjugated_flow_error(h, v0, t_grid, op, f, cfg.dt).max()
         for h in family.maps()
     ]
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))

@@ -117,6 +117,25 @@ def test_advance_semigroup_composition():
     assert np.array_equal(one.v, two.v)
 
 
+def test_record_matches_successive_advances():
+    # 0.125 is off the dt = 0.01 lattice, so the grid needs partial steps;
+    # time 0 records the start state
+    op = identity_operator(Mesh(UNIT, 16))
+    integ = WaveIntegrator(op, default_nonlinearity(), 0.01)
+    rng = np.random.default_rng(13)
+    singles = [random_state(op, rng, radius=1.0) for _ in range(3)]
+    block = StateVector(np.column_stack([s.u for s in singles]), np.column_stack([s.v for s in singles]))
+    times = np.array([0.0, 0.05, 0.125, 0.3])
+    for start in (singles[0], block):
+        rec = integ.record(start, times)
+        assert rec.u.shape == start.u.shape + (4,)
+        cur, t_prev = start, 0.0
+        for j, t in enumerate(times):
+            cur, t_prev = integ.advance(cur, t - t_prev), t
+            assert np.array_equal(rec.u[..., j], cur.u)
+            assert np.array_equal(rec.v[..., j], cur.v)
+
+
 @pytest.mark.parametrize(
     "domain, resolution, dt",
     [(UNIT, 24, 0.005), (ReferenceDomain("rectangle", ((0.0, 1.0), (0.0, 1.0))), 12, 0.01)],
@@ -140,6 +159,8 @@ def test_block_step_matches_single_states(domain, resolution, dt):
     pack = NormPack(op)
     for norm in (pack.norm0, pack.norm1, pack.norm2):
         assert np.array_equal(norm(block.u), [norm(s.u) for s in singles])
+    for level in (0, 1):
+        assert np.array_equal(x_norm(block.u, block.v, pack, level), [x_norm(s.u, s.v, pack, level) for s in singles])
     f = default_nonlinearity()
     assert np.array_equal(_e2(block, pack, f), [_e2(s, pack, f) for s in singles])
     # E2 forms K u and its M solve once; the bits are those of the norm methods
@@ -329,8 +350,8 @@ def test_conjugated_error_zero_for_identical_maps():
     f = default_nonlinearity()
     v0 = calibration_state(op0, 1.0)
     t_grid = np.linspace(0.0, 0.5, 6)[1:]
-    curve = conjugated_flow_error(identity_map(UNIT), v0, t_grid, op0, f, 0.005)
-    assert curve.max_error == 0.0
+    errs = conjugated_flow_error(identity_map(UNIT), v0, t_grid, op0, f, 0.005)
+    assert errs.max() == 0.0
 
 
 def test_conjugated_error_shrinks_with_amplitude():
@@ -340,8 +361,7 @@ def test_conjugated_error_shrinks_with_amplitude():
     t_grid = np.linspace(0.0, 0.5, 6)[1:]
     errs = []
     for amp in (0.04, 0.02, 0.01):
-        curve = conjugated_flow_error(bump_map_1d(UNIT, amp), v0, t_grid, op0, f, 0.005)
-        errs.append(curve.max_error)
+        errs.append(conjugated_flow_error(bump_map_1d(UNIT, amp), v0, t_grid, op0, f, 0.005).max())
     assert errs[0] > errs[1] > errs[2]
 
 

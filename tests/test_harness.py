@@ -236,6 +236,15 @@ def test_cli_seed_override(tmp_path):
     assert (out1 / "gronwall.csv").read_bytes() == (out2 / "gronwall.csv").read_bytes()
 
 
+def test_cli_overrides_checked_like_run_keys(tmp_path, capsys):
+    # --seed and --threads go through the [run] ranges: exit 2 with the key named
+    cfg = str(Path(__file__).resolve().parents[1] / "configs" / "determinism_tiny.cfg")
+    for flag, value, key in (("--seed", "-1", "run.seed"), ("--threads", "0", "run.threads")):
+        assert main(["estimates", "--config", cfg, "--out", str(tmp_path), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{key}: value {int(value)} out of range")
+
+
 def test_cli_runtime_error_single_line(tmp_path, capsys):
     # a valid config the stability study cannot use: it needs two amplitudes
     p = tmp_path / "one_amp.cfg"
