@@ -390,6 +390,8 @@ class SamplerConfig:
             raise ValueError("t_transient, t_window and dt must be positive")
         if self.stride < 1 or self.max_points < 1 or self.flow_grid_m < 1:
             raise ValueError("stride, max_points and flow_grid_m must be positive")
+        if not (self.plateau_window >= 2 and self.plateau_tol > 0 and self.plateau_floor >= 0 and self.t_cap > 0):
+            raise ValueError("need plateau_window >= 2, plateau_tol > 0, plateau_floor >= 0 and t_cap > 0")
 
     @property
     def pool_size(self) -> int:
@@ -504,6 +506,14 @@ def sample_attractor(
     otherwise NonDissipativeError.  Every snapshot is a sample point, in
     IC-major order (all snapshots of ic 0, then of ic 1, ...); a pool larger
     than `max_points` is a ValueError before any stepping.
+
+    The ICs advance as one block in chunks of at most `plateau_window` steps,
+    one `record` call and one E2 evaluation over the (dim, n_ics * L) block
+    per chunk.  A chunk ends no later than the earliest step the per-step
+    loop could stop at (no IC can collect `plateau_window` settled steps
+    sooner, and no stop comes before the window ends), and at the first step
+    reaching `t_cap`; so no step runs past that loop's stop, and every
+    settling decision is the per-step one, bit for bit.
     """
     if cfg.pool_size > cfg.max_points:
         raise ValueError(
@@ -520,34 +530,44 @@ def sample_attractor(
     window_start = int(round(cfg.t_transient / cfg.dt))
     window_end = window_start + int(round(cfg.t_window / cfg.dt))
 
-    snaps: list[StateVector] = [state] if window_start == 0 else []
+    snaps: list[tuple[Array, Array]] = [(state.u, state.v)] if window_start == 0 else []
     e_prev = _e2(state, pack, f)
     consec = np.zeros(n_ics, dtype=np.intp)
     plateaued = np.zeros(n_ics, dtype=bool)
     k = 0
     while True:
-        state = integ.step(state)
-        k += 1
-        t = k * cfg.dt
-        if window_start <= k <= window_end and (k - window_start) % cfg.stride == 0:
-            snaps.append(state)
-        # a plateaued IC keeps stepping until every IC is done; its settling
-        # test is over, so its later E2 values are never read
-        e_now = _e2(state, pack, f)
-        slope = np.abs(e_now - e_prev) / cfg.dt
-        e_prev = e_now
-        settled = slope < cfg.plateau_tol * e_now + cfg.plateau_floor
-        consec = np.where(settled, consec + 1, 0)
-        if t >= cfg.t_transient:
-            plateaued |= consec >= cfg.plateau_window
+        # no IC can plateau in fewer than `need` steps, and no stop lies before
+        # window_end, so the loop can only stop at the chunk's last step
+        need = int((cfg.plateau_window - consec[~plateaued]).max(initial=0))
+        ks = np.arange(k + 1, k + max(1, need, min(window_end - k, cfg.plateau_window)) + 1)
+        t = ks * cfg.dt
+        if t[-1] >= cfg.t_cap:  # end at the first step that reaches t_cap
+            ks = ks[: np.argmax(t >= cfg.t_cap) + 1]
+            t = t[: len(ks)]
+        rec = integ.record(state, (ks - k) * cfg.dt)  # u, v: (dim, n_ics, L)
+        state = StateVector(rec.u[..., -1], rec.v[..., -1])
+        for j in np.flatnonzero((ks >= window_start) & (ks <= window_end) & ((ks - window_start) % cfg.stride == 0)):
+            snaps.append((rec.u[..., j].copy(), rec.v[..., j].copy()))  # a view would keep the chunk
+        # E2 of the whole chunk in one block, then the per-step test as array
+        # operations over (L, n_ics); a plateaued IC keeps stepping until every
+        # IC is done, and its later E2 values are never read
+        e = _e2(StateVector(rec.u.reshape(op.n, -1), rec.v.reshape(op.n, -1)), pack, f).reshape(n_ics, -1).T
+        slope = np.abs(e - np.vstack([e_prev, e[:-1]])) / cfg.dt
+        e_prev = e[-1]
+        settled = slope < cfg.plateau_tol * e + cfg.plateau_floor
+        step = np.arange(1, len(ks) + 1)[:, None]
+        reset = np.maximum.accumulate(np.where(settled, 0, step), axis=0)
+        run = np.where(reset == 0, consec + step, step - reset)  # consec after each step
+        consec = run[-1]
+        plateaued |= ((t >= cfg.t_transient)[:, None] & (run >= cfg.plateau_window)).any(axis=0)
+        k = int(ks[-1])
         if plateaued.all() and k >= window_end:
             break
-        if t >= cfg.t_cap:
+        if t[-1] >= cfg.t_cap:
             ic = int(np.argmin(plateaued))
             raise NonDissipativeError(f"energy of ic {ic} never plateaued before t_cap = {cfg.t_cap}")
     # IC-major: every snapshot of ic 0, then of ic 1, ...
-    snap_uv = np.array([(st.u, st.v) for st in snaps])  # (n_snaps, 2, dim, n_ics)
-    states = snap_uv.transpose(3, 0, 1, 2).reshape(n_ics * len(snaps), 2, -1)
+    states = np.array(snaps).transpose(3, 0, 1, 2).reshape(n_ics * len(snaps), 2, -1)  # from (n_snaps, 2, dim, n_ics)
     dist = np.sqrt(x0_sqdist(states, op))
     dist = 0.5 * (dist + dist.T)
     np.fill_diagonal(dist, 0.0)

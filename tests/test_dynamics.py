@@ -11,6 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ghwave import dynamics
 from ghwave.domains import ReferenceDomain, bump_map_1d, identity_map
 from ghwave.operators import (
     Mesh,
@@ -36,6 +37,7 @@ from ghwave.dynamics import (
     random_state,
     sample_attractor,
     solve_trajectory,
+    x0_sqdist,
 )
 
 UNIT = ReferenceDomain("interval", ((0.0, 1.0),))
@@ -167,6 +169,13 @@ def test_block_step_matches_single_states(domain, resolution, dt):
     acc = -block.v - pack.apply_A(block.u) - f.f(block.u)
     want = pack.norm0(acc) ** 2 + pack.norm1(block.v) ** 2 + pack.norm2(block.u) ** 2
     assert np.array_equal(_e2(block, pack, f), want)
+    # the sampler evaluates E2 once per recorded chunk, on a (dim, 3 L) block;
+    # each value must be the one of that step's (dim, 3) block
+    L = 60
+    rec = integ.record(block, np.arange(1, L + 1) * dt)
+    wide = _e2(StateVector(rec.u.reshape(op.n, -1), rec.v.reshape(op.n, -1)), pack, f)
+    per_step = [_e2(StateVector(rec.u[..., j].copy(), rec.v[..., j].copy()), pack, f) for j in range(L)]
+    assert np.array_equal(wide.reshape(3, L).T, per_step)
 
 
 def test_energy_nonincreasing_per_step_without_forcing():
@@ -331,6 +340,138 @@ def test_sampler_flow_invariance_proxy_consistent():
             )
             worst = max(worst, best)
     assert sample.eps_inv == pytest.approx(worst, rel=1e-12)
+
+
+def _sample_per_step(op, f, cfg, seed, series):
+    """The sampler with one step, one E2 evaluation and the settling
+    bookkeeping per step: the reference the chunked loop in
+    `sample_attractor` must reproduce bit for bit.  Appends each step's E2
+    (time 0 first) to `series`, also when the cap is hit."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5A17]))
+    pack = NormPack(op)
+    integ = WaveIntegrator(op, f, cfg.dt)
+    ics = [random_state(op, rng, cfg.radius, cfg.n_modes) for _ in range(cfg.n_ics)]
+    state = StateVector(np.column_stack([s.u for s in ics]), np.column_stack([s.v for s in ics]))
+    window_start = int(round(cfg.t_transient / cfg.dt))
+    window_end = window_start + int(round(cfg.t_window / cfg.dt))
+    snaps = [state] if window_start == 0 else []
+    e_prev = _e2(state, pack, f)
+    series.append(e_prev)
+    consec = np.zeros(cfg.n_ics, dtype=np.intp)
+    plateaued = np.zeros(cfg.n_ics, dtype=bool)
+    k = 0
+    while True:
+        state = integ.step(state)
+        k += 1
+        t = k * cfg.dt
+        if window_start <= k <= window_end and (k - window_start) % cfg.stride == 0:
+            snaps.append(state)
+        e_now = _e2(state, pack, f)
+        series.append(e_now)
+        slope = np.abs(e_now - e_prev) / cfg.dt
+        e_prev = e_now
+        settled = slope < cfg.plateau_tol * e_now + cfg.plateau_floor
+        consec = np.where(settled, consec + 1, 0)
+        if t >= cfg.t_transient:
+            plateaued |= consec >= cfg.plateau_window
+        if plateaued.all() and k >= window_end:
+            break
+        if t >= cfg.t_cap:
+            ic = int(np.argmin(plateaued))
+            raise NonDissipativeError(f"energy of ic {ic} never plateaued before t_cap = {cfg.t_cap}")
+    states = np.array([(st.u, st.v) for st in snaps]).transpose(3, 0, 1, 2).reshape(-1, 2, op.n)
+    dist = np.sqrt(x0_sqdist(states, op))
+    dist = 0.5 * (dist + dist.T)
+    np.fill_diagonal(dist, 0.0)
+    m = cfg.flow_grid_m
+    rec = integ.record(StateVector(states[:, 0].T.copy(), states[:, 1].T.copy()), np.linspace(0.0, 1.0, m + 1))
+    flow = np.stack([rec.u, rec.v]).transpose(2, 3, 0, 1)
+    d2_flow = x0_sqdist(flow.reshape(-1, 2, op.n), op)
+    return dist, flow, float(np.sqrt(d2_flow[:, :: m + 1]).min(axis=1).max())
+
+
+def _spy_e2(monkeypatch, n_ics):
+    """Record every E2 evaluation of `sample_attractor`; the returned function
+    gives them as one (steps + 1, n_ics) series, time 0 first."""
+    calls = []
+
+    def spy(state, pack, f):
+        calls.append(_e2(state, pack, f))
+        return calls[-1]
+
+    monkeypatch.setattr(dynamics, "_e2", spy)
+    return lambda: np.vstack([calls[0]] + [e.reshape(n_ics, -1).T for e in calls[1:]])
+
+
+_SQUARE = ReferenceDomain("rectangle", ((0.0, 1.0), (0.0, 1.0)))
+_SETTLE = dataclasses.replace(_FAST, n_ics=3, max_points=9)
+
+
+@pytest.mark.parametrize(
+    "domain, resolution, changes, stop",
+    [
+        # a coarse floor settles every IC long before a 10 s window ends
+        (UNIT, 16, dict(t_window=10.0, stride=1000, plateau_floor=1e-3), "at window end"),
+        (UNIT, 16, {}, "after window end"),
+        (UNIT, 16, dict(plateau_window=2), "after window end"),
+        (UNIT, 16, dict(n_ics=1, max_points=3), "after window end"),
+        (_SQUARE, 6, dict(n_ics=2, max_points=6), "after window end"),
+    ],
+    ids=["plateau-before-window-end", "plateau-after-window-end", "window-2", "one-ic", "2d"],
+)
+def test_chunked_settling_matches_per_step_loop(domain, resolution, changes, stop, monkeypatch):
+    op = identity_operator(Mesh(domain, resolution))
+    f = default_nonlinearity()
+    cfg = dataclasses.replace(_SETTLE, **changes)
+    want_e2 = []
+    dist, flow, eps_inv = _sample_per_step(op, f, cfg, 5, want_e2)
+    got_e2 = _spy_e2(monkeypatch, cfg.n_ics)
+    sample = sample_attractor(op, f, cfg, 5)
+    assert np.array_equal(sample.dist, dist)
+    assert np.array_equal(sample.flow, flow)
+    assert sample.eps_inv == eps_inv
+    # the same E2 bits at every step, and the same stop step
+    assert np.array_equal(got_e2(), np.array(want_e2))
+    window_end = round((cfg.t_transient + cfg.t_window) / cfg.dt)
+    if stop == "at window end":
+        assert len(want_e2) - 1 == window_end
+    else:
+        assert len(want_e2) - 1 > window_end + 10 * cfg.plateau_window
+
+
+def test_chunked_settling_hits_cap_at_per_step_point(monkeypatch):
+    # at seed 6 ics 0 and 1 plateau at steps 2927 and 2925, ic 2 at 2945:
+    # a cap at step 2930 names ic 2
+    op = identity_operator(Mesh(UNIT, 16))
+    f = default_nonlinearity()
+    cfg = dataclasses.replace(_SETTLE, t_cap=29.3)
+    want_e2 = []
+    with pytest.raises(NonDissipativeError, match="ic 2 never") as want:
+        _sample_per_step(op, f, cfg, 6, want_e2)
+    got_e2 = _spy_e2(monkeypatch, cfg.n_ics)
+    with pytest.raises(NonDissipativeError) as got:
+        sample_attractor(op, f, cfg, 6)
+    assert str(got.value) == str(want.value)
+    assert np.array_equal(got_e2(), np.array(want_e2))
+    assert abs(len(want_e2) - 1 - 2930) <= 1
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        dict(plateau_window=0),
+        dict(plateau_window=1),
+        dict(plateau_tol=0.0),
+        dict(plateau_tol=float("nan")),
+        dict(plateau_floor=-1e-12),
+        dict(t_cap=0.0),
+        dict(t_cap=-5.0),
+    ],
+)
+def test_sampler_config_rejects_disabled_settling_test(changes):
+    # plateau_window = 0 would count every IC as settled before its first step
+    with pytest.raises(ValueError, match="plateau_window >= 2"):
+        dataclasses.replace(_FAST, **changes)
 
 
 def test_sampler_rejects_pool_above_max_points():
