@@ -10,11 +10,13 @@ every problem at once.  `seed` under [run] is the one mandatory key.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import inspect
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .domains import FAMILIES, PerturbationFamily, ReferenceDomain, make_family
-from .dynamics import SamplerConfig, stability_cap
+from .domains import FAMILIES, DiffeoMap, PerturbationFamily, ReferenceDomain, make_family
+from .dynamics import SAMPLER_RANGES, SamplerConfig, stability_cap
 from .ghmetric import _S_GRID, Reparametrization
 from .operators import DiscreteOperator, Mesh, NonlinearitySpec, default_nonlinearity, identity_operator
 
@@ -69,6 +71,7 @@ class ScenarioConfig:
     seed: int = 0
     threads: int = 1
     _reference_op: DiscreteOperator | None = field(default=None, init=False, repr=False, compare=False)
+    _maps: tuple[tuple, list[DiffeoMap]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def make_domain(self) -> ReferenceDomain:
         if self.kind == "interval":
@@ -88,6 +91,14 @@ class ScenarioConfig:
 
     def make_family(self) -> PerturbationFamily:
         return make_family(self.family, self.make_domain(), self.schedule, self.family_params)
+
+    def maps(self) -> list[DiffeoMap]:
+        """The schedule's maps; parse_config builds them to check them, and
+        the studies reuse that one build."""
+        key = (self.family, self.make_domain(), self.schedule, sorted(self.family_params.items()))
+        if self._maps is None or self._maps[0] != key:
+            self._maps = (key, self.make_family().maps())
+        return self._maps[1]
 
     def make_nonlinearity(self) -> NonlinearitySpec:
         return default_nonlinearity(self.a, self.b)
@@ -117,21 +128,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, str]]] = {
         "dt": (_FLOAT, lambda x: x > 0, "positive"),
         "t_final": (_FLOAT, lambda x: x > 0, "positive"),
     },
-    "sampler": {
-        "n_ics": (_INT, lambda n: n >= 1, "at least 1"),
-        "radius": (_FLOAT, lambda x: x > 0, "positive"),
-        "t_transient": (_FLOAT, lambda x: x > 0, "positive"),
-        "t_window": (_FLOAT, lambda x: x > 0, "positive"),
-        "stride": (_INT, lambda n: n >= 1, "at least 1"),
-        "max_points": (_INT, lambda n: n >= 1, "at least 1"),
-        "plateau_tol": (_FLOAT, lambda x: x > 0, "positive"),
-        "plateau_floor": (_FLOAT, lambda x: x >= 0, "nonnegative"),
-        "plateau_window": (_INT, lambda n: n >= 2, "at least 2"),
-        "t_cap": (_FLOAT, lambda x: x > 0, "positive"),
-        "dt": (_FLOAT, lambda x: x > 0, "positive"),
-        "flow_grid_m": (_INT, lambda n: n >= 1, "at least 1"),
-        "n_modes": (_INT, lambda n: n >= 1, "at least 1"),
-    },
+    "sampler": {f.name: (f.type, *SAMPLER_RANGES[f.name]) for f in fields(SamplerConfig)},
     "gh": {
         "budget": (_INT, lambda n: n >= 1, "at least 1"),
         "rho": (
@@ -150,13 +147,16 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, str]]] = {
     },
 }
 
-# family parameters are free-form floats under [perturbation]
-_FAMILY_PARAM_KEYS = {"center", "width", "center_x", "center_y"}
+
+def _finite(raw: str) -> float:
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError(f"{raw!r} is not finite")
+    return val
 
 
 def _parse_schedule(raw: str) -> tuple[float, ...]:
-    parts = [p for p in raw.replace(",", " ").split() if p]
-    return tuple(float(p) for p in parts)
+    return tuple(_finite(p) for p in raw.replace(",", " ").split())
 
 
 def range_diagnostic(section: str, key: str, val: object) -> Diagnostic | None:
@@ -167,7 +167,13 @@ def range_diagnostic(section: str, key: str, val: object) -> Diagnostic | None:
 
 
 def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | None, list[Diagnostic]]:
-    """Parse INI text; on any diagnostic the config result is None."""
+    """Parse INI text; on any diagnostic the config result is None.
+
+    The objects a study builds from the values enforce the rest: the family's
+    map constructor takes the [perturbation] parameters and checks them, its
+    dimension and the C2 distance of every schedule map (kept on the config),
+    and the reference operator bounds dt.
+    """
     cp = configparser.ConfigParser(interpolation=None)
     diags: list[Diagnostic] = []
     try:
@@ -177,7 +183,7 @@ def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | 
 
     cfg = ScenarioConfig()
     sampler_kwargs: dict[str, float | int] = {}
-    family_params: dict[str, float] = {}
+    family_raw: dict[str, str] = {}
 
     for section in cp.sections():
         if section not in _SCHEMA:
@@ -187,11 +193,8 @@ def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | 
         for key, raw in cp.items(section):
             addr = f"{section}.{key}"
             if key not in schema:
-                if section == "perturbation" and key in _FAMILY_PARAM_KEYS:
-                    try:
-                        family_params[key] = float(raw)
-                    except ValueError:
-                        diags.append(Diagnostic(addr, f"expected a number, got {raw!r}"))
+                if section == "perturbation":  # checked against the family's constructor below
+                    family_raw[key] = raw
                     continue
                 diags.append(Diagnostic(addr, f"unknown key; expected one of {sorted(schema)}"))
                 continue
@@ -200,9 +203,9 @@ def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | 
                 val: object = raw.strip()
             else:
                 try:
-                    val = int(raw) if typ == _INT else float(raw)
+                    val = int(raw) if typ == _INT else _finite(raw)
                 except ValueError:
-                    diags.append(Diagnostic(addr, f"expected {'an integer' if typ == _INT else 'a number'}, got {raw!r}"))
+                    diags.append(Diagnostic(addr, f"expected {'an integer' if typ == _INT else 'a finite number'}, got {raw!r}"))
                     continue
             if diag := range_diagnostic(section, key, val):
                 diags.append(diag)
@@ -211,25 +214,27 @@ def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | 
                 sampler_kwargs[key] = val  # type: ignore[assignment]
             elif section == "perturbation" and key == "schedule":
                 try:
-                    sched = _parse_schedule(raw)
+                    cfg.schedule = _parse_schedule(raw)
                 except ValueError:
-                    diags.append(Diagnostic(addr, f"expected a comma-separated list of numbers, got {raw!r}"))
-                    continue
-                if len(sched) < 1:
-                    diags.append(Diagnostic(addr, "schedule must contain at least one amplitude"))
-                    continue
-                if any(s <= 0 for s in sched) or any(
-                    b >= a_ for a_, b in zip(sched, sched[1:])
-                ):
-                    diags.append(Diagnostic(addr, f"schedule must be positive and strictly decreasing, got {sched}"))
-                    continue
-                cfg.schedule = sched
+                    diags.append(Diagnostic(addr, f"expected a comma-separated list of finite numbers, got {raw!r}"))
             else:
                 attr = {"estimates.t_final": "estimate_t_final"}.get(addr, key)
                 setattr(cfg, attr, val)
 
     if not cp.has_option("run", "seed"):
         diags.append(Diagnostic("run.seed", "mandatory key is missing"))
+
+    if cp.get("perturbation", "family", fallback=cfg.family).strip() == cfg.family:  # else already diagnosed
+        params = list(inspect.signature(FAMILIES[cfg.family]).parameters)[2:]  # after (domain, amplitude)
+        for key, raw in family_raw.items():
+            addr = f"perturbation.{key}"
+            if key not in params:
+                diags.append(Diagnostic(addr, f"unknown key for family {cfg.family!r}; expected one of {sorted([*_SCHEMA['perturbation'], *params])}"))
+                continue
+            try:
+                cfg.family_params[key] = _finite(raw)
+            except ValueError:
+                diags.append(Diagnostic(addr, f"expected a finite number, got {raw!r}"))
 
     if cfg.kind == "interval" and not cfg.upper > cfg.lower:
         diags.append(Diagnostic("domain.upper", f"upper ({cfg.upper}) must exceed lower ({cfg.lower})"))
@@ -240,16 +245,11 @@ def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | 
             diags.append(Diagnostic("domain.upper_y", f"upper_y ({cfg.upper_y}) must exceed lower_y ({cfg.lower_y})"))
     if not cfg.a > abs(cfg.b):
         diags.append(Diagnostic("nonlinearity.a", f"a ({cfg.a}) must exceed |b| ({abs(cfg.b)}) for dissipativity"))
-    fam_2d = FAMILIES.get(cfg.family)
-    if fam_2d is not None:
-        want_2d = cfg.family.endswith("2d")
-        have_2d = cfg.kind == "rectangle"
-        if want_2d != have_2d:
-            diags.append(
-                Diagnostic("perturbation.family", f"family {cfg.family!r} does not fit a {cfg.kind} domain")
-            )
 
-    sampler = SamplerConfig(**sampler_kwargs)
+    if diags:  # the checks below combine values, so each must be valid on its own first
+        return None, diags
+
+    cfg.sampler = sampler = SamplerConfig(**sampler_kwargs)
     if "dt" not in sampler_kwargs:
         sampler.dt = cfg.dt
     if sampler.t_cap < sampler.t_transient + sampler.t_window:
@@ -262,22 +262,22 @@ def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | 
                 f"= {sampler.pool_size} points exceeds max_points ({sampler.max_points}); every snapshot is kept",
             )
         )
-
-    if diags:
-        return None, diags
-
+    try:
+        cfg.make_family()
+    except ValueError as exc:  # the schedule's own rule: positive, strictly decreasing
+        diags.append(Diagnostic("perturbation.schedule", str(exc)))
+    else:
+        try:
+            cfg.maps()
+        except ValueError as exc:
+            diags.append(Diagnostic("perturbation.family", f"{cfg.family} on the {cfg.kind}: {exc}"))
     # the cap of the unperturbed operator; each perturbed operator's cap is
     # still checked when an integrator is built on it
     cap = stability_cap(cfg.reference_operator())
     for key, dt in (("solver.dt", cfg.dt), ("sampler.dt", sampler_kwargs.get("dt"))):
         if dt is not None and dt > cap:
             diags.append(Diagnostic(key, f"dt ({dt}) exceeds the stability cap {cap:.3e} of the reference mesh"))
-    if diags:
-        return None, diags
-
-    cfg.sampler = sampler
-    cfg.family_params = family_params
-    return cfg, []
+    return (None, diags) if diags else (cfg, [])
 
 
 def load_config(path) -> tuple[ScenarioConfig | None, list[Diagnostic]]:

@@ -11,7 +11,12 @@ coefficient space.  Everything downstream (assembly, flows, attractor
 comparisons) consumes the CoefficientField produced here.
 
 All shipped map families are closed-form with hand-coded first and second
-derivatives; see `FAMILIES`.
+derivatives.  `FAMILIES` maps each family name to its map constructor
+`(domain, amplitude, **params)`, and the constructor is where the family's
+rules live: its domain dimension, its parameter ranges, and (through
+`_finalize`) a C2 distance below 1 from the identity.  A scenario's family
+parameters are that constructor's keyword arguments, and the config asks the
+constructor rather than restating its rules.
 """
 
 from __future__ import annotations
@@ -142,8 +147,10 @@ class DiffeoMap:
         return worst
 
 
-def default_c2_grid(domain: ReferenceDomain, points_per_axis: int = 1001) -> Array:
-    """Uniform sample grid used for C2 distances (1001 points per axis)."""
+def default_c2_grid(domain: ReferenceDomain, points_per_axis: int | None = None) -> Array:
+    """Uniform sample grid used for C2 distances: by default 1001 points on an
+    interval, 201^2 on a rectangle."""
+    points_per_axis = points_per_axis or (1001 if domain.dim == 1 else 201)
     axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in domain.bounds]
     if domain.dim == 1:
         return axes[0][:, None]
@@ -178,8 +185,7 @@ def c2_distance(h: DiffeoMap, g: DiffeoMap, grid: Array) -> float:
 
 def _finalize(h: DiffeoMap, check_points: int = 13) -> DiffeoMap:
     """Compute delta, enforce admissibility, and cross-check derivatives."""
-    grid_n = 1001 if h.domain.dim == 1 else 201  # 201^2 sample points in 2d
-    grid = default_c2_grid(h.domain, grid_n)
+    grid = default_c2_grid(h.domain)
     h.delta = c2_distance(h, identity_map(h.domain), grid)
     if not h.delta < 1.0:
         raise ValueError(f"map {h.key} has C2 distance {h.delta:.4f} >= 1 from the identity")
@@ -306,16 +312,17 @@ def shear_map_2d(domain: ReferenceDomain, k: float) -> DiffeoMap:
 def radial_bump_map_2d(
     domain: ReferenceDomain,
     amplitude: float,
-    center: tuple[float, float] = (0.5, 0.5),
+    center_x: float = 0.5,
+    center_y: float = 0.5,
     width: float = 0.3,
 ) -> DiffeoMap:
-    """Radial bump h(p) = p + A exp(-|p-c|^2 / (2 w^2)) (p - c)."""
+    """Radial bump h(p) = p + A exp(-|p-c|^2 / (2 w^2)) (p - c), c = (center_x, center_y)."""
     if domain.dim != 2:
         raise ValueError("radial_bump_map_2d needs a rectangle domain")
     if width <= 0:
         raise ValueError("width must be positive")
     a, w = float(amplitude), float(width)
-    c = np.array(center, dtype=float)
+    c = np.array([center_x, center_y], dtype=float)
 
     def g(x: Array) -> Array:
         r2 = ((x - c) ** 2).sum(axis=1)
@@ -358,12 +365,11 @@ class PerturbationFamily:
     domain: ReferenceDomain
     generator: Callable[[float], DiffeoMap]
     schedule: tuple[float, ...]
-    name: str = ""
 
     def __post_init__(self) -> None:
         sched = tuple(float(s) for s in self.schedule)
-        if any(s <= 0 for s in sched):
-            raise ValueError("schedule entries must be positive")
+        if not sched or any(s <= 0 for s in sched):
+            raise ValueError("schedule needs at least one amplitude, all positive")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ValueError("schedule must be strictly decreasing")
         self.schedule = sched
@@ -372,63 +378,24 @@ class PerturbationFamily:
         return [self.generator(s) for s in self.schedule]
 
 
-# family name -> (builder(domain, schedule, params) -> PerturbationFamily, param keys)
-def _fam_bump1d(domain, schedule, params):
-    center = float(params.get("center", 0.5))
-    width = float(params.get("width", 0.3))
-    return PerturbationFamily(
-        domain, lambda s: bump_map_1d(domain, s, center, width), schedule, "bump1d"
-    )
-
-
-def _fam_polybump1d(domain, schedule, params):
-    return PerturbationFamily(domain, lambda s: polybump_map_1d(domain, s), schedule, "polybump1d")
-
-
-def _fam_scale1d(domain, schedule, params):
-    return PerturbationFamily(
-        domain, lambda s: affine_map_1d(domain, 1.0 + s, 0.0), schedule, "scale1d"
-    )
-
-
-def _fam_affine1d(domain, schedule, params):
-    return PerturbationFamily(
-        domain, lambda s: affine_map_1d(domain, 1.0, s), schedule, "affine1d"
-    )
-
-
-def _fam_shear2d(domain, schedule, params):
-    return PerturbationFamily(domain, lambda s: shear_map_2d(domain, s), schedule, "shear2d")
-
-
-def _fam_radial_bump2d(domain, schedule, params):
-    cx = float(params.get("center_x", 0.5))
-    cy = float(params.get("center_y", 0.5))
-    width = float(params.get("width", 0.3))
-    return PerturbationFamily(
-        domain,
-        lambda s: radial_bump_map_2d(domain, s, (cx, cy), width),
-        schedule,
-        "radial_bump2d",
-    )
-
-
-FAMILIES: dict[str, Callable] = {
-    "bump1d": _fam_bump1d,
-    "polybump1d": _fam_polybump1d,
-    "scale1d": _fam_scale1d,
-    "affine1d": _fam_affine1d,
-    "shear2d": _fam_shear2d,
-    "radial_bump2d": _fam_radial_bump2d,
+FAMILIES: dict[str, Callable[..., DiffeoMap]] = {
+    "bump1d": bump_map_1d,
+    "polybump1d": polybump_map_1d,
+    "scale1d": lambda domain, amplitude: affine_map_1d(domain, 1.0 + amplitude, 0.0),
+    "affine1d": lambda domain, amplitude: affine_map_1d(domain, 1.0, amplitude),
+    "shear2d": shear_map_2d,
+    "radial_bump2d": radial_bump_map_2d,
 }
 
 
 def make_family(
     name: str, domain: ReferenceDomain, schedule: Sequence[float], params: dict | None = None
 ) -> PerturbationFamily:
+    """The family `name` on `domain`: h_s = FAMILIES[name](domain, s, **params)."""
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}; available: {sorted(FAMILIES)}")
-    return FAMILIES[name](domain, tuple(schedule), params or {})
+    ctor, kw = FAMILIES[name], params or {}
+    return PerturbationFamily(domain, lambda s: ctor(domain, s, **kw), tuple(schedule))
 
 
 @dataclass

@@ -31,6 +31,7 @@ nonincreasing for every theta >= 1/2, exactly at theta = 1/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import numpy.typing as npt
@@ -362,6 +363,26 @@ def lipschitz_envelope_check(
     return LipschitzCheck(mx, mx <= GRONWALL_SLACK)
 
 
+# SamplerConfig field -> (predicate, description of the valid range); the
+# config schema's [sampler] section is built from this table.  A
+# plateau_window below 2 would count every IC as settled before its first step.
+SAMPLER_RANGES: dict[str, tuple[Callable[[float], bool], str]] = {
+    "n_ics": (lambda n: n >= 1, "at least 1"),
+    "radius": (lambda x: x > 0, "positive"),
+    "t_transient": (lambda x: x > 0, "positive"),
+    "t_window": (lambda x: x > 0, "positive"),
+    "stride": (lambda n: n >= 1, "at least 1"),
+    "max_points": (lambda n: n >= 1, "at least 1"),
+    "plateau_tol": (lambda x: x > 0, "positive"),
+    "plateau_floor": (lambda x: x >= 0, "nonnegative"),
+    "plateau_window": (lambda n: n >= 2, "at least 2"),
+    "t_cap": (lambda x: x > 0, "positive"),
+    "dt": (lambda x: x > 0, "positive"),
+    "flow_grid_m": (lambda n: n >= 1, "at least 1"),
+    "n_modes": (lambda n: n >= 1, "at least 1"),
+}
+
+
 @dataclass
 class SamplerConfig:
     """Attractor sampling knobs (defaults follow the shipped scenarios)."""
@@ -384,14 +405,9 @@ class SamplerConfig:
     n_modes: int = 6
 
     def __post_init__(self) -> None:
-        if self.n_ics < 1:
-            raise ValueError("n_ics must be at least 1")
-        if self.t_transient <= 0 or self.t_window <= 0 or self.dt <= 0:
-            raise ValueError("t_transient, t_window and dt must be positive")
-        if self.stride < 1 or self.max_points < 1 or self.flow_grid_m < 1:
-            raise ValueError("stride, max_points and flow_grid_m must be positive")
-        if not (self.plateau_window >= 2 and self.plateau_tol > 0 and self.plateau_floor >= 0 and self.t_cap > 0):
-            raise ValueError("need plateau_window >= 2, plateau_tol > 0, plateau_floor >= 0 and t_cap > 0")
+        for key, (ok, rng) in SAMPLER_RANGES.items():
+            if not ok(val := getattr(self, key)):
+                raise ValueError(f"sampler {key} = {val!r} out of range; must be {rng}")
 
     @property
     def pool_size(self) -> int:

@@ -130,7 +130,6 @@ def run_continuity_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | 
     clock = timer or StudyTimer()
     mesh = cfg.make_mesh()
     f = cfg.make_nonlinearity()
-    family = cfg.make_family()
     op_ref = cfg.reference_operator()
     with clock.stage("continuity.sample"):
         sample_ref = sample_attractor(op_ref, f, cfg.sampler, cfg.seed)
@@ -143,7 +142,7 @@ def run_continuity_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | 
     writer = CsvWriter(Path(out_dir) / "continuity.csv", ["delta", "det_dev", "hbar_dev", "gh_lower", "gh_upper"]) if out_dir else None
     rows: list[ContinuityRow] = []
     try:
-        for h in family.maps():
+        for h in cfg.maps():
             with clock.stage("continuity.assemble"):
                 op = pullback_operator(mesh, h)
             det_dev, hbar_dev = deviation_norms(op.coeffs)
@@ -223,15 +222,12 @@ def run_stability_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
     clock = timer or StudyTimer()
     mesh = cfg.make_mesh()
     f = cfg.make_nonlinearity()
-    gen = cfg.make_family().generator
-    a0, a1 = cfg.schedule[0], cfg.schedule[1]
-    amid = 0.5 * (a0 + a1)
-    h_anchor = gen(a0)
-    h_full = gen(a1)
-    h_half = gen(amid)
+    h_anchor, h_full = cfg.maps()[:2]
+    h_half = cfg.make_family().generator(0.5 * (cfg.schedule[0] + cfg.schedule[1]))
 
-    d_full = _c2_gap(h_anchor, h_full, mesh)
-    d_half = _c2_gap(h_anchor, h_half, mesh)
+    grid = default_c2_grid(mesh.domain)
+    d_full = c2_distance(h_anchor, h_full, grid)
+    d_half = c2_distance(h_anchor, h_half, grid)
 
     op_univ = cfg.reference_operator()
     op_anchor = pullback_operator(mesh, h_anchor)
@@ -264,11 +260,6 @@ def run_stability_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
             w.row(["full", d_full, est_full.value, est_full.certified])
             w.row(["half", d_half, est_half.value, est_half.certified])
     return result
-
-
-def _c2_gap(h, g, mesh) -> float:
-    grid = default_c2_grid(mesh.domain, 1001 if mesh.domain.dim == 1 else 201)
-    return c2_distance(h, g, grid)
 
 
 @dataclass
@@ -321,13 +312,12 @@ def run_estimate_checks(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
         prof = energy_profile(traj, f)
     envelope_ok = prof.c > 0 and prof.overshoot <= 0.05
 
-    family = cfg.make_family()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 5]))
     v0 = random_state(op, rng, radius=1.0, n_modes=4)
     t_grid = np.linspace(0.0, 1.0, 11)[1:]
     conj: list[tuple[float, float]] = []
     with clock.stage("estimates.conjugation"):
-        for amp, h in zip(family.schedule, family.maps()):
+        for amp, h in zip(cfg.schedule, cfg.maps()):
             conj.append((amp, float(conjugated_flow_error(h, v0, t_grid, op, f, cfg.dt).max())))
     errs = [e for _, e in conj]
     conj_ok = all(b < a for a, b in zip(errs, errs[1:])) and errs[-1] < 1e-3

@@ -1,11 +1,13 @@
 """Config parsing and diagnostics addressing."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from ghwave.cli import main
 from ghwave.config import DEFAULT_SCHEDULE, ScenarioConfig, load_config, parse_config
+from ghwave.dynamics import SamplerConfig
 from ghwave.ghmetric import _S_GRID, Reparametrization
 
 GOOD = """
@@ -184,6 +186,61 @@ def test_rho_beyond_reparametrization_grid_rejected(tmp_path):
     p.write_text(tiny.read_text().replace("[gh]\n", "[gh]\nrho = 1.1\n"))
     assert main(["stability", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+TINY = Path(__file__).resolve().parents[1] / "configs" / "determinism_tiny.cfg"
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("schedule = 0.04 0.02\n", "schedule = 0.04 0.02\nwidth = -1\n", "perturbation.family"),
+        ("schedule = 0.04 0.02\n", "schedule = 0.04 0.02\ncenter_x = 7\n", "perturbation.center_x"),
+        ("schedule = 0.04 0.02\n", "schedule = 0.9 0.5\n", "perturbation.family"),
+        ("family = bump1d\n", "family = shear2d\n", "perturbation.family"),
+        ("t_window = 2.0\n", "t_window = inf\n", "sampler.t_window"),
+        ("upper = 3.141592653589793\n", "upper = inf\n", "domain.upper"),
+    ],
+)
+def test_scenario_rejected_before_sampling(tmp_path, capsys, old, new, key):
+    # the family constructor's own checks (parameters, dimension, C2 distance
+    # below 1) and the finiteness of every number run at parse time, so none
+    # of these gets as far as sampling
+    text = TINY.read_text()
+    assert old in text
+    p = tmp_path / "bad.cfg"
+    p.write_text(text.replace(old, new))
+    assert main(["continuity", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"{key}: ")
+    assert not (tmp_path / "out").exists()
+
+
+_SAMPLER_JUST_OUTSIDE = {
+    "n_ics": 0,
+    "radius": 0.0,
+    "t_transient": 0.0,
+    "t_window": 0.0,
+    "stride": 0,
+    "max_points": 0,
+    "plateau_tol": 0.0,
+    "plateau_floor": -1e-12,
+    "plateau_window": 1,
+    "t_cap": 0.0,
+    "dt": 0.0,
+    "flow_grid_m": 0,
+    "n_modes": 0,
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(SamplerConfig)])
+def test_sampler_key_just_outside_its_range_rejected(key):
+    value = _SAMPLER_JUST_OUTSIDE[key]
+    with pytest.raises(ValueError, match=f"sampler {key} = .* out of range"):
+        SamplerConfig(**{key: value})
+    cfg, diags = parse_config(f"[sampler]\n{key} = {value}\n[run]\nseed = 1\n")
+    assert cfg is None
+    assert [d.key for d in diags] == [f"sampler.{key}"]
 
 
 def test_estimates_t_final_renamed_attr():

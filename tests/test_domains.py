@@ -67,7 +67,7 @@ def test_radial_bump_derivatives_match_symbolic_oracle():
     pts = np.column_stack(
         [np.linspace(0.1, 0.9, 9), np.linspace(0.85, 0.15, 9)]
     )
-    h = radial_bump_map_2d(SQUARE, a, (0.5, 0.5), w)
+    h = radial_bump_map_2d(SQUARE, a, center_x=0.5, center_y=0.5, width=w)
     jac = h.jac(pts)
     hess = h.hess(pts)
     for i, comp in enumerate((hx, hy)):

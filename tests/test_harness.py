@@ -172,9 +172,9 @@ def test_shipped_configs_parse():
 
     from ghwave.config import load_config
 
-    cfg_dir = Path(__file__).resolve().parents[1] / "configs"
-    paths = sorted(cfg_dir.glob("*.cfg"))
-    assert len(paths) >= 5
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted(root.glob("configs/*.cfg")) + sorted(root.glob("perfbench/configs/*.cfg"))
+    assert len(paths) >= 8
     for p in paths:
         cfg, diags = load_config(p)
         assert cfg is not None, (p.name, diags)
