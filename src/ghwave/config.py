@@ -270,7 +270,11 @@ def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | 
         try:
             cfg.maps()
         except ValueError as exc:
-            diags.append(Diagnostic("perturbation.family", f"{cfg.family} on the {cfg.kind}: {exc}"))
+            # at the parameter that broke a rule, at the schedule when an
+            # amplitude makes a map too large, else (the domain kind) at the family
+            arg = getattr(exc, "arg", None)
+            key = "schedule" if arg == "amplitude" else arg if arg in cfg.family_params else "family"
+            diags.append(Diagnostic(f"perturbation.{key}", f"{cfg.family} on the {cfg.kind}: {exc}"))
     # the cap of the unperturbed operator; each perturbed operator's cap is
     # still checked when an integrator is built on it
     cap = stability_cap(cfg.reference_operator())

@@ -53,6 +53,15 @@ class OrientationError(RuntimeError):
     """A pullback Jacobian determinant was non-positive at some point."""
 
 
+class _ArgumentError(ValueError):
+    """A map constructor's rule broken by its argument `arg`; `parse_config`
+    addresses its diagnostic by that name."""
+
+    def __init__(self, arg: str, message: str):
+        super().__init__(message)
+        self.arg = arg
+
+
 @dataclass(frozen=True)
 class ReferenceDomain:
     """Interval (a, b) or axis-aligned rectangle (a, b) x (c, d)."""
@@ -188,10 +197,10 @@ def _finalize(h: DiffeoMap, check_points: int = 13) -> DiffeoMap:
     grid = default_c2_grid(h.domain)
     h.delta = c2_distance(h, identity_map(h.domain), grid)
     if not h.delta < 1.0:
-        raise ValueError(f"map {h.key} has C2 distance {h.delta:.4f} >= 1 from the identity")
+        raise _ArgumentError("amplitude", f"map {h.key} has C2 distance {h.delta:.4f} >= 1 from the identity")
     dets = np.linalg.det(h.jac(grid))
     if np.any(np.abs(dets) < 1e-14):
-        raise ValueError(f"map {h.key} has a singular Jacobian on the sample grid")
+        raise _ArgumentError("amplitude", f"map {h.key} has a singular Jacobian on the sample grid")
     rng = np.random.default_rng(0)
     lo, hi = h.domain.lower, h.domain.upper
     pts = lo + (hi - lo) * rng.random((check_points, h.domain.dim))
@@ -221,7 +230,7 @@ def affine_map_1d(domain: ReferenceDomain, scale: float = 1.0, shift: float = 0.
     if domain.dim != 1:
         raise ValueError("affine_map_1d needs an interval domain")
     if scale <= 0:
-        raise ValueError("scale must be positive")
+        raise _ArgumentError("scale", "scale must be positive")
     s, q = float(scale), float(shift)
 
     def mp(x: Array) -> Array:
@@ -243,7 +252,7 @@ def bump_map_1d(
     if domain.dim != 1:
         raise ValueError("bump_map_1d needs an interval domain")
     if width <= 0:
-        raise ValueError("width must be positive")
+        raise _ArgumentError("width", "width must be positive")
     a, c, w = float(amplitude), float(center), float(width)
 
     def g(x: Array) -> Array:
@@ -320,7 +329,7 @@ def radial_bump_map_2d(
     if domain.dim != 2:
         raise ValueError("radial_bump_map_2d needs a rectangle domain")
     if width <= 0:
-        raise ValueError("width must be positive")
+        raise _ArgumentError("width", "width must be positive")
     a, w = float(amplitude), float(width)
     c = np.array([center_x, center_y], dtype=float)
 

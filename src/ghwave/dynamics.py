@@ -30,6 +30,7 @@ nonincreasing for every theta >= 1/2, exactly at theta = 1/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,7 +40,7 @@ from scipy.optimize import curve_fit
 from scipy.sparse.linalg import splu
 
 from .domains import DiffeoMap
-from .operators import DiscreteOperator, Mesh, NonlinearitySpec, NormPack, _sqrt_dot, pullback_operator, x_norm
+from .operators import DiscreteOperator, Mesh, NonlinearitySpec, NormPack, _csr_mul, _sqrt_dot, pullback_operator, x_norm
 
 __all__ = [
     "StateVector",
@@ -110,6 +111,11 @@ class WaveIntegrator:
     Every method takes a single state or a block of states (see
     `StateVector`); each column of a block evolves exactly as it would alone,
     since the sparse products and the LU solve treat columns independently.
+    The step's scalar factors `0.5 * dt`, `1.0 - dt * (1.0 - th)`,
+    `dt**2 * th * (1.0 - th)` and `1.0 - th` are computed once here.  Written
+    inline, Python evaluates each of them before its product with a state, so
+    precomputing them changes no bit.  M and K are applied through scipy's CSR
+    kernels directly (`operators._csr_mul`).
     """
 
     def __init__(self, op: DiscreteOperator, f: NonlinearitySpec, dt: float):
@@ -123,36 +129,44 @@ class WaveIntegrator:
             )
         self.op = op
         self.f = f
-        self.dt = float(dt)
-        self.theta = min(0.5 + THETA_SHIFT * dt, 0.75)
-        b = self.dt * self.theta
+        self.dt = dt = float(dt)
+        self.theta = th = min(0.5 + THETA_SHIFT * dt, 0.75)
+        b = dt * th
         S = ((1.0 + b) * op.M + b**2 * op.K).tocsc()
         self._S_lu = splu(S)
+        self._half_dt = 0.5 * dt
+        self._mv_factor = 1.0 - dt * (1.0 - th)
+        self._kv_factor = dt**2 * th * (1.0 - th)
+        self._one_minus_theta = 1.0 - th
 
     def step(self, state: StateVector) -> StateVector:
-        """One theta-scheme step of length dt."""
-        op, dt, th = self.op, self.dt, self.theta
+        """One theta-scheme step of length dt; the input arrays are left as they are."""
+        M, K, dt = self.op.M, self.op.K, self.dt
         u, v = state.u, state.v
-        umid = u + 0.5 * dt * v
-        rhs = (
-            (1.0 - dt * (1.0 - th)) * (op.M @ v)
-            - dt * (op.K @ u)
-            - dt**2 * th * (1.0 - th) * (op.K @ v)
-            - dt * (op.M @ self.f.f(umid))
-        )
+        # rhs = c_v M v - dt K u - c_k K v - dt M f(u + (dt/2) v), subtracted left to right
+        rhs = self._mv_factor * _csr_mul(M, v)
+        rhs -= dt * _csr_mul(K, u)
+        rhs -= self._kv_factor * _csr_mul(K, v)
+        rhs -= dt * _csr_mul(M, self.f.f(u + self._half_dt * v))
         v_new = self._S_lu.solve(rhs)
-        u_new = u + dt * (th * v_new + (1.0 - th) * v)
-        if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
+        u_new = u + dt * (self.theta * v_new + self._one_minus_theta * v)
+        # u_new is non-finite wherever v_new is (theta and dt are positive and
+        # finite), so its check covers both halves of the state
+        if not np.isfinite(u_new).all():
             raise BlowupError("non-finite state after step")
         return StateVector(u_new, v_new)
 
     def advance(self, state: StateVector, t: float) -> StateVector:
-        """Advance by time t: full steps of dt, then one partial step onto t."""
+        """Advance by time t: full steps of dt, then one partial step onto t.
+
+        Each step makes new arrays, so the states pass from step to step
+        uncopied; with no step to run the result is a copy, never `state` itself.
+        """
         if t < 0:
             raise ValueError("t must be nonnegative")
-        n_full = int(np.floor(t / self.dt + 1e-9))
+        n_full = math.floor(t / self.dt + 1e-9)
         rem = t - n_full * self.dt
-        cur = state.copy()
+        cur = state
         try:
             for _ in range(n_full):
                 cur = self.step(cur)
@@ -160,7 +174,7 @@ class WaveIntegrator:
                 cur = WaveIntegrator(self.op, self.f, rem).step(cur)
         except BlowupError as exc:
             raise BlowupError(f"blow-up while evolving over [0, {t}]") from exc
-        return cur
+        return state.copy() if cur is state else cur
 
     def record(self, state: StateVector, times: Array) -> StateVector:
         """States at each time of the increasing grid `times` (>= 0), on a trailing axis.
@@ -172,7 +186,7 @@ class WaveIntegrator:
         steps = np.diff(np.asarray(times, dtype=float), prepend=0.0)
         u = np.empty(state.u.shape + steps.shape)
         v = np.empty_like(u)
-        for i, t in enumerate(steps):
+        for i, t in enumerate(steps.tolist()):
             state = self.advance(state, t)
             u[..., i], v[..., i] = state.u, state.v
         return StateVector(u, v)
@@ -211,7 +225,7 @@ def _e2(state: StateVector, pack: NormPack, f: NonlinearitySpec) -> float | Arra
     K u and M^{-1} K u are formed once and serve both u_tt and ||u||_2, with
     the operands `NormPack.norm2` takes.
     """
-    ku = pack.op.K @ state.u
+    ku = _csr_mul(pack.op.K, state.u)
     au = pack.op.solve_M(ku)
     acc = -state.v - au - f.f(state.u)
     return pack.norm0(acc) ** 2 + pack.norm1(state.v) ** 2 + _sqrt_dot(au, ku) ** 2
@@ -503,7 +517,7 @@ def x0_sqdist(states: Array, op: DiscreteOperator) -> Array:
     """
     U = states[:, 0, :]
     V = states[:, 1, :]
-    G = U @ (op.K @ U.T) + V @ (op.M @ V.T)
+    G = U @ _csr_mul(op.K, U.T) + V @ _csr_mul(op.M, V.T)
     dg = np.diag(G)
     return np.maximum(dg[:, None] + dg[None, :] - 2 * G, 0.0)
 

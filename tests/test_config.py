@@ -194,9 +194,9 @@ TINY = Path(__file__).resolve().parents[1] / "configs" / "determinism_tiny.cfg"
 @pytest.mark.parametrize(
     "old, new, key",
     [
-        ("schedule = 0.04 0.02\n", "schedule = 0.04 0.02\nwidth = -1\n", "perturbation.family"),
+        ("schedule = 0.04 0.02\n", "schedule = 0.04 0.02\nwidth = -1\n", "perturbation.width"),
         ("schedule = 0.04 0.02\n", "schedule = 0.04 0.02\ncenter_x = 7\n", "perturbation.center_x"),
-        ("schedule = 0.04 0.02\n", "schedule = 0.9 0.5\n", "perturbation.family"),
+        ("schedule = 0.04 0.02\n", "schedule = 0.9 0.5\n", "perturbation.schedule"),
         ("family = bump1d\n", "family = shear2d\n", "perturbation.family"),
         ("t_window = 2.0\n", "t_window = inf\n", "sampler.t_window"),
         ("upper = 3.141592653589793\n", "upper = inf\n", "domain.upper"),

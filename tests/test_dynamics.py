@@ -7,6 +7,7 @@ with lambda taken from the frozen modal formula of the discrete pencil.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -176,6 +177,85 @@ def test_block_step_matches_single_states(domain, resolution, dt):
     wide = _e2(StateVector(rec.u.reshape(op.n, -1), rec.v.reshape(op.n, -1)), pack, f)
     per_step = [_e2(StateVector(rec.u[..., j].copy(), rec.v[..., j].copy()), pack, f) for j in range(L)]
     assert np.array_equal(wide.reshape(3, L).T, per_step)
+
+
+def _step_reference(integ, state):
+    """The theta step as one expression with scipy's `@`, factors inline."""
+    op, dt, th = integ.op, integ.dt, integ.theta
+    u, v = state.u, state.v
+    umid = u + 0.5 * dt * v
+    rhs = (
+        (1.0 - dt * (1.0 - th)) * (op.M @ v)
+        - dt * (op.K @ u)
+        - dt**2 * th * (1.0 - th) * (op.K @ v)
+        - dt * (op.M @ integ.f.f(umid))
+    )
+    v_new = integ._S_lu.solve(rhs)
+    u_new = u + dt * (th * v_new + (1.0 - th) * v)
+    return StateVector(u_new, v_new)
+
+
+@pytest.mark.parametrize(
+    "domain, resolution, dt",
+    [(UNIT, 48, 0.004), (ReferenceDomain("rectangle", ((0.0, 1.0), (0.0, 1.0))), 12, 0.01)],
+)
+@pytest.mark.parametrize("k", [None, 1, 3])
+def test_step_matches_reference_expression(domain, resolution, dt, k):
+    # the precomputed factors and the direct CSR kernels change no bit of the
+    # step, for one state (k = None) and for blocks of k columns
+    op = identity_operator(Mesh(domain, resolution))
+    integ = WaveIntegrator(op, default_nonlinearity(), dt)
+    rng = np.random.default_rng(43)
+    singles = [random_state(op, rng, radius=2.0) for _ in range(k or 1)]
+    if k is None:
+        state = singles[0]
+    else:
+        state = StateVector(np.column_stack([s.u for s in singles]), np.column_stack([s.v for s in singles]))
+    ref = state
+    for _ in range(300):
+        state = integ.step(state)
+        ref = _step_reference(integ, ref)
+    assert state.u.shape == ref.u.shape
+    assert np.array_equal(state.u, ref.u)
+    assert np.array_equal(state.v, ref.v)
+
+
+def test_advance_without_steps_returns_a_copy():
+    op = identity_operator(Mesh(UNIT, 16))
+    integ = WaveIntegrator(op, default_nonlinearity(), 0.01)
+    s = random_state(op, np.random.default_rng(3), radius=1.0)
+    u0, v0 = s.u.copy(), s.v.copy()
+    for t in (0.0, 1e-14):  # no full step, and a remainder too small to step
+        out = integ.advance(s, t)
+        assert out.u is not s.u and out.v is not s.v
+        assert np.array_equal(out.u, u0) and np.array_equal(out.v, v0)
+        out.u[:] = 9.0
+        out.v[:] = 9.0
+        assert np.array_equal(s.u, u0) and np.array_equal(s.v, v0)
+    # with steps, the start state is read and left as it was
+    integ.advance(s, 0.05)
+    assert np.array_equal(s.u, u0) and np.array_equal(s.v, v0)
+
+
+def test_blowup_raised_from_step_and_from_record():
+    # f turns non-finite on its fourth call, i.e. inside the fourth step
+    op = identity_operator(Mesh(UNIT, 16))
+    s = calibration_state(op, radius=1.0)
+
+    def late_nan():
+        calls = itertools.count()
+        return NonlinearitySpec(f=lambda u: u if next(calls) < 3 else np.full_like(u, np.nan), l=1.0)
+
+    integ = WaveIntegrator(op, late_nan(), 0.01)
+    cur = s
+    for _ in range(3):
+        cur = integ.step(cur)
+    with pytest.raises(BlowupError, match="^non-finite state after step$"):
+        integ.step(cur)
+    integ = WaveIntegrator(op, late_nan(), 0.01)
+    with pytest.raises(BlowupError, match=r"^blow-up while evolving over \[0, 0\.0\d+\]$") as exc:
+        integ.record(s, np.arange(6) * 0.01)
+    assert str(exc.value.__cause__) == "non-finite state after step"
 
 
 def test_energy_nonincreasing_per_step_without_forcing():

@@ -6,15 +6,19 @@ lambda_k = (4/h^2) tan^2(k pi / (2 n)) — both derived by hand and frozen here
 as oracles for the assembly path.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghwave.domains import ReferenceDomain, affine_map_1d, radial_bump_map_2d
+from ghwave.dynamics import StateVector, WaveIntegrator
 from ghwave.operators import (
     Mesh,
     NormPack,
+    _csr_mul,
     default_nonlinearity,
     first_eigenvalue,
     identity_operator,
@@ -110,6 +114,37 @@ def test_radial_bump_pullback_2d_runs_and_stays_spd():
         u = rng.standard_normal(op.n)
         assert u @ (op.M @ u) > 0
         assert u @ (op.K @ u) > 0
+
+
+@pytest.mark.parametrize("domain, resolution", [(UNIT, 48), (SQUARE, 12)])
+def test_csr_kernel_product_matches_matmul(domain, resolution):
+    # the integrator and the norms call scipy's CSR kernels directly; each
+    # product must be exactly what `A @ x` gives, so a scipy that routes `@`
+    # through another kernel fails here instead of moving the numbers
+    op = identity_operator(Mesh(domain, resolution))
+    rng = np.random.default_rng(29)
+    n = op.n
+    block = StateVector(rng.standard_normal((n, 4)), rng.standard_normal((n, 4)))
+    rec = WaveIntegrator(op, default_nonlinearity(), 0.005).record(block, np.arange(1, 4) * 0.005)
+    inputs = [
+        rng.standard_normal(n),
+        rng.standard_normal((n, 1)),
+        rng.standard_normal((n, 5)),
+        rec.u[..., -1],  # a strided view, as the sampler passes its chunk's last state
+        rec.v[:, 1, -1],
+        rng.standard_normal((5, n)).T,  # a transposed block
+    ]
+    for A in (op.M, op.K):
+        for x in inputs:
+            got = _csr_mul(A, x)
+            want = A @ x
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="cannot multiply"):
+        _csr_mul(op.M, np.zeros(n + 1))
+    # the kernel reads M and K as CSR arrays, so an operator holds nothing else
+    with pytest.raises(ValueError, match="M must be a float64 CSR matrix, got csc"):
+        dataclasses.replace(op, M=op.M.tocsc())
 
 
 def test_poincare_inequality_discrete():
