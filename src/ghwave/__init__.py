@@ -12,10 +12,8 @@ __version__ = "0.1.0"
 
 from .domains import (  # noqa: E402,F401
     DiffeoMap,
-    PerturbationFamily,
     ReferenceDomain,
     c2_distance,
-    make_family,
     make_pullback,
 )
 from .operators import (  # noqa: E402,F401

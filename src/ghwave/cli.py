@@ -1,7 +1,8 @@
 """Command-line front end for the study drivers.
 
 Exit codes: 0 on a completed run, 2 on config problems (every diagnostic is
-printed to stderr), 1 on runtime failure.  With --strict a completed study
+printed to stderr, and a study's own rule on the config is checked before it
+writes anything), 1 on runtime failure.  With --strict a completed study
 whose verdict is negative also exits 1.
 """
 
@@ -11,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ScenarioConfig, load_config, range_diagnostic
+from .config import ConfigError, Diagnostic, ScenarioConfig, load_config, range_diagnostic
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -37,9 +38,8 @@ def _load(args) -> ScenarioConfig | None:
 
 
 def _out_dir(args) -> Path:
-    out = Path(args.out) if args.out else Path(args.config).resolve().parent / "out"
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The output directory; the writers create it with their first file."""
+    return Path(args.out) if args.out else Path(args.config).resolve().parent / "out"
 
 
 def _run_study(args, name: str) -> int:
@@ -117,6 +117,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except ConfigError as exc:
+        print(Diagnostic(exc.key, str(exc)), file=sys.stderr)
+        return 2
     except Exception as exc:  # surfaced as a single stderr line for scripting
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,7 +4,9 @@ A scenario file uses the sections [domain], [perturbation], [nonlinearity],
 [solver], [sampler], [gh], [estimates], [run].  Unknown sections or keys,
 unparseable values, and out-of-range values are reported as a list of
 Diagnostic(key, message) entries instead of exceptions, so a CLI run can show
-every problem at once.  `seed` under [run] is the one mandatory key.
+every problem at once.  `seed` under [run] is the one mandatory key.  A rule
+that a study adds, such as the stability study's two amplitudes, raises a
+ConfigError that names its key, and the CLI reports it the same way.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .domains import FAMILIES, DiffeoMap, PerturbationFamily, ReferenceDomain, make_family
+from .domains import FAMILIES, DiffeoMap, ReferenceDomain
 from .dynamics import SAMPLER_RANGES, SamplerConfig, stability_cap
 from .ghmetric import _S_GRID, Reparametrization
 from .operators import DiscreteOperator, Mesh, NonlinearitySpec, default_nonlinearity, identity_operator
 
-__all__ = ["Diagnostic", "ScenarioConfig", "parse_config", "load_config", "range_diagnostic", "DEFAULT_SCHEDULE"]
+__all__ = ["Diagnostic", "ConfigError", "ScenarioConfig", "parse_config", "load_config", "range_diagnostic", "DEFAULT_SCHEDULE"]
 
 DEFAULT_SCHEDULE = (0.04, 0.02, 0.01, 0.005, 0.0025)
 
@@ -36,6 +38,15 @@ class Diagnostic:
 
     def __str__(self) -> str:
         return f"{self.key}: {self.message}"
+
+
+class ConfigError(ValueError):
+    """A scenario rule broken at config key `key`, raised outside parse_config;
+    the CLI prints it as that key's Diagnostic and exits 2."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass
@@ -89,15 +100,28 @@ class ScenarioConfig:
             self._reference_op = identity_operator(mesh)
         return self._reference_op
 
-    def make_family(self) -> PerturbationFamily:
-        return make_family(self.family, self.make_domain(), self.schedule, self.family_params)
+    def check_schedule(self, at_least: int = 1) -> None:
+        """The schedule rule: positive, strictly decreasing amplitudes, at
+        least `at_least` of them; ConfigError at perturbation.schedule."""
+        s = self.schedule
+        if not s or any(a <= 0 for a in s):
+            raise ConfigError("perturbation.schedule", "schedule needs at least one amplitude, all positive")
+        if any(b >= a for a, b in zip(s, s[1:])):
+            raise ConfigError("perturbation.schedule", "schedule must be strictly decreasing")
+        if len(s) < at_least:
+            raise ConfigError("perturbation.schedule", f"this study needs at least {at_least} schedule amplitudes, got {len(s)}")
+
+    def make_map(self, amplitude: float) -> DiffeoMap:
+        """The family's admitted map at `amplitude` on the config's domain."""
+        return FAMILIES[self.family](self.make_domain(), amplitude, **self.family_params)
 
     def maps(self) -> list[DiffeoMap]:
         """The schedule's maps; parse_config builds them to check them, and
         the studies reuse that one build."""
         key = (self.family, self.make_domain(), self.schedule, sorted(self.family_params.items()))
         if self._maps is None or self._maps[0] != key:
-            self._maps = (key, self.make_family().maps())
+            self.check_schedule()
+            self._maps = (key, [self.make_map(a) for a in self.schedule])
         return self._maps[1]
 
     def make_nonlinearity(self) -> NonlinearitySpec:
@@ -263,18 +287,15 @@ def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | 
             )
         )
     try:
-        cfg.make_family()
-    except ValueError as exc:  # the schedule's own rule: positive, strictly decreasing
-        diags.append(Diagnostic("perturbation.schedule", str(exc)))
-    else:
-        try:
-            cfg.maps()
-        except ValueError as exc:
-            # at the parameter that broke a rule, at the schedule when an
-            # amplitude makes a map too large, else (the domain kind) at the family
-            arg = getattr(exc, "arg", None)
-            key = "schedule" if arg == "amplitude" else arg if arg in cfg.family_params else "family"
-            diags.append(Diagnostic(f"perturbation.{key}", f"{cfg.family} on the {cfg.kind}: {exc}"))
+        cfg.maps()
+    except ConfigError as exc:
+        diags.append(Diagnostic(exc.key, str(exc)))
+    except ValueError as exc:
+        # at the parameter that broke a rule, at the schedule when an
+        # amplitude makes a map too large, else (the domain kind) at the family
+        arg = getattr(exc, "arg", None)
+        key = "schedule" if arg == "amplitude" else arg if arg in cfg.family_params else "family"
+        diags.append(Diagnostic(f"perturbation.{key}", f"{cfg.family} on the {cfg.kind}: {exc}"))
     # the cap of the unperturbed operator; each perturbed operator's cap is
     # still checked when an integrator is built on it
     cap = stability_cap(cfg.reference_operator())

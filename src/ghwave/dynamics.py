@@ -46,7 +46,6 @@ __all__ = [
     "StateVector",
     "Trajectory",
     "EnergyProfile",
-    "LipschitzConstants",
     "LipschitzCheck",
     "SamplerConfig",
     "AttractorSample",
@@ -56,7 +55,7 @@ __all__ = [
     "stability_cap",
     "solve_trajectory",
     "energy_profile",
-    "lipschitz_constants",
+    "gronwall_rate",
     "lipschitz_envelope_check",
     "sample_attractor",
     "conjugated_flow_error",
@@ -317,26 +316,10 @@ def energy_profile(traj: Trajectory, f: NonlinearitySpec) -> EnergyProfile:
     return EnergyProfile(traj.times, e2, a, b, c, overshoot)
 
 
-@dataclass(frozen=True)
-class LipschitzConstants:
-    """Gronwall data: C = l/(2 lambda1) + 1/2 and ell = max(l/lambda1, l)."""
-
-    l: float
-    lambda1: float
-    C: float
-    ell: float
-
-    def __post_init__(self) -> None:
-        if not self.C > 0.5:
-            raise ValueError("C must exceed 1/2")
-        if self.ell < self.l:
-            raise ValueError("ell must dominate l")
-
-
-def lipschitz_constants(l: float, lambda1: float) -> LipschitzConstants:
-    if l <= 0 or lambda1 <= 0:
-        raise ValueError("l and lambda1 must be positive")
-    return LipschitzConstants(l, lambda1, C=l / (2 * lambda1) + 0.5, ell=max(l / lambda1, l))
+def gronwall_rate(f: NonlinearitySpec, op: DiscreteOperator) -> float:
+    """C = l/(2 lambda1) + 1/2 of the separation envelope exp(C t), from f's
+    Lipschitz bound l and the operator's first eigenvalue lambda1."""
+    return f.l / (2 * op.lambda1) + 0.5
 
 
 GRONWALL_SLACK = 1.05  # largest accepted ratio of separation to the exp(C t) envelope
@@ -357,7 +340,6 @@ def lipschitz_envelope_check(
     dt: float,
     op: DiscreteOperator,
     f: NonlinearitySpec,
-    consts: LipschitzConstants | None = None,
 ) -> LipschitzCheck:
     """Two-trajectory separation against ||Z(0)|| exp(C t) on the step grid.
 
@@ -367,13 +349,11 @@ def lipschitz_envelope_check(
     z0 = x_norm(s0.u - s1.u, s0.v - s1.v, pack, 0)
     if z0 == 0.0:
         raise ValueError("initial states coincide; the envelope ratio is undefined")
-    if consts is None:
-        consts = lipschitz_constants(f.l, op.lambda1)
     pair = StateVector(np.column_stack([s0.u, s1.u]), np.column_stack([s0.v, s1.v]))
     times = np.arange(int(round(t_final / dt)) + 1) * dt
     pair = WaveIntegrator(op, f, dt).record(pair, times)
     sep = x_norm(pair.u[:, 0] - pair.u[:, 1], pair.v[:, 0] - pair.v[:, 1], pack, 0)
-    mx = float((sep / (z0 * np.exp(consts.C * times))).max())
+    mx = float((sep / (z0 * np.exp(gronwall_rate(f, op) * times))).max())
     return LipschitzCheck(mx, mx <= GRONWALL_SLACK)
 
 

@@ -215,15 +215,15 @@ def run_stability_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
     amplitude midpoint, which for amplitude-linear families halves the C^2
     distance exactly.  Both estimates must come with verified witnesses and
     the half-gap epsilon must not exceed the full-gap one.  `timer` collects
-    the wall clock of the sampling, flow-pair and GH-search stages.
+    the wall clock of the sampling, flow-pair and GH-search stages.  A
+    schedule of fewer than two amplitudes is a ConfigError before any work.
     """
-    if len(cfg.schedule) < 2:
-        raise ValueError("stability study needs at least two schedule amplitudes")
+    cfg.check_schedule(at_least=2)
     clock = timer or StudyTimer()
     mesh = cfg.make_mesh()
     f = cfg.make_nonlinearity()
     h_anchor, h_full = cfg.maps()[:2]
-    h_half = cfg.make_family().generator(0.5 * (cfg.schedule[0] + cfg.schedule[1]))
+    h_half = cfg.make_map(0.5 * (cfg.schedule[0] + cfg.schedule[1]))
 
     grid = default_c2_grid(mesh.domain)
     d_full = c2_distance(h_anchor, h_full, grid)

@@ -113,15 +113,14 @@ def test_energy_decay_envelope(verdict):
 def test_conjugated_flow_convergence(verdict):
     cfg = ScenarioConfig()
     f = cfg.make_nonlinearity()
-    family = cfg.make_family()
-    assert len(family.schedule) == 5
+    assert len(cfg.schedule) == 5
     op = identity_operator(cfg.make_mesh())
     rng = np.random.default_rng(np.random.SeedSequence([99, 5]))
     v0 = random_state(op, rng, radius=1.0, n_modes=4)
     t_grid = np.linspace(0.0, 1.0, 11)[1:]
     errs = [
         conjugated_flow_error(h, v0, t_grid, op, f, cfg.dt).max()
-        for h in family.maps()
+        for h in cfg.maps()
     ]
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
     verdict(
@@ -190,21 +189,23 @@ def test_stability_study(verdict, tmp_path):
 
 
 def test_reproducibility_across_threads(verdict, tmp_path):
+    # both studies that run restarts on threads: gh_upper and dgh_dynamical
     cfg_path = str(CONFIGS / "determinism_tiny.cfg")
-    outs = []
-    for tag, threads in (("t1", "1"), ("t4", "4")):
-        out = tmp_path / tag
-        rc = main(["continuity", "--config", cfg_path, "--out", str(out), "--threads", threads])
-        assert rc == 0
-        outs.append(out)
-    names = sorted(p.name for p in outs[0].iterdir())
-    assert names == sorted(p.name for p in outs[1].iterdir())
-    compared = [n for n in names if n != "timing.json"]
-    identical = all(
-        (outs[0] / n).read_bytes() == (outs[1] / n).read_bytes() for n in compared
-    )
+    compared, identical = [], True
+    for study in ("continuity", "stability"):
+        outs = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"{study}-t{threads}"
+            rc = main([study, "--config", cfg_path, "--out", str(out), "--threads", threads])
+            assert rc == 0
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        files = [n for n in names if n != "timing.json"]
+        identical &= len(files) >= 2 and all((outs[0] / n).read_bytes() == (outs[1] / n).read_bytes() for n in files)
+        compared += [f"{study}/{n}" for n in files]
     verdict(
-        identical and len(compared) >= 2,
+        identical,
         f"{', '.join(compared)} byte-identical at 1 and 4 threads",
         budget=60.0,
     )

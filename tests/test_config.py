@@ -192,25 +192,29 @@ TINY = Path(__file__).resolve().parents[1] / "configs" / "determinism_tiny.cfg"
 
 
 @pytest.mark.parametrize(
-    "old, new, key",
+    "old, new, key, command",
     [
-        ("schedule = 0.04 0.02\n", "schedule = 0.04 0.02\nwidth = -1\n", "perturbation.width"),
-        ("schedule = 0.04 0.02\n", "schedule = 0.04 0.02\ncenter_x = 7\n", "perturbation.center_x"),
-        ("schedule = 0.04 0.02\n", "schedule = 0.9 0.5\n", "perturbation.schedule"),
-        ("family = bump1d\n", "family = shear2d\n", "perturbation.family"),
-        ("t_window = 2.0\n", "t_window = inf\n", "sampler.t_window"),
-        ("upper = 3.141592653589793\n", "upper = inf\n", "domain.upper"),
+        ("schedule = 0.04 0.02\n", "schedule = 0.04 0.02\nwidth = -1\n", "perturbation.width", "continuity"),
+        ("schedule = 0.04 0.02\n", "schedule = 0.04 0.02\ncenter_x = 7\n", "perturbation.center_x", "continuity"),
+        ("schedule = 0.04 0.02\n", "schedule = 0.9 0.5\n", "perturbation.schedule", "continuity"),
+        ("family = bump1d\n", "family = shear2d\n", "perturbation.family", "continuity"),
+        ("t_window = 2.0\n", "t_window = inf\n", "sampler.t_window", "continuity"),
+        ("upper = 3.141592653589793\n", "upper = inf\n", "domain.upper", "continuity"),
+        ("schedule = 0.04 0.02\n", "schedule =\n", "perturbation.schedule", "continuity"),
+        ("schedule = 0.04 0.02\n", "schedule = 0.02 -0.01\n", "perturbation.schedule", "continuity"),
+        ("schedule = 0.04 0.02\n", "schedule = 0.02 0.04\n", "perturbation.schedule", "continuity"),
+        ("schedule = 0.04 0.02\n", "schedule = 0.04\n", "perturbation.schedule", "stability"),
     ],
 )
-def test_scenario_rejected_before_sampling(tmp_path, capsys, old, new, key):
+def test_scenario_rejected_before_sampling(tmp_path, capsys, old, new, key, command):
     # the family constructor's own checks (parameters, dimension, C2 distance
-    # below 1) and the finiteness of every number run at parse time, so none
-    # of these gets as far as sampling
+    # below 1), the schedule rule (the stability study compares two of its
+    # maps) and the finiteness of every number run before any sampling
     text = TINY.read_text()
     assert old in text
     p = tmp_path / "bad.cfg"
     p.write_text(text.replace(old, new))
-    assert main(["continuity", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"{key}: ")
     assert not (tmp_path / "out").exists()
@@ -267,7 +271,6 @@ def test_factories_build_consistent_objects():
     cfg, _ = parse_config(GOOD)
     mesh = cfg.make_mesh()
     assert mesh.resolution == 24
-    fam = cfg.make_family()
-    assert fam.schedule == (0.04, 0.02, 0.01)
+    assert [h.key for h in cfg.maps()] == [("bump1d", a, 0.5, 0.25) for a in (0.04, 0.02, 0.01)]
     f = cfg.make_nonlinearity()
     assert f.l == pytest.approx(1.5)

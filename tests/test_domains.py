@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghwave.domains import (
+    FAMILIES,
     CoefficientField,
     OrientationError,
     ReferenceDomain,
@@ -16,12 +17,12 @@ from ghwave.domains import (
     default_c2_grid,
     deviation_norms,
     identity_map,
-    make_family,
     make_pullback,
     polybump_map_1d,
     radial_bump_map_2d,
     shear_map_2d,
 )
+from ghwave.config import ScenarioConfig
 from ghwave.operators import Mesh
 
 UNIT = ReferenceDomain("interval", ((0.0, 1.0),))
@@ -81,6 +82,35 @@ def test_radial_bump_derivatives_match_symbolic_oracle():
                 np.testing.assert_allclose(hess[:, i, j, k], d2, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "name, domain, amp, comps",
+    [
+        ("scale1d", UNIT, 0.05, lambda a, x, y: [(1 + a) * x]),
+        ("affine1d", UNIT, 0.05, lambda a, x, y: [x + a]),
+        ("shear2d", SQUARE, 0.1, lambda a, x, y: [x, y + a * x]),
+    ],
+)
+def test_linear_family_derivatives_match_symbolic_oracle(name, domain, amp, comps):
+    x, y = sym.symbols("x y")
+    syms = (x, y)[: domain.dim]
+    pts = np.column_stack([np.linspace(0.0, 1.0, 11), np.linspace(0.9, 0.1, 11)])[:, : domain.dim]
+    h = FAMILIES[name](domain, amp)
+    jac, hess = h.jac(pts), h.hess(pts)
+    for i, comp in enumerate(comps(amp, x, y)):
+        for j, v1 in enumerate(syms):
+            d1 = sym.lambdify(syms, sym.diff(comp, v1), "numpy")(*pts.T)
+            np.testing.assert_allclose(jac[:, i, j], np.broadcast_to(d1, len(pts)), rtol=1e-12, atol=1e-12)
+            for k, v2 in enumerate(syms):
+                d2 = sym.lambdify(syms, sym.diff(comp, v1, v2), "numpy")(*pts.T)
+                np.testing.assert_allclose(hess[:, i, j, k], np.broadcast_to(d2, len(pts)), rtol=1e-12, atol=1e-12)
+
+
+def test_symbolic_oracle_covers_every_family():
+    # the derivative tests above are the only check of the hand-coded
+    # Jacobians and Hessians, so a new family needs its oracle there
+    assert set(FAMILIES) == {"bump1d", "polybump1d", "radial_bump2d", "scale1d", "affine1d", "shear2d"}
+
+
 # --- C2 distance -------------------------------------------------------------
 
 def test_c2_distance_quadratic_oracle():
@@ -131,19 +161,14 @@ def test_admissibility_gate_rejects_large_maps():
 # --- families ----------------------------------------------------------------
 
 def test_family_deltas_decrease_along_schedule():
-    fam = make_family("bump1d", UNIT, (0.08, 0.04, 0.02, 0.01))
-    deltas = [m.delta for m in fam.maps()]
+    cfg = ScenarioConfig(upper=1.0, family="bump1d", schedule=(0.08, 0.04, 0.02, 0.01))
+    deltas = [m.delta for m in cfg.maps()]
     assert all(b < a for a, b in zip(deltas, deltas[1:]))
-
-
-def test_unknown_family_lists_available():
-    with pytest.raises(ValueError, match="bump1d"):
-        make_family("warp9", UNIT, (0.1,))
 
 
 def test_schedule_must_decrease():
     with pytest.raises(ValueError, match="decreasing"):
-        make_family("bump1d", UNIT, (0.01, 0.02))
+        ScenarioConfig(schedule=(0.01, 0.02)).maps()
 
 
 @given(st.floats(0.01, 0.08))

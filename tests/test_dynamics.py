@@ -33,7 +33,7 @@ from ghwave.dynamics import (
     calibration_state,
     conjugated_flow_error,
     energy_profile,
-    lipschitz_constants,
+    gronwall_rate,
     lipschitz_envelope_check,
     random_state,
     sample_attractor,
@@ -297,9 +297,9 @@ def test_envelope_fit_on_fundamental_mode():
 
 
 def test_lipschitz_constant_formula():
-    consts = lipschitz_constants(1.5, np.pi**2)
-    assert consts.C == pytest.approx(1.5 / (2 * np.pi**2) + 0.5, rel=1e-14)
-    assert consts.ell == 1.5
+    op = identity_operator(Mesh(UNIT, 24))
+    f = NonlinearitySpec(f=lambda u: np.zeros_like(u), l=1.5)
+    assert gronwall_rate(f, op) == 1.5 / (2 * op.lambda1) + 0.5
 
 
 def test_gronwall_ratio_linear_case_below_one():
@@ -307,9 +307,10 @@ def test_gronwall_ratio_linear_case_below_one():
     rng = np.random.default_rng(23)
     s0 = random_state(op, rng, radius=1.0)
     s1 = random_state(op, rng, radius=1.0)
-    chk = lipschitz_envelope_check(
-        s0, s1, 1.5, 0.005, op, _zero_f(), consts=lipschitz_constants(1.5, op.lambda1)
-    )
+    # f = 0 with the bound l = 1.5: the envelope's rate C exceeds the
+    # linear system's, so the ratio stays at or below 1
+    zero_f = NonlinearitySpec(f=lambda u: np.zeros_like(u), l=1.5)
+    chk = lipschitz_envelope_check(s0, s1, 1.5, 0.005, op, zero_f)
     assert chk.max_ratio <= 1.0 + 1e-12
 
 

@@ -246,9 +246,10 @@ def test_cli_overrides_checked_like_run_keys(tmp_path, capsys):
 
 
 def test_cli_runtime_error_single_line(tmp_path, capsys):
-    # a valid config the stability study cannot use: it needs two amplitudes
-    p = tmp_path / "one_amp.cfg"
-    p.write_text(_CLI_CFG + "\n[perturbation]\nschedule = 0.04\n")
+    # a valid config whose settling test cannot pass before t_cap, which only
+    # stepping finds out
+    p = tmp_path / "never_settles.cfg"
+    p.write_text(_CLI_CFG.replace("[sampler]\n", "[sampler]\nplateau_tol = 1e-300\nplateau_floor = 0\nt_cap = 2.0\n"))
     rc = main(["stability", "--config", str(p), "--out", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
