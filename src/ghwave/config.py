@@ -113,6 +113,8 @@ class ScenarioConfig:
 
     def make_map(self, amplitude: float) -> DiffeoMap:
         """The family's admitted map at `amplitude` on the config's domain."""
+        if self.family not in FAMILIES:
+            raise ConfigError("perturbation.family", f"unknown family {self.family!r}; expected one of {sorted(FAMILIES)}")
         return FAMILIES[self.family](self.make_domain(), amplitude, **self.family_params)
 
     def maps(self) -> list[DiffeoMap]:

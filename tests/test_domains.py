@@ -166,6 +166,11 @@ def test_family_deltas_decrease_along_schedule():
     assert all(b < a for a, b in zip(deltas, deltas[1:]))
 
 
+def test_unknown_family_lists_available():
+    with pytest.raises(ValueError, match="bump1d"):
+        ScenarioConfig(family="warp9").maps()
+
+
 def test_schedule_must_decrease():
     with pytest.raises(ValueError, match="decreasing"):
         ScenarioConfig(schedule=(0.01, 0.02)).maps()
