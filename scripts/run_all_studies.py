@@ -7,18 +7,26 @@ Each run writes report.json, timing.json, and its CSVs under
 <out>/<config name>-<command>/ (for example out/stability_1d-stability/).
 After each run the script prints the sha256 of its report.json and of every
 CSV, then the stages of its timing.json, so comparing the printed shas of two
-commits checks that they write the same results.  The shipped studies run
-with --strict, so exit status is nonzero if any of them fails or any run
-errors; the determinism_tiny runs are there for their shas (its two-amplitude
-schedule stops short of the conjugation check's 1e-3), so only their errors
-count.  Cheapest run first, so a broken install fails within seconds.
+commits checks that they write the same results.  The same record (exit code,
+shas and stages per run), with the machine it ran on (nproc, CPU model,
+Python, numpy and scipy versions), goes to <out>/bench.json, the form the
+repo-root BENCH_*.json files keep.  The shipped studies run with --strict, so
+exit status is nonzero if any of them fails or any run errors; the
+determinism_tiny runs are there for their shas (its two-amplitude schedule
+stops short of the conjugation check's 1e-3), so only their errors count.
+Cheapest run first, so a broken install fails within seconds.
 """
 
 import argparse
 import hashlib
 import json
+import os
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from ghwave.cli import main as cli_main
 
@@ -35,14 +43,36 @@ RUNS = (
 )
 
 
-def summary(out: Path) -> list[str]:
-    """The sha256 of report.json and of every CSV, then the timing.json stages, of one run's output."""
+def record(out: Path) -> dict:
+    """The sha256 of report.json and of every CSV, and the timing.json stages, of one run's output."""
     files = [p for p in (out / "report.json", *sorted(out.glob("*.csv"))) if p.exists()]
-    lines = [f"  {p.name} sha256 {hashlib.sha256(p.read_bytes()).hexdigest()}" for p in files] or ["  no report.json or CSV"]
     timing = out / "timing.json"
-    if timing.exists():
-        lines += [f"  {stage} {sec} s" for stage, sec in json.loads(timing.read_text()).items()]
-    return lines
+    return {
+        "sha256": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files},
+        "stages": json.loads(timing.read_text()) if timing.exists() else {},
+    }
+
+
+def summary(rec: dict) -> list[str]:
+    """The lines printed for one run's record."""
+    lines = [f"  {name} sha256 {sha}" for name, sha in rec["sha256"].items()] or ["  no report.json or CSV"]
+    return lines + [f"  {stage} {sec} s" for stage, sec in rec["stages"].items()]
+
+
+def machine() -> dict:
+    """What the timings of a bench.json depend on: cores, CPU and library versions."""
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text().splitlines()
+        cpu = next(line.split(":", 1)[1].strip() for line in cpuinfo if line.startswith("model name"))
+    except (OSError, StopIteration):
+        cpu = platform.processor()
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "cpu_model": cpu,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
 
 
 def main() -> int:
@@ -58,7 +88,7 @@ def main() -> int:
         if args.configs
         else Path(__file__).resolve().parents[1] / "configs"
     )
-    worst = 0
+    worst, runs = 0, []
     for command, cfg_name, strict in RUNS:
         out = Path(args.out) / f"{Path(cfg_name).stem}-{command}"
         for stale in ("report.json", "timing.json", *(p.name for p in out.glob("*.csv"))):  # never hash an earlier run's file
@@ -72,8 +102,12 @@ def main() -> int:
                 *(["--strict"] if strict else []),
             ]
         )
-        print(f"{command} {cfg_name}: exit {rc}", *summary(out), sep="\n", flush=True)
+        rec = record(out)
+        print(f"{command} {cfg_name}: exit {rc}", *summary(rec), sep="\n", flush=True)
+        runs.append({"command": command, "config": cfg_name, "exit": rc, **rec})
         worst = max(worst, rc)
+    bench = {"machine": machine(), "threads": args.threads, "runs": runs}
+    (Path(args.out) / "bench.json").write_text(json.dumps(bench, indent=1) + "\n")
     return worst
 
 

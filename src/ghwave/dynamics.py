@@ -494,12 +494,18 @@ def x0_sqdist(states: Array, op: DiscreteOperator) -> Array:
 
     Gram trick: with G = U K U^T + V M V^T, d^2(i, j) = G_ii + G_jj - 2 G_ij,
     clipped at 0 against cancellation.  Symmetrizing is left to the caller.
+    Two n x n arrays are alive at the peak: G, doubled in place, and the
+    result, which holds (G_ii + G_jj) - 2 G_ij in that operand order.
     """
     U = states[:, 0, :]
     V = states[:, 1, :]
-    G = U @ _csr_mul(op.K, U.T) + V @ _csr_mul(op.M, V.T)
-    dg = np.diag(G)
-    return np.maximum(dg[:, None] + dg[None, :] - 2 * G, 0.0)
+    G = U @ _csr_mul(op.K, U.T)
+    G += V @ _csr_mul(op.M, V.T)
+    dg = np.diag(G).copy()
+    G *= 2.0
+    d2 = dg[:, None] + dg[None, :]
+    d2 -= G
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def sample_attractor(

@@ -165,6 +165,13 @@ def _greedy_init(dx: Array, dy: Array) -> IntArray:
     return m
 
 
+def _start_map(dx: Array, dy: Array) -> IntArray:
+    """Restart 0's start: the identity on index-matched samples (same size), else the greedy matching."""
+    if dx.shape[0] == dy.shape[0]:
+        return np.arange(dx.shape[0], dtype=np.intp)
+    return _greedy_init(dx, dy)
+
+
 def _pair_moves(dx: Array, dy: Array, cur: IntArray, b: IntArray, out: Array) -> None:
     """out[j, a, t] = |dx[a, b_j] - dy[t, cur[b_j]]|: pair (a, b_j) if a moved to t.
 
@@ -294,9 +301,9 @@ def _one_sided_search(
 
     def run(r: int) -> tuple[float, int, IntArray]:
         rng = np.random.default_rng(np.random.SeedSequence([seed, r, dirflag]))
-        if r == 0 and nx == ny:
-            m0 = np.arange(nx, dtype=np.intp)  # index-matched pairs: start at identity
-        elif r <= 1:
+        if r == 0:
+            m0 = _start_map(dx, dy)
+        elif r == 1:
             m0 = _greedy_init(dx, dy)
         else:
             m0 = rng.integers(0, ny, size=nx).astype(np.intp)
@@ -431,29 +438,66 @@ _S_GRID = np.linspace(-0.95, 0.95, 21)
 _S_GRID = _S_GRID[np.argsort(np.abs(_S_GRID), kind="stable")]
 
 
-def _commutation_eps(fx: FlowSample, fy: FlowSample, m: IntArray, rho: float) -> float:
-    """Best achievable max over base points of max(flow mismatch, time shift).
+def _flow_cost(fx: FlowSample, fy: FlowSample, rows: IntArray, targets: IntArray, rho: float) -> Array:
+    """c[i, k]: the flow cost of sending base point x = rows[i] to target k.
 
-    For each x independently: min over the s grid of
-    max( max_j d(Phi^X(alpha(t_j)) x, Phi^Y(t_j) m(x)), |s| rho / 2 ),
+    c = min over the s grid of max( max_j d(Phi^X(alpha(t_j)) x, y_k(t_j)), |s| rho / 2 ),
     where the mismatch is evaluated in the shared universe and the X flow is
     read at reparametrized times through norm interpolation between stored
-    samples (exact for quadratic-form metrics).
+    samples (exact for quadratic-form metrics).  `targets[i, j, k]` is the
+    universe index of y_k(t_j) and broadcasts against (len(rows), q, 1), as in
+    `_interp_flow_d2`: `fy.traj_idx[m][:, :, None]` gives each x its own
+    target trajectory Phi^Y(t_j) m(x), `fy.traj_idx.T[None]` every y's.  Each
+    entry reads the same floats under either shape, so the two agree bitwise.
     """
-    best = np.full(fx.n, np.inf)
-    tgt = fy.traj_idx[m][:, :, None]  # (n, q, 1): Phi^Y(t_j) m(x)
+    traj = fx.traj_idx[rows]
+    best = np.full((traj.shape[0], targets.shape[2]), np.inf)
     for s in _S_GRID:
         alpha = Reparametrization(s, rho)
-        mism2 = _interp_flow_d2(fx.universe_d2, fx.traj_idx, fx.times, alpha(fy.times), tgt)
-        mism = np.sqrt(np.maximum(mism2.max(axis=(1, 2)), 0.0))
-        cand = np.maximum(mism, alpha.max_deviation())
-        best = np.minimum(best, cand)
-    return float(best.max(initial=0.0))
+        mism2 = _interp_flow_d2(fx.universe_d2, traj, fx.times, alpha(fy.times), targets)
+        mism = np.sqrt(np.maximum(mism2.max(axis=1), 0.0))
+        best = np.minimum(best, np.maximum(mism, alpha.max_deviation()))
+    return best
+
+
+def _commutation_eps(fx: FlowSample, fy: FlowSample, m: IntArray, rho: float) -> float:
+    """Best achievable max over base points of max(flow mismatch, time shift): max_x c[x, m(x)]."""
+    return float(_flow_cost(fx, fy, np.arange(fx.n), fy.traj_idx[m][:, :, None], rho).max(initial=0.0))
+
+
+def _certified_start(
+    fx: FlowSample, fy: FlowSample, dx: Array, dy: Array, rho: float
+) -> tuple[MapCandidate, float] | None:
+    """The start map with its flow epsilon v, if v is proven optimal; else None.
+
+    Proof.  Let c be `_flow_cost`, m the start map, v = max_x c[x, m(x)], and
+    x* any point with c[x*, m(x*)] = v.  Every map m' has
+    total(m') = max(static(m'), max_x c[x, m'(x)]) >= c[x*, m'(x*)] >= min_y c[x*, y].
+    So if static(m) <= v, then total(m) = v, and if also min_y c[x*, y] >= v
+    for one such x*, no map has a smaller total: v is the optimum of the
+    direction's objective over all maps.  Only the rows of the points x*
+    are built.  Both sides of each comparison are the same floats read
+    through the same operations, so the proof needs no rounding slack.
+    """
+    m = _start_map(dx, dy)
+    cand = MapCandidate(m, distortion(dx, dy, m), coverage_deficit(dy, m))
+    own = _flow_cost(fx, fy, np.arange(fx.n), fy.traj_idx[m][:, :, None], rho)[:, 0]
+    v = float(own.max(initial=0.0))
+    if cand.objective > v:
+        return None
+    rows = _flow_cost(fx, fy, np.flatnonzero(own == v), fy.traj_idx.T[None], rho)
+    if not np.any(rows.min(axis=1) >= v):
+        return None
+    return cand, v
 
 
 @dataclass
 class DynamicalEstimate:
-    """Certified dynamical estimate: value, per-direction data, witnesses."""
+    """Certified dynamical estimate: value, per-direction data, witnesses.
+
+    `exact` is true when both directions' values were proven optimal over
+    all maps (see `dgh_dynamical`).
+    """
 
     value: float
     forward: MapCandidate
@@ -461,6 +505,7 @@ class DynamicalEstimate:
     forward_flow_eps: float
     backward_flow_eps: float
     certified: bool
+    exact: bool
 
 
 def dgh_dynamical(
@@ -473,29 +518,42 @@ def dgh_dynamical(
 ) -> DynamicalEstimate:
     """Dynamical distance upper estimate between two sampled flows.
 
-    Searches static candidate maps per direction (multistart descent on the
-    base metrics), then scores each candidate by the larger of its static
-    objective and its flow-commutation epsilon (optimal per-point time
-    reparametrization within |alpha(t) - t| <= rho/2).  The returned value is
-    the worse direction's best total; `certified` re-verifies both witnesses
-    at value + 1e-12.
+    Each direction's objective for a map m is the larger of its static
+    objective max(distortion, deficit) and its flow-commutation epsilon
+    (optimal per-point time reparametrization within |alpha(t) - t| <= rho/2).
+    A direction first tries to certify its start map (restart 0's start of
+    the static search): the flow term has a per-point lower bound, and when
+    that bound meets the start map's total, the total is the optimum over all
+    maps (proof in `_certified_start`) and no search runs.  Otherwise the
+    direction searches static candidate maps (multistart descent on the base
+    metrics) and scores its best 8 by that objective.  The returned value is
+    the worse direction's best total; `exact` is true when both directions
+    were certified, and then the value is the estimator's optimum, exact over
+    the 21-point s grid, not over the continuous class of
+    reparametrizations.  `certified` re-verifies both witnesses at
+    value + 1e-12.
     """
     X = fx.metric()
     Y = fy.metric()
-    fwd_cands = _one_sided_search(X.d, Y.d, budget, seed, 1, threads)[:8]
-    bwd_cands = _one_sided_search(Y.d, X.d, budget, seed, 2, threads)[:8]
 
-    def best_total(cands: list[MapCandidate], a: FlowSample, b: FlowSample) -> tuple[float, MapCandidate, float]:
+    def best_total(
+        a: FlowSample, b: FlowSample, da: Array, db: Array, dirflag: int
+    ) -> tuple[float, MapCandidate, float, bool]:
+        proven = _certified_start(a, b, da, db, rho)
+        if proven is not None:
+            c, fe = proven
+            return fe, c, fe, True
+        cands = _one_sided_search(da, db, budget, seed, dirflag, threads)[:8]
         best_v, best_c, best_f = np.inf, cands[0], np.inf
         for c in cands:
             fe = _commutation_eps(a, b, c.assignment, rho)
             tot = max(c.objective, fe)
             if tot < best_v - 1e-15:
                 best_v, best_c, best_f = tot, c, fe
-        return best_v, best_c, best_f
+        return best_v, best_c, best_f, False
 
-    fv, fc, fe = best_total(fwd_cands, fx, fy)
-    bv, bc, be = best_total(bwd_cands, fy, fx)
+    fv, fc, fe, f_exact = best_total(fx, fy, X.d, Y.d, 1)
+    bv, bc, be, b_exact = best_total(fy, fx, Y.d, X.d, 2)
     value = max(fv, bv)
     eps = value + 1e-12
     cert = (
@@ -504,4 +562,4 @@ def dgh_dynamical(
         and fe < eps
         and be < eps
     )
-    return DynamicalEstimate(value, fc, bc, fe, be, cert)
+    return DynamicalEstimate(value, fc, bc, fe, be, cert, f_exact and b_exact)

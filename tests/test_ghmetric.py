@@ -6,6 +6,8 @@ distortion and covering deficit strictly below eps, no 1/2 factor):
   {0}    vs {0, 3}  -> 3   (the single point leaves a covering deficit of 3)
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,9 @@ from ghwave.ghmetric import (
     is_eps_isometry,
     _deficit_after_move,
     _descend,
+    _commutation_eps,
     _excl_max,
+    _flow_cost,
     _interp_flow_d2,
 )
 
@@ -353,3 +357,85 @@ def test_dgh_dominates_static_distance_and_certifies_both_orders():
     e2 = dgh_dynamical(fy, fx, budget=16, seed=3)
     assert e1.certified and e2.certified
     assert min(e1.value, e2.value) >= static - 1e-12
+
+
+def _shared_flows(x_traj, y_traj, times):
+    """Two flow samples in one Euclidean universe; trajectories are (n, q, dim)."""
+    nx, q = x_traj.shape[:2]
+    ny = y_traj.shape[0]
+    pts = np.concatenate([x_traj.reshape(nx * q, -1), y_traj.reshape(ny * q, -1)])
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    tx = np.arange(nx * q, dtype=np.intp).reshape(nx, q)
+    ty = nx * q + np.arange(ny * q, dtype=np.intp).reshape(ny, q)
+    return FlowSample(d2, tx, times), FlowSample(d2, ty, times)
+
+
+def _brute_direction(fa, fb, rho):
+    """min over all n_b^n_a maps of max(objective, flow eps), and the row bound max_x min_y c[x, y]."""
+    da, db = fa.metric().d, fb.metric().d
+    c = _flow_cost(fa, fb, np.arange(fa.n), fb.traj_idx.T[None], rho)
+    best = np.inf
+    for m in itertools.product(range(fb.n), repeat=fa.n):
+        m = np.array(m, dtype=np.intp)
+        fe = _commutation_eps(fa, fb, m, rho)
+        # the full table holds every map's per-point terms bitwise
+        assert fe == c[np.arange(fa.n), m].max()
+        best = min(best, max(distortion(da, db, m), coverage_deficit(db, m), fe))
+    return best, float(c.min(axis=1).max())
+
+
+def test_flow_certificate_against_brute_force():
+    # random tiny flow pairs, some near copies (the flow term binds and the
+    # start map is certified), some not (the search runs)
+    rng = np.random.default_rng(2026)
+    times = np.linspace(0.0, 1.0, 3)
+    n_exact = n_search = 0
+    for k in range(24):
+        nx, ny = rng.integers(2, 5, size=2)
+        if k % 2:  # index-matched near copy
+            ny = nx
+        x0 = rng.uniform(-1.0, 1.0, (nx, 2))
+        vx = rng.uniform(-1.0, 1.0, (nx, 2))
+        if k % 2:
+            y0 = x0 + rng.uniform(0.0, 0.05) * rng.standard_normal((ny, 2))
+            vy = vx + rng.uniform(0.0, 0.5) * rng.standard_normal((ny, 2))
+        else:
+            y0 = rng.uniform(-1.0, 1.0, (ny, 2))
+            vy = rng.uniform(-1.0, 1.0, (ny, 2))
+        fx, fy = _shared_flows(
+            x0[:, None] + times[None, :, None] * vx[:, None],
+            y0[:, None] + times[None, :, None] * vy[:, None],
+            times,
+        )
+        fwd, fwd_bound = _brute_direction(fx, fy, 1.0)
+        bwd, bwd_bound = _brute_direction(fy, fx, 1.0)
+        assert fwd_bound <= fwd and bwd_bound <= bwd
+        est = dgh_dynamical(fx, fy, rho=1.0, budget=2, seed=0)
+        assert est.certified
+        assert est.value >= max(fwd, bwd)
+        if est.exact:
+            assert est.value == max(fwd, bwd)
+            n_exact += 1
+        else:
+            n_search += 1
+    assert n_exact >= 3 and n_search >= 3
+
+
+def test_dgh_search_fallback_thread_invariant():
+    # a dilated copy: the static distortion binds above every flow term, so
+    # neither start map is certified and both directions run the threaded
+    # multistart search, whose result must not depend on the thread count
+    rng = np.random.default_rng(12)
+    times = np.linspace(0.0, 1.0, 3)
+    x0 = rng.uniform(-1.5, 1.5, (12, 1))
+    x = x0[:, None] + times[None, :, None] * 0.2 * rng.standard_normal((12, 1))[:, None]
+    fx, fy = _shared_flows(x, 1.3 * x, times)
+    e1 = dgh_dynamical(fx, fy, budget=8, seed=5, threads=1)
+    e4 = dgh_dynamical(fx, fy, budget=8, seed=5, threads=4)
+    assert not e1.exact and not e4.exact
+    assert e1.certified and e4.certified
+    assert e1.value == e4.value
+    assert e1.forward_flow_eps == e4.forward_flow_eps
+    assert e1.backward_flow_eps == e4.backward_flow_eps
+    np.testing.assert_array_equal(e1.forward.assignment, e4.forward.assignment)
+    np.testing.assert_array_equal(e1.backward.assignment, e4.backward.assignment)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ghwave.cli import main
-from ghwave.config import ScenarioConfig, parse_config
+from ghwave.config import ScenarioConfig, load_config, parse_config
 from ghwave.dynamics import SamplerConfig, sample_attractor
 from ghwave.harness import (
     CsvWriter,
@@ -16,7 +16,8 @@ from ghwave.harness import (
     write_report,
     write_timing,
 )
-from ghwave.operators import Mesh, default_nonlinearity, identity_operator
+from ghwave.ghmetric import dgh_dynamical
+from ghwave.operators import Mesh, default_nonlinearity, identity_operator, pullback_operator
 from ghwave.domains import ReferenceDomain
 
 UNIT = ReferenceDomain("interval", ((0.0, 1.0),))
@@ -120,6 +121,24 @@ def test_build_flow_pair_universe_indices():
     # here, so exactly)
     Xa = fa.metric().d
     np.testing.assert_allclose(Xa, sa.dist, rtol=1e-9, atol=1e-12)
+
+
+def test_stability_pairs_certified_whatever_the_budget():
+    # the stability study's two flow pairs on determinism_tiny.cfg: both
+    # directions' start maps are certified optimal, so the search budget
+    # (and with it the multistart descent) no longer enters the value
+    cfg, diags = load_config(Path(__file__).resolve().parents[1] / "configs" / "determinism_tiny.cfg")
+    assert not diags
+    mesh, f = cfg.make_mesh(), cfg.make_nonlinearity()
+    h_anchor, h_full = cfg.maps()[:2]
+    h_half = cfg.make_map(0.5 * (cfg.schedule[0] + cfg.schedule[1]))
+    s_anchor = sample_attractor(pullback_operator(mesh, h_anchor), f, cfg.sampler, cfg.seed)
+    for h in (h_full, h_half):
+        s_other = sample_attractor(pullback_operator(mesh, h), f, cfg.sampler, cfg.seed)
+        fx, fy = build_flow_pair(s_anchor, s_other, cfg.reference_operator())
+        ests = [dgh_dynamical(fx, fy, cfg.rho, budget, cfg.seed) for budget in (1, 4, 32)]
+        assert all(e.exact and e.certified for e in ests)
+        assert len({e.value for e in ests}) == 1
 
 
 def test_estimates_study_fast_config(tmp_path):
