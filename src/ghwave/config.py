@@ -19,14 +19,12 @@ from pathlib import Path
 
 from .domains import FAMILIES, DiffeoMap, ReferenceDomain
 from .dynamics import SAMPLER_RANGES, SamplerConfig, stability_cap
-from .ghmetric import _S_GRID, Reparametrization
+from .ghmetric import RHO_MAX
 from .operators import DiscreteOperator, Mesh, NonlinearitySpec, default_nonlinearity, identity_operator
 
 __all__ = ["Diagnostic", "ConfigError", "ScenarioConfig", "parse_config", "load_config", "range_diagnostic", "DEFAULT_SCHEDULE"]
 
 DEFAULT_SCHEDULE = (0.04, 0.02, 0.01, 0.005, 0.0025)
-
-_S_MAX = float(max(abs(_S_GRID)))  # largest |s| of the dynamical distance's reparametrizations
 
 
 @dataclass(frozen=True)
@@ -159,8 +157,8 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, str]]] = {
         "budget": (_INT, lambda n: n >= 1, "at least 1"),
         "rho": (
             _FLOAT,
-            lambda x: x > 0 and Reparametrization.monotone(_S_MAX, x),
-            f"positive and below {1 / _S_MAX:.6g}, so that |s * rho| < 1 for every reparametrization |s| <= {_S_MAX:g}",
+            lambda x: 0 < x < RHO_MAX,
+            f"positive and below {RHO_MAX:.6g}, so that |s * rho| < 1 for every reparametrization |s| <= {1 / RHO_MAX:g}",
         ),
     },
     "estimates": {

@@ -530,6 +530,9 @@ def sample_attractor(
     sooner, and no stop comes before the window ends), and at the first step
     reaching `t_cap`; so no step runs past that loop's stop, and every
     settling decision is the per-step one, bit for bit.
+
+    One Gram serves the flow table: `dist` is its block of time-0 rows and
+    `eps_inv` its time-0 columns.
     """
     if cfg.pool_size > cfg.max_points:
         raise ValueError(
@@ -584,16 +587,16 @@ def sample_attractor(
             raise NonDissipativeError(f"energy of ic {ic} never plateaued before t_cap = {cfg.t_cap}")
     # IC-major: every snapshot of ic 0, then of ic 1, ...
     states = np.array(snaps).transpose(3, 0, 1, 2).reshape(n_ics * len(snaps), 2, -1)  # from (n_snaps, 2, dim, n_ics)
-    dist = np.sqrt(x0_sqdist(states, op))
-    dist = 0.5 * (dist + dist.T)
-    np.fill_diagonal(dist, 0.0)
     m = cfg.flow_grid_m
     flow_times = np.linspace(0.0, 1.0, m + 1)
     rec = integ.record(StateVector(states[:, 0].T.copy(), states[:, 1].T.copy()), flow_times)
     flow = np.ascontiguousarray(np.stack([rec.u, rec.v]).transpose(2, 3, 0, 1))  # (n, m+1, 2, dim)
-    # invariance proxy: worst distance from any flow image back to the sample;
     # flow[:, 0] is the sample itself, i.e. every (m+1)-th row of the table
     d2_flow = x0_sqdist(flow.reshape(-1, 2, states.shape[2]), op)
+    dist = np.sqrt(d2_flow[:: m + 1, :: m + 1])
+    dist = 0.5 * (dist + dist.T)
+    np.fill_diagonal(dist, 0.0)
+    # invariance proxy: worst distance from any flow image back to the sample
     eps_inv = float(np.sqrt(d2_flow[:, :: m + 1]).min(axis=1).max())
     return AttractorSample(dist, flow, flow_times, eps_inv)
 

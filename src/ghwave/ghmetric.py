@@ -6,6 +6,11 @@ sup_y min_a d_Y(y, fa) are both strictly below eps, and the distance between
 two spaces is the infimum of eps admitting such maps in BOTH directions.  No
 factor 1/2 is applied, so values can be up to twice the textbook ones; the
 two-point-versus-one-point example {0} vs {0,3} evaluates to 3 here.
+
+A dynamical comparison is one FlowPair: the trajectory tables of both flows
+index one squared-distance universe and share one time grid.
+`dgh_dynamical` accepts `rho` only in (0, RHO_MAX), where every time change
+it tries is increasing.
 """
 
 from __future__ import annotations
@@ -20,8 +25,7 @@ __all__ = [
     "FiniteMetricSpace",
     "MapCandidate",
     "GHEstimate",
-    "FlowSample",
-    "Reparametrization",
+    "FlowPair",
     "DynamicalEstimate",
     "SizeCapError",
     "distortion",
@@ -32,6 +36,7 @@ __all__ = [
     "gh_upper",
     "dgh_dynamical",
     "EXACT_SIZE_CAP",
+    "RHO_MAX",
 ]
 
 Array = npt.NDArray[np.float64]
@@ -354,59 +359,41 @@ def gh_upper(
 
 
 @dataclass
-class FlowSample:
-    """A sampled set with short-time flow data inside a shared universe.
+class FlowPair:
+    """Two sampled flows X and Y in one universe, on one time grid.
 
-    `universe_d2` holds squared distances for every enriched point (base
-    points of all compared samples plus their flow images, in one common
-    metric); `traj_idx[i, j]` is the universe index of the j-th flow image
-    of base point i (time j/m), so column 0 holds the base points themselves.
+    `d2` holds squared distances between every enriched point (the base
+    points of both samples and their flow images, in one common metric);
+    `x[i, j]` is the universe index of the flow image of X's base point i at
+    `times[j]`, so column 0 holds the base points themselves, and `y` is the
+    same table for Y.  Cross-sample and along-flow distances are read from
+    the one `d2`, which is what makes them comparable.
     """
 
-    universe_d2: Array
-    traj_idx: IntArray
+    d2: Array
+    x: IntArray
+    y: IntArray
     times: Array
 
     def __post_init__(self) -> None:
-        self.traj_idx = np.asarray(self.traj_idx, dtype=np.intp)
-        if self.times.shape[0] != self.traj_idx.shape[1]:
-            raise ValueError("times must match flow columns")
+        self.x = np.asarray(self.x, dtype=np.intp)
+        self.y = np.asarray(self.y, dtype=np.intp)
+        for name, idx in (("x", self.x), ("y", self.y)):
+            if idx.ndim != 2 or idx.shape[1] != len(self.times):
+                raise ValueError(f"{name} must have one column per flow time ({len(self.times)})")
+            if idx.size and (idx.min() < 0 or idx.max() >= self.d2.shape[0]):
+                raise ValueError(f"{name} holds indices outside the universe of {self.d2.shape[0]} points")
 
-    @property
-    def n(self) -> int:
-        return self.traj_idx.shape[0]
+    def reversed(self) -> FlowPair:
+        """The same pair with Y first: the same `d2`, the two tables swapped."""
+        return FlowPair(self.d2, self.y, self.x, self.times)
 
-    def metric(self) -> FiniteMetricSpace:
-        base = self.traj_idx[:, 0]
-        d2 = self.universe_d2[np.ix_(base, base)]
-        return FiniteMetricSpace(np.sqrt(np.maximum(d2, 0.0)), validate=False)
-
-
-@dataclass(frozen=True)
-class Reparametrization:
-    """Linear-pencil time change alpha(t) = t + s * min(t, 1-t) * rho.
-
-    Monotone on [0,1] whenever |s * rho| < 1, fixes the endpoints, and
-    deviates from the identity by at most |s| * rho / 2.
-    """
-
-    s: float
-    rho: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.monotone(self.s, self.rho):
-            raise ValueError("|s * rho| must be below 1 for monotonicity")
-
-    @staticmethod
-    def monotone(s: float, rho: float) -> bool:
-        return abs(s * rho) < 1.0
-
-    def __call__(self, t: Array) -> Array:
-        t = np.asarray(t, dtype=float)
-        return t + self.s * np.minimum(t, 1.0 - t) * self.rho
-
-    def max_deviation(self) -> float:
-        return abs(self.s) * self.rho / 2.0
+    def metrics(self) -> tuple[FiniteMetricSpace, FiniteMetricSpace]:
+        """The base metrics of X and Y, read from the universe."""
+        return tuple(
+            FiniteMetricSpace(np.sqrt(np.maximum(self.d2[np.ix_(base, base)], 0.0)), validate=False)
+            for base in (self.x[:, 0], self.y[:, 0])
+        )
 
 
 def _interp_flow_d2(
@@ -437,38 +424,41 @@ def _interp_flow_d2(
 _S_GRID = np.linspace(-0.95, 0.95, 21)
 _S_GRID = _S_GRID[np.argsort(np.abs(_S_GRID), kind="stable")]
 
+# alpha_s is increasing on [0, 1] exactly when |s| rho < 1 for every s tried
+RHO_MAX = float(1.0 / np.abs(_S_GRID).max())
 
-def _flow_cost(fx: FlowSample, fy: FlowSample, rows: IntArray, targets: IntArray, rho: float) -> Array:
-    """c[i, k]: the flow cost of sending base point x = rows[i] to target k.
 
-    c = min over the s grid of max( max_j d(Phi^X(alpha(t_j)) x, y_k(t_j)), |s| rho / 2 ),
-    where the mismatch is evaluated in the shared universe and the X flow is
-    read at reparametrized times through norm interpolation between stored
-    samples (exact for quadratic-form metrics).  `targets[i, j, k]` is the
-    universe index of y_k(t_j) and broadcasts against (len(rows), q, 1), as in
-    `_interp_flow_d2`: `fy.traj_idx[m][:, :, None]` gives each x its own
-    target trajectory Phi^Y(t_j) m(x), `fy.traj_idx.T[None]` every y's.  Each
-    entry reads the same floats under either shape, so the two agree bitwise.
+def _flow_cost(pair: FlowPair, rows: IntArray, targets: IntArray, rho: float) -> Array:
+    """c[i, k]: the flow cost of sending X's base point x = rows[i] to target k.
+
+    c = min over the s grid of max( max_j d(Phi^X(alpha_s(t_j)) x, y_k(t_j)), |s| rho / 2 ),
+    with the time change alpha_s(t) = t + s min(t, 1 - t) rho, which fixes
+    the endpoints and deviates from the identity by at most |s| rho / 2.  The
+    mismatch is evaluated in the pair's universe and the X flow is read at
+    reparametrized times through norm interpolation between stored samples
+    (exact for quadratic-form metrics).  `targets[i, j, k]` is the universe
+    index of y_k(t_j) and broadcasts against (len(rows), q, 1), as in
+    `_interp_flow_d2`: `pair.y[m][:, :, None]` gives each x its own target
+    trajectory Phi^Y(t_j) m(x), `pair.y.T[None]` every y's.  Each entry reads
+    the same floats under either shape, so the two agree bitwise.
     """
-    traj = fx.traj_idx[rows]
+    t = pair.times
+    traj = pair.x[rows]
     best = np.full((traj.shape[0], targets.shape[2]), np.inf)
     for s in _S_GRID:
-        alpha = Reparametrization(s, rho)
-        mism2 = _interp_flow_d2(fx.universe_d2, traj, fx.times, alpha(fy.times), targets)
+        mism2 = _interp_flow_d2(pair.d2, traj, t, t + s * np.minimum(t, 1.0 - t) * rho, targets)
         mism = np.sqrt(np.maximum(mism2.max(axis=1), 0.0))
-        best = np.minimum(best, np.maximum(mism, alpha.max_deviation()))
+        best = np.minimum(best, np.maximum(mism, abs(s) * rho / 2.0))
     return best
 
 
-def _commutation_eps(fx: FlowSample, fy: FlowSample, m: IntArray, rho: float) -> float:
+def _commutation_eps(pair: FlowPair, m: IntArray, rho: float) -> float:
     """Best achievable max over base points of max(flow mismatch, time shift): max_x c[x, m(x)]."""
-    return float(_flow_cost(fx, fy, np.arange(fx.n), fy.traj_idx[m][:, :, None], rho).max(initial=0.0))
+    return float(_flow_cost(pair, np.arange(pair.x.shape[0]), pair.y[m][:, :, None], rho).max(initial=0.0))
 
 
-def _certified_start(
-    fx: FlowSample, fy: FlowSample, dx: Array, dy: Array, rho: float
-) -> tuple[MapCandidate, float] | None:
-    """The start map with its flow epsilon v, if v is proven optimal; else None.
+def _certified_start(pair: FlowPair, dx: Array, dy: Array, rho: float) -> tuple[MapCandidate, float] | None:
+    """The start map X -> Y with its flow epsilon v, if v is proven optimal; else None.
 
     Proof.  Let c be `_flow_cost`, m the start map, v = max_x c[x, m(x)], and
     x* any point with c[x*, m(x*)] = v.  Every map m' has
@@ -481,11 +471,11 @@ def _certified_start(
     """
     m = _start_map(dx, dy)
     cand = MapCandidate(m, distortion(dx, dy, m), coverage_deficit(dy, m))
-    own = _flow_cost(fx, fy, np.arange(fx.n), fy.traj_idx[m][:, :, None], rho)[:, 0]
+    own = _flow_cost(pair, np.arange(pair.x.shape[0]), pair.y[m][:, :, None], rho)[:, 0]
     v = float(own.max(initial=0.0))
     if cand.objective > v:
         return None
-    rows = _flow_cost(fx, fy, np.flatnonzero(own == v), fy.traj_idx.T[None], rho)
+    rows = _flow_cost(pair, np.flatnonzero(own == v), pair.y.T[None], rho)
     if not np.any(rows.min(axis=1) >= v):
         return None
     return cand, v
@@ -509,14 +499,13 @@ class DynamicalEstimate:
 
 
 def dgh_dynamical(
-    fx: FlowSample,
-    fy: FlowSample,
+    pair: FlowPair,
     rho: float = 1.0,
     budget: int = 32,
     seed: int = 0,
     threads: int = 1,
 ) -> DynamicalEstimate:
-    """Dynamical distance upper estimate between two sampled flows.
+    """Dynamical distance upper estimate between the two sampled flows of `pair`.
 
     Each direction's objective for a map m is the larger of its static
     objective max(distortion, deficit) and its flow-commutation epsilon
@@ -526,36 +515,38 @@ def dgh_dynamical(
     that bound meets the start map's total, the total is the optimum over all
     maps (proof in `_certified_start`) and no search runs.  Otherwise the
     direction searches static candidate maps (multistart descent on the base
-    metrics) and scores its best 8 by that objective.  The returned value is
-    the worse direction's best total; `exact` is true when both directions
-    were certified, and then the value is the estimator's optimum, exact over
-    the 21-point s grid, not over the continuous class of
-    reparametrizations.  `certified` re-verifies both witnesses at
-    value + 1e-12.
+    metrics) and scores its best 8 by that objective.  The backward direction
+    is the forward one on `pair.reversed()`.  The returned value is the worse
+    direction's best total; `exact` is true when both directions were
+    certified, and then the value is the estimator's optimum, exact over the
+    21-point s grid, not over the continuous class of reparametrizations.
+    `certified` re-verifies both witnesses at value + 1e-12.  `rho` must lie
+    in (0, RHO_MAX), where every time change tried is increasing; otherwise
+    ValueError.
     """
-    X = fx.metric()
-    Y = fy.metric()
+    if not 0.0 < rho < RHO_MAX:
+        raise ValueError(f"rho must lie in (0, {RHO_MAX:.6g}), got {rho}")
 
-    def best_total(
-        a: FlowSample, b: FlowSample, da: Array, db: Array, dirflag: int
-    ) -> tuple[float, MapCandidate, float, bool]:
-        proven = _certified_start(a, b, da, db, rho)
+    def best_total(p: FlowPair, dirflag: int) -> tuple[float, MapCandidate, float, bool]:
+        da, db = (space.d for space in p.metrics())
+        proven = _certified_start(p, da, db, rho)
         if proven is not None:
             c, fe = proven
             return fe, c, fe, True
         cands = _one_sided_search(da, db, budget, seed, dirflag, threads)[:8]
         best_v, best_c, best_f = np.inf, cands[0], np.inf
         for c in cands:
-            fe = _commutation_eps(a, b, c.assignment, rho)
+            fe = _commutation_eps(p, c.assignment, rho)
             tot = max(c.objective, fe)
             if tot < best_v - 1e-15:
                 best_v, best_c, best_f = tot, c, fe
         return best_v, best_c, best_f, False
 
-    fv, fc, fe, f_exact = best_total(fx, fy, X.d, Y.d, 1)
-    bv, bc, be, b_exact = best_total(fy, fx, Y.d, X.d, 2)
+    fv, fc, fe, f_exact = best_total(pair, 1)
+    bv, bc, be, b_exact = best_total(pair.reversed(), 2)
     value = max(fv, bv)
     eps = value + 1e-12
+    X, Y = pair.metrics()
     cert = (
         is_eps_isometry(X.d, Y.d, fc.assignment, eps)
         and is_eps_isometry(Y.d, X.d, bc.assignment, eps)

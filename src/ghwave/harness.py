@@ -32,7 +32,7 @@ from .dynamics import (
     solve_trajectory,
     x0_sqdist,
 )
-from .ghmetric import FiniteMetricSpace, FlowSample, dgh_dynamical, gh_lower, gh_upper
+from .ghmetric import FiniteMetricSpace, FlowPair, dgh_dynamical, gh_lower, gh_upper
 from .operators import DiscreteOperator, pullback_operator
 
 __all__ = [
@@ -165,16 +165,15 @@ def run_continuity_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | 
     return ContinuityResult(rows, floor, monotone, below)
 
 
-def build_flow_pair(
-    sa: AttractorSample, sb: AttractorSample, op: DiscreteOperator
-) -> tuple[FlowSample, FlowSample]:
+def build_flow_pair(sa: AttractorSample, sb: AttractorSample, op: DiscreteOperator) -> FlowPair:
     """Embed two samples' flow tables in one universe under `op`'s X^0 form.
 
     All base points and flow images of both samples become rows of a single
     squared-distance matrix, so cross-sample and along-flow distances are
-    taken in the same metric and the interpolation identity applies.
+    taken in the same metric and the interpolation identity applies.  The
+    two flow tables must be recorded at the same times.
     """
-    if sa.flow.shape[1] != sb.flow.shape[1]:
+    if not np.array_equal(sa.flow_times, sb.flow_times):
         raise ValueError("flow tables must share the time grid")
     na, mp1 = sa.flow.shape[0], sa.flow.shape[1]
     nb = sb.flow.shape[0]
@@ -186,7 +185,7 @@ def build_flow_pair(
     np.fill_diagonal(d2, 0.0)
     ta = np.arange(na * mp1, dtype=np.intp).reshape(na, mp1)
     tb = (na * mp1 + np.arange(nb * mp1, dtype=np.intp)).reshape(nb, mp1)
-    return FlowSample(d2, ta, sa.flow_times), FlowSample(d2, tb, sb.flow_times)
+    return FlowPair(d2, ta, tb, sa.flow_times)
 
 
 @dataclass
@@ -242,9 +241,9 @@ def run_stability_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
     def estimate(s_other: AttractorSample):
         # one flow universe alive at a time: it is the study's largest array
         with clock.stage("stability.flow_pair"):
-            fx, fy = build_flow_pair(s_anchor, s_other, op_univ)
+            pair = build_flow_pair(s_anchor, s_other, op_univ)
         with clock.stage("stability.search"):
-            return dgh_dynamical(fx, fy, cfg.rho, cfg.budget, cfg.seed, cfg.threads)
+            return dgh_dynamical(pair, cfg.rho, cfg.budget, cfg.seed, cfg.threads)
 
     est_full = estimate(s_full)
     est_half = estimate(s_half)

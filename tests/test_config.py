@@ -8,7 +8,7 @@ import pytest
 from ghwave.cli import main
 from ghwave.config import DEFAULT_SCHEDULE, ScenarioConfig, load_config, parse_config
 from ghwave.dynamics import SamplerConfig
-from ghwave.ghmetric import _S_GRID, Reparametrization
+from ghwave.ghmetric import RHO_MAX
 
 GOOD = """
 [domain]
@@ -173,14 +173,13 @@ def test_dt_above_reference_stability_cap_rejected(tmp_path):
 
 def test_rho_beyond_reparametrization_grid_rejected(tmp_path):
     # every s the dynamical distance tries needs |s * rho| < 1, or a stability
-    # run fails only after sampling; the largest |s| is 0.95
+    # run fails only after sampling; the config reads dgh_dynamical's own bound
     cfg, diags = parse_config("[gh]\nrho = 1.05\n[run]\nseed = 1\n")
     assert diags == []
-    for s in _S_GRID:
-        Reparametrization(s, cfg.rho)
-    cfg, diags = parse_config("[gh]\nrho = 1.1\n[run]\nseed = 1\n")
-    assert cfg is None
-    assert _diag_keys(diags) == {"gh.rho"}
+    for rho in (RHO_MAX, 1.1):
+        cfg, diags = parse_config(f"[gh]\nrho = {rho!r}\n[run]\nseed = 1\n")
+        assert cfg is None
+        assert _diag_keys(diags) == {"gh.rho"}
     tiny = Path(__file__).resolve().parents[1] / "configs" / "determinism_tiny.cfg"
     p = tmp_path / "rho.cfg"
     p.write_text(tiny.read_text().replace("[gh]\n", "[gh]\nrho = 1.1\n"))

@@ -194,14 +194,13 @@ def test_pullback_identity_field_is_exact():
     mesh = Mesh(UNIT, 16)
     fld = make_pullback(identity_map(UNIT), mesh.quadrature_points())
     assert np.all(fld.det == 1.0)
-    assert np.all(fld.H == np.eye(1))
+    assert np.all(fld.Hbar == np.eye(1))
 
 
 def test_pullback_affine_scaling_frozen_values():
     # h = 1.1 x: H = 1.1, Hbar = 1/1.1, det = 1.1 everywhere
     mesh = Mesh(UNIT, 16)
     fld = make_pullback(affine_map_1d(UNIT, 1.1), mesh.quadrature_points())
-    np.testing.assert_allclose(fld.H[:, 0, 0], 1.1, rtol=1e-14)
     np.testing.assert_allclose(fld.Hbar[:, 0, 0], 1 / 1.1, rtol=1e-14)
     np.testing.assert_allclose(fld.det, 1.1, rtol=1e-14)
     det_dev, hbar_dev = deviation_norms(fld)
@@ -231,21 +230,14 @@ def test_pullback_rejects_orientation_flip():
 
     flip = DiffeoMap(UNIT, mp, jc, hs, key=("flip",))
     flip.delta = 0.0
-    with pytest.raises(OrientationError):
+    with pytest.raises(OrientationError, match="reverses orientation"):
         make_pullback(flip, quad)
 
 
-def test_coefficient_field_consistency_guard():
-    pts = np.linspace(0.1, 0.9, 5)[:, None]
-    H = np.full((5, 1, 1), 2.0)
-    bad_hbar = np.full((5, 1, 1), 0.7)  # should be 0.5
-    with pytest.raises(ValueError, match="Hbar"):
-        CoefficientField(pts, H, bad_hbar, np.full(5, 2.0))
-
-
 def test_coefficient_field_rejects_nonpositive_det():
+    # a singular Jacobian is refused as an orientation fault, before inversion
     pts = np.linspace(0.1, 0.9, 3)[:, None]
-    eye = np.ones((3, 1, 1))
-    with pytest.raises(OrientationError):
-        CoefficientField(pts, eye, eye.copy(), np.array([1.0, 0.0, 1.0]))
+    jac = np.array([1.0, 0.0, 1.0]).reshape(3, 1, 1)
+    with pytest.raises(OrientationError, match=r"at point \[0\.5\]"):
+        CoefficientField(pts, jac)
 

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from ghwave.ghmetric import (
     EXACT_SIZE_CAP,
+    RHO_MAX,
     FiniteMetricSpace,
-    FlowSample,
-    Reparametrization,
+    FlowPair,
     SizeCapError,
     coverage_deficit,
     dgh_dynamical,
@@ -259,26 +259,7 @@ def test_metric_space_validation():
         FiniteMetricSpace(skew)
 
 
-# --- reparametrizations ---------------------------------------------------------
-
-@given(st.floats(-0.9, 0.9), st.floats(0.05, 1.0))
-@settings(max_examples=50, deadline=None)
-def test_reparametrization_invariants(s, rho):
-    alpha = Reparametrization(s, rho)
-    t = np.linspace(0.0, 1.0, 101)
-    out = alpha(t)
-    assert out[0] == 0.0
-    assert out[-1] == pytest.approx(1.0, abs=1e-15)
-    assert np.all(np.diff(out) > 0)
-    assert np.abs(out - t).max() <= alpha.max_deviation() + 1e-15
-
-
-def test_reparametrization_rejects_fold():
-    with pytest.raises(ValueError):
-        Reparametrization(1.2, 1.0)
-
-
-# --- flow samples ----------------------------------------------------------------
+# --- flow pairs ------------------------------------------------------------------
 
 def _segment_universe():
     # four universe points on a line: two base points and their images
@@ -302,19 +283,54 @@ def test_interp_flow_d2_matches_segment_geometry():
     assert own[:, 0, 0] == pytest.approx([0.125**2, 0.25**2], rel=1e-12)
 
 
-def _make_flow(points_t0, points_t1, all_pts=None):
-    base = np.asarray(points_t0, dtype=float)
-    img = np.asarray(points_t1, dtype=float)
-    pts = np.concatenate([base, img]) if all_pts is None else np.asarray(all_pts)
-    d2 = (pts[:, None] - pts[None, :]) ** 2
-    n = len(base)
-    traj = np.column_stack([np.arange(n), np.arange(n) + n]).astype(np.intp)
-    return FlowSample(d2, traj, np.array([0.0, 1.0]))
+def _flow_pair(x_traj, y_traj, times):
+    """Two flows in one Euclidean universe; trajectories are (n, q) on a line or (n, q, dim)."""
+    x_traj, y_traj = np.asarray(x_traj, dtype=float), np.asarray(y_traj, dtype=float)
+    nx, q = x_traj.shape[:2]
+    ny = y_traj.shape[0]
+    pts = np.concatenate([x_traj.reshape(nx * q, -1), y_traj.reshape(ny * q, -1)])
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    tx = np.arange(nx * q, dtype=np.intp).reshape(nx, q)
+    ty = nx * q + np.arange(ny * q, dtype=np.intp).reshape(ny, q)
+    return FlowPair(d2, tx, ty, np.asarray(times, dtype=float))
+
+
+def test_flow_pair_checks_its_tables():
+    d2 = np.zeros((4, 4))
+    tx = np.array([[0, 1]])
+    with pytest.raises(ValueError, match="one column per flow time"):
+        FlowPair(d2, tx, np.array([[2, 3]]), np.array([0.0, 0.5, 1.0]))
+    with pytest.raises(ValueError, match="outside the universe"):
+        FlowPair(d2, tx, np.array([[2, 4]]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="outside the universe"):
+        FlowPair(d2, np.array([[-1, 1]]), np.array([[2, 3]]), np.array([0.0, 1.0]))
+
+
+def test_flow_pair_reversed_shares_the_universe():
+    pair = _flow_pair([[0.0, 0.1], [1.0, 1.2]], [[0.0, 0.2], [1.5, 1.4], [3.0, 3.1]], [0.0, 1.0])
+    rev = pair.reversed()
+    assert rev.d2 is pair.d2 and rev.times is pair.times
+    assert rev.x is pair.y and rev.y is pair.x
+    X, Y = pair.metrics()
+    Yr, Xr = rev.metrics()
+    np.testing.assert_array_equal(X.d, Xr.d)
+    np.testing.assert_array_equal(Y.d, Yr.d)
+    np.testing.assert_allclose(Y.d, [[0.0, 1.5, 3.0], [1.5, 0.0, 1.5], [3.0, 1.5, 0.0]], rtol=1e-15)
+
+
+@pytest.mark.parametrize("rho", [-0.5, 0.0, RHO_MAX, 2.0])
+def test_dgh_rejects_rho_outside_open_range(rho):
+    # rho <= 0 would charge a time change nothing (|s| rho / 2 <= 0), and
+    # rho >= RHO_MAX lets the largest |s| fold the time axis
+    x = np.array([[0.0, 0.5, 1.0], [4.0, 4.5, 5.0], [8.0, 8.5, 9.0]])
+    pair = _flow_pair(x, x + np.array([0.0, 0.1, 0.0]), [0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="rho must lie in"):
+        dgh_dynamical(pair, rho=rho, budget=2, seed=0)
 
 
 def test_dgh_identical_flows_is_zero():
-    fx = _make_flow([0.0, 1.0, 2.5], [0.1, 1.1, 2.4])
-    est = dgh_dynamical(fx, fx, budget=8, seed=0)
+    x = [[0.0, 0.1], [1.0, 1.1], [2.5, 2.4]]
+    est = dgh_dynamical(_flow_pair(x, x, [0.0, 1.0]), budget=8, seed=0)
     assert est.value <= 1e-9
     assert est.certified
 
@@ -323,23 +339,26 @@ def test_dgh_detects_metric_dilation():
     # same flow pattern, second copy dilated by sigma: no assignment can push
     # the distortion (hence the certified eps) below the diameter gap
     sigma = 1.3
-    fx = _make_flow([0.0, 1.0, 2.0], [0.05, 1.0, 1.95])
-    fy = _make_flow([0.0, sigma * 1.0, sigma * 2.0], [0.05, sigma, sigma * 1.9])
-    est = dgh_dynamical(fx, fy, budget=16, seed=1)
+    x = np.column_stack([[0.0, 1.0, 2.0], [0.05, 1.0, 1.95]])
+    y = np.column_stack([[0.0, sigma * 1.0, sigma * 2.0], [0.05, sigma, sigma * 1.9]])
+    est = dgh_dynamical(_flow_pair(x, y, [0.0, 1.0]), budget=16, seed=1)
     assert est.certified
     assert est.value >= (sigma - 1.0) * 2.0 - 1e-9
 
 
 def test_dgh_time_shift_absorbed_by_reparametrization():
-    # Y runs the same unit-speed leftward drift as X but 10% behind; a time
-    # change inside the allowed pencil absorbs it at the cost of the
-    # deviation term |s| rho / 2
+    # X drifts at unit speed and Y is X read at alpha_s(t) = t + s min(t, 1 - t) rho.
+    # Without a time change the mismatch is |s| rho / 2 (at t = 1/2); the
+    # grid's s / 2 halves it at the price of a deviation term |s| rho / 4
+    rho = 1.0
+    t = np.array([0.0, 0.5, 1.0])
     x0 = np.array([0.0, 4.0, 8.0])
-    fx = _make_flow(x0, x0 - 1.0)
-    fy = _make_flow(x0, x0 - 0.9)
-    est = dgh_dynamical(fx, fy, rho=1.0, budget=8, seed=0)
-    assert est.certified
-    assert est.value <= 0.1
+    for s in (0.19, 0.38, -0.57):
+        alpha = t + s * np.minimum(t, 1.0 - t) * rho
+        est = dgh_dynamical(_flow_pair(x0[:, None] + t, x0[:, None] + alpha, t), rho=rho, budget=8, seed=0)
+        assert est.certified and est.exact
+        assert est.value == pytest.approx(abs(s) * rho / 4.0, abs=1e-12)
+        assert est.value < abs(s) * rho / 2.0
 
 
 def test_dgh_dominates_static_distance_and_certifies_both_orders():
@@ -350,37 +369,26 @@ def test_dgh_dominates_static_distance_and_certifies_both_orders():
     rng = np.random.default_rng(8)
     a0 = rng.uniform(0, 3, 4)
     b0 = rng.uniform(0, 3, 4)
-    fx = _make_flow(a0, a0 * 0.9)
-    fy = _make_flow(b0, b0 * 0.95)
-    static = gh_exact(fx.metric(), fy.metric())
-    e1 = dgh_dynamical(fx, fy, budget=16, seed=3)
-    e2 = dgh_dynamical(fy, fx, budget=16, seed=3)
+    pair = _flow_pair(np.column_stack([a0, a0 * 0.9]), np.column_stack([b0, b0 * 0.95]), [0.0, 1.0])
+    static = gh_exact(*pair.metrics())
+    e1 = dgh_dynamical(pair, budget=16, seed=3)
+    e2 = dgh_dynamical(pair.reversed(), budget=16, seed=3)
     assert e1.certified and e2.certified
     assert min(e1.value, e2.value) >= static - 1e-12
 
 
-def _shared_flows(x_traj, y_traj, times):
-    """Two flow samples in one Euclidean universe; trajectories are (n, q, dim)."""
-    nx, q = x_traj.shape[:2]
-    ny = y_traj.shape[0]
-    pts = np.concatenate([x_traj.reshape(nx * q, -1), y_traj.reshape(ny * q, -1)])
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    tx = np.arange(nx * q, dtype=np.intp).reshape(nx, q)
-    ty = nx * q + np.arange(ny * q, dtype=np.intp).reshape(ny, q)
-    return FlowSample(d2, tx, times), FlowSample(d2, ty, times)
-
-
-def _brute_direction(fa, fb, rho):
-    """min over all n_b^n_a maps of max(objective, flow eps), and the row bound max_x min_y c[x, y]."""
-    da, db = fa.metric().d, fb.metric().d
-    c = _flow_cost(fa, fb, np.arange(fa.n), fb.traj_idx.T[None], rho)
+def _brute_direction(pair, rho):
+    """min over all n_y^n_x maps X -> Y of max(objective, flow eps), and the row bound max_x min_y c[x, y]."""
+    dx, dy = (space.d for space in pair.metrics())
+    nx, ny = dx.shape[0], dy.shape[0]
+    c = _flow_cost(pair, np.arange(nx), pair.y.T[None], rho)
     best = np.inf
-    for m in itertools.product(range(fb.n), repeat=fa.n):
+    for m in itertools.product(range(ny), repeat=nx):
         m = np.array(m, dtype=np.intp)
-        fe = _commutation_eps(fa, fb, m, rho)
+        fe = _commutation_eps(pair, m, rho)
         # the full table holds every map's per-point terms bitwise
-        assert fe == c[np.arange(fa.n), m].max()
-        best = min(best, max(distortion(da, db, m), coverage_deficit(db, m), fe))
+        assert fe == c[np.arange(nx), m].max()
+        best = min(best, max(distortion(dx, dy, m), coverage_deficit(dy, m), fe))
     return best, float(c.min(axis=1).max())
 
 
@@ -402,15 +410,15 @@ def test_flow_certificate_against_brute_force():
         else:
             y0 = rng.uniform(-1.0, 1.0, (ny, 2))
             vy = rng.uniform(-1.0, 1.0, (ny, 2))
-        fx, fy = _shared_flows(
+        pair = _flow_pair(
             x0[:, None] + times[None, :, None] * vx[:, None],
             y0[:, None] + times[None, :, None] * vy[:, None],
             times,
         )
-        fwd, fwd_bound = _brute_direction(fx, fy, 1.0)
-        bwd, bwd_bound = _brute_direction(fy, fx, 1.0)
+        fwd, fwd_bound = _brute_direction(pair, 1.0)
+        bwd, bwd_bound = _brute_direction(pair.reversed(), 1.0)
         assert fwd_bound <= fwd and bwd_bound <= bwd
-        est = dgh_dynamical(fx, fy, rho=1.0, budget=2, seed=0)
+        est = dgh_dynamical(pair, rho=1.0, budget=2, seed=0)
         assert est.certified
         assert est.value >= max(fwd, bwd)
         if est.exact:
@@ -429,9 +437,9 @@ def test_dgh_search_fallback_thread_invariant():
     times = np.linspace(0.0, 1.0, 3)
     x0 = rng.uniform(-1.5, 1.5, (12, 1))
     x = x0[:, None] + times[None, :, None] * 0.2 * rng.standard_normal((12, 1))[:, None]
-    fx, fy = _shared_flows(x, 1.3 * x, times)
-    e1 = dgh_dynamical(fx, fy, budget=8, seed=5, threads=1)
-    e4 = dgh_dynamical(fx, fy, budget=8, seed=5, threads=4)
+    pair = _flow_pair(x, 1.3 * x, times)
+    e1 = dgh_dynamical(pair, budget=8, seed=5, threads=1)
+    e4 = dgh_dynamical(pair, budget=8, seed=5, threads=4)
     assert not e1.exact and not e4.exact
     assert e1.certified and e4.certified
     assert e1.value == e4.value

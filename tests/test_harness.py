@@ -1,5 +1,6 @@
 """Study drivers, CSV/report determinism, and the CLI front end."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -108,19 +109,29 @@ def test_build_flow_pair_universe_indices():
     f = default_nonlinearity()
     sa = sample_attractor(op, f, _FAST_SAMPLER, seed=1)
     sb = sample_attractor(op, f, _FAST_SAMPLER, seed=2)
-    fa, fb = build_flow_pair(sa, sb, op)
-    assert fa.universe_d2 is fb.universe_d2
+    pair = build_flow_pair(sa, sb, op)
     na, m1 = sa.flow.shape[0], sa.flow.shape[1]
     nb = sb.flow.shape[0]
-    assert fa.universe_d2.shape == ((na + nb) * m1,) * 2
+    assert pair.d2.shape == ((na + nb) * m1,) * 2
+    np.testing.assert_array_equal(pair.times, sa.flow_times)
     # the two samples occupy disjoint index blocks, in order
-    assert set(fa.traj_idx.ravel()) == set(range(na * m1))
-    assert set(fb.traj_idx.ravel()) == set(range(na * m1, (na + nb) * m1))
+    assert set(pair.x.ravel()) == set(range(na * m1))
+    assert set(pair.y.ravel()) == set(range(na * m1, (na + nb) * m1))
     # base distances in the universe agree with each sample's own matrix up
     # to the change from its own operator norm to the shared one (same op
     # here, so exactly)
-    Xa = fa.metric().d
-    np.testing.assert_allclose(Xa, sa.dist, rtol=1e-9, atol=1e-12)
+    Xa, Xb = pair.metrics()
+    np.testing.assert_allclose(Xa.d, sa.dist, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(Xb.d, sb.dist, rtol=1e-9, atol=1e-12)
+
+
+def test_build_flow_pair_refuses_different_time_grids():
+    # equal length, different values: the flow columns would not be comparable
+    op = identity_operator(Mesh(UNIT, 16))
+    sa = sample_attractor(op, default_nonlinearity(), _FAST_SAMPLER, seed=1)
+    sb = dataclasses.replace(sa, flow_times=sa.flow_times ** 2)
+    with pytest.raises(ValueError, match="share the time grid"):
+        build_flow_pair(sa, sb, op)
 
 
 def test_stability_pairs_certified_whatever_the_budget():
@@ -135,8 +146,8 @@ def test_stability_pairs_certified_whatever_the_budget():
     s_anchor = sample_attractor(pullback_operator(mesh, h_anchor), f, cfg.sampler, cfg.seed)
     for h in (h_full, h_half):
         s_other = sample_attractor(pullback_operator(mesh, h), f, cfg.sampler, cfg.seed)
-        fx, fy = build_flow_pair(s_anchor, s_other, cfg.reference_operator())
-        ests = [dgh_dynamical(fx, fy, cfg.rho, budget, cfg.seed) for budget in (1, 4, 32)]
+        pair = build_flow_pair(s_anchor, s_other, cfg.reference_operator())
+        ests = [dgh_dynamical(pair, cfg.rho, budget, cfg.seed) for budget in (1, 4, 32)]
         assert all(e.exact and e.certified for e in ests)
         assert len({e.value for e in ests}) == 1
 
