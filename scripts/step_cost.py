@@ -1,55 +1,80 @@
 #!/usr/bin/env python3
-"""Cost of one `WaveIntegrator.step` on the block shapes the shipped studies run.
+"""Cost of one `WaveIntegrator.step`, with each of its two kernels, on the
+block shapes the shipped studies run and across the kernels' crossover.
 
     python3 scripts/step_cost.py
 
-Four shapes, each on its shipped config's reference operator and time step:
+Four shipped shapes, each on its config's reference operator and time step:
 47x8 (`stability_1d.cfg`, the sampler's IC block), 121x4 (`shear_2d.cfg`),
 and 47x2 and one 47-vector (`estimates_1d.cfg`: Gronwall pairs, and single
-trajectories).  The block is random low-mode states (fixed seed).  Per shape
-it prints the best of REPEATS runs, in microseconds per step, of two loops:
-CHUNKS `record` calls over the next STEPS steps (how every study steps), and
-the same number of bare `step` calls.  The repeats cycle through the shapes.
-The states and the step count are the same on every commit, so the printed
-numbers of two commits compare their per-step cost on one machine.  OpenBLAS
-is held to one thread unless the environment says otherwise.
+trajectories).  Two more put the sampler blocks of `stability_1d.cfg` and
+`shear_2d.cfg` on finer meshes, 127x8 (resolution 128) and 225x4 (resolution
+16), at the config's dt or the mesh's stability cap if that is smaller; these
+bracket `dynamics.DENSE_MAX_DIM`.  The block is random low-mode states
+(fixed seed).  Per shape and kernel (the sparse LU step and the dense
+propagator, whichever one `DENSE_MAX_DIM` would pick) it prints the best of
+REPEATS runs, in microseconds per step, of two loops: CHUNKS `record` calls
+over the next STEPS steps (how every study steps), and the same number of
+bare `step` calls; `*` marks the kernel the integrator picks.  The repeats
+cycle through the shapes.  The states and the step count are the same on
+every commit, so the printed numbers of two commits compare their per-step
+cost on one machine.  OpenBLAS is held to one thread unless the environment
+says otherwise.
 """
 
 import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import dataclasses
 import time
 from pathlib import Path
 
 import numpy as np
 
+from ghwave import dynamics
 from ghwave.config import load_config
-from ghwave.dynamics import StateVector, WaveIntegrator, random_state
+from ghwave.dynamics import StateVector, WaveIntegrator, random_state, stability_cap
 
 REPEATS, CHUNKS, STEPS = 15, 20, 50
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-# (label, config, columns or None for a single (dim,) state, dt of the stepping path)
+KERNELS = ("sparse", "dense")
+# (label, config, columns or None for a single (dim,) state, dt of the stepping
+# path, mesh resolution or None for the config's)
 SHAPES = (
-    ("stability_1d sampler", "stability_1d.cfg", 8, "sampler"),
-    ("shear_2d sampler", "shear_2d.cfg", 4, "sampler"),
-    ("estimates_1d pair", "estimates_1d.cfg", 2, "solver"),
-    ("estimates_1d single", "estimates_1d.cfg", None, "solver"),
+    ("stability_1d sampler", "stability_1d.cfg", 8, "sampler", None),
+    ("shear_2d sampler", "shear_2d.cfg", 4, "sampler", None),
+    ("estimates_1d pair", "estimates_1d.cfg", 2, "solver", None),
+    ("estimates_1d single", "estimates_1d.cfg", None, "solver", None),
+    ("stability_1d res 128", "stability_1d.cfg", 8, "sampler", 128),
+    ("shear_2d res 16", "shear_2d.cfg", 4, "sampler", 16),
 )
 
 
-def workload(name: str, k: int | None, dt_from: str):
-    """The reference-operator integrator of a shipped config and a fixed random start block."""
+def integrator(op, f, dt: float, kernel: str) -> WaveIntegrator:
+    """The integrator stepping with `kernel`: DENSE_MAX_DIM is set to just admit or just refuse `op.n`."""
+    cap = dynamics.DENSE_MAX_DIM
+    dynamics.DENSE_MAX_DIM = op.n if kernel == "dense" else op.n - 1
+    try:
+        return WaveIntegrator(op, f, dt)
+    finally:
+        dynamics.DENSE_MAX_DIM = cap
+
+
+def workload(name: str, k: int | None, dt_from: str, resolution: int | None):
+    """Both kernels' integrators on a shipped config's reference operator (at `resolution`), and a fixed random start block."""
     cfg, diags = load_config(CONFIGS / name)
     if cfg is None:
         raise SystemExit(f"{name}: " + "; ".join(map(str, diags)))
+    if resolution is not None:
+        cfg = dataclasses.replace(cfg, resolution=resolution)
     op = cfg.reference_operator()
-    dt = cfg.sampler.dt if dt_from == "sampler" else cfg.dt
-    integ = WaveIntegrator(op, cfg.make_nonlinearity(), dt)
+    dt = min(cfg.sampler.dt if dt_from == "sampler" else cfg.dt, stability_cap(op))
+    integs = {kernel: integrator(op, cfg.make_nonlinearity(), dt, kernel) for kernel in KERNELS}
     rng = np.random.default_rng(2026)
     ics = [random_state(op, rng, cfg.sampler.radius, cfg.sampler.n_modes) for _ in range(k or 1)]
     start = ics[0] if k is None else StateVector(np.column_stack([s.u for s in ics]), np.column_stack([s.v for s in ics]))
-    return integ, start
+    return integs, start
 
 
 def recorded(integ: WaveIntegrator, start: StateVector) -> None:
@@ -66,22 +91,25 @@ def bare(integ: WaveIntegrator, start: StateVector) -> None:
 
 
 def main() -> None:
-    runs = [(label, k, *workload(name, k, dt_from)) for label, name, k, dt_from in SHAPES]
-    best = {(label, loop): float("inf") for label, *_ in runs for loop in (recorded, bare)}
+    runs = [(label, k, *workload(name, k, dt_from, res)) for label, name, k, dt_from, res in SHAPES]
+    best = {(label, kernel, loop): float("inf") for label, *_ in runs for kernel in KERNELS for loop in (recorded, bare)}
     # the repeats go round the shapes, so a burst of load elsewhere on the
     # machine spoils one sample of each shape rather than every sample of one
     for _ in range(REPEATS):
-        for label, _k, integ, start in runs:
-            for loop in (recorded, bare):
-                t0 = time.perf_counter()
-                loop(integ, start)
-                best[label, loop] = min(best[label, loop], time.perf_counter() - t0)
-    print(f"best of {REPEATS} x {CHUNKS} chunks of {STEPS} steps, microseconds per step")
-    print(f"{'shape':>7}  {'workload':<20} {'dt':>7} {'record':>8} {'step':>8}")
-    for label, k, integ, start in runs:
-        us = [best[label, loop] / (CHUNKS * STEPS) * 1e6 for loop in (recorded, bare)]
-        shape = f"{start.u.shape[0]}x{k or 1}"
-        print(f"{shape:>7}  {label:<20} {integ.dt:>7g} {us[0]:>8.1f} {us[1]:>8.1f}")
+        for label, _k, integs, start in runs:
+            for kernel, integ in integs.items():
+                for loop in (recorded, bare):
+                    t0 = time.perf_counter()
+                    loop(integ, start)
+                    best[label, kernel, loop] = min(best[label, kernel, loop], time.perf_counter() - t0)
+    print(f"best of {REPEATS} x {CHUNKS} chunks of {STEPS} steps, microseconds per step; DENSE_MAX_DIM = {dynamics.DENSE_MAX_DIM}")
+    print(f"{'shape':>7}  {'workload':<20} {'dt':>9} {'kernel':<7} {'record':>8} {'step':>8}")
+    for label, k, integs, start in runs:
+        n = start.u.shape[0]
+        for kernel, integ in integs.items():
+            us = [best[label, kernel, loop] / (CHUNKS * STEPS) * 1e6 for loop in (recorded, bare)]
+            picked = "*" if (kernel == "dense") == (n <= dynamics.DENSE_MAX_DIM) else " "
+            print(f"{f'{n}x{k or 1}':>7}  {label:<20} {integ.dt:>9.3g} {kernel + picked:<7} {us[0]:>8.1f} {us[1]:>8.1f}")
 
 
 if __name__ == "__main__":

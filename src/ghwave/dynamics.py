@@ -26,6 +26,13 @@ discrete energy satisfies
     E+ - E = -2 dt ||v_theta||_M^2 + (1 - 2 theta) dt^2 ||L z_theta||_E^2,
 
 nonincreasing for every theta >= 1/2, exactly at theta = 1/2.
+
+The step is linear in (u, v, f(u + dt/2 v)).  Up to `DENSE_MAX_DIM` unknowns
+it is one precomputed dense propagator, z+ = P z + Q f(u + dt/2 v) with
+z = (u, v); above that, it is the sparse products and the sparse LU solve of
+the system above.  A block of states (one per column) gives the same bits for
+the same block shape; only the sparse kernel gives each column the bits it
+would get alone.
 """
 
 from __future__ import annotations
@@ -104,17 +111,33 @@ def stability_cap(op: DiscreteOperator) -> float:
     return 0.5 / np.sqrt(op.lambda_max_estimate()) * (1 + 1e-12)
 
 
+# Largest op.n stepped with the dense propagator (P and Q hold 6 n^2 floats,
+# 1.1 MB at the cap); above it the sparse step runs, in memory linear in n.
+# Set from `scripts/step_cost.py` on a 2-core Xeon VM, OpenBLAS on one thread,
+# bare step in microseconds, sparse vs dense: 1D n = 47 at k = 8 48.3 vs 21.9,
+# 1D n = 127 at k = 8 68.6 vs 59.8, 2D n = 121 at k = 4 70.5 vs 36.7, 2D
+# n = 225 at k = 4 116.3 vs 184.4.  The dense cost grows as n^2 and the sparse
+# one about as n, so the two meet between n = 127 and 225.
+DENSE_MAX_DIM = 150
+
+
 class WaveIntegrator:
     """Prefactorized one-step map for a fixed (operator, nonlinearity, dt).
 
     Every method takes a single state or a block of states (see
-    `StateVector`); each column of a block evolves exactly as it would alone,
-    since the sparse products and the LU solve treat columns independently.
-    The step's scalar factors `0.5 * dt`, `1.0 - dt * (1.0 - th)`,
-    `dt**2 * th * (1.0 - th)` and `1.0 - th` are computed once here.  Written
-    inline, Python evaluates each of them before its product with a state, so
-    precomputing them changes no bit.  M and K are applied through scipy's CSR
-    kernels directly (`operators._csr_mul`).
+    `StateVector`).  The step is linear in (u, v, f(u + dt/2 v)), so for
+    `op.n <= DENSE_MAX_DIM` (`dense`) it is one product with precomputed
+    dense matrices, z+ = P z + Q f(u + dt/2 v) with z = (u, v) stacked, and
+    u+, v+ are views of z+.  P and Q come from one sparse LU solve.  BLAS
+    picks its kernel by the block width, so a column of a block matches the
+    same state stepped alone to rounding, not bit for bit; the same block
+    shape always gives the same bits.  Above the cap the step applies M and K
+    through scipy's CSR kernels directly (`operators._csr_mul`) and solves
+    with a sparse LU, which treats columns independently, so there each
+    column evolves exactly as it would alone.  Its scalar factors
+    `1.0 - dt * (1.0 - th)`, `dt**2 * th * (1.0 - th)` and `1.0 - th` are
+    computed once here; written inline, Python evaluates each of them before
+    its product with a state, so precomputing them changes no bit.
     """
 
     def __init__(self, op: DiscreteOperator, f: NonlinearitySpec, dt: float):
@@ -131,29 +154,47 @@ class WaveIntegrator:
         self.dt = dt = float(dt)
         self.theta = th = min(0.5 + THETA_SHIFT * dt, 0.75)
         b = dt * th
-        S = ((1.0 + b) * op.M + b**2 * op.K).tocsc()
-        self._S_lu = splu(S)
+        lu = splu(((1.0 + b) * op.M + b**2 * op.K).tocsc())
         self._half_dt = 0.5 * dt
         self._mv_factor = 1.0 - dt * (1.0 - th)
         self._kv_factor = dt**2 * th * (1.0 - th)
         self._one_minus_theta = 1.0 - th
+        self.dense = op.n <= DENSE_MAX_DIM
+        if self.dense:
+            # v+ = A_u u + A_v v + B f and u+ = u + dt (th v+ + (1 - th) v).
+            # SuperLU solves the three blocks: LAPACK's threaded LU would make
+            # P's bits depend on the BLAS thread count
+            M, K = op.M.toarray(), op.K.toarray()
+            rhs = np.hstack([-dt * K, self._mv_factor * M - self._kv_factor * K, -dt * M])
+            A_u, A_v, B = np.split(lu.solve(rhs), 3, axis=1)
+            eye = np.eye(op.n)
+            self._P = np.block([[eye + b * A_u, b * A_v + dt * self._one_minus_theta * eye], [A_u, A_v]])
+            self._Q = np.vstack([b * B, B])
+        else:
+            self._S_lu = lu
 
     def step(self, state: StateVector) -> StateVector:
         """One theta-scheme step of length dt; the input arrays are left as they are."""
-        M, K, dt = self.op.M, self.op.K, self.dt
         u, v = state.u, state.v
-        # rhs = c_v M v - dt K u - c_k K v - dt M f(u + (dt/2) v), subtracted left to right
-        rhs = self._mv_factor * _csr_mul(M, v)
-        rhs -= dt * _csr_mul(K, u)
-        rhs -= self._kv_factor * _csr_mul(K, v)
-        rhs -= dt * _csr_mul(M, self.f.f(u + self._half_dt * v))
-        v_new = self._S_lu.solve(rhs)
-        u_new = u + dt * (self.theta * v_new + self._one_minus_theta * v)
-        # u_new is non-finite wherever v_new is (theta and dt are positive and
-        # finite), so its check covers both halves of the state
-        if not np.isfinite(u_new).all():
+        if self.dense:
+            z = self._P @ np.concatenate([u, v])
+            z += self._Q @ self.f.f(u + self._half_dt * v)
+            new = StateVector(z[: self.op.n], z[self.op.n :])
+        else:
+            M, K, dt = self.op.M, self.op.K, self.dt
+            # rhs = c_v M v - dt K u - c_k K v - dt M f(u + (dt/2) v), subtracted left to right
+            rhs = self._mv_factor * _csr_mul(M, v)
+            rhs -= dt * _csr_mul(K, u)
+            rhs -= self._kv_factor * _csr_mul(K, v)
+            rhs -= dt * _csr_mul(M, self.f.f(u + self._half_dt * v))
+            v_new = self._S_lu.solve(rhs)
+            # u+ is non-finite wherever v+ is (theta and dt are positive and
+            # finite), so its check covers both halves of the state
+            z = u + dt * (self.theta * v_new + self._one_minus_theta * v)
+            new = StateVector(z, v_new)
+        if not np.isfinite(z).all():
             raise BlowupError("non-finite state after step")
-        return StateVector(u_new, v_new)
+        return new
 
     def advance(self, state: StateVector, t: float) -> StateVector:
         """Advance by time t: full steps of dt, then one partial step onto t.
@@ -327,7 +368,7 @@ GRONWALL_SLACK = 1.05  # largest accepted ratio of separation to the exp(C t) en
 
 @dataclass
 class LipschitzCheck:
-    """Largest pair separation / (||Z(0)|| exp(C t)) on the step grid; `passed` if <= GRONWALL_SLACK."""
+    """Largest pair separation / (||Z(0)|| exp(C t)) over the steps t >= dt; `passed` if <= GRONWALL_SLACK."""
 
     max_ratio: float
     passed: bool
@@ -341,16 +382,21 @@ def lipschitz_envelope_check(
     op: DiscreteOperator,
     f: NonlinearitySpec,
 ) -> LipschitzCheck:
-    """Two-trajectory separation against ||Z(0)|| exp(C t) on the step grid.
+    """Two-trajectory separation against ||Z(0)|| exp(C t) at every step t >= dt.
 
-    `passed` when the separation ratio stays within GRONWALL_SLACK.
+    Time 0 is left out: its ratio is 1 by construction, so a maximum over it
+    would never show how close the envelope comes.  `passed` when the
+    separation ratio stays within GRONWALL_SLACK.
     """
+    n_steps = int(round(t_final / dt))
+    if n_steps < 1:
+        raise ValueError(f"t_final = {t_final} is shorter than one step of dt = {dt}")
     pack = NormPack(op)
     z0 = x_norm(s0.u - s1.u, s0.v - s1.v, pack, 0)
     if z0 == 0.0:
         raise ValueError("initial states coincide; the envelope ratio is undefined")
     pair = StateVector(np.column_stack([s0.u, s1.u]), np.column_stack([s0.v, s1.v]))
-    times = np.arange(int(round(t_final / dt)) + 1) * dt
+    times = np.arange(1, n_steps + 1) * dt
     pair = WaveIntegrator(op, f, dt).record(pair, times)
     sep = x_norm(pair.u[:, 0] - pair.u[:, 1], pair.v[:, 0] - pair.v[:, 1], pack, 0)
     mx = float((sep / (z0 * np.exp(gronwall_rate(f, op) * times))).max())
@@ -529,7 +575,9 @@ def sample_attractor(
     loop could stop at (no IC can collect `plateau_window` settled steps
     sooner, and no stop comes before the window ends), and at the first step
     reaching `t_cap`; so no step runs past that loop's stop, and every
-    settling decision is the per-step one, bit for bit.
+    settling decision is the per-step one, bit for bit (both step the same
+    (dim, n_ics) block; a column of it matches its IC stepped alone only to
+    rounding, see `WaveIntegrator`).
 
     One Gram serves the flow table: `dist` is its block of time-0 rows and
     `eps_inv` its time-0 columns.

@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from ghwave import dynamics
 from ghwave.domains import ReferenceDomain, bump_map_1d, identity_map
@@ -139,33 +140,53 @@ def test_record_matches_successive_advances():
             assert np.array_equal(rec.v[..., j], cur.v)
 
 
-@pytest.mark.parametrize(
-    "domain, resolution, dt",
-    [(UNIT, 24, 0.005), (ReferenceDomain("rectangle", ((0.0, 1.0), (0.0, 1.0))), 12, 0.01)],
-)
+_SQUARE = ReferenceDomain("rectangle", ((0.0, 1.0), (0.0, 1.0)))
+# meshes above DENSE_MAX_DIM (n = 255 and 225), where the sparse kernel steps,
+# and the shipped sizes (n = 47 and 121), where the dense propagator does
+SPARSE_MESHES = [(UNIT, 256, 0.0005), (_SQUARE, 16, 0.01)]
+DENSE_MESHES = [(UNIT, 48, 0.004), (_SQUARE, 12, 0.01)]
+
+
+def _block(singles):
+    return StateVector(np.column_stack([s.u for s in singles]), np.column_stack([s.v for s in singles]))
+
+
+def _rel_err(got, want):
+    """Largest relative 2-norm difference of u and of v, over the whole array."""
+    return max(np.linalg.norm(g - w) / np.linalg.norm(w) for g, w in ((got.u, want.u), (got.v, want.v)))
+
+
+@pytest.mark.parametrize("domain, resolution, dt", [(UNIT, 24, 0.005), (_SQUARE, 12, 0.01), *SPARSE_MESHES])
 def test_block_step_matches_single_states(domain, resolution, dt):
-    # a (dim, 3) block must evolve column by column exactly like three
-    # separate integrations: the sampler and the flow table rely on it
+    # a (dim, 3) block must evolve column by column like three separate
+    # integrations: bit for bit with the sparse kernel, whose products and LU
+    # solve treat columns independently, and to rounding with the dense
+    # propagator, whose BLAS kernel depends on the block width
     op = identity_operator(Mesh(domain, resolution))
     integ = WaveIntegrator(op, default_nonlinearity(), dt)
     rng = np.random.default_rng(41)
     singles = [random_state(op, rng, radius=2.0) for _ in range(3)]
-    block = StateVector(np.column_stack([s.u for s in singles]), np.column_stack([s.v for s in singles]))
+    block = _block(singles)
     for _ in range(300):
         block = integ.step(block)
         singles = [integ.step(s) for s in singles]
     for i, s in enumerate(singles):
-        assert np.array_equal(block.u[:, i], s.u)
-        assert np.array_equal(block.v[:, i], s.v)
+        column = StateVector(block.u[:, i], block.v[:, i])
+        if integ.dense:
+            assert _rel_err(column, s) <= 1e-12
+        else:
+            assert np.array_equal(column.u, s.u)
+            assert np.array_equal(column.v, s.v)
     # the norms and E2 of a block must also be those of its columns, bit for
     # bit: the settling test and the energy profile evaluate blocks
+    columns = [StateVector(block.u[:, i].copy(), block.v[:, i].copy()) for i in range(3)]
     pack = NormPack(op)
     for norm in (pack.norm0, pack.norm1, pack.norm2):
-        assert np.array_equal(norm(block.u), [norm(s.u) for s in singles])
+        assert np.array_equal(norm(block.u), [norm(c.u) for c in columns])
     for level in (0, 1):
-        assert np.array_equal(x_norm(block.u, block.v, pack, level), [x_norm(s.u, s.v, pack, level) for s in singles])
+        assert np.array_equal(x_norm(block.u, block.v, pack, level), [x_norm(c.u, c.v, pack, level) for c in columns])
     f = default_nonlinearity()
-    assert np.array_equal(_e2(block, pack, f), [_e2(s, pack, f) for s in singles])
+    assert np.array_equal(_e2(block, pack, f), [_e2(c, pack, f) for c in columns])
     # E2 forms K u and its M solve once; the bits are those of the norm methods
     acc = -block.v - pack.apply_A(block.u) - f.f(block.u)
     want = pack.norm0(acc) ** 2 + pack.norm1(block.v) ** 2 + pack.norm2(block.u) ** 2
@@ -179,8 +200,8 @@ def test_block_step_matches_single_states(domain, resolution, dt):
     assert np.array_equal(wide.reshape(3, L).T, per_step)
 
 
-def _step_reference(integ, state):
-    """The theta step as one expression with scipy's `@`, factors inline."""
+def _step_reference(integ, state, lu):
+    """The theta step as one expression with scipy's `@`, factors inline, solved with `lu`."""
     op, dt, th = integ.op, integ.dt, integ.theta
     u, v = state.u, state.v
     umid = u + 0.5 * dt * v
@@ -190,34 +211,74 @@ def _step_reference(integ, state):
         - dt**2 * th * (1.0 - th) * (op.K @ v)
         - dt * (op.M @ integ.f.f(umid))
     )
-    v_new = integ._S_lu.solve(rhs)
+    v_new = lu.solve(rhs)
     u_new = u + dt * (th * v_new + (1.0 - th) * v)
     return StateVector(u_new, v_new)
 
 
-@pytest.mark.parametrize(
-    "domain, resolution, dt",
-    [(UNIT, 48, 0.004), (ReferenceDomain("rectangle", ((0.0, 1.0), (0.0, 1.0))), 12, 0.01)],
-)
+@pytest.mark.parametrize("domain, resolution, dt", DENSE_MESHES + SPARSE_MESHES)
 @pytest.mark.parametrize("k", [None, 1, 3])
 def test_step_matches_reference_expression(domain, resolution, dt, k):
-    # the precomputed factors and the direct CSR kernels change no bit of the
-    # step, for one state (k = None) and for blocks of k columns
+    # the sparse kernel's precomputed factors and direct CSR kernels change no
+    # bit of the step, for one state (k = None) and for blocks of k columns;
+    # the dense propagator P z + Q f is the same map, rounded differently
     op = identity_operator(Mesh(domain, resolution))
     integ = WaveIntegrator(op, default_nonlinearity(), dt)
+    assert integ.dense == ((domain, resolution, dt) in DENSE_MESHES)
+    b = dt * integ.theta
+    lu = splu(((1.0 + b) * op.M + b**2 * op.K).tocsc())
     rng = np.random.default_rng(43)
     singles = [random_state(op, rng, radius=2.0) for _ in range(k or 1)]
-    if k is None:
-        state = singles[0]
-    else:
-        state = StateVector(np.column_stack([s.u for s in singles]), np.column_stack([s.v for s in singles]))
+    state = singles[0] if k is None else _block(singles)
     ref = state
     for _ in range(300):
         state = integ.step(state)
-        ref = _step_reference(integ, ref)
+        ref = _step_reference(integ, ref, lu)
     assert state.u.shape == ref.u.shape
-    assert np.array_equal(state.u, ref.u)
-    assert np.array_equal(state.v, ref.v)
+    if integ.dense:
+        assert _rel_err(state, ref) <= 1e-12
+    else:
+        assert np.array_equal(state.u, ref.u)
+        assert np.array_equal(state.v, ref.v)
+
+
+@pytest.mark.parametrize("domain, resolution, dt", DENSE_MESHES)
+def test_dense_step_same_bits_for_same_block_shape(domain, resolution, dt):
+    # the dense propagator's contract: one block shape always gives the same
+    # bits (a fresh integrator included), and each column of a block stays
+    # within rounding of the state stepped alone
+    op = identity_operator(Mesh(domain, resolution))
+    f = default_nonlinearity()
+    integ = WaveIntegrator(op, f, dt)
+    assert integ.dense
+    rng = np.random.default_rng(47)
+    singles = [random_state(op, rng, radius=2.0) for _ in range(3)]
+
+    def run(integ, state):
+        for _ in range(300):
+            state = integ.step(state)
+        return state
+
+    alone = [run(integ, s) for s in singles]
+    for start in (singles[0], _block(singles[:1]), _block(singles)):
+        got = run(integ, start)
+        for again in (run(integ, start.copy()), run(WaveIntegrator(op, f, dt), start)):
+            assert np.array_equal(got.u, again.u)
+            assert np.array_equal(got.v, again.v)
+        cols = [got] if got.u.ndim == 1 else [StateVector(got.u[:, i], got.v[:, i]) for i in range(got.u.shape[1])]
+        for col, want in zip(cols, alone):
+            assert _rel_err(col, want) <= 1e-12
+
+
+def test_kernel_picked_by_dimension():
+    # n = DENSE_MAX_DIM steps with the dense propagator, one node more with
+    # the sparse kernel; 1D meshes have n = resolution - 1 interior nodes
+    for n, dense in ((dynamics.DENSE_MAX_DIM, True), (dynamics.DENSE_MAX_DIM + 1, False)):
+        op = identity_operator(Mesh(UNIT, n + 1))
+        assert op.n == n
+        integ = WaveIntegrator(op, default_nonlinearity(), dynamics.stability_cap(op))
+        assert integ.dense is dense
+        assert hasattr(integ, "_P") is dense and hasattr(integ, "_S_lu") is not dense
 
 
 def test_advance_without_steps_returns_a_copy():
@@ -308,10 +369,11 @@ def test_gronwall_ratio_linear_case_below_one():
     s0 = random_state(op, rng, radius=1.0)
     s1 = random_state(op, rng, radius=1.0)
     # f = 0 with the bound l = 1.5: the envelope's rate C exceeds the
-    # linear system's, so the ratio stays at or below 1
+    # linear system's, so the ratio falls below 1 from the first step on
+    # (time 0, where it is 1 by construction, is not in the maximum)
     zero_f = NonlinearitySpec(f=lambda u: np.zeros_like(u), l=1.5)
     chk = lipschitz_envelope_check(s0, s1, 1.5, 0.005, op, zero_f)
-    assert chk.max_ratio <= 1.0 + 1e-12
+    assert chk.max_ratio < 1.0
 
 
 def test_gronwall_ratio_default_nonlinearity():
@@ -330,6 +392,16 @@ def test_gronwall_rejects_identical_start():
     s = calibration_state(op, 1.0)
     with pytest.raises(ValueError):
         lipschitz_envelope_check(s, s.copy(), 1.0, 0.01, op, default_nonlinearity())
+
+
+def test_gronwall_rejects_horizon_below_one_step():
+    # the ratio's maximum runs over t >= dt, so a horizon with no step has none
+    op = identity_operator(Mesh(UNIT, 16))
+    rng = np.random.default_rng(31)
+    s0, s1 = random_state(op, rng, radius=1.0), random_state(op, rng, radius=1.0)
+    with pytest.raises(ValueError, match="shorter than one step"):
+        lipschitz_envelope_check(s0, s1, 0.004, 0.01, op, default_nonlinearity())
+    assert lipschitz_envelope_check(s0, s1, 0.01, 0.01, op, default_nonlinearity()).max_ratio < 1.0
 
 
 # --- attractor sampling -------------------------------------------------------
@@ -484,7 +556,6 @@ def _spy_e2(monkeypatch, n_ics):
     return lambda: np.vstack([calls[0]] + [e.reshape(n_ics, -1).T for e in calls[1:]])
 
 
-_SQUARE = ReferenceDomain("rectangle", ((0.0, 1.0), (0.0, 1.0)))
 _SETTLE = dataclasses.replace(_FAST, n_ics=3, max_points=9)
 
 
