@@ -11,11 +11,12 @@ trajectories).  Two more put the sampler blocks of `stability_1d.cfg` and
 `shear_2d.cfg` on finer meshes, 127x8 (resolution 128) and 225x4 (resolution
 16), at the config's dt or the mesh's stability cap if that is smaller; these
 bracket `dynamics.DENSE_MAX_DIM`.  The block is random low-mode states
-(fixed seed).  Per shape and kernel (the sparse LU step and the dense
-propagator, whichever one `DENSE_MAX_DIM` would pick) it prints the best of
-REPEATS runs, in microseconds per step, of two loops: CHUNKS `record` calls
-over the next STEPS steps (how every study steps), and the same number of
-bare `step` calls; `*` marks the kernel the integrator picks.  The repeats
+(fixed seed).  Per shape and kernel (the sparse step, one product with the
+integrator's right-hand-side operator R and one sparse LU solve, and the
+dense propagator, whichever one `DENSE_MAX_DIM` would pick) it prints the
+best of REPEATS runs, in microseconds per step, of two loops: CHUNKS `record`
+calls over the next STEPS steps (how every study steps), and the same number
+of bare `step` calls; `*` marks the kernel the integrator picks.  The repeats
 cycle through the shapes.  The states and the step count are the same on
 every commit, so the printed numbers of two commits compare their per-step
 cost on one machine.  OpenBLAS is held to one thread unless the environment

@@ -27,12 +27,14 @@ discrete energy satisfies
 
 nonincreasing for every theta >= 1/2, exactly at theta = 1/2.
 
-The step is linear in (u, v, f(u + dt/2 v)).  Up to `DENSE_MAX_DIM` unknowns
-it is one precomputed dense propagator, z+ = P z + Q f(u + dt/2 v) with
-z = (u, v); above that, it is the sparse products and the sparse LU solve of
-the system above.  A block of states (one per column) gives the same bits for
-the same block shape; only the sparse kernel gives each column the bits it
-would get alone.
+The right-hand side is one sparse operator applied to (u, v, f(u + dt/2 v)),
+R = [-dt K | (1 - dt(1-theta)) M - dt^2 theta(1-theta) K | -dt M], so
+v+ = S^-1 R (u; v; f) with S the matrix on the left.  Up to `DENSE_MAX_DIM`
+unknowns the step is one precomputed dense propagator built from S^-1 R,
+z+ = P z + Q f(u + dt/2 v) with z = (u, v); above that, it is the product
+with R and the sparse LU solve with S.  A block of states (one per column)
+gives the same bits for the same block shape; only the sparse kernel gives
+each column the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -43,11 +45,12 @@ from typing import Callable
 
 import numpy as np
 import numpy.typing as npt
+import scipy.sparse as sp
 from scipy.optimize import curve_fit
 from scipy.sparse.linalg import splu
 
 from .domains import DiffeoMap
-from .operators import DiscreteOperator, Mesh, NonlinearitySpec, NormPack, _csr_mul, _sqrt_dot, pullback_operator, x_norm
+from .operators import DiscreteOperator, Mesh, NonlinearitySpec, NormPack, _sqrt_dot, pullback_operator, x_norm
 
 __all__ = [
     "StateVector",
@@ -114,10 +117,11 @@ def stability_cap(op: DiscreteOperator) -> float:
 # Largest op.n stepped with the dense propagator (P and Q hold 6 n^2 floats,
 # 1.1 MB at the cap); above it the sparse step runs, in memory linear in n.
 # Set from `scripts/step_cost.py` on a 2-core Xeon VM, OpenBLAS on one thread,
-# bare step in microseconds, sparse vs dense: 1D n = 47 at k = 8 48.3 vs 21.9,
-# 1D n = 127 at k = 8 68.6 vs 59.8, 2D n = 121 at k = 4 70.5 vs 36.7, 2D
-# n = 225 at k = 4 116.3 vs 184.4.  The dense cost grows as n^2 and the sparse
-# one about as n, so the two meet between n = 127 and 225.
+# bare step in microseconds, sparse vs dense: 1D n = 47 at k = 8 35.9 vs 20.3,
+# 1D n = 127 at k = 8 52.2 vs 58.4, 2D n = 121 at k = 4 53.2 vs 36.8, 2D
+# n = 225 at k = 4 80.2 vs 163.7.  The dense cost grows as n^2 and the sparse
+# one about as n, so the two meet between n = 47 and 127 in 1D at k = 8 and
+# between n = 121 and 225 in 2D at k = 4; no shipped mesh has 121 < n <= 150.
 DENSE_MAX_DIM = 150
 
 
@@ -125,19 +129,16 @@ class WaveIntegrator:
     """Prefactorized one-step map for a fixed (operator, nonlinearity, dt).
 
     Every method takes a single state or a block of states (see
-    `StateVector`).  The step is linear in (u, v, f(u + dt/2 v)), so for
-    `op.n <= DENSE_MAX_DIM` (`dense`) it is one product with precomputed
-    dense matrices, z+ = P z + Q f(u + dt/2 v) with z = (u, v) stacked, and
-    u+, v+ are views of z+.  P and Q come from one sparse LU solve.  BLAS
+    `StateVector`).  Both kernels apply the one right-hand-side operator R
+    (see the module docstring), formed once here.  For `op.n <=
+    DENSE_MAX_DIM` (`dense`) the step is one product with precomputed dense
+    matrices, z+ = P z + Q f(u + dt/2 v) with z = (u, v) stacked, and u+, v+
+    are views of z+; P and Q come from one sparse LU solve against R.  BLAS
     picks its kernel by the block width, so a column of a block matches the
     same state stepped alone to rounding, not bit for bit; the same block
-    shape always gives the same bits.  Above the cap the step applies M and K
-    through scipy's CSR kernels directly (`operators._csr_mul`) and solves
-    with a sparse LU, which treats columns independently, so there each
-    column evolves exactly as it would alone.  Its scalar factors
-    `1.0 - dt * (1.0 - th)`, `dt**2 * th * (1.0 - th)` and `1.0 - th` are
-    computed once here; written inline, Python evaluates each of them before
-    its product with a state, so precomputing them changes no bit.
+    shape always gives the same bits.  Above the cap the step is one sparse
+    product with R and one sparse LU solve, which treat columns
+    independently, so there each column evolves exactly as it would alone.
     """
 
     def __init__(self, op: DiscreteOperator, f: NonlinearitySpec, dt: float):
@@ -155,23 +156,23 @@ class WaveIntegrator:
         self.theta = th = min(0.5 + THETA_SHIFT * dt, 0.75)
         b = dt * th
         lu = splu(((1.0 + b) * op.M + b**2 * op.K).tocsc())
+        c_v = 1.0 - dt * (1.0 - th)
+        c_k = dt**2 * th * (1.0 - th)
+        R = sp.hstack([-dt * op.K, c_v * op.M - c_k * op.K, -dt * op.M]).tocsr()
         self._half_dt = 0.5 * dt
-        self._mv_factor = 1.0 - dt * (1.0 - th)
-        self._kv_factor = dt**2 * th * (1.0 - th)
         self._one_minus_theta = 1.0 - th
         self.dense = op.n <= DENSE_MAX_DIM
         if self.dense:
             # v+ = A_u u + A_v v + B f and u+ = u + dt (th v+ + (1 - th) v).
             # SuperLU solves the three blocks: LAPACK's threaded LU would make
             # P's bits depend on the BLAS thread count
-            M, K = op.M.toarray(), op.K.toarray()
-            rhs = np.hstack([-dt * K, self._mv_factor * M - self._kv_factor * K, -dt * M])
-            A_u, A_v, B = np.split(lu.solve(rhs), 3, axis=1)
+            A_u, A_v, B = np.split(lu.solve(R.toarray()), 3, axis=1)
             eye = np.eye(op.n)
             self._P = np.block([[eye + b * A_u, b * A_v + dt * self._one_minus_theta * eye], [A_u, A_v]])
             self._Q = np.vstack([b * B, B])
         else:
             self._S_lu = lu
+            self._R = R
 
     def step(self, state: StateVector) -> StateVector:
         """One theta-scheme step of length dt; the input arrays are left as they are."""
@@ -181,16 +182,10 @@ class WaveIntegrator:
             z += self._Q @ self.f.f(u + self._half_dt * v)
             new = StateVector(z[: self.op.n], z[self.op.n :])
         else:
-            M, K, dt = self.op.M, self.op.K, self.dt
-            # rhs = c_v M v - dt K u - c_k K v - dt M f(u + (dt/2) v), subtracted left to right
-            rhs = self._mv_factor * _csr_mul(M, v)
-            rhs -= dt * _csr_mul(K, u)
-            rhs -= self._kv_factor * _csr_mul(K, v)
-            rhs -= dt * _csr_mul(M, self.f.f(u + self._half_dt * v))
-            v_new = self._S_lu.solve(rhs)
+            v_new = self._S_lu.solve(self._R @ np.concatenate([u, v, self.f.f(u + self._half_dt * v)]))
             # u+ is non-finite wherever v+ is (theta and dt are positive and
             # finite), so its check covers both halves of the state
-            z = u + dt * (self.theta * v_new + self._one_minus_theta * v)
+            z = u + self.dt * (self.theta * v_new + self._one_minus_theta * v)
             new = StateVector(z, v_new)
         if not np.isfinite(z).all():
             raise BlowupError("non-finite state after step")
@@ -265,7 +260,7 @@ def _e2(state: StateVector, pack: NormPack, f: NonlinearitySpec) -> float | Arra
     K u and M^{-1} K u are formed once and serve both u_tt and ||u||_2, with
     the operands `NormPack.norm2` takes.
     """
-    ku = _csr_mul(pack.op.K, state.u)
+    ku = pack.op.K @ state.u
     au = pack.op.solve_M(ku)
     acc = -state.v - au - f.f(state.u)
     return pack.norm0(acc) ** 2 + pack.norm1(state.v) ** 2 + _sqrt_dot(au, ku) ** 2
@@ -545,8 +540,8 @@ def x0_sqdist(states: Array, op: DiscreteOperator) -> Array:
     """
     U = states[:, 0, :]
     V = states[:, 1, :]
-    G = U @ _csr_mul(op.K, U.T)
-    G += V @ _csr_mul(op.M, V.T)
+    G = U @ (op.K @ U.T)
+    G += V @ (op.M @ V.T)
     dg = np.diag(G).copy()
     G *= 2.0
     d2 = dg[:, None] + dg[None, :]

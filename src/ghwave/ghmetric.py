@@ -365,9 +365,10 @@ class FlowPair:
     `d2` holds squared distances between every enriched point (the base
     points of both samples and their flow images, in one common metric);
     `x[i, j]` is the universe index of the flow image of X's base point i at
-    `times[j]`, so column 0 holds the base points themselves, and `y` is the
-    same table for Y.  Cross-sample and along-flow distances are read from
-    the one `d2`, which is what makes them comparable.
+    `times[j]`, on a strictly increasing grid from 0 to 1, so column 0 holds
+    the base points themselves, and `y` is the same table for Y.
+    Cross-sample and along-flow distances are read from the one `d2`, which
+    is what makes them comparable.
     """
 
     d2: Array
@@ -376,6 +377,11 @@ class FlowPair:
     times: Array
 
     def __post_init__(self) -> None:
+        # off [0, 1], min(t, 1 - t) < 0 and the charge |s| rho / 2 no longer
+        # bounds |alpha_s(t) - t|
+        self.times = t = np.asarray(self.times, dtype=float)
+        if t.ndim != 1 or len(t) < 2 or np.any(np.diff(t) <= 0) or t[0] != 0.0 or t[-1] != 1.0:
+            raise ValueError("times must be a strictly increasing 1-D grid from 0 to 1")
         self.x = np.asarray(self.x, dtype=np.intp)
         self.y = np.asarray(self.y, dtype=np.intp)
         for name, idx in (("x", self.x), ("y", self.y)):

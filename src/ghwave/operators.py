@@ -20,7 +20,6 @@ from typing import Callable
 import numpy as np
 import numpy.typing as npt
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
 from .domains import CoefficientField, DiffeoMap, ReferenceDomain, identity_map, make_pullback
@@ -125,7 +124,9 @@ class DiscreteOperator:
     M and K are fixed at construction, with the field `coeffs` they were
     assembled from.  Derived data is filled in lazily on first use: the first
     eigenvalue with its residual and iteration count (`eig_report`), and the
-    M/K factorizations and lambda_max bound in `_cache`.  The caches are filled without a lock; two threads using a fresh
+    M/K factorizations and lambda_max bound in `_cache`.  None of these is a
+    constructor argument, so a `dataclasses.replace` copy starts with empty
+    caches.  The caches are filled without a lock; two threads using a fresh
     operator at once may compute an entry twice, to the same value.
     """
 
@@ -133,17 +134,15 @@ class DiscreteOperator:
     M: sp.csr_matrix
     K: sp.csr_matrix
     coeffs: CoefficientField = field(repr=False)
-    _lambda1: float | None = field(default=None, repr=False)
-    eig_report: dict | None = field(default=None, repr=False)
-    _cache: dict = field(default_factory=dict, repr=False)
+    _lambda1: float | None = field(default=None, init=False, repr=False, compare=False)
+    eig_report: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.mesh.n_interior
         if self.M.shape != (n, n) or self.K.shape != (n, n):
             raise ValueError("operator shapes do not match the mesh interior")
         for name, A in (("M", self.M), ("K", self.K)):
-            if A.format != "csr" or A.dtype != np.float64:  # what `_csr_mul` reads
-                raise ValueError(f"{name} must be a float64 CSR matrix, got {A.format} {A.dtype}")
             sym = float(abs(A - A.T).max()) if A.nnz else 0.0
             if sym > 1e-12:
                 raise ValueError(f"{name} is not symmetric (max asymmetry {sym:.2e})")
@@ -294,30 +293,6 @@ def first_eigenvalue(op: DiscreteOperator, tol: float = 1e-10, max_iter: int = 1
     )
 
 
-def _csr_mul(A: sp.csr_matrix, x: Array) -> Array:
-    """`A @ x` for a CSR matrix and a state (n,) or block (n, k), bit for bit.
-
-    Calls the kernel that `A @ x` ends in, without scipy's per-call dispatch:
-    `csr_matvec` for one column ((n,) or (n, 1), as scipy picks) and
-    `csr_matvecs` for more, into a zeroed output from a C-contiguous `x`.
-    """
-    m, n = A.shape
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim == 1 and x.shape[0] == n:
-        y = np.zeros(m)
-        _sparsetools.csr_matvec(m, n, A.indptr, A.indices, A.data, x, y)
-    elif x.ndim == 2 and x.shape[0] == n:
-        k = x.shape[1]
-        y = np.zeros((m, k))
-        if k == 1:
-            _sparsetools.csr_matvec(m, n, A.indptr, A.indices, A.data, x.ravel(), y.ravel())
-        else:
-            _sparsetools.csr_matvecs(m, n, k, A.indptr, A.indices, A.data, x.ravel(), y.ravel())
-    else:
-        raise ValueError(f"cannot multiply a {m}x{n} matrix by an array of shape {x.shape}")
-    return y
-
-
 def _sqrt_dot(a: Array, b: Array) -> float | Array:
     """sqrt(max(a^T b, 0)) per column; `vecdot` on rows keeps the bits of 1-D `a @ b`."""
     dots = np.vecdot(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
@@ -336,18 +311,18 @@ class NormPack:
     op: DiscreteOperator
 
     def norm0(self, u: Array) -> float | Array:
-        return _sqrt_dot(u, _csr_mul(self.op.M, u))
+        return _sqrt_dot(u, self.op.M @ u)
 
     def norm1(self, u: Array) -> float | Array:
-        return _sqrt_dot(u, _csr_mul(self.op.K, u))
+        return _sqrt_dot(u, self.op.K @ u)
 
     def norm2(self, u: Array) -> float | Array:
-        ku = _csr_mul(self.op.K, u)
+        ku = self.op.K @ u
         return _sqrt_dot(self.op.solve_M(ku), ku)
 
     def apply_A(self, u: Array) -> Array:
         """M^{-1} K u, the discrete Dirichlet Laplacian action."""
-        return self.op.solve_M(_csr_mul(self.op.K, u))
+        return self.op.solve_M(self.op.K @ u)
 
 
 def x_norm(u: Array, v: Array, pack: NormPack, level: int) -> float | Array:

@@ -306,6 +306,20 @@ def test_flow_pair_checks_its_tables():
         FlowPair(d2, np.array([[-1, 1]]), np.array([[2, 3]]), np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "times",
+    [[0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.5, 0.5, 1.0], [0.0, 0.5], [-0.5, 1.0], [0.0, 2.0], [[0.0, 1.0]]],
+)
+def test_flow_pair_refuses_a_bad_time_grid(times):
+    # the reparametrization charge |s| rho / 2 bounds |alpha_s(t) - t| only on
+    # a strictly increasing grid from 0 to 1
+    times = np.asarray(times, dtype=float)
+    q = times.shape[-1]
+    tx = np.arange(q, dtype=np.intp)[None]
+    with pytest.raises(ValueError, match="times must"):
+        FlowPair(np.zeros((2 * q, 2 * q)), tx, tx + q, times)
+
+
 def test_flow_pair_reversed_shares_the_universe():
     pair = _flow_pair([[0.0, 0.1], [1.0, 1.2]], [[0.0, 0.2], [1.5, 1.4], [3.0, 3.1]], [0.0, 1.0])
     rev = pair.reversed()

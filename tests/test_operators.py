@@ -14,11 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghwave.domains import ReferenceDomain, affine_map_1d, radial_bump_map_2d
-from ghwave.dynamics import StateVector, WaveIntegrator
 from ghwave.operators import (
     Mesh,
     NormPack,
-    _csr_mul,
     default_nonlinearity,
     first_eigenvalue,
     identity_operator,
@@ -116,35 +114,18 @@ def test_radial_bump_pullback_2d_runs_and_stays_spd():
         assert u @ (op.K @ u) > 0
 
 
-@pytest.mark.parametrize("domain, resolution", [(UNIT, 48), (SQUARE, 12)])
-def test_csr_kernel_product_matches_matmul(domain, resolution):
-    # the integrator and the norms call scipy's CSR kernels directly; each
-    # product must be exactly what `A @ x` gives, so a scipy that routes `@`
-    # through another kernel fails here instead of moving the numbers
-    op = identity_operator(Mesh(domain, resolution))
-    rng = np.random.default_rng(29)
-    n = op.n
-    block = StateVector(rng.standard_normal((n, 4)), rng.standard_normal((n, 4)))
-    rec = WaveIntegrator(op, default_nonlinearity(), 0.005).record(block, np.arange(1, 4) * 0.005)
-    inputs = [
-        rng.standard_normal(n),
-        rng.standard_normal((n, 1)),
-        rng.standard_normal((n, 5)),
-        rec.u[..., -1],  # a strided view, as the sampler passes its chunk's last state
-        rec.v[:, 1, -1],
-        rng.standard_normal((5, n)).T,  # a transposed block
-    ]
-    for A in (op.M, op.K):
-        for x in inputs:
-            got = _csr_mul(A, x)
-            want = A @ x
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
-    with pytest.raises(ValueError, match="cannot multiply"):
-        _csr_mul(op.M, np.zeros(n + 1))
-    # the kernel reads M and K as CSR arrays, so an operator holds nothing else
-    with pytest.raises(ValueError, match="M must be a float64 CSR matrix, got csc"):
-        dataclasses.replace(op, M=op.M.tocsc())
+def test_replaced_operator_recomputes_its_caches():
+    # a copy with another K must not keep the eigenvalue, factorization or
+    # lambda_max bound of the original
+    op = identity_operator(Mesh(UNIT, 16))
+    b = np.ones(op.n)
+    lam, x, lmax = op.lambda1, op.solve_K(b), op.lambda_max_estimate()
+    op2 = dataclasses.replace(op, K=2 * op.K)
+    assert op2.eig_report is None
+    assert op2.lambda1 == pytest.approx(2 * lam, rel=1e-9)
+    np.testing.assert_allclose(op2.solve_K(b), 0.5 * x, rtol=1e-12)
+    assert op2.lambda_max_estimate() == pytest.approx(2 * lmax, rel=1e-15)
+    assert op.lambda1 == lam and op.lambda_max_estimate() == lmax
 
 
 def test_poincare_inequality_discrete():
