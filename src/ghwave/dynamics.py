@@ -373,16 +373,17 @@ def lipschitz_envelope_check(
     s0: StateVector,
     s1: StateVector,
     t_final: float,
-    dt: float,
-    op: DiscreteOperator,
-    f: NonlinearitySpec,
+    integ: WaveIntegrator,
 ) -> LipschitzCheck:
-    """Two-trajectory separation against ||Z(0)|| exp(C t) at every step t >= dt.
+    """Two-trajectory separation against ||Z(0)|| exp(C t) at every step t >= integ.dt.
 
     Time 0 is left out: its ratio is 1 by construction, so a maximum over it
     would never show how close the envelope comes.  `passed` when the
-    separation ratio stays within GRONWALL_SLACK.
+    separation ratio stays within GRONWALL_SLACK.  One integrator serves
+    every pair of a study: the pair's trajectory depends only on its
+    operator, f and dt.
     """
+    op, f, dt = integ.op, integ.f, integ.dt
     n_steps = int(round(t_final / dt))
     if n_steps < 1:
         raise ValueError(f"t_final = {t_final} is shorter than one step of dt = {dt}")
@@ -392,7 +393,7 @@ def lipschitz_envelope_check(
         raise ValueError("initial states coincide; the envelope ratio is undefined")
     pair = StateVector(np.column_stack([s0.u, s1.u]), np.column_stack([s0.v, s1.v]))
     times = np.arange(1, n_steps + 1) * dt
-    pair = WaveIntegrator(op, f, dt).record(pair, times)
+    pair = integ.record(pair, times)
     sep = x_norm(pair.u[:, 0] - pair.u[:, 1], pair.v[:, 0] - pair.v[:, 1], pack, 0)
     mx = float((sep / (z0 * np.exp(gronwall_rate(f, op) * times))).max())
     return LipschitzCheck(mx, mx <= GRONWALL_SLACK)

@@ -16,6 +16,7 @@ it tries is increasing.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,9 +80,6 @@ class FiniteMetricSpace:
     @property
     def n(self) -> int:
         return self.d.shape[0]
-
-    def diameter(self) -> float:
-        return float(self.d.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -153,9 +151,66 @@ def gh_exact(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> float:
     return max(fwd, bwd)
 
 
+def _row_hausdorff(da: Array, db: Array) -> Array:
+    """H[i, j] = max_k min_l |da[i, k] - db[j, l]|: row i of da against row j of db, as sets.
+
+    Every entry of da is a query, sorted once; for each row of db, one
+    search of its sorted entries among the queries and a cumulative count
+    give each query's two sorted neighbours in the row.  The nearest entry
+    is one of them and rounding is monotone, so the float minimum is exact.
+    """
+    na, nb = da.shape[0], db.shape[0]
+    order = np.argsort(da, axis=None)
+    q = da.ravel()[order]
+    near = np.empty(q.size)
+    out = np.empty((na, nb))
+    for j, row in enumerate(np.sort(db, axis=1)):
+        # below[k]: how many entries of the row lie below q[k]
+        below = np.bincount(np.searchsorted(q, row, side="right"), minlength=q.size + 1)[: q.size].cumsum()
+        near[order] = np.minimum(np.abs(q - row[np.maximum(below - 1, 0)]), np.abs(q - row[np.minimum(below, nb - 1)]))
+        out[:, j] = near.reshape(na, na).max(axis=1)
+    return out
+
+
+def _triangle_defect(d: Array) -> float:
+    """max over i, j, k of d[i, j] - (d[i, k] + d[k, j]), at least 0.
+
+    A metric's rounded distance matrix can miss the triangle inequality by a
+    few ulps, and one from the Gram trick by far more at small distances.
+    """
+    return max([0.0, *(float((d - (d[:, k, None] + d[k])).max()) for k in range(d.shape[0]))])
+
+
+def _direction_bounds(dx: Array, dy: Array) -> tuple[float, float]:
+    """Lower bounds on the one-sided objectives X -> Y and Y -> X (see gh_lower)."""
+    h_xy = _row_hausdorff(dx, dy)  # H(R_X(x) -> R_Y(y)) at [x, y]
+    h_yx = _row_hausdorff(dy, dx).T  # H(R_Y(y) -> R_X(x)) at [x, y]
+    slack = 4.0 * np.finfo(float).eps * max(float(dx.max()), float(dy.max()))
+    fwd = np.maximum(h_xy, 0.5 * h_yx - (_triangle_defect(dy) + slack)).min(axis=1).max()
+    bwd = np.maximum(h_yx, 0.5 * h_xy - (_triangle_defect(dx) + slack)).min(axis=0).max()
+    return float(fwd), float(bwd)
+
+
 def gh_lower(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> float:
-    """Diameter-gap bound, valid for the no-half convention."""
-    return abs(X.diameter() - Y.diameter())
+    """Row-distribution lower bound on the two-sided objective (Memoli, FoCM 11, 2011).
+
+    With R_X(x) row x of d_X as a set and H(A -> B) = max_a min_b |a - b|,
+    the direction X -> Y is bounded by
+        max_x min_y max(H(R_X(x) -> R_Y(y)), H(R_Y(y) -> R_X(x)) / 2),
+    and the value is the larger of the two directions' bounds.
+    Proof, for any map m and y = m(x): every |d_X(x, a) - d_Y(y, m(a))| is
+    at most the distortion, so distortion >= H(R_X(x) -> R_Y(y)); each y' has
+    an image point m(a) within the deficit, and the triangle inequality
+    gives |d_Y(y, y') - d_X(x, a)| <= deficit + distortion, so twice the
+    objective is >= H(R_Y(y) -> R_X(x)).
+    In floats the first term reads the same |d_X - d_Y| subtractions as
+    `distortion`, so it can meet a map's objective with equality; the second
+    rests on the triangle inequality of the stored matrix and is lowered by
+    that matrix's measured triangle defect plus 4 eps times the larger
+    diameter, which covers the rounding of the halved sum.  The bound is at
+    least the diameter gap |diam X - diam Y|.
+    """
+    return max(_direction_bounds(X.d, Y.d))
 
 
 def _greedy_init(dx: Array, dy: Array) -> IntArray:
@@ -291,17 +346,41 @@ def _deficit_after_move(dy: Array, cur: IntArray) -> Array:
 
 @dataclass
 class GHEstimate:
-    """Two-sided upper estimate with the certifying maps."""
+    """Two-sided upper estimate with the certifying maps and its lower bound.
+
+    `lower` is `gh_lower` of the two spaces and `restarts_used` counts the
+    descents run, both directions together; `exact` when the estimate meets
+    the bound, so that it is the optimum over all map pairs.
+    """
 
     value: float
     forward: MapCandidate
     backward: MapCandidate
+    lower: float
+    restarts_used: int
+
+    @property
+    def exact(self) -> bool:
+        return self.value <= self.lower
+
+
+# restarts per round, fixed so that where a search stops does not depend on the
+# thread count; 2, the two deterministic starts, because on the shipped
+# continuity configs at 2 threads rounds of 4 cost a certified row three times as much
+RESTART_ROUND = 2
 
 
 def _one_sided_search(
-    dx: Array, dy: Array, restarts: int, seed: int, dirflag: int, threads: int
-) -> list[MapCandidate]:
-    """Multistart descent X -> Y; returns per-restart bests, deterministically."""
+    dx: Array, dy: Array, restarts: int, seed: int, dirflag: int, threads: int, bound: float = -np.inf
+) -> tuple[list[MapCandidate], int]:
+    """Multistart descent X -> Y: the per-restart bests, best first, and the restarts run.
+
+    Restarts run in rounds of RESTART_ROUND, and the search stops after the
+    first round whose best objective is at most `bound`, a lower bound on
+    the objective of every map: no later restart can then beat that round's
+    winner, or tie it with a smaller restart index.  Deterministic for any
+    thread count.
+    """
     nx, ny = dx.shape[0], dy.shape[0]
 
     def run(r: int) -> tuple[float, int, IntArray]:
@@ -315,11 +394,14 @@ def _one_sided_search(
         val, m = _descend(dx, dy, m0, rng, kicks=2)
         return val, r, m
 
-    if threads > 1 and restarts > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run, range(restarts)))
-    else:
-        results = [run(r) for r in range(restarts)]
+    results: list[tuple[float, int, IntArray]] = []
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 and restarts > 1 else nullcontext()
+    with pool as ex:
+        mapper = map if ex is None else ex.map
+        for start in range(0, restarts, RESTART_ROUND):
+            results += mapper(run, range(start, min(start + RESTART_ROUND, restarts)))
+            if min(val for val, _r, _m in results) <= bound:
+                break
     results.sort(key=lambda t: (t[0], t[1]))
     out = []
     seen: set[bytes] = set()
@@ -329,7 +411,7 @@ def _one_sided_search(
             continue
         seen.add(key)
         out.append(MapCandidate(m, distortion(dx, dy, m), coverage_deficit(dy, m)))
-    return out
+    return out, len(results)
 
 
 def gh_upper(
@@ -339,19 +421,22 @@ def gh_upper(
     seed: int = 0,
     threads: int = 1,
 ) -> GHEstimate:
-    """Seeded multistart estimate of the two-sided objective.
+    """Seeded multistart estimate of the two-sided objective, bracketed by `gh_lower`.
 
     Restart 0 starts at the identity when both spaces have the same size
     (index-matched samples) and at the deterministic greedy matching
-    otherwise, restart 1 at the greedy matching, the rest at random maps;
-    increasing `budget` with the same seed never worsens the value.  With
+    otherwise, restart 1 at the greedy matching, the rest at random maps.
+    Each direction stops once a round's best meets that direction's bound
+    (see `_one_sided_search`), which leaves its result as the full budget's.
+    Increasing `budget` with the same seed never worsens the value.  With
     the same seed the result is identical for any thread count.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    fwd = _one_sided_search(X.d, Y.d, budget, seed, 1, threads)
-    bwd = _one_sided_search(Y.d, X.d, budget, seed, 2, threads)
-    return GHEstimate(max(fwd[0].objective, bwd[0].objective), fwd[0], bwd[0])
+    low_f, low_b = _direction_bounds(X.d, Y.d)
+    fwd, used_f = _one_sided_search(X.d, Y.d, budget, seed, 1, threads, low_f)
+    bwd, used_b = _one_sided_search(Y.d, X.d, budget, seed, 2, threads, low_b)
+    return GHEstimate(max(fwd[0].objective, bwd[0].objective), fwd[0], bwd[0], max(low_f, low_b), used_f + used_b)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +624,7 @@ def dgh_dynamical(
         if proven is not None:
             c, fe = proven
             return fe, c, fe, True
-        cands = _one_sided_search(da, db, budget, seed, dirflag, threads)[:8]
+        cands = _one_sided_search(da, db, budget, seed, dirflag, threads)[0][:8]
         best_v, best_c, best_f = np.inf, cands[0], np.inf
         for c in cands:
             fe = _commutation_eps(p, c.assignment, rho)

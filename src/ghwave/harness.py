@@ -23,6 +23,7 @@ from .config import ScenarioConfig
 from .domains import c2_distance, default_c2_grid, deviation_norms
 from .dynamics import (
     AttractorSample,
+    WaveIntegrator,
     calibration_state,
     conjugated_flow_error,
     energy_profile,
@@ -32,7 +33,7 @@ from .dynamics import (
     solve_trajectory,
     x0_sqdist,
 )
-from .ghmetric import FiniteMetricSpace, FlowPair, dgh_dynamical, gh_lower, gh_upper
+from .ghmetric import FiniteMetricSpace, FlowPair, dgh_dynamical, gh_upper
 from .operators import DiscreteOperator, pullback_operator
 
 __all__ = [
@@ -95,6 +96,8 @@ class ContinuityRow:
     hbar_dev: float
     gh_low: float
     gh_up: float
+    restarts_used: int
+    exact: bool
 
 
 class _StudyResult:
@@ -113,6 +116,7 @@ class ContinuityResult(_StudyResult):
     noise_floor: float
     monotone: bool
     below_floor: bool
+    gh_up_slope: float | None  # least-squares slope of log gh_up against log delta; reported, not judged
 
     @property
     def passed(self) -> bool:
@@ -139,7 +143,8 @@ def run_continuity_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | 
     with clock.stage("continuity.search"):
         floor = gh_upper(space_ref, space_ctrl, cfg.budget, cfg.seed, cfg.threads).value
 
-    writer = CsvWriter(Path(out_dir) / "continuity.csv", ["delta", "det_dev", "hbar_dev", "gh_lower", "gh_upper"]) if out_dir else None
+    header = ["delta", "det_dev", "hbar_dev", "gh_lower", "gh_upper", "restarts_used", "exact"]
+    writer = CsvWriter(Path(out_dir) / "continuity.csv", header) if out_dir else None
     rows: list[ContinuityRow] = []
     try:
         for h in cfg.maps():
@@ -150,19 +155,25 @@ def run_continuity_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | 
                 sample = sample_attractor(op, f, cfg.sampler, cfg.seed)
             space = FiniteMetricSpace(sample.dist, validate=False)
             with clock.stage("continuity.search"):
-                low = gh_lower(space_ref, space)
-                up = gh_upper(space_ref, space, cfg.budget, cfg.seed, cfg.threads).value
-            row = ContinuityRow(h.delta, det_dev, hbar_dev, low, up)
+                est = gh_upper(space_ref, space, cfg.budget, cfg.seed, cfg.threads)
+            row = ContinuityRow(h.delta, det_dev, hbar_dev, est.lower, est.value, est.restarts_used, est.exact)
             rows.append(row)
             if writer:
-                writer.row([row.delta, row.det_dev, row.hbar_dev, row.gh_low, row.gh_up])
+                writer.row(list(asdict(row).values()))
     finally:
         if writer:
             writer.close()
     ups = [r.gh_up for r in rows]
     monotone = all(b <= a + 1e-15 for a, b in zip(ups, ups[1:]))
     below = ups[-1] < 3.0 * floor if rows else False
-    return ContinuityResult(rows, floor, monotone, below)
+    return ContinuityResult(rows, floor, monotone, below, _log_slope([r.delta for r in rows], ups))
+
+
+def _log_slope(x: list[float], y: list[float]) -> float | None:
+    """Least-squares slope of log y against log x; None without two positive points."""
+    if len(x) < 2 or min(x + y) <= 0.0:
+        return None
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
 def build_flow_pair(sa: AttractorSample, sb: AttractorSample, op: DiscreteOperator) -> FlowPair:
@@ -197,6 +208,8 @@ class StabilityResult(_StudyResult):
     eps_half: float
     certified_full: bool
     certified_half: bool
+    exact_full: bool
+    exact_half: bool
 
     @property
     def passed(self) -> bool:
@@ -249,15 +262,16 @@ def run_stability_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
     est_half = estimate(s_half)
 
     result = StabilityResult(
-        d_full, d_half, est_full.value, est_half.value, est_full.certified, est_half.certified
+        d_full, d_half, est_full.value, est_half.value,
+        est_full.certified, est_half.certified, est_full.exact, est_half.exact,
     )
     if out_dir:
         with CsvWriter(
             Path(out_dir) / "stability.csv",
-            ["pair", "c2_gap", "eps", "certified"],
+            ["pair", "c2_gap", "eps", "certified", "exact"],
         ) as w:
-            w.row(["full", d_full, est_full.value, est_full.certified])
-            w.row(["half", d_half, est_half.value, est_half.certified])
+            w.row(["full", d_full, est_full.value, est_full.certified, est_full.exact])
+            w.row(["half", d_half, est_half.value, est_half.certified, est_half.exact])
     return result
 
 
@@ -292,11 +306,12 @@ def run_estimate_checks(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
 
     max_ratio, gronwall_ok = 0.0, True
     with clock.stage("estimates.gronwall"):
+        integ = WaveIntegrator(op, f, cfg.dt)
         for k in range(cfg.n_pairs):
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7, k]))
             s0 = random_state(op, rng, radius=1.0, n_modes=cfg.sampler.n_modes)
             s1 = random_state(op, rng, radius=1.0, n_modes=cfg.sampler.n_modes)
-            chk = lipschitz_envelope_check(s0, s1, cfg.estimate_t_final, cfg.dt, op, f)
+            chk = lipschitz_envelope_check(s0, s1, cfg.estimate_t_final, integ)
             max_ratio = max(max_ratio, chk.max_ratio)
             gronwall_ok = gronwall_ok and chk.passed
 

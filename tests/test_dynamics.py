@@ -370,7 +370,7 @@ def test_gronwall_ratio_linear_case_below_one():
     # linear system's, so the ratio falls below 1 from the first step on
     # (time 0, where it is 1 by construction, is not in the maximum)
     zero_f = NonlinearitySpec(f=lambda u: np.zeros_like(u), l=1.5)
-    chk = lipschitz_envelope_check(s0, s1, 1.5, 0.005, op, zero_f)
+    chk = lipschitz_envelope_check(s0, s1, 1.5, WaveIntegrator(op, zero_f, 0.005))
     assert chk.max_ratio < 1.0
 
 
@@ -380,7 +380,7 @@ def test_gronwall_ratio_default_nonlinearity():
     rng = np.random.default_rng(29)
     s0 = random_state(op, rng, radius=1.0)
     s1 = random_state(op, rng, radius=1.0)
-    chk = lipschitz_envelope_check(s0, s1, 2.0, 0.005, op, f)
+    chk = lipschitz_envelope_check(s0, s1, 2.0, WaveIntegrator(op, f, 0.005))
     assert chk.passed
     assert chk.max_ratio <= 1.05
 
@@ -389,7 +389,7 @@ def test_gronwall_rejects_identical_start():
     op = identity_operator(Mesh(UNIT, 16))
     s = calibration_state(op, 1.0)
     with pytest.raises(ValueError):
-        lipschitz_envelope_check(s, s.copy(), 1.0, 0.01, op, default_nonlinearity())
+        lipschitz_envelope_check(s, s.copy(), 1.0, WaveIntegrator(op, default_nonlinearity(), 0.01))
 
 
 def test_gronwall_rejects_horizon_below_one_step():
@@ -397,9 +397,23 @@ def test_gronwall_rejects_horizon_below_one_step():
     op = identity_operator(Mesh(UNIT, 16))
     rng = np.random.default_rng(31)
     s0, s1 = random_state(op, rng, radius=1.0), random_state(op, rng, radius=1.0)
+    integ = WaveIntegrator(op, default_nonlinearity(), 0.01)
     with pytest.raises(ValueError, match="shorter than one step"):
-        lipschitz_envelope_check(s0, s1, 0.004, 0.01, op, default_nonlinearity())
-    assert lipschitz_envelope_check(s0, s1, 0.01, 0.01, op, default_nonlinearity()).max_ratio < 1.0
+        lipschitz_envelope_check(s0, s1, 0.004, integ)
+    assert lipschitz_envelope_check(s0, s1, 0.01, integ).max_ratio < 1.0
+
+
+def test_gronwall_shared_integrator_matches_fresh_ones():
+    # a study passes one integrator to all its pairs; each pair's ratio must
+    # be the bits a fresh integrator gives it
+    op = identity_operator(Mesh(UNIT, 24))
+    f = default_nonlinearity()
+    shared = WaveIntegrator(op, f, 0.005)
+    rng = np.random.default_rng(37)
+    for _ in range(4):
+        s0, s1 = random_state(op, rng, radius=1.0), random_state(op, rng, radius=1.0)
+        got = lipschitz_envelope_check(s0, s1, 1.0, shared).max_ratio
+        assert got == lipschitz_envelope_check(s0, s1, 1.0, WaveIntegrator(op, f, 0.005)).max_ratio
 
 
 # --- attractor sampling -------------------------------------------------------

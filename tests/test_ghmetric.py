@@ -26,8 +26,12 @@ from ghwave.ghmetric import (
     gh_lower,
     gh_upper,
     is_eps_isometry,
+    RESTART_ROUND,
     _deficit_after_move,
     _descend,
+    _direction_bounds,
+    _one_sided_search,
+    _row_hausdorff,
     _commutation_eps,
     _excl_max,
     _flow_cost,
@@ -76,10 +80,81 @@ def test_size_cap_raises():
         gh_exact(X, X)
 
 
-def test_gh_lower_is_diameter_gap():
-    X = _line_space(0, 1, 5)
+def test_gh_lower_row_bound_hand_case():
+    # X = {0, 1, 2} and Y = {0, 2} on a line have the same diameter.  The rows
+    # of X as sets are {0, 1, 2}, {0, 1}, {0, 1, 2}; both rows of Y are {0, 2}.
+    # Every row of X holds a 1, at distance 1 from {0, 2}, so
+    # H(R_X(x) -> R_Y(y)) = 1 for every pair and the bound X -> Y is 1.
+    # Y -> X: H({0, 2} -> R_X(x)) is 0 at the ends and 1 at the middle, and
+    # H(R_X(x) -> {0, 2}) / 2 is 1/2, so y's best x is an end, at 1/2 less
+    # the rounding margin.  The exact value is 1 (the middle point of X is
+    # 1 from both ends of Y).
+    X = _line_space(0, 1, 2)
     Y = _line_space(0, 2)
-    assert gh_lower(X, Y) == pytest.approx(3.0)
+    fwd, bwd = _direction_bounds(X.d, Y.d)
+    assert fwd == 1.0
+    assert 0.5 - 1e-14 < bwd <= 0.5
+    assert gh_lower(X, Y) == 1.0 == gh_exact(X, Y)
+
+
+def test_row_hausdorff_matches_brute_force():
+    # the sorted-neighbour search must give the bits of the full min-max
+    # over every pair of row entries, integer ties and unequal sizes included
+    rng = np.random.default_rng(19)
+    for trial in range(40):
+        na, nb = (int(k) for k in rng.integers(1, 12, size=2))
+        if trial % 2:
+            da = np.abs(np.subtract.outer(*2 * [rng.integers(0, 4, na)])).astype(float)
+            db = np.abs(np.subtract.outer(*2 * [rng.integers(0, 4, nb)])).astype(float)
+        else:
+            da, db = _random_space(rng, na).d, _random_space(rng, nb).d
+        want = np.abs(da[:, None, :, None] - db[None, :, None, :]).min(axis=3).max(axis=2)
+        assert np.array_equal(_row_hausdorff(da, db), want)
+
+
+@st.composite
+def _tied_metric(draw):
+    """A metric on at most 6 points with many ties: integer shortest paths or an ultrametric."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        d = np.array(draw(st.lists(st.integers(1, 3), min_size=n * n, max_size=n * n)), dtype=float).reshape(n, n)
+        d = np.minimum(d, d.T)
+        np.fill_diagonal(d, 0.0)
+        for k in range(n):
+            d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    else:
+        # merge clusters at nondecreasing integer heights
+        d = np.zeros((n, n))
+        clusters = [[i] for i in range(n)]
+        height = 0
+        while len(clusters) > 1:
+            height += draw(st.integers(0, 2))
+            i = draw(st.integers(0, len(clusters) - 1))
+            a = clusters.pop(i)
+            b = clusters[draw(st.integers(0, len(clusters) - 1))]
+            d[np.ix_(a, b)] = d[np.ix_(b, a)] = max(height, 1)
+            b += a
+    return FiniteMetricSpace(d)
+
+
+@given(_tied_metric(), _tied_metric())
+@settings(max_examples=150, deadline=None)
+def test_row_bound_between_diameter_gap_and_exact(X, Y):
+    low = gh_lower(X, Y)
+    assert low <= gh_exact(X, Y)
+    assert low >= abs(float(X.d.max()) - float(Y.d.max()))
+
+
+@given(_tied_metric(), _tied_metric(), st.integers(0, 1000))
+@settings(max_examples=60, deadline=None)
+def test_search_with_bound_keeps_best_map(X, Y, seed):
+    # stopping at the bound must leave the full budget's winner and value
+    for (da, db), bound, flag in zip(((X.d, Y.d), (Y.d, X.d)), _direction_bounds(X.d, Y.d), (1, 2)):
+        stopped, used = _one_sided_search(da, db, 12, seed, flag, 1, bound)
+        full, all_used = _one_sided_search(da, db, 12, seed, flag, 1)
+        assert all_used == 12 and used % RESTART_ROUND == 0
+        assert stopped[0].objective == full[0].objective
+        assert np.array_equal(stopped[0].assignment, full[0].assignment)
 
 
 @given(st.integers(0, 10_000))
@@ -128,6 +203,25 @@ def test_upper_thread_count_invariant():
     b = gh_upper(X, Y, budget=16, seed=9, threads=4)
     assert a.value == b.value
     assert np.array_equal(a.forward.assignment, b.forward.assignment)
+    assert a.restarts_used == b.restarts_used
+    assert a.lower == b.lower
+
+
+def test_upper_stops_at_certified_scaled_copy():
+    # an index-matched copy scaled by 1 + 1e-3: restart 0 starts at the
+    # identity, whose distortion the row bound meets in both directions, so
+    # each direction stops after its first round and the estimate is exact
+    rng = np.random.default_rng(17)
+    X = _random_space(rng, 16)
+    Y = FiniteMetricSpace(X.d * (1.0 + 1e-3))
+    est = gh_upper(X, Y, budget=32, seed=3, threads=2)
+    assert est.exact
+    assert est.value == est.lower == distortion(X.d, Y.d, np.arange(16))
+    assert est.restarts_used == 2 * RESTART_ROUND
+    full_f = _one_sided_search(X.d, Y.d, 32, 3, 1, 1)[0][0]
+    full_b = _one_sided_search(Y.d, X.d, 32, 3, 2, 1)[0][0]
+    assert np.array_equal(est.forward.assignment, full_f.assignment)
+    assert np.array_equal(est.backward.assignment, full_b.assignment)
 
 
 def test_upper_witnesses_verify():

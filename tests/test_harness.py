@@ -13,7 +13,9 @@ from ghwave.dynamics import SamplerConfig, sample_attractor
 from ghwave.harness import (
     CsvWriter,
     build_flow_pair,
+    run_continuity_study,
     run_estimate_checks,
+    run_stability_study,
     write_report,
     write_timing,
 )
@@ -150,6 +152,29 @@ def test_stability_pairs_certified_whatever_the_budget():
         ests = [dgh_dynamical(pair, cfg.rho, budget, cfg.seed) for budget in (1, 4, 32)]
         assert all(e.exact and e.certified for e in ests)
         assert len({e.value for e in ests}) == 1
+
+
+def test_studies_report_brackets_and_exact_flags(tmp_path):
+    # the report and the CSV of each study carry the same flags: a continuity
+    # row is exact when gh_up meets gh_low, and a stability pair when
+    # dgh_dynamical proved both directions optimal
+    cfg, diags = load_config(Path(__file__).resolve().parents[1] / "configs" / "determinism_tiny.cfg")
+    assert not diags
+    res = run_continuity_study(cfg, out_dir=tmp_path / "c")
+    lines = (tmp_path / "c" / "continuity.csv").read_text().splitlines()
+    assert lines[0] == "delta,det_dev,hbar_dev,gh_lower,gh_upper,restarts_used,exact"
+    assert len(lines) == len(res.rows) + 1
+    for row, line in zip(res.rows, lines[1:]):
+        assert row.gh_low <= row.gh_up
+        assert row.exact == (row.gh_up <= row.gh_low)
+        assert 1 <= row.restarts_used <= 2 * cfg.budget
+        assert line.split(",")[5:] == [str(row.restarts_used), "1" if row.exact else "0"]
+    want = np.polyfit(np.log([r.delta for r in res.rows]), np.log([r.gh_up for r in res.rows]), 1)[0]
+    assert res.gh_up_slope == want
+    st = run_stability_study(cfg, out_dir=tmp_path / "s")
+    flags = [line.split(",")[-1] for line in (tmp_path / "s" / "stability.csv").read_text().splitlines()]
+    assert flags == ["exact", "1" if st.exact_full else "0", "1" if st.exact_half else "0"]
+    assert {"exact_full", "exact_half", "certified_full", "certified_half"} <= set(st.payload())
 
 
 def test_estimates_study_fast_config(tmp_path):
