@@ -7,16 +7,18 @@ block shapes the shipped studies run and across the kernels' crossover.
 Four shipped shapes, each on its config's reference operator and time step:
 47x8 (`stability_1d.cfg`, the sampler's IC block), 121x4 (`shear_2d.cfg`),
 and 47x2 and one 47-vector (`estimates_1d.cfg`: Gronwall pairs, and single
-trajectories).  Two more put the sampler blocks of `stability_1d.cfg` and
-`shear_2d.cfg` on finer meshes, 127x8 (resolution 128) and 225x4 (resolution
-16), at the config's dt or the mesh's stability cap if that is smaller; these
-bracket `dynamics.DENSE_MAX_DIM`.  The block is random low-mode states
-(fixed seed).  Per shape and kernel (the sparse step, one product with the
+trajectories).  Four more put the sampler blocks of `stability_1d.cfg` and
+`shear_2d.cfg` on finer meshes, 111x8 and 127x8 (resolutions 112 and 128)
+and 144x4 and 225x4 (resolutions 13 and 16), at the config's dt or the
+mesh's stability cap if that is smaller; these bracket
+`dynamics.DENSE_MAX_DIM`.  The block is random low-mode states (fixed
+seed).  Per shape and kernel (the sparse step, one product with the
 integrator's right-hand-side operator R and one sparse LU solve, and the
 dense propagator, whichever one `DENSE_MAX_DIM` would pick) it prints the
 best of REPEATS runs, in microseconds per step, of two loops: CHUNKS `record`
-calls over the next STEPS steps (how every study steps), and the same number
-of bare `step` calls; `*` marks the kernel the integrator picks.  The repeats
+calls over the next STEPS steps, each one run of the integrator's step loop
+(how every study steps), and the same number of bare `step` calls, each a
+run of that loop for one step; `*` marks the kernel the integrator picks.  The repeats
 cycle through the shapes.  The states and the step count are the same on
 every commit, so the printed numbers of two commits compare their per-step
 cost on one machine.  OpenBLAS is held to one thread unless the environment
@@ -47,7 +49,9 @@ SHAPES = (
     ("shear_2d sampler", "shear_2d.cfg", 4, "sampler", None),
     ("estimates_1d pair", "estimates_1d.cfg", 2, "solver", None),
     ("estimates_1d single", "estimates_1d.cfg", None, "solver", None),
+    ("stability_1d res 112", "stability_1d.cfg", 8, "sampler", 112),
     ("stability_1d res 128", "stability_1d.cfg", 8, "sampler", 128),
+    ("shear_2d res 13", "shear_2d.cfg", 4, "sampler", 13),
     ("shear_2d res 16", "shear_2d.cfg", 4, "sampler", 16),
 )
 

@@ -35,13 +35,25 @@ z+ = P z + Q f(u + dt/2 v) with z = (u, v); above that, it is the product
 with R and the sparse LU solve with S.  A block of states (one per column)
 gives the same bits for the same block shape; only the sparse kernel gives
 each column the bits it would get alone.
+
+Both kernels are written once, in one step loop over the stacked state
+z = (u; v) that steps into preallocated buffers; `step`, `advance` and
+`record` are runs of it (a record on whole steps is one run that keeps only
+its grid's states), and the sampler runs it directly.  The sampler
+evaluates the second-order energy E2 of its settling test only where the
+test reads it: from step s0 - W - 1 on, s0 being the first step at
+t_transient and W the plateau window (an IC can plateau only at a step
+s >= s0 on the W settled steps up to s, and their slopes read no E2 before
+step s - W), and within a chunk of steps only at its last two steps for an
+IC that cannot plateau sooner and is unsettled there.  No E2 left out could
+move a decision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -106,6 +118,21 @@ class StateVector:
         return StateVector(self.u.copy(), self.v.copy())
 
 
+def _stack(state: StateVector) -> Array:
+    """z = (u; v), the state as one (2 dim, ...) array the step loop runs on.
+
+    Always in C order: BLAS takes another path for another memory layout, so
+    the step's bits would depend on how the caller's arrays are laid out.
+    """
+    return np.ascontiguousarray(np.concatenate([state.u, state.v]))
+
+
+def _unstack(z: Array) -> StateVector:
+    """The state of a stacked z, as views of z."""
+    n = len(z) // 2
+    return StateVector(z[:n], z[n:])
+
+
 THETA_SHIFT = 0.5  # theta = 1/2 + THETA_SHIFT * dt
 
 
@@ -116,12 +143,14 @@ def stability_cap(op: DiscreteOperator) -> float:
 
 # Largest op.n stepped with the dense propagator (P and Q hold 6 n^2 floats,
 # 1.1 MB at the cap); above it the sparse step runs, in memory linear in n.
-# Set from `scripts/step_cost.py` on a 2-core Xeon VM, OpenBLAS on one thread,
-# bare step in microseconds, sparse vs dense: 1D n = 47 at k = 8 35.9 vs 20.3,
-# 1D n = 127 at k = 8 52.2 vs 58.4, 2D n = 121 at k = 4 53.2 vs 36.8, 2D
-# n = 225 at k = 4 80.2 vs 163.7.  The dense cost grows as n^2 and the sparse
-# one about as n, so the two meet between n = 47 and 127 in 1D at k = 8 and
-# between n = 121 and 225 in 2D at k = 4; no shipped mesh has 121 < n <= 150.
+# Set from `scripts/step_cost.py` on a 2-core Xeon VM, OpenBLAS on one thread:
+# microseconds per step in one run of the step loop, sparse vs dense, 1D at
+# k = 8: n = 47 42.1 vs 20.9, n = 111 67.3 vs 54.0, n = 127 64.7 vs 64.9 (60.9
+# vs 67.1 in a second run); 2D at k = 4: n = 121 59.9 vs 40.4, n = 144 68.5 vs
+# 47.6, n = 225 93.2 vs 206.7.  The dense cost grows as n^2 and the sparse one
+# about as n, so the two meet near n = 127 in 1D at k = 8 and between n = 144
+# and 225 in 2D at k = 4; the cap lies between, well above every shipped mesh
+# (n = 47 and 121).
 DENSE_MAX_DIM = 150
 
 
@@ -174,57 +203,99 @@ class WaveIntegrator:
             self._S_lu = lu
             self._R = R
 
+    def _steps(self, z: Array, marks: Sequence[int], out: Array | None = None) -> Array:
+        """The step loop: z = (u; v) stacked in C order (see `_stack`), (2 dim,)
+        or (2 dim, k), stepped marks[-1] times; the state after marks[i]
+        steps (a nondecreasing count, 0 for z itself) goes to out[i].  Returns
+        the last state; z is left as it is.
+
+        Each kept state is stepped straight into `out` where its slot is in C
+        order, and every other state into one of two buffers of this call that
+        take turns, so no step allocates its state; a kept state whose slot is
+        not in C order is copied there, so that every step reads and writes C
+        order and its bits do not depend on the layout of `out`.
+        """
+        n = self.op.n
+        spare = (np.empty(z.shape), np.empty(z.shape))
+        cur, done = z, 0
+        for i, mark in enumerate(marks):
+            dest = None if out is None else out[i]
+            direct = dest is not None and dest.flags.c_contiguous
+            while done < mark:
+                done += 1
+                nxt = dest if direct and done == mark else spare[done % 2]
+                u, v = cur[:n], cur[n:]
+                g = self.f.f(u + self._half_dt * v)
+                if self.dense:
+                    np.matmul(self._P, cur, out=nxt)
+                    nxt += self._Q @ g
+                else:
+                    v_new = self._S_lu.solve(self._R @ np.concatenate([cur, g]))
+                    nxt[:n] = u + self.dt * (self.theta * v_new + self._one_minus_theta * v)
+                    nxt[n:] = v_new
+                if not np.isfinite(nxt).all():
+                    raise BlowupError("non-finite state after step")
+                cur = nxt
+            if dest is not None and cur is not dest:
+                dest[...] = cur
+        return cur
+
+    def _lattice(self, t: float) -> tuple[int, float]:
+        """Time t as whole steps of dt and the remainder a partial step covers (0.0 if none)."""
+        n_full = math.floor(t / self.dt + 1e-9)
+        rem = t - n_full * self.dt
+        return n_full, rem if rem > 1e-12 * max(1.0, t) else 0.0
+
     def step(self, state: StateVector) -> StateVector:
         """One theta-scheme step of length dt; the input arrays are left as they are."""
-        u, v = state.u, state.v
-        if self.dense:
-            z = self._P @ np.concatenate([u, v])
-            z += self._Q @ self.f.f(u + self._half_dt * v)
-            new = StateVector(z[: self.op.n], z[self.op.n :])
-        else:
-            v_new = self._S_lu.solve(self._R @ np.concatenate([u, v, self.f.f(u + self._half_dt * v)]))
-            # u+ is non-finite wherever v+ is (theta and dt are positive and
-            # finite), so its check covers both halves of the state
-            z = u + self.dt * (self.theta * v_new + self._one_minus_theta * v)
-            new = StateVector(z, v_new)
-        if not np.isfinite(z).all():
-            raise BlowupError("non-finite state after step")
-        return new
+        return _unstack(self._steps(_stack(state), [1]))
 
     def advance(self, state: StateVector, t: float) -> StateVector:
         """Advance by time t: full steps of dt, then one partial step onto t.
 
-        Each step makes new arrays, so the states pass from step to step
-        uncopied; with no step to run the result is a copy, never `state` itself.
+        The result never shares memory with `state`, also when no step runs.
         """
         if t < 0:
             raise ValueError("t must be nonnegative")
-        n_full = math.floor(t / self.dt + 1e-9)
-        rem = t - n_full * self.dt
-        cur = state
+        n_full, rem = self._lattice(t)
         try:
-            for _ in range(n_full):
-                cur = self.step(cur)
-            if rem > 1e-12 * max(1.0, t):
-                cur = WaveIntegrator(self.op, self.f, rem).step(cur)
+            z = self._steps(_stack(state), [n_full])
+            if rem:
+                z = WaveIntegrator(self.op, self.f, rem)._steps(z, [1])
         except BlowupError as exc:
             raise BlowupError(f"blow-up while evolving over [0, {t}]") from exc
-        return state.copy() if cur is state else cur
+        return _unstack(z)
 
     def record(self, state: StateVector, times: Array) -> StateVector:
-        """States at each time of the increasing grid `times` (>= 0), on a trailing axis.
+        """States at each time of the nondecreasing grid `times` (>= 0), on a trailing axis.
 
-        One `advance` per grid difference, the first from 0, so time 0 gives the
-        start state and a time off the dt lattice a partial step.  u and v are
-        (dim, T) for one state, (dim, k, T) for a block.
+        Each grid difference, the first from 0, is stepped as `advance` steps
+        it, so time 0 gives the start state and a time off the dt lattice a
+        partial step.  A grid of whole steps is one run of the step loop,
+        which keeps only the grid's states, each written straight into the
+        result.  u and v are (dim, T) for one state, (dim, k, T) for a block.
         """
-        steps = np.diff(np.asarray(times, dtype=float), prepend=0.0)
-        u = np.empty(state.u.shape + steps.shape)
-        v = np.empty_like(u)
-        for i, t in enumerate(steps.tolist()):
-            state = self.advance(state, t)
-            u[..., i], v[..., i] = state.u, state.v
-        return StateVector(u, v)
+        times = np.asarray(times, dtype=float)
+        diffs = np.diff(times, prepend=0.0)
+        if (diffs < 0).any():
+            raise ValueError("times must be nonnegative and nondecreasing")
+        z = _stack(state)
+        rec = np.empty(z.shape + times.shape)  # u and v are its halves, in C order
+        out = np.moveaxis(rec, -1, 0)  # out[i] is the state at times[i]
+        lo, marks = 0, [0]  # the grid points since the last partial step, as step counts
+        try:
+            for i, t in enumerate(diffs.tolist()):
+                n_full, rem = self._lattice(t)
+                marks.append(marks[-1] + n_full)
+                if rem:
+                    z = self._steps(z, marks[1:], out[lo : i + 1])
+                    z = out[i] = WaveIntegrator(self.op, self.f, rem)._steps(z, [1])
+                    lo, marks = i + 1, [0]
+            if lo < len(times):
+                self._steps(z, marks[1:], out[lo:])
+        except BlowupError as exc:
+            raise BlowupError(f"blow-up while evolving over [0, {times[-1]}]") from exc
+        return _unstack(rec)
 
 
 @dataclass
@@ -550,6 +621,12 @@ def x0_sqdist(states: Array, op: DiscreteOperator) -> Array:
     return np.maximum(d2, 0.0, out=d2)
 
 
+def _first_step(t: float, dt: float) -> int:
+    """The first step s with s * dt >= t > 0, in the float arithmetic of the settling test."""
+    s = math.ceil(t / dt)
+    return next(k for k in (s - 1, s, s + 1) if k * dt >= t)
+
+
 def sample_attractor(
     op: DiscreteOperator, f: NonlinearitySpec, cfg: SamplerConfig, seed: int
 ) -> AttractorSample:
@@ -560,20 +637,33 @@ def sample_attractor(
     the operator coefficients.  Independently, each trajectory must pass the
     settling test: the per-step slope |dE2/dt| < plateau_tol * E2 +
     plateau_floor for `plateau_window` consecutive steps (a single zero
-    crossing of the oscillating slope does not count) before `t_cap`,
-    otherwise NonDissipativeError.  Every snapshot is a sample point, in
-    IC-major order (all snapshots of ic 0, then of ic 1, ...); a pool larger
-    than `max_points` is a ValueError before any stepping.
+    crossing of the oscillating slope does not count), the last of them at
+    or after t_transient, before `t_cap`, otherwise NonDissipativeError.
+    Every snapshot is a sample point, in IC-major order (all snapshots of
+    ic 0, then of ic 1, ...); a pool larger than `max_points` is a
+    ValueError before any stepping.
 
-    The ICs advance as one block in chunks of at most `plateau_window` steps,
-    one `record` call and one E2 evaluation over the (dim, n_ics * L) block
-    per chunk.  A chunk ends no later than the earliest step the per-step
-    loop could stop at (no IC can collect `plateau_window` settled steps
-    sooner, and no stop comes before the window ends), and at the first step
-    reaching `t_cap`; so no step runs past that loop's stop, and every
-    settling decision is the per-step one, bit for bit (both step the same
-    (dim, n_ics) block; a column of it matches its IC stepped alone only to
-    rounding, see `WaveIntegrator`).
+    The ICs advance as one (dim, n_ics) block, in the integrator's step
+    loop, and E2 is evaluated only where the settling test reads it.  An IC
+    can plateau only at a step s >= s0, the first step with t >=
+    t_transient, and only on the settled steps s - W + 1 .. s (W =
+    `plateau_window`), whose slopes read E2 from step s - W on.  So the
+    block first runs straight to step s0 - W - 1 with no E2 and no snapshot
+    (the window starts later), and the settling count starts there.  From
+    there it runs in chunks of at most W steps.  A chunk ends no later than
+    the earliest step the per-step loop could stop at (no IC can collect W
+    settled steps sooner, and no stop comes before the window ends), and at
+    the first step reaching `t_cap`; so no step runs past that loop's stop.
+    Per chunk, an IC that has not plateaued and cannot plateau before the
+    chunk's last step first gets the E2 of the last two steps: if the last
+    is unsettled, its settled count restarts there, and no other E2 of the
+    chunk can matter.  Every other such IC gets the E2 of every step of the
+    chunk, in one evaluation, and a plateaued IC none: it keeps stepping in
+    the block until the window ends and every IC is done.  So every settling
+    decision is the per-step one, bit for bit: the steps are the same
+    (dim, n_ics) block's, and the E2 of a column does not depend on the
+    block it is evaluated in (a column of the step block matches its IC
+    stepped alone only to rounding, see `WaveIntegrator`).
 
     One Gram serves the flow table: `dist` is its block of time-0 rows and
     `eps_inv` its time-0 columns.
@@ -586,54 +676,72 @@ def sample_attractor(
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5A17]))
     pack = NormPack(op)
     integ = WaveIntegrator(op, f, cfg.dt)
-    n_ics = cfg.n_ics
+    n, n_ics, W = op.n, cfg.n_ics, cfg.plateau_window
     ics = [random_state(op, rng, cfg.radius, cfg.n_modes) for _ in range(n_ics)]
-    # all ICs advance together, one column each
-    state = StateVector(np.column_stack([s.u for s in ics]), np.column_stack([s.v for s in ics]))
+    # all ICs advance together, one column each, as z = (u; v)
+    z = _stack(StateVector(np.column_stack([s.u for s in ics]), np.column_stack([s.v for s in ics])))
     window_start = int(round(cfg.t_transient / cfg.dt))
     window_end = window_start + int(round(cfg.t_window / cfg.dt))
+    cap = _first_step(cfg.t_cap, cfg.dt)
 
-    snaps: list[tuple[Array, Array]] = [(state.u, state.v)] if window_start == 0 else []
-    e_prev = _e2(state, pack, f)
+    # no E2 before step s0 - W - 1 can move a decision, and no snapshot lies
+    # there either (window_start >= s0 - 2 > s0 - W - 1): run straight to it
+    k = max(0, min(_first_step(cfg.t_transient, cfg.dt) - W - 1, cap))
+    z = integ._steps(z, [k])
+    snaps: list[Array] = [z] if window_start == 0 else []
+    e_prev = _e2(_unstack(z), pack, f) if k < cap else None  # else the loop raises at once
     consec = np.zeros(n_ics, dtype=np.intp)
     plateaued = np.zeros(n_ics, dtype=bool)
-    k = 0
-    while True:
-        # no IC can plateau in fewer than `need` steps, and no stop lies before
-        # window_end, so the loop can only stop at the chunk's last step
-        need = int((cfg.plateau_window - consec[~plateaued]).max(initial=0))
-        ks = np.arange(k + 1, k + max(1, need, min(window_end - k, cfg.plateau_window)) + 1)
-        t = ks * cfg.dt
-        if t[-1] >= cfg.t_cap:  # end at the first step that reaches t_cap
-            ks = ks[: np.argmax(t >= cfg.t_cap) + 1]
-            t = t[: len(ks)]
-        rec = integ.record(state, (ks - k) * cfg.dt)  # u, v: (dim, n_ics, L)
-        state = StateVector(rec.u[..., -1], rec.v[..., -1])
-        for j in np.flatnonzero((ks >= window_start) & (ks <= window_end) & ((ks - window_start) % cfg.stride == 0)):
-            snaps.append((rec.u[..., j].copy(), rec.v[..., j].copy()))  # a view would keep the chunk
-        # E2 of the whole chunk in one block, then the per-step test as array
-        # operations over (L, n_ics); a plateaued IC keeps stepping until every
-        # IC is done, and its later E2 values are never read
-        e = _e2(StateVector(rec.u.reshape(op.n, -1), rec.v.reshape(op.n, -1)), pack, f).reshape(n_ics, -1).T
-        slope = np.abs(e - np.vstack([e_prev, e[:-1]])) / cfg.dt
-        e_prev = e[-1]
-        settled = slope < cfg.plateau_tol * e + cfg.plateau_floor
-        step = np.arange(1, len(ks) + 1)[:, None]
-        reset = np.maximum.accumulate(np.where(settled, 0, step), axis=0)
-        run = np.where(reset == 0, consec + step, step - reset)  # consec after each step
-        consec = run[-1]
-        plateaued |= ((t >= cfg.t_transient)[:, None] & (run >= cfg.plateau_window)).any(axis=0)
-        k = int(ks[-1])
-        if plateaued.all() and k >= window_end:
-            break
-        if t[-1] >= cfg.t_cap:
+    chunk = np.empty((max(1, min(W, cap - k)),) + z.shape)  # no chunk is longer
+
+    def energy(block: Array, cols: Array) -> Array:
+        """E2 of the ICs `cols` at the steps of `block` (L, 2 dim, n_ics), one evaluation, (L, len(cols))."""
+        return _e2(_unstack(block[:, :, cols].transpose(1, 0, 2).reshape(2 * n, -1)), pack, f).reshape(len(block), -1)
+
+    def settled(e: Array, e_before: Array) -> Array:
+        return np.abs(e - e_before) / cfg.dt < cfg.plateau_tol * e + cfg.plateau_floor
+
+    while not (plateaued.all() and k >= window_end):
+        if k >= cap:
             ic = int(np.argmin(plateaued))
             raise NonDissipativeError(f"energy of ic {ic} never plateaued before t_cap = {cfg.t_cap}")
+        active = np.flatnonzero(~plateaued)
+        # no active IC can plateau in fewer than `need` steps, and no stop
+        # lies before window_end, so the loop can only stop at the chunk's
+        # last step
+        need = int((W - consec[active]).max(initial=0))
+        ks = np.arange(k + 1, min(k + max(1, need, min(window_end - k, W)), cap) + 1)
+        out = chunk[: len(ks)]
+        z = integ._steps(z, (ks - k).tolist(), out).copy()  # the next chunk overwrites `out`
+        for j in np.flatnonzero((ks >= window_start) & (ks <= window_end) & ((ks - window_start) % cfg.stride == 0)):
+            snaps.append(out[j].copy())
+        # an IC that cannot plateau before the chunk's last step (its count
+        # stays below W until then), and is unsettled there, needs no other
+        # E2 of the chunk: its settled count restarts at 0 on that step
+        quick = active[consec[active] + len(ks) - 1 < W]
+        if len(ks) > 1 and quick.size:
+            e = energy(out[-2:], quick)
+            off = ~settled(e[1], e[0])
+            consec[quick[off]] = 0
+            e_prev[quick[off]] = e[1, off]
+            active = np.setdiff1d(active, quick[off])
+        if active.size:
+            # E2 of the active ICs over the chunk in one (dim, L * n_active)
+            # block, then the per-step test as array operations over (L, n_active)
+            e = energy(out, active)
+            ok = settled(e, np.vstack([e_prev[active], e[:-1]]))
+            e_prev[active] = e[-1]
+            step = np.arange(1, len(ks) + 1)[:, None]
+            reset = np.maximum.accumulate(np.where(ok, 0, step), axis=0)
+            run = np.where(reset == 0, consec[active] + step, step - reset)  # consec after each step
+            consec[active] = run[-1]
+            plateaued[active] = ((ks * cfg.dt >= cfg.t_transient)[:, None] & (run >= W)).any(axis=0)
+        k = int(ks[-1])
     # IC-major: every snapshot of ic 0, then of ic 1, ...
-    states = np.array(snaps).transpose(3, 0, 1, 2).reshape(n_ics * len(snaps), 2, -1)  # from (n_snaps, 2, dim, n_ics)
+    states = np.array(snaps).reshape(-1, 2, n, n_ics).transpose(3, 0, 1, 2).reshape(-1, 2, n)  # from (n_snaps, 2 dim, n_ics)
     m = cfg.flow_grid_m
     flow_times = np.linspace(0.0, 1.0, m + 1)
-    rec = integ.record(StateVector(states[:, 0].T.copy(), states[:, 1].T.copy()), flow_times)
+    rec = integ.record(StateVector(states[:, 0].T, states[:, 1].T), flow_times)
     flow = np.ascontiguousarray(np.stack([rec.u, rec.v]).transpose(2, 3, 0, 1))  # (n, m+1, 2, dim)
     # flow[:, 0] is the sample itself, i.e. every (m+1)-th row of the table
     d2_flow = x0_sqdist(flow.reshape(-1, 2, states.shape[2]), op)

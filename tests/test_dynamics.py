@@ -139,6 +139,18 @@ def test_record_matches_successive_advances():
             cur, t_prev = integ.advance(cur, t - t_prev), t
             assert np.array_equal(rec.u[..., j], cur.u)
             assert np.array_equal(rec.v[..., j], cur.v)
+        assert rec.u.flags.c_contiguous and rec.v.flags.c_contiguous
+
+
+def test_record_rejects_decreasing_grid():
+    # a grid that goes back in time is an error, as a negative `advance` is,
+    # never a step forwards
+    op = identity_operator(Mesh(UNIT, 16))
+    integ = WaveIntegrator(op, default_nonlinearity(), 0.01)
+    s = random_state(op, np.random.default_rng(17), radius=1.0)
+    for times in ([0.01, 0.005], [0.02, 0.03, 0.01], [-0.01, 0.0]):
+        with pytest.raises(ValueError, match="nonnegative and nondecreasing"):
+            integ.record(s, np.array(times))
 
 
 _SQUARE = ReferenceDomain("rectangle", ((0.0, 1.0), (0.0, 1.0)))
@@ -294,6 +306,34 @@ def test_advance_without_steps_returns_a_copy():
     # with steps, the start state is read and left as it was
     integ.advance(s, 0.05)
     assert np.array_equal(s.u, u0) and np.array_equal(s.v, v0)
+
+
+@pytest.mark.parametrize("domain, resolution, dt", DENSE_MESHES + SPARSE_MESHES)
+@pytest.mark.parametrize("k", [None, 1, 3, 8])
+def test_step_loop_matches_chained_steps(domain, resolution, dt, k):
+    # `advance` and a record on whole steps run the step loop once, through
+    # its alternating buffers; every state must be the bits of chained steps
+    op = identity_operator(Mesh(domain, resolution))
+    integ = WaveIntegrator(op, default_nonlinearity(), dt)
+    rng = np.random.default_rng(53)
+    singles = [random_state(op, rng, radius=2.0) for _ in range(k or 1)]
+    start = singles[0] if k is None else _block(singles)
+    chained = [start]
+    for _ in range(40):
+        chained.append(integ.step(chained[-1]))
+    for n_steps in (0, 1, 2, 3, 40):
+        got = integ.advance(start, n_steps * dt)
+        assert np.array_equal(got.u, chained[n_steps].u) and np.array_equal(got.v, chained[n_steps].v)
+    rec = integ.record(start, np.arange(41) * dt)
+    assert rec.u.shape == start.u.shape + (41,)
+    for j, want in enumerate(chained):
+        assert np.array_equal(rec.u[..., j], want.u) and np.array_equal(rec.v[..., j], want.v)
+    # the loop steps a C-order copy, so a block in Fortran order gets the same
+    # bits (BLAS takes another path for it at 8 columns)
+    fortran = StateVector(np.asfortranarray(start.u), np.asfortranarray(start.v))
+    one, many = integ.step(fortran), integ.advance(fortran, 40 * dt)
+    assert np.array_equal(one.u, chained[1].u) and np.array_equal(one.v, chained[1].v)
+    assert np.array_equal(many.u, chained[40].u) and np.array_equal(many.v, chained[40].v)
 
 
 def test_blowup_raised_from_step_and_from_record():
@@ -507,11 +547,12 @@ def test_sampler_flow_invariance_proxy_consistent():
     assert sample.eps_inv == pytest.approx(worst, rel=1e-12)
 
 
-def _sample_per_step(op, f, cfg, seed, series):
+def _sample_per_step(op, f, cfg, seed, run):
     """The sampler with one step, one E2 evaluation and the settling
-    bookkeeping per step: the reference the chunked loop in
-    `sample_attractor` must reproduce bit for bit.  Appends each step's E2
-    (time 0 first) to `series`, also when the cap is hit."""
+    bookkeeping per step from step 0: the reference `sample_attractor` must
+    reproduce bit for bit.  Fills `run`, also when the cap is hit: "z" holds
+    the stacked (2 dim, n_ics) block after each step and "e2" its E2 (time 0
+    first), "plateau" the step each IC plateaued at (-1 if it never did)."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5A17]))
     pack = NormPack(op)
     integ = WaveIntegrator(op, f, cfg.dt)
@@ -521,7 +562,7 @@ def _sample_per_step(op, f, cfg, seed, series):
     window_end = window_start + int(round(cfg.t_window / cfg.dt))
     snaps = [state] if window_start == 0 else []
     e_prev = _e2(state, pack, f)
-    series.append(e_prev)
+    run.update(z=[np.concatenate([state.u, state.v])], e2=[e_prev], plateau=np.full(cfg.n_ics, -1))
     consec = np.zeros(cfg.n_ics, dtype=np.intp)
     plateaued = np.zeros(cfg.n_ics, dtype=bool)
     k = 0
@@ -532,13 +573,16 @@ def _sample_per_step(op, f, cfg, seed, series):
         if window_start <= k <= window_end and (k - window_start) % cfg.stride == 0:
             snaps.append(state)
         e_now = _e2(state, pack, f)
-        series.append(e_now)
+        run["z"].append(np.concatenate([state.u, state.v]))
+        run["e2"].append(e_now)
         slope = np.abs(e_now - e_prev) / cfg.dt
         e_prev = e_now
         settled = slope < cfg.plateau_tol * e_now + cfg.plateau_floor
         consec = np.where(settled, consec + 1, 0)
         if t >= cfg.t_transient:
-            plateaued |= consec >= cfg.plateau_window
+            newly = (consec >= cfg.plateau_window) & ~plateaued
+            run["plateau"][newly] = k
+            plateaued |= newly
         if plateaued.all() and k >= window_end:
             break
         if t >= cfg.t_cap:
@@ -555,17 +599,76 @@ def _sample_per_step(op, f, cfg, seed, series):
     return dist, flow, float(np.sqrt(d2_flow[:, :: m + 1]).min(axis=1).max())
 
 
-def _spy_e2(monkeypatch, n_ics):
-    """Record every E2 evaluation of `sample_attractor`; the returned function
-    gives them as one (steps + 1, n_ics) series, time 0 first."""
-    calls = []
+def _spy_sampler(monkeypatch):
+    """Record what `sample_attractor` does before its flow table: each E2
+    evaluation as (states, values), one stacked (u; v) row per state, and
+    each run of the step loop as (steps, end state)."""
+    seen = {"e2": [], "steps": [], "flow": False}
+    real_e2, real_steps, real_record = dynamics._e2, WaveIntegrator._steps, WaveIntegrator.record
 
-    def spy(state, pack, f):
-        calls.append(_e2(state, pack, f))
-        return calls[-1]
+    def e2(state, pack, f):
+        vals = real_e2(state, pack, f)
+        seen["e2"].append((np.concatenate([state.u, state.v]).T.copy(), vals.copy()))
+        return vals
 
-    monkeypatch.setattr(dynamics, "_e2", spy)
-    return lambda: np.vstack([calls[0]] + [e.reshape(n_ics, -1).T for e in calls[1:]])
+    def steps(self, z, marks, out=None):
+        end = real_steps(self, z, marks, out)
+        if not seen["flow"]:
+            seen["steps"].append((marks[-1], end.copy()))
+        return end
+
+    def record(self, state, times):  # the sampler records only its flow table
+        seen["flow"] = True
+        return real_record(self, state, times)
+
+    monkeypatch.setattr(dynamics, "_e2", e2)
+    monkeypatch.setattr(WaveIntegrator, "_steps", steps)
+    monkeypatch.setattr(WaveIntegrator, "record", record)
+    return seen
+
+
+def _check_against_per_step(op, f, cfg, seed, monkeypatch):
+    """`sample_attractor` against the per-step reference: the bits of `dist`,
+    `flow` and `eps_inv`, or the same NonDissipativeError; the same stop step
+    and stop state; and E2 with the reference's bits on every (step, IC) it
+    is evaluated at, none before step s0 - W - 1 (s0 the first step at
+    t_transient, W the plateau window), and every one an IC's plateau reads.
+    Returns the reference's run with "error" (the reference's
+    NonDissipativeError or None) and "evaluated" (the (step, IC) pairs)."""
+    run = {"error": None}
+    try:
+        want = _sample_per_step(op, f, cfg, seed, run)
+    except NonDissipativeError as exc:
+        run["error"] = exc
+    seen = _spy_sampler(monkeypatch)
+    if run["error"] is not None:
+        with pytest.raises(NonDissipativeError) as got:
+            sample_attractor(op, f, cfg, seed)
+        assert str(got.value) == str(run["error"])
+    else:
+        sample = sample_attractor(op, f, cfg, seed)
+        dist, flow, eps_inv = want
+        assert np.array_equal(sample.dist, dist)
+        assert np.array_equal(sample.flow, flow)
+        assert sample.eps_inv == eps_inv
+    stop = len(run["z"]) - 1
+    assert sum(n_steps for n_steps, _ in seen["steps"]) == stop
+    assert np.array_equal(seen["steps"][-1][1], run["z"][-1])
+    # each evaluated state is found in the reference run by its bits
+    where = {z[:, i].tobytes(): (s, i) for s, z in enumerate(run["z"]) for i in range(cfg.n_ics)}
+    run["evaluated"] = set()
+    for rows, vals in seen["e2"]:
+        for row, val in zip(rows, vals):
+            s, i = where[row.tobytes()]
+            assert val == run["e2"][s][i]
+            run["evaluated"].add((s, i))
+    s0 = next(s for s in itertools.count() if s * cfg.dt >= cfg.t_transient)
+    first = max(0, s0 - cfg.plateau_window - 1)
+    assert all(s >= first for s, _ in run["evaluated"])
+    # an IC's plateau at step p reads the E2 of steps p - W .. p
+    for i, p in enumerate(run["plateau"]):
+        assert {(s, i) for s in range(p - cfg.plateau_window, p + 1) if p >= 0} <= run["evaluated"]
+    return run
 
 
 _SETTLE = dataclasses.replace(_FAST, n_ics=3, max_points=9)
@@ -578,46 +681,60 @@ _SETTLE = dataclasses.replace(_FAST, n_ics=3, max_points=9)
         (UNIT, 16, dict(t_window=10.0, stride=1000, plateau_floor=1e-3), "at window end"),
         (UNIT, 16, {}, "after window end"),
         (UNIT, 16, dict(plateau_window=2), "after window end"),
+        # an IC plateaus inside a chunk whose last step is unsettled
+        (UNIT, 16, dict(plateau_window=5), "after window end"),
         (UNIT, 16, dict(n_ics=1, max_points=3), "after window end"),
         (_SQUARE, 6, dict(n_ics=2, max_points=6), "after window end"),
     ],
-    ids=["plateau-before-window-end", "plateau-after-window-end", "window-2", "one-ic", "2d"],
+    ids=["plateau-before-window-end", "plateau-after-window-end", "window-2", "window-5", "one-ic", "2d"],
 )
 def test_chunked_settling_matches_per_step_loop(domain, resolution, changes, stop, monkeypatch):
     op = identity_operator(Mesh(domain, resolution))
-    f = default_nonlinearity()
     cfg = dataclasses.replace(_SETTLE, **changes)
-    want_e2 = []
-    dist, flow, eps_inv = _sample_per_step(op, f, cfg, 5, want_e2)
-    got_e2 = _spy_e2(monkeypatch, cfg.n_ics)
-    sample = sample_attractor(op, f, cfg, 5)
-    assert np.array_equal(sample.dist, dist)
-    assert np.array_equal(sample.flow, flow)
-    assert sample.eps_inv == eps_inv
-    # the same E2 bits at every step, and the same stop step
-    assert np.array_equal(got_e2(), np.array(want_e2))
+    run = _check_against_per_step(op, default_nonlinearity(), cfg, 5, monkeypatch)
+    assert run["error"] is None
     window_end = round((cfg.t_transient + cfg.t_window) / cfg.dt)
     if stop == "at window end":
-        assert len(want_e2) - 1 == window_end
+        assert len(run["z"]) - 1 == window_end
     else:
-        assert len(want_e2) - 1 > window_end + 10 * cfg.plateau_window
+        assert len(run["z"]) - 1 > window_end + 10 * cfg.plateau_window
 
 
 def test_chunked_settling_hits_cap_at_per_step_point(monkeypatch):
     # at seed 6 ics 0 and 1 plateau at steps 2927 and 2925, ic 2 at 2945:
     # a cap at step 2930 names ic 2
     op = identity_operator(Mesh(UNIT, 16))
-    f = default_nonlinearity()
     cfg = dataclasses.replace(_SETTLE, t_cap=29.3)
-    want_e2 = []
-    with pytest.raises(NonDissipativeError, match="ic 2 never") as want:
-        _sample_per_step(op, f, cfg, 6, want_e2)
-    got_e2 = _spy_e2(monkeypatch, cfg.n_ics)
-    with pytest.raises(NonDissipativeError) as got:
-        sample_attractor(op, f, cfg, 6)
-    assert str(got.value) == str(want.value)
-    assert np.array_equal(got_e2(), np.array(want_e2))
-    assert abs(len(want_e2) - 1 - 2930) <= 1
+    run = _check_against_per_step(op, default_nonlinearity(), cfg, 6, monkeypatch)
+    assert "ic 2 never" in str(run["error"])
+    assert abs(len(run["z"]) - 1 - 2930) <= 1
+    # a chunk whose last step is unsettled costs an IC two E2 evaluations,
+    # not one per step: most of the run's E2 is never evaluated
+    assert len(run["evaluated"]) < len(run["z"]) * cfg.n_ics / 4
+
+
+def test_settling_plateau_at_first_step_past_transient(monkeypatch):
+    # with a coarse floor every IC's settled run starts near t = 8, so with
+    # t_transient = 10 each IC plateaus at s0 = 1000, the first step at
+    # t_transient, on the E2 of steps s0 - W on; a window shorter than dt/2
+    # ends at s0, which makes s0 the stop
+    op = identity_operator(Mesh(UNIT, 16))
+    cfg = dataclasses.replace(_SETTLE, plateau_floor=1e-3, t_transient=10.0, t_window=0.004, max_points=3)
+    run = _check_against_per_step(op, default_nonlinearity(), cfg, 5, monkeypatch)
+    assert list(run["plateau"]) == [1000] * cfg.n_ics
+    assert len(run["z"]) - 1 == 1000
+
+
+@pytest.mark.parametrize("cap_step", [30, 49, 50])
+def test_settling_cap_before_first_read_energy(cap_step, monkeypatch):
+    # s0 - W - 1 = 49 here: a cap at step 30 or 49 raises with no E2
+    # evaluated, one at step 50 after E2 at steps 49 and 50
+    op = identity_operator(Mesh(UNIT, 16))
+    cfg = dataclasses.replace(_SETTLE, t_cap=cap_step * _SETTLE.dt)
+    run = _check_against_per_step(op, default_nonlinearity(), cfg, 5, monkeypatch)
+    assert str(run["error"]) == f"energy of ic 0 never plateaued before t_cap = {cfg.t_cap}"
+    assert len(run["z"]) - 1 == cap_step
+    assert {s for s, _ in run["evaluated"]} == ({49, 50} if cap_step == 50 else set())
 
 
 @pytest.mark.parametrize(
