@@ -214,6 +214,12 @@ class WaveIntegrator:
         take turns, so no step allocates its state; a kept state whose slot is
         not in C order is copied there, so that every step reads and writes C
         order and its bits do not depend on the layout of `out`.
+
+        BlowupError if a step ran and the last state is not finite.  One
+        check per call suffices: a non-finite entry of u or v makes the same
+        column's u non-finite after every later step under either kernel (the
+        dense propagator's product spreads it over the column, and the sparse
+        step adds it to u+ = u + dt (theta v+ + (1 - theta) v)).
         """
         n = self.op.n
         spare = (np.empty(z.shape), np.empty(z.shape))
@@ -233,11 +239,11 @@ class WaveIntegrator:
                     v_new = self._S_lu.solve(self._R @ np.concatenate([cur, g]))
                     nxt[:n] = u + self.dt * (self.theta * v_new + self._one_minus_theta * v)
                     nxt[n:] = v_new
-                if not np.isfinite(nxt).all():
-                    raise BlowupError("non-finite state after step")
                 cur = nxt
             if dest is not None and cur is not dest:
                 dest[...] = cur
+        if done and not np.isfinite(cur).all():
+            raise BlowupError("non-finite state after step")
         return cur
 
     def _lattice(self, t: float) -> tuple[int, float]:
@@ -602,22 +608,39 @@ class AttractorSample:
         return self.flow[:, 0]
 
 
-def x0_sqdist(states: Array, op: DiscreteOperator) -> Array:
-    """Squared X^0 distances between all rows of `states` (n, 2, dim).
+def x0_sqdist(rows: Array, cols: Array, op: DiscreteOperator) -> Array:
+    """Squared X^0 distances from every state of `rows` to every state of `cols`.
 
-    Gram trick: with G = U K U^T + V M V^T, d^2(i, j) = G_ii + G_jj - 2 G_ij,
-    clipped at 0 against cancellation.  Symmetrizing is left to the caller.
-    Two n x n arrays are alive at the peak: G, doubled in place, and the
-    result, which holds (G_ii + G_jj) - 2 G_ij in that operand order.
+    Each argument is a flow table (n, q, 2, dim), its states taken in the
+    order i * q + j (point i at flow time j), or one time slice (n, 2, dim).
+    Gram trick: with G_ab = u_a K u_b + v_a M v_b, d^2(a, b) =
+    (G_aa + G_bb) - 2 G_ab in that operand order, clipped at 0 against
+    cancellation; symmetrizing is left to the caller.  G_aa is the diagonal
+    of the Gram of a's own time slice, a product of the same BLAS kernel as
+    G_ab (a row-wise dot product rounds differently), so a block holds the
+    entries of one Gram over all states, bit for bit where the BLAS rounds
+    every column of a product alike.  OpenBLAS's SkylakeX kernel rounds the
+    last 1 to 4 columns of a product whose width is not a multiple of 8 in a
+    kernel of its own: the shipped 96 x 11 and 16 x 5 samples avoid it; for
+    two 6 x 5 samples (`determinism_tiny.cfg`) the flow pair's entries of
+    Y's last point differ from the 60-wide Gram's in the last bits.  At the
+    peak two result-sized arrays are alive.
     """
-    U = states[:, 0, :]
-    V = states[:, 1, :]
-    G = U @ (op.K @ U.T)
-    G += V @ (op.M @ V.T)
-    dg = np.diag(G).copy()
+
+    def gram(a: Array, b: Array) -> Array:
+        G = a[:, 0] @ (op.K @ b[:, 0].T)
+        G += a[:, 1] @ (op.M @ b[:, 1].T)
+        return G
+
+    def sqnorms(t: Array) -> Array:
+        return np.column_stack([np.diag(gram(t[:, j], t[:, j])) for j in range(t.shape[1])]).ravel()
+
+    a, b = (t.reshape(len(t), -1, 2, op.n) for t in (rows, cols))
+    G = gram(a.reshape(-1, 2, op.n), b.reshape(-1, 2, op.n))
     G *= 2.0
-    d2 = dg[:, None] + dg[None, :]
+    d2 = sqnorms(a)[:, None] + sqnorms(b)[None, :]
     d2 -= G
+    del G
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -665,8 +688,9 @@ def sample_attractor(
     block it is evaluated in (a column of the step block matches its IC
     stepped alone only to rounding, see `WaveIntegrator`).
 
-    One Gram serves the flow table: `dist` is its block of time-0 rows and
-    `eps_inv` its time-0 columns.
+    One slab of squared distances, every flow state against the sample,
+    serves both: `dist` is its block of time-0 rows and `eps_inv` reads all
+    of it.
     """
     if cfg.pool_size > cfg.max_points:
         raise ValueError(
@@ -743,13 +767,13 @@ def sample_attractor(
     flow_times = np.linspace(0.0, 1.0, m + 1)
     rec = integ.record(StateVector(states[:, 0].T, states[:, 1].T), flow_times)
     flow = np.ascontiguousarray(np.stack([rec.u, rec.v]).transpose(2, 3, 0, 1))  # (n, m+1, 2, dim)
-    # flow[:, 0] is the sample itself, i.e. every (m+1)-th row of the table
-    d2_flow = x0_sqdist(flow.reshape(-1, 2, states.shape[2]), op)
-    dist = np.sqrt(d2_flow[:: m + 1, :: m + 1])
+    # every flow state against the sample, flow[:, 0], whose own rows are every (m+1)-th
+    d2_flow = x0_sqdist(flow, flow[:, 0], op)
+    dist = np.sqrt(d2_flow[:: m + 1])
     dist = 0.5 * (dist + dist.T)
     np.fill_diagonal(dist, 0.0)
     # invariance proxy: worst distance from any flow image back to the sample
-    eps_inv = float(np.sqrt(d2_flow[:, :: m + 1]).min(axis=1).max())
+    eps_inv = float(np.sqrt(d2_flow).min(axis=1).max())
     return AttractorSample(dist, flow, flow_times, eps_inv)
 
 

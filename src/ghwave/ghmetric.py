@@ -7,8 +7,8 @@ two spaces is the infimum of eps admitting such maps in BOTH directions.  No
 factor 1/2 is applied, so values can be up to twice the textbook ones; the
 two-point-versus-one-point example {0} vs {0,3} evaluates to 3 here.
 
-A dynamical comparison is one FlowPair: the trajectory tables of both flows
-index one squared-distance universe and share one time grid.
+A dynamical comparison is one FlowPair: the squared distances between the
+flow states of both flows that it reads, on one time grid.
 `dgh_dynamical` accepts `rho` only in (0, RHO_MAX), where every time change
 it tries is increasing.
 """
@@ -445,20 +445,24 @@ def gh_upper(
 
 @dataclass
 class FlowPair:
-    """Two sampled flows X and Y in one universe, on one time grid.
+    """The squared distances between two sampled flows X and Y that `dgh_dynamical` reads.
 
-    `d2` holds squared distances between every enriched point (the base
-    points of both samples and their flow images, in one common metric);
-    `x[i, j]` is the universe index of the flow image of X's base point i at
-    `times[j]`, on a strictly increasing grid from 0 to 1, so column 0 holds
-    the base points themselves, and `y` is the same table for Y.
-    Cross-sample and along-flow distances are read from the one `d2`, which
-    is what makes them comparable.
+    Flow state (i, j) of X is the image of X's base point i at `times[j]`,
+    on a strictly increasing grid of q times from 0 to 1, so j = 0 is the
+    base point itself; likewise for Y.  In one common metric, which is what
+    makes cross-sample and along-flow distances comparable:
+    `cross[i * q + j, k * q + l]` is d^2 between flow state (i, j) of X and
+    (k, l) of Y, `base_x` (n_x, n_x) is d^2 between X's base points, with
+    zero diagonal, and `seg_x[i, j]` is d^2 between X's flow states (i, j)
+    and (i, j + 1), segment j of its trajectory; `base_y` and `seg_y` are
+    the same for Y.
     """
 
-    d2: Array
-    x: IntArray
-    y: IntArray
+    cross: Array
+    base_x: Array
+    base_y: Array
+    seg_x: Array
+    seg_y: Array
     times: Array
 
     def __post_init__(self) -> None:
@@ -467,47 +471,45 @@ class FlowPair:
         self.times = t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or len(t) < 2 or np.any(np.diff(t) <= 0) or t[0] != 0.0 or t[-1] != 1.0:
             raise ValueError("times must be a strictly increasing 1-D grid from 0 to 1")
-        self.x = np.asarray(self.x, dtype=np.intp)
-        self.y = np.asarray(self.y, dtype=np.intp)
-        for name, idx in (("x", self.x), ("y", self.y)):
-            if idx.ndim != 2 or idx.shape[1] != len(self.times):
-                raise ValueError(f"{name} must have one column per flow time ({len(self.times)})")
-            if idx.size and (idx.min() < 0 or idx.max() >= self.d2.shape[0]):
-                raise ValueError(f"{name} holds indices outside the universe of {self.d2.shape[0]} points")
+        nx, ny, q = len(self.base_x), len(self.base_y), len(t)
+        shapes = {"cross": (nx * q, ny * q), "base_x": (nx, nx), "base_y": (ny, ny), "seg_x": (nx, q - 1), "seg_y": (ny, q - 1)}
+        for name, shape in shapes.items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} must have shape {shape} for {nx} and {ny} base points at {q} flow times")
 
     def reversed(self) -> FlowPair:
-        """The same pair with Y first: the same `d2`, the two tables swapped."""
-        return FlowPair(self.d2, self.y, self.x, self.times)
+        """The same pair with Y first: the transpose of `cross`, the two sides swapped."""
+        return FlowPair(self.cross.T, self.base_y, self.base_x, self.seg_y, self.seg_x, self.times)
 
     def metrics(self) -> tuple[FiniteMetricSpace, FiniteMetricSpace]:
-        """The base metrics of X and Y, read from the universe."""
+        """The base metrics of X and Y."""
         return tuple(
-            FiniteMetricSpace(np.sqrt(np.maximum(self.d2[np.ix_(base, base)], 0.0)), validate=False)
-            for base in (self.x[:, 0], self.y[:, 0])
+            FiniteMetricSpace(np.sqrt(np.maximum(base, 0.0)), validate=False) for base in (self.base_x, self.base_y)
         )
 
 
-def _interp_flow_d2(
-    d2: Array, traj: IntArray, times: Array, query_t: Array, targets: IntArray
-) -> Array:
-    """Squared distances from flow states at arbitrary times to target points.
+def _interp_flow_d2(pair: FlowPair, rows: IntArray, query_t: Array, targets: IntArray) -> Array:
+    """Squared distances from X's flow states at arbitrary times to flow states of Y.
 
-    Flow states between stored samples are norm-interpolated: for p on the
-    segment [a, b] at weight w, d^2(p, q) = (1-w) d^2(a,q) + w d^2(b,q)
-    - w(1-w) d^2(a,b), exact when the metric comes from a quadratic form.
-    `targets` holds universe indices that broadcast against (n_points,
-    n_query, 1): a 1-D array gives every point the same targets, an
-    (n_points, n_query, 1) array one target per point and query time.
-    Returns (n_points, n_query, n_targets).
+    Row i follows the trajectory of X's base point rows[i].  Flow states
+    between stored samples are norm-interpolated: for p on the segment
+    [a, b] at weight w, d^2(p, q) = (1-w) d^2(a,q) + w d^2(b,q)
+    - w(1-w) d^2(a,b), exact when the metric comes from a quadratic form;
+    d^2(a, q) and d^2(b, q) come from `pair.cross` and d^2(a, b) from
+    `pair.seg_x`.  `targets` holds columns of `cross` (k * q + l for Y's
+    flow state (k, l)) that broadcast against (len(rows), n_query, 1): a 1-D
+    array gives every point the same targets, a (len(rows), n_query, 1)
+    array one target per point and query time.
+    Returns (len(rows), n_query, n_targets).
     """
+    times = pair.times
     qt = np.clip(query_t, times[0], times[-1])
     j = np.clip(np.searchsorted(times, qt, side="right") - 1, 0, len(times) - 2)
     w = (qt - times[j]) / (times[j + 1] - times[j])
-    a = traj[:, j]  # (n, q)
-    b = traj[:, j + 1]
-    d2a = d2[a[:, :, None], targets]
-    d2b = d2[b[:, :, None], targets]
-    d2ab = d2[a, b][:, :, None]
+    a = (rows[:, None] * len(times) + j)[:, :, None]  # (n, q, 1): rows of cross; a + 1 is b
+    d2a = pair.cross[a, targets]
+    d2b = pair.cross[a + 1, targets]
+    d2ab = pair.seg_x[rows[:, None], j][:, :, None]
     w3 = w[None, :, None]
     return (1.0 - w3) * d2a + w3 * d2b - w3 * (1.0 - w3) * d2ab
 
@@ -519,25 +521,28 @@ _S_GRID = _S_GRID[np.argsort(np.abs(_S_GRID), kind="stable")]
 RHO_MAX = float(1.0 / np.abs(_S_GRID).max())
 
 
-def _flow_cost(pair: FlowPair, rows: IntArray, targets: IntArray, rho: float) -> Array:
-    """c[i, k]: the flow cost of sending X's base point x = rows[i] to target k.
+def _flow_cost(pair: FlowPair, rows: IntArray, rho: float, m: IntArray | None = None) -> Array:
+    """c[i, k]: the flow cost of sending X's base point x = rows[i] to Y's base point k.
 
-    c = min over the s grid of max( max_j d(Phi^X(alpha_s(t_j)) x, y_k(t_j)), |s| rho / 2 ),
+    c = min over the s grid of max( max_j d(Phi^X(alpha_s(t_j)) x, Phi^Y(t_j) y_k), |s| rho / 2 ),
     with the time change alpha_s(t) = t + s min(t, 1 - t) rho, which fixes
     the endpoints and deviates from the identity by at most |s| rho / 2.  The
-    mismatch is evaluated in the pair's universe and the X flow is read at
-    reparametrized times through norm interpolation between stored samples
-    (exact for quadratic-form metrics).  `targets[i, j, k]` is the universe
-    index of y_k(t_j) and broadcasts against (len(rows), q, 1), as in
-    `_interp_flow_d2`: `pair.y[m][:, :, None]` gives each x its own target
-    trajectory Phi^Y(t_j) m(x), `pair.y.T[None]` every y's.  Each entry reads
-    the same floats under either shape, so the two agree bitwise.
+    X flow is read at reparametrized times through norm interpolation
+    between stored samples (exact for quadratic-form metrics).  Without `m`
+    the columns are all of Y's points; with a map m the one column is each
+    x's own target m(x), whose trajectory is read as one target per point
+    and query time (see `_interp_flow_d2`).  Each entry reads the same
+    floats either way, so the two agree bitwise.
     """
     t = pair.times
-    traj = pair.x[rows]
-    best = np.full((traj.shape[0], targets.shape[2]), np.inf)
+    q = len(t)
+    if m is None:
+        targets = (np.arange(pair.base_y.shape[0]) * q + np.arange(q)[:, None])[None]  # (1, q, n_y)
+    else:
+        targets = (m[rows, None] * q + np.arange(q))[:, :, None]  # (n, q, 1)
+    best = np.full((len(rows), targets.shape[2]), np.inf)
     for s in _S_GRID:
-        mism2 = _interp_flow_d2(pair.d2, traj, t, t + s * np.minimum(t, 1.0 - t) * rho, targets)
+        mism2 = _interp_flow_d2(pair, rows, t + s * np.minimum(t, 1.0 - t) * rho, targets)
         mism = np.sqrt(np.maximum(mism2.max(axis=1), 0.0))
         best = np.minimum(best, np.maximum(mism, abs(s) * rho / 2.0))
     return best
@@ -545,7 +550,7 @@ def _flow_cost(pair: FlowPair, rows: IntArray, targets: IntArray, rho: float) ->
 
 def _commutation_eps(pair: FlowPair, m: IntArray, rho: float) -> float:
     """Best achievable max over base points of max(flow mismatch, time shift): max_x c[x, m(x)]."""
-    return float(_flow_cost(pair, np.arange(pair.x.shape[0]), pair.y[m][:, :, None], rho).max(initial=0.0))
+    return float(_flow_cost(pair, np.arange(pair.base_x.shape[0]), rho, m).max(initial=0.0))
 
 
 def _certified_start(pair: FlowPair, dx: Array, dy: Array, rho: float) -> tuple[MapCandidate, float] | None:
@@ -562,11 +567,11 @@ def _certified_start(pair: FlowPair, dx: Array, dy: Array, rho: float) -> tuple[
     """
     m = _start_map(dx, dy)
     cand = MapCandidate(m, distortion(dx, dy, m), coverage_deficit(dy, m))
-    own = _flow_cost(pair, np.arange(pair.x.shape[0]), pair.y[m][:, :, None], rho)[:, 0]
+    own = _flow_cost(pair, np.arange(pair.base_x.shape[0]), rho, m)[:, 0]
     v = float(own.max(initial=0.0))
     if cand.objective > v:
         return None
-    rows = _flow_cost(pair, np.flatnonzero(own == v), pair.y.T[None], rho)
+    rows = _flow_cost(pair, np.flatnonzero(own == v), rho)
     if not np.any(rows.min(axis=1) >= v):
         return None
     return cand, v

@@ -177,26 +177,36 @@ def _log_slope(x: list[float], y: list[float]) -> float | None:
 
 
 def build_flow_pair(sa: AttractorSample, sb: AttractorSample, op: DiscreteOperator) -> FlowPair:
-    """Embed two samples' flow tables in one universe under `op`'s X^0 form.
+    """The distances `dgh_dynamical` reads between two samples' flow tables, under `op`'s X^0 form.
 
-    All base points and flow images of both samples become rows of a single
-    squared-distance matrix, so cross-sample and along-flow distances are
-    taken in the same metric and the interpolation identity applies.  The
-    two flow tables must be recorded at the same times.
+    Cross-sample and along-flow distances are taken in the same metric, so
+    the interpolation identity applies.  Each entry is the one a single
+    squared-distance matrix over every flow state of both samples would
+    hold, symmetrized as (d2[a, b] + d2[b, a]) / 2 with zero diagonal (to
+    the bit where `x0_sqdist` says so), but only the two cross blocks, the
+    base blocks and the diagonals of the consecutive time slices' blocks
+    are computed: for two 96-point samples with 11 flow times, no array
+    larger than 1,056 x 1,056 instead of one 2,112 x 2,112.  The two flow
+    tables must be recorded at the same times.
     """
     if not np.array_equal(sa.flow_times, sb.flow_times):
         raise ValueError("flow tables must share the time grid")
-    na, mp1 = sa.flow.shape[0], sa.flow.shape[1]
-    nb = sb.flow.shape[0]
-    all_states = np.concatenate(
-        [sa.flow.reshape(na * mp1, 2, -1), sb.flow.reshape(nb * mp1, 2, -1)], axis=0
-    )
-    d2 = x0_sqdist(all_states, op)
-    d2 = 0.5 * (d2 + d2.T)
-    np.fill_diagonal(d2, 0.0)
-    ta = np.arange(na * mp1, dtype=np.intp).reshape(na, mp1)
-    tb = (na * mp1 + np.arange(nb * mp1, dtype=np.intp)).reshape(nb, mp1)
-    return FlowPair(d2, ta, tb, sa.flow_times)
+
+    def base(flow: np.ndarray) -> np.ndarray:
+        d2 = x0_sqdist(flow[:, 0], flow[:, 0], op)
+        d2 = 0.5 * (d2 + d2.T)
+        np.fill_diagonal(d2, 0.0)
+        return d2
+
+    def segments(flow: np.ndarray) -> np.ndarray:
+        ends = [(flow[:, j], flow[:, j + 1]) for j in range(flow.shape[1] - 1)]
+        return np.column_stack([0.5 * (np.diag(x0_sqdist(a, b, op)) + np.diag(x0_sqdist(b, a, op))) for a, b in ends])
+
+    # symmetrized in place: at most three arrays of its size are alive
+    cross = x0_sqdist(sa.flow, sb.flow, op)
+    cross += x0_sqdist(sb.flow, sa.flow, op).T
+    cross *= 0.5
+    return FlowPair(cross, base(sa.flow), base(sb.flow), segments(sa.flow), segments(sb.flow), sa.flow_times)
 
 
 @dataclass
@@ -252,7 +262,7 @@ def run_stability_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
         s_half = sample_attractor(op_half, f, cfg.sampler, cfg.seed)
 
     def estimate(s_other: AttractorSample):
-        # one flow universe alive at a time: it is the study's largest array
+        # one flow pair alive at a time: its cross table is the study's largest array
         with clock.stage("stability.flow_pair"):
             pair = build_flow_pair(s_anchor, s_other, op_univ)
         with clock.stage("stability.search"):

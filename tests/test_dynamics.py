@@ -8,6 +8,8 @@ with lambda taken from the frozen modal formula of the discrete pencil.
 
 import dataclasses
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from ghwave import dynamics
+from ghwave.config import load_config
 from ghwave.domains import ReferenceDomain, bump_map_1d, identity_map
 from ghwave.operators import (
     Mesh,
@@ -357,6 +360,52 @@ def test_blowup_raised_from_step_and_from_record():
     assert str(exc.value.__cause__) == "non-finite state after step"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("resolution, dt", [(16, 0.01), (256, 0.0005)], ids=["dense", "sparse"])
+def test_blowup_of_one_block_column_mid_run(resolution, dt, bad):
+    # f turns column 1 of a block of three non-finite inside step 50 of 400:
+    # the step loop checks only its last state, so it steps on to the end,
+    # and that column is still non-finite there
+    op = identity_operator(Mesh(UNIT, resolution))
+    start = calibration_state(op, radius=1.0)
+    block = StateVector(np.column_stack([start.u] * 3), np.column_stack([start.v] * 3))
+    calls = itertools.count()
+
+    def f(u):
+        out = u.copy()
+        if next(calls) == 49:
+            out[:, 1] = bad
+        return out
+
+    integ = WaveIntegrator(op, NonlinearitySpec(f=f, l=1.0), dt)
+    with np.errstate(invalid="ignore", over="ignore"):
+        healthy = integ.advance(block, 49 * dt)  # f's calls 0..48: no error
+        assert np.isfinite(healthy.u).all() and np.isfinite(healthy.v).all()
+        calls = itertools.count()
+        with pytest.raises(BlowupError, match=re.escape(f"blow-up while evolving over [0, {400 * dt}]")) as exc:
+            integ.advance(block, 400 * dt)
+        assert str(exc.value.__cause__) == "non-finite state after step"
+        assert next(calls) == 400  # every step ran
+        calls = itertools.count()
+        with pytest.raises(BlowupError, match="^blow-up while evolving over") as exc:
+            integ.record(block, np.arange(0, 401, 50) * dt)
+        assert str(exc.value.__cause__) == "non-finite state after step"
+        calls = itertools.count()
+        with pytest.raises(BlowupError, match="^non-finite state after step$"):
+            integ._steps(np.concatenate([block.u, block.v]), [400])
+
+
+def test_sampler_raises_blowup():
+    # an anti-restoring cubic drives every IC off to infinity; the sampler
+    # runs the step loop directly and passes its error on as it is
+    op = identity_operator(Mesh(UNIT, 16))
+    unstable = NonlinearitySpec(f=lambda u: -(u**3), l=1.0)
+    cfg = dataclasses.replace(_FAST, radius=40.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowupError, match="^non-finite state after step$"):
+            sample_attractor(op, unstable, cfg, seed=1)
+
+
 def test_energy_nonincreasing_per_step_without_forcing():
     # the theta update is dissipative step by step for the quadratic energy
     # ||u||_1^2 + ||v||_0^2 when f vanishes, including on pulled-back operators
@@ -547,6 +596,45 @@ def test_sampler_flow_invariance_proxy_consistent():
     assert sample.eps_inv == pytest.approx(worst, rel=1e-12)
 
 
+@pytest.mark.parametrize("config, n, q", [("stability_1d.cfg", 96, 11), ("shear_2d.cfg", 16, 5)])
+def test_x0_sqdist_blocks_match_one_full_gram(config, n, q):
+    # two flow tables of the shipped sample size on the shipped 1D and 2D
+    # meshes: every block a study asks for holds the bits of one Gram over
+    # all states of both tables (the slab of a sample against its own table)
+    cfg, diags = load_config(Path(__file__).resolve().parents[1] / "configs" / config)
+    assert not diags
+    op = cfg.reference_operator()
+    rng = np.random.default_rng(11)
+    fa, fb = rng.standard_normal((2, n, q, 2, op.n))
+    a = n * q
+    full = _full_sqdist(np.concatenate([fa.reshape(a, 2, op.n), fb.reshape(a, 2, op.n)]), op)
+    assert np.array_equal(x0_sqdist(fa, fb, op), full[:a, a:])
+    assert np.array_equal(x0_sqdist(fb, fa, op), full[a:, :a])
+    assert np.array_equal(x0_sqdist(fa[:, 0], fa[:, 0], op), full[:a:q, :a:q])
+    for j in range(q - 1):
+        assert np.array_equal(x0_sqdist(fa[:, j], fa[:, j + 1], op), full[j:a:q, j + 1 : a : q])
+        assert np.array_equal(x0_sqdist(fb[:, j + 1], fb[:, j], op), full[a + j + 1 :: q, a + j :: q])
+    own = _full_sqdist(fa.reshape(a, 2, op.n), op)
+    assert np.array_equal(x0_sqdist(fa, fa[:, 0], op), own[:, ::q])
+    # at any size the blocks agree with it to rounding
+    small = full[: 7 * q, : 7 * q]
+    np.testing.assert_allclose(x0_sqdist(fa[:7], fa[:7], op), small, rtol=0, atol=1e-12 * small.max())
+
+
+def _full_sqdist(states, op):
+    """Squared X^0 distances between all rows of `states` (n, 2, dim) from one
+    n x n Gram G = U K U^T + V M V^T: d^2(i, j) = (G_ii + G_jj) - 2 G_ij,
+    clipped at 0."""
+    U, V = states[:, 0, :], states[:, 1, :]
+    G = U @ (op.K @ U.T)
+    G += V @ (op.M @ V.T)
+    dg = np.diag(G).copy()
+    G *= 2.0
+    d2 = dg[:, None] + dg[None, :]
+    d2 -= G
+    return np.maximum(d2, 0.0, out=d2)
+
+
 def _sample_per_step(op, f, cfg, seed, run):
     """The sampler with one step, one E2 evaluation and the settling
     bookkeeping per step from step 0: the reference `sample_attractor` must
@@ -589,13 +677,13 @@ def _sample_per_step(op, f, cfg, seed, run):
             ic = int(np.argmin(plateaued))
             raise NonDissipativeError(f"energy of ic {ic} never plateaued before t_cap = {cfg.t_cap}")
     states = np.array([(st.u, st.v) for st in snaps]).transpose(3, 0, 1, 2).reshape(-1, 2, op.n)
-    dist = np.sqrt(x0_sqdist(states, op))
+    dist = np.sqrt(_full_sqdist(states, op))
     dist = 0.5 * (dist + dist.T)
     np.fill_diagonal(dist, 0.0)
     m = cfg.flow_grid_m
     rec = integ.record(StateVector(states[:, 0].T.copy(), states[:, 1].T.copy()), np.linspace(0.0, 1.0, m + 1))
     flow = np.stack([rec.u, rec.v]).transpose(2, 3, 0, 1)
-    d2_flow = x0_sqdist(flow.reshape(-1, 2, op.n), op)
+    d2_flow = _full_sqdist(flow.reshape(-1, 2, op.n), op)
     return dist, flow, float(np.sqrt(d2_flow[:, :: m + 1]).min(axis=1).max())
 
 

@@ -355,49 +355,48 @@ def test_metric_space_validation():
 
 # --- flow pairs ------------------------------------------------------------------
 
-def _segment_universe():
-    # four universe points on a line: two base points and their images
-    pts = np.array([0.0, 1.0, 0.25, 1.5])
-    d2 = (pts[:, None] - pts[None, :]) ** 2
-    return pts, d2
-
-
 def test_interp_flow_d2_matches_segment_geometry():
-    pts, d2 = _segment_universe()
-    traj = np.array([[0, 2], [1, 3]], dtype=np.intp)  # 0 -> 0.25, 1 -> 1.5
-    times = np.array([0.0, 1.0])
+    # X's base points 0 and 1 move to 0.25 and 1.5; Y's points 0.0 and 1.0 stay
+    pair = _flow_pair([[0.0, 0.25], [1.0, 1.5]], [[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0])
+    rows = np.array([0, 1], dtype=np.intp)
     q = np.array([0.5])
-    out = _interp_flow_d2(d2, traj, times, q, np.array([0], dtype=np.intp))
+    out = _interp_flow_d2(pair, rows, q, np.array([0], dtype=np.intp))
     # halfway along 0 -> 0.25 is 0.125; distance^2 to the point 0.0
     assert out[0, 0, 0] == pytest.approx(0.125**2, rel=1e-12)
     # halfway along 1 -> 1.5 is 1.25
     assert out[1, 0, 0] == pytest.approx(1.25**2, rel=1e-12)
-    # one target per point and query time, as commutation scoring passes them
-    own = _interp_flow_d2(d2, traj, times, q, np.array([[[0]], [[1]]], dtype=np.intp))
+    # one target per point and query time, as commutation scoring passes them:
+    # Y's points 0.0 and 1.0 at time 0, columns 0 * 2 + 0 and 1 * 2 + 0 of cross
+    own = _interp_flow_d2(pair, rows, q, np.array([[[0]], [[2]]], dtype=np.intp))
     assert own[:, 0, 0] == pytest.approx([0.125**2, 0.25**2], rel=1e-12)
 
 
 def _flow_pair(x_traj, y_traj, times):
-    """Two flows in one Euclidean universe; trajectories are (n, q) on a line or (n, q, dim)."""
+    """Two flows in one Euclidean space; trajectories are (n, q) on a line or (n, q, dim)."""
     x_traj, y_traj = np.asarray(x_traj, dtype=float), np.asarray(y_traj, dtype=float)
     nx, q = x_traj.shape[:2]
     ny = y_traj.shape[0]
-    pts = np.concatenate([x_traj.reshape(nx * q, -1), y_traj.reshape(ny * q, -1)])
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    tx = np.arange(nx * q, dtype=np.intp).reshape(nx, q)
-    ty = nx * q + np.arange(ny * q, dtype=np.intp).reshape(ny, q)
-    return FlowPair(d2, tx, ty, np.asarray(times, dtype=float))
+    x, y = x_traj.reshape(nx, q, -1), y_traj.reshape(ny, q, -1)
+
+    def sq(a, b):
+        return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+
+    def seg(t):
+        return ((t[:, :-1] - t[:, 1:]) ** 2).sum(axis=2)
+
+    cross = sq(x.reshape(nx * q, -1), y.reshape(ny * q, -1))
+    return FlowPair(cross, sq(x[:, 0], x[:, 0]), sq(y[:, 0], y[:, 0]), seg(x), seg(y), np.asarray(times, dtype=float))
 
 
 def test_flow_pair_checks_its_tables():
-    d2 = np.zeros((4, 4))
-    tx = np.array([[0, 1]])
-    with pytest.raises(ValueError, match="one column per flow time"):
-        FlowPair(d2, tx, np.array([[2, 3]]), np.array([0.0, 0.5, 1.0]))
-    with pytest.raises(ValueError, match="outside the universe"):
-        FlowPair(d2, tx, np.array([[2, 4]]), np.array([0.0, 1.0]))
-    with pytest.raises(ValueError, match="outside the universe"):
-        FlowPair(d2, np.array([[-1, 1]]), np.array([[2, 3]]), np.array([0.0, 1.0]))
+    cross = np.zeros((2, 2))
+    base, seg = np.zeros((1, 1)), np.zeros((1, 1))
+    with pytest.raises(ValueError, match=r"seg_x must have shape \(1, 2\)"):
+        FlowPair(np.zeros((3, 3)), base, base, seg, seg, np.array([0.0, 0.5, 1.0]))
+    with pytest.raises(ValueError, match=r"cross must have shape \(2, 2\)"):
+        FlowPair(np.zeros((2, 3)), base, base, seg, seg, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match=r"base_x must have shape \(1, 1\)"):
+        FlowPair(cross, np.zeros((1, 2)), base, seg, seg, np.array([0.0, 1.0]))
 
 
 @pytest.mark.parametrize(
@@ -409,16 +408,18 @@ def test_flow_pair_refuses_a_bad_time_grid(times):
     # a strictly increasing grid from 0 to 1
     times = np.asarray(times, dtype=float)
     q = times.shape[-1]
-    tx = np.arange(q, dtype=np.intp)[None]
+    base, seg = np.zeros((1, 1)), np.zeros((1, max(q - 1, 0)))
     with pytest.raises(ValueError, match="times must"):
-        FlowPair(np.zeros((2 * q, 2 * q)), tx, tx + q, times)
+        FlowPair(np.zeros((q, q)), base, base, seg, seg, times)
 
 
 def test_flow_pair_reversed_shares_the_universe():
     pair = _flow_pair([[0.0, 0.1], [1.0, 1.2]], [[0.0, 0.2], [1.5, 1.4], [3.0, 3.1]], [0.0, 1.0])
     rev = pair.reversed()
-    assert rev.d2 is pair.d2 and rev.times is pair.times
-    assert rev.x is pair.y and rev.y is pair.x
+    assert rev.cross.base is pair.cross and rev.times is pair.times
+    np.testing.assert_array_equal(rev.cross, pair.cross.T)
+    assert rev.base_x is pair.base_y and rev.base_y is pair.base_x
+    assert rev.seg_x is pair.seg_y and rev.seg_y is pair.seg_x
     X, Y = pair.metrics()
     Yr, Xr = rev.metrics()
     np.testing.assert_array_equal(X.d, Xr.d)
@@ -489,7 +490,7 @@ def _brute_direction(pair, rho):
     """min over all n_y^n_x maps X -> Y of max(objective, flow eps), and the row bound max_x min_y c[x, y]."""
     dx, dy = (space.d for space in pair.metrics())
     nx, ny = dx.shape[0], dy.shape[0]
-    c = _flow_cost(pair, np.arange(nx), pair.y.T[None], rho)
+    c = _flow_cost(pair, np.arange(nx), rho)
     best = np.inf
     for m in itertools.product(range(ny), repeat=nx):
         m = np.array(m, dtype=np.intp)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from ghwave.cli import main
 from ghwave.config import ScenarioConfig, load_config, parse_config
-from ghwave.dynamics import SamplerConfig, sample_attractor
+from ghwave.dynamics import AttractorSample, SamplerConfig, sample_attractor
 from ghwave.harness import (
     CsvWriter,
     build_flow_pair,
@@ -19,7 +20,7 @@ from ghwave.harness import (
     write_report,
     write_timing,
 )
-from ghwave.ghmetric import dgh_dynamical
+from ghwave.ghmetric import FlowPair, dgh_dynamical
 from ghwave.operators import Mesh, default_nonlinearity, identity_operator, pullback_operator
 from ghwave.domains import ReferenceDomain
 
@@ -114,17 +115,83 @@ def test_build_flow_pair_universe_indices():
     pair = build_flow_pair(sa, sb, op)
     na, m1 = sa.flow.shape[0], sa.flow.shape[1]
     nb = sb.flow.shape[0]
-    assert pair.d2.shape == ((na + nb) * m1,) * 2
+    # every flow state of one sample against every one of the other, in the
+    # order point-major, then flow time
+    assert pair.cross.shape == (na * m1, nb * m1)
+    assert pair.base_x.shape == (na, na) and pair.base_y.shape == (nb, nb)
+    assert pair.seg_x.shape == (na, m1 - 1) and pair.seg_y.shape == (nb, m1 - 1)
     np.testing.assert_array_equal(pair.times, sa.flow_times)
-    # the two samples occupy disjoint index blocks, in order
-    assert set(pair.x.ravel()) == set(range(na * m1))
-    assert set(pair.y.ravel()) == set(range(na * m1, (na + nb) * m1))
-    # base distances in the universe agree with each sample's own matrix up
-    # to the change from its own operator norm to the shared one (same op
-    # here, so exactly)
+    # base distances agree with each sample's own matrix up to the change
+    # from its own operator norm to the shared one (same op here, so exactly)
     Xa, Xb = pair.metrics()
     np.testing.assert_allclose(Xa.d, sa.dist, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(Xb.d, sb.dist, rtol=1e-9, atol=1e-12)
+
+
+def _universe(sa, sb, op):
+    """One symmetrized squared-distance matrix over every flow state of both
+    samples, from one Gram: d^2(a, b) = (G_aa + G_bb) - 2 G_ab, clipped at 0,
+    then (d^2 + d^2.T) / 2 with zero diagonal."""
+    states = np.concatenate([sa.flow.reshape(-1, 2, op.n), sb.flow.reshape(-1, 2, op.n)])
+    U, V = states[:, 0], states[:, 1]
+    G = U @ (op.K @ U.T)
+    G += V @ (op.M @ V.T)
+    dg = np.diag(G).copy()
+    G *= 2.0
+    d2 = dg[:, None] + dg[None, :]
+    d2 -= G
+    d2 = np.maximum(d2, 0.0, out=d2)
+    d2 = 0.5 * (d2 + d2.T)
+    np.fill_diagonal(d2, 0.0)
+    return d2
+
+
+def test_build_flow_pair_matches_the_universe():
+    # the stability study's first pair at its shipped size (96 points, 11
+    # flow times): every field holds the bits of the one matrix over all flow
+    # states, so dgh_dynamical reads the same floats
+    cfg, diags = load_config(Path(__file__).resolve().parents[1] / "configs" / "stability_1d.cfg")
+    assert not diags
+    mesh, f = cfg.make_mesh(), cfg.make_nonlinearity()
+    sa, sb = (sample_attractor(pullback_operator(mesh, h), f, cfg.sampler, cfg.seed) for h in cfg.maps()[:2])
+    op = cfg.reference_operator()
+    pair = build_flow_pair(sa, sb, op)
+    d2 = _universe(sa, sb, op)
+    n, q = sa.flow.shape[:2]
+    a = n * q
+    xs, ys = np.arange(a).reshape(n, q), a + np.arange(a).reshape(n, q)
+    want = FlowPair(
+        d2[:a, a:],
+        d2[np.ix_(xs[:, 0], xs[:, 0])],
+        d2[np.ix_(ys[:, 0], ys[:, 0])],
+        d2[xs[:, :-1], xs[:, 1:]],
+        d2[ys[:, :-1], ys[:, 1:]],
+        sa.flow_times,
+    )
+    for name in ("cross", "base_x", "base_y", "seg_x", "seg_y", "times"):
+        assert np.array_equal(getattr(pair, name), getattr(want, name)), name
+    got, ref = (dgh_dynamical(p, cfg.rho, 4, cfg.seed) for p in (pair, want))
+    assert got.value == ref.value
+    assert (got.forward_flow_eps, got.backward_flow_eps) == (ref.forward_flow_eps, ref.backward_flow_eps)
+    assert (got.certified, got.exact) == (ref.certified, ref.exact) == (True, True)
+    np.testing.assert_array_equal(got.forward.assignment, ref.forward.assignment)
+    np.testing.assert_array_equal(got.backward.assignment, ref.backward.assignment)
+
+
+def test_build_flow_pair_peak_memory_below_one_universe():
+    # two synthetic 96-point samples with 11 flow times each: the pair is
+    # built without ever holding one (96 + 96) * 11 square of floats
+    op = identity_operator(Mesh(UNIT, 48))
+    rng = np.random.default_rng(0)
+    times = np.linspace(0.0, 1.0, 11)
+    sa, sb = (AttractorSample(np.zeros((96, 96)), rng.standard_normal((96, 11, 2, op.n)), times, 0.0) for _ in range(2))
+    tracemalloc.start()
+    try:
+        build_flow_pair(sa, sb, op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 * 96 * 11) ** 2 * 8
 
 
 def test_build_flow_pair_refuses_different_time_grids():
