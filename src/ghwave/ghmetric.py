@@ -15,8 +15,6 @@ it tries is increasing.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -364,26 +362,25 @@ class GHEstimate:
         return self.value <= self.lower
 
 
-# restarts per round, fixed so that where a search stops does not depend on the
-# thread count; 2, the two deterministic starts, because on the shipped
-# continuity configs at 2 threads rounds of 4 cost a certified row three times as much
-RESTART_ROUND = 2
+def _check_budget(budget: int) -> None:
+    """A search runs at least one restart: every estimate needs a map to return."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
 
 
 def _one_sided_search(
-    dx: Array, dy: Array, restarts: int, seed: int, dirflag: int, threads: int, bound: float = -np.inf
+    dx: Array, dy: Array, restarts: int, seed: int, dirflag: int, bound: float = -np.inf
 ) -> tuple[list[MapCandidate], int]:
     """Multistart descent X -> Y: the per-restart bests, best first, and the restarts run.
 
-    Restarts run in rounds of RESTART_ROUND, and the search stops after the
-    first round whose best objective is at most `bound`, a lower bound on
-    the objective of every map: no later restart can then beat that round's
-    winner, or tie it with a smaller restart index.  Deterministic for any
-    thread count.
+    The search stops after the first restart whose objective is at most
+    `bound`, a lower bound on the objective of every map: no later restart
+    can then beat that restart's map, or tie it with a smaller restart
+    index, so the winner is that of the full budget.
     """
     nx, ny = dx.shape[0], dy.shape[0]
-
-    def run(r: int) -> tuple[float, int, IntArray]:
+    results: list[tuple[float, int, IntArray]] = []
+    for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, r, dirflag]))
         if r == 0:
             m0 = _start_map(dx, dy)
@@ -392,16 +389,9 @@ def _one_sided_search(
         else:
             m0 = rng.integers(0, ny, size=nx).astype(np.intp)
         val, m = _descend(dx, dy, m0, rng, kicks=2)
-        return val, r, m
-
-    results: list[tuple[float, int, IntArray]] = []
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 and restarts > 1 else nullcontext()
-    with pool as ex:
-        mapper = map if ex is None else ex.map
-        for start in range(0, restarts, RESTART_ROUND):
-            results += mapper(run, range(start, min(start + RESTART_ROUND, restarts)))
-            if min(val for val, _r, _m in results) <= bound:
-                break
+        results.append((val, r, m))
+        if val <= bound:
+            break
     results.sort(key=lambda t: (t[0], t[1]))
     out = []
     seen: set[bytes] = set()
@@ -414,28 +404,21 @@ def _one_sided_search(
     return out, len(results)
 
 
-def gh_upper(
-    X: FiniteMetricSpace,
-    Y: FiniteMetricSpace,
-    budget: int = 32,
-    seed: int = 0,
-    threads: int = 1,
-) -> GHEstimate:
+def gh_upper(X: FiniteMetricSpace, Y: FiniteMetricSpace, budget: int = 32, seed: int = 0) -> GHEstimate:
     """Seeded multistart estimate of the two-sided objective, bracketed by `gh_lower`.
 
     Restart 0 starts at the identity when both spaces have the same size
     (index-matched samples) and at the deterministic greedy matching
     otherwise, restart 1 at the greedy matching, the rest at random maps.
-    Each direction stops once a round's best meets that direction's bound
-    (see `_one_sided_search`), which leaves its result as the full budget's.
-    Increasing `budget` with the same seed never worsens the value.  With
-    the same seed the result is identical for any thread count.
+    Each direction runs its restarts one by one and stops at the first whose
+    objective meets that direction's bound (see `_one_sided_search`), which
+    leaves its result as the full budget's.  Increasing `budget` with the
+    same seed never worsens the value.  `budget` below 1 is a ValueError.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    _check_budget(budget)
     low_f, low_b = _direction_bounds(X.d, Y.d)
-    fwd, used_f = _one_sided_search(X.d, Y.d, budget, seed, 1, threads, low_f)
-    bwd, used_b = _one_sided_search(Y.d, X.d, budget, seed, 2, threads, low_b)
+    fwd, used_f = _one_sided_search(X.d, Y.d, budget, seed, 1, low_f)
+    bwd, used_b = _one_sided_search(Y.d, X.d, budget, seed, 2, low_b)
     return GHEstimate(max(fwd[0].objective, bwd[0].objective), fwd[0], bwd[0], max(low_f, low_b), used_f + used_b)
 
 
@@ -594,13 +577,7 @@ class DynamicalEstimate:
     exact: bool
 
 
-def dgh_dynamical(
-    pair: FlowPair,
-    rho: float = 1.0,
-    budget: int = 32,
-    seed: int = 0,
-    threads: int = 1,
-) -> DynamicalEstimate:
+def dgh_dynamical(pair: FlowPair, rho: float = 1.0, budget: int = 32, seed: int = 0) -> DynamicalEstimate:
     """Dynamical distance upper estimate between the two sampled flows of `pair`.
 
     Each direction's objective for a map m is the larger of its static
@@ -617,9 +594,11 @@ def dgh_dynamical(
     certified, and then the value is the estimator's optimum, exact over the
     21-point s grid, not over the continuous class of reparametrizations.
     `certified` re-verifies both witnesses at value + 1e-12.  `rho` must lie
-    in (0, RHO_MAX), where every time change tried is increasing; otherwise
-    ValueError.
+    in (0, RHO_MAX), where every time change tried is increasing, and
+    `budget` must be at least 1, as for `gh_upper`, even where no search
+    runs; otherwise ValueError.
     """
+    _check_budget(budget)
     if not 0.0 < rho < RHO_MAX:
         raise ValueError(f"rho must lie in (0, {RHO_MAX:.6g}), got {rho}")
 
@@ -629,7 +608,7 @@ def dgh_dynamical(
         if proven is not None:
             c, fe = proven
             return fe, c, fe, True
-        cands = _one_sided_search(da, db, budget, seed, dirflag, threads)[0][:8]
+        cands = _one_sided_search(da, db, budget, seed, dirflag)[0][:8]
         best_v, best_c, best_f = np.inf, cands[0], np.inf
         for c in cands:
             fe = _commutation_eps(p, c.assignment, rho)

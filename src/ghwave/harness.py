@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -128,8 +129,12 @@ def run_continuity_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | 
 
     The reference operator is resampled with seed+1 as a same-distribution
     control; the resulting gh_upper value is the sampling noise floor that
-    the smallest perturbation is compared against.  `timer` collects the
-    wall clock of the assembly, sampling and GH-search stages.
+    the smallest perturbation is compared against.  Every row is sampled
+    first; then the control search and the row searches, each independent
+    of the others, run on `cfg.threads` workers, and the CSV rows are
+    written in schedule order as their results arrive, so the output is the
+    same for any worker count.  `timer` collects the wall clock of the
+    assembly, sampling and GH-search stages.
     """
     clock = timer or StudyTimer()
     mesh = cfg.make_mesh()
@@ -139,27 +144,32 @@ def run_continuity_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | 
         sample_ref = sample_attractor(op_ref, f, cfg.sampler, cfg.seed)
         sample_ctrl = sample_attractor(op_ref, f, cfg.sampler, cfg.seed + 1)
     space_ref = FiniteMetricSpace(sample_ref.dist, validate=False)
-    space_ctrl = FiniteMetricSpace(sample_ctrl.dist, validate=False)
-    with clock.stage("continuity.search"):
-        floor = gh_upper(space_ref, space_ctrl, cfg.budget, cfg.seed, cfg.threads).value
+    spaces = [FiniteMetricSpace(sample_ctrl.dist, validate=False)]
+    devs: list[tuple[float, float, float]] = []
+    for h in cfg.maps():
+        with clock.stage("continuity.assemble"):
+            op = pullback_operator(mesh, h)
+        devs.append((h.delta, *deviation_norms(op.coeffs)))
+        with clock.stage("continuity.sample"):
+            spaces.append(FiniteMetricSpace(sample_attractor(op, f, cfg.sampler, cfg.seed).dist, validate=False))
+
+    def search(space: FiniteMetricSpace):
+        return gh_upper(space_ref, space, cfg.budget, cfg.seed)
 
     header = ["delta", "det_dev", "hbar_dev", "gh_lower", "gh_upper", "restarts_used", "exact"]
     writer = CsvWriter(Path(out_dir) / "continuity.csv", header) if out_dir else None
     rows: list[ContinuityRow] = []
+    # the stage is opened here, not in the workers: StudyTimer is not thread-safe;
+    # the pool starts no thread when the plain map runs instead
     try:
-        for h in cfg.maps():
-            with clock.stage("continuity.assemble"):
-                op = pullback_operator(mesh, h)
-            det_dev, hbar_dev = deviation_norms(op.coeffs)
-            with clock.stage("continuity.sample"):
-                sample = sample_attractor(op, f, cfg.sampler, cfg.seed)
-            space = FiniteMetricSpace(sample.dist, validate=False)
-            with clock.stage("continuity.search"):
-                est = gh_upper(space_ref, space, cfg.budget, cfg.seed, cfg.threads)
-            row = ContinuityRow(h.delta, det_dev, hbar_dev, est.lower, est.value, est.restarts_used, est.exact)
-            rows.append(row)
-            if writer:
-                writer.row(list(asdict(row).values()))
+        with clock.stage("continuity.search"), ThreadPoolExecutor(cfg.threads) as pool:
+            ests = pool.map(search, spaces) if cfg.threads > 1 else map(search, spaces)
+            floor = next(ests).value
+            for dev, est in zip(devs, ests):
+                row = ContinuityRow(*dev, est.lower, est.value, est.restarts_used, est.exact)
+                rows.append(row)
+                if writer:
+                    writer.row(list(asdict(row).values()))
     finally:
         if writer:
             writer.close()
@@ -236,9 +246,11 @@ def run_stability_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
     The pair is (schedule[0], schedule[1]); the half-gap partner is the
     amplitude midpoint, which for amplitude-linear families halves the C^2
     distance exactly.  Both estimates must come with verified witnesses and
-    the half-gap epsilon must not exceed the full-gap one.  `timer` collects
-    the wall clock of the sampling, flow-pair and GH-search stages.  A
-    schedule of fewer than two amplitudes is a ConfigError before any work.
+    the half-gap epsilon must not exceed the full-gap one.  The two
+    estimates run one after the other on one thread, so that one flow pair
+    is alive at a time; `cfg.threads` does not enter this study.  `timer`
+    collects the wall clock of the sampling, flow-pair and GH-search stages.
+    A schedule of fewer than two amplitudes is a ConfigError before any work.
     """
     cfg.check_schedule(at_least=2)
     clock = timer or StudyTimer()
@@ -266,7 +278,7 @@ def run_stability_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
         with clock.stage("stability.flow_pair"):
             pair = build_flow_pair(s_anchor, s_other, op_univ)
         with clock.stage("stability.search"):
-            return dgh_dynamical(pair, cfg.rho, cfg.budget, cfg.seed, cfg.threads)
+            return dgh_dynamical(pair, cfg.rho, cfg.budget, cfg.seed)
 
     est_full = estimate(s_full)
     est_half = estimate(s_half)

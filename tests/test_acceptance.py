@@ -191,10 +191,10 @@ def test_stability_study(verdict, tmp_path):
 
 
 def test_reproducibility_across_threads(verdict, tmp_path):
-    # continuity runs gh_upper's restarts on threads; on this config both of
-    # stability's directions are certified at their start maps, so
-    # dgh_dynamical runs no search here and its threaded fallback is checked
-    # by tests/test_ghmetric.py::test_dgh_search_fallback_thread_invariant
+    # continuity runs its control and row searches on the worker threads;
+    # stability runs single-threaded whatever the count, and is compared so
+    # that it stays so.  tests/test_harness.py checks the continuity pool
+    # with searches that finish out of order
     cfg_path = str(CONFIGS / "determinism_tiny.cfg")
     compared, identical = [], True
     for study in ("continuity", "stability"):

@@ -26,7 +26,6 @@ from ghwave.ghmetric import (
     gh_lower,
     gh_upper,
     is_eps_isometry,
-    RESTART_ROUND,
     _deficit_after_move,
     _descend,
     _direction_bounds,
@@ -150,9 +149,9 @@ def test_row_bound_between_diameter_gap_and_exact(X, Y):
 def test_search_with_bound_keeps_best_map(X, Y, seed):
     # stopping at the bound must leave the full budget's winner and value
     for (da, db), bound, flag in zip(((X.d, Y.d), (Y.d, X.d)), _direction_bounds(X.d, Y.d), (1, 2)):
-        stopped, used = _one_sided_search(da, db, 12, seed, flag, 1, bound)
-        full, all_used = _one_sided_search(da, db, 12, seed, flag, 1)
-        assert all_used == 12 and used % RESTART_ROUND == 0
+        stopped, used = _one_sided_search(da, db, 12, seed, flag, bound)
+        full, all_used = _one_sided_search(da, db, 12, seed, flag)
+        assert all_used == 12 and 1 <= used <= 12
         assert stopped[0].objective == full[0].objective
         assert np.array_equal(stopped[0].assignment, full[0].assignment)
 
@@ -195,31 +194,19 @@ def test_upper_budget_monotone():
     assert vals[0] >= vals[1] >= vals[2]
 
 
-def test_upper_thread_count_invariant():
-    rng = np.random.default_rng(4)
-    X = _random_space(rng, 10)
-    Y = _random_space(rng, 10)
-    a = gh_upper(X, Y, budget=16, seed=9, threads=1)
-    b = gh_upper(X, Y, budget=16, seed=9, threads=4)
-    assert a.value == b.value
-    assert np.array_equal(a.forward.assignment, b.forward.assignment)
-    assert a.restarts_used == b.restarts_used
-    assert a.lower == b.lower
-
-
 def test_upper_stops_at_certified_scaled_copy():
     # an index-matched copy scaled by 1 + 1e-3: restart 0 starts at the
     # identity, whose distortion the row bound meets in both directions, so
-    # each direction stops after its first round and the estimate is exact
+    # each direction stops after that one restart and the estimate is exact
     rng = np.random.default_rng(17)
     X = _random_space(rng, 16)
     Y = FiniteMetricSpace(X.d * (1.0 + 1e-3))
-    est = gh_upper(X, Y, budget=32, seed=3, threads=2)
+    est = gh_upper(X, Y, budget=32, seed=3)
     assert est.exact
     assert est.value == est.lower == distortion(X.d, Y.d, np.arange(16))
-    assert est.restarts_used == 2 * RESTART_ROUND
-    full_f = _one_sided_search(X.d, Y.d, 32, 3, 1, 1)[0][0]
-    full_b = _one_sided_search(Y.d, X.d, 32, 3, 2, 1)[0][0]
+    assert est.restarts_used == 2
+    full_f = _one_sided_search(X.d, Y.d, 32, 3, 1)[0][0]
+    full_b = _one_sided_search(Y.d, X.d, 32, 3, 2)[0][0]
     assert np.array_equal(est.forward.assignment, full_f.assignment)
     assert np.array_equal(est.backward.assignment, full_b.assignment)
 
@@ -538,21 +525,42 @@ def test_flow_certificate_against_brute_force():
     assert n_exact >= 3 and n_search >= 3
 
 
-def test_dgh_search_fallback_thread_invariant():
+def _dilated_pair() -> FlowPair:
     # a dilated copy: the static distortion binds above every flow term, so
-    # neither start map is certified and both directions run the threaded
-    # multistart search, whose result must not depend on the thread count
+    # neither start map is certified and both directions run the multistart search
     rng = np.random.default_rng(12)
     times = np.linspace(0.0, 1.0, 3)
     x0 = rng.uniform(-1.5, 1.5, (12, 1))
     x = x0[:, None] + times[None, :, None] * 0.2 * rng.standard_normal((12, 1))[:, None]
-    pair = _flow_pair(x, 1.3 * x, times)
-    e1 = dgh_dynamical(pair, budget=8, seed=5, threads=1)
-    e4 = dgh_dynamical(pair, budget=8, seed=5, threads=4)
-    assert not e1.exact and not e4.exact
-    assert e1.certified and e4.certified
-    assert e1.value == e4.value
-    assert e1.forward_flow_eps == e4.forward_flow_eps
-    assert e1.backward_flow_eps == e4.backward_flow_eps
-    np.testing.assert_array_equal(e1.forward.assignment, e4.forward.assignment)
-    np.testing.assert_array_equal(e1.backward.assignment, e4.backward.assignment)
+    return _flow_pair(x, 1.3 * x, times)
+
+
+def test_dgh_search_fallback():
+    pair = _dilated_pair()
+    est = dgh_dynamical(pair, budget=8, seed=5)
+    assert not est.exact and est.certified
+    # each witness is one of its direction's 8 best static maps, scored by its own flow epsilon
+    sides = ((pair, est.forward, est.forward_flow_eps, 1), (pair.reversed(), est.backward, est.backward_flow_eps, 2))
+    for p, c, fe, flag in sides:
+        da, db = (space.d for space in p.metrics())
+        cands = _one_sided_search(da, db, 8, 5, flag)[0][:8]
+        assert any(np.array_equal(c.assignment, k.assignment) for k in cands)
+        assert fe == _commutation_eps(p, c.assignment, 1.0)
+    assert est.value == max(est.forward.objective, est.forward_flow_eps, est.backward.objective, est.backward_flow_eps)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_searches_refuse_a_budget_below_one(budget):
+    # a certified pair, which needs no search, is refused all the same
+    rng = np.random.default_rng(17)
+    X = _random_space(rng, 6)
+    x = [[0.0, 0.1], [1.0, 1.1], [2.5, 2.4]]
+    certified = _flow_pair(x, x, [0.0, 1.0])
+    assert dgh_dynamical(certified, budget=1).exact
+    for call in (
+        lambda: gh_upper(X, FiniteMetricSpace(X.d * (1.0 + 1e-3)), budget=budget),
+        lambda: dgh_dynamical(_dilated_pair(), budget=budget),
+        lambda: dgh_dynamical(certified, budget=budget),
+    ):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            call()

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 from ghwave.cli import main
 from ghwave.config import ScenarioConfig, load_config, parse_config
 from ghwave.dynamics import AttractorSample, SamplerConfig, sample_attractor
+from ghwave import harness
 from ghwave.harness import (
     CsvWriter,
     build_flow_pair,
@@ -20,7 +23,7 @@ from ghwave.harness import (
     write_report,
     write_timing,
 )
-from ghwave.ghmetric import FlowPair, dgh_dynamical
+from ghwave.ghmetric import FlowPair, dgh_dynamical, gh_upper
 from ghwave.operators import Mesh, default_nonlinearity, identity_operator, pullback_operator
 from ghwave.domains import ReferenceDomain
 
@@ -242,6 +245,41 @@ def test_studies_report_brackets_and_exact_flags(tmp_path):
     flags = [line.split(",")[-1] for line in (tmp_path / "s" / "stability.csv").read_text().splitlines()]
     assert flags == ["exact", "1" if st.exact_full else "0", "1" if st.exact_half else "0"]
     assert {"exact_full", "exact_half", "certified_full", "certified_half"} <= set(st.payload())
+
+
+def test_continuity_searches_finish_out_of_order_and_report_in_order(tmp_path, monkeypatch):
+    # the earlier a search starts, the longer it sleeps, so at 3 workers the
+    # control and the two rows finish last-started first; the study must still
+    # report and write them in schedule order
+    cfg, diags = load_config(Path(__file__).resolve().parents[1] / "configs" / "determinism_tiny.cfg")
+    assert not diags
+    lock = threading.Lock()
+    started: list[int] = []
+    finished: list[int] = []
+
+    def slow_gh_upper(*args):
+        with lock:
+            k = len(started)
+            started.append(k)
+        time.sleep(0.2 * (3 - k))
+        est = gh_upper(*args)
+        with lock:
+            finished.append(k)
+        return est
+
+    monkeypatch.setattr(harness, "gh_upper", slow_gh_upper)
+    results, csvs, orders = [], [], []
+    for threads in (1, 3):
+        started.clear()
+        finished.clear()
+        out = tmp_path / f"t{threads}"
+        results.append(run_continuity_study(dataclasses.replace(cfg, threads=threads), out_dir=out))
+        csvs.append((out / "continuity.csv").read_bytes())
+        orders.append(list(finished))
+    assert orders == [[0, 1, 2], [2, 1, 0]]
+    assert results[0] == results[1]
+    assert csvs[0] == csvs[1]
+    assert [r.delta for r in results[1].rows] == [h.delta for h in cfg.maps()]
 
 
 def test_estimates_study_fast_config(tmp_path):
