@@ -10,7 +10,10 @@ CSV, then the stages of its timing.json, so comparing the printed shas of two
 commits checks that they write the same results.  The same record (exit code,
 shas and stages per run), with the machine it ran on (nproc, CPU model,
 Python, numpy and scipy versions), goes to <out>/bench.json, the form the
-repo-root BENCH_*.json files keep.  The shipped studies run with --strict, so
+repo-root BENCH_*.json files keep, together with `import_s`: the median
+wall clock of IMPORT_PROBES fresh interpreters that only import
+`ghwave.cli` and `ghwave.harness` (the start-up every study process pays),
+printed first.  The shipped studies run with --strict, so
 exit status is nonzero if any of them fails or any run errors; the
 determinism_tiny runs are there for their shas (its two-amplitude schedule
 stops short of the conjugation check's 1e-3), so only their errors count.
@@ -22,12 +25,16 @@ import hashlib
 import json
 import os
 import platform
+import statistics
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import scipy
 
+import ghwave
 from ghwave.cli import main as cli_main
 
 # (command, config, whether a negative verdict fails the script)
@@ -41,6 +48,24 @@ RUNS = (
     ("stability", "stability_1d.cfg", True),
     ("continuity", "continuity_1d.cfg", True),
 )
+
+
+IMPORT_PROBES = 5
+
+
+def import_seconds() -> float:
+    """Median wall clock of IMPORT_PROBES fresh interpreters that import ghwave.cli and ghwave.harness.
+
+    The probes import the same ghwave package this script runs.
+    """
+    src = str(Path(ghwave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    times = []
+    for _ in range(IMPORT_PROBES):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import ghwave.cli, ghwave.harness"], env=env, check=True)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 def record(out: Path) -> dict:
@@ -88,6 +113,8 @@ def main() -> int:
         if args.configs
         else Path(__file__).resolve().parents[1] / "configs"
     )
+    import_s = import_seconds()
+    print(f"import_s {import_s:.3f} s (median of {IMPORT_PROBES} fresh imports of ghwave.cli, ghwave.harness)", flush=True)
     worst, runs = 0, []
     for command, cfg_name, strict in RUNS:
         out = Path(args.out) / f"{Path(cfg_name).stem}-{command}"
@@ -106,7 +133,7 @@ def main() -> int:
         print(f"{command} {cfg_name}: exit {rc}", *summary(rec), sep="\n", flush=True)
         runs.append({"command": command, "config": cfg_name, "exit": rc, **rec})
         worst = max(worst, rc)
-    bench = {"machine": machine(), "threads": args.threads, "runs": runs}
+    bench = {"machine": machine(), "threads": args.threads, "import_s": import_s, "runs": runs}
     (Path(args.out) / "bench.json").write_text(json.dumps(bench, indent=1) + "\n")
     return worst
 

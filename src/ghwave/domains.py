@@ -22,6 +22,7 @@ constructor rather than restating its rules.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -142,9 +143,11 @@ def c2_distance(h: DiffeoMap, g: DiffeoMap, grid: Array) -> float:
         raise ValueError("c2_distance needs a non-empty sample grid")
     if pts.shape[1] != h.domain.dim:
         raise ValueError("grid dimension does not match the maps")
-    dv = h(pts) - g(pts)
-    dj = h.jac(pts) - g.jac(pts)
-    dh = h.hess(pts) - g.hess(pts)
+    return _c2_sup(pts, h(pts) - g(pts), h.jac(pts) - g.jac(pts), h.hess(pts) - g.hess(pts))
+
+
+def _c2_sup(pts: Array, dv: Array, dj: Array, dh: Array) -> float:
+    """The C2 distance from the deviations of value, Jacobian and Hessian on the grid `pts`."""
     if not (np.all(np.isfinite(dv)) and np.all(np.isfinite(dj)) and np.all(np.isfinite(dh))):
         bad = np.argwhere(~np.isfinite(dv).all(axis=1))
         where = pts[bad[0, 0]] if bad.size else pts[0]
@@ -157,15 +160,27 @@ def c2_distance(h: DiffeoMap, g: DiffeoMap, grid: Array) -> float:
     return float(total.max())
 
 
+@lru_cache(maxsize=8)
+def _c2_grid(domain: ReferenceDomain) -> Array:
+    """`default_c2_grid(domain)`, built once per domain and read-only."""
+    grid = default_c2_grid(domain)
+    grid.flags.writeable = False
+    return grid
+
+
 def _finalize(h: DiffeoMap) -> DiffeoMap:
     """Set delta and admit h only if delta < 1: the one check of a map.
 
-    It also keeps Dh invertible on the grid: at each grid point delta bounds
+    delta is `c2_distance(h, identity_map(h.domain), default_c2_grid(h.domain))`
+    bit for bit, taken against the identity directly: h(x) - x, Dh - I and
+    D2h (less 0, which moves no bit), on the domain's one grid.  It also
+    keeps Dh invertible on the grid: at each grid point delta bounds
     |Dh - I|_F >= |Dh - I|_2, so every eigenvalue of Dh lies within delta of
     1 and det Dh >= (1 - delta)^d > 0.  The hand-coded derivatives are fixed
     code, checked against a symbolic oracle in the tests.
     """
-    h.delta = c2_distance(h, identity_map(h.domain), default_c2_grid(h.domain))
+    pts = _c2_grid(h.domain)
+    h.delta = _c2_sup(pts, h(pts) - pts, h.jac(pts) - np.eye(h.domain.dim), h.hess(pts))
     if not h.delta < 1.0:
         raise _ArgumentError("amplitude", f"map {h.key} has C2 distance {h.delta:.4f} >= 1 from the identity")
     return h

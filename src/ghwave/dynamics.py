@@ -58,7 +58,6 @@ from typing import Callable, Sequence
 import numpy as np
 import numpy.typing as npt
 import scipy.sparse as sp
-from scipy.optimize import curve_fit
 from scipy.sparse.linalg import splu
 
 from .domains import DiffeoMap
@@ -83,6 +82,7 @@ __all__ = [
     "conjugated_flow_error",
     "random_state",
     "x0_sqdist",
+    "x0_sqnorms",
     "calibration_state",
 ]
 
@@ -371,9 +371,12 @@ def _interior_peaks(y: Array) -> npt.NDArray[np.intp]:
     return (np.where((y[1:-1] >= y[:-2]) & (y[1:-1] >= y[2:]))[0] + 1).astype(np.intp)
 
 
-def _fit_envelope(times: Array, e2: Array) -> tuple[float, float, float]:
-    if float(e2.max(initial=0.0)) <= 1e-300:
-        return 0.0, 0.0, 1.0
+_LOG_FLOOR = 1e-300  # keeps the logs of the envelope and of E2 finite at 0
+_ENVELOPE_LOWER = np.array([0.0, 0.0, 1e-8])  # a, b >= 0 and c >= 1e-8
+
+
+def _envelope_points(times: Array, e2: Array) -> tuple[Array, Array, tuple[float, float, float]]:
+    """The times and E2 values the envelope is fitted through, and the fit's start point (a0, b0, c0)."""
     tail = max(1, len(e2) // 5)
     a0 = float(np.mean(e2[-tail:]))
     loge = np.log(np.maximum(e2, 1e-300))
@@ -401,22 +404,119 @@ def _fit_envelope(times: Array, e2: Array) -> tuple[float, float, float]:
         (float(ep[0]) - a0) * float(np.exp(min(c0 * float(tp[0]), 600.0))),
         1e-12 * float(e2.max()),
     )
-    # fit in log space: the data spans many decades, and the envelope must
-    # track the tail in relative terms, not just the dominant early peaks
-    floor = 1e-300
-    try:
-        popt, _ = curve_fit(
-            lambda t, a, b, c: np.log(a + b * np.exp(-c * t) + floor),
-            tp,
-            np.log(ep + floor),
-            p0=(max(a0, 0.0), b0, c0),
-            bounds=([0.0, 0.0, 1e-8], [np.inf, np.inf, np.inf]),
-            maxfev=20000,
-        )
-        a, b, c = (float(x) for x in popt)
-    except RuntimeError:
-        a, b, c = max(a0, 0.0), b0, c0
-    return a, b, c
+    return tp, ep, (max(a0, 0.0), b0, c0)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _envelope_residuals(p: Array, s: Array, y: Array) -> tuple[Array, Array]:
+    """Residuals log(a + beta exp(-c s)) - y at p = (a, beta, c), and their Jacobian's three columns.
+
+    A trial rate too steep for exp gives a non-finite cost, which the
+    descent refuses like any cost that does not fall.
+    """
+    decay = np.exp(-p[2] * s)
+    m = p[0] + p[1] * decay + _LOG_FLOOR
+    return np.log(m) - y, np.column_stack([1.0 / m, decay / m, -p[1] * s * decay / m])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _envelope_descent(s: Array, y: Array, p: Array) -> tuple[Array, float]:
+    """Projected Levenberg-Marquardt on the cost of `_envelope_residuals` from `p`, and its cost.
+
+    Parameters at their lower bound whose gradient points out of the box
+    stay fixed; every other one takes the damped Gauss-Newton step, clipped
+    to the box, with Nielsen's damping update.  Only steps that lower the
+    cost are taken, so a start no step improves (or one with a non-finite
+    cost) is returned as it is.  The loop stops when a step gains no more
+    than 1e-15 of the cost, when no damping up to 1e20 finds a lower cost, or
+    after 200 steps.
+    """
+    p = np.maximum(p, _ENVELOPE_LOWER)
+    r, J = _envelope_residuals(p, s, y)
+    cost, damping, growth = float(r @ r), 1e-3, 2.0
+    for _ in range(200):
+        g = J.T @ r
+        free = (p > _ENVELOPE_LOWER) | (g < 0.0)
+        if not free.any():
+            break
+        H = (J.T @ J)[np.ix_(free, free)]
+        # Marquardt's scaling, kept positive where a column of J vanishes
+        scale = np.maximum(np.diag(H), 1e-30 * max(float(np.diag(H).max()), 1e-300))
+        while True:
+            q = p.copy()
+            q[free] += np.linalg.solve(H + damping * np.diag(scale), -g[free])
+            q = np.maximum(q, _ENVELOPE_LOWER)
+            r_q, J_q = _envelope_residuals(q, s, y)
+            cost_q = float(r_q @ r_q)
+            if cost_q < cost:
+                break
+            damping, growth = damping * growth, 2.0 * growth
+            if damping > 1e20:
+                return p, cost
+        # the worse the linear model predicted the gain, the more damping
+        # for the next step: GN steps zigzag across a curved valley; the
+        # floor keeps the damped matrix nonsingular where H is
+        d = (q - p)[free]
+        predicted = -(2.0 * float(g[free] @ d) + float(d @ H @ d))
+        if predicted > 0.0:
+            gain = min((cost - cost_q) / predicted, 1.0)
+            damping = max(damping * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-12)
+        growth = 2.0
+        converged = cost - cost_q <= 1e-15 * cost
+        p, r, J, cost = q, r_q, J_q, cost_q
+        if converged:
+            break
+    return p, cost
+
+
+def _log_envelope_lsq(t: Array, y: Array, p0: tuple[float, float, float]) -> tuple[float, float, float]:
+    """(a, b, c) minimizing sum_i (log(a + b exp(-c t_i)) - y_i)^2 over a, b >= 0, c >= 1e-8.
+
+    Solved as a + beta exp(-c (t - tbar)) with tbar the mean time and b =
+    beta exp(c tbar): the same problem, with the rate no longer tied to the
+    amplitude.  The a = 0 face first: there the model is the line log beta -
+    c (t - tbar), so the face's optimum is the least-squares line through the
+    points, and it is the answer when its rate is at least 1e-8 and the cost
+    does not fall as a grows from 0 (the sign condition of a constrained
+    minimum).  Otherwise the answer is the lowest-cost end of projected
+    descents (the first on a tie) from p0 (p0 itself where no step lowers
+    its cost), from the line, and from p0's a with the rate at 3, 30 and 300
+    e-folds over the points and the first point matched: a decay seen only
+    in the first few points is a separate minimum that the other starts
+    miss.  An answer with b = 0 is a constant envelope, whose cost no rate
+    moves; its rate is reported as 1e-8.
+    """
+    tbar = float(np.mean(t))
+    s = t - tbar
+    slope, intercept = np.polyfit(s, y, 1)
+    face = np.array([0.0, math.exp(intercept), -slope])
+    r, J = _envelope_residuals(face, s, y)
+    if face[2] >= _ENVELOPE_LOWER[2] and float(r @ J[:, 0]) >= 0.0:
+        best = face
+    else:
+        a0, b0, c0 = p0
+        span = float(t[-1] - t[0])
+        head = max(math.exp(float(y[0])) - a0, 1e-12 * b0)  # the first point's excess over a0
+        starts = [np.array([a0, b0 * math.exp(-c0 * tbar), c0]), face]
+        starts += [np.array([a0, head * math.exp(k / span * s[0]), k / span]) for k in (3.0, 30.0, 300.0)]
+        best = min((_envelope_descent(s, y, p) for p in starts), key=lambda pc: pc[1])[0]
+    a, beta, c = (float(x) for x in best)
+    if beta == 0.0:
+        c = float(_ENVELOPE_LOWER[2])
+    return a, beta * float(np.exp(c * tbar)), c
+
+
+def _fit_envelope(times: Array, e2: Array) -> tuple[float, float, float]:
+    """Decay envelope (a, b, c) of E2: a + b exp(-c t) fitted in log space
+    through the ripple crests of the series' tail; (0, 0, 1) for a zero series.
+
+    Log space because the data spans many decades, and the envelope must
+    track the tail in relative terms, not just the dominant early peaks.
+    """
+    if float(e2.max(initial=0.0)) <= 1e-300:
+        return 0.0, 0.0, 1.0
+    tp, ep, p0 = _envelope_points(times, e2)
+    return _log_envelope_lsq(tp, np.log(ep + _LOG_FLOOR), p0)
 
 
 def energy_profile(traj: Trajectory, f: NonlinearitySpec) -> EnergyProfile:
@@ -608,7 +708,26 @@ class AttractorSample:
         return self.flow[:, 0]
 
 
-def x0_sqdist(rows: Array, cols: Array, op: DiscreteOperator) -> Array:
+def _x0_gram(a: Array, b: Array, op: DiscreteOperator) -> Array:
+    """G_ab = u_a K u_b + v_a M v_b between the states (rows) of a and b, each (n, 2, dim)."""
+    G = a[:, 0] @ (op.K @ b[:, 0].T)
+    G += a[:, 1] @ (op.M @ b[:, 1].T)
+    return G
+
+
+def x0_sqnorms(table: Array, op: DiscreteOperator) -> Array:
+    """Squared X^0 norms G_aa of every state of a flow table, in `x0_sqdist`'s order.
+
+    `table` is a flow table (n, q, 2, dim) or one time slice (n, 2, dim);
+    each norm is the diagonal entry of its own time slice's Gram.
+    """
+    t = table.reshape(len(table), -1, 2, op.n)
+    return np.column_stack([np.diag(_x0_gram(t[:, j], t[:, j], op)) for j in range(t.shape[1])]).ravel()
+
+
+def x0_sqdist(
+    rows: Array, cols: Array, op: DiscreteOperator, norms: tuple[Array, Array] | None = None
+) -> Array:
     """Squared X^0 distances from every state of `rows` to every state of `cols`.
 
     Each argument is a flow table (n, q, 2, dim), its states taken in the
@@ -623,22 +742,15 @@ def x0_sqdist(rows: Array, cols: Array, op: DiscreteOperator) -> Array:
     last 1 to 4 columns of a product whose width is not a multiple of 8 in a
     kernel of its own: the shipped 96 x 11 and 16 x 5 samples avoid it; for
     two 6 x 5 samples (`determinism_tiny.cfg`) the flow pair's entries of
-    Y's last point differ from the 60-wide Gram's in the last bits.  At the
-    peak two result-sized arrays are alive.
+    Y's last point differ from the 60-wide Gram's in the last bits.
+    `norms`, the `x0_sqnorms` of rows and of cols, spares a caller that
+    reads several blocks of one table its slice Grams.  At the peak two
+    result-sized arrays are alive.
     """
-
-    def gram(a: Array, b: Array) -> Array:
-        G = a[:, 0] @ (op.K @ b[:, 0].T)
-        G += a[:, 1] @ (op.M @ b[:, 1].T)
-        return G
-
-    def sqnorms(t: Array) -> Array:
-        return np.column_stack([np.diag(gram(t[:, j], t[:, j])) for j in range(t.shape[1])]).ravel()
-
-    a, b = (t.reshape(len(t), -1, 2, op.n) for t in (rows, cols))
-    G = gram(a.reshape(-1, 2, op.n), b.reshape(-1, 2, op.n))
+    row_sq, col_sq = norms if norms is not None else (x0_sqnorms(rows, op), x0_sqnorms(cols, op))
+    G = _x0_gram(rows.reshape(-1, 2, op.n), cols.reshape(-1, 2, op.n), op)
     G *= 2.0
-    d2 = sqnorms(a)[:, None] + sqnorms(b)[None, :]
+    d2 = row_sq[:, None] + col_sq[None, :]
     d2 -= G
     del G
     return np.maximum(d2, 0.0, out=d2)
@@ -768,7 +880,8 @@ def sample_attractor(
     rec = integ.record(StateVector(states[:, 0].T, states[:, 1].T), flow_times)
     flow = np.ascontiguousarray(np.stack([rec.u, rec.v]).transpose(2, 3, 0, 1))  # (n, m+1, 2, dim)
     # every flow state against the sample, flow[:, 0], whose own rows are every (m+1)-th
-    d2_flow = x0_sqdist(flow, flow[:, 0], op)
+    sq = x0_sqnorms(flow, op)
+    d2_flow = x0_sqdist(flow, flow[:, 0], op, norms=(sq, sq[:: m + 1]))
     dist = np.sqrt(d2_flow[:: m + 1])
     dist = 0.5 * (dist + dist.T)
     np.fill_diagonal(dist, 0.0)

@@ -33,6 +33,7 @@ from .dynamics import (
     sample_attractor,
     solve_trajectory,
     x0_sqdist,
+    x0_sqnorms,
 )
 from .ghmetric import FiniteMetricSpace, FlowPair, dgh_dynamical, gh_upper
 from .operators import DiscreteOperator, pullback_operator
@@ -201,22 +202,28 @@ def build_flow_pair(sa: AttractorSample, sb: AttractorSample, op: DiscreteOperat
     """
     if not np.array_equal(sa.flow_times, sb.flow_times):
         raise ValueError("flow tables must share the time grid")
+    # each table's slice Grams once: every block below reads its norms from these
+    sq_a, sq_b = (x0_sqnorms(s.flow, op).reshape(len(s.flow), -1) for s in (sa, sb))
 
-    def base(flow: np.ndarray) -> np.ndarray:
-        d2 = x0_sqdist(flow[:, 0], flow[:, 0], op)
+    def base(flow: np.ndarray, sq: np.ndarray) -> np.ndarray:
+        d2 = x0_sqdist(flow[:, 0], flow[:, 0], op, norms=(sq[:, 0], sq[:, 0]))
         d2 = 0.5 * (d2 + d2.T)
         np.fill_diagonal(d2, 0.0)
         return d2
 
-    def segments(flow: np.ndarray) -> np.ndarray:
-        ends = [(flow[:, j], flow[:, j + 1]) for j in range(flow.shape[1] - 1)]
-        return np.column_stack([0.5 * (np.diag(x0_sqdist(a, b, op)) + np.diag(x0_sqdist(b, a, op))) for a, b in ends])
+    def segments(flow: np.ndarray, sq: np.ndarray) -> np.ndarray:
+        def one(j: int, k: int) -> np.ndarray:
+            return np.diag(x0_sqdist(flow[:, j], flow[:, k], op, norms=(sq[:, j], sq[:, k])))
+
+        return np.column_stack([0.5 * (one(j, j + 1) + one(j + 1, j)) for j in range(flow.shape[1] - 1)])
 
     # symmetrized in place: at most three arrays of its size are alive
-    cross = x0_sqdist(sa.flow, sb.flow, op)
-    cross += x0_sqdist(sb.flow, sa.flow, op).T
+    cross = x0_sqdist(sa.flow, sb.flow, op, norms=(sq_a.ravel(), sq_b.ravel()))
+    cross += x0_sqdist(sb.flow, sa.flow, op, norms=(sq_b.ravel(), sq_a.ravel())).T
     cross *= 0.5
-    return FlowPair(cross, base(sa.flow), base(sb.flow), segments(sa.flow), segments(sb.flow), sa.flow_times)
+    return FlowPair(
+        cross, base(sa.flow, sq_a), base(sb.flow, sq_b), segments(sa.flow, sq_a), segments(sb.flow, sq_b), sa.flow_times
+    )
 
 
 @dataclass

@@ -158,6 +158,21 @@ def test_admissibility_gate_rejects_large_maps():
         bump_map_1d(UNIT, 0.9, width=0.1)
 
 
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("amp", [0.0, 0.01, -0.03, 0.08])
+def test_family_delta_is_the_c2_distance_to_the_identity(name, amp):
+    # the gate measures h against the identity directly; it must give the
+    # bits of the general distance on the default grid, on an interval and
+    # on a rectangle with bounds other than the unit ones
+    domain = (
+        ReferenceDomain.interval(0.0, np.pi)
+        if name.endswith("1d")
+        else ReferenceDomain.rectangle(0.0, 1.0, -0.5, 0.75)
+    )
+    h = FAMILIES[name](domain, amp)
+    assert h.delta == c2_distance(h, identity_map(domain), default_c2_grid(domain))
+
+
 # --- families ----------------------------------------------------------------
 
 def test_family_deltas_decrease_along_schedule():

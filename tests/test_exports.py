@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,21 @@ def test_no_private_scipy_imports():
                 if parts[0] == "scipy" and any(p.startswith("_") for p in parts):
                     private.append(f"{path.name}: {name}")
     assert private == []
+
+
+def test_studies_run_without_scipy_optimize(tmp_path):
+    # scipy.optimize costs a fresh process about 0.18 s of import; a lazy
+    # import inside a study would move that into the study's own time
+    config = Path(__file__).resolve().parents[1] / "configs" / "determinism_tiny.cfg"
+    script = (
+        "import sys\n"
+        "from ghwave.cli import main\n"
+        "for study in ('continuity', 'stability', 'estimates'):\n"
+        f"    main([study, '--config', {str(config)!r}, '--out', {str(tmp_path)!r} + '/' + study])\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(ghwave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
