@@ -37,12 +37,12 @@ import numpy as np
 
 from ghwave import dynamics
 from ghwave.config import load_config
-from ghwave.dynamics import StateVector, WaveIntegrator, random_state, stability_cap
+from ghwave.dynamics import WaveIntegrator, random_state, stability_cap
 
 REPEATS, CHUNKS, STEPS = 15, 20, 50
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 KERNELS = ("sparse", "dense")
-# (label, config, columns or None for a single (dim,) state, dt of the stepping
+# (label, config, columns or None for a single (2 dim,) state, dt of the stepping
 # path, mesh resolution or None for the config's)
 SHAPES = (
     ("stability_1d sampler", "stability_1d.cfg", 8, "sampler", None),
@@ -78,17 +78,17 @@ def workload(name: str, k: int | None, dt_from: str, resolution: int | None):
     integs = {kernel: integrator(op, cfg.make_nonlinearity(), dt, kernel) for kernel in KERNELS}
     rng = np.random.default_rng(2026)
     ics = [random_state(op, rng, cfg.sampler.radius, cfg.sampler.n_modes) for _ in range(k or 1)]
-    start = ics[0] if k is None else StateVector(np.column_stack([s.u for s in ics]), np.column_stack([s.v for s in ics]))
+    start = ics[0] if k is None else np.column_stack(ics)
     return integs, start
 
 
-def recorded(integ: WaveIntegrator, start: StateVector) -> None:
+def recorded(integ: WaveIntegrator, start: np.ndarray) -> None:
     grid = np.arange(1, STEPS + 1) * integ.dt
     for _ in range(CHUNKS):
         integ.record(start, grid)
 
 
-def bare(integ: WaveIntegrator, start: StateVector) -> None:
+def bare(integ: WaveIntegrator, start: np.ndarray) -> None:
     for _ in range(CHUNKS):
         s = start
         for _ in range(STEPS):
@@ -110,7 +110,7 @@ def main() -> None:
     print(f"best of {REPEATS} x {CHUNKS} chunks of {STEPS} steps, microseconds per step; DENSE_MAX_DIM = {dynamics.DENSE_MAX_DIM}")
     print(f"{'shape':>7}  {'workload':<20} {'dt':>9} {'kernel':<7} {'record':>8} {'step':>8}")
     for label, k, integs, start in runs:
-        n = start.u.shape[0]
+        n = integs["dense"].op.n
         for kernel, integ in integs.items():
             us = [best[label, kernel, loop] / (CHUNKS * STEPS) * 1e6 for loop in (recorded, bare)]
             picked = "*" if (kernel == "dense") == (n <= dynamics.DENSE_MAX_DIM) else " "

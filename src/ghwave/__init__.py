@@ -3,7 +3,8 @@
 The building blocks, in dependency order: `domains` (diffeomorphisms of a
 reference interval/rectangle and their pullback coefficient fields),
 `operators` (P1/Q1 mass and stiffness assembly plus norms), `dynamics` (IMEX
-time stepping, energy envelopes, attractor sampling), `ghmetric` (finite
+time stepping of phase-space states, each one array z = (u; v), energy
+envelopes, attractor sampling), `ghmetric` (finite
 Gromov-Hausdorff machinery, static and dynamical), and `harness` (the
 continuity/stability/estimate studies behind the `ghwave` CLI).
 """
@@ -26,7 +27,6 @@ from .operators import (  # noqa: E402,F401
 )
 from .dynamics import (  # noqa: E402,F401
     SamplerConfig,
-    StateVector,
     WaveIntegrator,
     sample_attractor,
 )

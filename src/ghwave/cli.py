@@ -80,9 +80,9 @@ def _cmd_solve(args) -> int:
     s0 = random_state(op, rng, cfg.sampler.radius, cfg.sampler.n_modes)
     traj = solve_trajectory(s0, cfg.t_final, cfg.dt, op, f, record_every=max(1, int(round(cfg.t_final / cfg.dt)) // 400))
     prof = energy_profile(traj, f)
-    with CsvWriter(out / "trajectory.csv", ["t"] + [f"{c}{i}" for c in "uv" for i in range(len(traj.states.u))]) as w:
-        for t, u, v in zip(traj.times, traj.states.u.T, traj.states.v.T):
-            w.row([t, *u, *v])
+    with CsvWriter(out / "trajectory.csv", ["t"] + [f"{c}{i}" for c in "uv" for i in range(op.n)]) as w:
+        for t, z in zip(traj.times, traj.states.T):
+            w.row([t, *z])
     with CsvWriter(out / "energy.csv", ["t", "e2", "envelope"]) as w:
         for row in zip(traj.times, prof.e2, prof.envelope(traj.times)):
             w.row(row)

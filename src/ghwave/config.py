@@ -145,7 +145,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, str]]] = {
         "schedule": (_STR, lambda s: True, ""),
     },
     "nonlinearity": {
-        "a": (_FLOAT, lambda x: x > 0, "positive"),
+        "a": (_FLOAT, lambda x: True, ""),
         "b": (_FLOAT, lambda x: True, ""),
     },
     "solver": {
@@ -193,10 +193,11 @@ def range_diagnostic(section: str, key: str, val: object) -> Diagnostic | None:
 def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | None, list[Diagnostic]]:
     """Parse INI text; on any diagnostic the config result is None.
 
-    The objects a study builds from the values enforce the rest: the family's
-    map constructor takes the [perturbation] parameters and checks them, its
-    dimension and the C2 distance of every schedule map (kept on the config),
-    and the reference operator bounds dt.
+    The objects a study builds from the values enforce the rest: the
+    nonlinearity checks dissipativity, the family's map constructor takes the
+    [perturbation] parameters and checks them, its dimension and the C2
+    distance of every schedule map (kept on the config), and the reference
+    operator bounds dt.
     """
     cp = configparser.ConfigParser(interpolation=None)
     diags: list[Diagnostic] = []
@@ -267,8 +268,10 @@ def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | 
             diags.append(Diagnostic("domain.upper", f"upper ({cfg.upper}) must exceed lower ({cfg.lower})"))
         if not cfg.upper_y > cfg.lower_y:
             diags.append(Diagnostic("domain.upper_y", f"upper_y ({cfg.upper_y}) must exceed lower_y ({cfg.lower_y})"))
-    if not cfg.a > abs(cfg.b):
-        diags.append(Diagnostic("nonlinearity.a", f"a ({cfg.a}) must exceed |b| ({abs(cfg.b)}) for dissipativity"))
+    try:
+        cfg.make_nonlinearity()
+    except ValueError as exc:
+        diags.append(Diagnostic("nonlinearity.a", str(exc)))
 
     if diags:  # the checks below combine values, so each must be valid on its own first
         return None, diags

@@ -36,10 +36,11 @@ with R and the sparse LU solve with S.  A block of states (one per column)
 gives the same bits for the same block shape; only the sparse kernel gives
 each column the bits it would get alone.
 
-Both kernels are written once, in one step loop over the stacked state
-z = (u; v) that steps into preallocated buffers; `step`, `advance` and
-`record` are runs of it (a record on whole steps is one run that keeps only
-its grid's states), and the sampler runs it directly.  The sampler
+A state is one array z = (u; v): (2 dim,) for one state, (2 dim, k) for a
+block of k states, one per column.  Both kernels are written once, in one
+step loop over z that steps into preallocated buffers; `step` and `record`
+are runs of it (a record on whole steps is one run that keeps only its
+grid's states), and the sampler runs it directly.  The sampler
 evaluates the second-order energy E2 of its settling test only where the
 test reads it: from step s0 - W - 1 on, s0 being the first step at
 t_transient and W the plateau window (an IC can plateau only at a step
@@ -64,7 +65,6 @@ from .domains import DiffeoMap
 from .operators import DiscreteOperator, Mesh, NonlinearitySpec, NormPack, _sqrt_dot, pullback_operator, x_norm
 
 __all__ = [
-    "StateVector",
     "Trajectory",
     "EnergyProfile",
     "LipschitzCheck",
@@ -97,42 +97,6 @@ class NonDissipativeError(RuntimeError):
     """Energy never reached a plateau before the sampling time cap."""
 
 
-@dataclass
-class StateVector:
-    """Displacement/velocity pair on the interior nodes.
-
-    `u` and `v` have shape (dim,) for one state or (dim, k) for a block of k
-    states, one per column.
-    """
-
-    u: Array
-    v: Array
-
-    def __post_init__(self) -> None:
-        self.u = np.asarray(self.u, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        if self.u.shape != self.v.shape:
-            raise ValueError("u and v must have matching shapes")
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.u.copy(), self.v.copy())
-
-
-def _stack(state: StateVector) -> Array:
-    """z = (u; v), the state as one (2 dim, ...) array the step loop runs on.
-
-    Always in C order: BLAS takes another path for another memory layout, so
-    the step's bits would depend on how the caller's arrays are laid out.
-    """
-    return np.ascontiguousarray(np.concatenate([state.u, state.v]))
-
-
-def _unstack(z: Array) -> StateVector:
-    """The state of a stacked z, as views of z."""
-    n = len(z) // 2
-    return StateVector(z[:n], z[n:])
-
-
 THETA_SHIFT = 0.5  # theta = 1/2 + THETA_SHIFT * dt
 
 
@@ -157,9 +121,9 @@ DENSE_MAX_DIM = 150
 class WaveIntegrator:
     """Prefactorized one-step map for a fixed (operator, nonlinearity, dt).
 
-    Every method takes a single state or a block of states (see
-    `StateVector`).  Both kernels apply the one right-hand-side operator R
-    (see the module docstring), formed once here.  For `op.n <=
+    Every method takes a single state z = (u; v) or a block of states, one
+    per column.  Both kernels apply the one right-hand-side operator R (see
+    the module docstring), formed once here.  For `op.n <=
     DENSE_MAX_DIM` (`dense`) the step is one product with precomputed dense
     matrices, z+ = P z + Q f(u + dt/2 v) with z = (u, v) stacked, and u+, v+
     are views of z+; P and Q come from one sparse LU solve against R.  BLAS
@@ -204,7 +168,7 @@ class WaveIntegrator:
             self._R = R
 
     def _steps(self, z: Array, marks: Sequence[int], out: Array | None = None) -> Array:
-        """The step loop: z = (u; v) stacked in C order (see `_stack`), (2 dim,)
+        """The step loop: z = (u; v) in C order (see `_entry`), (2 dim,)
         or (2 dim, k), stepped marks[-1] times; the state after marks[i]
         steps (a nondecreasing count, 0 for z itself) goes to out[i].  Returns
         the last state; z is left as it is.
@@ -252,41 +216,34 @@ class WaveIntegrator:
         rem = t - n_full * self.dt
         return n_full, rem if rem > 1e-12 * max(1.0, t) else 0.0
 
-    def step(self, state: StateVector) -> StateVector:
-        """One theta-scheme step of length dt; the input arrays are left as they are."""
-        return _unstack(self._steps(_stack(state), [1]))
+    def _entry(self, z: Array) -> Array:
+        """z as the step loop takes it, in C order: BLAS takes another path for another
+        memory layout, so the step's bits would depend on the layout of the caller's z."""
+        z = np.ascontiguousarray(z, dtype=float)
+        if z.ndim not in (1, 2) or z.shape[0] != 2 * self.op.n:
+            raise ValueError(f"a state must have shape ({2 * self.op.n},) or ({2 * self.op.n}, k), got {z.shape}")
+        return z
 
-    def advance(self, state: StateVector, t: float) -> StateVector:
-        """Advance by time t: full steps of dt, then one partial step onto t.
+    def step(self, z: Array) -> Array:
+        """One theta-scheme step of length dt; the input array is left as it is."""
+        return self._steps(self._entry(z), [1])
 
-        The result never shares memory with `state`, also when no step runs.
-        """
-        if t < 0:
-            raise ValueError("t must be nonnegative")
-        n_full, rem = self._lattice(t)
-        try:
-            z = self._steps(_stack(state), [n_full])
-            if rem:
-                z = WaveIntegrator(self.op, self.f, rem)._steps(z, [1])
-        except BlowupError as exc:
-            raise BlowupError(f"blow-up while evolving over [0, {t}]") from exc
-        return _unstack(z)
-
-    def record(self, state: StateVector, times: Array) -> StateVector:
+    def record(self, z: Array, times: Array) -> Array:
         """States at each time of the nondecreasing grid `times` (>= 0), on a trailing axis.
 
-        Each grid difference, the first from 0, is stepped as `advance` steps
-        it, so time 0 gives the start state and a time off the dt lattice a
-        partial step.  A grid of whole steps is one run of the step loop,
-        which keeps only the grid's states, each written straight into the
-        result.  u and v are (dim, T) for one state, (dim, k, T) for a block.
+        Each grid difference, the first from 0, is stepped as full steps of
+        dt and then one partial step onto it, so time 0 gives the start state
+        and a time off the dt lattice a partial step.  A grid of whole steps
+        is one run of the step loop, which keeps only the grid's states, each
+        written straight into the result.  The result, (2 dim, T) for one
+        state and (2 dim, k, T) for a block, never shares memory with `z`.
         """
         times = np.asarray(times, dtype=float)
         diffs = np.diff(times, prepend=0.0)
         if (diffs < 0).any():
             raise ValueError("times must be nonnegative and nondecreasing")
-        z = _stack(state)
-        rec = np.empty(z.shape + times.shape)  # u and v are its halves, in C order
+        z = self._entry(z)
+        rec = np.empty(z.shape + times.shape)
         out = np.moveaxis(rec, -1, 0)  # out[i] is the state at times[i]
         lo, marks = 0, [0]  # the grid points since the last partial step, as step counts
         try:
@@ -301,24 +258,24 @@ class WaveIntegrator:
                 self._steps(z, marks[1:], out[lo:])
         except BlowupError as exc:
             raise BlowupError(f"blow-up while evolving over [0, {times[-1]}]") from exc
-        return _unstack(rec)
+        return rec
 
 
 @dataclass
 class Trajectory:
-    """States recorded at uniformly spaced times, one column of `states` each."""
+    """States recorded at uniformly spaced times, one column of `states` (2 dim, T) each."""
 
     times: Array
-    states: StateVector
+    states: Array
     op: DiscreteOperator
 
     def __post_init__(self) -> None:
-        if self.states.u.shape[1:] != self.times.shape:
+        if self.states.shape[1:] != self.times.shape:
             raise ValueError("times/states length mismatch")
 
 
 def solve_trajectory(
-    state: StateVector,
+    z: Array,
     t_final: float,
     dt: float,
     op: DiscreteOperator,
@@ -328,19 +285,20 @@ def solve_trajectory(
     """States at time 0, every `record_every` steps of dt, and the last step."""
     n_steps = int(round(t_final / dt))
     times = np.union1d(np.arange(0, n_steps + 1, record_every), n_steps) * dt
-    return Trajectory(times, WaveIntegrator(op, f, dt).record(state, times), op)
+    return Trajectory(times, WaveIntegrator(op, f, dt).record(z, times), op)
 
 
-def _e2(state: StateVector, pack: NormPack, f: NonlinearitySpec) -> float | Array:
-    """E2 per state, with u_tt = -v - M^{-1}Ku - f(u) from the semi-discrete law.
+def _e2(z: Array, pack: NormPack, f: NonlinearitySpec) -> float | Array:
+    """E2 per state z = (u; v), with u_tt = -v - M^{-1}Ku - f(u) from the semi-discrete law.
 
     K u and M^{-1} K u are formed once and serve both u_tt and ||u||_2, with
     the operands `NormPack.norm2` takes.
     """
-    ku = pack.op.K @ state.u
+    u, v = z[: pack.op.n], z[pack.op.n :]
+    ku = pack.op.K @ u
     au = pack.op.solve_M(ku)
-    acc = -state.v - au - f.f(state.u)
-    return pack.norm0(acc) ** 2 + pack.norm1(state.v) ** 2 + _sqrt_dot(au, ku) ** 2
+    acc = -v - au - f.f(u)
+    return pack.norm0(acc) ** 2 + pack.norm1(v) ** 2 + _sqrt_dot(au, ku) ** 2
 
 
 @dataclass
@@ -547,8 +505,8 @@ class LipschitzCheck:
 
 
 def lipschitz_envelope_check(
-    s0: StateVector,
-    s1: StateVector,
+    s0: Array,
+    s1: Array,
     t_final: float,
     integ: WaveIntegrator,
 ) -> LipschitzCheck:
@@ -565,13 +523,12 @@ def lipschitz_envelope_check(
     if n_steps < 1:
         raise ValueError(f"t_final = {t_final} is shorter than one step of dt = {dt}")
     pack = NormPack(op)
-    z0 = x_norm(s0.u - s1.u, s0.v - s1.v, pack, 0)
+    z0 = x_norm(s0 - s1, pack, 0)
     if z0 == 0.0:
         raise ValueError("initial states coincide; the envelope ratio is undefined")
-    pair = StateVector(np.column_stack([s0.u, s1.u]), np.column_stack([s0.v, s1.v]))
     times = np.arange(1, n_steps + 1) * dt
-    pair = integ.record(pair, times)
-    sep = x_norm(pair.u[:, 0] - pair.u[:, 1], pair.v[:, 0] - pair.v[:, 1], pack, 0)
+    pair = integ.record(np.column_stack([s0, s1]), times)
+    sep = x_norm(pair[:, 0] - pair[:, 1], pack, 0)
     mx = float((sep / (z0 * np.exp(gronwall_rate(f, op) * times))).max())
     return LipschitzCheck(mx, mx <= GRONWALL_SLACK)
 
@@ -654,35 +611,31 @@ def random_state(
     rng: np.random.Generator,
     radius: float,
     n_modes: int = 6,
-) -> StateVector:
-    """Random low-mode state scaled to a uniform fraction of the X^1 ball."""
+) -> Array:
+    """Random low-mode state z = (u; v) scaled to a uniform fraction of the X^1 ball."""
     shapes = _mode_shapes(op.mesh, n_modes)
     decay = 1.0 / (np.arange(1, shapes.shape[0] + 1) ** 2)
     cu = rng.standard_normal(shapes.shape[0]) * decay
     cv = rng.standard_normal(shapes.shape[0]) * decay
-    u = cu @ shapes
-    v = cv @ shapes
+    z = np.concatenate([cu @ shapes, cv @ shapes])
     pack = NormPack(op)
-    nrm = x_norm(u, v, pack, 1)
+    nrm = x_norm(z, pack, 1)
     if nrm == 0.0:
-        u = shapes[0]
-        nrm = x_norm(u, v, pack, 1)
+        z[: op.n] = shapes[0]
+        nrm = x_norm(z, pack, 1)
     target = radius * rng.uniform(0.3, 1.0)
-    s = target / nrm
-    return StateVector(s * u, s * v)
+    return target / nrm * z
 
 
-def calibration_state(op: DiscreteOperator, radius: float = 1.0) -> StateVector:
+def calibration_state(op: DiscreteOperator, radius: float = 1.0) -> Array:
     """Fundamental-mode displacement at rest, scaled to `radius` in X^1.
 
     The canonical single-frequency scenario: with one mode excited the energy
     rides a clean decaying exponential, so envelope fits against it measure
     the decay rate instead of inter-mode beat patterns.
     """
-    u = _mode_shapes(op.mesh, 1)[0]
-    v = np.zeros_like(u)
-    pack = NormPack(op)
-    return StateVector(radius / x_norm(u, v, pack, 1) * u, v)
+    z = np.concatenate([_mode_shapes(op.mesh, 1)[0], np.zeros(op.n)])
+    return radius / x_norm(z, NormPack(op), 1) * z
 
 
 @dataclass
@@ -813,9 +766,8 @@ def sample_attractor(
     pack = NormPack(op)
     integ = WaveIntegrator(op, f, cfg.dt)
     n, n_ics, W = op.n, cfg.n_ics, cfg.plateau_window
-    ics = [random_state(op, rng, cfg.radius, cfg.n_modes) for _ in range(n_ics)]
-    # all ICs advance together, one column each, as z = (u; v)
-    z = _stack(StateVector(np.column_stack([s.u for s in ics]), np.column_stack([s.v for s in ics])))
+    # all ICs advance together, one column each
+    z = np.column_stack([random_state(op, rng, cfg.radius, cfg.n_modes) for _ in range(n_ics)])
     window_start = int(round(cfg.t_transient / cfg.dt))
     window_end = window_start + int(round(cfg.t_window / cfg.dt))
     cap = _first_step(cfg.t_cap, cfg.dt)
@@ -825,14 +777,14 @@ def sample_attractor(
     k = max(0, min(_first_step(cfg.t_transient, cfg.dt) - W - 1, cap))
     z = integ._steps(z, [k])
     snaps: list[Array] = [z] if window_start == 0 else []
-    e_prev = _e2(_unstack(z), pack, f) if k < cap else None  # else the loop raises at once
+    e_prev = _e2(z, pack, f) if k < cap else None  # else the loop raises at once
     consec = np.zeros(n_ics, dtype=np.intp)
     plateaued = np.zeros(n_ics, dtype=bool)
     chunk = np.empty((max(1, min(W, cap - k)),) + z.shape)  # no chunk is longer
 
     def energy(block: Array, cols: Array) -> Array:
         """E2 of the ICs `cols` at the steps of `block` (L, 2 dim, n_ics), one evaluation, (L, len(cols))."""
-        return _e2(_unstack(block[:, :, cols].transpose(1, 0, 2).reshape(2 * n, -1)), pack, f).reshape(len(block), -1)
+        return _e2(block[:, :, cols].transpose(1, 0, 2).reshape(2 * n, -1), pack, f).reshape(len(block), -1)
 
     def settled(e: Array, e_before: Array) -> Array:
         return np.abs(e - e_before) / cfg.dt < cfg.plateau_tol * e + cfg.plateau_floor
@@ -877,8 +829,8 @@ def sample_attractor(
     states = np.array(snaps).reshape(-1, 2, n, n_ics).transpose(3, 0, 1, 2).reshape(-1, 2, n)  # from (n_snaps, 2 dim, n_ics)
     m = cfg.flow_grid_m
     flow_times = np.linspace(0.0, 1.0, m + 1)
-    rec = integ.record(StateVector(states[:, 0].T, states[:, 1].T), flow_times)
-    flow = np.ascontiguousarray(np.stack([rec.u, rec.v]).transpose(2, 3, 0, 1))  # (n, m+1, 2, dim)
+    rec = integ.record(states.reshape(len(states), -1).T, flow_times)
+    flow = np.ascontiguousarray(rec.reshape(2, n, -1, m + 1).transpose(2, 3, 0, 1))  # (n, m+1, 2, dim)
     # every flow state against the sample, flow[:, 0], whose own rows are every (m+1)-th
     sq = x0_sqnorms(flow, op)
     d2_flow = x0_sqdist(flow, flow[:, 0], op, norms=(sq, sq[:: m + 1]))
@@ -892,7 +844,7 @@ def sample_attractor(
 
 def conjugated_flow_error(
     h_n: DiffeoMap,
-    v0: StateVector,
+    v0: Array,
     t_grid: Array,
     op0: DiscreteOperator,
     f: NonlinearitySpec,
@@ -909,4 +861,4 @@ def conjugated_flow_error(
         raise ValueError("t_grid must be increasing and nonnegative")
     a = WaveIntegrator(op0, f, dt).record(v0, tg)
     b = WaveIntegrator(opn, f, dt).record(v0, tg)
-    return x_norm(a.u - b.u, a.v - b.v, NormPack(op0), 0)
+    return x_norm(a - b, NormPack(op0), 0)

@@ -325,9 +325,10 @@ class NormPack:
         return self.op.solve_M(self.op.K @ u)
 
 
-def x_norm(u: Array, v: Array, pack: NormPack, level: int) -> float | Array:
-    """Product phase-space norm at level 0 or 1 (see `NormPack`): an np.float64 for
-    one state, or one per column of a (dim, k) block, bit for bit that column's alone."""
+def x_norm(z: Array, pack: NormPack, level: int) -> float | Array:
+    """Product phase-space norm of z = (u; v) at level 0 or 1 (see `NormPack`): an np.float64
+    for one state (2 dim,), or one per column of a (2 dim, k) block, bit for bit that column's alone."""
+    u, v = z[: pack.op.n], z[pack.op.n :]
     if level == 0:
         return np.sqrt(pack.norm1(u) ** 2 + pack.norm0(v) ** 2)
     if level == 1:
@@ -349,8 +350,8 @@ class NonlinearitySpec:
 
 def default_nonlinearity(a: float = 1.0, b: float = 0.5) -> NonlinearitySpec:
     """f(u) = a u + b sin(u); |f'| <= a + |b|."""
-    if a <= abs(b):
-        raise ValueError("need a > |b| for the sign condition")
+    if not a > abs(b):
+        raise ValueError(f"a ({a}) must exceed |b| ({abs(b)}) for dissipativity")
 
     def f(u):
         return a * u + b * np.sin(u)

@@ -15,7 +15,6 @@ from ghwave.cli import main
 from ghwave.config import ScenarioConfig, load_config
 from ghwave.domains import ReferenceDomain
 from ghwave.dynamics import (
-    StateVector,
     WaveIntegrator,
     calibration_state,
     conjugated_flow_error,
@@ -68,8 +67,8 @@ def test_solver_time_order(verdict):
     alpha = np.exp(-t_final / 2) * (np.cos(w * t_final) + np.sin(w * t_final) / (2 * w))
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
-        traj = solve_trajectory(StateVector(phi.copy(), np.zeros_like(phi)), t_final, dt, op, f)
-        errs.append(float(np.abs(traj.states.u[:, -1] - alpha * phi).max()))
+        traj = solve_trajectory(np.concatenate([phi, np.zeros_like(phi)]), t_final, dt, op, f)
+        errs.append(float(np.abs(traj.states[: op.n, -1] - alpha * phi).max()))
     orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
     verdict(
         min(orders) >= 1.9,

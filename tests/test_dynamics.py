@@ -35,7 +35,6 @@ from ghwave.dynamics import (
     BlowupError,
     NonDissipativeError,
     SamplerConfig,
-    StateVector,
     WaveIntegrator,
     _e2,
     _envelope_points,
@@ -69,6 +68,16 @@ def _mode(op, k=1):
     return np.sin(k * np.pi * (x - lo) / (hi - lo))
 
 
+def _at_rest(u):
+    """The state (u; 0)."""
+    return np.concatenate([u, np.zeros_like(u)])
+
+
+def _advance(integ, z, t):
+    """The state at time t from z: a record on the one-point grid [t]."""
+    return integ.record(z, [t])[..., 0]
+
+
 def _modal_exact(op, k, a, t):
     n = op.mesh.resolution
     h = op.mesh.spacing[0]
@@ -80,21 +89,18 @@ def _modal_exact(op, k, a, t):
 def test_zero_state_is_fixed_point():
     op = identity_operator(Mesh(UNIT, 16))
     f = default_nonlinearity()
-    s = StateVector(np.zeros(op.n), np.zeros(op.n))
-    out = WaveIntegrator(op, f, 0.01).advance(s, 1.0)
-    assert np.all(out.u == 0.0)
-    assert np.all(out.v == 0.0)
+    out = _advance(WaveIntegrator(op, f, 0.01), np.zeros(2 * op.n), 1.0)
+    assert np.all(out == 0.0)
 
 
 def test_single_mode_matches_closed_form():
     op = identity_operator(Mesh(UNIT, 32))
     f = _linear_f()
     phi = _mode(op)
-    s = StateVector(phi.copy(), np.zeros_like(phi))
     t_final = 2.0
-    out = WaveIntegrator(op, f, 5e-4).advance(s, t_final)
+    out = _advance(WaveIntegrator(op, f, 5e-4), _at_rest(phi), t_final)
     alpha = _modal_exact(op, 1, 1.0, t_final)
-    assert np.abs(out.u - alpha * phi).max() < 2e-6
+    assert np.abs(out[: op.n] - alpha * phi).max() < 2e-6
 
 
 def test_time_convergence_order_at_least_1_9():
@@ -107,8 +113,8 @@ def test_time_convergence_order_at_least_1_9():
     alpha = _modal_exact(op, 1, 1.0, t_final)
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
-        out = WaveIntegrator(op, f, dt).advance(StateVector(phi.copy(), np.zeros_like(phi)), t_final)
-        errs.append(np.abs(out.u - alpha * phi).max())
+        out = _advance(WaveIntegrator(op, f, dt), _at_rest(phi), t_final)
+        errs.append(np.abs(out[: op.n] - alpha * phi).max())
     orders = [np.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
     assert min(orders) >= 1.9
 
@@ -125,10 +131,9 @@ def test_advance_semigroup_composition():
     rng = np.random.default_rng(5)
     s = random_state(op, rng, radius=1.0)
     integ = WaveIntegrator(op, f, 0.01)
-    one = integ.advance(s, 0.5)
-    two = integ.advance(integ.advance(s, 0.3), 0.2)
-    assert np.array_equal(one.u, two.u)
-    assert np.array_equal(one.v, two.v)
+    one = _advance(integ, s, 0.5)
+    two = _advance(integ, _advance(integ, s, 0.3), 0.2)
+    assert np.array_equal(one, two)
 
 
 def test_record_matches_successive_advances():
@@ -138,22 +143,19 @@ def test_record_matches_successive_advances():
     integ = WaveIntegrator(op, default_nonlinearity(), 0.01)
     rng = np.random.default_rng(13)
     singles = [random_state(op, rng, radius=1.0) for _ in range(3)]
-    block = StateVector(np.column_stack([s.u for s in singles]), np.column_stack([s.v for s in singles]))
     times = np.array([0.0, 0.05, 0.125, 0.3])
-    for start in (singles[0], block):
+    for start in (singles[0], np.column_stack(singles)):
         rec = integ.record(start, times)
-        assert rec.u.shape == start.u.shape + (4,)
+        assert rec.shape == start.shape + (4,)
         cur, t_prev = start, 0.0
         for j, t in enumerate(times):
-            cur, t_prev = integ.advance(cur, t - t_prev), t
-            assert np.array_equal(rec.u[..., j], cur.u)
-            assert np.array_equal(rec.v[..., j], cur.v)
-        assert rec.u.flags.c_contiguous and rec.v.flags.c_contiguous
+            cur, t_prev = _advance(integ, cur, t - t_prev), t
+            assert np.array_equal(rec[..., j], cur)
+        assert rec.flags.c_contiguous
 
 
 def test_record_rejects_decreasing_grid():
-    # a grid that goes back in time is an error, as a negative `advance` is,
-    # never a step forwards
+    # a grid that goes back in time is an error, never a step forwards
     op = identity_operator(Mesh(UNIT, 16))
     integ = WaveIntegrator(op, default_nonlinearity(), 0.01)
     s = random_state(op, np.random.default_rng(17), radius=1.0)
@@ -169,13 +171,9 @@ SPARSE_MESHES = [(UNIT, 256, 0.0005), (_SQUARE, 16, 0.01)]
 DENSE_MESHES = [(UNIT, 48, 0.004), (_SQUARE, 12, 0.01)]
 
 
-def _block(singles):
-    return StateVector(np.column_stack([s.u for s in singles]), np.column_stack([s.v for s in singles]))
-
-
 def _rel_err(got, want):
-    """Largest relative 2-norm difference of u and of v, over the whole array."""
-    return max(np.linalg.norm(g - w) / np.linalg.norm(w) for g, w in ((got.u, want.u), (got.v, want.v)))
+    """Largest relative 2-norm difference of u and of v, the two halves of the states."""
+    return max(np.linalg.norm(g - w) / np.linalg.norm(w) for g, w in zip(np.split(got, 2), np.split(want, 2)))
 
 
 @pytest.mark.parametrize("domain, resolution, dt", [(UNIT, 24, 0.005), (_SQUARE, 12, 0.01), *SPARSE_MESHES])
@@ -188,51 +186,50 @@ def test_block_step_matches_single_states(domain, resolution, dt):
     integ = WaveIntegrator(op, default_nonlinearity(), dt)
     rng = np.random.default_rng(41)
     singles = [random_state(op, rng, radius=2.0) for _ in range(3)]
-    block = _block(singles)
+    block = np.column_stack(singles)
     for _ in range(300):
         block = integ.step(block)
         singles = [integ.step(s) for s in singles]
     for i, s in enumerate(singles):
-        column = StateVector(block.u[:, i], block.v[:, i])
         if integ.dense:
-            assert _rel_err(column, s) <= 1e-12
+            assert _rel_err(block[:, i], s) <= 1e-12
         else:
-            assert np.array_equal(column.u, s.u)
-            assert np.array_equal(column.v, s.v)
+            assert np.array_equal(block[:, i], s)
     # the norms and E2 of a block must also be those of its columns, bit for
     # bit: the settling test and the energy profile evaluate blocks
-    columns = [StateVector(block.u[:, i].copy(), block.v[:, i].copy()) for i in range(3)]
+    columns = [block[:, i].copy() for i in range(3)]
     pack = NormPack(op)
+    u, v = block[: op.n], block[op.n :]
     for norm in (pack.norm0, pack.norm1, pack.norm2):
-        assert np.array_equal(norm(block.u), [norm(c.u) for c in columns])
+        assert np.array_equal(norm(u), [norm(c[: op.n]) for c in columns])
     for level in (0, 1):
-        assert np.array_equal(x_norm(block.u, block.v, pack, level), [x_norm(c.u, c.v, pack, level) for c in columns])
+        assert np.array_equal(x_norm(block, pack, level), [x_norm(c, pack, level) for c in columns])
     f = default_nonlinearity()
     assert np.array_equal(_e2(block, pack, f), [_e2(c, pack, f) for c in columns])
     # E2 forms K u and its M solve once; the bits are those of the norm methods
-    acc = -block.v - pack.apply_A(block.u) - f.f(block.u)
-    want = pack.norm0(acc) ** 2 + pack.norm1(block.v) ** 2 + pack.norm2(block.u) ** 2
+    acc = -v - op.solve_M(op.K @ u) - f.f(u)
+    want = pack.norm0(acc) ** 2 + pack.norm1(v) ** 2 + pack.norm2(u) ** 2
     assert np.array_equal(_e2(block, pack, f), want)
-    # the sampler evaluates E2 once per recorded chunk, on a (dim, 3 L) block;
-    # each value must be the one of that step's (dim, 3) block
+    # the sampler evaluates E2 once per recorded chunk, on a (2 dim, 3 L) block;
+    # each value must be the one of that step's (2 dim, 3) block
     L = 60
     rec = integ.record(block, np.arange(1, L + 1) * dt)
-    wide = _e2(StateVector(rec.u.reshape(op.n, -1), rec.v.reshape(op.n, -1)), pack, f)
-    per_step = [_e2(StateVector(rec.u[..., j].copy(), rec.v[..., j].copy()), pack, f) for j in range(L)]
+    wide = _e2(rec.reshape(2 * op.n, -1), pack, f)
+    per_step = [_e2(rec[..., j].copy(), pack, f) for j in range(L)]
     assert np.array_equal(wide.reshape(3, L).T, per_step)
 
 
-def _step_reference(integ, state, lu):
+def _step_reference(integ, z, lu):
     """The documented theta step with scipy's `@`, solved with `lu`:
     v+ = S^-1 [-dt K | c_v M - c_k K | -dt M] (u; v; f(u + dt/2 v))."""
     op, dt, th = integ.op, integ.dt, integ.theta
-    u, v = state.u, state.v
+    u, v = z[: op.n], z[op.n :]
     c_v = 1.0 - dt * (1.0 - th)
     c_k = dt**2 * th * (1.0 - th)
     R = sp.hstack([-dt * op.K, c_v * op.M - c_k * op.K, -dt * op.M])
     v_new = lu.solve(R @ np.concatenate([u, v, integ.f.f(u + 0.5 * dt * v)]))
     u_new = u + dt * (th * v_new + (1.0 - th) * v)
-    return StateVector(u_new, v_new)
+    return np.concatenate([u_new, v_new])
 
 
 @pytest.mark.parametrize("domain, resolution, dt", DENSE_MESHES + SPARSE_MESHES)
@@ -248,17 +245,16 @@ def test_step_matches_reference_expression(domain, resolution, dt, k):
     lu = splu(((1.0 + b) * op.M + b**2 * op.K).tocsc())
     rng = np.random.default_rng(43)
     singles = [random_state(op, rng, radius=2.0) for _ in range(k or 1)]
-    state = singles[0] if k is None else _block(singles)
+    state = singles[0] if k is None else np.column_stack(singles)
     ref = state
     for _ in range(300):
         state = integ.step(state)
         ref = _step_reference(integ, ref, lu)
-    assert state.u.shape == ref.u.shape
+    assert state.shape == ref.shape
     if integ.dense:
         assert _rel_err(state, ref) <= 1e-12
     else:
-        assert np.array_equal(state.u, ref.u)
-        assert np.array_equal(state.v, ref.v)
+        assert np.array_equal(state, ref)
 
 
 @pytest.mark.parametrize("domain, resolution, dt", DENSE_MESHES)
@@ -279,12 +275,11 @@ def test_dense_step_same_bits_for_same_block_shape(domain, resolution, dt):
         return state
 
     alone = [run(integ, s) for s in singles]
-    for start in (singles[0], _block(singles[:1]), _block(singles)):
+    for start in (singles[0], np.column_stack(singles[:1]), np.column_stack(singles)):
         got = run(integ, start)
         for again in (run(integ, start.copy()), run(WaveIntegrator(op, f, dt), start)):
-            assert np.array_equal(got.u, again.u)
-            assert np.array_equal(got.v, again.v)
-        cols = [got] if got.u.ndim == 1 else [StateVector(got.u[:, i], got.v[:, i]) for i in range(got.u.shape[1])]
+            assert np.array_equal(got, again)
+        cols = [got] if got.ndim == 1 else list(got.T)
         for col, want in zip(cols, alone):
             assert _rel_err(col, want) <= 1e-12
 
@@ -304,45 +299,57 @@ def test_advance_without_steps_returns_a_copy():
     op = identity_operator(Mesh(UNIT, 16))
     integ = WaveIntegrator(op, default_nonlinearity(), 0.01)
     s = random_state(op, np.random.default_rng(3), radius=1.0)
-    u0, v0 = s.u.copy(), s.v.copy()
+    s0 = s.copy()
     for t in (0.0, 1e-14):  # no full step, and a remainder too small to step
-        out = integ.advance(s, t)
-        assert out.u is not s.u and out.v is not s.v
-        assert np.array_equal(out.u, u0) and np.array_equal(out.v, v0)
-        out.u[:] = 9.0
-        out.v[:] = 9.0
-        assert np.array_equal(s.u, u0) and np.array_equal(s.v, v0)
-    # with steps, the start state is read and left as it was
-    integ.advance(s, 0.05)
-    assert np.array_equal(s.u, u0) and np.array_equal(s.v, v0)
+        out = _advance(integ, s, t)
+        assert not np.shares_memory(out, s)
+        assert np.array_equal(out, s0)
+        out[:] = 9.0
+        assert np.array_equal(s, s0)
+    # with steps, the start state is read and left as it was, and so is a
+    # block's by one step
+    assert not np.shares_memory(_advance(integ, s, 0.05), s)
+    assert np.array_equal(s, s0)
+    block = np.column_stack([s, s])
+    assert not np.shares_memory(integ.step(block), block)
+    assert np.array_equal(block, np.column_stack([s0, s0]))
 
 
 @pytest.mark.parametrize("domain, resolution, dt", DENSE_MESHES + SPARSE_MESHES)
 @pytest.mark.parametrize("k", [None, 1, 3, 8])
 def test_step_loop_matches_chained_steps(domain, resolution, dt, k):
-    # `advance` and a record on whole steps run the step loop once, through
-    # its alternating buffers; every state must be the bits of chained steps
+    # a record on whole steps runs the step loop once, through its
+    # alternating buffers; every state must be the bits of chained steps
     op = identity_operator(Mesh(domain, resolution))
     integ = WaveIntegrator(op, default_nonlinearity(), dt)
     rng = np.random.default_rng(53)
     singles = [random_state(op, rng, radius=2.0) for _ in range(k or 1)]
-    start = singles[0] if k is None else _block(singles)
+    start = singles[0] if k is None else np.column_stack(singles)
     chained = [start]
     for _ in range(40):
         chained.append(integ.step(chained[-1]))
     for n_steps in (0, 1, 2, 3, 40):
-        got = integ.advance(start, n_steps * dt)
-        assert np.array_equal(got.u, chained[n_steps].u) and np.array_equal(got.v, chained[n_steps].v)
+        assert np.array_equal(_advance(integ, start, n_steps * dt), chained[n_steps])
     rec = integ.record(start, np.arange(41) * dt)
-    assert rec.u.shape == start.u.shape + (41,)
+    assert rec.shape == start.shape + (41,)
     for j, want in enumerate(chained):
-        assert np.array_equal(rec.u[..., j], want.u) and np.array_equal(rec.v[..., j], want.v)
+        assert np.array_equal(rec[..., j], want)
     # the loop steps a C-order copy, so a block in Fortran order gets the same
     # bits (BLAS takes another path for it at 8 columns)
-    fortran = StateVector(np.asfortranarray(start.u), np.asfortranarray(start.v))
-    one, many = integ.step(fortran), integ.advance(fortran, 40 * dt)
-    assert np.array_equal(one.u, chained[1].u) and np.array_equal(one.v, chained[1].v)
-    assert np.array_equal(many.u, chained[40].u) and np.array_equal(many.v, chained[40].v)
+    fortran = np.asfortranarray(start)
+    assert np.array_equal(integ.step(fortran), chained[1])
+    assert np.array_equal(_advance(integ, fortran, 40 * dt), chained[40])
+
+
+def test_step_and_record_refuse_a_misshapen_state():
+    # a state is (2 dim,) and a block (2 dim, k): one entry too many, or a
+    # block of u's alone, is refused with its shape, not stepped
+    op = identity_operator(Mesh(UNIT, 16))
+    integ = WaveIntegrator(op, default_nonlinearity(), 0.01)
+    for bad in (np.zeros(2 * op.n + 1), np.zeros((op.n, 3))):
+        for run in (integ.step, lambda z: integ.record(z, [0.0, 0.05])):
+            with pytest.raises(ValueError, match=re.escape(f"got {bad.shape}")):
+                run(bad)
 
 
 def test_blowup_raised_from_step_and_from_record():
@@ -373,8 +380,7 @@ def test_blowup_of_one_block_column_mid_run(resolution, dt, bad):
     # the step loop checks only its last state, so it steps on to the end,
     # and that column is still non-finite there
     op = identity_operator(Mesh(UNIT, resolution))
-    start = calibration_state(op, radius=1.0)
-    block = StateVector(np.column_stack([start.u] * 3), np.column_stack([start.v] * 3))
+    block = np.column_stack([calibration_state(op, radius=1.0)] * 3)
     calls = itertools.count()
 
     def f(u):
@@ -385,11 +391,11 @@ def test_blowup_of_one_block_column_mid_run(resolution, dt, bad):
 
     integ = WaveIntegrator(op, NonlinearitySpec(f=f, l=1.0), dt)
     with np.errstate(invalid="ignore", over="ignore"):
-        healthy = integ.advance(block, 49 * dt)  # f's calls 0..48: no error
-        assert np.isfinite(healthy.u).all() and np.isfinite(healthy.v).all()
+        healthy = _advance(integ, block, 49 * dt)  # f's calls 0..48: no error
+        assert np.isfinite(healthy).all()
         calls = itertools.count()
         with pytest.raises(BlowupError, match=re.escape(f"blow-up while evolving over [0, {400 * dt}]")) as exc:
-            integ.advance(block, 400 * dt)
+            _advance(integ, block, 400 * dt)
         assert str(exc.value.__cause__) == "non-finite state after step"
         assert next(calls) == 400  # every step ran
         calls = itertools.count()
@@ -398,7 +404,7 @@ def test_blowup_of_one_block_column_mid_run(resolution, dt, bad):
         assert str(exc.value.__cause__) == "non-finite state after step"
         calls = itertools.count()
         with pytest.raises(BlowupError, match="^non-finite state after step$"):
-            integ._steps(np.concatenate([block.u, block.v]), [400])
+            integ._steps(block, [400])
 
 
 def test_sampler_raises_blowup():
@@ -420,11 +426,11 @@ def test_energy_nonincreasing_per_step_without_forcing():
         pack = NormPack(op)
         integ = WaveIntegrator(op, _zero_f(), 0.005)
         rng = np.random.default_rng(17)
-        s = StateVector(rng.standard_normal(op.n), rng.standard_normal(op.n))
-        e_prev = x_norm(s.u, s.v, pack, 0) ** 2
+        s = rng.standard_normal(2 * op.n)
+        e_prev = x_norm(s, pack, 0) ** 2
         for _ in range(300):
             s = integ.step(s)
-            e = x_norm(s.u, s.v, pack, 0) ** 2
+            e = x_norm(s, pack, 0) ** 2
             assert e <= e_prev * (1 + 1e-13)
             e_prev = e
 
@@ -663,7 +669,7 @@ def test_sampler_linear_attractor_is_origin():
     op = identity_operator(Mesh(UNIT, 16))
     sample = sample_attractor(op, _linear_f(), cfg, seed=4)
     pack = NormPack(op)
-    worst = max(x_norm(s[0], s[1], pack, 0) for s in sample.states)
+    worst = max(x_norm(s.ravel(), pack, 0) for s in sample.states)
     assert worst < 1e-3
     assert sample.dist.max() < 2e-3
 
@@ -695,10 +701,7 @@ def test_sampler_flow_invariance_proxy_consistent():
     worst = 0.0
     for i in range(len(sample.states)):
         for j in range(1, sample.flow.shape[1]):
-            su, sv = sample.flow[i, j]
-            best = min(
-                x_norm(su - t[0], sv - t[1], pack, 0) for t in sample.states
-            )
+            best = min(x_norm((sample.flow[i, j] - t).ravel(), pack, 0) for t in sample.states)
             worst = max(worst, best)
     assert sample.eps_inv == pytest.approx(worst, rel=1e-12)
 
@@ -764,13 +767,12 @@ def _sample_per_step(op, f, cfg, seed, run):
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5A17]))
     pack = NormPack(op)
     integ = WaveIntegrator(op, f, cfg.dt)
-    ics = [random_state(op, rng, cfg.radius, cfg.n_modes) for _ in range(cfg.n_ics)]
-    state = StateVector(np.column_stack([s.u for s in ics]), np.column_stack([s.v for s in ics]))
+    state = np.column_stack([random_state(op, rng, cfg.radius, cfg.n_modes) for _ in range(cfg.n_ics)])
     window_start = int(round(cfg.t_transient / cfg.dt))
     window_end = window_start + int(round(cfg.t_window / cfg.dt))
     snaps = [state] if window_start == 0 else []
     e_prev = _e2(state, pack, f)
-    run.update(z=[np.concatenate([state.u, state.v])], e2=[e_prev], plateau=np.full(cfg.n_ics, -1))
+    run.update(z=[state], e2=[e_prev], plateau=np.full(cfg.n_ics, -1))
     consec = np.zeros(cfg.n_ics, dtype=np.intp)
     plateaued = np.zeros(cfg.n_ics, dtype=bool)
     k = 0
@@ -781,7 +783,7 @@ def _sample_per_step(op, f, cfg, seed, run):
         if window_start <= k <= window_end and (k - window_start) % cfg.stride == 0:
             snaps.append(state)
         e_now = _e2(state, pack, f)
-        run["z"].append(np.concatenate([state.u, state.v]))
+        run["z"].append(state)
         run["e2"].append(e_now)
         slope = np.abs(e_now - e_prev) / cfg.dt
         e_prev = e_now
@@ -796,13 +798,13 @@ def _sample_per_step(op, f, cfg, seed, run):
         if t >= cfg.t_cap:
             ic = int(np.argmin(plateaued))
             raise NonDissipativeError(f"energy of ic {ic} never plateaued before t_cap = {cfg.t_cap}")
-    states = np.array([(st.u, st.v) for st in snaps]).transpose(3, 0, 1, 2).reshape(-1, 2, op.n)
+    states = np.array(snaps).reshape(len(snaps), 2, op.n, -1).transpose(3, 0, 1, 2).reshape(-1, 2, op.n)
     dist = np.sqrt(_full_sqdist(states, op))
     dist = 0.5 * (dist + dist.T)
     np.fill_diagonal(dist, 0.0)
     m = cfg.flow_grid_m
-    rec = integ.record(StateVector(states[:, 0].T.copy(), states[:, 1].T.copy()), np.linspace(0.0, 1.0, m + 1))
-    flow = np.stack([rec.u, rec.v]).transpose(2, 3, 0, 1)
+    rec = integ.record(states.reshape(len(states), -1).T, np.linspace(0.0, 1.0, m + 1))
+    flow = rec.reshape(2, op.n, -1, m + 1).transpose(2, 3, 0, 1)
     d2_flow = _full_sqdist(flow.reshape(-1, 2, op.n), op)
     return dist, flow, float(np.sqrt(d2_flow[:, :: m + 1]).min(axis=1).max())
 
@@ -814,9 +816,9 @@ def _spy_sampler(monkeypatch):
     seen = {"e2": [], "steps": [], "flow": False}
     real_e2, real_steps, real_record = dynamics._e2, WaveIntegrator._steps, WaveIntegrator.record
 
-    def e2(state, pack, f):
-        vals = real_e2(state, pack, f)
-        seen["e2"].append((np.concatenate([state.u, state.v]).T.copy(), vals.copy()))
+    def e2(z, pack, f):
+        vals = real_e2(z, pack, f)
+        seen["e2"].append((z.T.copy(), vals.copy()))
         return vals
 
     def steps(self, z, marks, out=None):
@@ -825,9 +827,9 @@ def _spy_sampler(monkeypatch):
             seen["steps"].append((marks[-1], end.copy()))
         return end
 
-    def record(self, state, times):  # the sampler records only its flow table
+    def record(self, z, times):  # the sampler records only its flow table
         seen["flow"] = True
-        return real_record(self, state, times)
+        return real_record(self, z, times)
 
     monkeypatch.setattr(dynamics, "_e2", e2)
     monkeypatch.setattr(WaveIntegrator, "_steps", steps)
@@ -1014,5 +1016,5 @@ def test_calibration_state_hits_requested_radius():
     op = identity_operator(Mesh(UNIT, 32))
     s = calibration_state(op, radius=1.75)
     pack = NormPack(op)
-    assert x_norm(s.u, s.v, pack, 1) == pytest.approx(1.75, rel=1e-12)
-    assert np.all(s.v == 0.0)
+    assert x_norm(s, pack, 1) == pytest.approx(1.75, rel=1e-12)
+    assert np.all(s[op.n :] == 0.0)

@@ -1,7 +1,8 @@
-"""Every exported name resolves: each module's __all__ and the package's imports."""
+"""Every exported name resolves: each module's __all__, the package's imports and each script's imports."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 import ghwave
 
 MODULES = ["domains", "operators", "dynamics", "ghmetric", "harness", "config"]
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -19,6 +21,16 @@ def test_module_all_names_resolve(name):
     module = importlib.import_module(f"ghwave.{name}")
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports(path):
+    # loading a script runs its imports and definitions, not its main: a
+    # script that imports a name the package no longer has fails here
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
 
 
 def test_package_names_resolve():

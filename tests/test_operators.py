@@ -146,10 +146,9 @@ def test_x_norm_level_ordering(seed):
     op = identity_operator(Mesh(UNIT, 16))
     pack = NormPack(op)
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal(op.n)
-    v = rng.standard_normal(op.n)
-    lo = x_norm(u, v, pack, 0)
-    hi = x_norm(u, v, pack, 1)
+    z = rng.standard_normal(2 * op.n)  # (u; v)
+    lo = x_norm(z, pack, 0)
+    hi = x_norm(z, pack, 1)
     assert lo <= hi / np.sqrt(op.lambda1) * (1 + 1e-10)
 
 
@@ -157,7 +156,7 @@ def test_x_norm_rejects_bad_level():
     op = identity_operator(Mesh(UNIT, 8))
     pack = NormPack(op)
     with pytest.raises(ValueError):
-        x_norm(np.zeros(op.n), np.zeros(op.n), pack, 2)
+        x_norm(np.zeros(2 * op.n), pack, 2)
 
 
 def test_lambda_max_estimate_frozen_1d():
