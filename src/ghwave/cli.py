@@ -55,7 +55,8 @@ def _run_study(args, name: str) -> int:
         "stability": harness.run_stability_study,
         "estimates": harness.run_estimate_checks,
     }[name]
-    result = timer.run(name, runner, cfg, out, timer=timer)
+    with timer.stage(name):
+        result = runner(cfg, out, timer=timer)
     harness.write_report([result.payload()], out)
     harness.write_timing(timer.timings, out)
     print(f"{name}: {'PASS' if result.passed else 'FAIL'}  (report: {out / 'report.json'})")
@@ -78,16 +79,16 @@ def _cmd_solve(args) -> int:
     f = cfg.make_nonlinearity()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
     s0 = random_state(op, rng, cfg.sampler.radius, cfg.sampler.n_modes)
-    traj = solve_trajectory(s0, cfg.t_final, cfg.dt, op, f, record_every=max(1, int(round(cfg.t_final / cfg.dt)) // 400))
-    prof = energy_profile(traj, f)
+    times, states = solve_trajectory(s0, cfg.t_final, cfg.dt, op, f, record_every=max(1, int(round(cfg.t_final / cfg.dt)) // 400))
+    prof = energy_profile(times, states, op, f)
     with CsvWriter(out / "trajectory.csv", ["t"] + [f"{c}{i}" for c in "uv" for i in range(op.n)]) as w:
-        for t, z in zip(traj.times, traj.states.T):
+        for t, z in zip(times, states.T):
             w.row([t, *z])
     with CsvWriter(out / "energy.csv", ["t", "e2", "envelope"]) as w:
-        for row in zip(traj.times, prof.e2, prof.envelope(traj.times)):
+        for row in zip(times, prof.e2, prof.envelope(times)):
             w.row(row)
     print(
-        f"solve: {len(traj.times)} snapshots to t={cfg.t_final}; "
+        f"solve: {len(times)} snapshots to t={cfg.t_final}; "
         f"decay rate {prof.c:.4g}, envelope overshoot {prof.overshoot:.3%} "
         f"(files in {out})"
     )

@@ -261,13 +261,10 @@ def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | 
             except ValueError:
                 diags.append(Diagnostic(addr, f"expected a finite number, got {raw!r}"))
 
-    if cfg.kind == "interval" and not cfg.upper > cfg.lower:
+    if not cfg.upper > cfg.lower:
         diags.append(Diagnostic("domain.upper", f"upper ({cfg.upper}) must exceed lower ({cfg.lower})"))
-    if cfg.kind == "rectangle":
-        if not cfg.upper > cfg.lower:
-            diags.append(Diagnostic("domain.upper", f"upper ({cfg.upper}) must exceed lower ({cfg.lower})"))
-        if not cfg.upper_y > cfg.lower_y:
-            diags.append(Diagnostic("domain.upper_y", f"upper_y ({cfg.upper_y}) must exceed lower_y ({cfg.lower_y})"))
+    if cfg.kind == "rectangle" and not cfg.upper_y > cfg.lower_y:
+        diags.append(Diagnostic("domain.upper_y", f"upper_y ({cfg.upper_y}) must exceed lower_y ({cfg.lower_y})"))
     try:
         cfg.make_nonlinearity()
     except ValueError as exc:

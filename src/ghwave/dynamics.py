@@ -65,9 +65,7 @@ from .domains import DiffeoMap
 from .operators import DiscreteOperator, Mesh, NonlinearitySpec, NormPack, _sqrt_dot, pullback_operator, x_norm
 
 __all__ = [
-    "Trajectory",
     "EnergyProfile",
-    "LipschitzCheck",
     "SamplerConfig",
     "AttractorSample",
     "BlowupError",
@@ -261,19 +259,6 @@ class WaveIntegrator:
         return rec
 
 
-@dataclass
-class Trajectory:
-    """States recorded at uniformly spaced times, one column of `states` (2 dim, T) each."""
-
-    times: Array
-    states: Array
-    op: DiscreteOperator
-
-    def __post_init__(self) -> None:
-        if self.states.shape[1:] != self.times.shape:
-            raise ValueError("times/states length mismatch")
-
-
 def solve_trajectory(
     z: Array,
     t_final: float,
@@ -281,11 +266,12 @@ def solve_trajectory(
     op: DiscreteOperator,
     f: NonlinearitySpec,
     record_every: int = 1,
-) -> Trajectory:
-    """States at time 0, every `record_every` steps of dt, and the last step."""
+) -> tuple[Array, Array]:
+    """(times, states): time 0, every `record_every` steps of dt and the last
+    step, (T,), and the state at each, one column of (2 dim, T)."""
     n_steps = int(round(t_final / dt))
     times = np.union1d(np.arange(0, n_steps + 1, record_every), n_steps) * dt
-    return Trajectory(times, WaveIntegrator(op, f, dt).record(z, times), op)
+    return times, WaveIntegrator(op, f, dt).record(z, times)
 
 
 def _e2(z: Array, pack: NormPack, f: NonlinearitySpec) -> float | Array:
@@ -306,12 +292,11 @@ class EnergyProfile:
     """Second-order energy E2 along a trajectory with its decay envelope.
 
     E2(t) = ||u_tt||_0^2 + ||u_t||_1^2 + ||u||_2^2 with u_tt reconstructed
-    algebraically.  The envelope a + b exp(-c t) is least-squares fitted
-    through the local peaks of E2 (the curve's upper envelope); `overshoot`
-    is max_t E2(t)/envelope(t) - 1.
+    algebraically, one value per recorded time.  The envelope a + b exp(-c t)
+    is least-squares fitted through the local peaks of E2 (the curve's upper
+    envelope); `overshoot` is max_t E2(t)/envelope(t) - 1.
     """
 
-    times: Array
     e2: Array
     a: float
     b: float
@@ -477,14 +462,14 @@ def _fit_envelope(times: Array, e2: Array) -> tuple[float, float, float]:
     return _log_envelope_lsq(tp, np.log(ep + _LOG_FLOOR), p0)
 
 
-def energy_profile(traj: Trajectory, f: NonlinearitySpec) -> EnergyProfile:
-    pack = NormPack(traj.op)
-    e2 = _e2(traj.states, pack, f)
-    a, b, c = _fit_envelope(traj.times, e2)
-    env = a + b * np.exp(-c * traj.times)
+def energy_profile(times: Array, states: Array, op: DiscreteOperator, f: NonlinearitySpec) -> EnergyProfile:
+    """E2 of `states` (2 dim, T), recorded at `times` (T,) on `op`, and its envelope."""
+    e2 = _e2(states, NormPack(op), f)
+    a, b, c = _fit_envelope(times, e2)
+    env = a + b * np.exp(-c * times)
     floor = 1e-15 * max(float(e2.max(initial=0.0)), 1.0)
     overshoot = float(np.max(e2 / np.maximum(env, floor)) - 1.0) if e2.size else 0.0
-    return EnergyProfile(traj.times, e2, a, b, c, overshoot)
+    return EnergyProfile(e2, a, b, c, overshoot)
 
 
 def gronwall_rate(f: NonlinearitySpec, op: DiscreteOperator) -> float:
@@ -493,28 +478,16 @@ def gronwall_rate(f: NonlinearitySpec, op: DiscreteOperator) -> float:
     return f.l / (2 * op.lambda1) + 0.5
 
 
-GRONWALL_SLACK = 1.05  # largest accepted ratio of separation to the exp(C t) envelope
-
-
-@dataclass
-class LipschitzCheck:
-    """Largest pair separation / (||Z(0)|| exp(C t)) over the steps t >= dt; `passed` if <= GRONWALL_SLACK."""
-
-    max_ratio: float
-    passed: bool
-
-
 def lipschitz_envelope_check(
     s0: Array,
     s1: Array,
     t_final: float,
     integ: WaveIntegrator,
-) -> LipschitzCheck:
-    """Two-trajectory separation against ||Z(0)|| exp(C t) at every step t >= integ.dt.
+) -> float:
+    """Largest ratio of the two-trajectory separation to ||Z(0)|| exp(C t) over every step t >= integ.dt.
 
     Time 0 is left out: its ratio is 1 by construction, so a maximum over it
-    would never show how close the envelope comes.  `passed` when the
-    separation ratio stays within GRONWALL_SLACK.  One integrator serves
+    would never show how close the envelope comes.  One integrator serves
     every pair of a study: the pair's trajectory depends only on its
     operator, f and dt.
     """
@@ -529,8 +502,7 @@ def lipschitz_envelope_check(
     times = np.arange(1, n_steps + 1) * dt
     pair = integ.record(np.column_stack([s0, s1]), times)
     sep = x_norm(pair[:, 0] - pair[:, 1], pack, 0)
-    mx = float((sep / (z0 * np.exp(gronwall_rate(f, op) * times))).max())
-    return LipschitzCheck(mx, mx <= GRONWALL_SLACK)
+    return float((sep / (z0 * np.exp(gronwall_rate(f, op) * times))).max())
 
 
 # SamplerConfig field -> (predicate, description of the valid range); the
@@ -643,7 +615,7 @@ class AttractorSample:
     """Post-transient snapshot cloud with its metric and flow table.
 
     `flow` holds the forward images of the n sampled points at times j/m,
-    j = 0..m, as states (n, m+1, 2, dim) (u and v per image); its time-0
+    j = 0..m, one state z = (u; v) per image, (n, m+1, 2 dim); its time-0
     column is the points themselves, see `states`.  `dist` is the pairwise
     X^0 distance matrix in this operator's own norm, and `eps_inv` the
     invariance proxy: the largest distance from any flow image to the
@@ -657,24 +629,25 @@ class AttractorSample:
 
     @property
     def states(self) -> Array:
-        """The sampled points, (n, 2, dim): the time-0 column of `flow`."""
+        """The sampled points, (n, 2 dim): the time-0 column of `flow`."""
         return self.flow[:, 0]
 
 
 def _x0_gram(a: Array, b: Array, op: DiscreteOperator) -> Array:
-    """G_ab = u_a K u_b + v_a M v_b between the states (rows) of a and b, each (n, 2, dim)."""
-    G = a[:, 0] @ (op.K @ b[:, 0].T)
-    G += a[:, 1] @ (op.M @ b[:, 1].T)
+    """G_ab = u_a K u_b + v_a M v_b between the states (rows) of a and b, each (n, 2 dim)."""
+    n = op.n
+    G = a[:, :n] @ (op.K @ b[:, :n].T)
+    G += a[:, n:] @ (op.M @ b[:, n:].T)
     return G
 
 
 def x0_sqnorms(table: Array, op: DiscreteOperator) -> Array:
     """Squared X^0 norms G_aa of every state of a flow table, in `x0_sqdist`'s order.
 
-    `table` is a flow table (n, q, 2, dim) or one time slice (n, 2, dim);
+    `table` is a flow table (n, q, 2 dim) or one time slice (n, 2 dim);
     each norm is the diagonal entry of its own time slice's Gram.
     """
-    t = table.reshape(len(table), -1, 2, op.n)
+    t = table.reshape(len(table), -1, 2 * op.n)
     return np.column_stack([np.diag(_x0_gram(t[:, j], t[:, j], op)) for j in range(t.shape[1])]).ravel()
 
 
@@ -683,8 +656,8 @@ def x0_sqdist(
 ) -> Array:
     """Squared X^0 distances from every state of `rows` to every state of `cols`.
 
-    Each argument is a flow table (n, q, 2, dim), its states taken in the
-    order i * q + j (point i at flow time j), or one time slice (n, 2, dim).
+    Each argument is a flow table (n, q, 2 dim), its states taken in the
+    order i * q + j (point i at flow time j), or one time slice (n, 2 dim).
     Gram trick: with G_ab = u_a K u_b + v_a M v_b, d^2(a, b) =
     (G_aa + G_bb) - 2 G_ab in that operand order, clipped at 0 against
     cancellation; symmetrizing is left to the caller.  G_aa is the diagonal
@@ -701,7 +674,7 @@ def x0_sqdist(
     result-sized arrays are alive.
     """
     row_sq, col_sq = norms if norms is not None else (x0_sqnorms(rows, op), x0_sqnorms(cols, op))
-    G = _x0_gram(rows.reshape(-1, 2, op.n), cols.reshape(-1, 2, op.n), op)
+    G = _x0_gram(rows.reshape(-1, 2 * op.n), cols.reshape(-1, 2 * op.n), op)
     G *= 2.0
     d2 = row_sq[:, None] + col_sq[None, :]
     d2 -= G
@@ -731,7 +704,7 @@ def sample_attractor(
     ic 0, then of ic 1, ...); a pool larger than `max_points` is a
     ValueError before any stepping.
 
-    The ICs advance as one (dim, n_ics) block, in the integrator's step
+    The ICs advance as one (2 dim, n_ics) block, in the integrator's step
     loop, and E2 is evaluated only where the settling test reads it.  An IC
     can plateau only at a step s >= s0, the first step with t >=
     t_transient, and only on the settled steps s - W + 1 .. s (W =
@@ -749,7 +722,7 @@ def sample_attractor(
     chunk, in one evaluation, and a plateaued IC none: it keeps stepping in
     the block until the window ends and every IC is done.  So every settling
     decision is the per-step one, bit for bit: the steps are the same
-    (dim, n_ics) block's, and the E2 of a column does not depend on the
+    (2 dim, n_ics) block's, and the E2 of a column does not depend on the
     block it is evaluated in (a column of the step block matches its IC
     stepped alone only to rounding, see `WaveIntegrator`).
 
@@ -814,7 +787,7 @@ def sample_attractor(
             e_prev[quick[off]] = e[1, off]
             active = np.setdiff1d(active, quick[off])
         if active.size:
-            # E2 of the active ICs over the chunk in one (dim, L * n_active)
+            # E2 of the active ICs over the chunk in one (2 dim, L * n_active)
             # block, then the per-step test as array operations over (L, n_active)
             e = energy(out, active)
             ok = settled(e, np.vstack([e_prev[active], e[:-1]]))
@@ -826,11 +799,10 @@ def sample_attractor(
             plateaued[active] = ((ks * cfg.dt >= cfg.t_transient)[:, None] & (run >= W)).any(axis=0)
         k = int(ks[-1])
     # IC-major: every snapshot of ic 0, then of ic 1, ...
-    states = np.array(snaps).reshape(-1, 2, n, n_ics).transpose(3, 0, 1, 2).reshape(-1, 2, n)  # from (n_snaps, 2 dim, n_ics)
+    states = np.array(snaps).transpose(2, 0, 1).reshape(-1, 2 * n)  # from (n_snaps, 2 dim, n_ics)
     m = cfg.flow_grid_m
     flow_times = np.linspace(0.0, 1.0, m + 1)
-    rec = integ.record(states.reshape(len(states), -1).T, flow_times)
-    flow = np.ascontiguousarray(rec.reshape(2, n, -1, m + 1).transpose(2, 3, 0, 1))  # (n, m+1, 2, dim)
+    flow = np.ascontiguousarray(integ.record(states.T, flow_times).transpose(1, 2, 0))  # (n, m+1, 2 dim)
     # every flow state against the sample, flow[:, 0], whose own rows are every (m+1)-th
     sq = x0_sqnorms(flow, op)
     d2_flow = x0_sqdist(flow, flow[:, 0], op, norms=(sq, sq[:: m + 1]))

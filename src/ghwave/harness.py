@@ -50,6 +50,7 @@ __all__ = [
     "build_flow_pair",
     "write_report",
     "write_timing",
+    "StudyTimer",
 ]
 
 
@@ -304,6 +305,9 @@ def run_stability_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
     return result
 
 
+GRONWALL_SLACK = 1.05  # largest accepted ratio of separation to the exp(C t) envelope
+
+
 @dataclass
 class EstimateResult(_StudyResult):
     study: ClassVar[str] = "estimates"
@@ -327,22 +331,23 @@ def run_estimate_checks(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
     1. Trajectory-pair separation under the Gronwall envelope exp(Ct).
     2. Second-order energy under a decaying exponential envelope.
     3. Conjugated-flow error shrinking with the perturbation schedule.
+    `dynamics` measures; the three verdicts are decided here, together: the
+    largest pair ratio within GRONWALL_SLACK, an overshoot of at most 5% over
+    a decaying envelope, and errors strictly falling to below 1e-3.
     `timer` collects the wall clock of each of the three checks.
     """
     clock = timer or StudyTimer()
     f = cfg.make_nonlinearity()
     op = cfg.reference_operator()
 
-    max_ratio, gronwall_ok = 0.0, True
+    max_ratio = 0.0
     with clock.stage("estimates.gronwall"):
         integ = WaveIntegrator(op, f, cfg.dt)
         for k in range(cfg.n_pairs):
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7, k]))
             s0 = random_state(op, rng, radius=1.0, n_modes=cfg.sampler.n_modes)
             s1 = random_state(op, rng, radius=1.0, n_modes=cfg.sampler.n_modes)
-            chk = lipschitz_envelope_check(s0, s1, cfg.estimate_t_final, integ)
-            max_ratio = max(max_ratio, chk.max_ratio)
-            gronwall_ok = gronwall_ok and chk.passed
+            max_ratio = max(max_ratio, lipschitz_envelope_check(s0, s1, cfg.estimate_t_final, integ))
 
     # single-frequency scenario: superpositions of modes carry beat patterns
     # whose peak heights scatter well beyond the 5% overshoot budget, so the
@@ -351,9 +356,7 @@ def run_estimate_checks(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
     # fundamental is slow (oscillation rate is at least sqrt(ell - 1/4))
     with clock.stage("estimates.energy"):
         s0 = calibration_state(op, radius=1.0)
-        traj = solve_trajectory(s0, 24.0, cfg.dt, op, f, record_every=5)
-        prof = energy_profile(traj, f)
-    envelope_ok = prof.c > 0 and prof.overshoot <= 0.05
+        prof = energy_profile(*solve_trajectory(s0, 24.0, cfg.dt, op, f, record_every=5), op, f)
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 5]))
     v0 = random_state(op, rng, radius=1.0, n_modes=4)
@@ -362,6 +365,9 @@ def run_estimate_checks(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
     with clock.stage("estimates.conjugation"):
         for amp, h in zip(cfg.schedule, cfg.maps()):
             conj.append((amp, float(conjugated_flow_error(h, v0, t_grid, op, f, cfg.dt).max())))
+
+    gronwall_ok = max_ratio <= GRONWALL_SLACK
+    envelope_ok = prof.c > 0 and prof.overshoot <= 0.05
     errs = [e for _, e in conj]
     conj_ok = all(b < a for a, b in zip(errs, errs[1:])) and errs[-1] < 1e-3
 
@@ -411,10 +417,6 @@ class StudyTimer:
 
     def __init__(self) -> None:
         self.timings: dict[str, float] = {}
-
-    def run(self, name: str, fn, *args, **kwargs):
-        with self.stage(name):
-            return fn(*args, **kwargs)
 
     @contextmanager
     def stage(self, name: str):

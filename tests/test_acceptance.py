@@ -67,8 +67,8 @@ def test_solver_time_order(verdict):
     alpha = np.exp(-t_final / 2) * (np.cos(w * t_final) + np.sin(w * t_final) / (2 * w))
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
-        traj = solve_trajectory(np.concatenate([phi, np.zeros_like(phi)]), t_final, dt, op, f)
-        errs.append(float(np.abs(traj.states[: op.n, -1] - alpha * phi).max()))
+        _, states = solve_trajectory(np.concatenate([phi, np.zeros_like(phi)]), t_final, dt, op, f)
+        errs.append(float(np.abs(states[: op.n, -1] - alpha * phi).max()))
     orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
     verdict(
         min(orders) >= 1.9,
@@ -88,8 +88,7 @@ def test_pairwise_growth_envelope(verdict):
         rng = np.random.default_rng(np.random.SeedSequence([99, k]))
         s0 = random_state(op, rng, radius=1.0, n_modes=8)
         s1 = random_state(op, rng, radius=1.0, n_modes=8)
-        chk = lipschitz_envelope_check(s0, s1, 2.0, integ)
-        worst = max(worst, chk.max_ratio)
+        worst = max(worst, lipschitz_envelope_check(s0, s1, 2.0, integ))
     verdict(
         worst <= 1.05,
         f"max separation ratio {worst:.4f} over {n_pairs} pairs (<= 1.05)",
@@ -102,8 +101,7 @@ def test_energy_decay_envelope(verdict):
     op = identity_operator(cfg.make_mesh())
     f = cfg.make_nonlinearity()
     s0 = calibration_state(op, radius=1.0)
-    traj = solve_trajectory(s0, 24.0, cfg.dt, op, f, record_every=5)
-    prof = energy_profile(traj, f)
+    prof = energy_profile(*solve_trajectory(s0, 24.0, cfg.dt, op, f, record_every=5), op, f)
     verdict(
         prof.c > 0 and prof.overshoot <= 0.05,
         f"rate {prof.c:.5f} (> 0), overshoot {100 * prof.overshoot:.3f}% (<= 5%)",

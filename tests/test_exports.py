@@ -1,8 +1,9 @@
-"""Every exported name resolves: each module's __all__, the package's imports and each script's imports."""
+"""Every exported name resolves (each module's __all__, the package's imports and each script's imports), and every public definition is exported."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -21,6 +22,18 @@ def test_module_all_names_resolve(name):
     module = importlib.import_module(f"ghwave.{name}")
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_public_definitions_are_exported(name):
+    # the reverse: every public class and function the module defines is in __all__
+    module = importlib.import_module(f"ghwave.{name}")
+    defined = [
+        n
+        for n, v in vars(module).items()
+        if not n.startswith("_") and (inspect.isclass(v) or inspect.isfunction(v)) and v.__module__ == module.__name__
+    ]
+    assert [n for n in defined if n not in module.__all__] == []
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)

@@ -135,8 +135,8 @@ def _universe(sa, sb, op):
     """One symmetrized squared-distance matrix over every flow state of both
     samples, from one Gram: d^2(a, b) = (G_aa + G_bb) - 2 G_ab, clipped at 0,
     then (d^2 + d^2.T) / 2 with zero diagonal."""
-    states = np.concatenate([sa.flow.reshape(-1, 2, op.n), sb.flow.reshape(-1, 2, op.n)])
-    U, V = states[:, 0], states[:, 1]
+    states = np.concatenate([sa.flow.reshape(-1, 2 * op.n), sb.flow.reshape(-1, 2 * op.n)])
+    U, V = states[:, : op.n], states[:, op.n :]
     G = U @ (op.K @ U.T)
     G += V @ (op.M @ V.T)
     dg = np.diag(G).copy()
@@ -187,7 +187,7 @@ def test_build_flow_pair_peak_memory_below_one_universe():
     op = identity_operator(Mesh(UNIT, 48))
     rng = np.random.default_rng(0)
     times = np.linspace(0.0, 1.0, 11)
-    sa, sb = (AttractorSample(np.zeros((96, 96)), rng.standard_normal((96, 11, 2, op.n)), times, 0.0) for _ in range(2))
+    sa, sb = (AttractorSample(np.zeros((96, 96)), rng.standard_normal((96, 11, 2 * op.n)), times, 0.0) for _ in range(2))
     tracemalloc.start()
     try:
         build_flow_pair(sa, sb, op)
@@ -294,6 +294,21 @@ def test_estimates_study_fast_config(tmp_path):
     assert (tmp_path / "gronwall.csv").exists()
     assert (tmp_path / "envelope.csv").exists()
     assert (tmp_path / "conjugation.csv").exists()
+
+
+def test_estimates_study_gronwall_verdict_fails_above_the_slack(tmp_path, monkeypatch):
+    # the study, not dynamics, judges the measured ratio: a slack below it
+    # fails the Gronwall check and the study, and leaves the ratio as it is
+    cfg = ScenarioConfig(seed=3, n_pairs=2, estimate_t_final=0.5)
+    cfg.resolution = 16
+    cfg.dt = 0.01
+    cfg.sampler = _FAST_SAMPLER
+    ratio = run_estimate_checks(cfg).gronwall_max_ratio
+    monkeypatch.setattr(harness, "GRONWALL_SLACK", 0.5 * ratio)
+    res = run_estimate_checks(cfg, out_dir=tmp_path)
+    assert not res.gronwall_ok
+    assert not res.passed
+    assert res.gronwall_max_ratio == ratio
 
 
 # --- CLI -----------------------------------------------------------------------
