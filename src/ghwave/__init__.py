@@ -31,7 +31,6 @@ from .dynamics import (  # noqa: E402,F401
     sample_attractor,
 )
 from .ghmetric import (  # noqa: E402,F401
-    FiniteMetricSpace,
     dgh_dynamical,
     gh_exact,
     gh_lower,

@@ -616,7 +616,7 @@ class AttractorSample:
 
     `flow` holds the forward images of the n sampled points at times j/m,
     j = 0..m, one state z = (u; v) per image, (n, m+1, 2 dim); its time-0
-    column is the points themselves, see `states`.  `dist` is the pairwise
+    column `flow[:, 0]` is the points themselves.  `dist` is the pairwise
     X^0 distance matrix in this operator's own norm, and `eps_inv` the
     invariance proxy: the largest distance from any flow image to the
     sampled set.
@@ -626,11 +626,6 @@ class AttractorSample:
     flow: Array
     flow_times: Array
     eps_inv: float
-
-    @property
-    def states(self) -> Array:
-        """The sampled points, (n, 2 dim): the time-0 column of `flow`."""
-        return self.flow[:, 0]
 
 
 def _x0_gram(a: Array, b: Array, op: DiscreteOperator) -> Array:

@@ -1,5 +1,10 @@
 """Gromov-Hausdorff machinery for finite metric spaces and sampled flows.
 
+A finite metric space is its distance matrix, and every function here takes
+the matrices as given: the caller passes them symmetric with a zero
+diagonal, and nothing checks that.  A map X -> Y is an index array m, with
+m[a] the image of point a.
+
 Convention: an eps-isometry is a (not necessarily injective) map whose metric
 distortion sup |d_X(a,b) - d_Y(fa,fb)| and covering deficit
 sup_y min_a d_Y(y, fa) are both strictly below eps, and the distance between
@@ -21,8 +26,6 @@ import numpy as np
 import numpy.typing as npt
 
 __all__ = [
-    "FiniteMetricSpace",
-    "MapCandidate",
     "GHEstimate",
     "FlowPair",
     "DynamicalEstimate",
@@ -46,51 +49,6 @@ EXACT_SIZE_CAP = 7
 
 class SizeCapError(ValueError):
     """Exhaustive search requested beyond the exponential-cost cap."""
-
-
-@dataclass
-class FiniteMetricSpace:
-    """Finite metric space given by its distance matrix."""
-
-    d: Array
-    validate: bool = True
-
-    def __post_init__(self) -> None:
-        self.d = np.asarray(self.d, dtype=float)
-        if self.d.ndim != 2 or self.d.shape[0] != self.d.shape[1]:
-            raise ValueError("distance matrix must be square")
-        if self.validate:
-            if not np.all(np.isfinite(self.d)):
-                raise ValueError("distances must be finite")
-            if np.any(self.d < 0):
-                raise ValueError("distances must be nonnegative")
-            if np.any(np.abs(np.diag(self.d)) > 1e-12):
-                raise ValueError("diagonal must vanish")
-            if np.max(np.abs(self.d - self.d.T)) > 1e-9 * max(1.0, self.d.max()):
-                raise ValueError("distance matrix must be symmetric")
-            lhs = self.d[:, :, None]
-            rhs = self.d[:, None, :] + self.d[None, :, :]
-            if np.max(lhs - rhs) > 1e-9 * max(1.0, self.d.max()):
-                raise ValueError("triangle inequality violated")
-        self.d = 0.5 * (self.d + self.d.T)
-        np.fill_diagonal(self.d, 0.0)
-
-    @property
-    def n(self) -> int:
-        return self.d.shape[0]
-
-
-@dataclass(frozen=True)
-class MapCandidate:
-    """Index map X -> Y with its distortion and covering deficit."""
-
-    assignment: IntArray
-    distortion: float
-    deficit: float
-
-    @property
-    def objective(self) -> float:
-        return max(self.distortion, self.deficit)
 
 
 def distortion(dx: Array, dy: Array, m: IntArray) -> float:
@@ -133,19 +91,19 @@ def _one_sided_exact(dx: Array, dy: Array) -> tuple[float, IntArray]:
     return best_val, best_m
 
 
-def gh_exact(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> float:
-    """Exhaustive two-sided objective; raises SizeCapError above the cap.
+def gh_exact(dx: Array, dy: Array) -> float:
+    """Exhaustive two-sided objective between dx and dy; raises SizeCapError above the cap.
 
     The eps-isometry pair decouples: the smallest workable eps equals the
     larger of the two one-sided minima of max(distortion, deficit).
     """
-    if max(X.n, Y.n) > EXACT_SIZE_CAP:
+    if max(len(dx), len(dy)) > EXACT_SIZE_CAP:
         raise SizeCapError(
             f"exact search capped at {EXACT_SIZE_CAP} points "
-            f"(got {X.n} and {Y.n}); use gh_upper"
+            f"(got {len(dx)} and {len(dy)}); use gh_upper"
         )
-    fwd, _ = _one_sided_exact(X.d, Y.d)
-    bwd, _ = _one_sided_exact(Y.d, X.d)
+    fwd, _ = _one_sided_exact(dx, dy)
+    bwd, _ = _one_sided_exact(dy, dx)
     return max(fwd, bwd)
 
 
@@ -189,7 +147,7 @@ def _direction_bounds(dx: Array, dy: Array) -> tuple[float, float]:
     return float(fwd), float(bwd)
 
 
-def gh_lower(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> float:
+def gh_lower(dx: Array, dy: Array) -> float:
     """Row-distribution lower bound on the two-sided objective (Memoli, FoCM 11, 2011).
 
     With R_X(x) row x of d_X as a set and H(A -> B) = max_a min_b |a - b|,
@@ -208,7 +166,7 @@ def gh_lower(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> float:
     diameter, which covers the rounding of the halved sum.  The bound is at
     least the diameter gap |diam X - diam Y|.
     """
-    return max(_direction_bounds(X.d, Y.d))
+    return max(_direction_bounds(dx, dy))
 
 
 def _greedy_init(dx: Array, dy: Array) -> IntArray:
@@ -346,14 +304,17 @@ def _deficit_after_move(dy: Array, cur: IntArray) -> Array:
 class GHEstimate:
     """Two-sided upper estimate with the certifying maps and its lower bound.
 
-    `lower` is `gh_lower` of the two spaces and `restarts_used` counts the
-    descents run, both directions together; `exact` when the estimate meets
-    the bound, so that it is the optimum over all map pairs.
+    `forward` (X -> Y) and `backward` (Y -> X) are the index maps with the
+    best objective max(distortion, deficit) in each direction, and `value`
+    the larger of their objectives.  `lower` is `gh_lower` of the two spaces
+    and `restarts_used` counts the descents run, both directions together;
+    `exact` when the estimate meets the bound, so that it is the optimum
+    over all map pairs.
     """
 
     value: float
-    forward: MapCandidate
-    backward: MapCandidate
+    forward: IntArray
+    backward: IntArray
     lower: float
     restarts_used: int
 
@@ -370,10 +331,13 @@ def _check_budget(budget: int) -> None:
 
 def _one_sided_search(
     dx: Array, dy: Array, restarts: int, seed: int, dirflag: int, bound: float = -np.inf
-) -> tuple[list[MapCandidate], int]:
+) -> tuple[list[tuple[float, IntArray]], int]:
     """Multistart descent X -> Y: the per-restart bests, best first, and the restarts run.
 
-    The search stops after the first restart whose objective is at most
+    Each best is an (objective, map) pair, the objective max(distortion,
+    deficit) as `_descend` computed it; the pairs are sorted by objective,
+    then restart, and a map that an earlier pair holds is dropped.  The
+    search stops after the first restart whose objective is at most
     `bound`, a lower bound on the objective of every map: no later restart
     can then beat that restart's map, or tie it with a smaller restart
     index, so the winner is that of the full budget.
@@ -392,19 +356,13 @@ def _one_sided_search(
         results.append((val, r, m))
         if val <= bound:
             break
-    results.sort(key=lambda t: (t[0], t[1]))
-    out = []
-    seen: set[bytes] = set()
-    for val, _r, m in results:
-        key = m.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(MapCandidate(m, distortion(dx, dy, m), coverage_deficit(dy, m)))
-    return out, len(results)
+    unique: dict[bytes, tuple[float, IntArray]] = {}
+    for val, _r, m in sorted(results, key=lambda t: t[:2]):
+        unique.setdefault(m.tobytes(), (val, m))
+    return list(unique.values()), len(results)
 
 
-def gh_upper(X: FiniteMetricSpace, Y: FiniteMetricSpace, budget: int = 32, seed: int = 0) -> GHEstimate:
+def gh_upper(dx: Array, dy: Array, budget: int = 32, seed: int = 0) -> GHEstimate:
     """Seeded multistart estimate of the two-sided objective, bracketed by `gh_lower`.
 
     Restart 0 starts at the identity when both spaces have the same size
@@ -416,10 +374,11 @@ def gh_upper(X: FiniteMetricSpace, Y: FiniteMetricSpace, budget: int = 32, seed:
     same seed never worsens the value.  `budget` below 1 is a ValueError.
     """
     _check_budget(budget)
-    low_f, low_b = _direction_bounds(X.d, Y.d)
-    fwd, used_f = _one_sided_search(X.d, Y.d, budget, seed, 1, low_f)
-    bwd, used_b = _one_sided_search(Y.d, X.d, budget, seed, 2, low_b)
-    return GHEstimate(max(fwd[0].objective, bwd[0].objective), fwd[0], bwd[0], max(low_f, low_b), used_f + used_b)
+    low_f, low_b = _direction_bounds(dx, dy)
+    fwd, used_f = _one_sided_search(dx, dy, budget, seed, 1, low_f)
+    bwd, used_b = _one_sided_search(dy, dx, budget, seed, 2, low_b)
+    (val_f, m_f), (val_b, m_b) = fwd[0], bwd[0]
+    return GHEstimate(max(val_f, val_b), m_f, m_b, max(low_f, low_b), used_f + used_b)
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +422,6 @@ class FlowPair:
     def reversed(self) -> FlowPair:
         """The same pair with Y first: the transpose of `cross`, the two sides swapped."""
         return FlowPair(self.cross.T, self.base_y, self.base_x, self.seg_y, self.seg_x, self.times)
-
-    def metrics(self) -> tuple[FiniteMetricSpace, FiniteMetricSpace]:
-        """The base metrics of X and Y."""
-        return tuple(
-            FiniteMetricSpace(np.sqrt(np.maximum(base, 0.0)), validate=False) for base in (self.base_x, self.base_y)
-        )
 
 
 def _interp_flow_d2(pair: FlowPair, rows: IntArray, query_t: Array, targets: IntArray) -> Array:
@@ -536,7 +489,7 @@ def _commutation_eps(pair: FlowPair, m: IntArray, rho: float) -> float:
     return float(_flow_cost(pair, np.arange(pair.base_x.shape[0]), rho, m).max(initial=0.0))
 
 
-def _certified_start(pair: FlowPair, dx: Array, dy: Array, rho: float) -> tuple[MapCandidate, float] | None:
+def _certified_start(pair: FlowPair, dx: Array, dy: Array, rho: float) -> tuple[IntArray, float] | None:
     """The start map X -> Y with its flow epsilon v, if v is proven optimal; else None.
 
     Proof.  Let c be `_flow_cost`, m the start map, v = max_x c[x, m(x)], and
@@ -549,28 +502,29 @@ def _certified_start(pair: FlowPair, dx: Array, dy: Array, rho: float) -> tuple[
     through the same operations, so the proof needs no rounding slack.
     """
     m = _start_map(dx, dy)
-    cand = MapCandidate(m, distortion(dx, dy, m), coverage_deficit(dy, m))
     own = _flow_cost(pair, np.arange(pair.base_x.shape[0]), rho, m)[:, 0]
     v = float(own.max(initial=0.0))
-    if cand.objective > v:
+    if max(distortion(dx, dy, m), coverage_deficit(dy, m)) > v:
         return None
     rows = _flow_cost(pair, np.flatnonzero(own == v), rho)
     if not np.any(rows.min(axis=1) >= v):
         return None
-    return cand, v
+    return m, v
 
 
 @dataclass
 class DynamicalEstimate:
     """Certified dynamical estimate: value, per-direction data, witnesses.
 
-    `exact` is true when both directions' values were proven optimal over
-    all maps (see `dgh_dynamical`).
+    `forward` (X -> Y) and `backward` (Y -> X) are the witness index maps,
+    each with its flow-commutation epsilon.  `exact` is true when both
+    directions' values were proven optimal over all maps (see
+    `dgh_dynamical`).
     """
 
     value: float
-    forward: MapCandidate
-    backward: MapCandidate
+    forward: IntArray
+    backward: IntArray
     forward_flow_eps: float
     backward_flow_eps: float
     certified: bool
@@ -593,39 +547,40 @@ def dgh_dynamical(pair: FlowPair, rho: float = 1.0, budget: int = 32, seed: int 
     direction's best total; `exact` is true when both directions were
     certified, and then the value is the estimator's optimum, exact over the
     21-point s grid, not over the continuous class of reparametrizations.
-    `certified` re-verifies both witnesses at value + 1e-12.  `rho` must lie
-    in (0, RHO_MAX), where every time change tried is increasing, and
-    `budget` must be at least 1, as for `gh_upper`, even where no search
-    runs; otherwise ValueError.
+    The base metrics are the square roots of `pair.base_x` and
+    `pair.base_y`.  `certified` re-verifies both witnesses at value + 1e-12.
+    `rho` must lie in (0, RHO_MAX), where every time change tried is
+    increasing, and `budget` must be at least 1, as for `gh_upper`, even
+    where no search runs; otherwise ValueError.
     """
     _check_budget(budget)
     if not 0.0 < rho < RHO_MAX:
         raise ValueError(f"rho must lie in (0, {RHO_MAX:.6g}), got {rho}")
 
-    def best_total(p: FlowPair, dirflag: int) -> tuple[float, MapCandidate, float, bool]:
-        da, db = (space.d for space in p.metrics())
+    dx, dy = (np.sqrt(np.maximum(base, 0.0)) for base in (pair.base_x, pair.base_y))
+
+    def best_total(p: FlowPair, da: Array, db: Array, dirflag: int) -> tuple[float, IntArray, float, bool]:
         proven = _certified_start(p, da, db, rho)
         if proven is not None:
-            c, fe = proven
-            return fe, c, fe, True
+            m, fe = proven
+            return fe, m, fe, True
         cands = _one_sided_search(da, db, budget, seed, dirflag)[0][:8]
-        best_v, best_c, best_f = np.inf, cands[0], np.inf
-        for c in cands:
-            fe = _commutation_eps(p, c.assignment, rho)
-            tot = max(c.objective, fe)
+        best_v, best_m, best_f = np.inf, cands[0][1], np.inf
+        for obj, m in cands:
+            fe = _commutation_eps(p, m, rho)
+            tot = max(obj, fe)
             if tot < best_v - 1e-15:
-                best_v, best_c, best_f = tot, c, fe
-        return best_v, best_c, best_f, False
+                best_v, best_m, best_f = tot, m, fe
+        return best_v, best_m, best_f, False
 
-    fv, fc, fe, f_exact = best_total(pair, 1)
-    bv, bc, be, b_exact = best_total(pair.reversed(), 2)
+    fv, fm, fe, f_exact = best_total(pair, dx, dy, 1)
+    bv, bm, be, b_exact = best_total(pair.reversed(), dy, dx, 2)
     value = max(fv, bv)
     eps = value + 1e-12
-    X, Y = pair.metrics()
     cert = (
-        is_eps_isometry(X.d, Y.d, fc.assignment, eps)
-        and is_eps_isometry(Y.d, X.d, bc.assignment, eps)
+        is_eps_isometry(dx, dy, fm, eps)
+        and is_eps_isometry(dy, dx, bm, eps)
         and fe < eps
         and be < eps
     )
-    return DynamicalEstimate(value, fc, bc, fe, be, cert, f_exact and b_exact)
+    return DynamicalEstimate(value, fm, bm, fe, be, cert, f_exact and b_exact)

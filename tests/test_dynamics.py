@@ -634,7 +634,7 @@ def test_sampler_deterministic_for_fixed_seed():
     f = default_nonlinearity()
     a = sample_attractor(op, f, _FAST, seed=99)
     b = sample_attractor(op, f, _FAST, seed=99)
-    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.flow[:, 0], b.flow[:, 0])
     assert np.array_equal(a.dist, b.dist)
     assert np.array_equal(a.flow, b.flow)
     assert a.eps_inv == b.eps_inv
@@ -645,7 +645,7 @@ def test_sampler_seed_changes_sample():
     f = default_nonlinearity()
     a = sample_attractor(op, f, _FAST, seed=99)
     b = sample_attractor(op, f, _FAST, seed=100)
-    assert not np.array_equal(a.states, b.states)
+    assert not np.array_equal(a.flow[:, 0], b.flow[:, 0])
 
 
 def test_sampler_linear_attractor_is_origin():
@@ -665,7 +665,7 @@ def test_sampler_linear_attractor_is_origin():
     op = identity_operator(Mesh(UNIT, 16))
     sample = sample_attractor(op, _linear_f(), cfg, seed=4)
     pack = NormPack(op)
-    worst = max(x_norm(s.ravel(), pack, 0) for s in sample.states)
+    worst = max(x_norm(s.ravel(), pack, 0) for s in sample.flow[:, 0])
     assert worst < 1e-3
     assert sample.dist.max() < 2e-3
 
@@ -695,9 +695,9 @@ def test_sampler_flow_invariance_proxy_consistent():
     sample = sample_attractor(op, f, _FAST, seed=7)
     pack = NormPack(op)
     worst = 0.0
-    for i in range(len(sample.states)):
+    for i in range(len(sample.flow[:, 0])):
         for j in range(1, sample.flow.shape[1]):
-            best = min(x_norm((sample.flow[i, j] - t).ravel(), pack, 0) for t in sample.states)
+            best = min(x_norm((sample.flow[i, j] - t).ravel(), pack, 0) for t in sample.flow[:, 0])
             worst = max(worst, best)
     assert sample.eps_inv == pytest.approx(worst, rel=1e-12)
 
@@ -967,7 +967,7 @@ def test_sampler_rejects_pool_above_max_points():
     small = dataclasses.replace(_FAST, max_points=5)
     with pytest.raises(ValueError, match="6 points exceeds max_points = 5"):
         sample_attractor(op, default_nonlinearity(), small, seed=1)
-    assert sample_attractor(op, default_nonlinearity(), _FAST, seed=1).states.shape[0] == 6
+    assert sample_attractor(op, default_nonlinearity(), _FAST, seed=1).flow[:, 0].shape[0] == 6
 
 
 # --- conjugated flows ----------------------------------------------------------

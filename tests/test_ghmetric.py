@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from ghwave.ghmetric import (
     EXACT_SIZE_CAP,
     RHO_MAX,
-    FiniteMetricSpace,
     FlowPair,
     SizeCapError,
     coverage_deficit,
@@ -40,13 +39,13 @@ from ghwave.ghmetric import (
 
 def _line_space(*points):
     p = np.asarray(points, dtype=float)
-    return FiniteMetricSpace(np.abs(p[:, None] - p[None, :]))
+    return np.abs(p[:, None] - p[None, :])
 
 
 def _random_space(rng, n, scale=1.0):
     pts = rng.standard_normal((n, 3)) * scale
     d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
-    return FiniteMetricSpace(d)
+    return d
 
 
 def test_frozen_two_point_oracle():
@@ -68,7 +67,7 @@ def test_exact_zero_on_permuted_copy():
     rng = np.random.default_rng(1)
     X = _random_space(rng, 6)
     perm = rng.permutation(6)
-    Y = FiniteMetricSpace(X.d[np.ix_(perm, perm)])
+    Y = X[np.ix_(perm, perm)]
     assert gh_exact(X, Y) <= 1e-12
 
 
@@ -90,7 +89,7 @@ def test_gh_lower_row_bound_hand_case():
     # 1 from both ends of Y).
     X = _line_space(0, 1, 2)
     Y = _line_space(0, 2)
-    fwd, bwd = _direction_bounds(X.d, Y.d)
+    fwd, bwd = _direction_bounds(X, Y)
     assert fwd == 1.0
     assert 0.5 - 1e-14 < bwd <= 0.5
     assert gh_lower(X, Y) == 1.0 == gh_exact(X, Y)
@@ -106,7 +105,7 @@ def test_row_hausdorff_matches_brute_force():
             da = np.abs(np.subtract.outer(*2 * [rng.integers(0, 4, na)])).astype(float)
             db = np.abs(np.subtract.outer(*2 * [rng.integers(0, 4, nb)])).astype(float)
         else:
-            da, db = _random_space(rng, na).d, _random_space(rng, nb).d
+            da, db = _random_space(rng, na), _random_space(rng, nb)
         want = np.abs(da[:, None, :, None] - db[None, :, None, :]).min(axis=3).max(axis=2)
         assert np.array_equal(_row_hausdorff(da, db), want)
 
@@ -133,7 +132,7 @@ def _tied_metric(draw):
             b = clusters[draw(st.integers(0, len(clusters) - 1))]
             d[np.ix_(a, b)] = d[np.ix_(b, a)] = max(height, 1)
             b += a
-    return FiniteMetricSpace(d)
+    return d
 
 
 @given(_tied_metric(), _tied_metric())
@@ -141,19 +140,26 @@ def _tied_metric(draw):
 def test_row_bound_between_diameter_gap_and_exact(X, Y):
     low = gh_lower(X, Y)
     assert low <= gh_exact(X, Y)
-    assert low >= abs(float(X.d.max()) - float(Y.d.max()))
+    assert low >= abs(float(X.max()) - float(Y.max()))
 
 
 @given(_tied_metric(), _tied_metric(), st.integers(0, 1000))
 @settings(max_examples=60, deadline=None)
 def test_search_with_bound_keeps_best_map(X, Y, seed):
-    # stopping at the bound must leave the full budget's winner and value
-    for (da, db), bound, flag in zip(((X.d, Y.d), (Y.d, X.d)), _direction_bounds(X.d, Y.d), (1, 2)):
+    # stopping at the bound must leave the full budget's winner and value;
+    # either way each returned objective is its map's max(distortion,
+    # deficit) to the bit, the maps are distinct and the objectives nondecreasing
+    for (da, db), bound, flag in zip(((X, Y), (Y, X)), _direction_bounds(X, Y), (1, 2)):
         stopped, used = _one_sided_search(da, db, 12, seed, flag, bound)
         full, all_used = _one_sided_search(da, db, 12, seed, flag)
         assert all_used == 12 and 1 <= used <= 12
-        assert stopped[0].objective == full[0].objective
-        assert np.array_equal(stopped[0].assignment, full[0].assignment)
+        assert stopped[0][0] == full[0][0]
+        assert np.array_equal(stopped[0][1], full[0][1])
+        for found in (stopped, full):
+            for obj, m in found:
+                assert obj == max(distortion(da, db, m), coverage_deficit(db, m))
+            assert not any(np.array_equal(a, b) for (_, a), (_, b) in itertools.combinations(found, 2))
+            assert all(a <= b for (a, _), (b, _) in zip(found, found[1:]))
 
 
 @given(st.integers(0, 10_000))
@@ -181,8 +187,8 @@ def test_exact_scales_with_the_metric(sigma, seed):
     rng = np.random.default_rng(seed)
     X = _random_space(rng, 4)
     Y = _random_space(rng, 5)
-    Xs = FiniteMetricSpace(X.d * sigma)
-    Ys = FiniteMetricSpace(Y.d * sigma)
+    Xs = X * sigma
+    Ys = Y * sigma
     assert gh_exact(Xs, Ys) == pytest.approx(sigma * gh_exact(X, Y), rel=1e-9, abs=1e-12)
 
 
@@ -200,15 +206,15 @@ def test_upper_stops_at_certified_scaled_copy():
     # each direction stops after that one restart and the estimate is exact
     rng = np.random.default_rng(17)
     X = _random_space(rng, 16)
-    Y = FiniteMetricSpace(X.d * (1.0 + 1e-3))
+    Y = X * (1.0 + 1e-3)
     est = gh_upper(X, Y, budget=32, seed=3)
     assert est.exact
-    assert est.value == est.lower == distortion(X.d, Y.d, np.arange(16))
+    assert est.value == est.lower == distortion(X, Y, np.arange(16))
     assert est.restarts_used == 2
-    full_f = _one_sided_search(X.d, Y.d, 32, 3, 1)[0][0]
-    full_b = _one_sided_search(Y.d, X.d, 32, 3, 2)[0][0]
-    assert np.array_equal(est.forward.assignment, full_f.assignment)
-    assert np.array_equal(est.backward.assignment, full_b.assignment)
+    full_f = _one_sided_search(X, Y, 32, 3, 1)[0][0]
+    full_b = _one_sided_search(Y, X, 32, 3, 2)[0][0]
+    assert np.array_equal(est.forward, full_f[1])
+    assert np.array_equal(est.backward, full_b[1])
 
 
 def test_upper_witnesses_verify():
@@ -217,8 +223,8 @@ def test_upper_witnesses_verify():
     Y = _random_space(rng, 9)
     est = gh_upper(X, Y, budget=16, seed=2)
     eps = est.value + 1e-12
-    assert is_eps_isometry(X.d, Y.d, est.forward.assignment, eps)
-    assert is_eps_isometry(Y.d, X.d, est.backward.assignment, eps)
+    assert is_eps_isometry(X, Y, est.forward, eps)
+    assert is_eps_isometry(Y, X, est.backward, eps)
 
 
 def test_excl_max_matches_masked_max():
@@ -308,36 +314,27 @@ def test_descend_matches_rebuilt_tables():
     for trial in range(60):
         nx, ny = (int(k) for k in rng.integers(1, 16, size=2))
         if trial % 2:
-            X = FiniteMetricSpace(np.abs(np.subtract.outer(*2 * [rng.integers(0, 5, nx)])).astype(float))
-            Y = FiniteMetricSpace(np.abs(np.subtract.outer(*2 * [rng.integers(0, 5, ny)])).astype(float))
+            X = np.abs(np.subtract.outer(*2 * [rng.integers(0, 5, nx)])).astype(float)
+            Y = np.abs(np.subtract.outer(*2 * [rng.integers(0, 5, ny)])).astype(float)
         else:
             X, Y = _random_space(rng, nx), _random_space(rng, ny)
         m0 = rng.integers(0, ny, size=nx).astype(np.intp)
         seed = int(rng.integers(2**32))
-        got = _descend(X.d, Y.d, m0, np.random.default_rng(seed), kicks=2)
-        want = _descend_rebuilt(X.d, Y.d, m0, np.random.default_rng(seed), kicks=2)
+        got = _descend(X, Y, m0, np.random.default_rng(seed), kicks=2)
+        want = _descend_rebuilt(X, Y, m0, np.random.default_rng(seed), kicks=2)
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
 
 
 def test_distortion_and_deficit_hand_values():
-    dx = _line_space(0, 2).d
-    dy = _line_space(0, 3).d
+    dx = _line_space(0, 2)
+    dy = _line_space(0, 3)
     m = np.array([0, 1], dtype=np.intp)
     assert distortion(dx, dy, m) == 1.0
     assert coverage_deficit(dy, m) == 0.0
     m_const = np.array([0, 0], dtype=np.intp)
     assert distortion(dx, dy, m_const) == 2.0
     assert coverage_deficit(dy, m_const) == 3.0
-
-
-def test_metric_space_validation():
-    bad = np.array([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(ValueError):
-        FiniteMetricSpace(bad)
-    skew = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 3.0], [1.0, 3.0, 0.0]])
-    with pytest.raises(ValueError, match="triangle"):
-        FiniteMetricSpace(skew)
 
 
 # --- flow pairs ------------------------------------------------------------------
@@ -375,6 +372,11 @@ def _flow_pair(x_traj, y_traj, times):
     return FlowPair(cross, sq(x[:, 0], x[:, 0]), sq(y[:, 0], y[:, 0]), seg(x), seg(y), np.asarray(times, dtype=float))
 
 
+def _base_metrics(pair):
+    """The base metrics of X and Y that `dgh_dynamical` reads: the square roots of the base tables."""
+    return tuple(np.sqrt(np.maximum(base, 0.0)) for base in (pair.base_x, pair.base_y))
+
+
 def test_flow_pair_checks_its_tables():
     cross = np.zeros((2, 2))
     base, seg = np.zeros((1, 1)), np.zeros((1, 1))
@@ -407,11 +409,11 @@ def test_flow_pair_reversed_shares_the_universe():
     np.testing.assert_array_equal(rev.cross, pair.cross.T)
     assert rev.base_x is pair.base_y and rev.base_y is pair.base_x
     assert rev.seg_x is pair.seg_y and rev.seg_y is pair.seg_x
-    X, Y = pair.metrics()
-    Yr, Xr = rev.metrics()
-    np.testing.assert_array_equal(X.d, Xr.d)
-    np.testing.assert_array_equal(Y.d, Yr.d)
-    np.testing.assert_allclose(Y.d, [[0.0, 1.5, 3.0], [1.5, 0.0, 1.5], [3.0, 1.5, 0.0]], rtol=1e-15)
+    X, Y = _base_metrics(pair)
+    Yr, Xr = _base_metrics(rev)
+    np.testing.assert_array_equal(X, Xr)
+    np.testing.assert_array_equal(Y, Yr)
+    np.testing.assert_allclose(Y, [[0.0, 1.5, 3.0], [1.5, 0.0, 1.5], [3.0, 1.5, 0.0]], rtol=1e-15)
 
 
 @pytest.mark.parametrize("rho", [-0.5, 0.0, RHO_MAX, 2.0])
@@ -466,7 +468,7 @@ def test_dgh_dominates_static_distance_and_certifies_both_orders():
     a0 = rng.uniform(0, 3, 4)
     b0 = rng.uniform(0, 3, 4)
     pair = _flow_pair(np.column_stack([a0, a0 * 0.9]), np.column_stack([b0, b0 * 0.95]), [0.0, 1.0])
-    static = gh_exact(*pair.metrics())
+    static = gh_exact(*_base_metrics(pair))
     e1 = dgh_dynamical(pair, budget=16, seed=3)
     e2 = dgh_dynamical(pair.reversed(), budget=16, seed=3)
     assert e1.certified and e2.certified
@@ -475,7 +477,7 @@ def test_dgh_dominates_static_distance_and_certifies_both_orders():
 
 def _brute_direction(pair, rho):
     """min over all n_y^n_x maps X -> Y of max(objective, flow eps), and the row bound max_x min_y c[x, y]."""
-    dx, dy = (space.d for space in pair.metrics())
+    dx, dy = _base_metrics(pair)
     nx, ny = dx.shape[0], dy.shape[0]
     c = _flow_cost(pair, np.arange(nx), rho)
     best = np.inf
@@ -541,12 +543,14 @@ def test_dgh_search_fallback():
     assert not est.exact and est.certified
     # each witness is one of its direction's 8 best static maps, scored by its own flow epsilon
     sides = ((pair, est.forward, est.forward_flow_eps, 1), (pair.reversed(), est.backward, est.backward_flow_eps, 2))
-    for p, c, fe, flag in sides:
-        da, db = (space.d for space in p.metrics())
+    objectives = []
+    for p, m, fe, flag in sides:
+        da, db = _base_metrics(p)
         cands = _one_sided_search(da, db, 8, 5, flag)[0][:8]
-        assert any(np.array_equal(c.assignment, k.assignment) for k in cands)
-        assert fe == _commutation_eps(p, c.assignment, 1.0)
-    assert est.value == max(est.forward.objective, est.forward_flow_eps, est.backward.objective, est.backward_flow_eps)
+        assert any(np.array_equal(m, k) for _obj, k in cands)
+        assert fe == _commutation_eps(p, m, 1.0)
+        objectives.append(max(distortion(da, db, m), coverage_deficit(db, m)))
+    assert est.value == max(*objectives, est.forward_flow_eps, est.backward_flow_eps)
 
 
 @pytest.mark.parametrize("budget", [0, -1])
@@ -558,7 +562,7 @@ def test_searches_refuse_a_budget_below_one(budget):
     certified = _flow_pair(x, x, [0.0, 1.0])
     assert dgh_dynamical(certified, budget=1).exact
     for call in (
-        lambda: gh_upper(X, FiniteMetricSpace(X.d * (1.0 + 1e-3)), budget=budget),
+        lambda: gh_upper(X, X * (1.0 + 1e-3), budget=budget),
         lambda: dgh_dynamical(_dilated_pair(), budget=budget),
         lambda: dgh_dynamical(certified, budget=budget),
     ):

@@ -126,9 +126,9 @@ def test_build_flow_pair_universe_indices():
     np.testing.assert_array_equal(pair.times, sa.flow_times)
     # base distances agree with each sample's own matrix up to the change
     # from its own operator norm to the shared one (same op here, so exactly)
-    Xa, Xb = pair.metrics()
-    np.testing.assert_allclose(Xa.d, sa.dist, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(Xb.d, sb.dist, rtol=1e-9, atol=1e-12)
+    Xa, Xb = (np.sqrt(np.maximum(base, 0.0)) for base in (pair.base_x, pair.base_y))
+    np.testing.assert_allclose(Xa, sa.dist, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(Xb, sb.dist, rtol=1e-9, atol=1e-12)
 
 
 def _universe(sa, sb, op):
@@ -177,8 +177,8 @@ def test_build_flow_pair_matches_the_universe():
     assert got.value == ref.value
     assert (got.forward_flow_eps, got.backward_flow_eps) == (ref.forward_flow_eps, ref.backward_flow_eps)
     assert (got.certified, got.exact) == (ref.certified, ref.exact) == (True, True)
-    np.testing.assert_array_equal(got.forward.assignment, ref.forward.assignment)
-    np.testing.assert_array_equal(got.backward.assignment, ref.backward.assignment)
+    np.testing.assert_array_equal(got.forward, ref.forward)
+    np.testing.assert_array_equal(got.backward, ref.backward)
 
 
 def test_build_flow_pair_peak_memory_below_one_universe():
