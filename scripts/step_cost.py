@@ -11,14 +11,21 @@ trajectories).  Four more put the sampler blocks of `stability_1d.cfg` and
 `shear_2d.cfg` on finer meshes, 111x8 and 127x8 (resolutions 112 and 128)
 and 144x4 and 225x4 (resolutions 13 and 16), at the config's dt or the
 mesh's stability cap if that is smaller; these bracket
-`dynamics.DENSE_MAX_DIM`.  The block is random low-mode states (fixed
+`operators.DENSE_MAX_DIM`.  The block is random low-mode states (fixed
 seed).  Per shape and kernel (the sparse step, one product with the
 integrator's right-hand-side operator R and one sparse LU solve, and the
-dense propagator, whichever one `DENSE_MAX_DIM` would pick) it prints the
+dense propagator) it prints the
 best of REPEATS runs, in microseconds per step, of two loops: CHUNKS `record`
 calls over the next STEPS steps, each one run of the integrator's step loop
 (how every study steps), and the same number of bare `step` calls, each a
-run of that loop for one step; `*` marks the kernel the integrator picks.  The repeats
+run of that loop for one step.  A third column times the E2 evaluation the
+sampler makes once per recorded chunk (`dynamics._e2` on the whole block:
+the products with K and M and the M solve that every norm uses), in
+microseconds per call.  Each kernel steps and measures the operator held as
+its own representation (CSR matrices and SuperLU for the sparse step, dense
+arrays and the Cholesky factor for the propagator); `*` marks the
+representation `assemble_operators` picks, dense up to `DENSE_MAX_DIM`
+unknowns.  The repeats
 cycle through the shapes.  The states and the step count are the same on
 every commit, so the printed numbers of two commits compare their per-step
 cost on one machine.  OpenBLAS is held to one thread unless the environment
@@ -34,10 +41,11 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
-from ghwave import dynamics
 from ghwave.config import load_config
-from ghwave.dynamics import WaveIntegrator, random_state, stability_cap
+from ghwave.dynamics import WaveIntegrator, _e2, random_state, stability_cap
+from ghwave.operators import DENSE_MAX_DIM, NormPack
 
 REPEATS, CHUNKS, STEPS = 15, 20, 50
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -57,13 +65,14 @@ SHAPES = (
 
 
 def integrator(op, f, dt: float, kernel: str) -> WaveIntegrator:
-    """The integrator stepping with `kernel`: DENSE_MAX_DIM is set to just admit or just refuse `op.n`."""
-    cap = dynamics.DENSE_MAX_DIM
-    dynamics.DENSE_MAX_DIM = op.n if kernel == "dense" else op.n - 1
-    try:
-        return WaveIntegrator(op, f, dt)
-    finally:
-        dynamics.DENSE_MAX_DIM = cap
+    """The integrator stepping with `kernel`, on `op` with M and K held as that kernel's representation."""
+    if kernel == "dense" and not op.dense:
+        op = dataclasses.replace(op, M=op.M.toarray(), K=op.K.toarray())
+    elif kernel == "sparse" and op.dense:
+        op = dataclasses.replace(op, M=sp.csr_matrix(op.M), K=sp.csr_matrix(op.K))
+    integ = WaveIntegrator(op, f, dt)
+    assert integ.dense == (kernel == "dense")
+    return integ
 
 
 def workload(name: str, k: int | None, dt_from: str, resolution: int | None):
@@ -95,26 +104,35 @@ def bare(integ: WaveIntegrator, start: np.ndarray) -> None:
             s = integ.step(s)
 
 
+def e2(integ: WaveIntegrator, start: np.ndarray) -> None:
+    pack = NormPack(integ.op)
+    for _ in range(CHUNKS * STEPS):
+        _e2(start, pack, integ.f)
+
+
+LOOPS = (recorded, bare, e2)
+
+
 def main() -> None:
     runs = [(label, k, *workload(name, k, dt_from, res)) for label, name, k, dt_from, res in SHAPES]
-    best = {(label, kernel, loop): float("inf") for label, *_ in runs for kernel in KERNELS for loop in (recorded, bare)}
+    best = {(label, kernel, loop): float("inf") for label, *_ in runs for kernel in KERNELS for loop in LOOPS}
     # the repeats go round the shapes, so a burst of load elsewhere on the
     # machine spoils one sample of each shape rather than every sample of one
     for _ in range(REPEATS):
         for label, _k, integs, start in runs:
             for kernel, integ in integs.items():
-                for loop in (recorded, bare):
+                for loop in LOOPS:
                     t0 = time.perf_counter()
                     loop(integ, start)
                     best[label, kernel, loop] = min(best[label, kernel, loop], time.perf_counter() - t0)
-    print(f"best of {REPEATS} x {CHUNKS} chunks of {STEPS} steps, microseconds per step; DENSE_MAX_DIM = {dynamics.DENSE_MAX_DIM}")
-    print(f"{'shape':>7}  {'workload':<20} {'dt':>9} {'kernel':<7} {'record':>8} {'step':>8}")
+    print(f"best of {REPEATS} x {CHUNKS} chunks of {STEPS} steps, microseconds per step (e2: per call); DENSE_MAX_DIM = {DENSE_MAX_DIM}")
+    print(f"{'shape':>7}  {'workload':<20} {'dt':>9} {'kernel':<7} {'record':>8} {'step':>8} {'e2':>8}")
     for label, k, integs, start in runs:
         n = integs["dense"].op.n
         for kernel, integ in integs.items():
-            us = [best[label, kernel, loop] / (CHUNKS * STEPS) * 1e6 for loop in (recorded, bare)]
-            picked = "*" if (kernel == "dense") == (n <= dynamics.DENSE_MAX_DIM) else " "
-            print(f"{f'{n}x{k or 1}':>7}  {label:<20} {integ.dt:>9.3g} {kernel + picked:<7} {us[0]:>8.1f} {us[1]:>8.1f}")
+            us = [best[label, kernel, loop] / (CHUNKS * STEPS) * 1e6 for loop in LOOPS]
+            picked = "*" if (kernel == "dense") == (n <= DENSE_MAX_DIM) else " "
+            print(f"{f'{n}x{k or 1}':>7}  {label:<20} {integ.dt:>9.3g} {kernel + picked:<7} {us[0]:>8.1f} {us[1]:>8.1f} {us[2]:>8.1f}")
 
 
 if __name__ == "__main__":

@@ -27,14 +27,15 @@ discrete energy satisfies
 
 nonincreasing for every theta >= 1/2, exactly at theta = 1/2.
 
-The right-hand side is one sparse operator applied to (u, v, f(u + dt/2 v)),
+The right-hand side is one operator applied to (u, v, f(u + dt/2 v)),
 R = [-dt K | (1 - dt(1-theta)) M - dt^2 theta(1-theta) K | -dt M], so
-v+ = S^-1 R (u; v; f) with S the matrix on the left.  Up to `DENSE_MAX_DIM`
-unknowns the step is one precomputed dense propagator built from S^-1 R,
-z+ = P z + Q f(u + dt/2 v) with z = (u, v); above that, it is the product
-with R and the sparse LU solve with S.  A block of states (one per column)
-gives the same bits for the same block shape; only the sparse kernel gives
-each column the bits it would get alone.
+v+ = S^-1 R (u; v; f) with S the matrix on the left.  On a dense operator
+(at most `operators.DENSE_MAX_DIM` unknowns) the step is one precomputed
+dense propagator built from S^-1 R, z+ = P z + Q f(u + dt/2 v) with
+z = (u, v); on a sparse one, it is the product with R and the sparse LU
+solve with S.  A block of states (one per column) gives the same bits for
+the same block shape; only the sparse kernel gives each column the bits it
+would get alone.
 
 A state is one array z = (u; v): (2 dim,) for one state, (2 dim, k) for a
 block of k states, one per column.  Both kernels are written once, in one
@@ -57,12 +58,23 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+# numpy loads numpy.random lazily, on the first default_rng; the package's
+# __init__ imports this module, so this one line loads it before any study
+import numpy.random
 import numpy.typing as npt
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .domains import DiffeoMap
-from .operators import DiscreteOperator, Mesh, NonlinearitySpec, NormPack, _sqrt_dot, pullback_operator, x_norm
+from .operators import (
+    DiscreteOperator,
+    Mesh,
+    NonlinearitySpec,
+    NormPack,
+    _factorize,
+    _matvecs,
+    _sqrt_dot,
+    pullback_operator,
+    x_norm,
+)
 
 __all__ = [
     "EnergyProfile",
@@ -103,32 +115,21 @@ def stability_cap(op: DiscreteOperator) -> float:
     return 0.5 / np.sqrt(op.lambda_max_estimate()) * (1 + 1e-12)
 
 
-# Largest op.n stepped with the dense propagator (P and Q hold 6 n^2 floats,
-# 1.1 MB at the cap); above it the sparse step runs, in memory linear in n.
-# Set from `scripts/step_cost.py` on a 2-core Xeon VM, OpenBLAS on one thread:
-# microseconds per step in one run of the step loop, sparse vs dense, 1D at
-# k = 8: n = 47 42.1 vs 20.9, n = 111 67.3 vs 54.0, n = 127 64.7 vs 64.9 (60.9
-# vs 67.1 in a second run); 2D at k = 4: n = 121 59.9 vs 40.4, n = 144 68.5 vs
-# 47.6, n = 225 93.2 vs 206.7.  The dense cost grows as n^2 and the sparse one
-# about as n, so the two meet near n = 127 in 1D at k = 8 and between n = 144
-# and 225 in 2D at k = 4; the cap lies between, well above every shipped mesh
-# (n = 47 and 121).
-DENSE_MAX_DIM = 150
-
-
 class WaveIntegrator:
     """Prefactorized one-step map for a fixed (operator, nonlinearity, dt).
 
     Every method takes a single state z = (u; v) or a block of states, one
     per column.  Both kernels apply the one right-hand-side operator R (see
-    the module docstring), formed once here.  For `op.n <=
-    DENSE_MAX_DIM` (`dense`) the step is one product with precomputed dense
-    matrices, z+ = P z + Q f(u + dt/2 v) with z = (u, v) stacked, and u+, v+
-    are views of z+; P and Q come from one sparse LU solve against R.  BLAS
-    picks its kernel by the block width, so a column of a block matches the
-    same state stepped alone to rounding, not bit for bit; the same block
-    shape always gives the same bits.  Above the cap the step is one sparse
-    product with R and one sparse LU solve, which treat columns
+    the module docstring), formed once here.  On a dense operator (`dense`,
+    at most `operators.DENSE_MAX_DIM` unknowns) the step is one product with
+    precomputed dense matrices, z+ = P z + Q f(u + dt/2 v) with z = (u, v)
+    stacked, and u+, v+ are views of z+; P and Q come from S^-1 R, with S^-1
+    formed from S's Cholesky factor (see `operators._cholesky`), so that no
+    BLAS thread count changes their bits.  BLAS picks its kernel by the block
+    width, so a column of a block matches the same state stepped alone to
+    rounding, not bit for bit; the same block shape always gives the same
+    bits.  On a sparse operator the step is one
+    sparse product with R and one sparse LU solve, which treat columns
     independently, so there each column evolves exactly as it would alone.
     """
 
@@ -146,24 +147,27 @@ class WaveIntegrator:
         self.dt = dt = float(dt)
         self.theta = th = min(0.5 + THETA_SHIFT * dt, 0.75)
         b = dt * th
-        lu = splu(((1.0 + b) * op.M + b**2 * op.K).tocsc())
+        S = (1.0 + b) * op.M + b**2 * op.K
         c_v = 1.0 - dt * (1.0 - th)
         c_k = dt**2 * th * (1.0 - th)
-        R = sp.hstack([-dt * op.K, c_v * op.M - c_k * op.K, -dt * op.M]).tocsr()
+        R = [-dt * op.K, c_v * op.M - c_k * op.K, -dt * op.M]
         self._half_dt = 0.5 * dt
         self._one_minus_theta = 1.0 - th
-        self.dense = op.n <= DENSE_MAX_DIM
+        self.dense = op.dense
         if self.dense:
-            # v+ = A_u u + A_v v + B f and u+ = u + dt (th v+ + (1 - th) v).
-            # SuperLU solves the three blocks: LAPACK's threaded LU would make
-            # P's bits depend on the BLAS thread count
-            A_u, A_v, B = np.split(lu.solve(R.toarray()), 3, axis=1)
+            # v+ = A_u u + A_v v + B f and u+ = u + dt (th v+ + (1 - th) v)
+            A_u, A_v, B = np.split(_factorize(S)(np.hstack(R)), 3, axis=1)
             eye = np.eye(op.n)
             self._P = np.block([[eye + b * A_u, b * A_v + dt * self._one_minus_theta * eye], [A_u, A_v]])
-            self._Q = np.vstack([b * B, B])
+            # Fortran order, as SuperLU returned it: Q @ g takes about half
+            # the time it takes with Q in C order (n = 121, k = 4 columns)
+            self._Q = np.asfortranarray(np.vstack([b * B, B]))
         else:
-            self._S_lu = lu
-            self._R = R
+            import scipy.sparse as sp
+            from scipy.sparse.linalg import splu
+
+            self._S_lu = splu(S.tocsc())
+            self._R = sp.hstack(R).tocsr()
 
     def _steps(self, z: Array, marks: Sequence[int], out: Array | None = None) -> Array:
         """The step loop: z = (u; v) in C order (see `_entry`), (2 dim,)
@@ -270,7 +274,10 @@ def solve_trajectory(
     """(times, states): time 0, every `record_every` steps of dt and the last
     step, (T,), and the state at each, one column of (2 dim, T)."""
     n_steps = int(round(t_final / dt))
-    times = np.union1d(np.arange(0, n_steps + 1, record_every), n_steps) * dt
+    steps = np.arange(0, n_steps + 1, record_every)  # not np.union1d, whose np.unique loads numpy.ma
+    if steps[-1] != n_steps:
+        steps = np.append(steps, n_steps)
+    times = steps * dt
     return times, WaveIntegrator(op, f, dt).record(z, times)
 
 
@@ -281,7 +288,7 @@ def _e2(z: Array, pack: NormPack, f: NonlinearitySpec) -> float | Array:
     the operands `NormPack.norm2` takes.
     """
     u, v = z[: pack.op.n], z[pack.op.n :]
-    ku = pack.op.K @ u
+    ku = _matvecs(pack.op.K, u)
     au = pack.op.solve_M(ku)
     acc = -v - au - f.f(u)
     return pack.norm0(acc) ** 2 + pack.norm1(v) ** 2 + _sqrt_dot(au, ku) ** 2
@@ -780,7 +787,9 @@ def sample_attractor(
             off = ~settled(e[1], e[0])
             consec[quick[off]] = 0
             e_prev[quick[off]] = e[1, off]
-            active = np.setdiff1d(active, quick[off])
+            restarted = np.zeros(n_ics, dtype=bool)  # not np.setdiff1d, whose np.unique loads numpy.ma
+            restarted[quick[off]] = True
+            active = active[~restarted[active]]
         if active.size:
             # E2 of the active ICs over the chunk in one (2 dim, L * n_active)
             # block, then the per-step test as array operations over (L, n_active)

@@ -10,17 +10,22 @@ supplies the pullback weights:
 
 The smallest generalized eigenvalue of K x = lambda M x is computed by shifted
 inverse power iteration and cached on the operator.
+
+An operator of at most `DENSE_MAX_DIM` unknowns, every shipped mesh, holds M
+and K as dense arrays, whose solves go through a Cholesky factorization
+written in numpy (`_cholesky`); a larger one holds CSR matrices, whose solves
+go through SuperLU.  scipy is imported only for the larger ones, so a study
+on a shipped mesh never loads it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 import numpy.typing as npt
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .domains import CoefficientField, DiffeoMap, ReferenceDomain, identity_map, make_pullback
 
@@ -38,7 +43,29 @@ __all__ = [
     "default_nonlinearity",
 ]
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 Array = npt.NDArray[np.float64]
+
+# Largest op.n held as dense M and K and stepped with the dense propagator (P
+# and Q hold 6 n^2 floats, 1.1 MB at the cap); above it M and K are CSR and
+# the sparse step runs, in memory linear in n.  Set from
+# `scripts/step_cost.py` on a 2-core Xeon VM, OpenBLAS on one thread:
+# microseconds per step in one run of the step loop, sparse vs dense, 1D at
+# k = 8: n = 47 42.1 vs 20.9, n = 111 67.3 vs 54.0, n = 127 64.7 vs 64.9 (60.9
+# vs 67.1 in a second run); 2D at k = 4: n = 121 59.9 vs 40.4, n = 144 68.5 vs
+# 47.6, n = 225 93.2 vs 206.7.  The dense cost grows as n^2 and the sparse one
+# about as n, so the two meet near n = 127 in 1D at k = 8 and between n = 144
+# and 225 in 2D at k = 4; the cap lies between, well above every shipped mesh
+# (n = 47 and 121).  The cap was set from the step; it also picks the
+# representation of the norm and E2 products, which the script's E2 column
+# times (one `_e2` call on the block, microseconds, sparse vs dense): 53.0 vs
+# 39.8 at 47x8, 69.0 vs 65.7 at 121x4 and 77.5 vs 71.5 at 144x4, but 66.0 vs
+# 99.5 at 111x8 and 70.9 vs 117.2 at 127x8.  The sampler evaluates E2 once per
+# chunk of up to `plateau_window` (50) steps, so below the cap the dense E2
+# costs at most about 1 microsecond per step more than the sparse one.
+DENSE_MAX_DIM = 150
 
 _GP = 1.0 / np.sqrt(3.0)  # 2-point Gauss abscissa on [-1, 1]
 # 2x2 Gauss points in cell-local coordinates on [0, 1]^2, in the fixed order
@@ -117,22 +144,70 @@ class Mesh:
         return pts.reshape(-1, 2)
 
 
+def _cholesky(A: Array) -> Array:
+    """Lower Cholesky factor L of the SPD array A, L L^T = A, one column at a time.
+
+    Each column is one matrix-vector product with the columns before it, so
+    the bits do not depend on the BLAS thread count; LAPACK's blocked
+    factorization (`np.linalg.cholesky`) gives other bits at one and two
+    OpenBLAS threads at n = 144, and its LU (`np.linalg.solve`,
+    `np.linalg.inv`) already at n = 121.
+    """
+    L = np.zeros_like(A)
+    for j in range(len(A)):
+        r = L[j, :j]
+        L[j, j] = math.sqrt(A[j, j] - r @ r)
+        L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ r) / L[j, j]
+    return L
+
+
+def _matvecs(A: Array | sp.csr_matrix, x: Array) -> Array:
+    """A @ x for one vector (n,) or a block (n, k), each column of a block multiplied alone.
+
+    A sparse product and numpy's `matvec` treat columns independently, so a
+    column gets the bits it gets as a vector; a dense matrix-matrix product
+    rounds a column by the kernel BLAS picks for the block's width.
+    """
+    return np.matvec(A, x.T).T if isinstance(A, np.ndarray) else A @ x
+
+
+def _factorize(A: Array | sp.csr_matrix) -> Callable[[Array], Array]:
+    """b -> A^-1 b for an SPD matrix, each column of a block alone: SuperLU for a
+    sparse matrix; for a dense array, `_matvecs` with its inverse, formed by
+    forward and back substitution with `_cholesky`'s factor, one row at a time."""
+    if not isinstance(A, np.ndarray):
+        from scipy.sparse.linalg import splu
+
+        return splu(A.tocsc()).solve
+    L = _cholesky(A)
+    Lt = np.ascontiguousarray(L.T)  # so that both sweeps read contiguous rows
+    inv = np.eye(len(A))
+    for i in range(len(A)):
+        inv[i] = (inv[i] - L[i, :i] @ inv[:i]) / L[i, i]
+    for i in reversed(range(len(A))):
+        inv[i] = (inv[i] - Lt[i, i + 1 :] @ inv[i + 1 :]) / L[i, i]
+    return lambda b: _matvecs(inv, b)
+
+
 @dataclass
 class DiscreteOperator:
     """Interior-node mass and stiffness matrices for one pullback field.
 
     M and K are fixed at construction, with the field `coeffs` they were
-    assembled from.  Derived data is filled in lazily on first use: the first
-    eigenvalue with its residual and iteration count (`eig_report`), and the
-    M/K factorizations and lambda_max bound in `_cache`.  None of these is a
-    constructor argument, so a `dataclasses.replace` copy starts with empty
-    caches.  The caches are filled without a lock; two threads using a fresh
-    operator at once may compute an entry twice, to the same value.
+    assembled from: dense arrays for at most `DENSE_MAX_DIM` unknowns
+    (`dense`), CSR matrices above.  Derived data is filled in lazily on
+    first use: the first eigenvalue with its residual and iteration count
+    (`eig_report`), and the M/K factorizations (Cholesky for dense
+    operators, SuperLU for sparse ones) and lambda_max bound in `_cache`.
+    None of these is a constructor argument, so a `dataclasses.replace` copy
+    starts with empty caches.  The caches are filled without a lock; two
+    threads using a fresh operator at once may compute an entry twice, to
+    the same value.
     """
 
     mesh: Mesh
-    M: sp.csr_matrix
-    K: sp.csr_matrix
+    M: Array | sp.csr_matrix
+    K: Array | sp.csr_matrix
     coeffs: CoefficientField = field(repr=False)
     _lambda1: float | None = field(default=None, init=False, repr=False, compare=False)
     eig_report: dict | None = field(default=None, init=False, repr=False, compare=False)
@@ -143,7 +218,7 @@ class DiscreteOperator:
         if self.M.shape != (n, n) or self.K.shape != (n, n):
             raise ValueError("operator shapes do not match the mesh interior")
         for name, A in (("M", self.M), ("K", self.K)):
-            sym = float(abs(A - A.T).max()) if A.nnz else 0.0
+            sym = float(abs(A - A.T).max())
             if sym > 1e-12:
                 raise ValueError(f"{name} is not symmetric (max asymmetry {sym:.2e})")
 
@@ -152,20 +227,25 @@ class DiscreteOperator:
         return self.M.shape[0]
 
     @property
+    def dense(self) -> bool:
+        """Whether M and K are dense arrays (else CSR matrices)."""
+        return isinstance(self.M, np.ndarray)
+
+    @property
     def lambda1(self) -> float:
         if self._lambda1 is None:
             self._lambda1 = first_eigenvalue(self)
         return self._lambda1
 
     def solve_M(self, b: Array) -> Array:
-        if "M_lu" not in self._cache:
-            self._cache["M_lu"] = splu(self.M.tocsc())
-        return self._cache["M_lu"].solve(b)
+        if "M_solve" not in self._cache:
+            self._cache["M_solve"] = _factorize(self.M)
+        return self._cache["M_solve"](b)
 
     def solve_K(self, b: Array) -> Array:
-        if "K_lu" not in self._cache:
-            self._cache["K_lu"] = splu(self.K.tocsc())
-        return self._cache["K_lu"].solve(b)
+        if "K_solve" not in self._cache:
+            self._cache["K_solve"] = _factorize(self.K)
+        return self._cache["K_solve"](b)
 
     def lambda_max_estimate(self) -> float:
         """Gershgorin-style bound max_i sum_j |K_ij| / sum_j M_ij."""
@@ -176,14 +256,14 @@ class DiscreteOperator:
         return self._cache["lmax"]
 
 
-def _assemble_1d(mesh: Mesh, fieldv: CoefficientField) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def _assemble_1d(mesh: Mesh, fieldv: CoefficientField) -> tuple[Array, Array, Array, Array]:
+    """(rows, cols, M values, K values) of every element's contribution, in global node numbers."""
     n = mesh.resolution
     (h,) = mesh.spacing
     det = fieldv.det
     hb2 = fieldv.Hbar[:, 0, 0] ** 2
     wM = h * det  # midpoint weight per element
     wK = h * hb2 * det
-    nn = n + 1
     # element e couples nodes (e, e+1); phi values at the midpoint are 1/2
     e = np.arange(n)
     rows = np.concatenate([e, e, e + 1, e + 1])
@@ -191,15 +271,13 @@ def _assemble_1d(mesh: Mesh, fieldv: CoefficientField) -> tuple[sp.csr_matrix, s
     mvals = np.concatenate([wM * 0.25, wM * 0.25, wM * 0.25, wM * 0.25])
     kd = wK / h**2
     kvals = np.concatenate([kd, -kd, -kd, kd])
-    M = sp.coo_matrix((mvals, (rows, cols)), shape=(nn, nn)).tocsr()
-    K = sp.coo_matrix((kvals, (rows, cols)), shape=(nn, nn)).tocsr()
-    return M, K
+    return rows, cols, mvals, kvals
 
 
-def _assemble_2d(mesh: Mesh, fieldv: CoefficientField) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def _assemble_2d(mesh: Mesh, fieldv: CoefficientField) -> tuple[Array, Array, Array, Array]:
+    """(rows, cols, M values, K values) of every cell's contribution, in global node numbers."""
     n = mesh.resolution
     hx, hy = mesh.spacing
-    nn = (n + 1) ** 2
     ncell = n * n
     # local Q1 shape values / gradients at the 4 Gauss points (fixed order)
     # local node order: (0,0), (1,0), (0,1), (1,1) in (ix, iy) offsets
@@ -227,13 +305,16 @@ def _assemble_2d(mesh: Mesh, fieldv: CoefficientField) -> tuple[sp.csr_matrix, s
     lnodes = np.column_stack([c0, c0 + (n + 1), c0 + 1, c0 + (n + 1) + 1])  # matches local order
     rows = np.repeat(lnodes, 4, axis=1).ravel()
     cols = np.tile(lnodes, (1, 4)).ravel()
-    M = sp.coo_matrix((Mloc.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
-    K = sp.coo_matrix((Kloc.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
-    return M, K
+    return rows, cols, Mloc.ravel(), Kloc.ravel()
 
 
 def assemble_operators(mesh: Mesh, fieldv: CoefficientField) -> DiscreteOperator:
-    """Build interior-node M and K weighted by a pullback coefficient field."""
+    """Build interior-node M and K weighted by a pullback coefficient field.
+
+    Both are dense arrays for at most `DENSE_MAX_DIM` interior nodes, summed
+    with `np.add.at`, and CSR matrices above, the only case that imports
+    scipy.  Either is sliced to the interior and symmetrized exactly.
+    """
     quad = mesh.quadrature_points()
     if fieldv.points.shape != quad.shape:
         raise ValueError(
@@ -241,17 +322,27 @@ def assemble_operators(mesh: Mesh, fieldv: CoefficientField) -> DiscreteOperator
         )
     if float(np.abs(fieldv.points - quad).max()) > 1e-9:
         raise ValueError("field points do not coincide with the mesh quadrature points")
-    if mesh.domain.dim == 1:
-        M, K = _assemble_1d(mesh, fieldv)
+    assemble = _assemble_1d if mesh.domain.dim == 1 else _assemble_2d
+    rows, cols, mvals, kvals = assemble(mesh, fieldv)
+    nn = (mesh.resolution + 1) ** mesh.domain.dim
+    interior = np.ix_(mesh.interior_idx, mesh.interior_idx)
+    if mesh.n_interior <= DENSE_MAX_DIM:
+
+        def build(vals: Array) -> Array:
+            A = np.zeros((nn, nn))
+            np.add.at(A, (rows, cols), vals)
+            A = A[interior]
+            # enforce exact symmetry against accumulation-order roundoff
+            return (A + A.T) * 0.5
+
     else:
-        M, K = _assemble_2d(mesh, fieldv)
-    idx = mesh.interior_idx
-    Mi = M[np.ix_(idx, idx)].tocsr()
-    Ki = K[np.ix_(idx, idx)].tocsr()
-    # enforce exact symmetry against accumulation-order roundoff
-    Mi = ((Mi + Mi.T) * 0.5).tocsr()
-    Ki = ((Ki + Ki.T) * 0.5).tocsr()
-    return DiscreteOperator(mesh, Mi, Ki, fieldv)
+        import scipy.sparse as sp
+
+        def build(vals: Array) -> sp.csr_matrix:
+            A = sp.coo_matrix((vals, (rows, cols)), shape=(nn, nn)).tocsr()[interior].tocsr()
+            return ((A + A.T) * 0.5).tocsr()
+
+    return DiscreteOperator(mesh, build(mvals), build(kvals), fieldv)
 
 
 def pullback_operator(mesh: Mesh, h: DiffeoMap) -> DiscreteOperator:
@@ -311,18 +402,18 @@ class NormPack:
     op: DiscreteOperator
 
     def norm0(self, u: Array) -> float | Array:
-        return _sqrt_dot(u, self.op.M @ u)
+        return _sqrt_dot(u, _matvecs(self.op.M, u))
 
     def norm1(self, u: Array) -> float | Array:
-        return _sqrt_dot(u, self.op.K @ u)
+        return _sqrt_dot(u, _matvecs(self.op.K, u))
 
     def norm2(self, u: Array) -> float | Array:
-        ku = self.op.K @ u
+        ku = _matvecs(self.op.K, u)
         return _sqrt_dot(self.op.solve_M(ku), ku)
 
     def apply_A(self, u: Array) -> Array:
         """M^{-1} K u, the discrete Dirichlet Laplacian action."""
-        return self.op.solve_M(self.op.K @ u)
+        return self.op.solve_M(_matvecs(self.op.K, u))
 
 
 def x_norm(z: Array, pack: NormPack, level: int) -> float | Array:

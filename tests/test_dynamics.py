@@ -8,7 +8,10 @@ with lambda taken from the frozen modal formula of the discrete pencil.
 
 import dataclasses
 import itertools
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 from scipy.optimize import curve_fit  # the envelope fit's oracle: the program never imports it
 from scipy.sparse.linalg import splu
 
-from ghwave import dynamics
+from ghwave import dynamics, operators
 from ghwave.config import load_config
 from ghwave.domains import ReferenceDomain, bump_map_1d, identity_map
 from ghwave.operators import (
@@ -206,8 +209,10 @@ def test_block_step_matches_single_states(domain, resolution, dt):
         assert np.array_equal(x_norm(block, pack, level), [x_norm(c, pack, level) for c in columns])
     f = default_nonlinearity()
     assert np.array_equal(_e2(block, pack, f), [_e2(c, pack, f) for c in columns])
-    # E2 forms K u and its M solve once; the bits are those of the norm methods
-    acc = -v - op.solve_M(op.K @ u) - f.f(u)
+    # E2 forms K u and its M solve once; the bits are those of the norm methods,
+    # which multiply each column alone
+    ku = np.column_stack([op.K @ c for c in u.T])
+    acc = -v - op.solve_M(ku) - f.f(u)
     want = pack.norm0(acc) ** 2 + pack.norm1(v) ** 2 + pack.norm2(u) ** 2
     assert np.array_equal(_e2(block, pack, f), want)
     # the sampler evaluates E2 once per recorded chunk, on a (2 dim, 3 L) block;
@@ -226,7 +231,8 @@ def _step_reference(integ, z, lu):
     u, v = z[: op.n], z[op.n :]
     c_v = 1.0 - dt * (1.0 - th)
     c_k = dt**2 * th * (1.0 - th)
-    R = sp.hstack([-dt * op.K, c_v * op.M - c_k * op.K, -dt * op.M])
+    K, M = sp.csr_matrix(op.K), sp.csr_matrix(op.M)
+    R = sp.hstack([-dt * K, c_v * M - c_k * K, -dt * M])
     v_new = lu.solve(R @ np.concatenate([u, v, integ.f.f(u + 0.5 * dt * v)]))
     u_new = u + dt * (th * v_new + (1.0 - th) * v)
     return np.concatenate([u_new, v_new])
@@ -242,7 +248,7 @@ def test_step_matches_reference_expression(domain, resolution, dt, k):
     integ = WaveIntegrator(op, default_nonlinearity(), dt)
     assert integ.dense == ((domain, resolution, dt) in DENSE_MESHES)
     b = dt * integ.theta
-    lu = splu(((1.0 + b) * op.M + b**2 * op.K).tocsc())
+    lu = splu(sp.csc_matrix((1.0 + b) * op.M + b**2 * op.K))
     rng = np.random.default_rng(43)
     singles = [random_state(op, rng, radius=2.0) for _ in range(k or 1)]
     state = singles[0] if k is None else np.column_stack(singles)
@@ -287,12 +293,45 @@ def test_dense_step_same_bits_for_same_block_shape(domain, resolution, dt):
 def test_kernel_picked_by_dimension():
     # n = DENSE_MAX_DIM steps with the dense propagator, one node more with
     # the sparse kernel; 1D meshes have n = resolution - 1 interior nodes
-    for n, dense in ((dynamics.DENSE_MAX_DIM, True), (dynamics.DENSE_MAX_DIM + 1, False)):
+    for n, dense in ((operators.DENSE_MAX_DIM, True), (operators.DENSE_MAX_DIM + 1, False)):
         op = identity_operator(Mesh(UNIT, n + 1))
         assert op.n == n
         integ = WaveIntegrator(op, default_nonlinearity(), dynamics.stability_cap(op))
         assert integ.dense is dense
         assert hasattr(integ, "_P") is dense and hasattr(integ, "_S_lu") is not dense
+
+
+# prints what a dense operator of 144 unknowns (resolution 13, near the cap)
+# factors and precomputes: the propagator P and Q, an M solve of a block as
+# wide as a stability flow table, and lambda1 (from K solves)
+_DENSE_BITS_SCRIPT = """
+import hashlib
+import numpy as np
+from ghwave.domains import ReferenceDomain
+from ghwave.dynamics import WaveIntegrator
+from ghwave.operators import Mesh, default_nonlinearity, identity_operator
+op = identity_operator(Mesh(ReferenceDomain("rectangle", ((0.0, 1.0), (0.0, 1.0))), 13))
+integ = WaveIntegrator(op, default_nonlinearity(), 0.01)
+print(op.n, integ.dense)
+block = np.random.default_rng(59).standard_normal((op.n, 1056))
+for a in (integ._P, integ._Q, op.solve_M(block), np.float64(op.lambda1)):
+    print(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest())
+"""
+
+
+def test_dense_operator_bits_do_not_depend_on_blas_threads():
+    # LAPACK's LU and blocked Cholesky give other bits at 2 OpenBLAS threads
+    # than at 1 on these sizes; the determinism contract needs the same bits
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _DENSE_BITS_SCRIPT], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    assert outputs[0][0] == "144 True"
+    assert len(outputs[0]) == 5 and outputs[0] == outputs[1]
 
 
 def test_advance_without_steps_returns_a_copy():

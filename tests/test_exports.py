@@ -71,19 +71,60 @@ def test_no_private_scipy_imports():
     assert private == []
 
 
-def test_studies_run_without_scipy_optimize(tmp_path):
-    # scipy.optimize costs a fresh process about 0.18 s of import; a lazy
-    # import inside a study would move that into the study's own time
-    config = Path(__file__).resolve().parents[1] / "configs" / "determinism_tiny.cfg"
-    script = (
-        "import sys\n"
-        "from ghwave.cli import main\n"
-        "for study in ('continuity', 'stability', 'estimates'):\n"
-        f"    main([study, '--config', {str(config)!r}, '--out', {str(tmp_path)!r} + '/' + study])\n"
-        "print('scipy.optimize' in sys.modules)\n"
-    )
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+DRIVERS = ("run_continuity_study", "run_stability_study", "run_estimate_checks")
+
+
+def _fresh_python(script: str) -> str:
+    """The last line `script` prints, run in a fresh interpreter on this checkout's package."""
     src = str(Path(ghwave.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    return proc.stdout.splitlines()[-1]
+
+
+def _studies_script(configs: list[str], tmp_path) -> str:
+    """Runs the three studies through the CLI on each config, each to exit code 0."""
+    return (
+        "import sys\n"
+        "from ghwave.cli import main\n"
+        f"for config in {configs!r}:\n"
+        "    for study in ('continuity', 'stability', 'estimates'):\n"
+        f"        assert main([study, '--config', {str(CONFIGS)!r} + '/' + config, '--out', {str(tmp_path)!r} + f'/{{config}}-{{study}}']) == 0\n"
+    )
+
+
+def test_studies_run_without_scipy_optimize(tmp_path):
+    # scipy.optimize costs a fresh process about 0.18 s of import; a lazy
+    # import inside a study would move that into the study's own time
+    script = _studies_script(["determinism_tiny.cfg"], tmp_path) + "print('scipy.optimize' in sys.modules)\n"
+    assert _fresh_python(script) == "False"
+
+
+def test_studies_on_shipped_meshes_run_without_scipy(tmp_path):
+    # every shipped mesh has at most DENSE_MAX_DIM unknowns, so its operators
+    # are dense and numpy factors them; scipy.sparse alone would cost a
+    # fresh process about 0.3 s of import
+    script = _studies_script(["determinism_tiny.cfg", "shear_2d.cfg"], tmp_path)
+    script += "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    assert _fresh_python(script) == "[]"
+
+
+def test_study_drivers_load_no_module(tmp_path):
+    # numpy loads some submodules on first use (numpy.ma on the first
+    # np.unique, numpy.random on the first default_rng); one a driver loads
+    # counts in the study's own time rather than in the set-up
+    script = (
+        "import sys\n"
+        "from ghwave import harness\n"
+        "from ghwave.config import load_config\n"
+        f"cfg, _ = load_config({str(CONFIGS / 'determinism_tiny.cfg')!r})\n"
+        "added = {}\n"
+        f"for name in {DRIVERS!r}:\n"
+        "    before = set(sys.modules)\n"
+        f"    getattr(harness, name)(cfg, {str(tmp_path)!r} + '/' + name)\n"
+        "    added[name] = sorted(set(sys.modules) - before)\n"
+        "print(added)\n"
+    )
+    assert _fresh_python(script) == str({name: [] for name in DRIVERS})

@@ -10,17 +10,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghwave.domains import ReferenceDomain, affine_map_1d, radial_bump_map_2d
+from ghwave.domains import ReferenceDomain, affine_map_1d, bump_map_1d, make_pullback, radial_bump_map_2d
 from ghwave.operators import (
+    DiscreteOperator,
     Mesh,
     NormPack,
     default_nonlinearity,
     first_eigenvalue,
     identity_operator,
     pullback_operator,
+    _assemble_1d,
+    _assemble_2d,
+    assemble_operators,
     x_norm,
 )
 
@@ -34,7 +39,7 @@ def test_identity_mass_matrix_frozen_1d():
     mesh = Mesh(UNIT, n)
     op = identity_operator(mesh)
     h = 1.0 / n
-    M = op.M.toarray()
+    M = op.M
     expect = h * (np.diag(np.full(n - 1, 0.5)) + np.diag(np.full(n - 2, 0.25), 1) + np.diag(np.full(n - 2, 0.25), -1))
     np.testing.assert_allclose(M, expect, rtol=0, atol=1e-15)
 
@@ -44,9 +49,41 @@ def test_identity_stiffness_matrix_frozen_1d():
     mesh = Mesh(UNIT, n)
     op = identity_operator(mesh)
     h = 1.0 / n
-    K = op.K.toarray()
+    K = op.K
     expect = (1 / h) * (np.diag(np.full(n - 1, 2.0)) + np.diag(np.full(n - 2, -1.0), 1) + np.diag(np.full(n - 2, -1.0), -1))
     np.testing.assert_allclose(K, expect, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mesh, h",
+    [
+        (Mesh(UNIT, 24), bump_map_1d(UNIT, 0.05)),
+        (Mesh(UNIT, 48), bump_map_1d(UNIT, 0.05)),
+        (Mesh(SQUARE, 12), radial_bump_map_2d(SQUARE, 0.05)),
+    ],
+    ids=["1d-24", "1d-48", "2d-12"],
+)
+def test_dense_assembly_matches_csr_assembly(mesh, h):
+    # below DENSE_MAX_DIM the matrices are dense arrays summed with np.add.at;
+    # a CSR assembly of the same element triples, sliced and symmetrized the
+    # same way, is the oracle
+    fieldv = make_pullback(h, mesh.quadrature_points())
+    op = assemble_operators(mesh, fieldv)
+    assert op.dense
+    rows, cols, *values = (_assemble_1d if mesh.domain.dim == 1 else _assemble_2d)(mesh, fieldv)
+    nn = (mesh.resolution + 1) ** mesh.domain.dim
+    interior = np.ix_(mesh.interior_idx, mesh.interior_idx)
+    csr = []
+    for vals in values:
+        A = sp.coo_matrix((vals, (rows, cols)), shape=(nn, nn)).tocsr()[interior].tocsr()
+        csr.append(((A + A.T) * 0.5).tocsr())
+    for dense, A in zip((op.M, op.K), csr):
+        assert np.array_equal(dense, dense.T)
+        assert (A != A.T).nnz == 0
+        assert np.abs(dense - A.toarray()).max() <= 1e-15 * np.abs(dense).max()
+    ref = DiscreteOperator(mesh, *csr, fieldv)
+    assert not ref.dense
+    assert op.lambda1 == pytest.approx(ref.lambda1, rel=1e-12)
 
 
 def test_first_eigenvalue_matches_modal_formula():
@@ -75,7 +112,7 @@ def test_modal_formula_across_modes():
     n = 16
     op = identity_operator(Mesh(UNIT, n))
     h = 1.0 / n
-    lam = np.sort(eigh(op.K.toarray(), op.M.toarray(), eigvals_only=True))
+    lam = np.sort(eigh(op.K, op.M, eigvals_only=True))
     k = np.arange(1, n)
     expect = (4 / h**2) * np.tan(k * np.pi / (2 * n)) ** 2
     np.testing.assert_allclose(lam, expect, rtol=1e-9)
@@ -89,8 +126,8 @@ def test_affine_pullback_matrices_exact_1d():
     s = 1.25
     op = pullback_operator(mesh, affine_map_1d(UNIT, s))
     base = identity_operator(mesh)
-    np.testing.assert_allclose(op.K.toarray(), base.K.toarray() / s, rtol=1e-13)
-    np.testing.assert_allclose(op.M.toarray(), base.M.toarray() * s, rtol=1e-13)
+    np.testing.assert_allclose(op.K, base.K / s, rtol=1e-13)
+    np.testing.assert_allclose(op.M, base.M * s, rtol=1e-13)
 
 
 def test_affine_pullback_eigenvalue_scales_1d():
