@@ -164,9 +164,8 @@ class WaveIntegrator:
             self._Q = np.asfortranarray(np.vstack([b * B, B]))
         else:
             import scipy.sparse as sp
-            from scipy.sparse.linalg import splu
 
-            self._S_lu = splu(S.tocsc())
+            self._solve_S = _factorize(S)
             self._R = sp.hstack(R).tocsr()
 
     def _steps(self, z: Array, marks: Sequence[int], out: Array | None = None) -> Array:
@@ -202,7 +201,7 @@ class WaveIntegrator:
                     np.matmul(self._P, cur, out=nxt)
                     nxt += self._Q @ g
                 else:
-                    v_new = self._S_lu.solve(self._R @ np.concatenate([cur, g]))
+                    v_new = self._solve_S(self._R @ np.concatenate([cur, g]))
                     nxt[:n] = u + self.dt * (self.theta * v_new + self._one_minus_theta * v)
                     nxt[n:] = v_new
                 cur = nxt
@@ -621,8 +620,8 @@ def calibration_state(op: DiscreteOperator, radius: float = 1.0) -> Array:
 class AttractorSample:
     """Post-transient snapshot cloud with its metric and flow table.
 
-    `flow` holds the forward images of the n sampled points at times j/m,
-    j = 0..m, one state z = (u; v) per image, (n, m+1, 2 dim); its time-0
+    `flow` holds the forward images of the n sampled points at the q times
+    `flow_times`, one state z = (u; v) per image, (n, q, 2 dim); its time-0
     column `flow[:, 0]` is the points themselves.  `dist` is the pairwise
     X^0 distance matrix in this operator's own norm, and `eps_inv` the
     invariance proxy: the largest distance from any flow image to the
@@ -631,8 +630,12 @@ class AttractorSample:
 
     dist: Array
     flow: Array
-    flow_times: Array
     eps_inv: float
+
+    @property
+    def flow_times(self) -> Array:
+        """The times j / (q - 1), j = 0..q-1, of the flow table's columns."""
+        return np.linspace(0.0, 1.0, self.flow.shape[1])
 
 
 def _x0_gram(a: Array, b: Array, op: DiscreteOperator) -> Array:
@@ -653,9 +656,7 @@ def x0_sqnorms(table: Array, op: DiscreteOperator) -> Array:
     return np.column_stack([np.diag(_x0_gram(t[:, j], t[:, j], op)) for j in range(t.shape[1])]).ravel()
 
 
-def x0_sqdist(
-    rows: Array, cols: Array, op: DiscreteOperator, norms: tuple[Array, Array] | None = None
-) -> Array:
+def x0_sqdist(rows: Array, cols: Array, op: DiscreteOperator) -> Array:
     """Squared X^0 distances from every state of `rows` to every state of `cols`.
 
     Each argument is a flow table (n, q, 2 dim), its states taken in the
@@ -666,19 +667,12 @@ def x0_sqdist(
     of the Gram of a's own time slice, a product of the same BLAS kernel as
     G_ab (a row-wise dot product rounds differently), so a block holds the
     entries of one Gram over all states, bit for bit where the BLAS rounds
-    every column of a product alike.  OpenBLAS's SkylakeX kernel rounds the
-    last 1 to 4 columns of a product whose width is not a multiple of 8 in a
-    kernel of its own: the shipped 96 x 11 and 16 x 5 samples avoid it; for
-    two 6 x 5 samples (`determinism_tiny.cfg`) the flow pair's entries of
-    Y's last point differ from the 60-wide Gram's in the last bits.
-    `norms`, the `x0_sqnorms` of rows and of cols, spares a caller that
-    reads several blocks of one table its slice Grams.  At the peak two
-    result-sized arrays are alive.
+    every column of a product alike.  At the peak two result-sized arrays
+    are alive.
     """
-    row_sq, col_sq = norms if norms is not None else (x0_sqnorms(rows, op), x0_sqnorms(cols, op))
     G = _x0_gram(rows.reshape(-1, 2 * op.n), cols.reshape(-1, 2 * op.n), op)
     G *= 2.0
-    d2 = row_sq[:, None] + col_sq[None, :]
+    d2 = x0_sqnorms(rows, op)[:, None] + x0_sqnorms(cols, op)[None, :]
     d2 -= G
     del G
     return np.maximum(d2, 0.0, out=d2)
@@ -804,18 +798,16 @@ def sample_attractor(
         k = int(ks[-1])
     # IC-major: every snapshot of ic 0, then of ic 1, ...
     states = np.array(snaps).transpose(2, 0, 1).reshape(-1, 2 * n)  # from (n_snaps, 2 dim, n_ics)
-    m = cfg.flow_grid_m
-    flow_times = np.linspace(0.0, 1.0, m + 1)
-    flow = np.ascontiguousarray(integ.record(states.T, flow_times).transpose(1, 2, 0))  # (n, m+1, 2 dim)
-    # every flow state against the sample, flow[:, 0], whose own rows are every (m+1)-th
-    sq = x0_sqnorms(flow, op)
-    d2_flow = x0_sqdist(flow, flow[:, 0], op, norms=(sq, sq[:: m + 1]))
-    dist = np.sqrt(d2_flow[:: m + 1])
+    q = cfg.flow_grid_m + 1
+    flow = np.ascontiguousarray(integ.record(states.T, np.linspace(0.0, 1.0, q)).transpose(1, 2, 0))  # (n, q, 2 dim)
+    # every flow state against the sample, flow[:, 0], whose own rows are every q-th
+    d2_flow = x0_sqdist(flow, flow[:, 0], op)
+    dist = np.sqrt(d2_flow[::q])
     dist = 0.5 * (dist + dist.T)
     np.fill_diagonal(dist, 0.0)
     # invariance proxy: worst distance from any flow image back to the sample
     eps_inv = float(np.sqrt(d2_flow).min(axis=1).max())
-    return AttractorSample(dist, flow, flow_times, eps_inv)
+    return AttractorSample(dist, flow, eps_inv)
 
 
 def conjugated_flow_error(

@@ -191,38 +191,29 @@ def build_flow_pair(sa: AttractorSample, sb: AttractorSample, op: DiscreteOperat
     """The distances `dgh_dynamical` reads between two samples' flow tables, under `op`'s X^0 form.
 
     Cross-sample and along-flow distances are taken in the same metric, so
-    the interpolation identity applies.  Each entry is the one a single
-    squared-distance matrix over every flow state of both samples would
-    hold, symmetrized as (d2[a, b] + d2[b, a]) / 2 with zero diagonal (to
-    the bit where `x0_sqdist` says so), but only the two cross blocks, the
-    base blocks and the diagonals of the consecutive time slices' blocks
-    are computed: for two 96-point samples with 11 flow times, no array
-    larger than 1,056 x 1,056 instead of one 2,112 x 2,112.  The two flow
-    tables must be recorded at the same times.
+    the interpolation identity applies.  Each table is one computation:
+    `cross` is one `x0_sqdist` of the two flow tables (for two 96-point
+    samples with 11 flow times, 1,056 x 1,056; two arrays of its size are
+    alive at the peak), each base table one `x0_sqdist` of the time-0
+    states, symmetrized with zero diagonal as `ghmetric` requires, and each
+    segment length the squared norm of the step difference itself, which
+    keeps its digits where consecutive states nearly coincide.  The two
+    flow tables must be recorded at the same number of flow times.
     """
-    if not np.array_equal(sa.flow_times, sb.flow_times):
+    if sa.flow.shape[1] != sb.flow.shape[1]:
         raise ValueError("flow tables must share the time grid")
-    # each table's slice Grams once: every block below reads its norms from these
-    sq_a, sq_b = (x0_sqnorms(s.flow, op).reshape(len(s.flow), -1) for s in (sa, sb))
 
-    def base(flow: np.ndarray, sq: np.ndarray) -> np.ndarray:
-        d2 = x0_sqdist(flow[:, 0], flow[:, 0], op, norms=(sq[:, 0], sq[:, 0]))
+    def base(flow: np.ndarray) -> np.ndarray:
+        d2 = x0_sqdist(flow[:, 0], flow[:, 0], op)
         d2 = 0.5 * (d2 + d2.T)
         np.fill_diagonal(d2, 0.0)
         return d2
 
-    def segments(flow: np.ndarray, sq: np.ndarray) -> np.ndarray:
-        def one(j: int, k: int) -> np.ndarray:
-            return np.diag(x0_sqdist(flow[:, j], flow[:, k], op, norms=(sq[:, j], sq[:, k])))
+    def segments(flow: np.ndarray) -> np.ndarray:
+        return x0_sqnorms(np.diff(flow, axis=1), op).reshape(len(flow), -1)
 
-        return np.column_stack([0.5 * (one(j, j + 1) + one(j + 1, j)) for j in range(flow.shape[1] - 1)])
-
-    # symmetrized in place: at most three arrays of its size are alive
-    cross = x0_sqdist(sa.flow, sb.flow, op, norms=(sq_a.ravel(), sq_b.ravel()))
-    cross += x0_sqdist(sb.flow, sa.flow, op, norms=(sq_b.ravel(), sq_a.ravel())).T
-    cross *= 0.5
     return FlowPair(
-        cross, base(sa.flow, sq_a), base(sb.flow, sq_b), segments(sa.flow, sq_a), segments(sb.flow, sq_b), sa.flow_times
+        x0_sqdist(sa.flow, sb.flow, op), base(sa.flow), base(sb.flow), segments(sa.flow), segments(sb.flow), sa.flow_times
     )
 
 

@@ -51,7 +51,6 @@ from ghwave.dynamics import (
     sample_attractor,
     solve_trajectory,
     x0_sqdist,
-    x0_sqnorms,
 )
 
 UNIT = ReferenceDomain("interval", ((0.0, 1.0),))
@@ -298,7 +297,7 @@ def test_kernel_picked_by_dimension():
         assert op.n == n
         integ = WaveIntegrator(op, default_nonlinearity(), dynamics.stability_cap(op))
         assert integ.dense is dense
-        assert hasattr(integ, "_P") is dense and hasattr(integ, "_S_lu") is not dense
+        assert hasattr(integ, "_P") is dense and hasattr(integ, "_solve_S") is not dense
 
 
 # prints what a dense operator of 144 unknowns (resolution 13, near the cap)
@@ -764,19 +763,6 @@ def test_x0_sqdist_blocks_match_one_full_gram(config, n, q):
     # at any size the blocks agree with it to rounding
     small = full[: 7 * q, : 7 * q]
     np.testing.assert_allclose(x0_sqdist(fa[:7], fa[:7], op), small, rtol=0, atol=1e-12 * small.max())
-
-
-def test_x0_sqdist_with_given_norms_matches_its_own():
-    # a table's norms, computed once, serve its whole table and each of its
-    # time slices with the bits x0_sqdist computes for itself
-    op = identity_operator(Mesh(UNIT, 16))
-    rng = np.random.default_rng(3)
-    fa, fb = rng.standard_normal((2, 9, 4, 2 * op.n))
-    sa, sb = (x0_sqnorms(t, op).reshape(9, 4) for t in (fa, fb))
-    assert np.array_equal(x0_sqdist(fa, fb, op, norms=(sa.ravel(), sb.ravel())), x0_sqdist(fa, fb, op))
-    for j, k in [(0, 0), (1, 2), (3, 0)]:
-        assert np.array_equal(x0_sqdist(fa[:, j], fb[:, k], op, norms=(sa[:, j], sb[:, k])), x0_sqdist(fa[:, j], fb[:, k], op))
-    assert np.array_equal(x0_sqdist(fa, fa[:, 0], op, norms=(sa.ravel(), sa[:, 0])), x0_sqdist(fa, fa[:, 0], op))
 
 
 def _full_sqdist(states, op):

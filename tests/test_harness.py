@@ -12,7 +12,7 @@ import pytest
 
 from ghwave.cli import main
 from ghwave.config import ScenarioConfig, load_config, parse_config
-from ghwave.dynamics import AttractorSample, SamplerConfig, sample_attractor
+from ghwave.dynamics import AttractorSample, SamplerConfig, sample_attractor, x0_sqdist, x0_sqnorms
 from ghwave import harness
 from ghwave.harness import (
     CsvWriter,
@@ -151,16 +151,22 @@ def _universe(sa, sb, op):
 
 def test_build_flow_pair_matches_the_universe():
     # the stability study's first pair at its shipped size (96 points, 11
-    # flow times): every field holds the bits of the one matrix over all flow
-    # states, so dgh_dynamical reads the same floats
+    # flow times): each table is one direct computation, bit for bit, and
+    # agrees with the one matrix over all flow states to rounding, so that
+    # dgh_dynamical finds the same maps and flags on either
     cfg, diags = load_config(Path(__file__).resolve().parents[1] / "configs" / "stability_1d.cfg")
     assert not diags
     mesh, f = cfg.make_mesh(), cfg.make_nonlinearity()
     sa, sb = (sample_attractor(pullback_operator(mesh, h), f, cfg.sampler, cfg.seed) for h in cfg.maps()[:2])
     op = cfg.reference_operator()
     pair = build_flow_pair(sa, sb, op)
-    d2 = _universe(sa, sb, op)
     n, q = sa.flow.shape[:2]
+    assert np.array_equal(pair.cross, x0_sqdist(sa.flow, sb.flow, op))
+    for s, seg in ((sa, pair.seg_x), (sb, pair.seg_y)):
+        assert np.array_equal(seg, x0_sqnorms(np.diff(s.flow, axis=1), op).reshape(n, q - 1))
+    np.testing.assert_array_equal(pair.times, sa.flow_times)
+
+    d2 = _universe(sa, sb, op)
     a = n * q
     xs, ys = np.arange(a).reshape(n, q), a + np.arange(a).reshape(n, q)
     want = FlowPair(
@@ -171,37 +177,60 @@ def test_build_flow_pair_matches_the_universe():
         d2[ys[:, :-1], ys[:, 1:]],
         sa.flow_times,
     )
-    for name in ("cross", "base_x", "base_y", "seg_x", "seg_y", "times"):
-        assert np.array_equal(getattr(pair, name), getattr(want, name)), name
+    bounds = {"cross": 1e-14, "base_x": 1e-14, "base_y": 1e-14, "seg_x": 1e-13, "seg_y": 1e-13}
+    for name, rel in bounds.items():
+        got, ref = getattr(pair, name), getattr(want, name)
+        assert np.abs(got - ref).max() <= rel * ref.max(), name
     got, ref = (dgh_dynamical(p, cfg.rho, 4, cfg.seed) for p in (pair, want))
-    assert got.value == ref.value
-    assert (got.forward_flow_eps, got.backward_flow_eps) == (ref.forward_flow_eps, ref.backward_flow_eps)
+    assert got.value == pytest.approx(ref.value, rel=1e-11, abs=0)
+    for eps in ("forward_flow_eps", "backward_flow_eps"):
+        assert getattr(got, eps) == pytest.approx(getattr(ref, eps), rel=1e-11, abs=0), eps
     assert (got.certified, got.exact) == (ref.certified, ref.exact) == (True, True)
     np.testing.assert_array_equal(got.forward, ref.forward)
     np.testing.assert_array_equal(got.backward, ref.backward)
 
 
+def test_build_flow_pair_segments_survive_cancellation():
+    # consecutive flow states 1e-7 apart on states of norm 1 (X^0 norms):
+    # each segment length is the squared norm of the true step, where the
+    # Gram trick's (G_aa + G_bb) - 2 G_ab misses it by about 9%
+    op = identity_operator(Mesh(UNIT, 48))
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((8, 1, 2 * op.n))
+    base /= np.sqrt(x0_sqnorms(base, op)).reshape(8, 1, 1)
+    steps = rng.standard_normal((8, 4, 2 * op.n))
+    steps *= 1e-7 / np.sqrt(x0_sqnorms(steps, op)).reshape(8, 4, 1)
+    flow = np.concatenate([base, base + np.cumsum(steps, axis=1)], axis=1)
+    sa = AttractorSample(np.zeros((8, 8)), flow, 0.0)
+    pair = build_flow_pair(sa, sa, op)
+    true = x0_sqnorms(np.diff(flow, axis=1), op).reshape(8, 4)
+    for seg in (pair.seg_x, pair.seg_y):
+        np.testing.assert_allclose(seg, true, rtol=1e-6, atol=0)
+
+
 def test_build_flow_pair_peak_memory_below_one_universe():
     # two synthetic 96-point samples with 11 flow times each: the pair is
-    # built without ever holding one (96 + 96) * 11 square of floats
+    # built holding at most two and a half arrays of its cross table's size,
+    # far from one (96 + 96) * 11 square of floats
     op = identity_operator(Mesh(UNIT, 48))
     rng = np.random.default_rng(0)
-    times = np.linspace(0.0, 1.0, 11)
-    sa, sb = (AttractorSample(np.zeros((96, 96)), rng.standard_normal((96, 11, 2 * op.n)), times, 0.0) for _ in range(2))
+    sa, sb = (AttractorSample(np.zeros((96, 96)), rng.standard_normal((96, 11, 2 * op.n)), 0.0) for _ in range(2))
     tracemalloc.start()
     try:
         build_flow_pair(sa, sb, op)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (2 * 96 * 11) ** 2 * 8
+    assert peak < 2.5 * (96 * 11) ** 2 * 8
 
 
 def test_build_flow_pair_refuses_different_time_grids():
-    # equal length, different values: the flow columns would not be comparable
+    # two samples recorded at different numbers of flow times: the flow
+    # columns would not be comparable
     op = identity_operator(Mesh(UNIT, 16))
-    sa = sample_attractor(op, default_nonlinearity(), _FAST_SAMPLER, seed=1)
-    sb = dataclasses.replace(sa, flow_times=sa.flow_times ** 2)
+    f = default_nonlinearity()
+    sa = sample_attractor(op, f, _FAST_SAMPLER, seed=1)
+    sb = sample_attractor(op, f, dataclasses.replace(_FAST_SAMPLER, flow_grid_m=4), seed=1)
     with pytest.raises(ValueError, match="share the time grid"):
         build_flow_pair(sa, sb, op)
 
