@@ -151,8 +151,9 @@ def _universe(sa, sb, op):
 
 def test_build_flow_pair_matches_the_universe():
     # the stability study's first pair at its shipped size (96 points, 11
-    # flow times): each table is one direct computation, bit for bit, and
-    # agrees with the one matrix over all flow states to rounding, so that
+    # flow times): each table is one direct computation, bit for bit; the
+    # base tables and times hold the bits of the one matrix over all flow
+    # states, and cross and segments agree with it to rounding, so that
     # dgh_dynamical finds the same maps and flags on either
     cfg, diags = load_config(Path(__file__).resolve().parents[1] / "configs" / "stability_1d.cfg")
     assert not diags
@@ -177,7 +178,9 @@ def test_build_flow_pair_matches_the_universe():
         d2[ys[:, :-1], ys[:, 1:]],
         sa.flow_times,
     )
-    bounds = {"cross": 1e-14, "base_x": 1e-14, "base_y": 1e-14, "seg_x": 1e-13, "seg_y": 1e-13}
+    for name in ("base_x", "base_y", "times"):
+        assert np.array_equal(getattr(pair, name), getattr(want, name)), name
+    bounds = {"cross": 1e-14, "seg_x": 1e-13, "seg_y": 1e-13}
     for name, rel in bounds.items():
         got, ref = getattr(pair, name), getattr(want, name)
         assert np.abs(got - ref).max() <= rel * ref.max(), name
@@ -192,8 +195,8 @@ def test_build_flow_pair_matches_the_universe():
 
 def test_build_flow_pair_segments_survive_cancellation():
     # consecutive flow states 1e-7 apart on states of norm 1 (X^0 norms):
-    # each segment length is the squared norm of the true step, where the
-    # Gram trick's (G_aa + G_bb) - 2 G_ab misses it by about 9%
+    # each segment length is the squared norm of the step the flow was built
+    # from, where the Gram trick's (G_aa + G_bb) - 2 G_ab misses it by 8.8%
     op = identity_operator(Mesh(UNIT, 48))
     rng = np.random.default_rng(5)
     base = rng.standard_normal((8, 1, 2 * op.n))
@@ -203,7 +206,7 @@ def test_build_flow_pair_segments_survive_cancellation():
     flow = np.concatenate([base, base + np.cumsum(steps, axis=1)], axis=1)
     sa = AttractorSample(np.zeros((8, 8)), flow, 0.0)
     pair = build_flow_pair(sa, sa, op)
-    true = x0_sqnorms(np.diff(flow, axis=1), op).reshape(8, 4)
+    true = x0_sqnorms(steps, op).reshape(8, 4)
     for seg in (pair.seg_x, pair.seg_y):
         np.testing.assert_allclose(seg, true, rtol=1e-6, atol=0)
 
