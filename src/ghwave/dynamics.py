@@ -298,19 +298,19 @@ class EnergyProfile:
     """Second-order energy E2 along a trajectory with its decay envelope.
 
     E2(t) = ||u_tt||_0^2 + ||u_t||_1^2 + ||u||_2^2 with u_tt reconstructed
-    algebraically, one value per recorded time.  The envelope a + b exp(-c t)
-    is least-squares fitted through the local peaks of E2 (the curve's upper
-    envelope); `overshoot` is max_t E2(t)/envelope(t) - 1.
+    algebraically, one value per recorded time.  The envelope b exp(-c t) is
+    the least-squares line log b - c t through the local peaks of log E2 (the
+    curve's upper envelope); a series whose peaks do not fall gets c <= 0.
+    `overshoot` is max_t E2(t)/envelope(t) - 1.
     """
 
     e2: Array
-    a: float
     b: float
     c: float
     overshoot: float
 
     def envelope(self, t: Array) -> Array:
-        return self.a + self.b * np.exp(-self.c * np.asarray(t, dtype=float))
+        return self.b * np.exp(-self.c * np.asarray(t, dtype=float))
 
 
 def _interior_peaks(y: Array) -> npt.NDArray[np.intp]:
@@ -320,15 +320,12 @@ def _interior_peaks(y: Array) -> npt.NDArray[np.intp]:
     return (np.where((y[1:-1] >= y[:-2]) & (y[1:-1] >= y[2:]))[0] + 1).astype(np.intp)
 
 
-_LOG_FLOOR = 1e-300  # keeps the logs of the envelope and of E2 finite at 0
-_ENVELOPE_LOWER = np.array([0.0, 0.0, 1e-8])  # a, b >= 0 and c >= 1e-8
+_LOG_FLOOR = 1e-300  # keeps the log of E2 finite at 0
 
 
-def _envelope_points(times: Array, e2: Array) -> tuple[Array, Array, tuple[float, float, float]]:
-    """The times and E2 values the envelope is fitted through, and the fit's start point (a0, b0, c0)."""
-    tail = max(1, len(e2) // 5)
-    a0 = float(np.mean(e2[-tail:]))
-    loge = np.log(np.maximum(e2, 1e-300))
+def _envelope_points(times: Array, e2: Array) -> tuple[Array, Array]:
+    """The times and E2 values the envelope is fitted through."""
+    loge = np.log(np.maximum(e2, _LOG_FLOOR))
     span = float(times[-1] - times[0])
     cut = float(times[0]) + 0.4 * span
     fit_mask = times >= cut
@@ -348,134 +345,36 @@ def _envelope_points(times: Array, e2: Array) -> tuple[Array, Array, tuple[float
     keep = idx[times[idx] >= cut]
     if len(keep) < 4:
         keep = np.where(fit_mask)[0]
-    tp, ep = times[keep], e2[keep]
-    b0 = max(
-        (float(ep[0]) - a0) * float(np.exp(min(c0 * float(tp[0]), 600.0))),
-        1e-12 * float(e2.max()),
-    )
-    return tp, ep, (max(a0, 0.0), b0, c0)
+    return times[keep], e2[keep]
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _envelope_residuals(p: Array, s: Array, y: Array) -> tuple[Array, Array]:
-    """Residuals log(a + beta exp(-c s)) - y at p = (a, beta, c), and their Jacobian's three columns.
-
-    A trial rate too steep for exp gives a non-finite cost, which the
-    descent refuses like any cost that does not fall.
-    """
-    decay = np.exp(-p[2] * s)
-    m = p[0] + p[1] * decay + _LOG_FLOOR
-    return np.log(m) - y, np.column_stack([1.0 / m, decay / m, -p[1] * s * decay / m])
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _envelope_descent(s: Array, y: Array, p: Array) -> tuple[Array, float]:
-    """Projected Levenberg-Marquardt on the cost of `_envelope_residuals` from `p`, and its cost.
-
-    Parameters at their lower bound whose gradient points out of the box
-    stay fixed; every other one takes the damped Gauss-Newton step, clipped
-    to the box, with Nielsen's damping update.  Only steps that lower the
-    cost are taken, so a start no step improves (or one with a non-finite
-    cost) is returned as it is.  The loop stops when a step gains no more
-    than 1e-15 of the cost, when no damping up to 1e20 finds a lower cost, or
-    after 200 steps.
-    """
-    p = np.maximum(p, _ENVELOPE_LOWER)
-    r, J = _envelope_residuals(p, s, y)
-    cost, damping, growth = float(r @ r), 1e-3, 2.0
-    for _ in range(200):
-        g = J.T @ r
-        free = (p > _ENVELOPE_LOWER) | (g < 0.0)
-        if not free.any():
-            break
-        H = (J.T @ J)[np.ix_(free, free)]
-        # Marquardt's scaling, kept positive where a column of J vanishes
-        scale = np.maximum(np.diag(H), 1e-30 * max(float(np.diag(H).max()), 1e-300))
-        while True:
-            q = p.copy()
-            q[free] += np.linalg.solve(H + damping * np.diag(scale), -g[free])
-            q = np.maximum(q, _ENVELOPE_LOWER)
-            r_q, J_q = _envelope_residuals(q, s, y)
-            cost_q = float(r_q @ r_q)
-            if cost_q < cost:
-                break
-            damping, growth = damping * growth, 2.0 * growth
-            if damping > 1e20:
-                return p, cost
-        # the worse the linear model predicted the gain, the more damping
-        # for the next step: GN steps zigzag across a curved valley; the
-        # floor keeps the damped matrix nonsingular where H is
-        d = (q - p)[free]
-        predicted = -(2.0 * float(g[free] @ d) + float(d @ H @ d))
-        if predicted > 0.0:
-            gain = min((cost - cost_q) / predicted, 1.0)
-            damping = max(damping * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-12)
-        growth = 2.0
-        converged = cost - cost_q <= 1e-15 * cost
-        p, r, J, cost = q, r_q, J_q, cost_q
-        if converged:
-            break
-    return p, cost
-
-
-def _log_envelope_lsq(t: Array, y: Array, p0: tuple[float, float, float]) -> tuple[float, float, float]:
-    """(a, b, c) minimizing sum_i (log(a + b exp(-c t_i)) - y_i)^2 over a, b >= 0, c >= 1e-8.
-
-    Solved as a + beta exp(-c (t - tbar)) with tbar the mean time and b =
-    beta exp(c tbar): the same problem, with the rate no longer tied to the
-    amplitude.  The a = 0 face first: there the model is the line log beta -
-    c (t - tbar), so the face's optimum is the least-squares line through the
-    points, and it is the answer when its rate is at least 1e-8 and the cost
-    does not fall as a grows from 0 (the sign condition of a constrained
-    minimum).  Otherwise the answer is the lowest-cost end of projected
-    descents (the first on a tie) from p0 (p0 itself where no step lowers
-    its cost), from the line, and from p0's a with the rate at 3, 30 and 300
-    e-folds over the points and the first point matched: a decay seen only
-    in the first few points is a separate minimum that the other starts
-    miss.  An answer with b = 0 is a constant envelope, whose cost no rate
-    moves; its rate is reported as 1e-8.
-    """
-    tbar = float(np.mean(t))
-    s = t - tbar
-    slope, intercept = np.polyfit(s, y, 1)
-    face = np.array([0.0, math.exp(intercept), -slope])
-    r, J = _envelope_residuals(face, s, y)
-    if face[2] >= _ENVELOPE_LOWER[2] and float(r @ J[:, 0]) >= 0.0:
-        best = face
-    else:
-        a0, b0, c0 = p0
-        span = float(t[-1] - t[0])
-        head = max(math.exp(float(y[0])) - a0, 1e-12 * b0)  # the first point's excess over a0
-        starts = [np.array([a0, b0 * math.exp(-c0 * tbar), c0]), face]
-        starts += [np.array([a0, head * math.exp(k / span * s[0]), k / span]) for k in (3.0, 30.0, 300.0)]
-        best = min((_envelope_descent(s, y, p) for p in starts), key=lambda pc: pc[1])[0]
-    a, beta, c = (float(x) for x in best)
-    if beta == 0.0:
-        c = float(_ENVELOPE_LOWER[2])
-    return a, beta * float(np.exp(c * tbar)), c
-
-
-def _fit_envelope(times: Array, e2: Array) -> tuple[float, float, float]:
-    """Decay envelope (a, b, c) of E2: a + b exp(-c t) fitted in log space
-    through the ripple crests of the series' tail; (0, 0, 1) for a zero series.
+def _fit_envelope(times: Array, e2: Array) -> tuple[float, float]:
+    """Decay envelope (b, c) of E2: the least-squares line log b - c t through
+    the log ripple crests of the series' tail; (0, 1) for a zero series.
 
     Log space because the data spans many decades, and the envelope must
-    track the tail in relative terms, not just the dominant early peaks.
+    track the tail in relative terms, not just the dominant early peaks.  The
+    line is fitted about the crests' mean time tbar, so its rate is not tied
+    to its amplitude, and b = exp(intercept) exp(c tbar).  Crests that do not
+    fall give c <= 0: the series does not decay.
     """
     if float(e2.max(initial=0.0)) <= 1e-300:
-        return 0.0, 0.0, 1.0
-    tp, ep, p0 = _envelope_points(times, e2)
-    return _log_envelope_lsq(tp, np.log(ep + _LOG_FLOOR), p0)
+        return 0.0, 1.0
+    tp, ep = _envelope_points(times, e2)
+    tbar = float(np.mean(tp))
+    slope, intercept = np.polyfit(tp - tbar, np.log(ep + _LOG_FLOOR), 1)
+    c = float(-slope)
+    return math.exp(intercept) * float(np.exp(c * tbar)), c
 
 
 def energy_profile(times: Array, states: Array, op: DiscreteOperator, f: NonlinearitySpec) -> EnergyProfile:
     """E2 of `states` (2 dim, T), recorded at `times` (T,) on `op`, and its envelope."""
     e2 = _e2(states, NormPack(op), f)
-    a, b, c = _fit_envelope(times, e2)
-    env = a + b * np.exp(-c * times)
+    b, c = _fit_envelope(times, e2)
+    env = b * np.exp(-c * times)
     floor = 1e-15 * max(float(e2.max(initial=0.0)), 1.0)
     overshoot = float(np.max(e2 / np.maximum(env, floor)) - 1.0) if e2.size else 0.0
-    return EnergyProfile(e2, a, b, c, overshoot)
+    return EnergyProfile(e2, b, c, overshoot)
 
 
 def gronwall_rate(f: NonlinearitySpec, op: DiscreteOperator) -> float:

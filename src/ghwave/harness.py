@@ -322,8 +322,9 @@ def run_estimate_checks(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
     2. Second-order energy under a decaying exponential envelope.
     3. Conjugated-flow error shrinking with the perturbation schedule.
     `dynamics` measures; the three verdicts are decided here, together: the
-    largest pair ratio within GRONWALL_SLACK, an overshoot of at most 5% over
-    a decaying envelope, and errors strictly falling to below 1e-3.
+    largest pair ratio within GRONWALL_SLACK, an envelope b exp(-c t) with
+    c > 0 (its crests fall) and an overshoot of at most 5% over it, and
+    errors strictly falling to below 1e-3.
     `timer` collects the wall clock of each of the three checks.
     """
     clock = timer or StudyTimer()
