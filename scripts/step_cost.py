@@ -4,17 +4,18 @@ block shapes the shipped studies run and across the kernels' crossover.
 
     python3 scripts/step_cost.py
 
-Four shipped shapes, each on its config's reference operator and time step:
+Six shipped shapes, each on its config's reference operator and time step:
 47x8 (`stability_1d.cfg`, the sampler's IC block), 121x4 (`shear_2d.cfg`),
-and 47x2 and one 47-vector (`estimates_1d.cfg`: Gronwall pairs, and single
-trajectories).  Four more put the sampler blocks of `stability_1d.cfg` and
+47x2 and one 47-vector (`estimates_1d.cfg`: Gronwall pairs, and single
+trajectories), and the flow tables the two samplers record, 47x96 and
+121x16.  Four more put the sampler blocks of `stability_1d.cfg` and
 `shear_2d.cfg` on finer meshes, 111x8 and 127x8 (resolutions 112 and 128)
 and 144x4 and 225x4 (resolutions 13 and 16), at the config's dt or the
 mesh's stability cap if that is smaller; these bracket
 `operators.DENSE_MAX_DIM`.  The block is random low-mode states (fixed
 seed).  Per shape and kernel (the sparse step, one product with the
-integrator's right-hand-side operator R and one sparse LU solve, and the
-dense propagator) it prints the
+integrator's right-hand-side operator R' and one sparse LU solve, and the
+dense step, one product with G) it prints the
 best of REPEATS runs, in microseconds per step, of two loops: CHUNKS `record`
 calls over the next STEPS steps, each one run of the integrator's step loop
 (how every study steps), and the same number of bare `step` calls, each a
@@ -23,7 +24,7 @@ sampler makes once per recorded chunk (`dynamics._e2` on the whole block:
 the products with K and M and the M solve that every norm uses), in
 microseconds per call.  Each kernel steps and measures the operator held as
 its own representation (CSR matrices and SuperLU for the sparse step, dense
-arrays and the Cholesky factor for the propagator); `*` marks the
+arrays and the Cholesky factor for the dense one); `*` marks the
 representation `assemble_operators` picks, dense up to `DENSE_MAX_DIM`
 unknowns.  The repeats
 cycle through the shapes.  The states and the step count are the same on
@@ -57,6 +58,8 @@ SHAPES = (
     ("shear_2d sampler", "shear_2d.cfg", 4, "sampler", None),
     ("estimates_1d pair", "estimates_1d.cfg", 2, "solver", None),
     ("estimates_1d single", "estimates_1d.cfg", None, "solver", None),
+    ("stability_1d flow", "stability_1d.cfg", 96, "sampler", None),
+    ("shear_2d flow", "shear_2d.cfg", 16, "sampler", None),
     ("stability_1d res 112", "stability_1d.cfg", 8, "sampler", 112),
     ("stability_1d res 128", "stability_1d.cfg", 8, "sampler", 128),
     ("shear_2d res 13", "shear_2d.cfg", 4, "sampler", 13),

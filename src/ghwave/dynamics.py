@@ -27,15 +27,18 @@ discrete energy satisfies
 
 nonincreasing for every theta >= 1/2, exactly at theta = 1/2.
 
-The right-hand side is one operator applied to (u, v, f(u + dt/2 v)),
-R = [-dt K | (1 - dt(1-theta)) M - dt^2 theta(1-theta) K | -dt M], so
-v+ = S^-1 R (u; v; f) with S the matrix on the left.  On a dense operator
-(at most `operators.DENSE_MAX_DIM` unknowns) the step is one precomputed
-dense propagator built from S^-1 R, z+ = P z + Q f(u + dt/2 v) with
-z = (u, v); on a sparse one, it is the product with R and the sparse LU
-solve with S.  A block of states (one per column) gives the same bits for
-the same block shape; only the sparse kernel gives each column the bits it
-would get alone.
+The right-hand side is one operator applied to (u, v, f(p)), p = u + dt/2 v,
+R = [R_u | R_v | R_f] = [-dt K | (1 - dt(1-theta)) M - dt^2 theta(1-theta) K
+| -dt M], so v+ = S^-1 R (u; v; f(p)) with S the matrix on the left.  The
+nonlinearity f(p) = a p + b sin(p) (`operators.NonlinearitySpec`) is linear
+but for its sine, so its linear part folds into R: on w = (u; v; sin(p)),
+v+ = S^-1 R' w with R' = [R_u + a R_f | R_v + a (dt/2) R_f | b R_f].  On a
+dense operator (at most `operators.DENSE_MAX_DIM` unknowns) the whole step
+is one product z+ = G w, z = (u; v), with a precomputed dense G (2 dim x
+3 dim) folded the same way from the dense step of the unfolded system; on a
+sparse one, it is the product with R' and the sparse LU solve with S.  A block of states (one per column) gives the same
+bits for the same block shape; only the sparse kernel gives each column the
+bits it would get alone.
 
 A state is one array z = (u; v): (2 dim,) for one state, (2 dim, k) for a
 block of k states, one per column.  Both kernels are written once, in one
@@ -119,18 +122,19 @@ class WaveIntegrator:
     """Prefactorized one-step map for a fixed (operator, nonlinearity, dt).
 
     Every method takes a single state z = (u; v) or a block of states, one
-    per column.  Both kernels apply the one right-hand-side operator R (see
-    the module docstring), formed once here.  On a dense operator (`dense`,
-    at most `operators.DENSE_MAX_DIM` unknowns) the step is one product with
-    precomputed dense matrices, z+ = P z + Q f(u + dt/2 v) with z = (u, v)
-    stacked, and u+, v+ are views of z+; P and Q come from S^-1 R, with S^-1
-    formed from S's Cholesky factor (see `operators._cholesky`), so that no
-    BLAS thread count changes their bits.  BLAS picks its kernel by the block
-    width, so a column of a block matches the same state stepped alone to
-    rounding, not bit for bit; the same block shape always gives the same
-    bits.  On a sparse operator the step is one
-    sparse product with R and one sparse LU solve, which treat columns
-    independently, so there each column evolves exactly as it would alone.
+    per column.  Both kernels apply the right-hand-side operator with f's
+    linear part folded in, R' (see the module docstring), to w = (u; v;
+    sin(u + dt/2 v)), so a step evaluates one sin.  On a dense operator
+    (`dense`, at most `operators.DENSE_MAX_DIM` unknowns) the step is one
+    product z+ = G w: G = [P + a [Q | (dt/2) Q] | b Q], with P z + Q f the
+    step of the unfolded system, is formed once here, from S^-1 R by S's
+    Cholesky factor (see `operators._cholesky`) and then elementwise, so
+    that no BLAS thread count changes its bits.  BLAS picks its kernel by
+    the block width, so a column of a block matches the same state stepped
+    alone to rounding, not bit for bit; the same block shape always gives
+    the same bits.  On a sparse operator the step is one sparse product
+    with R' and one sparse LU solve, which treat columns independently, so
+    there each column evolves exactly as it would alone.
     """
 
     def __init__(self, op: DiscreteOperator, f: NonlinearitySpec, dt: float):
@@ -153,74 +157,92 @@ class WaveIntegrator:
         R = [-dt * op.K, c_v * op.M - c_k * op.K, -dt * op.M]
         self._half_dt = 0.5 * dt
         self._one_minus_theta = 1.0 - th
+
+        def fold(cols: list) -> None:
+            """Turn the column blocks [on u, on v, on f(p)], p = u + dt/2 v, of a
+            step operator into [on u, on v, on sin(p)], in place where the
+            blocks allow: f(p) = a u + a dt/2 v + b sin(p)."""
+            cols[0] += f.a * cols[2]
+            cols[1] += f.a * (self._half_dt * cols[2])
+            cols[2] *= f.b
+
         self.dense = op.dense
         if self.dense:
-            # v+ = A_u u + A_v v + B f and u+ = u + dt (th v+ + (1 - th) v)
-            A_u, A_v, B = np.split(_factorize(S)(np.hstack(R)), 3, axis=1)
-            eye = np.eye(op.n)
-            self._P = np.block([[eye + b * A_u, b * A_v + dt * self._one_minus_theta * eye], [A_u, A_v]])
-            # Fortran order, as SuperLU returned it: Q @ g takes about half
-            # the time it takes with Q in C order (n = 121, k = 4 columns)
-            self._Q = np.asfortranarray(np.vstack([b * B, B]))
+            # first [P | Q], the step z+ = P z + Q f(p) of the unfolded system:
+            # v+ = A (u; v; f(p)) and u+ = u + b v+ + dt (1 - th) v.  G is
+            # built in place, as every temporary of its size raises a study's
+            # peak memory
+            n = op.n
+            A = _factorize(S)(np.hstack(R))
+            self._G = G = np.empty((2 * n, 3 * n))
+            np.multiply(b, A, out=G[:n])
+            G[n:] = A
+            G[:n, :n] += np.eye(n)
+            G[:n, n : 2 * n] += dt * self._one_minus_theta * np.eye(n)
+            fold([G[:, :n], G[:, n : 2 * n], G[:, 2 * n :]])
         else:
             import scipy.sparse as sp
 
             self._solve_S = _factorize(S)
+            fold(R)
             self._R = sp.hstack(R).tocsr()
 
     def _steps(self, z: Array, marks: Sequence[int], out: Array | None = None) -> Array:
-        """The step loop: z = (u; v) in C order (see `_entry`), (2 dim,)
-        or (2 dim, k), stepped marks[-1] times; the state after marks[i]
-        steps (a nondecreasing count, 0 for z itself) goes to out[i].  Returns
-        the last state; z is left as it is.
+        """The step loop: z = (u; v), (2 dim,) or (2 dim, k), stepped
+        marks[-1] times; the state after marks[i] steps (a nondecreasing
+        count, 0 for z itself) goes to out[i].  Returns the last state; z is
+        left as it is.
 
-        Each kept state is stepped straight into `out` where its slot is in C
-        order, and every other state into one of two buffers of this call that
-        take turns, so no step allocates its state; a kept state whose slot is
-        not in C order is copied there, so that every step reads and writes C
-        order and its bits do not depend on the layout of `out`.
+        The states live in two work buffers of this call that take turns,
+        w = (u; v; s) in C order, so the dense step allocates nothing and
+        every step reads and writes C order whatever the layout of z and
+        `out`.  A step writes s = sin(u + dt/2 v) into its own buffer and the
+        next state into the other: one product with G on the dense kernel,
+        the product with R' and the S solve on the sparse one (see
+        `WaveIntegrator`).  A kept state is copied to its slot of `out`.
 
         BlowupError if a step ran and the last state is not finite.  One
         check per call suffices: a non-finite entry of u or v makes the same
         column's u non-finite after every later step under either kernel (the
-        dense propagator's product spreads it over the column, and the sparse
-        step adds it to u+ = u + dt (theta v+ + (1 - theta) v)).
+        dense product spreads it over the column, and the sparse step adds it
+        to u+ = u + dt (theta v+ + (1 - theta) v)).
         """
         n = self.op.n
-        spare = (np.empty(z.shape), np.empty(z.shape))
-        cur, done = z, 0
+        shape = (3 * n,) + z.shape[1:]
+        # per work buffer: w itself, its state z = (u; v), and u, v and s
+        cur, nxt = [(w, w[: 2 * n], w[:n], w[n : 2 * n], w[2 * n :]) for w in (np.empty(shape), np.empty(shape))]
+        cur[1][...] = z
+        half_dt, dense, done = self._half_dt, self.dense, 0
         for i, mark in enumerate(marks):
-            dest = None if out is None else out[i]
-            direct = dest is not None and dest.flags.c_contiguous
-            while done < mark:
-                done += 1
-                nxt = dest if direct and done == mark else spare[done % 2]
-                u, v = cur[:n], cur[n:]
-                g = self.f.f(u + self._half_dt * v)
-                if self.dense:
-                    np.matmul(self._P, cur, out=nxt)
-                    nxt += self._Q @ g
+            for _ in range(mark - done):
+                w, _, u, v, s = cur
+                # outputs go positionally: the out= keyword costs about 0.4
+                # microseconds a call, a tenth of a small block's step
+                np.multiply(v, half_dt, s)
+                s += u
+                np.sin(s, s)
+                if dense:
+                    np.matmul(self._G, w, nxt[1])
                 else:
-                    v_new = self._solve_S(self._R @ np.concatenate([cur, g]))
-                    nxt[:n] = u + self.dt * (self.theta * v_new + self._one_minus_theta * v)
-                    nxt[n:] = v_new
-                cur = nxt
-            if dest is not None and cur is not dest:
-                dest[...] = cur
-        if done and not np.isfinite(cur).all():
+                    nxt[3][...] = self._solve_S(self._R @ w)
+                    nxt[2][...] = u + self.dt * (self.theta * nxt[3] + self._one_minus_theta * v)
+                cur, nxt = nxt, cur
+            done = mark
+            if out is not None:
+                out[i] = cur[1]
+        if done and not np.isfinite(cur[1]).all():
             raise BlowupError("non-finite state after step")
-        return cur
+        return cur[1]
 
-    def _lattice(self, t: float) -> tuple[int, float]:
-        """Time t as whole steps of dt and the remainder a partial step covers (0.0 if none)."""
-        n_full = math.floor(t / self.dt + 1e-9)
+    def _lattice(self, t: Array) -> tuple[Array, Array]:
+        """Each time of t as whole steps of dt and the remainder a partial step covers (0.0 where none)."""
+        n_full = np.floor(t / self.dt + 1e-9)
         rem = t - n_full * self.dt
-        return n_full, rem if rem > 1e-12 * max(1.0, t) else 0.0
+        return n_full.astype(np.intp), np.where(rem > 1e-12 * np.maximum(1.0, t), rem, 0.0)
 
     def _entry(self, z: Array) -> Array:
-        """z as the step loop takes it, in C order: BLAS takes another path for another
-        memory layout, so the step's bits would depend on the layout of the caller's z."""
-        z = np.ascontiguousarray(z, dtype=float)
+        """z as a float array of a state's shape; the step loop copies it into its own buffers."""
+        z = np.asarray(z, dtype=float)
         if z.ndim not in (1, 2) or z.shape[0] != 2 * self.op.n:
             raise ValueError(f"a state must have shape ({2 * self.op.n},) or ({2 * self.op.n}, k), got {z.shape}")
         return z
@@ -246,17 +268,15 @@ class WaveIntegrator:
         z = self._entry(z)
         rec = np.empty(z.shape + times.shape)
         out = np.moveaxis(rec, -1, 0)  # out[i] is the state at times[i]
-        lo, marks = 0, [0]  # the grid points since the last partial step, as step counts
+        n_full, rem = self._lattice(diffs)
+        lo = 0  # the first grid point since the last partial step
         try:
-            for i, t in enumerate(diffs.tolist()):
-                n_full, rem = self._lattice(t)
-                marks.append(marks[-1] + n_full)
-                if rem:
-                    z = self._steps(z, marks[1:], out[lo : i + 1])
-                    z = out[i] = WaveIntegrator(self.op, self.f, rem)._steps(z, [1])
-                    lo, marks = i + 1, [0]
+            for i in np.flatnonzero(rem).tolist():
+                z = self._steps(z, np.cumsum(n_full[lo : i + 1]).tolist(), out[lo : i + 1])
+                z = out[i] = WaveIntegrator(self.op, self.f, rem[i])._steps(z, [1])
+                lo = i + 1
             if lo < len(times):
-                self._steps(z, marks[1:], out[lo:])
+                self._steps(z, np.cumsum(n_full[lo:]).tolist(), out[lo:])
         except BlowupError as exc:
             raise BlowupError(f"blow-up while evolving over [0, {times[-1]}]") from exc
         return rec
@@ -537,11 +557,20 @@ class AttractorSample:
         return np.linspace(0.0, 1.0, self.flow.shape[1])
 
 
-def _x0_gram(a: Array, b: Array, op: DiscreteOperator) -> Array:
-    """G_ab = u_a K u_b + v_a M v_b between the states (rows) of a and b, each (n, 2 dim)."""
-    n = op.n
-    G = a[:, :n] @ (op.K @ b[:, :n].T)
-    G += a[:, n:] @ (op.M @ b[:, n:].T)
+_X0_BLOCK = 128  # most rows of one block of an `x0_sqdist` result
+
+
+def _x0_right(b: Array, op: DiscreteOperator) -> tuple[Array, Array]:
+    """The right operands (K u_b^T, M v_b^T) of a Gram against the states (rows) of b, (n, 2 dim)."""
+    return op.K @ b[:, : op.n].T, op.M @ b[:, op.n :].T
+
+
+def _x0_gram(a: Array, right: tuple[Array, Array]) -> Array:
+    """G_ab = u_a K u_b + v_a M v_b between the states (rows) of a, (n, 2 dim), and of b, given as `_x0_right(b)`."""
+    Kb, Mb = right
+    n = len(Kb)
+    G = a[:, :n] @ Kb
+    G += a[:, n:] @ Mb
     return G
 
 
@@ -552,7 +581,7 @@ def x0_sqnorms(table: Array, op: DiscreteOperator) -> Array:
     each norm is the diagonal entry of its own time slice's Gram.
     """
     t = table.reshape(len(table), -1, 2 * op.n)
-    return np.column_stack([np.diag(_x0_gram(t[:, j], t[:, j], op)) for j in range(t.shape[1])]).ravel()
+    return np.column_stack([np.diag(_x0_gram(t[:, j], _x0_right(t[:, j], op))) for j in range(t.shape[1])]).ravel()
 
 
 def x0_sqdist(rows: Array, cols: Array, op: DiscreteOperator) -> Array:
@@ -566,14 +595,24 @@ def x0_sqdist(rows: Array, cols: Array, op: DiscreteOperator) -> Array:
     of the Gram of a's own time slice, a product of the same BLAS kernel as
     G_ab (a row-wise dot product rounds differently), so a block holds the
     entries of one Gram over all states, bit for bit where the BLAS rounds
-    every column of a product alike.  At the peak two result-sized arrays
-    are alive.
+    every column of a product alike.
+
+    The result is filled in row blocks of at most `_X0_BLOCK` rows, each
+    Gram block a product with the same right operands, so at the peak the
+    result and two block-sized arrays are alive, not two result-sized ones.
+    The blocks split the rows evenly, so none has a single row unless the
+    result has: BLAS would multiply it by its matrix-vector path and round
+    it differently.
     """
-    G = _x0_gram(rows.reshape(-1, 2 * op.n), cols.reshape(-1, 2 * op.n), op)
-    G *= 2.0
-    d2 = x0_sqnorms(rows, op)[:, None] + x0_sqnorms(cols, op)[None, :]
-    d2 -= G
-    del G
+    a = rows.reshape(-1, 2 * op.n)
+    right = _x0_right(cols.reshape(-1, 2 * op.n), op)
+    norms_a, norms_b = x0_sqnorms(rows, op), x0_sqnorms(cols, op)
+    d2 = np.empty((len(a), len(norms_b)))
+    n_blocks = max(1, -(-len(a) // _X0_BLOCK))
+    edges = [len(a) * i // n_blocks for i in range(n_blocks + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        np.add(norms_a[lo:hi, None], norms_b[None, :], out=d2[lo:hi])
+        d2[lo:hi] -= 2.0 * _x0_gram(a[lo:hi], right)
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -668,7 +707,7 @@ def sample_attractor(
         need = int((W - consec[active]).max(initial=0))
         ks = np.arange(k + 1, min(k + max(1, need, min(window_end - k, W)), cap) + 1)
         out = chunk[: len(ks)]
-        z = integ._steps(z, (ks - k).tolist(), out).copy()  # the next chunk overwrites `out`
+        z = integ._steps(z, (ks - k).tolist(), out)
         for j in np.flatnonzero((ks >= window_start) & (ks <= window_end) & ((ks - window_start) % cfg.stride == 0)):
             snaps.append(out[j].copy())
         # an IC that cannot plateau before the chunk's last step (its count

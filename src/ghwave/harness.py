@@ -193,12 +193,13 @@ def build_flow_pair(sa: AttractorSample, sb: AttractorSample, op: DiscreteOperat
     Cross-sample and along-flow distances are taken in the same metric, so
     the interpolation identity applies.  Each table is one computation:
     `cross` is one `x0_sqdist` of the two flow tables (for two 96-point
-    samples with 11 flow times, 1,056 x 1,056; two arrays of its size are
-    alive at the peak), each base table one `x0_sqdist` of the time-0
-    states, symmetrized with zero diagonal as `ghmetric` requires, and each
-    segment length the squared norm of the step difference itself, which
-    keeps its digits where consecutive states nearly coincide.  The two
-    flow tables must be recorded at the same number of flow times.
+    samples with 11 flow times, 1,056 x 1,056, filled in row blocks so that
+    one array of its size is alive), each base table one `x0_sqdist` of
+    the time-0 states, symmetrized with zero diagonal as `ghmetric`
+    requires, and each segment length the squared norm of the step
+    difference itself, which keeps its digits where consecutive states
+    nearly coincide.  The two flow tables must be recorded at the same
+    number of flow times.
     """
     if sa.flow.shape[1] != sb.flow.shape[1]:
         raise ValueError("flow tables must share the time grid")

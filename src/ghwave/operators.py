@@ -1,4 +1,5 @@
-"""Uniform meshes, coefficient-weighted mass/stiffness assembly, norms.
+"""Uniform meshes, coefficient-weighted mass/stiffness assembly, norms, and
+the nonlinearity f(u) = a u + b sin(u).
 
 Discretization is conforming P1 on a uniform interval mesh or bilinear Q1 on a
 uniform rectangle mesh, with homogeneous Dirichlet conditions (interior nodes
@@ -48,23 +49,27 @@ if TYPE_CHECKING:
 
 Array = npt.NDArray[np.float64]
 
-# Largest op.n held as dense M and K and stepped with the dense propagator (P
-# and Q hold 6 n^2 floats, 1.1 MB at the cap); above it M and K are CSR and
-# the sparse step runs, in memory linear in n.  Set from
-# `scripts/step_cost.py` on a 2-core Xeon VM, OpenBLAS on one thread:
-# microseconds per step in one run of the step loop, sparse vs dense, 1D at
-# k = 8: n = 47 42.1 vs 20.9, n = 111 67.3 vs 54.0, n = 127 64.7 vs 64.9 (60.9
-# vs 67.1 in a second run); 2D at k = 4: n = 121 59.9 vs 40.4, n = 144 68.5 vs
-# 47.6, n = 225 93.2 vs 206.7.  The dense cost grows as n^2 and the sparse one
-# about as n, so the two meet near n = 127 in 1D at k = 8 and between n = 144
-# and 225 in 2D at k = 4; the cap lies between, well above every shipped mesh
-# (n = 47 and 121).  The cap was set from the step; it also picks the
-# representation of the norm and E2 products, which the script's E2 column
-# times (one `_e2` call on the block, microseconds, sparse vs dense): 53.0 vs
-# 39.8 at 47x8, 69.0 vs 65.7 at 121x4 and 77.5 vs 71.5 at 144x4, but 66.0 vs
-# 99.5 at 111x8 and 70.9 vs 117.2 at 127x8.  The sampler evaluates E2 once per
-# chunk of up to `plateau_window` (50) steps, so below the cap the dense E2
-# costs at most about 1 microsecond per step more than the sparse one.
+# Largest op.n held as dense M and K and stepped with the dense step operator
+# (G holds 6 n^2 floats, 1.1 MB at the cap); above it M and K are CSR and the
+# sparse step runs, in memory linear in n.  Set from `scripts/step_cost.py`
+# on a 2-core Xeon VM, OpenBLAS on one thread: microseconds per step in one
+# run of the step loop, sparse vs dense, 1D at k = 8: n = 47 25.0 vs 11.0,
+# n = 111 34.9 vs 33.3, n = 127 43.0 vs 43.0; 2D at k = 4: n = 121 40.3 vs
+# 23.6, n = 144 42.7 vs 31.6, n = 225 62.9 vs 273.2.  The dense cost grows as
+# n^2 and the sparse one about as n, so the two meet near n = 127 in 1D at
+# k = 8 and between n = 144 and 225 in 2D at k = 4; the cap lies between,
+# well above every shipped mesh (n = 47 and 121).  On the shipped flow-table
+# records the dense step is 100.6 (sparse 122.1) at 47x96 and 95.1 (sparse
+# 94.4) at 121x16; there one product with G is no faster, or slower, than
+# the two products P z + Q f(p) of the unfolded step (98.5 and 64.2), while
+# on every sampler block it is faster.  The cap was set from the
+# step; it also picks the representation of the norm and E2 products, which
+# the script's E2 column times (one `_e2` call on the block, microseconds,
+# sparse vs dense): 44.8 vs 33.3 at 47x8, 58.2 vs 54.0 at 121x4 and 64.8 vs
+# 67.9 at 144x4, but 51.2 vs 81.8 at 111x8 and 55.7 vs 97.4 at 127x8.  The
+# sampler evaluates E2 once per chunk of up to `plateau_window` (50) steps,
+# so below the cap the dense E2 costs at most about 1 microsecond per step
+# more than the sparse one.
 DENSE_MAX_DIM = 150
 
 _GP = 1.0 / np.sqrt(3.0)  # 2-point Gauss abscissa on [-1, 1]
@@ -427,24 +432,32 @@ def x_norm(z: Array, pack: NormPack, level: int) -> float | Array:
     raise ValueError(f"unsupported norm level {level}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NonlinearitySpec:
-    """Scalar nonlinearity: f is a vectorized callable and `l` bounds |f'|."""
+    """The scalar nonlinearity f(u) = a u + b sin(u), applied nodally.
 
-    f: Callable[[Array], Array]
-    l: float
+    Its two coefficients are the whole spec: `WaveIntegrator` folds the
+    linear part a u into its step operator, so a step evaluates only sin.
+    `l` = |a| + |b| bounds |f'| = |a + b cos(u)|.
+    """
+
+    a: float
+    b: float
 
     def __post_init__(self) -> None:
-        if self.l <= 0:
-            raise ValueError("Lipschitz bound l must be positive")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"coefficients a = {self.a}, b = {self.b} must be finite")
+
+    def f(self, u: Array) -> Array:
+        return self.a * u + self.b * np.sin(u)
+
+    @property
+    def l(self) -> float:
+        return abs(self.a) + abs(self.b)
 
 
 def default_nonlinearity(a: float = 1.0, b: float = 0.5) -> NonlinearitySpec:
-    """f(u) = a u + b sin(u); |f'| <= a + |b|."""
+    """f(u) = a u + b sin(u) with a > |b|, the dissipative case every study runs."""
     if not a > abs(b):
         raise ValueError(f"a ({a}) must exceed |b| ({abs(b)}) for dissipativity")
-
-    def f(u):
-        return a * u + b * np.sin(u)
-
-    return NonlinearitySpec(f, l=a + abs(b))
+    return NonlinearitySpec(a, b)

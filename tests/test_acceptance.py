@@ -56,7 +56,7 @@ def test_solver_time_order(verdict):
     # sqrt(3)/2.  Using the discrete lambda keeps spatial error out of the
     # time-order measurement.
     op = identity_operator(Mesh(ReferenceDomain.interval(0.0, np.pi), 32))
-    f = NonlinearitySpec(f=lambda u: np.zeros_like(u), l=1.0)
+    f = NonlinearitySpec(0.0, 0.0)
     n = op.mesh.resolution
     h = op.mesh.spacing[0]
     lam = (4 / h**2) * np.tan(np.pi / (2 * n)) ** 2

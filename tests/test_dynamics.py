@@ -56,11 +56,16 @@ UNIT = ReferenceDomain("interval", ((0.0, 1.0),))
 
 
 def _zero_f() -> NonlinearitySpec:
-    return NonlinearitySpec(f=lambda u: np.zeros_like(u), l=1.0)
+    return NonlinearitySpec(0.0, 0.0)
 
 
 def _linear_f() -> NonlinearitySpec:
-    return NonlinearitySpec(f=lambda u: 1.0 * u, l=1.0)
+    return NonlinearitySpec(1.0, 0.0)
+
+
+# strongly anti-restoring: drives a state of X^1 radius 40 on the 16-cell mesh
+# past the float range within 300 steps of dt = 0.01
+_ANTI = NonlinearitySpec(-1e5, 0.0)
 
 
 def _mode(op, k=1):
@@ -167,7 +172,7 @@ def test_record_rejects_decreasing_grid():
 
 _SQUARE = ReferenceDomain("rectangle", ((0.0, 1.0), (0.0, 1.0)))
 # meshes above DENSE_MAX_DIM (n = 255 and 225), where the sparse kernel steps,
-# and the shipped sizes (n = 47 and 121), where the dense propagator does
+# and the shipped sizes (n = 47 and 121), where the dense product does
 SPARSE_MESHES = [(UNIT, 256, 0.0005), (_SQUARE, 16, 0.01)]
 DENSE_MESHES = [(UNIT, 48, 0.004), (_SQUARE, 12, 0.01)]
 
@@ -182,7 +187,7 @@ def test_block_step_matches_single_states(domain, resolution, dt):
     # a (dim, 3) block must evolve column by column like three separate
     # integrations: bit for bit with the sparse kernel, whose products and LU
     # solve treat columns independently, and to rounding with the dense
-    # propagator, whose BLAS kernel depends on the block width
+    # product, whose BLAS kernel depends on the block width
     op = identity_operator(Mesh(domain, resolution))
     integ = WaveIntegrator(op, default_nonlinearity(), dt)
     rng = np.random.default_rng(41)
@@ -223,15 +228,17 @@ def test_block_step_matches_single_states(domain, resolution, dt):
 
 
 def _step_reference(integ, z, lu):
-    """The documented theta step with scipy's `@`, solved with `lu`:
-    v+ = S^-1 [-dt K | c_v M - c_k K | -dt M] (u; v; f(u + dt/2 v))."""
-    op, dt, th = integ.op, integ.dt, integ.theta
+    """The documented theta step with scipy's `@`, solved with `lu`, with
+    f(p) = a p + b sin(p) folded into R = [R_u | R_v | R_f]:
+    v+ = S^-1 [R_u + a R_f | R_v + a (dt/2) R_f | b R_f] (u; v; sin(u + dt/2 v))."""
+    op, dt, th, f = integ.op, integ.dt, integ.theta, integ.f
     u, v = z[: op.n], z[op.n :]
     c_v = 1.0 - dt * (1.0 - th)
     c_k = dt**2 * th * (1.0 - th)
     K, M = sp.csr_matrix(op.K), sp.csr_matrix(op.M)
-    R = sp.hstack([-dt * K, c_v * M - c_k * K, -dt * M])
-    v_new = lu.solve(R @ np.concatenate([u, v, integ.f.f(u + 0.5 * dt * v)]))
+    R_u, R_v, R_f = -dt * K, c_v * M - c_k * K, -dt * M
+    R = sp.hstack([R_u + f.a * R_f, R_v + f.a * (0.5 * dt * R_f), f.b * R_f]).tocsr()
+    v_new = lu.solve(R @ np.concatenate([u, v, np.sin(u + 0.5 * dt * v)]))
     u_new = u + dt * (th * v_new + (1.0 - th) * v)
     return np.concatenate([u_new, v_new])
 
@@ -240,8 +247,8 @@ def _step_reference(integ, z, lu):
 @pytest.mark.parametrize("k", [None, 1, 3])
 def test_step_matches_reference_expression(domain, resolution, dt, k):
     # the sparse kernel is the documented step bit for bit, for one state
-    # (k = None) and for blocks of k columns; the dense propagator P z + Q f
-    # is the same map, rounded differently
+    # (k = None) and for blocks of k columns; the dense product G w is the
+    # same map, rounded differently
     op = identity_operator(Mesh(domain, resolution))
     integ = WaveIntegrator(op, default_nonlinearity(), dt)
     assert integ.dense == ((domain, resolution, dt) in DENSE_MESHES)
@@ -261,9 +268,32 @@ def test_step_matches_reference_expression(domain, resolution, dt, k):
         assert np.array_equal(state, ref)
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 0.5), (-0.5, 0.3), (1.0, 0.0)], ids=["default", "a<0", "b=0"])
+@pytest.mark.parametrize("domain, resolution, dt", DENSE_MESHES + SPARSE_MESHES)
+def test_step_matches_dense_solve_of_the_unfolded_system(domain, resolution, dt, a, b):
+    # an oracle that shares no code with either kernel: S v+ = R (u; v; f(p)),
+    # p = u + dt/2 v, solved by LAPACK with S and R dense and f applied as a
+    # function, then u+ = u + dt (theta v+ + (1 - theta) v)
+    op = identity_operator(Mesh(domain, resolution))
+    f = NonlinearitySpec(a, b)
+    integ = WaveIntegrator(op, f, dt)
+    assert integ.dense == ((domain, resolution, dt) in DENSE_MESHES)
+    K, M = (sp.csr_matrix(A).toarray() for A in (op.K, op.M))
+    th = 0.5 + dynamics.THETA_SHIFT * dt
+    S = (1.0 + dt * th) * M + (dt * th) ** 2 * K
+    R = np.hstack([-dt * K, (1.0 - dt * (1.0 - th)) * M - dt**2 * th * (1.0 - th) * K, -dt * M])
+    rng = np.random.default_rng(61)
+    block = np.column_stack([random_state(op, rng, radius=2.0) for _ in range(3)])
+    for z in (block[:, 0], block):
+        u, v = z[: op.n], z[op.n :]
+        v_new = np.linalg.solve(S, R @ np.concatenate([u, v, f.f(u + dt / 2 * v)]))
+        want = np.concatenate([u + dt * (th * v_new + (1.0 - th) * v), v_new])
+        assert _rel_err(integ.step(z), want) <= 1e-12
+
+
 @pytest.mark.parametrize("domain, resolution, dt", DENSE_MESHES)
 def test_dense_step_same_bits_for_same_block_shape(domain, resolution, dt):
-    # the dense propagator's contract: one block shape always gives the same
+    # the dense product's contract: one block shape always gives the same
     # bits (a fresh integrator included), and each column of a block stays
     # within rounding of the state stepped alone
     op = identity_operator(Mesh(domain, resolution))
@@ -289,18 +319,18 @@ def test_dense_step_same_bits_for_same_block_shape(domain, resolution, dt):
 
 
 def test_kernel_picked_by_dimension():
-    # n = DENSE_MAX_DIM steps with the dense propagator, one node more with
+    # n = DENSE_MAX_DIM steps with the dense product, one node more with
     # the sparse kernel; 1D meshes have n = resolution - 1 interior nodes
     for n, dense in ((operators.DENSE_MAX_DIM, True), (operators.DENSE_MAX_DIM + 1, False)):
         op = identity_operator(Mesh(UNIT, n + 1))
         assert op.n == n
         integ = WaveIntegrator(op, default_nonlinearity(), dynamics.stability_cap(op))
         assert integ.dense is dense
-        assert hasattr(integ, "_P") is dense and hasattr(integ, "_solve_S") is not dense
+        assert hasattr(integ, "_G") is dense and hasattr(integ, "_solve_S") is not dense
 
 
 # prints what a dense operator of 144 unknowns (resolution 13, near the cap)
-# factors and precomputes: the propagator P and Q, an M solve of a block as
+# factors and precomputes: the step operator G, an M solve of a block as
 # wide as a stability flow table, and lambda1 (from K solves)
 _DENSE_BITS_SCRIPT = """
 import hashlib
@@ -312,7 +342,7 @@ op = identity_operator(Mesh(ReferenceDomain("rectangle", ((0.0, 1.0), (0.0, 1.0)
 integ = WaveIntegrator(op, default_nonlinearity(), 0.01)
 print(op.n, integ.dense)
 block = np.random.default_rng(59).standard_normal((op.n, 1056))
-for a in (integ._P, integ._Q, op.solve_M(block), np.float64(op.lambda1)):
+for a in (integ._G, op.solve_M(block), np.float64(op.lambda1)):
     print(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest())
 """
 
@@ -329,7 +359,7 @@ def test_dense_operator_bits_do_not_depend_on_blas_threads():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.splitlines())
     assert outputs[0][0] == "144 True"
-    assert len(outputs[0]) == 5 and outputs[0] == outputs[1]
+    assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
 
 
 def test_advance_without_steps_returns_a_copy():
@@ -390,69 +420,62 @@ def test_step_and_record_refuse_a_misshapen_state():
 
 
 def test_blowup_raised_from_step_and_from_record():
-    # f turns non-finite on its fourth call, i.e. inside the fourth step
+    # a = -1e60 multiplies the state by about 1e58 a step: five steps from
+    # radius 1 stay finite, and the sixth overflows
     op = identity_operator(Mesh(UNIT, 16))
     s = calibration_state(op, radius=1.0)
-
-    def late_nan():
-        calls = itertools.count()
-        return NonlinearitySpec(f=lambda u: u if next(calls) < 3 else np.full_like(u, np.nan), l=1.0)
-
-    integ = WaveIntegrator(op, late_nan(), 0.01)
+    integ = WaveIntegrator(op, NonlinearitySpec(-1e60, 0.0), 0.01)
     cur = s
-    for _ in range(3):
-        cur = integ.step(cur)
-    with pytest.raises(BlowupError, match="^non-finite state after step$"):
-        integ.step(cur)
-    integ = WaveIntegrator(op, late_nan(), 0.01)
-    with pytest.raises(BlowupError, match=r"^blow-up while evolving over \[0, 0\.0\d+\]$") as exc:
-        integ.record(s, np.arange(6) * 0.01)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(5):
+            cur = integ.step(cur)
+        assert np.isfinite(cur).all()
+        with pytest.raises(BlowupError, match="^non-finite state after step$"):
+            integ.step(cur)
+        with pytest.raises(BlowupError, match=r"^blow-up while evolving over \[0, 0\.0\d+\]$") as exc:
+            integ.record(s, np.arange(8) * 0.01)
     assert str(exc.value.__cause__) == "non-finite state after step"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("resolution, dt", [(16, 0.01), (256, 0.0005)], ids=["dense", "sparse"])
 def test_blowup_of_one_block_column_mid_run(resolution, dt, bad):
-    # f turns column 1 of a block of three non-finite inside step 50 of 400:
-    # the step loop checks only its last state, so it steps on to the end,
-    # and that column is still non-finite there
+    # one entry of column 1 of a block of three turns non-finite after step
+    # 49 of 400: the step loop checks only its last state, so it steps on to
+    # the end, where that column is still non-finite and the other two hold
+    # the bits of the same run without the bad entry (both kernels treat
+    # the columns of a product independently)
     op = identity_operator(Mesh(UNIT, resolution))
+    integ = WaveIntegrator(op, default_nonlinearity(), dt)
     block = np.column_stack([calibration_state(op, radius=1.0)] * 3)
-    calls = itertools.count()
-
-    def f(u):
-        out = u.copy()
-        if next(calls) == 49:
-            out[:, 1] = bad
-        return out
-
-    integ = WaveIntegrator(op, NonlinearitySpec(f=f, l=1.0), dt)
+    healthy = _advance(integ, block, 49 * dt)  # no error
+    assert np.isfinite(healthy).all()
+    sick = healthy.copy()
+    sick[op.n + 3, 1] = bad
+    want = integ._steps(healthy, [351])
     with np.errstate(invalid="ignore", over="ignore"):
-        healthy = _advance(integ, block, 49 * dt)  # f's calls 0..48: no error
-        assert np.isfinite(healthy).all()
-        calls = itertools.count()
-        with pytest.raises(BlowupError, match=re.escape(f"blow-up while evolving over [0, {400 * dt}]")) as exc:
-            _advance(integ, block, 400 * dt)
+        with pytest.raises(BlowupError, match=re.escape(f"blow-up while evolving over [0, {351 * dt}]")) as exc:
+            _advance(integ, sick, 351 * dt)
         assert str(exc.value.__cause__) == "non-finite state after step"
-        assert next(calls) == 400  # every step ran
-        calls = itertools.count()
         with pytest.raises(BlowupError, match="^blow-up while evolving over") as exc:
-            integ.record(block, np.arange(0, 401, 50) * dt)
+            integ.record(sick, np.arange(0, 352, 50) * dt)
         assert str(exc.value.__cause__) == "non-finite state after step"
-        calls = itertools.count()
+        out = np.empty((1,) + block.shape)
         with pytest.raises(BlowupError, match="^non-finite state after step$"):
-            integ._steps(block, [400])
+            integ._steps(sick, [351], out)
+    # every step ran: the kept last state is the healthy run's in columns 0 and 2
+    assert not np.isfinite(out[0][: op.n, 1]).any()
+    assert np.array_equal(out[0][:, [0, 2]], want[:, [0, 2]])
 
 
 def test_sampler_raises_blowup():
-    # an anti-restoring cubic drives every IC off to infinity; the sampler
+    # an anti-restoring f drives every IC off to infinity; the sampler
     # runs the step loop directly and passes its error on as it is
     op = identity_operator(Mesh(UNIT, 16))
-    unstable = NonlinearitySpec(f=lambda u: -(u**3), l=1.0)
     cfg = dataclasses.replace(_FAST, radius=40.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowupError, match="^non-finite state after step$"):
-            sample_attractor(op, unstable, cfg, seed=1)
+            sample_attractor(op, _ANTI, cfg, seed=1)
 
 
 def test_energy_nonincreasing_per_step_without_forcing():
@@ -472,11 +495,10 @@ def test_energy_nonincreasing_per_step_without_forcing():
             e_prev = e
 
 
-def test_blowup_detected_for_antirestoring_cubic():
+def test_blowup_detected_for_antirestoring_force():
     op = identity_operator(Mesh(UNIT, 16))
-    unstable = NonlinearitySpec(f=lambda u: -(u**3), l=1.0)
     s = calibration_state(op, radius=40.0)
-    integ = WaveIntegrator(op, unstable, 0.01)
+    integ = WaveIntegrator(op, _ANTI, 0.01)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowupError):
             for _ in range(500):
@@ -512,7 +534,7 @@ def test_envelope_fit_settling_series_uses_the_tail():
     # line through them does not fall, so the series is not called decaying
     cfg, _ = load_config(Path(__file__).resolve().parents[1] / "configs" / "stability_1d.cfg")
     op = cfg.reference_operator()
-    f = NonlinearitySpec(f=lambda u: -0.5 * u - np.sin(u), l=1.5)
+    f = NonlinearitySpec(-0.5, -1.0)
     times, states = solve_trajectory(calibration_state(op, 1.0), 24.0, cfg.dt, op, f, record_every=5)
     e2 = _e2(states, NormPack(op), f)
     tp, _ = _envelope_points(times, e2)
@@ -535,9 +557,16 @@ def test_envelope_fit_of_a_zero_series():
 
 
 def test_lipschitz_constant_formula():
+    # l = |a| + |b| bounds |f'| = |a + b cos u| whatever the signs, and is
+    # its maximum: a + b cos u reaches a + b at cos u = 1 and a - b at -1
     op = identity_operator(Mesh(UNIT, 24))
-    f = NonlinearitySpec(f=lambda u: np.zeros_like(u), l=1.5)
-    assert gronwall_rate(f, op) == 1.5 / (2 * op.lambda1) + 0.5
+    u = np.linspace(-7.0, 7.0, 2801)
+    for a, b in ((1.0, 0.5), (-1.0, 0.5), (-1.0, -0.5), (0.5, -1.0)):
+        f = NonlinearitySpec(a, b)
+        assert f.l == 1.5
+        assert gronwall_rate(f, op) == 1.5 / (2 * op.lambda1) + 0.5
+        slopes = np.abs(np.diff(f.f(u)) / np.diff(u))
+        assert slopes.max() <= f.l and slopes.max() > f.l - 1e-4
 
 
 def test_gronwall_ratio_linear_case_below_one():
@@ -545,11 +574,11 @@ def test_gronwall_ratio_linear_case_below_one():
     rng = np.random.default_rng(23)
     s0 = random_state(op, rng, radius=1.0)
     s1 = random_state(op, rng, radius=1.0)
-    # f = 0 with the bound l = 1.5: the envelope's rate C exceeds the
-    # linear system's, so the ratio falls below 1 from the first step on
-    # (time 0, where it is 1 by construction, is not in the maximum)
-    zero_f = NonlinearitySpec(f=lambda u: np.zeros_like(u), l=1.5)
-    assert lipschitz_envelope_check(s0, s1, 1.5, WaveIntegrator(op, zero_f, 0.005)) < 1.0
+    # the restoring f = 1.5 u, whose bound is l = 1.5: the envelope's rate C
+    # exceeds the linear system's, so the ratio falls below 1 from the first
+    # step on (time 0, where it is 1 by construction, is not in the maximum)
+    linear = NonlinearitySpec(1.5, 0.0)
+    assert lipschitz_envelope_check(s0, s1, 1.5, WaveIntegrator(op, linear, 0.005)) < 1.0
 
 
 def test_gronwall_ratio_default_nonlinearity():

@@ -131,6 +131,17 @@ def test_build_flow_pair_universe_indices():
     np.testing.assert_allclose(Xb, sb.dist, rtol=1e-9, atol=1e-12)
 
 
+def _one_product_sqdist(rows, cols, op):
+    """x0_sqdist's (G_aa + G_bb) - 2 G_ab, clipped at 0, with G_ab one product over all rows."""
+    a, b = rows.reshape(-1, 2 * op.n), cols.reshape(-1, 2 * op.n)
+    G = a[:, : op.n] @ (op.K @ b[:, : op.n].T)
+    G += a[:, op.n :] @ (op.M @ b[:, op.n :].T)
+    G *= 2.0
+    d2 = x0_sqnorms(rows, op)[:, None] + x0_sqnorms(cols, op)[None, :]
+    d2 -= G
+    return np.maximum(d2, 0.0, out=d2)
+
+
 def _universe(sa, sb, op):
     """One symmetrized squared-distance matrix over every flow state of both
     samples, from one Gram: d^2(a, b) = (G_aa + G_bb) - 2 G_ab, clipped at 0,
@@ -163,6 +174,9 @@ def test_build_flow_pair_matches_the_universe():
     pair = build_flow_pair(sa, sb, op)
     n, q = sa.flow.shape[:2]
     assert np.array_equal(pair.cross, x0_sqdist(sa.flow, sb.flow, op))
+    # x0_sqdist fills the 1,056 rows in blocks: they hold the bits of one
+    # product over all rows
+    assert np.array_equal(pair.cross, _one_product_sqdist(sa.flow, sb.flow, op))
     for s, seg in ((sa, pair.seg_x), (sb, pair.seg_y)):
         assert np.array_equal(seg, x0_sqnorms(np.diff(s.flow, axis=1), op).reshape(n, q - 1))
     np.testing.assert_array_equal(pair.times, sa.flow_times)
@@ -213,8 +227,9 @@ def test_build_flow_pair_segments_survive_cancellation():
 
 def test_build_flow_pair_peak_memory_below_one_universe():
     # two synthetic 96-point samples with 11 flow times each: the pair is
-    # built holding at most two and a half arrays of its cross table's size,
-    # far from one (96 + 96) * 11 square of floats
+    # built holding at most one and a half arrays of its cross table's size
+    # (the table, filled in row blocks), far from one (96 + 96) * 11 square
+    # of floats
     op = identity_operator(Mesh(UNIT, 48))
     rng = np.random.default_rng(0)
     sa, sb = (AttractorSample(np.zeros((96, 96)), rng.standard_normal((96, 11, 2 * op.n)), 0.0) for _ in range(2))
@@ -224,7 +239,7 @@ def test_build_flow_pair_peak_memory_below_one_universe():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * (96 * 11) ** 2 * 8
+    assert peak < 1.5 * (96 * 11) ** 2 * 8
 
 
 def test_build_flow_pair_refuses_different_time_grids():
