@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .domains import FAMILIES, DiffeoMap, ReferenceDomain
 from .dynamics import SAMPLER_RANGES, SamplerConfig, stability_cap
-from .ghmetric import RHO_MAX
 from .operators import DiscreteOperator, Mesh, NonlinearitySpec, default_nonlinearity, identity_operator
 
 __all__ = ["Diagnostic", "ConfigError", "ScenarioConfig", "parse_config", "load_config", "range_diagnostic", "DEFAULT_SCHEDULE"]
@@ -72,7 +71,6 @@ class ScenarioConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     # [gh]
     budget: int = 32
-    rho: float = 1.0
     # [estimates]
     n_pairs: int = 20
     estimate_t_final: float = 2.0
@@ -155,11 +153,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, str]]] = {
     "sampler": {f.name: (f.type, *SAMPLER_RANGES[f.name]) for f in fields(SamplerConfig)},
     "gh": {
         "budget": (_INT, lambda n: n >= 1, "at least 1"),
-        "rho": (
-            _FLOAT,
-            lambda x: 0 < x < RHO_MAX,
-            f"positive and below {RHO_MAX:.6g}, so that |s * rho| < 1 for every reparametrization |s| <= {1 / RHO_MAX:g}",
-        ),
     },
     "estimates": {
         "n_pairs": (_INT, lambda n: n >= 1, "at least 1"),
@@ -170,6 +163,11 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, str]]] = {
         "threads": (_INT, lambda n: n >= 1, "at least 1"),
     },
 }
+
+
+# keys a config may still carry that nothing reads: gh.rho, the time-change
+# slack of a dynamical distance that now compares the flows at the same times
+_RETIRED = {"gh.rho"}
 
 
 def _finite(raw: str) -> float:
@@ -217,6 +215,8 @@ def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | 
         schema = _SCHEMA[section]
         for key, raw in cp.items(section):
             addr = f"{section}.{key}"
+            if addr in _RETIRED:
+                continue
             if key not in schema:
                 if section == "perturbation":  # checked against the family's constructor below
                     family_raw[key] = raw

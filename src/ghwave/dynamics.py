@@ -539,22 +539,14 @@ def calibration_state(op: DiscreteOperator, radius: float = 1.0) -> Array:
 class AttractorSample:
     """Post-transient snapshot cloud with its metric and flow table.
 
-    `flow` holds the forward images of the n sampled points at the q times
-    `flow_times`, one state z = (u; v) per image, (n, q, 2 dim); its time-0
-    column `flow[:, 0]` is the points themselves.  `dist` is the pairwise
-    X^0 distance matrix in this operator's own norm, and `eps_inv` the
-    invariance proxy: the largest distance from any flow image to the
-    sampled set.
+    `flow` holds the forward images of the n sampled points at q equally
+    spaced times from 0 to 1, one state z = (u; v) per image, (n, q, 2 dim);
+    its time-0 column `flow[:, 0]` is the points themselves.  `dist` is the
+    pairwise X^0 distance matrix in this operator's own norm.
     """
 
     dist: Array
     flow: Array
-    eps_inv: float
-
-    @property
-    def flow_times(self) -> Array:
-        """The times j / (q - 1), j = 0..q-1, of the flow table's columns."""
-        return np.linspace(0.0, 1.0, self.flow.shape[1])
 
 
 _X0_BLOCK = 128  # most rows of one block of an `x0_sqdist` result
@@ -659,10 +651,6 @@ def sample_attractor(
     (2 dim, n_ics) block's, and the E2 of a column does not depend on the
     block it is evaluated in (a column of the step block matches its IC
     stepped alone only to rounding, see `WaveIntegrator`).
-
-    One slab of squared distances, every flow state against the sample,
-    serves both: `dist` is its block of time-0 rows and `eps_inv` reads all
-    of it.
     """
     if cfg.pool_size > cfg.max_points:
         raise ValueError(
@@ -738,14 +726,10 @@ def sample_attractor(
     states = np.array(snaps).transpose(2, 0, 1).reshape(-1, 2 * n)  # from (n_snaps, 2 dim, n_ics)
     q = cfg.flow_grid_m + 1
     flow = np.ascontiguousarray(integ.record(states.T, np.linspace(0.0, 1.0, q)).transpose(1, 2, 0))  # (n, q, 2 dim)
-    # every flow state against the sample, flow[:, 0], whose own rows are every q-th
-    d2_flow = x0_sqdist(flow, flow[:, 0], op)
-    dist = np.sqrt(d2_flow[::q])
+    dist = np.sqrt(x0_sqdist(flow[:, 0], flow[:, 0], op))
     dist = 0.5 * (dist + dist.T)
     np.fill_diagonal(dist, 0.0)
-    # invariance proxy: worst distance from any flow image back to the sample
-    eps_inv = float(np.sqrt(d2_flow).min(axis=1).max())
-    return AttractorSample(dist, flow, eps_inv)
+    return AttractorSample(dist, flow)
 
 
 def conjugated_flow_error(

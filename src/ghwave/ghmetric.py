@@ -13,9 +13,11 @@ factor 1/2 is applied, so values can be up to twice the textbook ones; the
 two-point-versus-one-point example {0} vs {0,3} evaluates to 3 here.
 
 A dynamical comparison is one FlowPair: the squared distances between the
-flow states of both flows that it reads, on one time grid.
-`dgh_dynamical` accepts `rho` only in (0, RHO_MAX), where every time change
-it tries is increasing.
+two flows' states at each shared flow time, and between each flow's base
+points.  `dgh_dynamical` compares the flows synchronously, at the same
+times; "exact" there means optimal over all maps for that objective, whose
+value bounds from above the objective over any class of time changes that
+contains the identity.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "gh_upper",
     "dgh_dynamical",
     "EXACT_SIZE_CAP",
-    "RHO_MAX",
 ]
 
 Array = npt.NDArray[np.float64]
@@ -389,125 +390,49 @@ def gh_upper(dx: Array, dy: Array, budget: int = 32, seed: int = 0) -> GHEstimat
 class FlowPair:
     """The squared distances between two sampled flows X and Y that `dgh_dynamical` reads.
 
-    Flow state (i, j) of X is the image of X's base point i at `times[j]`,
-    on a strictly increasing grid of q times from 0 to 1, so j = 0 is the
-    base point itself; likewise for Y.  In one common metric, which is what
-    makes cross-sample and along-flow distances comparable:
-    `cross[i * q + j, k * q + l]` is d^2 between flow state (i, j) of X and
-    (k, l) of Y, `base_x` (n_x, n_x) is d^2 between X's base points, with
-    zero diagonal, and `seg_x[i, j]` is d^2 between X's flow states (i, j)
-    and (i, j + 1), segment j of its trajectory; `base_y` and `seg_y` are
-    the same for Y.
+    Flow state (i, j) of X is the image of X's base point i at the j-th of q
+    flow times, shared by both flows, so j = 0 is the base point itself;
+    likewise for Y.  In one common metric, which is what makes the two
+    flows comparable: `flow[j, i, k]` is d^2 between flow states (i, j) of
+    X and (k, j) of Y, the two flows read at the same time, `base_x`
+    (n_x, n_x) is d^2 between X's base points, with zero diagonal, and
+    `base_y` the same for Y.
     """
 
-    cross: Array
+    flow: Array
     base_x: Array
     base_y: Array
-    seg_x: Array
-    seg_y: Array
-    times: Array
 
     def __post_init__(self) -> None:
-        # off [0, 1], min(t, 1 - t) < 0 and the charge |s| rho / 2 no longer
-        # bounds |alpha_s(t) - t|
-        self.times = t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or len(t) < 2 or np.any(np.diff(t) <= 0) or t[0] != 0.0 or t[-1] != 1.0:
-            raise ValueError("times must be a strictly increasing 1-D grid from 0 to 1")
-        nx, ny, q = len(self.base_x), len(self.base_y), len(t)
-        shapes = {"cross": (nx * q, ny * q), "base_x": (nx, nx), "base_y": (ny, ny), "seg_x": (nx, q - 1), "seg_y": (ny, q - 1)}
+        nx, ny, q = len(self.base_x), len(self.base_y), max(len(self.flow), 1)
+        shapes = {"flow": (q, nx, ny), "base_x": (nx, nx), "base_y": (ny, ny)}
         for name, shape in shapes.items():
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} must have shape {shape} for {nx} and {ny} base points at {q} flow times")
 
     def reversed(self) -> FlowPair:
-        """The same pair with Y first: the transpose of `cross`, the two sides swapped."""
-        return FlowPair(self.cross.T, self.base_y, self.base_x, self.seg_y, self.seg_x, self.times)
+        """The same pair with Y first: `flow` with its last two axes swapped, the two sides swapped."""
+        return FlowPair(self.flow.transpose(0, 2, 1), self.base_y, self.base_x)
 
 
-def _interp_flow_d2(pair: FlowPair, rows: IntArray, query_t: Array, targets: IntArray) -> Array:
-    """Squared distances from X's flow states at arbitrary times to flow states of Y.
-
-    Row i follows the trajectory of X's base point rows[i].  Flow states
-    between stored samples are norm-interpolated: for p on the segment
-    [a, b] at weight w, d^2(p, q) = (1-w) d^2(a,q) + w d^2(b,q)
-    - w(1-w) d^2(a,b), exact when the metric comes from a quadratic form;
-    d^2(a, q) and d^2(b, q) come from `pair.cross` and d^2(a, b) from
-    `pair.seg_x`.  `targets` holds columns of `cross` (k * q + l for Y's
-    flow state (k, l)) that broadcast against (len(rows), n_query, 1): a 1-D
-    array gives every point the same targets, a (len(rows), n_query, 1)
-    array one target per point and query time.
-    Returns (len(rows), n_query, n_targets).
-    """
-    times = pair.times
-    qt = np.clip(query_t, times[0], times[-1])
-    j = np.clip(np.searchsorted(times, qt, side="right") - 1, 0, len(times) - 2)
-    w = (qt - times[j]) / (times[j + 1] - times[j])
-    a = (rows[:, None] * len(times) + j)[:, :, None]  # (n, q, 1): rows of cross; a + 1 is b
-    d2a = pair.cross[a, targets]
-    d2b = pair.cross[a + 1, targets]
-    d2ab = pair.seg_x[rows[:, None], j][:, :, None]
-    w3 = w[None, :, None]
-    return (1.0 - w3) * d2a + w3 * d2b - w3 * (1.0 - w3) * d2ab
-
-
-_S_GRID = np.linspace(-0.95, 0.95, 21)
-_S_GRID = _S_GRID[np.argsort(np.abs(_S_GRID), kind="stable")]
-
-# alpha_s is increasing on [0, 1] exactly when |s| rho < 1 for every s tried
-RHO_MAX = float(1.0 / np.abs(_S_GRID).max())
-
-
-def _flow_cost(pair: FlowPair, rows: IntArray, rho: float, m: IntArray | None = None) -> Array:
-    """c[i, k]: the flow cost of sending X's base point x = rows[i] to Y's base point k.
-
-    c = min over the s grid of max( max_j d(Phi^X(alpha_s(t_j)) x, Phi^Y(t_j) y_k), |s| rho / 2 ),
-    with the time change alpha_s(t) = t + s min(t, 1 - t) rho, which fixes
-    the endpoints and deviates from the identity by at most |s| rho / 2.  The
-    X flow is read at reparametrized times through norm interpolation
-    between stored samples (exact for quadratic-form metrics).  Without `m`
-    the columns are all of Y's points; with a map m the one column is each
-    x's own target m(x), whose trajectory is read as one target per point
-    and query time (see `_interp_flow_d2`).  Each entry reads the same
-    floats either way, so the two agree bitwise.
-    """
-    t = pair.times
-    q = len(t)
-    if m is None:
-        targets = (np.arange(pair.base_y.shape[0]) * q + np.arange(q)[:, None])[None]  # (1, q, n_y)
-    else:
-        targets = (m[rows, None] * q + np.arange(q))[:, :, None]  # (n, q, 1)
-    best = np.full((len(rows), targets.shape[2]), np.inf)
-    for s in _S_GRID:
-        mism2 = _interp_flow_d2(pair, rows, t + s * np.minimum(t, 1.0 - t) * rho, targets)
-        mism = np.sqrt(np.maximum(mism2.max(axis=1), 0.0))
-        best = np.minimum(best, np.maximum(mism, abs(s) * rho / 2.0))
-    return best
-
-
-def _commutation_eps(pair: FlowPair, m: IntArray, rho: float) -> float:
-    """Best achievable max over base points of max(flow mismatch, time shift): max_x c[x, m(x)]."""
-    return float(_flow_cost(pair, np.arange(pair.base_x.shape[0]), rho, m).max(initial=0.0))
-
-
-def _certified_start(pair: FlowPair, dx: Array, dy: Array, rho: float) -> tuple[IntArray, float] | None:
+def _certified_start(c: Array, dx: Array, dy: Array) -> tuple[IntArray, float] | None:
     """The start map X -> Y with its flow epsilon v, if v is proven optimal; else None.
 
-    Proof.  Let c be `_flow_cost`, m the start map, v = max_x c[x, m(x)], and
-    x* any point with c[x*, m(x*)] = v.  Every map m' has
+    Proof.  Let c be the flow cost, m the start map, v = max_x c[x, m(x)],
+    and x* any point with c[x*, m(x*)] = v.  Every map m' has
     total(m') = max(static(m'), max_x c[x, m'(x)]) >= c[x*, m'(x*)] >= min_y c[x*, y].
     So if static(m) <= v, then total(m) = v, and if also min_y c[x*, y] >= v
     for one such x*, no map has a smaller total: v is the optimum of the
-    direction's objective over all maps.  Only the rows of the points x*
-    are built.  Both sides of each comparison are the same floats read
-    through the same operations, so the proof needs no rounding slack.
+    direction's objective over all maps.  Every flow value compared is an
+    entry of c, the floats the scoring reads, so the proof needs no
+    rounding slack.
     """
     m = _start_map(dx, dy)
-    own = _flow_cost(pair, np.arange(pair.base_x.shape[0]), rho, m)[:, 0]
+    own = c[np.arange(len(m)), m]
     v = float(own.max(initial=0.0))
     if max(distortion(dx, dy, m), coverage_deficit(dy, m)) > v:
         return None
-    rows = _flow_cost(pair, np.flatnonzero(own == v), rho)
-    if not np.any(rows.min(axis=1) >= v):
+    if not np.any(c[own == v].min(axis=1) >= v):
         return None
     return m, v
 
@@ -517,7 +442,7 @@ class DynamicalEstimate:
     """Certified dynamical estimate: value, per-direction data, witnesses.
 
     `forward` (X -> Y) and `backward` (Y -> X) are the witness index maps,
-    each with its flow-commutation epsilon.  `exact` is true when both
+    each with its flow epsilon max_x c[x, m(x)].  `exact` is true when both
     directions' values were proven optimal over all maps (see
     `dgh_dynamical`).
     """
@@ -531,43 +456,46 @@ class DynamicalEstimate:
     exact: bool
 
 
-def dgh_dynamical(pair: FlowPair, rho: float = 1.0, budget: int = 32, seed: int = 0) -> DynamicalEstimate:
+def dgh_dynamical(pair: FlowPair, budget: int = 32, seed: int = 0) -> DynamicalEstimate:
     """Dynamical distance upper estimate between the two sampled flows of `pair`.
 
-    Each direction's objective for a map m is the larger of its static
-    objective max(distortion, deficit) and its flow-commutation epsilon
-    (optimal per-point time reparametrization within |alpha(t) - t| <= rho/2).
-    A direction first tries to certify its start map (restart 0's start of
-    the static search): the flow term has a per-point lower bound, and when
-    that bound meets the start map's total, the total is the optimum over all
-    maps (proof in `_certified_start`) and no search runs.  Otherwise the
-    direction searches static candidate maps (multistart descent on the base
-    metrics) and scores its best 8 by that objective.  The backward direction
-    is the forward one on `pair.reversed()`.  The returned value is the worse
+    The two flows are compared synchronously: sending X's base point x to
+    Y's base point y costs c[x, y] = max_j d(Phi_j^X x, Phi_j^Y y), the
+    worst mismatch of their trajectories at the q shared flow times, and
+    each direction's objective for a map m is the larger of its static
+    objective max(distortion, deficit) and its flow epsilon max_x c[x, m(x)].
+    Each direction forms c once.  It first tries to certify its start map
+    (restart 0's start of the static search): every map's total is at least
+    min_y c[x, y] for every x, and when that bound meets the start map's
+    total, the total is the optimum over all maps (proof in
+    `_certified_start`) and no search runs.  Otherwise the direction
+    searches static candidate maps (multistart descent on the base metrics)
+    and scores its best 8 by that objective.  The backward direction is the
+    forward one on `pair.reversed()`.  The returned value is the worse
     direction's best total; `exact` is true when both directions were
-    certified, and then the value is the estimator's optimum, exact over the
-    21-point s grid, not over the continuous class of reparametrizations.
+    certified, and then the value is the optimum of the synchronous
+    objective over all maps.  A comparison that also lets time be
+    reparametrized can only do better, so over any class of time changes
+    that contains the identity the synchronous value is an upper bound.
     The base metrics are the square roots of `pair.base_x` and
     `pair.base_y`.  `certified` re-verifies both witnesses at value + 1e-12.
-    `rho` must lie in (0, RHO_MAX), where every time change tried is
-    increasing, and `budget` must be at least 1, as for `gh_upper`, even
-    where no search runs; otherwise ValueError.
+    `budget` must be at least 1, as for `gh_upper`, even where no search
+    runs; otherwise ValueError.
     """
     _check_budget(budget)
-    if not 0.0 < rho < RHO_MAX:
-        raise ValueError(f"rho must lie in (0, {RHO_MAX:.6g}), got {rho}")
-
     dx, dy = (np.sqrt(np.maximum(base, 0.0)) for base in (pair.base_x, pair.base_y))
 
     def best_total(p: FlowPair, da: Array, db: Array, dirflag: int) -> tuple[float, IntArray, float, bool]:
-        proven = _certified_start(p, da, db, rho)
+        c = np.sqrt(p.flow.max(axis=0))
+        proven = _certified_start(c, da, db)
         if proven is not None:
             m, fe = proven
             return fe, m, fe, True
         cands = _one_sided_search(da, db, budget, seed, dirflag)[0][:8]
+        rows = np.arange(len(da))
         best_v, best_m, best_f = np.inf, cands[0][1], np.inf
         for obj, m in cands:
-            fe = _commutation_eps(p, m, rho)
+            fe = float(c[rows, m].max(initial=0.0))
             tot = max(obj, fe)
             if tot < best_v - 1e-15:
                 best_v, best_m, best_f = tot, m, fe

@@ -33,7 +33,6 @@ from .dynamics import (
     sample_attractor,
     solve_trajectory,
     x0_sqdist,
-    x0_sqnorms,
 )
 from .ghmetric import FlowPair, dgh_dynamical, gh_upper
 from .operators import DiscreteOperator, pullback_operator
@@ -190,16 +189,12 @@ def _log_slope(x: list[float], y: list[float]) -> float | None:
 def build_flow_pair(sa: AttractorSample, sb: AttractorSample, op: DiscreteOperator) -> FlowPair:
     """The distances `dgh_dynamical` reads between two samples' flow tables, under `op`'s X^0 form.
 
-    Cross-sample and along-flow distances are taken in the same metric, so
-    the interpolation identity applies.  Each table is one computation:
-    `cross` is one `x0_sqdist` of the two flow tables (for two 96-point
-    samples with 11 flow times, 1,056 x 1,056, filled in row blocks so that
-    one array of its size is alive), each base table one `x0_sqdist` of
-    the time-0 states, symmetrized with zero diagonal as `ghmetric`
-    requires, and each segment length the squared norm of the step
-    difference itself, which keeps its digits where consecutive states
-    nearly coincide.  The two flow tables must be recorded at the same
-    number of flow times.
+    Both samples are measured in the same metric.  Each table is one
+    computation: `flow[j]` is one `x0_sqdist` of the two samples' states at
+    flow time j (for two 96-point samples with 11 flow times, eleven
+    96 x 96 blocks), and each base table one `x0_sqdist` of the time-0
+    states, symmetrized with zero diagonal as `ghmetric` requires.  The two
+    flow tables must be recorded at the same number of flow times.
     """
     if sa.flow.shape[1] != sb.flow.shape[1]:
         raise ValueError("flow tables must share the time grid")
@@ -210,12 +205,8 @@ def build_flow_pair(sa: AttractorSample, sb: AttractorSample, op: DiscreteOperat
         np.fill_diagonal(d2, 0.0)
         return d2
 
-    def segments(flow: np.ndarray) -> np.ndarray:
-        return x0_sqnorms(np.diff(flow, axis=1), op).reshape(len(flow), -1)
-
-    return FlowPair(
-        x0_sqdist(sa.flow, sb.flow, op), base(sa.flow), base(sb.flow), segments(sa.flow), segments(sb.flow), sa.flow_times
-    )
+    flow = np.array([x0_sqdist(sa.flow[:, j], sb.flow[:, j], op) for j in range(sa.flow.shape[1])])
+    return FlowPair(flow, base(sa.flow), base(sb.flow))
 
 
 @dataclass
@@ -273,11 +264,10 @@ def run_stability_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
         s_half = sample_attractor(op_half, f, cfg.sampler, cfg.seed)
 
     def estimate(s_other: AttractorSample):
-        # one flow pair alive at a time: its cross table is the study's largest array
         with clock.stage("stability.flow_pair"):
             pair = build_flow_pair(s_anchor, s_other, op_univ)
         with clock.stage("stability.search"):
-            return dgh_dynamical(pair, cfg.rho, cfg.budget, cfg.seed)
+            return dgh_dynamical(pair, cfg.budget, cfg.seed)
 
     est_full = estimate(s_full)
     est_half = estimate(s_half)

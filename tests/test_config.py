@@ -8,7 +8,6 @@ import pytest
 from ghwave.cli import main
 from ghwave.config import DEFAULT_SCHEDULE, ScenarioConfig, load_config, parse_config
 from ghwave.dynamics import SamplerConfig
-from ghwave.ghmetric import RHO_MAX
 
 GOOD = """
 [domain]
@@ -171,20 +170,19 @@ def test_dt_above_reference_stability_cap_rejected(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_rho_beyond_reparametrization_grid_rejected(tmp_path):
-    # every s the dynamical distance tries needs |s * rho| < 1, or a stability
-    # run fails only after sampling; the config reads dgh_dynamical's own bound
-    cfg, diags = parse_config("[gh]\nrho = 1.05\n[run]\nseed = 1\n")
-    assert diags == []
-    for rho in (RHO_MAX, 1.1):
-        cfg, diags = parse_config(f"[gh]\nrho = {rho!r}\n[run]\nseed = 1\n")
-        assert cfg is None
-        assert _diag_keys(diags) == {"gh.rho"}
-    tiny = Path(__file__).resolve().parents[1] / "configs" / "determinism_tiny.cfg"
-    p = tmp_path / "rho.cfg"
-    p.write_text(tiny.read_text().replace("[gh]\n", "[gh]\nrho = 1.1\n"))
-    assert main(["stability", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
-    assert not (tmp_path / "out").exists()
+def test_retired_rho_key_is_ignored():
+    # [gh] rho, the time-change slack of a dynamical distance that now
+    # compares the flows at the same times, still parses and changes nothing
+    plain = "[gh]\nbudget = 8\n[run]\nseed = 1\n"
+    cfg, diags = parse_config(plain)
+    retired, retired_diags = parse_config(plain.replace("[gh]\n", "[gh]\nrho = 1.0\n"))
+    assert diags == retired_diags == []
+    assert retired == cfg
+    # the benchmark's copy of the stability scenario carries the key: it is
+    # the shipped scenario at the copy's own budget
+    root = Path(__file__).resolve().parents[1]
+    shipped, bench = (load_config(root / d / "stability_1d.cfg")[0] for d in ("configs", "perfbench/configs"))
+    assert dataclasses.replace(bench, budget=shipped.budget) == shipped
 
 
 TINY = Path(__file__).resolve().parents[1] / "configs" / "determinism_tiny.cfg"

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from ghwave.ghmetric import (
     EXACT_SIZE_CAP,
-    RHO_MAX,
     FlowPair,
     SizeCapError,
     coverage_deficit,
@@ -30,10 +29,7 @@ from ghwave.ghmetric import (
     _direction_bounds,
     _one_sided_search,
     _row_hausdorff,
-    _commutation_eps,
     _excl_max,
-    _flow_cost,
-    _interp_flow_d2,
 )
 
 
@@ -339,37 +335,28 @@ def test_distortion_and_deficit_hand_values():
 
 # --- flow pairs ------------------------------------------------------------------
 
-def test_interp_flow_d2_matches_segment_geometry():
-    # X's base points 0 and 1 move to 0.25 and 1.5; Y's points 0.0 and 1.0 stay
-    pair = _flow_pair([[0.0, 0.25], [1.0, 1.5]], [[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0])
-    rows = np.array([0, 1], dtype=np.intp)
-    q = np.array([0.5])
-    out = _interp_flow_d2(pair, rows, q, np.array([0], dtype=np.intp))
-    # halfway along 0 -> 0.25 is 0.125; distance^2 to the point 0.0
-    assert out[0, 0, 0] == pytest.approx(0.125**2, rel=1e-12)
-    # halfway along 1 -> 1.5 is 1.25
-    assert out[1, 0, 0] == pytest.approx(1.25**2, rel=1e-12)
-    # one target per point and query time, as commutation scoring passes them:
-    # Y's points 0.0 and 1.0 at time 0, columns 0 * 2 + 0 and 1 * 2 + 0 of cross
-    own = _interp_flow_d2(pair, rows, q, np.array([[[0]], [[2]]], dtype=np.intp))
-    assert own[:, 0, 0] == pytest.approx([0.125**2, 0.25**2], rel=1e-12)
+def _coords(traj):
+    """A trajectory table as (n, q, dim): (n, q) is read as points on a line."""
+    t = np.asarray(traj, dtype=float)
+    return t.reshape(t.shape[0], t.shape[1], -1)
 
 
-def _flow_pair(x_traj, y_traj, times):
-    """Two flows in one Euclidean space; trajectories are (n, q) on a line or (n, q, dim)."""
-    x_traj, y_traj = np.asarray(x_traj, dtype=float), np.asarray(y_traj, dtype=float)
-    nx, q = x_traj.shape[:2]
-    ny = y_traj.shape[0]
-    x, y = x_traj.reshape(nx, q, -1), y_traj.reshape(ny, q, -1)
+def _sq(a, b):
+    """Squared Euclidean distances between the rows of a (n, dim) and of b (m, dim)."""
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
 
-    def sq(a, b):
-        return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
 
-    def seg(t):
-        return ((t[:, :-1] - t[:, 1:]) ** 2).sum(axis=2)
+def _flow_pair(x_traj, y_traj):
+    """Two flows in one Euclidean space, read at the same q times; trajectories are (n, q) or (n, q, dim)."""
+    x, y = _coords(x_traj), _coords(y_traj)
+    flow = np.array([_sq(x[:, j], y[:, j]) for j in range(x.shape[1])])
+    return FlowPair(flow, _sq(x[:, 0], x[:, 0]), _sq(y[:, 0], y[:, 0]))
 
-    cross = sq(x.reshape(nx * q, -1), y.reshape(ny * q, -1))
-    return FlowPair(cross, sq(x[:, 0], x[:, 0]), sq(y[:, 0], y[:, 0]), seg(x), seg(y), np.asarray(times, dtype=float))
+
+def _flow_cost(x_traj, y_traj):
+    """c[a, b] = max_j |x_a(t_j) - y_b(t_j)|, straight from the coordinates."""
+    x, y = _coords(x_traj), _coords(y_traj)
+    return np.sqrt(((x[:, None] - y[None]) ** 2).sum(axis=3)).max(axis=2)
 
 
 def _base_metrics(pair):
@@ -378,37 +365,23 @@ def _base_metrics(pair):
 
 
 def test_flow_pair_checks_its_tables():
-    cross = np.zeros((2, 2))
-    base, seg = np.zeros((1, 1)), np.zeros((1, 1))
-    with pytest.raises(ValueError, match=r"seg_x must have shape \(1, 2\)"):
-        FlowPair(np.zeros((3, 3)), base, base, seg, seg, np.array([0.0, 0.5, 1.0]))
-    with pytest.raises(ValueError, match=r"cross must have shape \(2, 2\)"):
-        FlowPair(np.zeros((2, 3)), base, base, seg, seg, np.array([0.0, 1.0]))
+    base1, base2 = np.zeros((1, 1)), np.zeros((2, 2))
+    with pytest.raises(ValueError, match=r"flow must have shape \(3, 1, 2\)"):
+        FlowPair(np.zeros((3, 2, 1)), base1, base2)
+    with pytest.raises(ValueError, match=r"flow must have shape \(2, 1, 2\)"):
+        FlowPair(np.zeros((2, 2)), base1, base2)
+    with pytest.raises(ValueError, match=r"flow must have shape \(1, 1, 2\)"):
+        FlowPair(np.zeros((0, 1, 2)), base1, base2)
     with pytest.raises(ValueError, match=r"base_x must have shape \(1, 1\)"):
-        FlowPair(cross, np.zeros((1, 2)), base, seg, seg, np.array([0.0, 1.0]))
-
-
-@pytest.mark.parametrize(
-    "times",
-    [[0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.5, 0.5, 1.0], [0.0, 0.5], [-0.5, 1.0], [0.0, 2.0], [[0.0, 1.0]]],
-)
-def test_flow_pair_refuses_a_bad_time_grid(times):
-    # the reparametrization charge |s| rho / 2 bounds |alpha_s(t) - t| only on
-    # a strictly increasing grid from 0 to 1
-    times = np.asarray(times, dtype=float)
-    q = times.shape[-1]
-    base, seg = np.zeros((1, 1)), np.zeros((1, max(q - 1, 0)))
-    with pytest.raises(ValueError, match="times must"):
-        FlowPair(np.zeros((q, q)), base, base, seg, seg, times)
+        FlowPair(np.zeros((2, 1, 2)), np.zeros((1, 2)), base2)
 
 
 def test_flow_pair_reversed_shares_the_universe():
-    pair = _flow_pair([[0.0, 0.1], [1.0, 1.2]], [[0.0, 0.2], [1.5, 1.4], [3.0, 3.1]], [0.0, 1.0])
+    pair = _flow_pair([[0.0, 0.1], [1.0, 1.2]], [[0.0, 0.2], [1.5, 1.4], [3.0, 3.1]])
     rev = pair.reversed()
-    assert rev.cross.base is pair.cross and rev.times is pair.times
-    np.testing.assert_array_equal(rev.cross, pair.cross.T)
+    assert rev.flow.base is pair.flow and rev.flow.shape == (2, 3, 2)
+    np.testing.assert_array_equal(rev.flow, pair.flow.transpose(0, 2, 1))
     assert rev.base_x is pair.base_y and rev.base_y is pair.base_x
-    assert rev.seg_x is pair.seg_y and rev.seg_y is pair.seg_x
     X, Y = _base_metrics(pair)
     Yr, Xr = _base_metrics(rev)
     np.testing.assert_array_equal(X, Xr)
@@ -416,19 +389,9 @@ def test_flow_pair_reversed_shares_the_universe():
     np.testing.assert_allclose(Y, [[0.0, 1.5, 3.0], [1.5, 0.0, 1.5], [3.0, 1.5, 0.0]], rtol=1e-15)
 
 
-@pytest.mark.parametrize("rho", [-0.5, 0.0, RHO_MAX, 2.0])
-def test_dgh_rejects_rho_outside_open_range(rho):
-    # rho <= 0 would charge a time change nothing (|s| rho / 2 <= 0), and
-    # rho >= RHO_MAX lets the largest |s| fold the time axis
-    x = np.array([[0.0, 0.5, 1.0], [4.0, 4.5, 5.0], [8.0, 8.5, 9.0]])
-    pair = _flow_pair(x, x + np.array([0.0, 0.1, 0.0]), [0.0, 0.5, 1.0])
-    with pytest.raises(ValueError, match="rho must lie in"):
-        dgh_dynamical(pair, rho=rho, budget=2, seed=0)
-
-
 def test_dgh_identical_flows_is_zero():
     x = [[0.0, 0.1], [1.0, 1.1], [2.5, 2.4]]
-    est = dgh_dynamical(_flow_pair(x, x, [0.0, 1.0]), budget=8, seed=0)
+    est = dgh_dynamical(_flow_pair(x, x), budget=8, seed=0)
     assert est.value <= 1e-9
     assert est.certified
 
@@ -439,24 +402,23 @@ def test_dgh_detects_metric_dilation():
     sigma = 1.3
     x = np.column_stack([[0.0, 1.0, 2.0], [0.05, 1.0, 1.95]])
     y = np.column_stack([[0.0, sigma * 1.0, sigma * 2.0], [0.05, sigma, sigma * 1.9]])
-    est = dgh_dynamical(_flow_pair(x, y, [0.0, 1.0]), budget=16, seed=1)
+    est = dgh_dynamical(_flow_pair(x, y), budget=16, seed=1)
     assert est.certified
     assert est.value >= (sigma - 1.0) * 2.0 - 1e-9
 
 
-def test_dgh_time_shift_absorbed_by_reparametrization():
-    # X drifts at unit speed and Y is X read at alpha_s(t) = t + s min(t, 1 - t) rho.
-    # Without a time change the mismatch is |s| rho / 2 (at t = 1/2); the
-    # grid's s / 2 halves it at the price of a deviation term |s| rho / 4
+def test_dgh_time_shift_costs_its_synchronous_mismatch():
+    # X drifts at unit speed and Y is X read at alpha_s(t) = t + s min(t, 1 - t) rho:
+    # compared at the same times, each trajectory lags its copy by at most
+    # |s| rho / 2 (at t = 1/2), and no other point comes closer
     rho = 1.0
     t = np.array([0.0, 0.5, 1.0])
     x0 = np.array([0.0, 4.0, 8.0])
     for s in (0.19, 0.38, -0.57):
         alpha = t + s * np.minimum(t, 1.0 - t) * rho
-        est = dgh_dynamical(_flow_pair(x0[:, None] + t, x0[:, None] + alpha, t), rho=rho, budget=8, seed=0)
+        est = dgh_dynamical(_flow_pair(x0[:, None] + t, x0[:, None] + alpha), budget=8, seed=0)
         assert est.certified and est.exact
-        assert est.value == pytest.approx(abs(s) * rho / 4.0, abs=1e-12)
-        assert est.value < abs(s) * rho / 2.0
+        assert est.value == pytest.approx(abs(s) * rho / 2.0, abs=1e-12)
 
 
 def test_dgh_dominates_static_distance_and_certifies_both_orders():
@@ -467,7 +429,7 @@ def test_dgh_dominates_static_distance_and_certifies_both_orders():
     rng = np.random.default_rng(8)
     a0 = rng.uniform(0, 3, 4)
     b0 = rng.uniform(0, 3, 4)
-    pair = _flow_pair(np.column_stack([a0, a0 * 0.9]), np.column_stack([b0, b0 * 0.95]), [0.0, 1.0])
+    pair = _flow_pair(np.column_stack([a0, a0 * 0.9]), np.column_stack([b0, b0 * 0.95]))
     static = gh_exact(*_base_metrics(pair))
     e1 = dgh_dynamical(pair, budget=16, seed=3)
     e2 = dgh_dynamical(pair.reversed(), budget=16, seed=3)
@@ -475,17 +437,20 @@ def test_dgh_dominates_static_distance_and_certifies_both_orders():
     assert min(e1.value, e2.value) >= static - 1e-12
 
 
-def _brute_direction(pair, rho):
-    """min over all n_y^n_x maps X -> Y of max(objective, flow eps), and the row bound max_x min_y c[x, y]."""
-    dx, dy = _base_metrics(pair)
+def _brute_direction(x_traj, y_traj):
+    """min over all n_y^n_x maps X -> Y of max(objective, flow eps), and the row bound max_x min_y c[x, y].
+
+    Everything comes from the coordinates: the base metrics, and the flow
+    cost c[x, y] = max_j |x_j - y_j| (see `_flow_cost`).
+    """
+    x, y = _coords(x_traj), _coords(y_traj)
+    dx, dy = np.sqrt(_sq(x[:, 0], x[:, 0])), np.sqrt(_sq(y[:, 0], y[:, 0]))
     nx, ny = dx.shape[0], dy.shape[0]
-    c = _flow_cost(pair, np.arange(nx), rho)
+    c = _flow_cost(x, y)
     best = np.inf
     for m in itertools.product(range(ny), repeat=nx):
         m = np.array(m, dtype=np.intp)
-        fe = _commutation_eps(pair, m, rho)
-        # the full table holds every map's per-point terms bitwise
-        assert fe == c[np.arange(nx), m].max()
+        fe = c[np.arange(nx), m].max()
         best = min(best, max(distortion(dx, dy, m), coverage_deficit(dy, m), fe))
     return best, float(c.min(axis=1).max())
 
@@ -508,15 +473,12 @@ def test_flow_certificate_against_brute_force():
         else:
             y0 = rng.uniform(-1.0, 1.0, (ny, 2))
             vy = rng.uniform(-1.0, 1.0, (ny, 2))
-        pair = _flow_pair(
-            x0[:, None] + times[None, :, None] * vx[:, None],
-            y0[:, None] + times[None, :, None] * vy[:, None],
-            times,
-        )
-        fwd, fwd_bound = _brute_direction(pair, 1.0)
-        bwd, bwd_bound = _brute_direction(pair.reversed(), 1.0)
+        x = x0[:, None] + times[None, :, None] * vx[:, None]
+        y = y0[:, None] + times[None, :, None] * vy[:, None]
+        fwd, fwd_bound = _brute_direction(x, y)
+        bwd, bwd_bound = _brute_direction(y, x)
         assert fwd_bound <= fwd and bwd_bound <= bwd
-        est = dgh_dynamical(pair, rho=1.0, budget=2, seed=0)
+        est = dgh_dynamical(_flow_pair(x, y), budget=2, seed=0)
         assert est.certified
         assert est.value >= max(fwd, bwd)
         if est.exact:
@@ -527,28 +489,32 @@ def test_flow_certificate_against_brute_force():
     assert n_exact >= 3 and n_search >= 3
 
 
-def _dilated_pair() -> FlowPair:
+def _dilated_flows():
     # a dilated copy: the static distortion binds above every flow term, so
     # neither start map is certified and both directions run the multistart search
     rng = np.random.default_rng(12)
     times = np.linspace(0.0, 1.0, 3)
     x0 = rng.uniform(-1.5, 1.5, (12, 1))
     x = x0[:, None] + times[None, :, None] * 0.2 * rng.standard_normal((12, 1))[:, None]
-    return _flow_pair(x, 1.3 * x, times)
+    return x, 1.3 * x
 
 
 def test_dgh_search_fallback():
-    pair = _dilated_pair()
+    x, y = _dilated_flows()
+    pair = _flow_pair(x, y)
     est = dgh_dynamical(pair, budget=8, seed=5)
     assert not est.exact and est.certified
     # each witness is one of its direction's 8 best static maps, scored by its own flow epsilon
-    sides = ((pair, est.forward, est.forward_flow_eps, 1), (pair.reversed(), est.backward, est.backward_flow_eps, 2))
+    sides = (
+        (pair, _flow_cost(x, y), est.forward, est.forward_flow_eps, 1),
+        (pair.reversed(), _flow_cost(y, x), est.backward, est.backward_flow_eps, 2),
+    )
     objectives = []
-    for p, m, fe, flag in sides:
+    for p, c, m, fe, flag in sides:
         da, db = _base_metrics(p)
         cands = _one_sided_search(da, db, 8, 5, flag)[0][:8]
         assert any(np.array_equal(m, k) for _obj, k in cands)
-        assert fe == _commutation_eps(p, m, 1.0)
+        assert fe == c[np.arange(len(m)), m].max()
         objectives.append(max(distortion(da, db, m), coverage_deficit(db, m)))
     assert est.value == max(*objectives, est.forward_flow_eps, est.backward_flow_eps)
 
@@ -559,11 +525,11 @@ def test_searches_refuse_a_budget_below_one(budget):
     rng = np.random.default_rng(17)
     X = _random_space(rng, 6)
     x = [[0.0, 0.1], [1.0, 1.1], [2.5, 2.4]]
-    certified = _flow_pair(x, x, [0.0, 1.0])
+    certified = _flow_pair(x, x)
     assert dgh_dynamical(certified, budget=1).exact
     for call in (
         lambda: gh_upper(X, X * (1.0 + 1e-3), budget=budget),
-        lambda: dgh_dynamical(_dilated_pair(), budget=budget),
+        lambda: dgh_dynamical(_flow_pair(*_dilated_flows()), budget=budget),
         lambda: dgh_dynamical(certified, budget=budget),
     ):
         with pytest.raises(ValueError, match="budget must be at least 1"):

@@ -118,12 +118,10 @@ def test_build_flow_pair_universe_indices():
     pair = build_flow_pair(sa, sb, op)
     na, m1 = sa.flow.shape[0], sa.flow.shape[1]
     nb = sb.flow.shape[0]
-    # every flow state of one sample against every one of the other, in the
-    # order point-major, then flow time
-    assert pair.cross.shape == (na * m1, nb * m1)
+    # at each flow time, every flow state of one sample against every one of
+    # the other's at that time
+    assert pair.flow.shape == (m1, na, nb)
     assert pair.base_x.shape == (na, na) and pair.base_y.shape == (nb, nb)
-    assert pair.seg_x.shape == (na, m1 - 1) and pair.seg_y.shape == (nb, m1 - 1)
-    np.testing.assert_array_equal(pair.times, sa.flow_times)
     # base distances agree with each sample's own matrix up to the change
     # from its own operator norm to the shared one (same op here, so exactly)
     Xa, Xb = (np.sqrt(np.maximum(base, 0.0)) for base in (pair.base_x, pair.base_y))
@@ -162,9 +160,10 @@ def _universe(sa, sb, op):
 
 def test_build_flow_pair_matches_the_universe():
     # the stability study's first pair at its shipped size (96 points, 11
-    # flow times): each table is one direct computation, bit for bit; the
-    # base tables and times hold the bits of the one matrix over all flow
-    # states, and cross and segments agree with it to rounding, so that
+    # flow times): each flow time's block holds the bits of the diagonal
+    # block cross[j::q, j::q] of one x0_sqdist over every flow state of both
+    # samples, and the base tables those of one matrix over all flow states;
+    # the flow blocks agree with that matrix to rounding, so that
     # dgh_dynamical finds the same maps and flags on either
     cfg, diags = load_config(Path(__file__).resolve().parents[1] / "configs" / "stability_1d.cfg")
     assert not diags
@@ -173,32 +172,25 @@ def test_build_flow_pair_matches_the_universe():
     op = cfg.reference_operator()
     pair = build_flow_pair(sa, sb, op)
     n, q = sa.flow.shape[:2]
-    assert np.array_equal(pair.cross, x0_sqdist(sa.flow, sb.flow, op))
+    cross = x0_sqdist(sa.flow, sb.flow, op)
     # x0_sqdist fills the 1,056 rows in blocks: they hold the bits of one
     # product over all rows
-    assert np.array_equal(pair.cross, _one_product_sqdist(sa.flow, sb.flow, op))
-    for s, seg in ((sa, pair.seg_x), (sb, pair.seg_y)):
-        assert np.array_equal(seg, x0_sqnorms(np.diff(s.flow, axis=1), op).reshape(n, q - 1))
-    np.testing.assert_array_equal(pair.times, sa.flow_times)
+    assert np.array_equal(cross, _one_product_sqdist(sa.flow, sb.flow, op))
+    for j in range(q):
+        assert np.array_equal(pair.flow[j], cross[j::q, j::q]), j
 
     d2 = _universe(sa, sb, op)
     a = n * q
     xs, ys = np.arange(a).reshape(n, q), a + np.arange(a).reshape(n, q)
     want = FlowPair(
-        d2[:a, a:],
+        np.array([d2[np.ix_(xs[:, j], ys[:, j])] for j in range(q)]),
         d2[np.ix_(xs[:, 0], xs[:, 0])],
         d2[np.ix_(ys[:, 0], ys[:, 0])],
-        d2[xs[:, :-1], xs[:, 1:]],
-        d2[ys[:, :-1], ys[:, 1:]],
-        sa.flow_times,
     )
-    for name in ("base_x", "base_y", "times"):
+    for name in ("base_x", "base_y"):
         assert np.array_equal(getattr(pair, name), getattr(want, name)), name
-    bounds = {"cross": 1e-14, "seg_x": 1e-13, "seg_y": 1e-13}
-    for name, rel in bounds.items():
-        got, ref = getattr(pair, name), getattr(want, name)
-        assert np.abs(got - ref).max() <= rel * ref.max(), name
-    got, ref = (dgh_dynamical(p, cfg.rho, 4, cfg.seed) for p in (pair, want))
+    assert np.abs(pair.flow - want.flow).max() <= 1e-14 * want.flow.max()
+    got, ref = (dgh_dynamical(p, 4, cfg.seed) for p in (pair, want))
     assert got.value == pytest.approx(ref.value, rel=1e-11, abs=0)
     for eps in ("forward_flow_eps", "backward_flow_eps"):
         assert getattr(got, eps) == pytest.approx(getattr(ref, eps), rel=1e-11, abs=0), eps
@@ -207,39 +199,21 @@ def test_build_flow_pair_matches_the_universe():
     np.testing.assert_array_equal(got.backward, ref.backward)
 
 
-def test_build_flow_pair_segments_survive_cancellation():
-    # consecutive flow states 1e-7 apart on states of norm 1 (X^0 norms):
-    # each segment length is the squared norm of the step the flow was built
-    # from, where the Gram trick's (G_aa + G_bb) - 2 G_ab misses it by 8.8%
-    op = identity_operator(Mesh(UNIT, 48))
-    rng = np.random.default_rng(5)
-    base = rng.standard_normal((8, 1, 2 * op.n))
-    base /= np.sqrt(x0_sqnorms(base, op)).reshape(8, 1, 1)
-    steps = rng.standard_normal((8, 4, 2 * op.n))
-    steps *= 1e-7 / np.sqrt(x0_sqnorms(steps, op)).reshape(8, 4, 1)
-    flow = np.concatenate([base, base + np.cumsum(steps, axis=1)], axis=1)
-    sa = AttractorSample(np.zeros((8, 8)), flow, 0.0)
-    pair = build_flow_pair(sa, sa, op)
-    true = x0_sqnorms(steps, op).reshape(8, 4)
-    for seg in (pair.seg_x, pair.seg_y):
-        np.testing.assert_allclose(seg, true, rtol=1e-6, atol=0)
-
-
 def test_build_flow_pair_peak_memory_below_one_universe():
     # two synthetic 96-point samples with 11 flow times each: the pair is
-    # built holding at most one and a half arrays of its cross table's size
-    # (the table, filled in row blocks), far from one (96 + 96) * 11 square
-    # of floats
+    # built within 4 MB, its eleven 96 x 96 flow blocks and two base tables
+    # (1 MB) with their temporaries, far from the 9 MB of one cross table
+    # over all flow states and the 36 MB of one (96 + 96) * 11 square
     op = identity_operator(Mesh(UNIT, 48))
     rng = np.random.default_rng(0)
-    sa, sb = (AttractorSample(np.zeros((96, 96)), rng.standard_normal((96, 11, 2 * op.n)), 0.0) for _ in range(2))
+    sa, sb = (AttractorSample(np.zeros((96, 96)), rng.standard_normal((96, 11, 2 * op.n))) for _ in range(2))
     tracemalloc.start()
     try:
         build_flow_pair(sa, sb, op)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * (96 * 11) ** 2 * 8
+    assert peak <= 4e6
 
 
 def test_build_flow_pair_refuses_different_time_grids():
@@ -266,7 +240,7 @@ def test_stability_pairs_certified_whatever_the_budget():
     for h in (h_full, h_half):
         s_other = sample_attractor(pullback_operator(mesh, h), f, cfg.sampler, cfg.seed)
         pair = build_flow_pair(s_anchor, s_other, cfg.reference_operator())
-        ests = [dgh_dynamical(pair, cfg.rho, budget, cfg.seed) for budget in (1, 4, 32)]
+        ests = [dgh_dynamical(pair, budget, cfg.seed) for budget in (1, 4, 32)]
         assert all(e.exact and e.certified for e in ests)
         assert len({e.value for e in ests}) == 1
 
