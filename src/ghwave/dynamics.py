@@ -82,7 +82,6 @@ from .operators import (
 __all__ = [
     "EnergyProfile",
     "SamplerConfig",
-    "AttractorSample",
     "BlowupError",
     "NonDissipativeError",
     "WaveIntegrator",
@@ -95,7 +94,8 @@ __all__ = [
     "conjugated_flow_error",
     "random_state",
     "x0_sqdist",
-    "x0_sqnorms",
+    "x0_dist",
+    "flow_table",
     "calibration_state",
 ]
 
@@ -535,20 +535,6 @@ def calibration_state(op: DiscreteOperator, radius: float = 1.0) -> Array:
     return radius / x_norm(z, NormPack(op), 1) * z
 
 
-@dataclass
-class AttractorSample:
-    """Post-transient snapshot cloud with its metric and flow table.
-
-    `flow` holds the forward images of the n sampled points at q equally
-    spaced times from 0 to 1, one state z = (u; v) per image, (n, q, 2 dim);
-    its time-0 column `flow[:, 0]` is the points themselves.  `dist` is the
-    pairwise X^0 distance matrix in this operator's own norm.
-    """
-
-    dist: Array
-    flow: Array
-
-
 _X0_BLOCK = 128  # most rows of one block of an `x0_sqdist` result
 
 
@@ -566,27 +552,20 @@ def _x0_gram(a: Array, right: tuple[Array, Array]) -> Array:
     return G
 
 
-def x0_sqnorms(table: Array, op: DiscreteOperator) -> Array:
-    """Squared X^0 norms G_aa of every state of a flow table, in `x0_sqdist`'s order.
-
-    `table` is a flow table (n, q, 2 dim) or one time slice (n, 2 dim);
-    each norm is the diagonal entry of its own time slice's Gram.
-    """
-    t = table.reshape(len(table), -1, 2 * op.n)
-    return np.column_stack([np.diag(_x0_gram(t[:, j], _x0_right(t[:, j], op))) for j in range(t.shape[1])]).ravel()
+def _x0_sqnorms(states: Array, op: DiscreteOperator) -> Array:
+    """Squared X^0 norms G_aa of the states (rows) of `states`, (n, 2 dim): the diagonal of their own Gram."""
+    return np.diag(_x0_gram(states, _x0_right(states, op))).copy()
 
 
 def x0_sqdist(rows: Array, cols: Array, op: DiscreteOperator) -> Array:
-    """Squared X^0 distances from every state of `rows` to every state of `cols`.
+    """Squared X^0 distances from every state of `rows` (n, 2 dim) to every state of `cols` (m, 2 dim).
 
-    Each argument is a flow table (n, q, 2 dim), its states taken in the
-    order i * q + j (point i at flow time j), or one time slice (n, 2 dim).
     Gram trick: with G_ab = u_a K u_b + v_a M v_b, d^2(a, b) =
     (G_aa + G_bb) - 2 G_ab in that operand order, clipped at 0 against
     cancellation; symmetrizing is left to the caller.  G_aa is the diagonal
-    of the Gram of a's own time slice, a product of the same BLAS kernel as
-    G_ab (a row-wise dot product rounds differently), so a block holds the
-    entries of one Gram over all states, bit for bit where the BLAS rounds
+    of the Gram of a's own set, a product of the same BLAS kernel as G_ab
+    (a row-wise dot product rounds differently), so the result holds the
+    entries of one Gram over both sets, bit for bit where the BLAS rounds
     every column of a product alike.
 
     The result is filled in row blocks of at most `_X0_BLOCK` rows, each
@@ -596,16 +575,32 @@ def x0_sqdist(rows: Array, cols: Array, op: DiscreteOperator) -> Array:
     result has: BLAS would multiply it by its matrix-vector path and round
     it differently.
     """
-    a = rows.reshape(-1, 2 * op.n)
-    right = _x0_right(cols.reshape(-1, 2 * op.n), op)
-    norms_a, norms_b = x0_sqnorms(rows, op), x0_sqnorms(cols, op)
-    d2 = np.empty((len(a), len(norms_b)))
-    n_blocks = max(1, -(-len(a) // _X0_BLOCK))
-    edges = [len(a) * i // n_blocks for i in range(n_blocks + 1)]
+    right = _x0_right(cols, op)
+    norms_a, norms_b = _x0_sqnorms(rows, op), _x0_sqnorms(cols, op)
+    d2 = np.empty((len(rows), len(cols)))
+    n_blocks = max(1, -(-len(rows) // _X0_BLOCK))
+    edges = [len(rows) * i // n_blocks for i in range(n_blocks + 1)]
     for lo, hi in zip(edges, edges[1:]):
         np.add(norms_a[lo:hi, None], norms_b[None, :], out=d2[lo:hi])
-        d2[lo:hi] -= 2.0 * _x0_gram(a[lo:hi], right)
+        d2[lo:hi] -= 2.0 * _x0_gram(rows[lo:hi], right)
     return np.maximum(d2, 0.0, out=d2)
+
+
+def x0_dist(states: Array, op: DiscreteOperator) -> Array:
+    """The X^0 distance matrix of `states` (n, 2 dim) in `op`'s norm: the
+    square root of `x0_sqdist`, symmetrized, with zero diagonal."""
+    dist = np.sqrt(x0_sqdist(states, states, op))
+    dist = 0.5 * (dist + dist.T)
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+def flow_table(states: Array, op: DiscreteOperator, f: NonlinearitySpec, cfg: SamplerConfig) -> Array:
+    """The forward images of `states` (n, 2 dim) at the q = `flow_grid_m` + 1
+    equally spaced times from 0 to 1, at the sampler's dt: (n, q, 2 dim),
+    one state z = (u; v) per image, its time-0 column the states themselves."""
+    times = np.linspace(0.0, 1.0, cfg.flow_grid_m + 1)
+    return np.ascontiguousarray(WaveIntegrator(op, f, cfg.dt).record(states.T, times).transpose(1, 2, 0))
 
 
 def _first_step(t: float, dt: float) -> int:
@@ -614,10 +609,8 @@ def _first_step(t: float, dt: float) -> int:
     return next(k for k in (s - 1, s, s + 1) if k * dt >= t)
 
 
-def sample_attractor(
-    op: DiscreteOperator, f: NonlinearitySpec, cfg: SamplerConfig, seed: int
-) -> AttractorSample:
-    """Seeded approximate-attractor sample with flow table over [0, 1].
+def sample_attractor(op: DiscreteOperator, f: NonlinearitySpec, cfg: SamplerConfig, seed: int) -> Array:
+    """Seeded approximate-attractor sample: its states, (n, 2 dim), one row z = (u; v) per point.
 
     Snapshots are taken on the fixed window [t_transient, t_transient +
     t_window], every `stride` steps, so the sample is a smooth function of
@@ -628,7 +621,8 @@ def sample_attractor(
     or after t_transient, before `t_cap`, otherwise NonDissipativeError.
     Every snapshot is a sample point, in IC-major order (all snapshots of
     ic 0, then of ic 1, ...); a pool larger than `max_points` is a
-    ValueError before any stepping.
+    ValueError before any stepping.  A study derives what it reads from the
+    states: the distance matrix (`x0_dist`) or the flow table (`flow_table`).
 
     The ICs advance as one (2 dim, n_ics) block, in the integrator's step
     loop, and E2 is evaluated only where the settling test reads it.  An IC
@@ -723,13 +717,7 @@ def sample_attractor(
             plateaued[active] = ((ks * cfg.dt >= cfg.t_transient)[:, None] & (run >= W)).any(axis=0)
         k = int(ks[-1])
     # IC-major: every snapshot of ic 0, then of ic 1, ...
-    states = np.array(snaps).transpose(2, 0, 1).reshape(-1, 2 * n)  # from (n_snaps, 2 dim, n_ics)
-    q = cfg.flow_grid_m + 1
-    flow = np.ascontiguousarray(integ.record(states.T, np.linspace(0.0, 1.0, q)).transpose(1, 2, 0))  # (n, q, 2 dim)
-    dist = np.sqrt(x0_sqdist(flow[:, 0], flow[:, 0], op))
-    dist = 0.5 * (dist + dist.T)
-    np.fill_diagonal(dist, 0.0)
-    return AttractorSample(dist, flow)
+    return np.array(snaps).transpose(2, 0, 1).reshape(-1, 2 * n)  # from (n_snaps, 2 dim, n_ics)
 
 
 def conjugated_flow_error(

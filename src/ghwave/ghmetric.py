@@ -12,11 +12,12 @@ two spaces is the infimum of eps admitting such maps in BOTH directions.  No
 factor 1/2 is applied, so values can be up to twice the textbook ones; the
 two-point-versus-one-point example {0} vs {0,3} evaluates to 3 here.
 
-A dynamical comparison is one FlowPair: the squared distances between the
-two flows' states at each shared flow time, and between each flow's base
-points.  `dgh_dynamical` compares the flows synchronously, at the same
-times; "exact" there means optimal over all maps for that objective, whose
-value bounds from above the objective over any class of time changes that
+A dynamical comparison reads three arrays: the flow cost c[x, y], the
+worst distance between the two flows' trajectories from x and from y at
+their shared flow times, and the two base metrics dx and dy.
+`dgh_dynamical` compares the flows synchronously, at the same times;
+"exact" there means optimal over all maps for that objective, whose value
+bounds from above the objective over any class of time changes that
 contains the identity.
 """
 
@@ -29,7 +30,6 @@ import numpy.typing as npt
 
 __all__ = [
     "GHEstimate",
-    "FlowPair",
     "DynamicalEstimate",
     "SizeCapError",
     "distortion",
@@ -386,35 +386,6 @@ def gh_upper(dx: Array, dy: Array, budget: int = 32, seed: int = 0) -> GHEstimat
 # dynamical comparison
 
 
-@dataclass
-class FlowPair:
-    """The squared distances between two sampled flows X and Y that `dgh_dynamical` reads.
-
-    Flow state (i, j) of X is the image of X's base point i at the j-th of q
-    flow times, shared by both flows, so j = 0 is the base point itself;
-    likewise for Y.  In one common metric, which is what makes the two
-    flows comparable: `flow[j, i, k]` is d^2 between flow states (i, j) of
-    X and (k, j) of Y, the two flows read at the same time, `base_x`
-    (n_x, n_x) is d^2 between X's base points, with zero diagonal, and
-    `base_y` the same for Y.
-    """
-
-    flow: Array
-    base_x: Array
-    base_y: Array
-
-    def __post_init__(self) -> None:
-        nx, ny, q = len(self.base_x), len(self.base_y), max(len(self.flow), 1)
-        shapes = {"flow": (q, nx, ny), "base_x": (nx, nx), "base_y": (ny, ny)}
-        for name, shape in shapes.items():
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} must have shape {shape} for {nx} and {ny} base points at {q} flow times")
-
-    def reversed(self) -> FlowPair:
-        """The same pair with Y first: `flow` with its last two axes swapped, the two sides swapped."""
-        return FlowPair(self.flow.transpose(0, 2, 1), self.base_y, self.base_x)
-
-
 def _certified_start(c: Array, dx: Array, dy: Array) -> tuple[IntArray, float] | None:
     """The start map X -> Y with its flow epsilon v, if v is proven optimal; else None.
 
@@ -456,37 +427,37 @@ class DynamicalEstimate:
     exact: bool
 
 
-def dgh_dynamical(pair: FlowPair, budget: int = 32, seed: int = 0) -> DynamicalEstimate:
-    """Dynamical distance upper estimate between the two sampled flows of `pair`.
+def dgh_dynamical(cost: Array, dx: Array, dy: Array, budget: int = 32, seed: int = 0) -> DynamicalEstimate:
+    """Dynamical distance upper estimate between two sampled flows X and Y.
 
     The two flows are compared synchronously: sending X's base point x to
-    Y's base point y costs c[x, y] = max_j d(Phi_j^X x, Phi_j^Y y), the
-    worst mismatch of their trajectories at the q shared flow times, and
-    each direction's objective for a map m is the larger of its static
-    objective max(distortion, deficit) and its flow epsilon max_x c[x, m(x)].
-    Each direction forms c once.  It first tries to certify its start map
+    Y's base point y costs `cost[x, y]` = max_j d(Phi_j^X x, Phi_j^Y y), the
+    worst mismatch of their trajectories at their shared flow times, in one
+    metric common to both flows, and dx and dy are the base metrics of X
+    and Y.  Each direction's objective for a map m is the larger of its
+    static objective max(distortion, deficit) and its flow epsilon
+    max_x c[x, m(x)].  Each direction first tries to certify its start map
     (restart 0's start of the static search): every map's total is at least
     min_y c[x, y] for every x, and when that bound meets the start map's
     total, the total is the optimum over all maps (proof in
     `_certified_start`) and no search runs.  Otherwise the direction
     searches static candidate maps (multistart descent on the base metrics)
     and scores its best 8 by that objective.  The backward direction is the
-    forward one on `pair.reversed()`.  The returned value is the worse
+    forward one on (cost.T, dy, dx).  The returned value is the worse
     direction's best total; `exact` is true when both directions were
     certified, and then the value is the optimum of the synchronous
     objective over all maps.  A comparison that also lets time be
     reparametrized can only do better, so over any class of time changes
     that contains the identity the synchronous value is an upper bound.
-    The base metrics are the square roots of `pair.base_x` and
-    `pair.base_y`.  `certified` re-verifies both witnesses at value + 1e-12.
-    `budget` must be at least 1, as for `gh_upper`, even where no search
-    runs; otherwise ValueError.
+    `certified` re-verifies both witnesses at value + 1e-12.  `cost` of a
+    shape other than (len(dx), len(dy)) is a ValueError, and so is `budget`
+    below 1, as for `gh_upper`, even where no search runs.
     """
+    if cost.shape != (len(dx), len(dy)):
+        raise ValueError(f"cost must have shape {(len(dx), len(dy))} for {len(dx)} and {len(dy)} base points")
     _check_budget(budget)
-    dx, dy = (np.sqrt(np.maximum(base, 0.0)) for base in (pair.base_x, pair.base_y))
 
-    def best_total(p: FlowPair, da: Array, db: Array, dirflag: int) -> tuple[float, IntArray, float, bool]:
-        c = np.sqrt(p.flow.max(axis=0))
+    def best_total(c: Array, da: Array, db: Array, dirflag: int) -> tuple[float, IntArray, float, bool]:
         proven = _certified_start(c, da, db)
         if proven is not None:
             m, fe = proven
@@ -501,8 +472,8 @@ def dgh_dynamical(pair: FlowPair, budget: int = 32, seed: int = 0) -> DynamicalE
                 best_v, best_m, best_f = tot, m, fe
         return best_v, best_m, best_f, False
 
-    fv, fm, fe, f_exact = best_total(pair, dx, dy, 1)
-    bv, bm, be, b_exact = best_total(pair.reversed(), dy, dx, 2)
+    fv, fm, fe, f_exact = best_total(cost, dx, dy, 1)
+    bv, bm, be, b_exact = best_total(cost.T, dy, dx, 2)
     value = max(fv, bv)
     eps = value + 1e-12
     cert = (

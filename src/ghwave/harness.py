@@ -23,18 +23,19 @@ from . import __version__
 from .config import ScenarioConfig
 from .domains import c2_distance, default_c2_grid, deviation_norms
 from .dynamics import (
-    AttractorSample,
     WaveIntegrator,
     calibration_state,
     conjugated_flow_error,
     energy_profile,
+    flow_table,
     lipschitz_envelope_check,
     random_state,
     sample_attractor,
     solve_trajectory,
+    x0_dist,
     x0_sqdist,
 )
-from .ghmetric import FlowPair, dgh_dynamical, gh_upper
+from .ghmetric import dgh_dynamical, gh_upper
 from .operators import DiscreteOperator, pullback_operator
 
 __all__ = [
@@ -141,20 +142,23 @@ def run_continuity_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | 
     mesh = cfg.make_mesh()
     f = cfg.make_nonlinearity()
     op_ref = cfg.reference_operator()
+
+    def sample_dist(op: DiscreteOperator, seed: int) -> np.ndarray:
+        return x0_dist(sample_attractor(op, f, cfg.sampler, seed), op)
+
     with clock.stage("continuity.sample"):
-        sample_ref = sample_attractor(op_ref, f, cfg.sampler, cfg.seed)
-        sample_ctrl = sample_attractor(op_ref, f, cfg.sampler, cfg.seed + 1)
-    dists = [sample_ctrl.dist]
+        dist_ref = sample_dist(op_ref, cfg.seed)
+        dists = [sample_dist(op_ref, cfg.seed + 1)]
     devs: list[tuple[float, float, float]] = []
     for h in cfg.maps():
         with clock.stage("continuity.assemble"):
             op = pullback_operator(mesh, h)
         devs.append((h.delta, *deviation_norms(op.coeffs)))
         with clock.stage("continuity.sample"):
-            dists.append(sample_attractor(op, f, cfg.sampler, cfg.seed).dist)
+            dists.append(sample_dist(op, cfg.seed))
 
     def search(dist: np.ndarray):
-        return gh_upper(sample_ref.dist, dist, cfg.budget, cfg.seed)
+        return gh_upper(dist_ref, dist, cfg.budget, cfg.seed)
 
     header = ["delta", "det_dev", "hbar_dev", "gh_lower", "gh_upper", "restarts_used", "exact"]
     writer = CsvWriter(Path(out_dir) / "continuity.csv", header) if out_dir else None
@@ -186,27 +190,22 @@ def _log_slope(x: list[float], y: list[float]) -> float | None:
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
-def build_flow_pair(sa: AttractorSample, sb: AttractorSample, op: DiscreteOperator) -> FlowPair:
-    """The distances `dgh_dynamical` reads between two samples' flow tables, under `op`'s X^0 form.
+def build_flow_pair(flow_a: np.ndarray, flow_b: np.ndarray, op: DiscreteOperator) -> tuple[np.ndarray, ...]:
+    """The arrays `dgh_dynamical` reads for two flow tables (n, q, 2 dim), under `op`'s X^0 form: (cost, dx, dy).
 
-    Both samples are measured in the same metric.  Each table is one
-    computation: `flow[j]` is one `x0_sqdist` of the two samples' states at
-    flow time j (for two 96-point samples with 11 flow times, eleven
-    96 x 96 blocks), and each base table one `x0_sqdist` of the time-0
-    states, symmetrized with zero diagonal as `ghmetric` requires.  The two
-    flow tables must be recorded at the same number of flow times.
+    Both flows are measured in the same metric.  The flow cost is c[x, y] =
+    max_j d(flow_a[x, j], flow_b[y, j]), the square root of a running
+    maximum over the q flow times of one `x0_sqdist` each, so that one
+    n_a x n_b block of squared distances is alive at a time; dx and dy are
+    the `x0_dist` of each table's time-0 states.  The two tables must be
+    recorded at the same number of flow times.
     """
-    if sa.flow.shape[1] != sb.flow.shape[1]:
+    if flow_a.shape[1] != flow_b.shape[1]:
         raise ValueError("flow tables must share the time grid")
-
-    def base(flow: np.ndarray) -> np.ndarray:
-        d2 = x0_sqdist(flow[:, 0], flow[:, 0], op)
-        d2 = 0.5 * (d2 + d2.T)
-        np.fill_diagonal(d2, 0.0)
-        return d2
-
-    flow = np.array([x0_sqdist(sa.flow[:, j], sb.flow[:, j], op) for j in range(sa.flow.shape[1])])
-    return FlowPair(flow, base(sa.flow), base(sb.flow))
+    worst = x0_sqdist(flow_a[:, 0], flow_b[:, 0], op)
+    for j in range(1, flow_a.shape[1]):
+        np.maximum(worst, x0_sqdist(flow_a[:, j], flow_b[:, j], op), out=worst)
+    return np.sqrt(worst, out=worst), x0_dist(flow_a[:, 0], op), x0_dist(flow_b[:, 0], op)
 
 
 @dataclass
@@ -258,19 +257,20 @@ def run_stability_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
     op_full = pullback_operator(mesh, h_full)
     op_half = pullback_operator(mesh, h_half)
 
+    def sample_flow(op: DiscreteOperator) -> np.ndarray:
+        return flow_table(sample_attractor(op, f, cfg.sampler, cfg.seed), op, f, cfg.sampler)
+
     with clock.stage("stability.sample"):
-        s_anchor = sample_attractor(op_anchor, f, cfg.sampler, cfg.seed)
-        s_full = sample_attractor(op_full, f, cfg.sampler, cfg.seed)
-        s_half = sample_attractor(op_half, f, cfg.sampler, cfg.seed)
+        flow_anchor, flow_full, flow_half = (sample_flow(op) for op in (op_anchor, op_full, op_half))
 
-    def estimate(s_other: AttractorSample):
+    def estimate(flow_other: np.ndarray):
         with clock.stage("stability.flow_pair"):
-            pair = build_flow_pair(s_anchor, s_other, op_univ)
+            cost, dx, dy = build_flow_pair(flow_anchor, flow_other, op_univ)
         with clock.stage("stability.search"):
-            return dgh_dynamical(pair, cfg.budget, cfg.seed)
+            return dgh_dynamical(cost, dx, dy, cfg.budget, cfg.seed)
 
-    est_full = estimate(s_full)
-    est_half = estimate(s_half)
+    est_full = estimate(flow_full)
+    est_half = estimate(flow_half)
 
     result = StabilityResult(
         d_full, d_half, est_full.value, est_half.value,

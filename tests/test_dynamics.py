@@ -44,11 +44,13 @@ from ghwave.dynamics import (
     calibration_state,
     conjugated_flow_error,
     energy_profile,
+    flow_table,
     gronwall_rate,
     lipschitz_envelope_check,
     random_state,
     sample_attractor,
     solve_trajectory,
+    x0_dist,
     x0_sqdist,
 )
 
@@ -641,9 +643,9 @@ def test_sampler_deterministic_for_fixed_seed():
     f = default_nonlinearity()
     a = sample_attractor(op, f, _FAST, seed=99)
     b = sample_attractor(op, f, _FAST, seed=99)
-    assert np.array_equal(a.flow[:, 0], b.flow[:, 0])
-    assert np.array_equal(a.dist, b.dist)
-    assert np.array_equal(a.flow, b.flow)
+    assert np.array_equal(a, b)
+    assert np.array_equal(x0_dist(a, op), x0_dist(b, op))
+    assert np.array_equal(flow_table(a, op, f, _FAST), flow_table(b, op, f, _FAST))
 
 
 def test_sampler_seed_changes_sample():
@@ -651,7 +653,7 @@ def test_sampler_seed_changes_sample():
     f = default_nonlinearity()
     a = sample_attractor(op, f, _FAST, seed=99)
     b = sample_attractor(op, f, _FAST, seed=100)
-    assert not np.array_equal(a.flow[:, 0], b.flow[:, 0])
+    assert not np.array_equal(a, b)
 
 
 def test_sampler_linear_attractor_is_origin():
@@ -671,9 +673,9 @@ def test_sampler_linear_attractor_is_origin():
     op = identity_operator(Mesh(UNIT, 16))
     sample = sample_attractor(op, _linear_f(), cfg, seed=4)
     pack = NormPack(op)
-    worst = max(x_norm(s.ravel(), pack, 0) for s in sample.flow[:, 0])
+    worst = max(x_norm(s, pack, 0) for s in sample)
     assert worst < 1e-3
-    assert sample.dist.max() < 2e-3
+    assert x0_dist(sample, op).max() < 2e-3
 
 
 def test_sampler_raises_when_cap_precedes_plateau():
@@ -696,24 +698,25 @@ def test_sampler_raises_when_cap_precedes_plateau():
 @pytest.mark.parametrize("config, n, q", [("stability_1d.cfg", 96, 11), ("shear_2d.cfg", 16, 5)])
 def test_x0_sqdist_blocks_match_one_full_gram(config, n, q):
     # two flow tables of the shipped sample size on the shipped 1D and 2D
-    # meshes: every block a study asks for holds the bits of one Gram over
-    # all states of both tables (a sample's own states at one flow time, and
-    # the two tables' states at one flow time)
+    # meshes, read one time slice at a time: every block a study asks for
+    # holds the bits of one Gram over all states of both tables' slices,
+    # concatenated (a sample's own states, and the two tables' states at one
+    # flow time)
     cfg, diags = load_config(Path(__file__).resolve().parents[1] / "configs" / config)
     assert not diags
     op = cfg.reference_operator()
     rng = np.random.default_rng(11)
     fa, fb = rng.standard_normal((2, n, q, 2 * op.n))
+    full = _full_sqdist(np.concatenate([fa[:, j] for j in range(q)] + [fb[:, j] for j in range(q)]), op)
     a = n * q
-    full = _full_sqdist(np.concatenate([fa.reshape(a, -1), fb.reshape(a, -1)]), op)
-    assert np.array_equal(x0_sqdist(fa, fb, op), full[:a, a:])
-    assert np.array_equal(x0_sqdist(fb, fa, op), full[a:, :a])
     for j in range(q):
-        assert np.array_equal(x0_sqdist(fa[:, j], fa[:, j], op), full[j:a:q, j:a:q])
-        assert np.array_equal(x0_sqdist(fa[:, j], fb[:, j], op), full[j:a:q, a + j :: q])
+        xs, ys = slice(j * n, (j + 1) * n), slice(a + j * n, a + (j + 1) * n)
+        assert np.array_equal(x0_sqdist(fa[:, j], fa[:, j], op), full[xs, xs])
+        assert np.array_equal(x0_sqdist(fa[:, j], fb[:, j], op), full[xs, ys])
+        assert np.array_equal(x0_sqdist(fb[:, j], fa[:, j], op), full[ys, xs])
     # at any size the blocks agree with it to rounding
-    small = full[: 7 * q, : 7 * q]
-    np.testing.assert_allclose(x0_sqdist(fa[:7], fa[:7], op), small, rtol=0, atol=1e-12 * small.max())
+    small = full[:7, :7]
+    np.testing.assert_allclose(x0_sqdist(fa[:7, 0], fa[:7, 0], op), small, rtol=0, atol=1e-12 * small.max())
 
 
 def _full_sqdist(states, op):
@@ -776,15 +779,15 @@ def _sample_per_step(op, f, cfg, seed, run):
     np.fill_diagonal(dist, 0.0)
     m = cfg.flow_grid_m
     flow = integ.record(states.T, np.linspace(0.0, 1.0, m + 1)).transpose(1, 2, 0)
-    return dist, flow
+    return states, dist, flow
 
 
 def _spy_sampler(monkeypatch):
-    """Record what `sample_attractor` does before its flow table: each E2
-    evaluation as (states, values), one stacked (u; v) row per state, and
-    each run of the step loop as (steps, end state)."""
-    seen = {"e2": [], "steps": [], "flow": False}
-    real_e2, real_steps, real_record = dynamics._e2, WaveIntegrator._steps, WaveIntegrator.record
+    """Record what `sample_attractor` does: each E2 evaluation as (states,
+    values), one stacked (u; v) row per state, and each run of the step loop
+    as (steps, end state)."""
+    seen = {"e2": [], "steps": []}
+    real_e2, real_steps = dynamics._e2, WaveIntegrator._steps
 
     def e2(z, pack, f):
         vals = real_e2(z, pack, f)
@@ -793,28 +796,24 @@ def _spy_sampler(monkeypatch):
 
     def steps(self, z, marks, out=None):
         end = real_steps(self, z, marks, out)
-        if not seen["flow"]:
-            seen["steps"].append((marks[-1], end.copy()))
+        seen["steps"].append((marks[-1], end.copy()))
         return end
-
-    def record(self, z, times):  # the sampler records only its flow table
-        seen["flow"] = True
-        return real_record(self, z, times)
 
     monkeypatch.setattr(dynamics, "_e2", e2)
     monkeypatch.setattr(WaveIntegrator, "_steps", steps)
-    monkeypatch.setattr(WaveIntegrator, "record", record)
     return seen
 
 
 def _check_against_per_step(op, f, cfg, seed, monkeypatch):
-    """`sample_attractor` against the per-step reference: the bits of `dist`,
-    and `flow`, or the same NonDissipativeError; the same stop step
-    and stop state; and E2 with the reference's bits on every (step, IC) it
-    is evaluated at, none before step s0 - W - 1 (s0 the first step at
-    t_transient, W the plateau window), and every one an IC's plateau reads.
-    Returns the reference's run with "error" (the reference's
-    NonDissipativeError or None) and "evaluated" (the (step, IC) pairs)."""
+    """`sample_attractor` against the per-step reference: the bits of its
+    states, and of their `x0_dist` and `flow_table` against the reference's
+    distance matrix and flow table, or the same NonDissipativeError; the
+    same stop step and stop state; and E2 with the reference's bits on every
+    (step, IC) it is evaluated at, none before step s0 - W - 1 (s0 the first
+    step at t_transient, W the plateau window), and every one an IC's
+    plateau reads.  Returns the reference's run with "error" (the
+    reference's NonDissipativeError or None) and "evaluated" (the (step, IC)
+    pairs)."""
     run = {"error": None}
     try:
         want = _sample_per_step(op, f, cfg, seed, run)
@@ -827,9 +826,6 @@ def _check_against_per_step(op, f, cfg, seed, monkeypatch):
         assert str(got.value) == str(run["error"])
     else:
         sample = sample_attractor(op, f, cfg, seed)
-        dist, flow = want
-        assert np.array_equal(sample.dist, dist)
-        assert np.array_equal(sample.flow, flow)
     stop = len(run["z"]) - 1
     assert sum(n_steps for n_steps, _ in seen["steps"]) == stop
     assert np.array_equal(seen["steps"][-1][1], run["z"][-1])
@@ -847,6 +843,11 @@ def _check_against_per_step(op, f, cfg, seed, monkeypatch):
     # an IC's plateau at step p reads the E2 of steps p - W .. p
     for i, p in enumerate(run["plateau"]):
         assert {(s, i) for s in range(p - cfg.plateau_window, p + 1) if p >= 0} <= run["evaluated"]
+    if run["error"] is None:
+        states, dist, flow = want
+        assert np.array_equal(sample, states)
+        assert np.array_equal(x0_dist(sample, op), dist)
+        assert np.array_equal(flow_table(sample, op, f, cfg), flow)
     return run
 
 
@@ -941,7 +942,7 @@ def test_sampler_rejects_pool_above_max_points():
     small = dataclasses.replace(_FAST, max_points=5)
     with pytest.raises(ValueError, match="6 points exceeds max_points = 5"):
         sample_attractor(op, default_nonlinearity(), small, seed=1)
-    assert sample_attractor(op, default_nonlinearity(), _FAST, seed=1).flow[:, 0].shape[0] == 6
+    assert sample_attractor(op, default_nonlinearity(), _FAST, seed=1).shape == (6, 2 * op.n)
 
 
 # --- conjugated flows ----------------------------------------------------------

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from ghwave.ghmetric import (
     EXACT_SIZE_CAP,
-    FlowPair,
     SizeCapError,
     coverage_deficit,
     dgh_dynamical,
@@ -347,10 +346,18 @@ def _sq(a, b):
 
 
 def _flow_pair(x_traj, y_traj):
-    """Two flows in one Euclidean space, read at the same q times; trajectories are (n, q) or (n, q, dim)."""
+    """The (cost, dx, dy) of two flows in one Euclidean space, read at the same
+    q times; trajectories are (n, q) or (n, q, dim).  The cost is the square
+    root of the largest squared distance over the flow times."""
     x, y = _coords(x_traj), _coords(y_traj)
-    flow = np.array([_sq(x[:, j], y[:, j]) for j in range(x.shape[1])])
-    return FlowPair(flow, _sq(x[:, 0], x[:, 0]), _sq(y[:, 0], y[:, 0]))
+    worst = np.max([_sq(x[:, j], y[:, j]) for j in range(x.shape[1])], axis=0)
+    return np.sqrt(worst), np.sqrt(_sq(x[:, 0], x[:, 0])), np.sqrt(_sq(y[:, 0], y[:, 0]))
+
+
+def _reversed(pair):
+    """The same pair with Y first."""
+    cost, dx, dy = pair
+    return cost.T, dy, dx
 
 
 def _flow_cost(x_traj, y_traj):
@@ -359,39 +366,33 @@ def _flow_cost(x_traj, y_traj):
     return np.sqrt(((x[:, None] - y[None]) ** 2).sum(axis=3)).max(axis=2)
 
 
-def _base_metrics(pair):
-    """The base metrics of X and Y that `dgh_dynamical` reads: the square roots of the base tables."""
-    return tuple(np.sqrt(np.maximum(base, 0.0)) for base in (pair.base_x, pair.base_y))
-
-
 def test_flow_pair_checks_its_tables():
-    base1, base2 = np.zeros((1, 1)), np.zeros((2, 2))
-    with pytest.raises(ValueError, match=r"flow must have shape \(3, 1, 2\)"):
-        FlowPair(np.zeros((3, 2, 1)), base1, base2)
-    with pytest.raises(ValueError, match=r"flow must have shape \(2, 1, 2\)"):
-        FlowPair(np.zeros((2, 2)), base1, base2)
-    with pytest.raises(ValueError, match=r"flow must have shape \(1, 1, 2\)"):
-        FlowPair(np.zeros((0, 1, 2)), base1, base2)
-    with pytest.raises(ValueError, match=r"base_x must have shape \(1, 1\)"):
-        FlowPair(np.zeros((2, 1, 2)), np.zeros((1, 2)), base2)
+    # the cost has one row per point of X and one column per point of Y
+    dx, dy = np.zeros((1, 1)), np.zeros((2, 2))
+    for cost in (np.zeros((2, 1)), np.zeros((2,)), np.zeros((3, 1, 2)), np.zeros((1, 3))):
+        with pytest.raises(ValueError, match=r"cost must have shape \(1, 2\) for 1 and 2 base points"):
+            dgh_dynamical(cost, dx, dy, budget=1)
+    assert dgh_dynamical(np.zeros((1, 2)), dx, dy, budget=1).value == 0.0
 
 
 def test_flow_pair_reversed_shares_the_universe():
-    pair = _flow_pair([[0.0, 0.1], [1.0, 1.2]], [[0.0, 0.2], [1.5, 1.4], [3.0, 3.1]])
-    rev = pair.reversed()
-    assert rev.flow.base is pair.flow and rev.flow.shape == (2, 3, 2)
-    np.testing.assert_array_equal(rev.flow, pair.flow.transpose(0, 2, 1))
-    assert rev.base_x is pair.base_y and rev.base_y is pair.base_x
-    X, Y = _base_metrics(pair)
-    Yr, Xr = _base_metrics(rev)
-    np.testing.assert_array_equal(X, Xr)
-    np.testing.assert_array_equal(Y, Yr)
-    np.testing.assert_allclose(Y, [[0.0, 1.5, 3.0], [1.5, 0.0, 1.5], [3.0, 1.5, 0.0]], rtol=1e-15)
+    # Y first is the transposed cost, a view of the same array, with the base metrics swapped
+    x = [[0.0, 0.1], [1.0, 1.2]]
+    y = [[0.0, 0.2], [1.5, 1.4], [3.0, 3.1]]
+    cost, dx, dy = _flow_pair(x, y)
+    rcost, rdx, rdy = _reversed((cost, dx, dy))
+    assert rcost.base is cost and rcost.shape == (3, 2)
+    np.testing.assert_array_equal(rcost, _flow_pair(y, x)[0])
+    np.testing.assert_array_equal(cost, _flow_cost(x, y))
+    assert rdx is dy and rdy is dx
+    np.testing.assert_allclose(dy, [[0.0, 1.5, 3.0], [1.5, 0.0, 1.5], [3.0, 1.5, 0.0]], rtol=1e-15)
+    fwd, bwd = dgh_dynamical(cost, dx, dy, budget=4), dgh_dynamical(rcost, rdx, rdy, budget=4)
+    assert fwd.value == bwd.value
 
 
 def test_dgh_identical_flows_is_zero():
     x = [[0.0, 0.1], [1.0, 1.1], [2.5, 2.4]]
-    est = dgh_dynamical(_flow_pair(x, x), budget=8, seed=0)
+    est = dgh_dynamical(*_flow_pair(x, x), budget=8, seed=0)
     assert est.value <= 1e-9
     assert est.certified
 
@@ -402,7 +403,7 @@ def test_dgh_detects_metric_dilation():
     sigma = 1.3
     x = np.column_stack([[0.0, 1.0, 2.0], [0.05, 1.0, 1.95]])
     y = np.column_stack([[0.0, sigma * 1.0, sigma * 2.0], [0.05, sigma, sigma * 1.9]])
-    est = dgh_dynamical(_flow_pair(x, y), budget=16, seed=1)
+    est = dgh_dynamical(*_flow_pair(x, y), budget=16, seed=1)
     assert est.certified
     assert est.value >= (sigma - 1.0) * 2.0 - 1e-9
 
@@ -416,7 +417,7 @@ def test_dgh_time_shift_costs_its_synchronous_mismatch():
     x0 = np.array([0.0, 4.0, 8.0])
     for s in (0.19, 0.38, -0.57):
         alpha = t + s * np.minimum(t, 1.0 - t) * rho
-        est = dgh_dynamical(_flow_pair(x0[:, None] + t, x0[:, None] + alpha), budget=8, seed=0)
+        est = dgh_dynamical(*_flow_pair(x0[:, None] + t, x0[:, None] + alpha), budget=8, seed=0)
         assert est.certified and est.exact
         assert est.value == pytest.approx(abs(s) * rho / 2.0, abs=1e-12)
 
@@ -430,9 +431,9 @@ def test_dgh_dominates_static_distance_and_certifies_both_orders():
     a0 = rng.uniform(0, 3, 4)
     b0 = rng.uniform(0, 3, 4)
     pair = _flow_pair(np.column_stack([a0, a0 * 0.9]), np.column_stack([b0, b0 * 0.95]))
-    static = gh_exact(*_base_metrics(pair))
-    e1 = dgh_dynamical(pair, budget=16, seed=3)
-    e2 = dgh_dynamical(pair.reversed(), budget=16, seed=3)
+    static = gh_exact(*pair[1:])
+    e1 = dgh_dynamical(*pair, budget=16, seed=3)
+    e2 = dgh_dynamical(*_reversed(pair), budget=16, seed=3)
     assert e1.certified and e2.certified
     assert min(e1.value, e2.value) >= static - 1e-12
 
@@ -478,7 +479,7 @@ def test_flow_certificate_against_brute_force():
         fwd, fwd_bound = _brute_direction(x, y)
         bwd, bwd_bound = _brute_direction(y, x)
         assert fwd_bound <= fwd and bwd_bound <= bwd
-        est = dgh_dynamical(_flow_pair(x, y), budget=2, seed=0)
+        est = dgh_dynamical(*_flow_pair(x, y), budget=2, seed=0)
         assert est.certified
         assert est.value >= max(fwd, bwd)
         if est.exact:
@@ -502,16 +503,15 @@ def _dilated_flows():
 def test_dgh_search_fallback():
     x, y = _dilated_flows()
     pair = _flow_pair(x, y)
-    est = dgh_dynamical(pair, budget=8, seed=5)
+    est = dgh_dynamical(*pair, budget=8, seed=5)
     assert not est.exact and est.certified
     # each witness is one of its direction's 8 best static maps, scored by its own flow epsilon
     sides = (
         (pair, _flow_cost(x, y), est.forward, est.forward_flow_eps, 1),
-        (pair.reversed(), _flow_cost(y, x), est.backward, est.backward_flow_eps, 2),
+        (_reversed(pair), _flow_cost(y, x), est.backward, est.backward_flow_eps, 2),
     )
     objectives = []
-    for p, c, m, fe, flag in sides:
-        da, db = _base_metrics(p)
+    for (_cost, da, db), c, m, fe, flag in sides:
         cands = _one_sided_search(da, db, 8, 5, flag)[0][:8]
         assert any(np.array_equal(m, k) for _obj, k in cands)
         assert fe == c[np.arange(len(m)), m].max()
@@ -526,11 +526,11 @@ def test_searches_refuse_a_budget_below_one(budget):
     X = _random_space(rng, 6)
     x = [[0.0, 0.1], [1.0, 1.1], [2.5, 2.4]]
     certified = _flow_pair(x, x)
-    assert dgh_dynamical(certified, budget=1).exact
+    assert dgh_dynamical(*certified, budget=1).exact
     for call in (
         lambda: gh_upper(X, X * (1.0 + 1e-3), budget=budget),
-        lambda: dgh_dynamical(_flow_pair(*_dilated_flows()), budget=budget),
-        lambda: dgh_dynamical(certified, budget=budget),
+        lambda: dgh_dynamical(*_flow_pair(*_dilated_flows()), budget=budget),
+        lambda: dgh_dynamical(*certified, budget=budget),
     ):
         with pytest.raises(ValueError, match="budget must be at least 1"):
             call()

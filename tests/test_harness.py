@@ -12,7 +12,7 @@ import pytest
 
 from ghwave.cli import main
 from ghwave.config import ScenarioConfig, load_config, parse_config
-from ghwave.dynamics import AttractorSample, SamplerConfig, sample_attractor, x0_sqdist, x0_sqnorms
+from ghwave.dynamics import SamplerConfig, WaveIntegrator, flow_table, sample_attractor, x0_dist, x0_sqdist
 from ghwave import harness
 from ghwave.harness import (
     CsvWriter,
@@ -23,7 +23,7 @@ from ghwave.harness import (
     write_report,
     write_timing,
 )
-from ghwave.ghmetric import FlowPair, dgh_dynamical, gh_upper
+from ghwave.ghmetric import dgh_dynamical, gh_upper
 from ghwave.operators import Mesh, default_nonlinearity, identity_operator, pullback_operator
 from ghwave.domains import ReferenceDomain
 
@@ -110,110 +110,96 @@ def test_timing_sidecar_records_study_stages(tmp_path):
         assert study + "." not in (out / "report.json").read_text()
 
 
+def _sampled_flow(op, f, sampler, seed):
+    return flow_table(sample_attractor(op, f, sampler, seed), op, f, sampler)
+
+
 def test_build_flow_pair_universe_indices():
     op = identity_operator(Mesh(UNIT, 16))
     f = default_nonlinearity()
-    sa = sample_attractor(op, f, _FAST_SAMPLER, seed=1)
-    sb = sample_attractor(op, f, _FAST_SAMPLER, seed=2)
-    pair = build_flow_pair(sa, sb, op)
-    na, m1 = sa.flow.shape[0], sa.flow.shape[1]
-    nb = sb.flow.shape[0]
-    # at each flow time, every flow state of one sample against every one of
-    # the other's at that time
-    assert pair.flow.shape == (m1, na, nb)
-    assert pair.base_x.shape == (na, na) and pair.base_y.shape == (nb, nb)
-    # base distances agree with each sample's own matrix up to the change
-    # from its own operator norm to the shared one (same op here, so exactly)
-    Xa, Xb = (np.sqrt(np.maximum(base, 0.0)) for base in (pair.base_x, pair.base_y))
-    np.testing.assert_allclose(Xa, sa.dist, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(Xb, sb.dist, rtol=1e-9, atol=1e-12)
+    fa = _sampled_flow(op, f, _FAST_SAMPLER, seed=1)
+    fb = _sampled_flow(op, f, _FAST_SAMPLER, seed=2)
+    cost, dx, dy = build_flow_pair(fa, fb, op)
+    na, nb = len(fa), len(fb)
+    # one flow cost for every base point of one sample against every one of the other's
+    assert cost.shape == (na, nb)
+    assert dx.shape == (na, na) and dy.shape == (nb, nb)
+    # the base metrics are each sample's own distance matrix when the
+    # shared operator is the sample's own (same op here, so exactly)
+    assert np.array_equal(dx, x0_dist(fa[:, 0], op))
+    assert np.array_equal(dy, x0_dist(fb[:, 0], op))
+    # the cost bounds the distance of the base points, its time-0 term
+    assert (cost >= x0_sqdist(fa[:, 0], fb[:, 0], op) ** 0.5).all()
 
 
 def _one_product_sqdist(rows, cols, op):
-    """x0_sqdist's (G_aa + G_bb) - 2 G_ab, clipped at 0, with G_ab one product over all rows."""
-    a, b = rows.reshape(-1, 2 * op.n), cols.reshape(-1, 2 * op.n)
-    G = a[:, : op.n] @ (op.K @ b[:, : op.n].T)
-    G += a[:, op.n :] @ (op.M @ b[:, op.n :].T)
+    """x0_sqdist's (G_aa + G_bb) - 2 G_ab, clipped at 0, with G_ab one product
+    over all rows, and G_aa the diagonal of each set's own Gram."""
+
+    def gram(a, b):
+        G = a[:, : op.n] @ (op.K @ b[:, : op.n].T)
+        G += a[:, op.n :] @ (op.M @ b[:, op.n :].T)
+        return G
+
+    G = gram(rows, cols)
     G *= 2.0
-    d2 = x0_sqnorms(rows, op)[:, None] + x0_sqnorms(cols, op)[None, :]
+    d2 = np.diag(gram(rows, rows))[:, None] + np.diag(gram(cols, cols))[None, :]
     d2 -= G
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _universe(sa, sb, op):
-    """One symmetrized squared-distance matrix over every flow state of both
-    samples, from one Gram: d^2(a, b) = (G_aa + G_bb) - 2 G_ab, clipped at 0,
-    then (d^2 + d^2.T) / 2 with zero diagonal."""
-    states = np.concatenate([sa.flow.reshape(-1, 2 * op.n), sb.flow.reshape(-1, 2 * op.n)])
-    U, V = states[:, : op.n], states[:, op.n :]
-    G = U @ (op.K @ U.T)
-    G += V @ (op.M @ V.T)
-    dg = np.diag(G).copy()
-    G *= 2.0
-    d2 = dg[:, None] + dg[None, :]
-    d2 -= G
-    d2 = np.maximum(d2, 0.0, out=d2)
-    d2 = 0.5 * (d2 + d2.T)
-    np.fill_diagonal(d2, 0.0)
-    return d2
-
-
 def test_build_flow_pair_matches_the_universe():
     # the stability study's first pair at its shipped size (96 points, 11
-    # flow times): each flow time's block holds the bits of the diagonal
-    # block cross[j::q, j::q] of one x0_sqdist over every flow state of both
-    # samples, and the base tables those of one matrix over all flow states;
-    # the flow blocks agree with that matrix to rounding, so that
-    # dgh_dynamical finds the same maps and flags on either
+    # flow times): the cost holds the bits of the square root of the maximum
+    # over the diagonal time blocks cross[j::q, j::q] of one product over
+    # every flow state of both samples, and the base metrics those of the
+    # square roots of its time-0 blocks, symmetrized, so that dgh_dynamical
+    # finds the same maps and flags on either
     cfg, diags = load_config(Path(__file__).resolve().parents[1] / "configs" / "stability_1d.cfg")
     assert not diags
     mesh, f = cfg.make_mesh(), cfg.make_nonlinearity()
-    sa, sb = (sample_attractor(pullback_operator(mesh, h), f, cfg.sampler, cfg.seed) for h in cfg.maps()[:2])
+    fa, fb = (_sampled_flow(pullback_operator(mesh, h), f, cfg.sampler, cfg.seed) for h in cfg.maps()[:2])
     op = cfg.reference_operator()
-    pair = build_flow_pair(sa, sb, op)
-    n, q = sa.flow.shape[:2]
-    cross = x0_sqdist(sa.flow, sb.flow, op)
-    # x0_sqdist fills the 1,056 rows in blocks: they hold the bits of one
-    # product over all rows
-    assert np.array_equal(cross, _one_product_sqdist(sa.flow, sb.flow, op))
-    for j in range(q):
-        assert np.array_equal(pair.flow[j], cross[j::q, j::q]), j
-
-    d2 = _universe(sa, sb, op)
+    cost, dx, dy = build_flow_pair(fa, fb, op)
+    n, q = fa.shape[:2]
     a = n * q
-    xs, ys = np.arange(a).reshape(n, q), a + np.arange(a).reshape(n, q)
-    want = FlowPair(
-        np.array([d2[np.ix_(xs[:, j], ys[:, j])] for j in range(q)]),
-        d2[np.ix_(xs[:, 0], xs[:, 0])],
-        d2[np.ix_(ys[:, 0], ys[:, 0])],
-    )
-    for name in ("base_x", "base_y"):
-        assert np.array_equal(getattr(pair, name), getattr(want, name)), name
-    assert np.abs(pair.flow - want.flow).max() <= 1e-14 * want.flow.max()
-    got, ref = (dgh_dynamical(p, 4, cfg.seed) for p in (pair, want))
-    assert got.value == pytest.approx(ref.value, rel=1e-11, abs=0)
-    for eps in ("forward_flow_eps", "backward_flow_eps"):
-        assert getattr(got, eps) == pytest.approx(getattr(ref, eps), rel=1e-11, abs=0), eps
+    flows = np.concatenate([fa.reshape(a, -1), fb.reshape(a, -1)])  # flow state (i, j) at row i * q + j
+    cross = _one_product_sqdist(flows, flows, op)
+    want_cost = np.sqrt(np.max([cross[j:a:q, a + j :: q] for j in range(q)], axis=0))
+
+    def base(d2):
+        d = np.sqrt(d2)
+        d = 0.5 * (d + d.T)
+        np.fill_diagonal(d, 0.0)
+        return d
+
+    want_dx, want_dy = base(cross[0:a:q, 0:a:q]), base(cross[a::q, a::q])
+    assert np.array_equal(cost, want_cost)
+    assert np.array_equal(dx, want_dx) and np.array_equal(dy, want_dy)
+    got, ref = dgh_dynamical(cost, dx, dy, 4, cfg.seed), dgh_dynamical(want_cost, want_dx, want_dy, 4, cfg.seed)
+    assert got.value == ref.value
+    assert (got.forward_flow_eps, got.backward_flow_eps) == (ref.forward_flow_eps, ref.backward_flow_eps)
     assert (got.certified, got.exact) == (ref.certified, ref.exact) == (True, True)
     np.testing.assert_array_equal(got.forward, ref.forward)
     np.testing.assert_array_equal(got.backward, ref.backward)
 
 
 def test_build_flow_pair_peak_memory_below_one_universe():
-    # two synthetic 96-point samples with 11 flow times each: the pair is
-    # built within 4 MB, its eleven 96 x 96 flow blocks and two base tables
-    # (1 MB) with their temporaries, far from the 9 MB of one cross table
-    # over all flow states and the 36 MB of one (96 + 96) * 11 square
+    # two synthetic 96-point flow tables with 11 flow times each: the pair is
+    # built within 1 MB, its three 96 x 96 arrays (0.22 MB) with one time
+    # block's temporaries, far from the 0.8 MB of eleven stacked 96 x 96
+    # blocks, the 9 MB of one cross table over all flow states and the 36 MB
+    # of one (96 + 96) * 11 square
     op = identity_operator(Mesh(UNIT, 48))
     rng = np.random.default_rng(0)
-    sa, sb = (AttractorSample(np.zeros((96, 96)), rng.standard_normal((96, 11, 2 * op.n))) for _ in range(2))
+    fa, fb = rng.standard_normal((2, 96, 11, 2 * op.n))
     tracemalloc.start()
     try:
-        build_flow_pair(sa, sb, op)
+        build_flow_pair(fa, fb, op)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4e6
+    assert peak <= 1e6
 
 
 def test_build_flow_pair_refuses_different_time_grids():
@@ -221,10 +207,30 @@ def test_build_flow_pair_refuses_different_time_grids():
     # columns would not be comparable
     op = identity_operator(Mesh(UNIT, 16))
     f = default_nonlinearity()
-    sa = sample_attractor(op, f, _FAST_SAMPLER, seed=1)
-    sb = sample_attractor(op, f, dataclasses.replace(_FAST_SAMPLER, flow_grid_m=4), seed=1)
+    states = sample_attractor(op, f, _FAST_SAMPLER, seed=1)
+    fa = flow_table(states, op, f, _FAST_SAMPLER)
+    fb = flow_table(states, op, f, dataclasses.replace(_FAST_SAMPLER, flow_grid_m=4))
     with pytest.raises(ValueError, match="share the time grid"):
-        build_flow_pair(sa, sb, op)
+        build_flow_pair(fa, fb, op)
+
+
+def test_each_study_records_only_the_flow_tables_it_reads(monkeypatch):
+    # continuity reads distance matrices only, so it records no flow table;
+    # stability records one per sample (anchor, full gap, half gap)
+    cfg, diags = load_config(Path(__file__).resolve().parents[1] / "configs" / "determinism_tiny.cfg")
+    assert not diags
+    calls = []
+    real_record = WaveIntegrator.record
+
+    def record(self, z, times):
+        calls.append(np.shape(times))
+        return real_record(self, z, times)
+
+    monkeypatch.setattr(WaveIntegrator, "record", record)
+    run_continuity_study(cfg)
+    assert calls == []
+    run_stability_study(cfg)
+    assert calls == [(cfg.sampler.flow_grid_m + 1,)] * 3
 
 
 def test_stability_pairs_certified_whatever_the_budget():
@@ -236,11 +242,11 @@ def test_stability_pairs_certified_whatever_the_budget():
     mesh, f = cfg.make_mesh(), cfg.make_nonlinearity()
     h_anchor, h_full = cfg.maps()[:2]
     h_half = cfg.make_map(0.5 * (cfg.schedule[0] + cfg.schedule[1]))
-    s_anchor = sample_attractor(pullback_operator(mesh, h_anchor), f, cfg.sampler, cfg.seed)
+    flow_anchor = _sampled_flow(pullback_operator(mesh, h_anchor), f, cfg.sampler, cfg.seed)
     for h in (h_full, h_half):
-        s_other = sample_attractor(pullback_operator(mesh, h), f, cfg.sampler, cfg.seed)
-        pair = build_flow_pair(s_anchor, s_other, cfg.reference_operator())
-        ests = [dgh_dynamical(pair, budget, cfg.seed) for budget in (1, 4, 32)]
+        flow_other = _sampled_flow(pullback_operator(mesh, h), f, cfg.sampler, cfg.seed)
+        pair = build_flow_pair(flow_anchor, flow_other, cfg.reference_operator())
+        ests = [dgh_dynamical(*pair, budget, cfg.seed) for budget in (1, 4, 32)]
         assert all(e.exact and e.certified for e in ests)
         assert len({e.value for e in ests}) == 1
 
