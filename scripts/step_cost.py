@@ -4,11 +4,10 @@ block shapes the shipped studies run and across the kernels' crossover.
 
     python3 scripts/step_cost.py
 
-Five shipped shapes, each on its config's reference operator and time step:
+Four shipped shapes, each on its config's reference operator and time step:
 47x8 (`stability_1d.cfg`, the sampler's IC block), 121x4 (`shear_2d.cfg`),
-47x2 and one 47-vector (`estimates_1d.cfg`: Gronwall pairs, and single
-trajectories), and the flow table the stability study records per sample,
-47x96.  Four more put the sampler blocks of `stability_1d.cfg` and
+and 47x2 and one 47-vector (`estimates_1d.cfg`: Gronwall pairs, and single
+trajectories).  Four more put the sampler blocks of `stability_1d.cfg` and
 `shear_2d.cfg` on finer meshes, 111x8 and 127x8 (resolutions 112 and 128)
 and 144x4 and 225x4 (resolutions 13 and 16), at the config's dt or the
 mesh's stability cap if that is smaller; these bracket
@@ -58,7 +57,6 @@ SHAPES = (
     ("shear_2d sampler", "shear_2d.cfg", 4, "sampler", None),
     ("estimates_1d pair", "estimates_1d.cfg", 2, "solver", None),
     ("estimates_1d single", "estimates_1d.cfg", None, "solver", None),
-    ("stability_1d flow", "stability_1d.cfg", 96, "sampler", None),
     ("stability_1d res 112", "stability_1d.cfg", 8, "sampler", 112),
     ("stability_1d res 128", "stability_1d.cfg", 8, "sampler", 128),
     ("shear_2d res 13", "shear_2d.cfg", 4, "sampler", 13),

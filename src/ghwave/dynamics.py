@@ -44,14 +44,15 @@ A state is one array z = (u; v): (2 dim,) for one state, (2 dim, k) for a
 block of k states, one per column.  Both kernels are written once, in one
 step loop over z that steps into preallocated buffers; `step` and `record`
 are runs of it (a record on whole steps is one run that keeps only its
-grid's states), and the sampler runs it directly.  The sampler
-evaluates the second-order energy E2 of its settling test only where the
-test reads it: from step s0 - W - 1 on, s0 being the first step at
-t_transient and W the plateau window (an IC can plateau only at a step
-s >= s0 on the W settled steps up to s, and their slopes read no E2 before
-step s - W), and within a chunk of steps only at its last two steps for an
-IC that cannot plateau sooner and is unsettled there.  No E2 left out could
-move a decision.
+grid's states), and the sampler runs it directly: it copies its snapshots
+and their flow images out of its own chunks of steps, so no state of a
+sample is stepped twice.  The sampler evaluates the second-order energy E2
+of its settling test only where the test reads it: from step s0 - W - 1
+on, s0 being the first step at t_transient and W the plateau window (an IC
+can plateau only at a step s >= s0 on the W settled steps up to s, and
+their slopes read no E2 before step s - W), and within a chunk of steps
+only at its last two steps for an IC that cannot plateau sooner and is
+unsettled there.  No E2 left out could move a decision.
 """
 
 from __future__ import annotations
@@ -95,7 +96,6 @@ __all__ = [
     "random_state",
     "x0_sqdist",
     "x0_dist",
-    "flow_table",
     "calibration_state",
 ]
 
@@ -595,14 +595,6 @@ def x0_dist(states: Array, op: DiscreteOperator) -> Array:
     return dist
 
 
-def flow_table(states: Array, op: DiscreteOperator, f: NonlinearitySpec, cfg: SamplerConfig) -> Array:
-    """The forward images of `states` (n, 2 dim) at the q = `flow_grid_m` + 1
-    equally spaced times from 0 to 1, at the sampler's dt: (n, q, 2 dim),
-    one state z = (u; v) per image, its time-0 column the states themselves."""
-    times = np.linspace(0.0, 1.0, cfg.flow_grid_m + 1)
-    return np.ascontiguousarray(WaveIntegrator(op, f, cfg.dt).record(states.T, times).transpose(1, 2, 0))
-
-
 def _first_step(t: float, dt: float) -> int:
     """The first step s with s * dt >= t > 0, in the float arithmetic of the settling test."""
     s = math.ceil(t / dt)
@@ -610,19 +602,22 @@ def _first_step(t: float, dt: float) -> int:
 
 
 def sample_attractor(op: DiscreteOperator, f: NonlinearitySpec, cfg: SamplerConfig, seed: int) -> Array:
-    """Seeded approximate-attractor sample: its states, (n, 2 dim), one row z = (u; v) per point.
+    """Seeded approximate-attractor sample as its flow table, (n, q, 2 dim), q = `flow_grid_m` + 1.
 
     Snapshots are taken on the fixed window [t_transient, t_transient +
     t_window], every `stride` steps, so the sample is a smooth function of
-    the operator coefficients.  Independently, each trajectory must pass the
-    settling test: the per-step slope |dE2/dt| < plateau_tol * E2 +
-    plateau_floor for `plateau_window` consecutive steps (a single zero
-    crossing of the oscillating slope does not count), the last of them at
-    or after t_transient, before `t_cap`, otherwise NonDissipativeError.
-    Every snapshot is a sample point, in IC-major order (all snapshots of
-    ic 0, then of ic 1, ...); a pool larger than `max_points` is a
-    ValueError before any stepping.  A study derives what it reads from the
-    states: the distance matrix (`x0_dist`) or the flow table (`flow_table`).
+    the operator coefficients.  Every snapshot is a sample point, in
+    IC-major order (all snapshots of ic 0, then of ic 1, ...); a pool larger
+    than `max_points` is a ValueError before any stepping.  Column j of a
+    point's row is the same IC's state z = (u; v) round(j / (m dt)) steps
+    after the snapshot (m = `flow_grid_m`), so column 0 is the point itself;
+    a flow grid off the dt lattice is rounded to whole steps, as the window
+    is.  Independently, each trajectory must pass the settling test: the
+    per-step slope |dE2/dt| < plateau_tol * E2 + plateau_floor for
+    `plateau_window` consecutive steps (a single zero crossing of the
+    oscillating slope does not count), the last of them at or after
+    t_transient, before `t_cap`, otherwise NonDissipativeError; once every
+    IC has plateaued, stepping on to the last flow image raises nothing.
 
     The ICs advance as one (2 dim, n_ics) block, in the integrator's step
     loop, and E2 is evaluated only where the settling test reads it.  An IC
@@ -631,16 +626,18 @@ def sample_attractor(op: DiscreteOperator, f: NonlinearitySpec, cfg: SamplerConf
     `plateau_window`), whose slopes read E2 from step s - W on.  So the
     block first runs straight to step s0 - W - 1 with no E2 and no snapshot
     (the window starts later), and the settling count starts there.  From
-    there it runs in chunks of at most W steps.  A chunk ends no later than
-    the earliest step the per-step loop could stop at (no IC can collect W
-    settled steps sooner, and no stop comes before the window ends), and at
-    the first step reaching `t_cap`; so no step runs past that loop's stop.
-    Per chunk, an IC that has not plateaued and cannot plateau before the
-    chunk's last step first gets the E2 of the last two steps: if the last
-    is unsettled, its settled count restarts there, and no other E2 of the
-    chunk can matter.  Every other such IC gets the E2 of every step of the
-    chunk, in one evaluation, and a plateaued IC none: it keeps stepping in
-    the block until the window ends and every IC is done.  So every settling
+    there it runs in chunks of at most W steps, and each flow image is
+    copied out of the chunk it falls in.  A chunk ends no later than the
+    earliest step the per-step loop could stop at (no IC can collect W
+    settled steps sooner, and no stop comes before the last flow image),
+    and, while an IC has not plateaued, at the first step reaching `t_cap`;
+    so no step runs past that loop's stop.  Per chunk, an IC that has not
+    plateaued and cannot plateau before the chunk's last step first gets
+    the E2 of the last two steps: if the last is unsettled, its settled
+    count restarts there, and no other E2 of the chunk can matter.  Every
+    other such IC gets the E2 of every step of the chunk, in one
+    evaluation, and a plateaued IC none: it keeps stepping in the block
+    until the last flow image and every IC is done.  So every settling
     decision is the per-step one, bit for bit: the steps are the same
     (2 dim, n_ics) block's, and the E2 of a column does not depend on the
     block it is evaluated in (a column of the step block matches its IC
@@ -654,22 +651,32 @@ def sample_attractor(op: DiscreteOperator, f: NonlinearitySpec, cfg: SamplerConf
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5A17]))
     pack = NormPack(op)
     integ = WaveIntegrator(op, f, cfg.dt)
-    n, n_ics, W = op.n, cfg.n_ics, cfg.plateau_window
+    n, n_ics, W, m = op.n, cfg.n_ics, cfg.plateau_window, cfg.flow_grid_m
     # all ICs advance together, one column each
     z = np.column_stack([random_state(op, rng, cfg.radius, cfg.n_modes) for _ in range(n_ics)])
     window_start = int(round(cfg.t_transient / cfg.dt))
-    window_end = window_start + int(round(cfg.t_window / cfg.dt))
+    n_snaps = cfg.pool_size // n_ics
+    # due[i, j]: the step of snapshot i's flow image j
+    lags = np.array([round(j / (m * cfg.dt)) for j in range(m + 1)])
+    due = (window_start + cfg.stride * np.arange(n_snaps))[:, None] + lags
+    flow_end = int(due[-1, -1])
     cap = _first_step(cfg.t_cap, cfg.dt)
+    table = np.empty((n_ics, n_snaps, m + 1, 2 * n))
+
+    def keep(first: int, block: Array) -> None:
+        """Copy the flow images due at steps first .. first + len(block) - 1 out of `block` (L, 2 dim, n_ics)."""
+        for i, j in zip(*np.nonzero((due >= first) & (due < first + len(block)))):
+            table[:, i, j] = block[due[i, j] - first].T
 
     # no E2 before step s0 - W - 1 can move a decision, and no snapshot lies
     # there either (window_start >= s0 - 2 > s0 - W - 1): run straight to it
     k = max(0, min(_first_step(cfg.t_transient, cfg.dt) - W - 1, cap))
     z = integ._steps(z, [k])
-    snaps: list[Array] = [z] if window_start == 0 else []
+    keep(k, z[None])
     e_prev = _e2(z, pack, f) if k < cap else None  # else the loop raises at once
     consec = np.zeros(n_ics, dtype=np.intp)
     plateaued = np.zeros(n_ics, dtype=bool)
-    chunk = np.empty((max(1, min(W, cap - k)),) + z.shape)  # no chunk is longer
+    chunk = np.empty((W,) + z.shape)  # no chunk is longer
 
     def energy(block: Array, cols: Array) -> Array:
         """E2 of the ICs `cols` at the steps of `block` (L, 2 dim, n_ics), one evaluation, (L, len(cols))."""
@@ -678,20 +685,20 @@ def sample_attractor(op: DiscreteOperator, f: NonlinearitySpec, cfg: SamplerConf
     def settled(e: Array, e_before: Array) -> Array:
         return np.abs(e - e_before) / cfg.dt < cfg.plateau_tol * e + cfg.plateau_floor
 
-    while not (plateaued.all() and k >= window_end):
-        if k >= cap:
-            ic = int(np.argmin(plateaued))
-            raise NonDissipativeError(f"energy of ic {ic} never plateaued before t_cap = {cfg.t_cap}")
+    while not (plateaued.all() and k >= flow_end):
         active = np.flatnonzero(~plateaued)
+        if active.size and k >= cap:
+            ic = int(active[0])
+            raise NonDissipativeError(f"energy of ic {ic} never plateaued before t_cap = {cfg.t_cap}")
         # no active IC can plateau in fewer than `need` steps, and no stop
-        # lies before window_end, so the loop can only stop at the chunk's
-        # last step
+        # lies before flow_end, so the loop can only stop at the chunk's
+        # last step; only the settling test stops at the cap
         need = int((W - consec[active]).max(initial=0))
-        ks = np.arange(k + 1, min(k + max(1, need, min(window_end - k, W)), cap) + 1)
+        last = k + max(1, need, min(flow_end - k, W))
+        ks = np.arange(k + 1, (min(last, cap) if active.size else last) + 1)
         out = chunk[: len(ks)]
         z = integ._steps(z, (ks - k).tolist(), out)
-        for j in np.flatnonzero((ks >= window_start) & (ks <= window_end) & ((ks - window_start) % cfg.stride == 0)):
-            snaps.append(out[j].copy())
+        keep(k + 1, out)
         # an IC that cannot plateau before the chunk's last step (its count
         # stays below W until then), and is unsettled there, needs no other
         # E2 of the chunk: its settled count restarts at 0 on that step
@@ -716,8 +723,7 @@ def sample_attractor(op: DiscreteOperator, f: NonlinearitySpec, cfg: SamplerConf
             consec[active] = run[-1]
             plateaued[active] = ((ks * cfg.dt >= cfg.t_transient)[:, None] & (run >= W)).any(axis=0)
         k = int(ks[-1])
-    # IC-major: every snapshot of ic 0, then of ic 1, ...
-    return np.array(snaps).transpose(2, 0, 1).reshape(-1, 2 * n)  # from (n_snaps, 2 dim, n_ics)
+    return table.reshape(-1, m + 1, 2 * n)
 
 
 def conjugated_flow_error(

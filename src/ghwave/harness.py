@@ -27,7 +27,6 @@ from .dynamics import (
     calibration_state,
     conjugated_flow_error,
     energy_profile,
-    flow_table,
     lipschitz_envelope_check,
     random_state,
     sample_attractor,
@@ -144,7 +143,7 @@ def run_continuity_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | 
     op_ref = cfg.reference_operator()
 
     def sample_dist(op: DiscreteOperator, seed: int) -> np.ndarray:
-        return x0_dist(sample_attractor(op, f, cfg.sampler, seed), op)
+        return x0_dist(sample_attractor(op, f, cfg.sampler, seed)[:, 0], op)
 
     with clock.stage("continuity.sample"):
         dist_ref = sample_dist(op_ref, cfg.seed)
@@ -197,8 +196,8 @@ def build_flow_pair(flow_a: np.ndarray, flow_b: np.ndarray, op: DiscreteOperator
     max_j d(flow_a[x, j], flow_b[y, j]), the square root of a running
     maximum over the q flow times of one `x0_sqdist` each, so that one
     n_a x n_b block of squared distances is alive at a time; dx and dy are
-    the `x0_dist` of each table's time-0 states.  The two tables must be
-    recorded at the same number of flow times.
+    the `x0_dist` of each table's time-0 states.  The two tables must have
+    the same number of flow times.
     """
     if flow_a.shape[1] != flow_b.shape[1]:
         raise ValueError("flow tables must share the time grid")
@@ -235,7 +234,9 @@ def run_stability_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
     The pair is (schedule[0], schedule[1]); the half-gap partner is the
     amplitude midpoint, which for amplitude-linear families halves the C^2
     distance exactly.  Both estimates must come with verified witnesses and
-    the half-gap epsilon must not exceed the full-gap one.  The two
+    the half-gap epsilon must not exceed the full-gap one.  Each system's
+    flow table is its sample as `sample_attractor` returns it, read off the
+    sampler's own trajectory, so each sample is stepped once.  The two
     estimates run one after the other on one thread, so that one flow pair
     is alive at a time; `cfg.threads` does not enter this study.  `timer`
     collects the wall clock of the sampling, flow-pair and GH-search stages.
@@ -257,11 +258,10 @@ def run_stability_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
     op_full = pullback_operator(mesh, h_full)
     op_half = pullback_operator(mesh, h_half)
 
-    def sample_flow(op: DiscreteOperator) -> np.ndarray:
-        return flow_table(sample_attractor(op, f, cfg.sampler, cfg.seed), op, f, cfg.sampler)
-
     with clock.stage("stability.sample"):
-        flow_anchor, flow_full, flow_half = (sample_flow(op) for op in (op_anchor, op_full, op_half))
+        flow_anchor, flow_full, flow_half = (
+            sample_attractor(op, f, cfg.sampler, cfg.seed) for op in (op_anchor, op_full, op_half)
+        )
 
     def estimate(flow_other: np.ndarray):
         with clock.stage("stability.flow_pair"):

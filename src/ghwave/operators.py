@@ -58,11 +58,7 @@ Array = npt.NDArray[np.float64]
 # 23.6, n = 144 42.7 vs 31.6, n = 225 62.9 vs 273.2.  The dense cost grows as
 # n^2 and the sparse one about as n, so the two meet near n = 127 in 1D at
 # k = 8 and between n = 144 and 225 in 2D at k = 4; the cap lies between,
-# well above every shipped mesh (n = 47 and 121).  On the one flow table a
-# study records, 47x96 per stability sample, the dense step is 100.6
-# (sparse 122.1), and there one product with G is no faster than the two
-# products P z + Q f(p) of the unfolded step (98.5), while on every sampler
-# block it is faster.  The cap was set from the
+# well above every shipped mesh (n = 47 and 121).  The cap was set from the
 # step; it also picks the representation of the norm and E2 products, which
 # the script's E2 column times (one `_e2` call on the block, microseconds,
 # sparse vs dense): 44.8 vs 33.3 at 47x8, 58.2 vs 54.0 at 121x4 and 64.8 vs

@@ -44,7 +44,6 @@ from ghwave.dynamics import (
     calibration_state,
     conjugated_flow_error,
     energy_profile,
-    flow_table,
     gronwall_rate,
     lipschitz_envelope_check,
     random_state,
@@ -644,8 +643,7 @@ def test_sampler_deterministic_for_fixed_seed():
     a = sample_attractor(op, f, _FAST, seed=99)
     b = sample_attractor(op, f, _FAST, seed=99)
     assert np.array_equal(a, b)
-    assert np.array_equal(x0_dist(a, op), x0_dist(b, op))
-    assert np.array_equal(flow_table(a, op, f, _FAST), flow_table(b, op, f, _FAST))
+    assert np.array_equal(x0_dist(a[:, 0], op), x0_dist(b[:, 0], op))
 
 
 def test_sampler_seed_changes_sample():
@@ -671,7 +669,7 @@ def test_sampler_linear_attractor_is_origin():
         n_modes=3,
     )
     op = identity_operator(Mesh(UNIT, 16))
-    sample = sample_attractor(op, _linear_f(), cfg, seed=4)
+    sample = sample_attractor(op, _linear_f(), cfg, seed=4)[:, 0]
     pack = NormPack(op)
     worst = max(x_norm(s, pack, 0) for s in sample)
     assert worst < 1e-3
@@ -733,19 +731,34 @@ def _full_sqdist(states, op):
     return np.maximum(d2, 0.0, out=d2)
 
 
+def _lags(cfg):
+    """The steps from a snapshot to each of its flow images: j / (m dt) rounded."""
+    return [round(j / (cfg.flow_grid_m * cfg.dt)) for j in range(cfg.flow_grid_m + 1)]
+
+
+def _flow_end(cfg):
+    """The step of the last snapshot's last flow image."""
+    window_start = round(cfg.t_transient / cfg.dt)
+    last_snap = window_start + round(cfg.t_window / cfg.dt) // cfg.stride * cfg.stride
+    return last_snap + _lags(cfg)[-1]
+
+
 def _sample_per_step(op, f, cfg, seed, run):
     """The sampler with one step, one E2 evaluation and the settling
-    bookkeeping per step from step 0: the reference `sample_attractor` must
-    reproduce bit for bit.  Fills `run`, also when the cap is hit: "z" holds
-    the stacked (2 dim, n_ics) block after each step and "e2" its E2 (time 0
-    first), "plateau" the step each IC plateaued at (-1 if it never did)."""
+    bookkeeping per step from step 0, on to the last flow image: the
+    reference `sample_attractor` must reproduce bit for bit.  Fills `run`,
+    also when the cap is hit: "z" holds the stacked (2 dim, n_ics) block
+    after each step and "e2" its E2 (time 0 first), "plateau" the step each
+    IC plateaued at (-1 if it never did).  Returns the snapshots (n, 2 dim),
+    their distance matrix, and the flow table (n, m+1, 2 dim) read off the
+    same steps."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5A17]))
     pack = NormPack(op)
     integ = WaveIntegrator(op, f, cfg.dt)
     state = np.column_stack([random_state(op, rng, cfg.radius, cfg.n_modes) for _ in range(cfg.n_ics)])
     window_start = int(round(cfg.t_transient / cfg.dt))
     window_end = window_start + int(round(cfg.t_window / cfg.dt))
-    snaps = [state] if window_start == 0 else []
+    snaps = [0] if window_start == 0 else []  # the snapshot steps
     e_prev = _e2(state, pack, f)
     run.update(z=[state], e2=[e_prev], plateau=np.full(cfg.n_ics, -1))
     consec = np.zeros(cfg.n_ics, dtype=np.intp)
@@ -756,7 +769,7 @@ def _sample_per_step(op, f, cfg, seed, run):
         k += 1
         t = k * cfg.dt
         if window_start <= k <= window_end and (k - window_start) % cfg.stride == 0:
-            snaps.append(state)
+            snaps.append(k)
         e_now = _e2(state, pack, f)
         run["z"].append(state)
         run["e2"].append(e_now)
@@ -768,18 +781,18 @@ def _sample_per_step(op, f, cfg, seed, run):
             newly = (consec >= cfg.plateau_window) & ~plateaued
             run["plateau"][newly] = k
             plateaued |= newly
-        if plateaued.all() and k >= window_end:
+        if plateaued.all() and k >= _flow_end(cfg):
             break
-        if t >= cfg.t_cap:
+        if t >= cfg.t_cap and not plateaued.all():
             ic = int(np.argmin(plateaued))
             raise NonDissipativeError(f"energy of ic {ic} never plateaued before t_cap = {cfg.t_cap}")
-    states = np.array(snaps).transpose(2, 0, 1).reshape(-1, 2 * op.n)
+    # IC-major rows, from (n_snaps, 2 dim, n_ics) and (n_snaps, m+1, 2 dim, n_ics)
+    states = np.array([run["z"][s] for s in snaps]).transpose(2, 0, 1).reshape(-1, 2 * op.n)
     dist = np.sqrt(_full_sqdist(states, op))
     dist = 0.5 * (dist + dist.T)
     np.fill_diagonal(dist, 0.0)
-    m = cfg.flow_grid_m
-    flow = integ.record(states.T, np.linspace(0.0, 1.0, m + 1)).transpose(1, 2, 0)
-    return states, dist, flow
+    flow = np.array([[run["z"][s + lag] for lag in _lags(cfg)] for s in snaps])
+    return states, dist, flow.transpose(3, 0, 1, 2).reshape(len(states), -1, 2 * op.n)
 
 
 def _spy_sampler(monkeypatch):
@@ -806,8 +819,8 @@ def _spy_sampler(monkeypatch):
 
 def _check_against_per_step(op, f, cfg, seed, monkeypatch):
     """`sample_attractor` against the per-step reference: the bits of its
-    states, and of their `x0_dist` and `flow_table` against the reference's
-    distance matrix and flow table, or the same NonDissipativeError; the
+    flow table, its states (column 0) and their `x0_dist` against the
+    reference's, or the same NonDissipativeError; the
     same stop step and stop state; and E2 with the reference's bits on every
     (step, IC) it is evaluated at, none before step s0 - W - 1 (s0 the first
     step at t_transient, W the plateau window), and every one an IC's
@@ -845,9 +858,9 @@ def _check_against_per_step(op, f, cfg, seed, monkeypatch):
         assert {(s, i) for s in range(p - cfg.plateau_window, p + 1) if p >= 0} <= run["evaluated"]
     if run["error"] is None:
         states, dist, flow = want
-        assert np.array_equal(sample, states)
-        assert np.array_equal(x0_dist(sample, op), dist)
-        assert np.array_equal(flow_table(sample, op, f, cfg), flow)
+        assert np.array_equal(sample[:, 0], states)
+        assert np.array_equal(x0_dist(sample[:, 0], op), dist)
+        assert np.array_equal(sample, flow)
     return run
 
 
@@ -857,14 +870,15 @@ _SETTLE = dataclasses.replace(_FAST, n_ics=3, max_points=9)
 @pytest.mark.parametrize(
     "domain, resolution, changes, stop",
     [
-        # a coarse floor settles every IC long before a 10 s window ends
-        (UNIT, 16, dict(t_window=10.0, stride=1000, plateau_floor=1e-3), "at window end"),
-        (UNIT, 16, {}, "after window end"),
-        (UNIT, 16, dict(plateau_window=2), "after window end"),
+        # a coarse floor settles every IC long before a 10 s window ends,
+        # and the last flow image 1 s later is the stop
+        (UNIT, 16, dict(t_window=10.0, stride=1000, plateau_floor=1e-3), "at flow end"),
+        (UNIT, 16, {}, "after flow end"),
+        (UNIT, 16, dict(plateau_window=2), "after flow end"),
         # an IC plateaus inside a chunk whose last step is unsettled
-        (UNIT, 16, dict(plateau_window=5), "after window end"),
-        (UNIT, 16, dict(n_ics=1, max_points=3), "after window end"),
-        (_SQUARE, 6, dict(n_ics=2, max_points=6), "after window end"),
+        (UNIT, 16, dict(plateau_window=5), "after flow end"),
+        (UNIT, 16, dict(n_ics=1, max_points=3), "after flow end"),
+        (_SQUARE, 6, dict(n_ics=2, max_points=6), "after flow end"),
     ],
     ids=["plateau-before-window-end", "plateau-after-window-end", "window-2", "window-5", "one-ic", "2d"],
 )
@@ -873,11 +887,10 @@ def test_chunked_settling_matches_per_step_loop(domain, resolution, changes, sto
     cfg = dataclasses.replace(_SETTLE, **changes)
     run = _check_against_per_step(op, default_nonlinearity(), cfg, 5, monkeypatch)
     assert run["error"] is None
-    window_end = round((cfg.t_transient + cfg.t_window) / cfg.dt)
-    if stop == "at window end":
-        assert len(run["z"]) - 1 == window_end
+    if stop == "at flow end":
+        assert len(run["z"]) - 1 == _flow_end(cfg)
     else:
-        assert len(run["z"]) - 1 > window_end + 10 * cfg.plateau_window
+        assert len(run["z"]) - 1 > _flow_end(cfg) + 10 * cfg.plateau_window
 
 
 def test_chunked_settling_hits_cap_at_per_step_point(monkeypatch):
@@ -897,12 +910,39 @@ def test_settling_plateau_at_first_step_past_transient(monkeypatch):
     # with a coarse floor every IC's settled run starts near t = 8, so with
     # t_transient = 10 each IC plateaus at s0 = 1000, the first step at
     # t_transient, on the E2 of steps s0 - W on; a window shorter than dt/2
-    # ends at s0, which makes s0 the stop
+    # ends at s0, so the last flow image, 1 s on, makes s0 + 100 the stop
     op = identity_operator(Mesh(UNIT, 16))
     cfg = dataclasses.replace(_SETTLE, plateau_floor=1e-3, t_transient=10.0, t_window=0.004, max_points=3)
     run = _check_against_per_step(op, default_nonlinearity(), cfg, 5, monkeypatch)
     assert list(run["plateau"]) == [1000] * cfg.n_ics
-    assert len(run["z"]) - 1 == 1000
+    assert len(run["z"]) - 1 == 1100
+
+
+@pytest.mark.parametrize("t_cap", [8.0, 11.5], ids=["cap-in-window", "cap-in-flow-span"])
+def test_settling_cap_past_every_plateau_stops_at_the_flow_end(t_cap, monkeypatch):
+    # a coarse floor settles the ICs at steps 794, 652 and 749, the window
+    # ends at step 1100 and its last flow image lies at step 1200; t_cap
+    # bounds only the settling test, so a cap at step 800 or 1150 raises
+    # nothing and every snapshot and flow image is kept
+    op = identity_operator(Mesh(UNIT, 16))
+    cfg = dataclasses.replace(_SETTLE, t_window=10.0, stride=1000, plateau_floor=1e-3, t_cap=t_cap)
+    run = _check_against_per_step(op, default_nonlinearity(), cfg, 5, monkeypatch)
+    assert run["error"] is None
+    assert max(run["plateau"]) < round(t_cap / cfg.dt) < _flow_end(cfg) == len(run["z"]) - 1
+
+
+def test_stability_sample_flow_images_chain_into_the_next_snapshot():
+    # on stability_1d.cfg a snapshot's flow span, 1 s, is the stride: each
+    # snapshot's last flow image is the same step of the same IC as its next
+    # snapshot, bit for bit
+    cfg, diags = load_config(Path(__file__).resolve().parents[1] / "configs" / "stability_1d.cfg")
+    assert not diags
+    sampler = cfg.sampler
+    assert round(1 / sampler.dt) == sampler.stride
+    table = sample_attractor(cfg.reference_operator(), cfg.make_nonlinearity(), sampler, cfg.seed)
+    per_ic = table.reshape(sampler.n_ics, -1, *table.shape[1:])  # (n_ics, n_snaps, m+1, 2 dim)
+    assert per_ic.shape[1] == 12
+    assert np.array_equal(per_ic[:, :-1, -1], per_ic[:, 1:, 0])
 
 
 @pytest.mark.parametrize("cap_step", [30, 49, 50])
@@ -942,7 +982,7 @@ def test_sampler_rejects_pool_above_max_points():
     small = dataclasses.replace(_FAST, max_points=5)
     with pytest.raises(ValueError, match="6 points exceeds max_points = 5"):
         sample_attractor(op, default_nonlinearity(), small, seed=1)
-    assert sample_attractor(op, default_nonlinearity(), _FAST, seed=1).shape == (6, 2 * op.n)
+    assert sample_attractor(op, default_nonlinearity(), _FAST, seed=1).shape == (6, _FAST.flow_grid_m + 1, 2 * op.n)
 
 
 # --- conjugated flows ----------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from ghwave.cli import main
 from ghwave.config import ScenarioConfig, load_config, parse_config
-from ghwave.dynamics import SamplerConfig, WaveIntegrator, flow_table, sample_attractor, x0_dist, x0_sqdist
+from ghwave.dynamics import SamplerConfig, WaveIntegrator, sample_attractor, x0_dist, x0_sqdist
 from ghwave import harness
 from ghwave.harness import (
     CsvWriter,
@@ -110,15 +110,11 @@ def test_timing_sidecar_records_study_stages(tmp_path):
         assert study + "." not in (out / "report.json").read_text()
 
 
-def _sampled_flow(op, f, sampler, seed):
-    return flow_table(sample_attractor(op, f, sampler, seed), op, f, sampler)
-
-
 def test_build_flow_pair_universe_indices():
     op = identity_operator(Mesh(UNIT, 16))
     f = default_nonlinearity()
-    fa = _sampled_flow(op, f, _FAST_SAMPLER, seed=1)
-    fb = _sampled_flow(op, f, _FAST_SAMPLER, seed=2)
+    fa = sample_attractor(op, f, _FAST_SAMPLER, seed=1)
+    fb = sample_attractor(op, f, _FAST_SAMPLER, seed=2)
     cost, dx, dy = build_flow_pair(fa, fb, op)
     na, nb = len(fa), len(fb)
     # one flow cost for every base point of one sample against every one of the other's
@@ -158,7 +154,7 @@ def test_build_flow_pair_matches_the_universe():
     cfg, diags = load_config(Path(__file__).resolve().parents[1] / "configs" / "stability_1d.cfg")
     assert not diags
     mesh, f = cfg.make_mesh(), cfg.make_nonlinearity()
-    fa, fb = (_sampled_flow(pullback_operator(mesh, h), f, cfg.sampler, cfg.seed) for h in cfg.maps()[:2])
+    fa, fb = (sample_attractor(pullback_operator(mesh, h), f, cfg.sampler, cfg.seed) for h in cfg.maps()[:2])
     op = cfg.reference_operator()
     cost, dx, dy = build_flow_pair(fa, fb, op)
     n, q = fa.shape[:2]
@@ -207,30 +203,32 @@ def test_build_flow_pair_refuses_different_time_grids():
     # columns would not be comparable
     op = identity_operator(Mesh(UNIT, 16))
     f = default_nonlinearity()
-    states = sample_attractor(op, f, _FAST_SAMPLER, seed=1)
-    fa = flow_table(states, op, f, _FAST_SAMPLER)
-    fb = flow_table(states, op, f, dataclasses.replace(_FAST_SAMPLER, flow_grid_m=4))
+    fa = sample_attractor(op, f, _FAST_SAMPLER, seed=1)
+    fb = sample_attractor(op, f, dataclasses.replace(_FAST_SAMPLER, flow_grid_m=4), seed=1)
     with pytest.raises(ValueError, match="share the time grid"):
         build_flow_pair(fa, fb, op)
 
 
-def test_each_study_records_only_the_flow_tables_it_reads(monkeypatch):
-    # continuity reads distance matrices only, so it records no flow table;
-    # stability records one per sample (anchor, full gap, half gap)
+def test_stability_study_steps_each_sample_once(monkeypatch):
+    # the sampler keeps each flow table off its own trajectory: one
+    # integrator per sample (anchor, full gap, half gap) and no record call
     cfg, diags = load_config(Path(__file__).resolve().parents[1] / "configs" / "determinism_tiny.cfg")
     assert not diags
     calls = []
-    real_record = WaveIntegrator.record
+    real_init, real_record = WaveIntegrator.__init__, WaveIntegrator.record
+
+    def init(self, *args):
+        calls.append("init")
+        real_init(self, *args)
 
     def record(self, z, times):
-        calls.append(np.shape(times))
+        calls.append("record")
         return real_record(self, z, times)
 
+    monkeypatch.setattr(WaveIntegrator, "__init__", init)
     monkeypatch.setattr(WaveIntegrator, "record", record)
-    run_continuity_study(cfg)
-    assert calls == []
     run_stability_study(cfg)
-    assert calls == [(cfg.sampler.flow_grid_m + 1,)] * 3
+    assert calls == ["init"] * 3
 
 
 def test_stability_pairs_certified_whatever_the_budget():
@@ -242,9 +240,9 @@ def test_stability_pairs_certified_whatever_the_budget():
     mesh, f = cfg.make_mesh(), cfg.make_nonlinearity()
     h_anchor, h_full = cfg.maps()[:2]
     h_half = cfg.make_map(0.5 * (cfg.schedule[0] + cfg.schedule[1]))
-    flow_anchor = _sampled_flow(pullback_operator(mesh, h_anchor), f, cfg.sampler, cfg.seed)
+    flow_anchor = sample_attractor(pullback_operator(mesh, h_anchor), f, cfg.sampler, cfg.seed)
     for h in (h_full, h_half):
-        flow_other = _sampled_flow(pullback_operator(mesh, h), f, cfg.sampler, cfg.seed)
+        flow_other = sample_attractor(pullback_operator(mesh, h), f, cfg.sampler, cfg.seed)
         pair = build_flow_pair(flow_anchor, flow_other, cfg.reference_operator())
         ests = [dgh_dynamical(*pair, budget, cfg.seed) for budget in (1, 4, 32)]
         assert all(e.exact and e.certified for e in ests)
