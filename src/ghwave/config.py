@@ -166,8 +166,10 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, str]]] = {
 
 
 # keys a config may still carry that nothing reads: gh.rho, the time-change
-# slack of a dynamical distance that now compares the flows at the same times
-_RETIRED = {"gh.rho"}
+# slack of a dynamical distance that now compares the flows at the same
+# times, and the sampler's energy-settling test, which the nonlinearity rule
+# a > |b| made redundant
+_RETIRED = {"gh.rho", "sampler.plateau_tol", "sampler.plateau_floor", "sampler.plateau_window", "sampler.t_cap"}
 
 
 def _finite(raw: str) -> float:
@@ -276,8 +278,6 @@ def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | 
     cfg.sampler = sampler = SamplerConfig(**sampler_kwargs)
     if "dt" not in sampler_kwargs:
         sampler.dt = cfg.dt
-    if sampler.t_cap < sampler.t_transient + sampler.t_window:
-        diags.append(Diagnostic("sampler.t_cap", f"t_cap ({sampler.t_cap}) ends the run before t_transient + t_window"))
     if sampler.pool_size > sampler.max_points:
         diags.append(
             Diagnostic(

@@ -44,15 +44,9 @@ A state is one array z = (u; v): (2 dim,) for one state, (2 dim, k) for a
 block of k states, one per column.  Both kernels are written once, in one
 step loop over z that steps into preallocated buffers; `step` and `record`
 are runs of it (a record on whole steps is one run that keeps only its
-grid's states), and the sampler runs it directly: it copies its snapshots
-and their flow images out of its own chunks of steps, so no state of a
-sample is stepped twice.  The sampler evaluates the second-order energy E2
-of its settling test only where the test reads it: from step s0 - W - 1
-on, s0 being the first step at t_transient and W the plateau window (an IC
-can plateau only at a step s >= s0 on the W settled steps up to s, and
-their slopes read no E2 before step s - W), and within a chunk of steps
-only at its last two steps for an IC that cannot plateau sooner and is
-unsettled there.  No E2 left out could move a decision.
+grid's states), and the sampler runs it directly: it steps its block of
+ICs straight from one step a flow image is due at to the next and copies
+each image into its table, so no state of a sample is stepped twice.
 """
 
 from __future__ import annotations
@@ -84,7 +78,6 @@ __all__ = [
     "EnergyProfile",
     "SamplerConfig",
     "BlowupError",
-    "NonDissipativeError",
     "WaveIntegrator",
     "stability_cap",
     "solve_trajectory",
@@ -104,10 +97,6 @@ Array = npt.NDArray[np.float64]
 
 class BlowupError(RuntimeError):
     """The integrator produced a non-finite state."""
-
-
-class NonDissipativeError(RuntimeError):
-    """Energy never reached a plateau before the sampling time cap."""
 
 
 THETA_SHIFT = 0.5  # theta = 1/2 + THETA_SHIFT * dt
@@ -431,8 +420,7 @@ def lipschitz_envelope_check(
 
 
 # SamplerConfig field -> (predicate, description of the valid range); the
-# config schema's [sampler] section is built from this table.  A
-# plateau_window below 2 would count every IC as settled before its first step.
+# config schema's [sampler] section is built from this table.
 SAMPLER_RANGES: dict[str, tuple[Callable[[float], bool], str]] = {
     "n_ics": (lambda n: n >= 1, "at least 1"),
     "radius": (lambda x: x > 0, "positive"),
@@ -440,10 +428,6 @@ SAMPLER_RANGES: dict[str, tuple[Callable[[float], bool], str]] = {
     "t_window": (lambda x: x > 0, "positive"),
     "stride": (lambda n: n >= 1, "at least 1"),
     "max_points": (lambda n: n >= 1, "at least 1"),
-    "plateau_tol": (lambda x: x > 0, "positive"),
-    "plateau_floor": (lambda x: x >= 0, "nonnegative"),
-    "plateau_window": (lambda n: n >= 2, "at least 2"),
-    "t_cap": (lambda x: x > 0, "positive"),
     "dt": (lambda x: x > 0, "positive"),
     "flow_grid_m": (lambda n: n >= 1, "at least 1"),
     "n_modes": (lambda n: n >= 1, "at least 1"),
@@ -463,10 +447,6 @@ class SamplerConfig:
     t_window: float = 11.0
     stride: int = 250
     max_points: int = 96
-    plateau_tol: float = 1e-4
-    plateau_floor: float = 1e-12
-    plateau_window: int = 50
-    t_cap: float = 200.0
     dt: float = 0.004
     flow_grid_m: int = 10
     n_modes: int = 6
@@ -595,13 +575,9 @@ def x0_dist(states: Array, op: DiscreteOperator) -> Array:
     return dist
 
 
-def _first_step(t: float, dt: float) -> int:
-    """The first step s with s * dt >= t > 0, in the float arithmetic of the settling test."""
-    s = math.ceil(t / dt)
-    return next(k for k in (s - 1, s, s + 1) if k * dt >= t)
-
-
-def sample_attractor(op: DiscreteOperator, f: NonlinearitySpec, cfg: SamplerConfig, seed: int) -> Array:
+def sample_attractor(
+    op: DiscreteOperator, f: NonlinearitySpec, cfg: SamplerConfig, seed: int, states_only: bool = False
+) -> Array:
     """Seeded approximate-attractor sample as its flow table, (n, q, 2 dim), q = `flow_grid_m` + 1.
 
     Snapshots are taken on the fixed window [t_transient, t_transient +
@@ -612,36 +588,16 @@ def sample_attractor(op: DiscreteOperator, f: NonlinearitySpec, cfg: SamplerConf
     point's row is the same IC's state z = (u; v) round(j / (m dt)) steps
     after the snapshot (m = `flow_grid_m`), so column 0 is the point itself;
     a flow grid off the dt lattice is rounded to whole steps, as the window
-    is.  Independently, each trajectory must pass the settling test: the
-    per-step slope |dE2/dt| < plateau_tol * E2 + plateau_floor for
-    `plateau_window` consecutive steps (a single zero crossing of the
-    oscillating slope does not count), the last of them at or after
-    t_transient, before `t_cap`, otherwise NonDissipativeError; once every
-    IC has plateaued, stepping on to the last flow image raises nothing.
+    is.  With `states_only` the result is column 0 alone, (n, 2 dim), and
+    the stepping ends at the last snapshot.
 
     The ICs advance as one (2 dim, n_ics) block, in the integrator's step
-    loop, and E2 is evaluated only where the settling test reads it.  An IC
-    can plateau only at a step s >= s0, the first step with t >=
-    t_transient, and only on the settled steps s - W + 1 .. s (W =
-    `plateau_window`), whose slopes read E2 from step s - W on.  So the
-    block first runs straight to step s0 - W - 1 with no E2 and no snapshot
-    (the window starts later), and the settling count starts there.  From
-    there it runs in chunks of at most W steps, and each flow image is
-    copied out of the chunk it falls in.  A chunk ends no later than the
-    earliest step the per-step loop could stop at (no IC can collect W
-    settled steps sooner, and no stop comes before the last flow image),
-    and, while an IC has not plateaued, at the first step reaching `t_cap`;
-    so no step runs past that loop's stop.  Per chunk, an IC that has not
-    plateaued and cannot plateau before the chunk's last step first gets
-    the E2 of the last two steps: if the last is unsettled, its settled
-    count restarts there, and no other E2 of the chunk can matter.  Every
-    other such IC gets the E2 of every step of the chunk, in one
-    evaluation, and a plateaued IC none: it keeps stepping in the block
-    until the last flow image and every IC is done.  So every settling
-    decision is the per-step one, bit for bit: the steps are the same
-    (2 dim, n_ics) block's, and the E2 of a column does not depend on the
-    block it is evaluated in (a column of the step block matches its IC
-    stepped alone only to rounding, see `WaveIntegrator`).
+    loop, straight from one step an image is due at to the next, and each
+    image is copied into the table as the block passes it; the last step
+    run is the last image's.  Nothing waits for the energy to settle: a
+    scenario's nonlinearity (a > |b|, `operators.default_nonlinearity`)
+    makes the system dissipative, so the attractor the window samples
+    exists, and a trajectory that leaves the float range is a BlowupError.
     """
     if cfg.pool_size > cfg.max_points:
         raise ValueError(
@@ -649,81 +605,29 @@ def sample_attractor(op: DiscreteOperator, f: NonlinearitySpec, cfg: SamplerConf
             f"exceeds max_points = {cfg.max_points}"
         )
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5A17]))
-    pack = NormPack(op)
     integ = WaveIntegrator(op, f, cfg.dt)
-    n, n_ics, W, m = op.n, cfg.n_ics, cfg.plateau_window, cfg.flow_grid_m
+    n_ics, m = cfg.n_ics, cfg.flow_grid_m
     # all ICs advance together, one column each
     z = np.column_stack([random_state(op, rng, cfg.radius, cfg.n_modes) for _ in range(n_ics)])
     window_start = int(round(cfg.t_transient / cfg.dt))
     n_snaps = cfg.pool_size // n_ics
-    # due[i, j]: the step of snapshot i's flow image j
-    lags = np.array([round(j / (m * cfg.dt)) for j in range(m + 1)])
-    due = (window_start + cfg.stride * np.arange(n_snaps))[:, None] + lags
-    flow_end = int(due[-1, -1])
-    cap = _first_step(cfg.t_cap, cfg.dt)
-    table = np.empty((n_ics, n_snaps, m + 1, 2 * n))
-
-    def keep(first: int, block: Array) -> None:
-        """Copy the flow images due at steps first .. first + len(block) - 1 out of `block` (L, 2 dim, n_ics)."""
-        for i, j in zip(*np.nonzero((due >= first) & (due < first + len(block)))):
-            table[:, i, j] = block[due[i, j] - first].T
-
-    # no E2 before step s0 - W - 1 can move a decision, and no snapshot lies
-    # there either (window_start >= s0 - 2 > s0 - W - 1): run straight to it
-    k = max(0, min(_first_step(cfg.t_transient, cfg.dt) - W - 1, cap))
-    z = integ._steps(z, [k])
-    keep(k, z[None])
-    e_prev = _e2(z, pack, f) if k < cap else None  # else the loop raises at once
-    consec = np.zeros(n_ics, dtype=np.intp)
-    plateaued = np.zeros(n_ics, dtype=bool)
-    chunk = np.empty((W,) + z.shape)  # no chunk is longer
-
-    def energy(block: Array, cols: Array) -> Array:
-        """E2 of the ICs `cols` at the steps of `block` (L, 2 dim, n_ics), one evaluation, (L, len(cols))."""
-        return _e2(block[:, :, cols].transpose(1, 0, 2).reshape(2 * n, -1), pack, f).reshape(len(block), -1)
-
-    def settled(e: Array, e_before: Array) -> Array:
-        return np.abs(e - e_before) / cfg.dt < cfg.plateau_tol * e + cfg.plateau_floor
-
-    while not (plateaued.all() and k >= flow_end):
-        active = np.flatnonzero(~plateaued)
-        if active.size and k >= cap:
-            ic = int(active[0])
-            raise NonDissipativeError(f"energy of ic {ic} never plateaued before t_cap = {cfg.t_cap}")
-        # no active IC can plateau in fewer than `need` steps, and no stop
-        # lies before flow_end, so the loop can only stop at the chunk's
-        # last step; only the settling test stops at the cap
-        need = int((W - consec[active]).max(initial=0))
-        last = k + max(1, need, min(flow_end - k, W))
-        ks = np.arange(k + 1, (min(last, cap) if active.size else last) + 1)
-        out = chunk[: len(ks)]
-        z = integ._steps(z, (ks - k).tolist(), out)
-        keep(k + 1, out)
-        # an IC that cannot plateau before the chunk's last step (its count
-        # stays below W until then), and is unsettled there, needs no other
-        # E2 of the chunk: its settled count restarts at 0 on that step
-        quick = active[consec[active] + len(ks) - 1 < W]
-        if len(ks) > 1 and quick.size:
-            e = energy(out[-2:], quick)
-            off = ~settled(e[1], e[0])
-            consec[quick[off]] = 0
-            e_prev[quick[off]] = e[1, off]
-            restarted = np.zeros(n_ics, dtype=bool)  # not np.setdiff1d, whose np.unique loads numpy.ma
-            restarted[quick[off]] = True
-            active = active[~restarted[active]]
-        if active.size:
-            # E2 of the active ICs over the chunk in one (2 dim, L * n_active)
-            # block, then the per-step test as array operations over (L, n_active)
-            e = energy(out, active)
-            ok = settled(e, np.vstack([e_prev[active], e[:-1]]))
-            e_prev[active] = e[-1]
-            step = np.arange(1, len(ks) + 1)[:, None]
-            reset = np.maximum.accumulate(np.where(ok, 0, step), axis=0)
-            run = np.where(reset == 0, consec[active] + step, step - reset)  # consec after each step
-            consec[active] = run[-1]
-            plateaued[active] = ((ks * cfg.dt >= cfg.t_transient)[:, None] & (run >= W)).any(axis=0)
-        k = int(ks[-1])
-    return table.reshape(-1, m + 1, 2 * n)
+    lags = [round(j / (m * cfg.dt)) for j in range(1 if states_only else m + 1)]
+    table = np.empty((n_ics, n_snaps, len(lags), 2 * op.n))
+    # the (snapshot, image) slots due at each step: a flow span longer than
+    # `stride` interleaves the images of successive snapshots, and one as
+    # long puts a snapshot's last image on the next snapshot's step
+    due: dict[int, list[tuple[int, int]]] = {}
+    for i in range(n_snaps):
+        for j, lag in enumerate(lags):
+            due.setdefault(window_start + cfg.stride * i + lag, []).append((i, j))
+    done = 0
+    for step in sorted(due):  # not np.unique, which loads numpy.ma
+        z = integ._steps(z, [step - done])
+        done = step
+        for i, j in due[step]:
+            table[:, i, j] = z.T
+    rows = table.reshape(-1, len(lags), 2 * op.n)
+    return rows[:, 0] if states_only else rows
 
 
 def conjugated_flow_error(

@@ -143,7 +143,7 @@ def run_continuity_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | 
     op_ref = cfg.reference_operator()
 
     def sample_dist(op: DiscreteOperator, seed: int) -> np.ndarray:
-        return x0_dist(sample_attractor(op, f, cfg.sampler, seed)[:, 0], op)
+        return x0_dist(sample_attractor(op, f, cfg.sampler, seed, states_only=True), op)
 
     with clock.stage("continuity.sample"):
         dist_ref = sample_dist(op_ref, cfg.seed)

@@ -62,10 +62,9 @@ Array = npt.NDArray[np.float64]
 # step; it also picks the representation of the norm and E2 products, which
 # the script's E2 column times (one `_e2` call on the block, microseconds,
 # sparse vs dense): 44.8 vs 33.3 at 47x8, 58.2 vs 54.0 at 121x4 and 64.8 vs
-# 67.9 at 144x4, but 51.2 vs 81.8 at 111x8 and 55.7 vs 97.4 at 127x8.  The
-# sampler evaluates E2 once per chunk of up to `plateau_window` (50) steps,
-# so below the cap the dense E2 costs at most about 1 microsecond per step
-# more than the sparse one.
+# 67.9 at 144x4, but 51.2 vs 81.8 at 111x8 and 55.7 vs 97.4 at 127x8.  No
+# sampler step evaluates E2 (only `dynamics.energy_profile` does, once per
+# recorded trajectory), so the E2 column does not move the cap.
 DENSE_MAX_DIM = 150
 
 _GP = 1.0 / np.sqrt(3.0)  # 2-point Gauss abscissa on [-1, 1]

@@ -145,16 +145,16 @@ def test_sampler_dt_override_kept():
     assert cfg.sampler.dt == 0.005
 
 
-def test_sampler_cap_before_window_end_rejected():
-    # the sampler would otherwise run up to t_cap and only then fail
-    text = "[sampler]\nt_transient = 8.0\nt_window = 11.0\nt_cap = 18.5\n[run]\nseed = 1\n"
-    cfg, diags = parse_config(text)
-    assert cfg is None
-    (d,) = [d for d in diags if d.key == "sampler.t_cap"]
-    assert "before t_transient + t_window" in d.message
-    cfg, diags = parse_config(text.replace("18.5", "19.0"))
-    assert diags == []
-    assert cfg.sampler.t_cap == 19.0
+def test_retired_sampler_keys_are_ignored():
+    # the keys of the sampler's energy-settling test, which the nonlinearity
+    # rule a > |b| made redundant, still parse and change nothing, even at
+    # values their old ranges refused
+    plain = "[sampler]\nn_ics = 4\n[run]\nseed = 1\n"
+    cfg, diags = parse_config(plain)
+    keys = "plateau_tol = 0\nplateau_floor = -1\nplateau_window = 1\nt_cap = 0.5\n"
+    retired, retired_diags = parse_config(plain.replace("[sampler]\n", "[sampler]\n" + keys))
+    assert diags == retired_diags == []
+    assert retired == cfg
 
 
 def test_dt_above_reference_stability_cap_rejected(tmp_path):
@@ -224,10 +224,6 @@ _SAMPLER_JUST_OUTSIDE = {
     "t_window": 0.0,
     "stride": 0,
     "max_points": 0,
-    "plateau_tol": 0.0,
-    "plateau_floor": -1e-12,
-    "plateau_window": 1,
-    "t_cap": 0.0,
     "dt": 0.0,
     "flow_grid_m": 0,
     "n_modes": 0,

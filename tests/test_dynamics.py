@@ -7,7 +7,6 @@ with lambda taken from the frozen modal formula of the discrete pencil.
 """
 
 import dataclasses
-import itertools
 import os
 import re
 import subprocess
@@ -35,7 +34,6 @@ from ghwave.operators import (
 )
 from ghwave.dynamics import (
     BlowupError,
-    NonDissipativeError,
     SamplerConfig,
     WaveIntegrator,
     _e2,
@@ -676,23 +674,6 @@ def test_sampler_linear_attractor_is_origin():
     assert x0_dist(sample, op).max() < 2e-3
 
 
-def test_sampler_raises_when_cap_precedes_plateau():
-    cfg = SamplerConfig(
-        n_ics=1,
-        radius=1.0,
-        t_transient=1.0,
-        t_window=1.0,
-        stride=50,
-        max_points=8,
-        dt=0.01,
-        t_cap=3.0,
-        flow_grid_m=2,
-    )
-    op = identity_operator(Mesh(UNIT, 16))
-    with pytest.raises(NonDissipativeError):
-        sample_attractor(op, default_nonlinearity(), cfg, seed=1)
-
-
 @pytest.mark.parametrize("config, n, q", [("stability_1d.cfg", 96, 11), ("shear_2d.cfg", 16, 5)])
 def test_x0_sqdist_blocks_match_one_full_gram(config, n, q):
     # two flow tables of the shipped sample size on the shipped 1D and 2D
@@ -743,192 +724,77 @@ def _flow_end(cfg):
     return last_snap + _lags(cfg)[-1]
 
 
-def _sample_per_step(op, f, cfg, seed, run):
-    """The sampler with one step, one E2 evaluation and the settling
-    bookkeeping per step from step 0, on to the last flow image: the
-    reference `sample_attractor` must reproduce bit for bit.  Fills `run`,
-    also when the cap is hit: "z" holds the stacked (2 dim, n_ics) block
-    after each step and "e2" its E2 (time 0 first), "plateau" the step each
-    IC plateaued at (-1 if it never did).  Returns the snapshots (n, 2 dim),
-    their distance matrix, and the flow table (n, m+1, 2 dim) read off the
-    same steps."""
+def _sample_per_step(op, f, cfg, seed):
+    """The flow table (n, m+1, 2 dim) of `sample_attractor`'s ICs, stepped
+    one step per run of the step loop on the same (2 dim, n_ics) block: the
+    sampler must reproduce it bit for bit."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5A17]))
-    pack = NormPack(op)
     integ = WaveIntegrator(op, f, cfg.dt)
-    state = np.column_stack([random_state(op, rng, cfg.radius, cfg.n_modes) for _ in range(cfg.n_ics)])
-    window_start = int(round(cfg.t_transient / cfg.dt))
-    window_end = window_start + int(round(cfg.t_window / cfg.dt))
-    snaps = [0] if window_start == 0 else []  # the snapshot steps
-    e_prev = _e2(state, pack, f)
-    run.update(z=[state], e2=[e_prev], plateau=np.full(cfg.n_ics, -1))
-    consec = np.zeros(cfg.n_ics, dtype=np.intp)
-    plateaued = np.zeros(cfg.n_ics, dtype=bool)
-    k = 0
-    while True:
-        state = integ.step(state)
-        k += 1
-        t = k * cfg.dt
-        if window_start <= k <= window_end and (k - window_start) % cfg.stride == 0:
-            snaps.append(k)
-        e_now = _e2(state, pack, f)
-        run["z"].append(state)
-        run["e2"].append(e_now)
-        slope = np.abs(e_now - e_prev) / cfg.dt
-        e_prev = e_now
-        settled = slope < cfg.plateau_tol * e_now + cfg.plateau_floor
-        consec = np.where(settled, consec + 1, 0)
-        if t >= cfg.t_transient:
-            newly = (consec >= cfg.plateau_window) & ~plateaued
-            run["plateau"][newly] = k
-            plateaued |= newly
-        if plateaued.all() and k >= _flow_end(cfg):
-            break
-        if t >= cfg.t_cap and not plateaued.all():
-            ic = int(np.argmin(plateaued))
-            raise NonDissipativeError(f"energy of ic {ic} never plateaued before t_cap = {cfg.t_cap}")
-    # IC-major rows, from (n_snaps, 2 dim, n_ics) and (n_snaps, m+1, 2 dim, n_ics)
-    states = np.array([run["z"][s] for s in snaps]).transpose(2, 0, 1).reshape(-1, 2 * op.n)
-    dist = np.sqrt(_full_sqdist(states, op))
-    dist = 0.5 * (dist + dist.T)
-    np.fill_diagonal(dist, 0.0)
-    flow = np.array([[run["z"][s + lag] for lag in _lags(cfg)] for s in snaps])
-    return states, dist, flow.transpose(3, 0, 1, 2).reshape(len(states), -1, 2 * op.n)
+    z = np.column_stack([random_state(op, rng, cfg.radius, cfg.n_modes) for _ in range(cfg.n_ics)])
+    window_start = round(cfg.t_transient / cfg.dt)
+    snaps = [window_start + cfg.stride * i for i in range(cfg.pool_size // cfg.n_ics)]
+    wanted = {s + lag for s in snaps for lag in _lags(cfg)}
+    kept = {0: z}
+    for k in range(1, _flow_end(cfg) + 1):
+        z = integ._steps(z, [1])  # each run returns a buffer of its own
+        if k in wanted:
+            kept[k] = z
+    flow = np.array([[kept[s + lag] for lag in _lags(cfg)] for s in snaps])  # (n_snaps, m+1, 2 dim, n_ics)
+    return flow.transpose(3, 0, 1, 2).reshape(-1, cfg.flow_grid_m + 1, 2 * op.n)
 
 
-def _spy_sampler(monkeypatch):
-    """Record what `sample_attractor` does: each E2 evaluation as (states,
-    values), one stacked (u; v) row per state, and each run of the step loop
-    as (steps, end state)."""
-    seen = {"e2": [], "steps": []}
-    real_e2, real_steps = dynamics._e2, WaveIntegrator._steps
-
-    def e2(z, pack, f):
-        vals = real_e2(z, pack, f)
-        seen["e2"].append((z.T.copy(), vals.copy()))
-        return vals
+def _count_steps(monkeypatch):
+    """A list whose one entry sums the steps of every later run of the step loop."""
+    count, real = [0], WaveIntegrator._steps
 
     def steps(self, z, marks, out=None):
-        end = real_steps(self, z, marks, out)
-        seen["steps"].append((marks[-1], end.copy()))
-        return end
+        count[0] += marks[-1]
+        return real(self, z, marks, out)
 
-    monkeypatch.setattr(dynamics, "_e2", e2)
     monkeypatch.setattr(WaveIntegrator, "_steps", steps)
-    return seen
+    return count
 
 
-def _check_against_per_step(op, f, cfg, seed, monkeypatch):
-    """`sample_attractor` against the per-step reference: the bits of its
-    flow table, its states (column 0) and their `x0_dist` against the
-    reference's, or the same NonDissipativeError; the
-    same stop step and stop state; and E2 with the reference's bits on every
-    (step, IC) it is evaluated at, none before step s0 - W - 1 (s0 the first
-    step at t_transient, W the plateau window), and every one an IC's
-    plateau reads.  Returns the reference's run with "error" (the
-    reference's NonDissipativeError or None) and "evaluated" (the (step, IC)
-    pairs)."""
-    run = {"error": None}
-    try:
-        want = _sample_per_step(op, f, cfg, seed, run)
-    except NonDissipativeError as exc:
-        run["error"] = exc
-    seen = _spy_sampler(monkeypatch)
-    if run["error"] is not None:
-        with pytest.raises(NonDissipativeError) as got:
-            sample_attractor(op, f, cfg, seed)
-        assert str(got.value) == str(run["error"])
-    else:
-        sample = sample_attractor(op, f, cfg, seed)
-    stop = len(run["z"]) - 1
-    assert sum(n_steps for n_steps, _ in seen["steps"]) == stop
-    assert np.array_equal(seen["steps"][-1][1], run["z"][-1])
-    # each evaluated state is found in the reference run by its bits
-    where = {z[:, i].tobytes(): (s, i) for s, z in enumerate(run["z"]) for i in range(cfg.n_ics)}
-    run["evaluated"] = set()
-    for rows, vals in seen["e2"]:
-        for row, val in zip(rows, vals):
-            s, i = where[row.tobytes()]
-            assert val == run["e2"][s][i]
-            run["evaluated"].add((s, i))
-    s0 = next(s for s in itertools.count() if s * cfg.dt >= cfg.t_transient)
-    first = max(0, s0 - cfg.plateau_window - 1)
-    assert all(s >= first for s, _ in run["evaluated"])
-    # an IC's plateau at step p reads the E2 of steps p - W .. p
-    for i, p in enumerate(run["plateau"]):
-        assert {(s, i) for s in range(p - cfg.plateau_window, p + 1) if p >= 0} <= run["evaluated"]
-    if run["error"] is None:
-        states, dist, flow = want
-        assert np.array_equal(sample[:, 0], states)
-        assert np.array_equal(x0_dist(sample[:, 0], op), dist)
-        assert np.array_equal(sample, flow)
-    return run
+def _shipped_stability():
+    cfg, diags = load_config(Path(__file__).resolve().parents[1] / "configs" / "stability_1d.cfg")
+    assert not diags
+    return cfg.reference_operator(), cfg.make_nonlinearity(), cfg.sampler, cfg.seed
 
 
-_SETTLE = dataclasses.replace(_FAST, n_ics=3, max_points=9)
+def _fast(domain, resolution, **changes):
+    return identity_operator(Mesh(domain, resolution)), default_nonlinearity(), dataclasses.replace(_FAST, **changes), 5
 
 
 @pytest.mark.parametrize(
-    "domain, resolution, changes, stop",
+    "case",
     [
-        # a coarse floor settles every IC long before a 10 s window ends,
-        # and the last flow image 1 s later is the stop
-        (UNIT, 16, dict(t_window=10.0, stride=1000, plateau_floor=1e-3), "at flow end"),
-        (UNIT, 16, {}, "after flow end"),
-        (UNIT, 16, dict(plateau_window=2), "after flow end"),
-        # an IC plateaus inside a chunk whose last step is unsettled
-        (UNIT, 16, dict(plateau_window=5), "after flow end"),
-        (UNIT, 16, dict(n_ics=1, max_points=3), "after flow end"),
-        (_SQUARE, 6, dict(n_ics=2, max_points=6), "after flow end"),
+        # a snapshot's last flow image is the next snapshot: one due step, two slots
+        _shipped_stability,
+        lambda: _fast(_SQUARE, 6, flow_grid_m=2),
+        # m dt = 0.03 s: the images lie 33, 67 and 100 steps on
+        lambda: _fast(UNIT, 16),
+        # a 100-step flow span over a 30-step stride: snapshot 0's last image
+        # is due after snapshot 1's first two
+        lambda: _fast(UNIT, 16, stride=30),
     ],
-    ids=["plateau-before-window-end", "plateau-after-window-end", "window-2", "window-5", "one-ic", "2d"],
+    ids=["stability-shipped", "2d", "off-lattice", "span-past-stride"],
 )
-def test_chunked_settling_matches_per_step_loop(domain, resolution, changes, stop, monkeypatch):
-    op = identity_operator(Mesh(domain, resolution))
-    cfg = dataclasses.replace(_SETTLE, **changes)
-    run = _check_against_per_step(op, default_nonlinearity(), cfg, 5, monkeypatch)
-    assert run["error"] is None
-    if stop == "at flow end":
-        assert len(run["z"]) - 1 == _flow_end(cfg)
-    else:
-        assert len(run["z"]) - 1 > _flow_end(cfg) + 10 * cfg.plateau_window
-
-
-def test_chunked_settling_hits_cap_at_per_step_point(monkeypatch):
-    # at seed 6 ics 0 and 1 plateau at steps 2927 and 2925, ic 2 at 2945:
-    # a cap at step 2930 names ic 2
-    op = identity_operator(Mesh(UNIT, 16))
-    cfg = dataclasses.replace(_SETTLE, t_cap=29.3)
-    run = _check_against_per_step(op, default_nonlinearity(), cfg, 6, monkeypatch)
-    assert "ic 2 never" in str(run["error"])
-    assert abs(len(run["z"]) - 1 - 2930) <= 1
-    # a chunk whose last step is unsettled costs an IC two E2 evaluations,
-    # not one per step: most of the run's E2 is never evaluated
-    assert len(run["evaluated"]) < len(run["z"]) * cfg.n_ics / 4
-
-
-def test_settling_plateau_at_first_step_past_transient(monkeypatch):
-    # with a coarse floor every IC's settled run starts near t = 8, so with
-    # t_transient = 10 each IC plateaus at s0 = 1000, the first step at
-    # t_transient, on the E2 of steps s0 - W on; a window shorter than dt/2
-    # ends at s0, so the last flow image, 1 s on, makes s0 + 100 the stop
-    op = identity_operator(Mesh(UNIT, 16))
-    cfg = dataclasses.replace(_SETTLE, plateau_floor=1e-3, t_transient=10.0, t_window=0.004, max_points=3)
-    run = _check_against_per_step(op, default_nonlinearity(), cfg, 5, monkeypatch)
-    assert list(run["plateau"]) == [1000] * cfg.n_ics
-    assert len(run["z"]) - 1 == 1100
-
-
-@pytest.mark.parametrize("t_cap", [8.0, 11.5], ids=["cap-in-window", "cap-in-flow-span"])
-def test_settling_cap_past_every_plateau_stops_at_the_flow_end(t_cap, monkeypatch):
-    # a coarse floor settles the ICs at steps 794, 652 and 749, the window
-    # ends at step 1100 and its last flow image lies at step 1200; t_cap
-    # bounds only the settling test, so a cap at step 800 or 1150 raises
-    # nothing and every snapshot and flow image is kept
-    op = identity_operator(Mesh(UNIT, 16))
-    cfg = dataclasses.replace(_SETTLE, t_window=10.0, stride=1000, plateau_floor=1e-3, t_cap=t_cap)
-    run = _check_against_per_step(op, default_nonlinearity(), cfg, 5, monkeypatch)
-    assert run["error"] is None
-    assert max(run["plateau"]) < round(t_cap / cfg.dt) < _flow_end(cfg) == len(run["z"]) - 1
+def test_sampler_matches_per_step_reference(case, monkeypatch):
+    op, f, cfg, seed = case()
+    want = _sample_per_step(op, f, cfg, seed)
+    dist = np.sqrt(_full_sqdist(want[:, 0], op))
+    dist = 0.5 * (dist + dist.T)
+    np.fill_diagonal(dist, 0.0)
+    steps = _count_steps(monkeypatch)
+    table = sample_attractor(op, f, cfg, seed)
+    assert np.array_equal(table, want)
+    assert steps[0] == _flow_end(cfg)
+    # the states alone stop at the last snapshot, with the same bits
+    steps[0] = 0
+    states = sample_attractor(op, f, cfg, seed, states_only=True)
+    assert np.array_equal(states, want[:, 0])
+    assert np.array_equal(x0_dist(states, op), dist)
+    assert steps[0] == _flow_end(cfg) - _lags(cfg)[-1]
 
 
 def test_stability_sample_flow_images_chain_into_the_next_snapshot():
@@ -943,37 +809,6 @@ def test_stability_sample_flow_images_chain_into_the_next_snapshot():
     per_ic = table.reshape(sampler.n_ics, -1, *table.shape[1:])  # (n_ics, n_snaps, m+1, 2 dim)
     assert per_ic.shape[1] == 12
     assert np.array_equal(per_ic[:, :-1, -1], per_ic[:, 1:, 0])
-
-
-@pytest.mark.parametrize("cap_step", [30, 49, 50])
-def test_settling_cap_before_first_read_energy(cap_step, monkeypatch):
-    # s0 - W - 1 = 49 here: a cap at step 30 or 49 raises with no E2
-    # evaluated, one at step 50 after E2 at steps 49 and 50
-    op = identity_operator(Mesh(UNIT, 16))
-    cfg = dataclasses.replace(_SETTLE, t_cap=cap_step * _SETTLE.dt)
-    run = _check_against_per_step(op, default_nonlinearity(), cfg, 5, monkeypatch)
-    assert str(run["error"]) == f"energy of ic 0 never plateaued before t_cap = {cfg.t_cap}"
-    assert len(run["z"]) - 1 == cap_step
-    assert {s for s, _ in run["evaluated"]} == ({49, 50} if cap_step == 50 else set())
-
-
-@pytest.mark.parametrize(
-    "changes",
-    [
-        dict(plateau_window=0),
-        dict(plateau_window=1),
-        dict(plateau_tol=0.0),
-        dict(plateau_tol=float("nan")),
-        dict(plateau_floor=-1e-12),
-        dict(t_cap=0.0),
-        dict(t_cap=-5.0),
-    ],
-)
-def test_sampler_config_rejects_disabled_settling_test(changes):
-    # plateau_window = 0 would count every IC as settled before its first step
-    (key,) = changes
-    with pytest.raises(ValueError, match=f"sampler {key} = .* out of range"):
-        dataclasses.replace(_FAST, **changes)
 
 
 def test_sampler_rejects_pool_above_max_points():

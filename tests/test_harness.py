@@ -446,12 +446,15 @@ def test_cli_overrides_checked_like_run_keys(tmp_path, capsys):
 
 
 def test_cli_runtime_error_single_line(tmp_path, capsys):
-    # a valid config whose settling test cannot pass before t_cap, which only
-    # stepping finds out
-    p = tmp_path / "never_settles.cfg"
-    p.write_text(_CLI_CFG.replace("[sampler]\n", "[sampler]\nplateau_tol = 1e-300\nplateau_floor = 0\nt_cap = 2.0\n"))
+    # a valid config whose dt is below the reference operator's stability
+    # cap (1.5625e-2) but above the first perturbed operator's (1.438e-2),
+    # which only the integrator built on that operator finds out
+    text = _CLI_CFG.replace("dt = 0.01\n", "dt = 0.015\n")
+    assert parse_config(text)[1] == []
+    p = tmp_path / "perturbed_cap.cfg"
+    p.write_text(text)
     rc = main(["stability", "--config", str(p), "--out", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error: dt = 1.500e-02 exceeds the stability cap")
     assert err.count("\n") == 1
