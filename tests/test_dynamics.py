@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from ghwave import dynamics, operators
-from ghwave.config import load_config
+from ghwave.config import load_config, parse_config
 from ghwave.domains import ReferenceDomain, bump_map_1d, identity_map
 from ghwave.operators import (
     Mesh,
@@ -724,13 +724,18 @@ def _flow_end(cfg):
     return last_snap + _lags(cfg)[-1]
 
 
+def _sampler_ics(op, cfg, seed):
+    """The (2 dim, n_ics) block of `sample_attractor`'s ICs at this seed."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5A17]))
+    return np.column_stack([random_state(op, rng, cfg.radius, cfg.n_modes) for _ in range(cfg.n_ics)])
+
+
 def _sample_per_step(op, f, cfg, seed):
     """The flow table (n, m+1, 2 dim) of `sample_attractor`'s ICs, stepped
     one step per run of the step loop on the same (2 dim, n_ics) block: the
     sampler must reproduce it bit for bit."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5A17]))
     integ = WaveIntegrator(op, f, cfg.dt)
-    z = np.column_stack([random_state(op, rng, cfg.radius, cfg.n_modes) for _ in range(cfg.n_ics)])
+    z = _sampler_ics(op, cfg, seed)
     window_start = round(cfg.t_transient / cfg.dt)
     snaps = [window_start + cfg.stride * i for i in range(cfg.pool_size // cfg.n_ics)]
     wanted = {s + lag for s in snaps for lag in _lags(cfg)}
@@ -795,6 +800,146 @@ def test_sampler_matches_per_step_reference(case, monkeypatch):
     assert np.array_equal(states, want[:, 0])
     assert np.array_equal(x0_dist(states, op), dist)
     assert steps[0] == _flow_end(cfg) - _lags(cfg)[-1]
+
+
+def _settling_steps(op, f, cfg, seed, floor=1e-12, tol=1e-4, window=50, last=5000):
+    """The step each IC's energy settles at, by the test the sampler once
+    stepped on for: the first step k with k dt >= t_transient that ends
+    `window` consecutive steps whose slope |dE2/dt| is below tol E2 + floor
+    (-1 if none by step `last`).  Steps the sampler's ICs as one block, one
+    step and one E2 evaluation at a time."""
+    pack = NormPack(op)
+    integ = WaveIntegrator(op, f, cfg.dt)
+    z = _sampler_ics(op, cfg, seed)
+    e_prev = _e2(z, pack, f)
+    consec = np.zeros(cfg.n_ics, dtype=np.intp)
+    settled = np.full(cfg.n_ics, -1)
+    for k in range(1, last + 1):
+        z = integ._steps(z, [1])
+        e_now = _e2(z, pack, f)
+        consec = np.where(np.abs(e_now - e_prev) / cfg.dt < tol * e_now + floor, consec + 1, 0)
+        e_prev = e_now
+        if k * cfg.dt >= cfg.t_transient:
+            settled[(consec >= window) & (settled < 0)] = k
+        if (settled >= 0).all():
+            break
+    return settled
+
+
+def _check_sampler(op, f, cfg, seed, monkeypatch):
+    """`sample_attractor`'s table against the per-step reference, bit for
+    bit, from exactly `_flow_end` steps and without one E2 evaluation."""
+    want = _sample_per_step(op, f, cfg, seed)
+    steps = _count_steps(monkeypatch)
+    e2_calls = []
+    monkeypatch.setattr(dynamics, "_e2", lambda *args: e2_calls.append(args) or _e2(*args))
+    assert np.array_equal(sample_attractor(op, f, cfg, seed), want)
+    assert steps[0] == _flow_end(cfg)
+    assert e2_calls == []
+
+
+def _parsed_sampler(cfg, **retired):
+    """The sampler config parsed from a file that sets every field of `cfg`
+    and the retired keys `retired`."""
+    keys = {**dataclasses.asdict(cfg), **retired}
+    text = "[sampler]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "[run]\nseed = 1\n"
+    parsed, diags = parse_config(text)
+    assert diags == []
+    return parsed.sampler
+
+
+_SETTLE = dataclasses.replace(_FAST, n_ics=3, max_points=9)
+
+
+@pytest.mark.parametrize(
+    "domain, resolution, changes, settles",
+    [
+        # a coarse floor settles every IC's energy long before a 10 s window
+        # ends, the default floor only well past the last flow image: the
+        # sampler stops at that image either way
+        (UNIT, 16, dict(t_window=10.0, stride=1000), (1e-3, "before window end")),
+        (UNIT, 16, {}, (1e-12, "after flow end")),
+        (UNIT, 16, dict(t_window=2.0, max_points=15), None),
+        (UNIT, 16, dict(t_window=5.0, max_points=33), None),
+        (UNIT, 16, dict(n_ics=1, max_points=3), None),
+        (_SQUARE, 6, dict(n_ics=2, max_points=6), None),
+    ],
+    ids=["plateau-before-window-end", "plateau-after-window-end", "window-2", "window-5", "one-ic", "2d"],
+)
+def test_chunked_settling_matches_per_step_loop(domain, resolution, changes, settles, monkeypatch):
+    # the sampler steps its ICs through the transient and the window in one
+    # run of the step loop per due step: its table holds the per-step bits,
+    # and when each IC's energy settles moves neither them nor the stop
+    op, f = identity_operator(Mesh(domain, resolution)), default_nonlinearity()
+    cfg = dataclasses.replace(_SETTLE, **changes)
+    if settles is not None:
+        floor, where = settles
+        settled = _settling_steps(op, f, cfg, 5, floor=floor)
+        assert (settled >= 0).all()
+        if where == "before window end":
+            assert settled.max() < round(cfg.t_transient / cfg.dt) + round(cfg.t_window / cfg.dt)
+        else:
+            assert settled.min() > _flow_end(cfg) + 10 * 50
+    _check_sampler(op, f, cfg, 5, monkeypatch)
+
+
+def test_settling_plateau_at_first_step_past_transient(monkeypatch):
+    # with a coarse floor every IC's energy settles near t = 8, so with
+    # t_transient = 10 each settles at s0 = 1000, the first step at
+    # t_transient; the sampler steps on only to the last flow image, 1 s on
+    op, f = identity_operator(Mesh(UNIT, 16)), default_nonlinearity()
+    cfg = dataclasses.replace(_SETTLE, t_transient=10.0, t_window=0.004, max_points=3)
+    assert list(_settling_steps(op, f, cfg, 5, floor=1e-3)) == [1000] * cfg.n_ics
+    assert _flow_end(cfg) == 1100
+    _check_sampler(op, f, cfg, 5, monkeypatch)
+
+
+@pytest.mark.parametrize("t_cap", [8.0, 11.5], ids=["cap-in-window", "cap-in-flow-span"])
+def test_settling_cap_past_every_plateau_stops_at_the_flow_end(t_cap, monkeypatch):
+    # a coarse floor settles the ICs' energy at steps 794, 652 and 749, the
+    # window ends at step 1100 and its last flow image lies at step 1200; a
+    # file that still sets that floor and a t_cap at step 800 or 1150, both
+    # retired keys, parses to the same sampler, which stops at the flow end
+    op, f = identity_operator(Mesh(UNIT, 16)), default_nonlinearity()
+    cfg = dataclasses.replace(_SETTLE, t_window=10.0, stride=1000)
+    assert _parsed_sampler(cfg, plateau_floor=1e-3, t_cap=t_cap) == cfg
+    assert list(_settling_steps(op, f, cfg, 5, floor=1e-3)) == [794, 652, 749]
+    assert round(t_cap / cfg.dt) < _flow_end(cfg) == 1200
+    _check_sampler(op, f, cfg, 5, monkeypatch)
+
+
+@pytest.mark.parametrize("cap_step", [30, 49, 50])
+def test_settling_cap_before_first_read_energy(cap_step, monkeypatch):
+    # the settling test read no E2 before step s0 - W - 1 = 49, so a t_cap
+    # at step 30, 49 or 50 once ended the run before or as it read the
+    # first; the retired key now parses away, and the sampler, which reads
+    # no E2, samples a window that starts at that step
+    op, f = identity_operator(Mesh(UNIT, 16)), default_nonlinearity()
+    cfg = dataclasses.replace(_SETTLE, t_transient=cap_step * _SETTLE.dt)
+    assert _parsed_sampler(cfg, t_cap=cfg.t_transient) == cfg
+    assert round(cfg.t_transient / cfg.dt) == cap_step
+    _check_sampler(op, f, cfg, 5, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        dict(plateau_window=0),
+        dict(plateau_window=1),
+        dict(plateau_tol=0.0),
+        dict(plateau_tol=float("nan")),
+        dict(plateau_floor=-1e-12),
+        dict(t_cap=0.0),
+        dict(t_cap=-5.0),
+    ],
+)
+def test_sampler_config_rejects_disabled_settling_test(changes):
+    # the settling test is gone, not disabled: SamplerConfig takes none of
+    # its knobs, and a file's retired key, even at a value that once
+    # switched the test off, is dropped unread
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        dataclasses.replace(_FAST, **changes)
+    assert _parsed_sampler(_FAST, **changes) == _FAST
 
 
 def test_stability_sample_flow_images_chain_into_the_next_snapshot():
