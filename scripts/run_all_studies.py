@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Run the shipped studies back to back: the three 1D studies, the 2D
-continuity study on shear_2d.cfg, the three studies on determinism_tiny.cfg
+"""Run the shipped studies back to back: the three 1D studies, the three
+studies on the 2D shear_2d.cfg, the three studies on determinism_tiny.cfg
 and `ghwave solve` on estimates_1d.cfg.
 
 Each run writes report.json, timing.json, and its CSVs under
@@ -44,6 +44,8 @@ RUNS = (
     ("estimates", "determinism_tiny.cfg", False),
     ("solve", "estimates_1d.cfg", False),
     ("estimates", "estimates_1d.cfg", True),
+    ("stability", "shear_2d.cfg", True),
+    ("estimates", "shear_2d.cfg", True),
     ("continuity", "shear_2d.cfg", True),
     ("stability", "stability_1d.cfg", True),
     ("continuity", "continuity_1d.cfg", True),

@@ -18,11 +18,8 @@ dense step, one product with G) it prints the
 best of REPEATS runs, in microseconds per step, of two loops: CHUNKS `record`
 calls over the next STEPS steps, each one run of the integrator's step loop
 (how every study steps), and the same number of bare `step` calls, each a
-run of that loop for one step.  A third column times the E2 evaluation the
-sampler makes once per recorded chunk (`dynamics._e2` on the whole block:
-the products with K and M and the M solve that every norm uses), in
-microseconds per call.  Each kernel steps and measures the operator held as
-its own representation (CSR matrices and SuperLU for the sparse step, dense
+run of that loop for one step.  Each kernel steps the operator held as its
+own representation (CSR matrices and SuperLU for the sparse step, dense
 arrays and the Cholesky factor for the dense one); `*` marks the
 representation `assemble_operators` picks, dense up to `DENSE_MAX_DIM`
 unknowns.  The repeats
@@ -44,8 +41,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ghwave.config import load_config
-from ghwave.dynamics import WaveIntegrator, _e2, random_state, stability_cap
-from ghwave.operators import DENSE_MAX_DIM, NormPack
+from ghwave.dynamics import WaveIntegrator, random_state, stability_cap
+from ghwave.operators import DENSE_MAX_DIM
 
 REPEATS, CHUNKS, STEPS = 15, 20, 50
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -92,9 +89,9 @@ def workload(name: str, k: int | None, dt_from: str, resolution: int | None):
 
 
 def recorded(integ: WaveIntegrator, start: np.ndarray) -> None:
-    grid = np.arange(1, STEPS + 1) * integ.dt
+    steps = np.arange(1, STEPS + 1)
     for _ in range(CHUNKS):
-        integ.record(start, grid)
+        integ.record(start, steps)
 
 
 def bare(integ: WaveIntegrator, start: np.ndarray) -> None:
@@ -104,13 +101,7 @@ def bare(integ: WaveIntegrator, start: np.ndarray) -> None:
             s = integ.step(s)
 
 
-def e2(integ: WaveIntegrator, start: np.ndarray) -> None:
-    pack = NormPack(integ.op)
-    for _ in range(CHUNKS * STEPS):
-        _e2(start, pack, integ.f)
-
-
-LOOPS = (recorded, bare, e2)
+LOOPS = (recorded, bare)
 
 
 def main() -> None:
@@ -125,14 +116,14 @@ def main() -> None:
                     t0 = time.perf_counter()
                     loop(integ, start)
                     best[label, kernel, loop] = min(best[label, kernel, loop], time.perf_counter() - t0)
-    print(f"best of {REPEATS} x {CHUNKS} chunks of {STEPS} steps, microseconds per step (e2: per call); DENSE_MAX_DIM = {DENSE_MAX_DIM}")
-    print(f"{'shape':>7}  {'workload':<20} {'dt':>9} {'kernel':<7} {'record':>8} {'step':>8} {'e2':>8}")
+    print(f"best of {REPEATS} x {CHUNKS} chunks of {STEPS} steps, microseconds per step; DENSE_MAX_DIM = {DENSE_MAX_DIM}")
+    print(f"{'shape':>7}  {'workload':<20} {'dt':>9} {'kernel':<7} {'record':>8} {'step':>8}")
     for label, k, integs, start in runs:
         n = integs["dense"].op.n
         for kernel, integ in integs.items():
             us = [best[label, kernel, loop] / (CHUNKS * STEPS) * 1e6 for loop in LOOPS]
             picked = "*" if (kernel == "dense") == (n <= DENSE_MAX_DIM) else " "
-            print(f"{f'{n}x{k or 1}':>7}  {label:<20} {integ.dt:>9.3g} {kernel + picked:<7} {us[0]:>8.1f} {us[1]:>8.1f} {us[2]:>8.1f}")
+            print(f"{f'{n}x{k or 1}':>7}  {label:<20} {integ.dt:>9.3g} {kernel + picked:<7} {us[0]:>8.1f} {us[1]:>8.1f}")
 
 
 if __name__ == "__main__":

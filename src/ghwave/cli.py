@@ -68,7 +68,7 @@ def _run_study(args, name: str) -> int:
 def _cmd_solve(args) -> int:
     import numpy as np
 
-    from .dynamics import energy_profile, random_state, solve_trajectory
+    from .dynamics import WaveIntegrator, energy_profile, random_state, solve_trajectory
     from .harness import CsvWriter
 
     cfg = _load(args)
@@ -79,7 +79,8 @@ def _cmd_solve(args) -> int:
     f = cfg.make_nonlinearity()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
     s0 = random_state(op, rng, cfg.sampler.radius, cfg.sampler.n_modes)
-    times, states = solve_trajectory(s0, cfg.t_final, cfg.dt, op, f, record_every=max(1, int(round(cfg.t_final / cfg.dt)) // 400))
+    integ = WaveIntegrator(op, f, cfg.dt)
+    times, states = solve_trajectory(s0, cfg.t_final, integ, record_every=max(1, int(round(cfg.t_final / cfg.dt)) // 400))
     prof = energy_profile(times, states, op, f)
     with CsvWriter(out / "trajectory.csv", ["t"] + [f"{c}{i}" for c in "uv" for i in range(op.n)]) as w:
         for t, z in zip(times, states.T):

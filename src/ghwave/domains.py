@@ -122,15 +122,20 @@ class DiffeoMap:
         return self.hess_fn(np.atleast_2d(np.asarray(x, dtype=float)))
 
 
+@lru_cache(maxsize=8)
 def default_c2_grid(domain: ReferenceDomain, points_per_axis: int | None = None) -> Array:
     """Uniform sample grid used for C2 distances: by default 1001 points on an
-    interval, 201^2 on a rectangle."""
+    interval, 201^2 on a rectangle.  Built once per argument list and
+    read-only, as every caller shares it."""
     points_per_axis = points_per_axis or (1001 if domain.dim == 1 else 201)
     axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in domain.bounds]
     if domain.dim == 1:
-        return axes[0][:, None]
-    gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel()])
+        grid = axes[0][:, None]
+    else:
+        gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
+        grid = np.column_stack([gx.ravel(), gy.ravel()])
+    grid.flags.writeable = False
+    return grid
 
 
 def c2_distance(h: DiffeoMap, g: DiffeoMap, grid: Array) -> float:
@@ -160,14 +165,6 @@ def _c2_sup(pts: Array, dv: Array, dj: Array, dh: Array) -> float:
     return float(total.max())
 
 
-@lru_cache(maxsize=8)
-def _c2_grid(domain: ReferenceDomain) -> Array:
-    """`default_c2_grid(domain)`, built once per domain and read-only."""
-    grid = default_c2_grid(domain)
-    grid.flags.writeable = False
-    return grid
-
-
 def _finalize(h: DiffeoMap) -> DiffeoMap:
     """Set delta and admit h only if delta < 1: the one check of a map.
 
@@ -179,7 +176,7 @@ def _finalize(h: DiffeoMap) -> DiffeoMap:
     1 and det Dh >= (1 - delta)^d > 0.  The hand-coded derivatives are fixed
     code, checked against a symbolic oracle in the tests.
     """
-    pts = _c2_grid(h.domain)
+    pts = default_c2_grid(h.domain)
     h.delta = _c2_sup(pts, h(pts) - pts, h.jac(pts) - np.eye(h.domain.dim), h.hess(pts))
     if not h.delta < 1.0:
         raise _ArgumentError("amplitude", f"map {h.key} has C2 distance {h.delta:.4f} >= 1 from the identity")

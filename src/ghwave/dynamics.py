@@ -43,10 +43,15 @@ bits it would get alone.
 A state is one array z = (u; v): (2 dim,) for one state, (2 dim, k) for a
 block of k states, one per column.  Both kernels are written once, in one
 step loop over z that steps into preallocated buffers; `step` and `record`
-are runs of it (a record on whole steps is one run that keeps only its
-grid's states), and the sampler runs it directly: it steps its block of
-ICs straight from one step a flow image is due at to the next and copies
-each image into its table, so no state of a sample is stepped twice.
+are runs of it (a record is one run that keeps only its grid's states),
+and the sampler runs it directly: it steps its block of ICs straight from
+one step a flow image is due at to the next and copies each image into its
+table, so no state of a sample is stepped twice.
+
+Time is a count of whole steps of one dt: a reader rounds its times to
+steps, round(t / dt), and takes the integrator it steps with, so a study
+builds one integrator per operator and every reader on that operator
+shares it.
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ import numpy as np
 import numpy.random
 import numpy.typing as npt
 
-from .domains import DiffeoMap
 from .operators import (
     DiscreteOperator,
     Mesh,
@@ -70,7 +74,6 @@ from .operators import (
     _factorize,
     _matvecs,
     _sqrt_dot,
-    pullback_operator,
     x_norm,
 )
 
@@ -223,12 +226,6 @@ class WaveIntegrator:
             raise BlowupError("non-finite state after step")
         return cur[1]
 
-    def _lattice(self, t: Array) -> tuple[Array, Array]:
-        """Each time of t as whole steps of dt and the remainder a partial step covers (0.0 where none)."""
-        n_full = np.floor(t / self.dt + 1e-9)
-        rem = t - n_full * self.dt
-        return n_full.astype(np.intp), np.where(rem > 1e-12 * np.maximum(1.0, t), rem, 0.0)
-
     def _entry(self, z: Array) -> Array:
         """z as a float array of a state's shape; the step loop copies it into its own buffers."""
         z = np.asarray(z, dtype=float)
@@ -240,53 +237,37 @@ class WaveIntegrator:
         """One theta-scheme step of length dt; the input array is left as it is."""
         return self._steps(self._entry(z), [1])
 
-    def record(self, z: Array, times: Array) -> Array:
-        """States at each time of the nondecreasing grid `times` (>= 0), on a trailing axis.
+    def record(self, z: Array, steps: Sequence[int]) -> Array:
+        """States after each of the nondecreasing whole step counts `steps`
+        (>= 0, 0 for z itself), on a trailing axis.
 
-        Each grid difference, the first from 0, is stepped as full steps of
-        dt and then one partial step onto it, so time 0 gives the start state
-        and a time off the dt lattice a partial step.  A grid of whole steps
-        is one run of the step loop, which keeps only the grid's states, each
-        written straight into the result.  The result, (2 dim, T) for one
-        state and (2 dim, k, T) for a block, never shares memory with `z`.
+        One run of the step loop, which writes each kept state straight into
+        the result: (2 dim, T) for one state and (2 dim, k, T) for a block,
+        never sharing memory with `z`.  A grid that is not whole numbers, or
+        is negative or decreasing, is a ValueError: a time is a count of
+        steps, which the caller rounds from its own times.
         """
-        times = np.asarray(times, dtype=float)
-        diffs = np.diff(times, prepend=0.0)
-        if (diffs < 0).any():
-            raise ValueError("times must be nonnegative and nondecreasing")
+        steps = np.asarray(steps)
+        if steps.ndim != 1 or steps.dtype.kind not in "iu" or (np.diff(steps, prepend=0) < 0).any():
+            raise ValueError("steps must be nonnegative, nondecreasing whole step counts")
         z = self._entry(z)
-        rec = np.empty(z.shape + times.shape)
-        out = np.moveaxis(rec, -1, 0)  # out[i] is the state at times[i]
-        n_full, rem = self._lattice(diffs)
-        lo = 0  # the first grid point since the last partial step
+        rec = np.empty(z.shape + steps.shape)
         try:
-            for i in np.flatnonzero(rem).tolist():
-                z = self._steps(z, np.cumsum(n_full[lo : i + 1]).tolist(), out[lo : i + 1])
-                z = out[i] = WaveIntegrator(self.op, self.f, rem[i])._steps(z, [1])
-                lo = i + 1
-            if lo < len(times):
-                self._steps(z, np.cumsum(n_full[lo:]).tolist(), out[lo:])
+            self._steps(z, steps.tolist(), np.moveaxis(rec, -1, 0))
         except BlowupError as exc:
-            raise BlowupError(f"blow-up while evolving over [0, {times[-1]}]") from exc
+            raise BlowupError(f"blow-up while evolving over [0, {int(steps[-1]) * self.dt}]") from exc
         return rec
 
 
-def solve_trajectory(
-    z: Array,
-    t_final: float,
-    dt: float,
-    op: DiscreteOperator,
-    f: NonlinearitySpec,
-    record_every: int = 1,
-) -> tuple[Array, Array]:
-    """(times, states): time 0, every `record_every` steps of dt and the last
-    step, (T,), and the state at each, one column of (2 dim, T)."""
-    n_steps = int(round(t_final / dt))
+def solve_trajectory(z: Array, t_final: float, integ: WaveIntegrator, record_every: int = 1) -> tuple[Array, Array]:
+    """(times, states) of `integ`'s trajectory from z: time 0, every
+    `record_every` steps and the last step, round(t_final / dt), (T,), and
+    the state at each, one column of (2 dim, T)."""
+    n_steps = int(round(t_final / integ.dt))
     steps = np.arange(0, n_steps + 1, record_every)  # not np.union1d, whose np.unique loads numpy.ma
     if steps[-1] != n_steps:
         steps = np.append(steps, n_steps)
-    times = steps * dt
-    return times, WaveIntegrator(op, f, dt).record(z, times)
+    return steps * integ.dt, integ.record(z, steps)
 
 
 def _e2(z: Array, pack: NormPack, f: NonlinearitySpec) -> float | Array:
@@ -413,8 +394,9 @@ def lipschitz_envelope_check(
     z0 = x_norm(s0 - s1, pack, 0)
     if z0 == 0.0:
         raise ValueError("initial states coincide; the envelope ratio is undefined")
-    times = np.arange(1, n_steps + 1) * dt
-    pair = integ.record(np.column_stack([s0, s1]), times)
+    steps = np.arange(1, n_steps + 1)
+    times = steps * dt
+    pair = integ.record(np.column_stack([s0, s1]), steps)
     sep = x_norm(pair[:, 0] - pair[:, 1], pack, 0)
     return float((sep / (z0 * np.exp(gronwall_rate(f, op) * times))).max())
 
@@ -515,9 +497,6 @@ def calibration_state(op: DiscreteOperator, radius: float = 1.0) -> Array:
     return radius / x_norm(z, NormPack(op), 1) * z
 
 
-_X0_BLOCK = 128  # most rows of one block of an `x0_sqdist` result
-
-
 def _x0_right(b: Array, op: DiscreteOperator) -> tuple[Array, Array]:
     """The right operands (K u_b^T, M v_b^T) of a Gram against the states (rows) of b, (n, 2 dim)."""
     return op.K @ b[:, : op.n].T, op.M @ b[:, op.n :].T
@@ -547,22 +526,9 @@ def x0_sqdist(rows: Array, cols: Array, op: DiscreteOperator) -> Array:
     (a row-wise dot product rounds differently), so the result holds the
     entries of one Gram over both sets, bit for bit where the BLAS rounds
     every column of a product alike.
-
-    The result is filled in row blocks of at most `_X0_BLOCK` rows, each
-    Gram block a product with the same right operands, so at the peak the
-    result and two block-sized arrays are alive, not two result-sized ones.
-    The blocks split the rows evenly, so none has a single row unless the
-    result has: BLAS would multiply it by its matrix-vector path and round
-    it differently.
     """
-    right = _x0_right(cols, op)
-    norms_a, norms_b = _x0_sqnorms(rows, op), _x0_sqnorms(cols, op)
-    d2 = np.empty((len(rows), len(cols)))
-    n_blocks = max(1, -(-len(rows) // _X0_BLOCK))
-    edges = [len(rows) * i // n_blocks for i in range(n_blocks + 1)]
-    for lo, hi in zip(edges, edges[1:]):
-        np.add(norms_a[lo:hi, None], norms_b[None, :], out=d2[lo:hi])
-        d2[lo:hi] -= 2.0 * _x0_gram(rows[lo:hi], right)
+    d2 = np.add(_x0_sqnorms(rows, op)[:, None], _x0_sqnorms(cols, op)[None, :])
+    d2 -= 2.0 * _x0_gram(rows, _x0_right(cols, op))
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -630,23 +596,15 @@ def sample_attractor(
     return rows[:, 0] if states_only else rows
 
 
-def conjugated_flow_error(
-    h_n: DiffeoMap,
-    v0: Array,
-    t_grid: Array,
-    op0: DiscreteOperator,
-    f: NonlinearitySpec,
-    dt: float,
-) -> Array:
-    """||T_n(t) V0 - T_0(t) V0|| in op0's X^0 norm at each time of the increasing, nonnegative `t_grid`.
+def conjugated_flow_error(integ_0: WaveIntegrator, integ_n: WaveIntegrator, v0: Array, steps: Sequence[int]) -> Array:
+    """||T_n(t) V0 - T_0(t) V0|| in the X^0 norm of integ_0's operator after each whole step count of `steps`.
 
-    T_0 runs on the reference operator op0 and T_n on h_n's pullback; the shared
-    discrete space makes the pullback identification the identity on coefficients.
+    T_0 is `integ_0`'s flow, on the reference operator, and T_n `integ_n`'s,
+    on a pullback of it; the shared discrete space makes the pullback
+    identification the identity on coefficients.  Both must step with the
+    same dt, so that each count is the same time t on both flows; `record`
+    checks the grid.
     """
-    opn = pullback_operator(op0.mesh, h_n)
-    tg = np.asarray(t_grid, dtype=float)
-    if tg.ndim != 1 or tg.size == 0 or np.any(np.diff(tg) <= 0) or tg[0] < 0:
-        raise ValueError("t_grid must be increasing and nonnegative")
-    a = WaveIntegrator(op0, f, dt).record(v0, tg)
-    b = WaveIntegrator(opn, f, dt).record(v0, tg)
-    return x_norm(a - b, NormPack(op0), 0)
+    if integ_n.dt != integ_0.dt:
+        raise ValueError(f"the two flows step with dt = {integ_0.dt} and {integ_n.dt}, not one dt")
+    return x_norm(integ_0.record(v0, steps) - integ_n.record(v0, steps), NormPack(integ_0.op), 0)

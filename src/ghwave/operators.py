@@ -58,13 +58,7 @@ Array = npt.NDArray[np.float64]
 # 23.6, n = 144 42.7 vs 31.6, n = 225 62.9 vs 273.2.  The dense cost grows as
 # n^2 and the sparse one about as n, so the two meet near n = 127 in 1D at
 # k = 8 and between n = 144 and 225 in 2D at k = 4; the cap lies between,
-# well above every shipped mesh (n = 47 and 121).  The cap was set from the
-# step; it also picks the representation of the norm and E2 products, which
-# the script's E2 column times (one `_e2` call on the block, microseconds,
-# sparse vs dense): 44.8 vs 33.3 at 47x8, 58.2 vs 54.0 at 121x4 and 64.8 vs
-# 67.9 at 144x4, but 51.2 vs 81.8 at 111x8 and 55.7 vs 97.4 at 127x8.  No
-# sampler step evaluates E2 (only `dynamics.energy_profile` does, once per
-# recorded trajectory), so the E2 column does not move the cap.
+# well above every shipped mesh (n = 47 and 121).
 DENSE_MAX_DIM = 150
 
 _GP = 1.0 / np.sqrt(3.0)  # 2-point Gauss abscissa on [-1, 1]

@@ -25,7 +25,7 @@ from ghwave.dynamics import (
 )
 from ghwave.ghmetric import gh_exact, gh_lower, gh_upper
 from ghwave.harness import run_continuity_study, run_stability_study
-from ghwave.operators import Mesh, NonlinearitySpec, identity_operator
+from ghwave.operators import Mesh, NonlinearitySpec, identity_operator, pullback_operator
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -67,7 +67,7 @@ def test_solver_time_order(verdict):
     alpha = np.exp(-t_final / 2) * (np.cos(w * t_final) + np.sin(w * t_final) / (2 * w))
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
-        _, states = solve_trajectory(np.concatenate([phi, np.zeros_like(phi)]), t_final, dt, op, f)
+        _, states = solve_trajectory(np.concatenate([phi, np.zeros_like(phi)]), t_final, WaveIntegrator(op, f, dt))
         errs.append(float(np.abs(states[: op.n, -1] - alpha * phi).max()))
     orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
     verdict(
@@ -101,7 +101,7 @@ def test_energy_decay_envelope(verdict):
     op = identity_operator(cfg.make_mesh())
     f = cfg.make_nonlinearity()
     s0 = calibration_state(op, radius=1.0)
-    prof = energy_profile(*solve_trajectory(s0, 24.0, cfg.dt, op, f, record_every=5), op, f)
+    prof = energy_profile(*solve_trajectory(s0, 24.0, WaveIntegrator(op, f, cfg.dt), record_every=5), op, f)
     verdict(
         prof.c > 0 and prof.overshoot <= 0.05,
         f"rate {prof.c:.5f} (> 0), overshoot {100 * prof.overshoot:.3f}% (<= 5%)",
@@ -116,9 +116,10 @@ def test_conjugated_flow_convergence(verdict):
     op = identity_operator(cfg.make_mesh())
     rng = np.random.default_rng(np.random.SeedSequence([99, 5]))
     v0 = random_state(op, rng, radius=1.0, n_modes=4)
-    t_grid = np.linspace(0.0, 1.0, 11)[1:]
+    integ_0 = WaveIntegrator(op, f, cfg.dt)
+    steps = [round(0.1 * k / cfg.dt) for k in range(1, 11)]
     errs = [
-        conjugated_flow_error(h, v0, t_grid, op, f, cfg.dt).max()
+        conjugated_flow_error(integ_0, WaveIntegrator(pullback_operator(op.mesh, h), f, cfg.dt), v0, steps).max()
         for h in cfg.maps()
     ]
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
@@ -190,21 +191,20 @@ def test_reproducibility_across_threads(verdict, tmp_path):
     # continuity runs its control and row searches on the worker threads;
     # stability runs single-threaded whatever the count, and is compared so
     # that it stays so.  tests/test_harness.py checks the continuity pool
-    # with searches that finish out of order
-    cfg_path = str(CONFIGS / "determinism_tiny.cfg")
+    # with searches that finish out of order.  shear_2d.cfg is the 2D scenario
     compared, identical = [], True
-    for study in ("continuity", "stability"):
+    for cfg_name, study in [(c, s) for c in ("determinism_tiny.cfg", "shear_2d.cfg") for s in ("continuity", "stability")]:
         outs = []
         for threads in ("1", "4"):
-            out = tmp_path / f"{study}-t{threads}"
-            rc = main([study, "--config", cfg_path, "--out", str(out), "--threads", threads])
+            out = tmp_path / f"{Path(cfg_name).stem}-{study}-t{threads}"
+            rc = main([study, "--config", str(CONFIGS / cfg_name), "--out", str(out), "--threads", threads])
             assert rc == 0
             outs.append(out)
         names = sorted(p.name for p in outs[0].iterdir())
         assert names == sorted(p.name for p in outs[1].iterdir())
         files = [n for n in names if n != "timing.json"]
         identical &= len(files) >= 2 and all((outs[0] / n).read_bytes() == (outs[1] / n).read_bytes() for n in files)
-        compared += [f"{study}/{n}" for n in files]
+        compared += [f"{Path(cfg_name).stem}-{study}/{n}" for n in files]
     verdict(
         identical,
         f"{', '.join(compared)} byte-identical at 1 and 4 threads",

@@ -136,6 +136,9 @@ def test_c2_distance_quadratic_oracle():
 def test_c2_distance_zero_on_self():
     h = bump_map_1d(UNIT, 0.08)
     assert c2_distance(h, h, default_c2_grid(UNIT)) == 0.0
+    # the grid is built once and shared read-only
+    assert default_c2_grid(UNIT) is default_c2_grid(UNIT)
+    assert not default_c2_grid(UNIT).flags.writeable
 
 
 @given(st.floats(0.005, 0.08), st.floats(0.005, 0.08))

@@ -78,9 +78,9 @@ def _at_rest(u):
     return np.concatenate([u, np.zeros_like(u)])
 
 
-def _advance(integ, z, t):
-    """The state at time t from z: a record on the one-point grid [t]."""
-    return integ.record(z, [t])[..., 0]
+def _advance(integ, z, n_steps):
+    """The state n_steps steps on from z: a record on the one-point grid [n_steps]."""
+    return integ.record(z, [n_steps])[..., 0]
 
 
 def _modal_exact(op, k, a, t):
@@ -94,7 +94,7 @@ def _modal_exact(op, k, a, t):
 def test_zero_state_is_fixed_point():
     op = identity_operator(Mesh(UNIT, 16))
     f = default_nonlinearity()
-    out = _advance(WaveIntegrator(op, f, 0.01), np.zeros(2 * op.n), 1.0)
+    out = _advance(WaveIntegrator(op, f, 0.01), np.zeros(2 * op.n), 100)
     assert np.all(out == 0.0)
 
 
@@ -103,7 +103,7 @@ def test_single_mode_matches_closed_form():
     f = _linear_f()
     phi = _mode(op)
     t_final = 2.0
-    out = _advance(WaveIntegrator(op, f, 5e-4), _at_rest(phi), t_final)
+    out = _advance(WaveIntegrator(op, f, 5e-4), _at_rest(phi), 4000)
     alpha = _modal_exact(op, 1, 1.0, t_final)
     assert np.abs(out[: op.n] - alpha * phi).max() < 2e-6
 
@@ -118,7 +118,7 @@ def test_time_convergence_order_at_least_1_9():
     alpha = _modal_exact(op, 1, 1.0, t_final)
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
-        out = _advance(WaveIntegrator(op, f, dt), _at_rest(phi), t_final)
+        out = _advance(WaveIntegrator(op, f, dt), _at_rest(phi), round(t_final / dt))
         errs.append(np.abs(out[: op.n] - alpha * phi).max())
     orders = [np.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
     assert min(orders) >= 1.9
@@ -136,37 +136,38 @@ def test_advance_semigroup_composition():
     rng = np.random.default_rng(5)
     s = random_state(op, rng, radius=1.0)
     integ = WaveIntegrator(op, f, 0.01)
-    one = _advance(integ, s, 0.5)
-    two = _advance(integ, _advance(integ, s, 0.3), 0.2)
+    one = _advance(integ, s, 50)
+    two = _advance(integ, _advance(integ, s, 30), 20)
     assert np.array_equal(one, two)
 
 
 def test_record_matches_successive_advances():
-    # 0.125 is off the dt = 0.01 lattice, so the grid needs partial steps;
-    # time 0 records the start state
+    # step count 0 records the start state, and a repeated count its state again
     op = identity_operator(Mesh(UNIT, 16))
     integ = WaveIntegrator(op, default_nonlinearity(), 0.01)
     rng = np.random.default_rng(13)
     singles = [random_state(op, rng, radius=1.0) for _ in range(3)]
-    times = np.array([0.0, 0.05, 0.125, 0.3])
+    steps = [0, 5, 12, 12, 30]
     for start in (singles[0], np.column_stack(singles)):
-        rec = integ.record(start, times)
-        assert rec.shape == start.shape + (4,)
-        cur, t_prev = start, 0.0
-        for j, t in enumerate(times):
-            cur, t_prev = _advance(integ, cur, t - t_prev), t
+        rec = integ.record(start, steps)
+        assert rec.shape == start.shape + (5,)
+        cur, prev = start, 0
+        for j, n in enumerate(steps):
+            cur, prev = _advance(integ, cur, n - prev), n
             assert np.array_equal(rec[..., j], cur)
         assert rec.flags.c_contiguous
 
 
 def test_record_rejects_decreasing_grid():
-    # a grid that goes back in time is an error, never a step forwards
+    # a grid is whole step counts: one that goes back, starts below 0 or
+    # holds times (floats, even whole-valued ones) is an error, never a
+    # rounded or truncated run
     op = identity_operator(Mesh(UNIT, 16))
     integ = WaveIntegrator(op, default_nonlinearity(), 0.01)
     s = random_state(op, np.random.default_rng(17), radius=1.0)
-    for times in ([0.01, 0.005], [0.02, 0.03, 0.01], [-0.01, 0.0]):
-        with pytest.raises(ValueError, match="nonnegative and nondecreasing"):
-            integ.record(s, np.array(times))
+    for steps in ([2, 1], [2, 3, 1], [-1, 0], [0.05, 0.1], [0.0, 5.0], np.arange(3) * 0.01, [[1, 2]]):
+        with pytest.raises(ValueError, match="nonnegative, nondecreasing whole step counts"):
+            integ.record(s, steps)
 
 
 _SQUARE = ReferenceDomain("rectangle", ((0.0, 1.0), (0.0, 1.0)))
@@ -217,10 +218,10 @@ def test_block_step_matches_single_states(domain, resolution, dt):
     acc = -v - op.solve_M(ku) - f.f(u)
     want = pack.norm0(acc) ** 2 + pack.norm1(v) ** 2 + pack.norm2(u) ** 2
     assert np.array_equal(_e2(block, pack, f), want)
-    # the sampler evaluates E2 once per recorded chunk, on a (2 dim, 3 L) block;
-    # each value must be the one of that step's (2 dim, 3) block
+    # E2 of a recorded block, evaluated as one (2 dim, 3 L) block, must hold
+    # each step's (2 dim, 3) values
     L = 60
-    rec = integ.record(block, np.arange(1, L + 1) * dt)
+    rec = integ.record(block, np.arange(1, L + 1))
     wide = _e2(rec.reshape(2 * op.n, -1), pack, f)
     per_step = [_e2(rec[..., j].copy(), pack, f) for j in range(L)]
     assert np.array_equal(wide.reshape(3, L).T, per_step)
@@ -366,15 +367,14 @@ def test_advance_without_steps_returns_a_copy():
     integ = WaveIntegrator(op, default_nonlinearity(), 0.01)
     s = random_state(op, np.random.default_rng(3), radius=1.0)
     s0 = s.copy()
-    for t in (0.0, 1e-14):  # no full step, and a remainder too small to step
-        out = _advance(integ, s, t)
-        assert not np.shares_memory(out, s)
-        assert np.array_equal(out, s0)
-        out[:] = 9.0
-        assert np.array_equal(s, s0)
+    out = _advance(integ, s, 0)
+    assert not np.shares_memory(out, s)
+    assert np.array_equal(out, s0)
+    out[:] = 9.0
+    assert np.array_equal(s, s0)
     # with steps, the start state is read and left as it was, and so is a
     # block's by one step
-    assert not np.shares_memory(_advance(integ, s, 0.05), s)
+    assert not np.shares_memory(_advance(integ, s, 5), s)
     assert np.array_equal(s, s0)
     block = np.column_stack([s, s])
     assert not np.shares_memory(integ.step(block), block)
@@ -395,8 +395,8 @@ def test_step_loop_matches_chained_steps(domain, resolution, dt, k):
     for _ in range(40):
         chained.append(integ.step(chained[-1]))
     for n_steps in (0, 1, 2, 3, 40):
-        assert np.array_equal(_advance(integ, start, n_steps * dt), chained[n_steps])
-    rec = integ.record(start, np.arange(41) * dt)
+        assert np.array_equal(_advance(integ, start, n_steps), chained[n_steps])
+    rec = integ.record(start, np.arange(41))
     assert rec.shape == start.shape + (41,)
     for j, want in enumerate(chained):
         assert np.array_equal(rec[..., j], want)
@@ -404,7 +404,7 @@ def test_step_loop_matches_chained_steps(domain, resolution, dt, k):
     # bits (BLAS takes another path for it at 8 columns)
     fortran = np.asfortranarray(start)
     assert np.array_equal(integ.step(fortran), chained[1])
-    assert np.array_equal(_advance(integ, fortran, 40 * dt), chained[40])
+    assert np.array_equal(_advance(integ, fortran, 40), chained[40])
 
 
 def test_step_and_record_refuse_a_misshapen_state():
@@ -413,7 +413,7 @@ def test_step_and_record_refuse_a_misshapen_state():
     op = identity_operator(Mesh(UNIT, 16))
     integ = WaveIntegrator(op, default_nonlinearity(), 0.01)
     for bad in (np.zeros(2 * op.n + 1), np.zeros((op.n, 3))):
-        for run in (integ.step, lambda z: integ.record(z, [0.0, 0.05])):
+        for run in (integ.step, lambda z: integ.record(z, [0, 5])):
             with pytest.raises(ValueError, match=re.escape(f"got {bad.shape}")):
                 run(bad)
 
@@ -432,7 +432,7 @@ def test_blowup_raised_from_step_and_from_record():
         with pytest.raises(BlowupError, match="^non-finite state after step$"):
             integ.step(cur)
         with pytest.raises(BlowupError, match=r"^blow-up while evolving over \[0, 0\.0\d+\]$") as exc:
-            integ.record(s, np.arange(8) * 0.01)
+            integ.record(s, np.arange(8))
     assert str(exc.value.__cause__) == "non-finite state after step"
 
 
@@ -447,17 +447,17 @@ def test_blowup_of_one_block_column_mid_run(resolution, dt, bad):
     op = identity_operator(Mesh(UNIT, resolution))
     integ = WaveIntegrator(op, default_nonlinearity(), dt)
     block = np.column_stack([calibration_state(op, radius=1.0)] * 3)
-    healthy = _advance(integ, block, 49 * dt)  # no error
+    healthy = _advance(integ, block, 49)  # no error
     assert np.isfinite(healthy).all()
     sick = healthy.copy()
     sick[op.n + 3, 1] = bad
     want = integ._steps(healthy, [351])
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(BlowupError, match=re.escape(f"blow-up while evolving over [0, {351 * dt}]")) as exc:
-            _advance(integ, sick, 351 * dt)
+            _advance(integ, sick, 351)
         assert str(exc.value.__cause__) == "non-finite state after step"
         with pytest.raises(BlowupError, match="^blow-up while evolving over") as exc:
-            integ.record(sick, np.arange(0, 352, 50) * dt)
+            integ.record(sick, np.arange(0, 352, 50))
         assert str(exc.value.__cause__) == "non-finite state after step"
         out = np.empty((1,) + block.shape)
         with pytest.raises(BlowupError, match="^non-finite state after step$"):
@@ -507,7 +507,7 @@ def test_blowup_detected_for_antirestoring_force():
 def test_envelope_fit_on_fundamental_mode():
     op = identity_operator(Mesh(UNIT, 48))
     f = default_nonlinearity()
-    prof = energy_profile(*solve_trajectory(calibration_state(op, 1.0), 12.0, 0.004, op, f, record_every=5), op, f)
+    prof = energy_profile(*solve_trajectory(calibration_state(op, 1.0), 12.0, WaveIntegrator(op, f, 0.004), record_every=5), op, f)
     assert prof.c == pytest.approx(1.0, abs=0.02)
     assert prof.overshoot < 5e-3
     assert prof.b > 0
@@ -534,7 +534,7 @@ def test_envelope_fit_settling_series_uses_the_tail():
     cfg, _ = load_config(Path(__file__).resolve().parents[1] / "configs" / "stability_1d.cfg")
     op = cfg.reference_operator()
     f = NonlinearitySpec(-0.5, -1.0)
-    times, states = solve_trajectory(calibration_state(op, 1.0), 24.0, cfg.dt, op, f, record_every=5)
+    times, states = solve_trajectory(calibration_state(op, 1.0), 24.0, WaveIntegrator(op, f, cfg.dt), record_every=5)
     e2 = _e2(states, NormPack(op), f)
     tp, _ = _envelope_points(times, e2)
     assert np.array_equal(tp, times[times >= 0.4 * times[-1]])
@@ -770,6 +770,10 @@ def _fast(domain, resolution, **changes):
     return identity_operator(Mesh(domain, resolution)), default_nonlinearity(), dataclasses.replace(_FAST, **changes), 5
 
 
+def _three_ics(domain, resolution, **changes):
+    return _fast(domain, resolution, **{"n_ics": 3, "max_points": 9, **changes})
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -781,16 +785,34 @@ def _fast(domain, resolution, **changes):
         # a 100-step flow span over a 30-step stride: snapshot 0's last image
         # is due after snapshot 1's first two
         lambda: _fast(UNIT, 16, stride=30),
+        # a window shorter than one step holds one snapshot, at step 1000
+        lambda: _three_ics(UNIT, 16, t_transient=10.0, t_window=0.004, max_points=3),
+        # windows that start at step 30, 49 and 50
+        *(lambda s=s: _three_ics(UNIT, 16, t_transient=s * _FAST.dt) for s in (30, 49, 50)),
     ],
-    ids=["stability-shipped", "2d", "off-lattice", "span-past-stride"],
+    ids=[
+        "stability-shipped",
+        "2d",
+        "off-lattice",
+        "span-past-stride",
+        "window-below-one-step",
+        "t_transient-30",
+        "t_transient-49",
+        "t_transient-50",
+    ],
 )
 def test_sampler_matches_per_step_reference(case, monkeypatch):
+    # the sampler steps its ICs straight to each due flow step: its table
+    # holds the per-step bits, from exactly the steps to the last flow image,
+    # and it evaluates no E2
     op, f, cfg, seed = case()
     want = _sample_per_step(op, f, cfg, seed)
     dist = np.sqrt(_full_sqdist(want[:, 0], op))
     dist = 0.5 * (dist + dist.T)
     np.fill_diagonal(dist, 0.0)
     steps = _count_steps(monkeypatch)
+    e2_calls = []
+    monkeypatch.setattr(dynamics, "_e2", lambda *args: e2_calls.append(args) or _e2(*args))
     table = sample_attractor(op, f, cfg, seed)
     assert np.array_equal(table, want)
     assert steps[0] == _flow_end(cfg)
@@ -800,6 +822,7 @@ def test_sampler_matches_per_step_reference(case, monkeypatch):
     assert np.array_equal(states, want[:, 0])
     assert np.array_equal(x0_dist(states, op), dist)
     assert steps[0] == _flow_end(cfg) - _lags(cfg)[-1]
+    assert e2_calls == []
 
 
 def _settling_steps(op, f, cfg, seed, floor=1e-12, tol=1e-4, window=50, last=5000):
@@ -883,17 +906,6 @@ def test_chunked_settling_matches_per_step_loop(domain, resolution, changes, set
     _check_sampler(op, f, cfg, 5, monkeypatch)
 
 
-def test_settling_plateau_at_first_step_past_transient(monkeypatch):
-    # with a coarse floor every IC's energy settles near t = 8, so with
-    # t_transient = 10 each settles at s0 = 1000, the first step at
-    # t_transient; the sampler steps on only to the last flow image, 1 s on
-    op, f = identity_operator(Mesh(UNIT, 16)), default_nonlinearity()
-    cfg = dataclasses.replace(_SETTLE, t_transient=10.0, t_window=0.004, max_points=3)
-    assert list(_settling_steps(op, f, cfg, 5, floor=1e-3)) == [1000] * cfg.n_ics
-    assert _flow_end(cfg) == 1100
-    _check_sampler(op, f, cfg, 5, monkeypatch)
-
-
 @pytest.mark.parametrize("t_cap", [8.0, 11.5], ids=["cap-in-window", "cap-in-flow-span"])
 def test_settling_cap_past_every_plateau_stops_at_the_flow_end(t_cap, monkeypatch):
     # a coarse floor settles the ICs' energy at steps 794, 652 and 749, the
@@ -905,19 +917,6 @@ def test_settling_cap_past_every_plateau_stops_at_the_flow_end(t_cap, monkeypatc
     assert _parsed_sampler(cfg, plateau_floor=1e-3, t_cap=t_cap) == cfg
     assert list(_settling_steps(op, f, cfg, 5, floor=1e-3)) == [794, 652, 749]
     assert round(t_cap / cfg.dt) < _flow_end(cfg) == 1200
-    _check_sampler(op, f, cfg, 5, monkeypatch)
-
-
-@pytest.mark.parametrize("cap_step", [30, 49, 50])
-def test_settling_cap_before_first_read_energy(cap_step, monkeypatch):
-    # the settling test read no E2 before step s0 - W - 1 = 49, so a t_cap
-    # at step 30, 49 or 50 once ended the run before or as it read the
-    # first; the retired key now parses away, and the sampler, which reads
-    # no E2, samples a window that starts at that step
-    op, f = identity_operator(Mesh(UNIT, 16)), default_nonlinearity()
-    cfg = dataclasses.replace(_SETTLE, t_transient=cap_step * _SETTLE.dt)
-    assert _parsed_sampler(cfg, t_cap=cfg.t_transient) == cfg
-    assert round(cfg.t_transient / cfg.dt) == cap_step
     _check_sampler(op, f, cfg, 5, monkeypatch)
 
 
@@ -967,39 +966,49 @@ def test_sampler_rejects_pool_above_max_points():
 
 # --- conjugated flows ----------------------------------------------------------
 
+_CONJ_STEPS = [20, 40, 60, 80, 100]  # t = 0.1, ..., 0.5 at dt = 0.005
+
+
+def _pullback_flow(op0, h, f, dt=0.005):
+    """The integrator of the flow T_n on the pullback of op0 by h."""
+    return WaveIntegrator(pullback_operator(op0.mesh, h), f, dt)
+
+
 def test_conjugated_error_zero_for_identical_maps():
     # h_n = identity: both flows run on the reference operator
     op0 = identity_operator(Mesh(UNIT, 24))
     f = default_nonlinearity()
     v0 = calibration_state(op0, 1.0)
-    t_grid = np.linspace(0.0, 0.5, 6)[1:]
-    errs = conjugated_flow_error(identity_map(UNIT), v0, t_grid, op0, f, 0.005)
+    integ_0 = WaveIntegrator(op0, f, 0.005)
+    errs = conjugated_flow_error(integ_0, _pullback_flow(op0, identity_map(UNIT), f), v0, _CONJ_STEPS)
+    assert errs.shape == (5,)
     assert errs.max() == 0.0
 
 
 def test_conjugated_error_shrinks_with_amplitude():
+    # one reference integrator serves every amplitude
     f = default_nonlinearity()
     op0 = identity_operator(Mesh(UNIT, 24))
     v0 = calibration_state(op0, 1.0)
-    t_grid = np.linspace(0.0, 0.5, 6)[1:]
+    integ_0 = WaveIntegrator(op0, f, 0.005)
     errs = []
     for amp in (0.04, 0.02, 0.01):
-        errs.append(conjugated_flow_error(bump_map_1d(UNIT, amp), v0, t_grid, op0, f, 0.005).max())
+        errs.append(conjugated_flow_error(integ_0, _pullback_flow(op0, bump_map_1d(UNIT, amp), f), v0, _CONJ_STEPS).max())
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_conjugated_error_requires_increasing_grid():
+    # a grid of times, or one that goes back, is refused, and so are two
+    # flows whose step counts would be different times
     op = identity_operator(Mesh(UNIT, 16))
+    f = default_nonlinearity()
     v0 = calibration_state(op, 1.0)
-    with pytest.raises(ValueError):
-        conjugated_flow_error(
-            identity_map(UNIT),
-            v0,
-            np.array([0.5, 0.2]),
-            op,
-            default_nonlinearity(),
-            0.01,
-        )
+    integ_0, integ_n = WaveIntegrator(op, f, 0.01), _pullback_flow(op, bump_map_1d(UNIT, 0.02), f, 0.01)
+    for steps in ([50, 20], [0.2, 0.5]):
+        with pytest.raises(ValueError, match="whole step counts"):
+            conjugated_flow_error(integ_0, integ_n, v0, steps)
+    with pytest.raises(ValueError, match="not one dt"):
+        conjugated_flow_error(integ_0, _pullback_flow(op, bump_map_1d(UNIT, 0.02), f, 0.005), v0, [20, 50])
 
 
 def test_calibration_state_hits_requested_radius():

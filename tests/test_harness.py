@@ -221,9 +221,9 @@ def test_stability_study_steps_each_sample_once(monkeypatch):
         calls.append("init")
         real_init(self, *args)
 
-    def record(self, z, times):
+    def record(self, z, steps):
         calls.append("record")
-        return real_record(self, z, times)
+        return real_record(self, z, steps)
 
     monkeypatch.setattr(WaveIntegrator, "__init__", init)
     monkeypatch.setattr(WaveIntegrator, "record", record)
@@ -307,12 +307,22 @@ def test_continuity_searches_finish_out_of_order_and_report_in_order(tmp_path, m
     assert [r.delta for r in results[1].rows] == [h.delta for h in cfg.maps()]
 
 
-def test_estimates_study_fast_config(tmp_path):
+def test_estimates_study_fast_config(tmp_path, monkeypatch):
+    # one integrator per operator: the reference one serves the pairs, the
+    # energy trajectory and every conjugation reference
     cfg = ScenarioConfig(seed=3, n_pairs=2, estimate_t_final=0.5)
     cfg.resolution = 16
     cfg.dt = 0.01
     cfg.sampler = _FAST_SAMPLER
+    ops, real_init = [], WaveIntegrator.__init__
+
+    def init(self, op, *args):
+        ops.append(op)
+        real_init(self, op, *args)
+
+    monkeypatch.setattr(WaveIntegrator, "__init__", init)
     res = run_estimate_checks(cfg, out_dir=tmp_path)
+    assert len(ops) == 1 + len(cfg.schedule) == len({id(op) for op in ops})
     assert res.gronwall_pairs == 2
     assert res.gronwall_ok
     assert res.envelope_ok
