@@ -47,17 +47,17 @@ from ghwave.operators import DENSE_MAX_DIM
 REPEATS, CHUNKS, STEPS = 15, 20, 50
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 KERNELS = ("sparse", "dense")
-# (label, config, columns or None for a single (2 dim,) state, dt of the stepping
-# path, mesh resolution or None for the config's)
+# (label, config, columns or None for a single (2 dim,) state, mesh
+# resolution or None for the config's)
 SHAPES = (
-    ("stability_1d sampler", "stability_1d.cfg", 8, "sampler", None),
-    ("shear_2d sampler", "shear_2d.cfg", 4, "sampler", None),
-    ("estimates_1d pair", "estimates_1d.cfg", 2, "solver", None),
-    ("estimates_1d single", "estimates_1d.cfg", None, "solver", None),
-    ("stability_1d res 112", "stability_1d.cfg", 8, "sampler", 112),
-    ("stability_1d res 128", "stability_1d.cfg", 8, "sampler", 128),
-    ("shear_2d res 13", "shear_2d.cfg", 4, "sampler", 13),
-    ("shear_2d res 16", "shear_2d.cfg", 4, "sampler", 16),
+    ("stability_1d sampler", "stability_1d.cfg", 8, None),
+    ("shear_2d sampler", "shear_2d.cfg", 4, None),
+    ("estimates_1d pair", "estimates_1d.cfg", 2, None),
+    ("estimates_1d single", "estimates_1d.cfg", None, None),
+    ("stability_1d res 112", "stability_1d.cfg", 8, 112),
+    ("stability_1d res 128", "stability_1d.cfg", 8, 128),
+    ("shear_2d res 13", "shear_2d.cfg", 4, 13),
+    ("shear_2d res 16", "shear_2d.cfg", 4, 16),
 )
 
 
@@ -72,7 +72,7 @@ def integrator(op, f, dt: float, kernel: str) -> WaveIntegrator:
     return integ
 
 
-def workload(name: str, k: int | None, dt_from: str, resolution: int | None):
+def workload(name: str, k: int | None, resolution: int | None):
     """Both kernels' integrators on a shipped config's reference operator (at `resolution`), and a fixed random start block."""
     cfg, diags = load_config(CONFIGS / name)
     if cfg is None:
@@ -80,7 +80,7 @@ def workload(name: str, k: int | None, dt_from: str, resolution: int | None):
     if resolution is not None:
         cfg = dataclasses.replace(cfg, resolution=resolution)
     op = cfg.reference_operator()
-    dt = min(cfg.sampler.dt if dt_from == "sampler" else cfg.dt, stability_cap(op))
+    dt = min(cfg.dt, stability_cap(op))
     integs = {kernel: integrator(op, cfg.make_nonlinearity(), dt, kernel) for kernel in KERNELS}
     rng = np.random.default_rng(2026)
     ics = [random_state(op, rng, cfg.sampler.radius, cfg.sampler.n_modes) for _ in range(k or 1)]
@@ -105,7 +105,7 @@ LOOPS = (recorded, bare)
 
 
 def main() -> None:
-    runs = [(label, k, *workload(name, k, dt_from, res)) for label, name, k, dt_from, res in SHAPES]
+    runs = [(label, k, *workload(name, k, res)) for label, name, k, res in SHAPES]
     best = {(label, kernel, loop): float("inf") for label, *_ in runs for kernel in KERNELS for loop in LOOPS}
     # the repeats go round the shapes, so a burst of load elsewhere on the
     # machine spoils one sample of each shape rather than every sample of one

@@ -276,14 +276,12 @@ def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | 
         return None, diags
 
     cfg.sampler = sampler = SamplerConfig(**sampler_kwargs)
-    if "dt" not in sampler_kwargs:
-        sampler.dt = cfg.dt
-    if sampler.pool_size > sampler.max_points:
+    if (pool := sampler.pool_size(cfg.dt)) > sampler.max_points:
         diags.append(
             Diagnostic(
                 "sampler.max_points",
-                f"{sampler.n_ics} ICs x {sampler.pool_size // sampler.n_ics} snapshots at dt {sampler.dt} "
-                f"= {sampler.pool_size} points exceeds max_points ({sampler.max_points}); every snapshot is kept",
+                f"{sampler.n_ics} ICs x {pool // sampler.n_ics} snapshots at dt {cfg.dt} "
+                f"= {pool} points exceeds max_points ({sampler.max_points}); every snapshot is kept",
             )
         )
     try:
@@ -298,10 +296,8 @@ def parse_config(text: str, source: str = "<string>") -> tuple[ScenarioConfig | 
         diags.append(Diagnostic(f"perturbation.{key}", f"{cfg.family} on the {cfg.kind}: {exc}"))
     # the cap of the unperturbed operator; each perturbed operator's cap is
     # still checked when an integrator is built on it
-    cap = stability_cap(cfg.reference_operator())
-    for key, dt in (("solver.dt", cfg.dt), ("sampler.dt", sampler_kwargs.get("dt"))):
-        if dt is not None and dt > cap:
-            diags.append(Diagnostic(key, f"dt ({dt}) exceeds the stability cap {cap:.3e} of the reference mesh"))
+    if cfg.dt > (cap := stability_cap(cfg.reference_operator())):
+        diags.append(Diagnostic("solver.dt", f"dt ({cfg.dt}) exceeds the stability cap {cap:.3e} of the reference mesh"))
     return (None, diags) if diags else (cfg, [])
 
 

@@ -179,11 +179,11 @@ class WaveIntegrator:
             fold(R)
             self._R = sp.hstack(R).tocsr()
 
-    def _steps(self, z: Array, marks: Sequence[int], out: Array | None = None) -> Array:
+    def _steps(self, z: Array, marks: Sequence[int], out: Sequence[Array] | None = None) -> Array:
         """The step loop: z = (u; v), (2 dim,) or (2 dim, k), stepped
         marks[-1] times; the state after marks[i] steps (a nondecreasing
-        count, 0 for z itself) goes to out[i].  Returns the last state; z is
-        left as it is.
+        count, 0 for z itself) is written into out[i], a row of an array or
+        an array view of a list.  Returns the last state; z is left as it is.
 
         The states live in two work buffers of this call that take turns,
         w = (u; v; s) in C order, so the dense step allocates nothing and
@@ -221,7 +221,7 @@ class WaveIntegrator:
                 cur, nxt = nxt, cur
             done = mark
             if out is not None:
-                out[i] = cur[1]
+                out[i][...] = cur[1]
         if done and not np.isfinite(cur[1]).all():
             raise BlowupError("non-finite state after step")
         return cur[1]
@@ -410,7 +410,6 @@ SAMPLER_RANGES: dict[str, tuple[Callable[[float], bool], str]] = {
     "t_window": (lambda x: x > 0, "positive"),
     "stride": (lambda n: n >= 1, "at least 1"),
     "max_points": (lambda n: n >= 1, "at least 1"),
-    "dt": (lambda x: x > 0, "positive"),
     "flow_grid_m": (lambda n: n >= 1, "at least 1"),
     "n_modes": (lambda n: n >= 1, "at least 1"),
 }
@@ -429,7 +428,6 @@ class SamplerConfig:
     t_window: float = 11.0
     stride: int = 250
     max_points: int = 96
-    dt: float = 0.004
     flow_grid_m: int = 10
     n_modes: int = 6
 
@@ -438,10 +436,9 @@ class SamplerConfig:
             if not ok(val := getattr(self, key)):
                 raise ValueError(f"sampler {key} = {val!r} out of range; must be {rng}")
 
-    @property
-    def pool_size(self) -> int:
-        """Points in a sample: n_ics times the snapshots of the window at this dt."""
-        return self.n_ics * (int(round(self.t_window / self.dt)) // self.stride + 1)
+    def pool_size(self, dt: float) -> int:
+        """Points in a sample stepped with `dt`: n_ics times the snapshots of the window."""
+        return self.n_ics * (int(round(self.t_window / dt)) // self.stride + 1)
 
 
 def _mode_shapes(mesh: Mesh, n_modes: int) -> Array:
@@ -541,57 +538,46 @@ def x0_dist(states: Array, op: DiscreteOperator) -> Array:
     return dist
 
 
-def sample_attractor(
-    op: DiscreteOperator, f: NonlinearitySpec, cfg: SamplerConfig, seed: int, states_only: bool = False
-) -> Array:
-    """Seeded approximate-attractor sample as its flow table, (n, q, 2 dim), q = `flow_grid_m` + 1.
+def sample_attractor(integ: WaveIntegrator, cfg: SamplerConfig, seed: int, states_only: bool = False) -> Array:
+    """Seeded approximate-attractor sample of `integ`'s flow, as its flow table (n, q, 2 dim), q = `flow_grid_m` + 1.
 
     Snapshots are taken on the fixed window [t_transient, t_transient +
-    t_window], every `stride` steps, so the sample is a smooth function of
-    the operator coefficients.  Every snapshot is a sample point, in
-    IC-major order (all snapshots of ic 0, then of ic 1, ...); a pool larger
-    than `max_points` is a ValueError before any stepping.  Column j of a
-    point's row is the same IC's state z = (u; v) round(j / (m dt)) steps
-    after the snapshot (m = `flow_grid_m`), so column 0 is the point itself;
-    a flow grid off the dt lattice is rounded to whole steps, as the window
-    is.  With `states_only` the result is column 0 alone, (n, 2 dim), and
-    the stepping ends at the last snapshot.
+    t_window], every `stride` steps of the integrator's dt, so the sample is
+    a smooth function of the operator coefficients.  Every snapshot is a
+    sample point, in IC-major order (all snapshots of ic 0, then of ic 1,
+    ...); a pool larger than `max_points` is a ValueError before any
+    stepping.  Column j of a point's row is the same IC's state z = (u; v)
+    round(j / (m dt)) steps after the snapshot (m = `flow_grid_m`), so
+    column 0 is the point itself; a flow grid off the dt lattice is rounded
+    to whole steps, as the window is.  With `states_only` the result is
+    column 0 alone, (n, 2 dim), and the stepping ends at the last snapshot.
 
-    The ICs advance as one (2 dim, n_ics) block, in the integrator's step
-    loop, straight from one step an image is due at to the next, and each
-    image is copied into the table as the block passes it; the last step
-    run is the last image's.  Nothing waits for the energy to settle: a
-    scenario's nonlinearity (a > |b|, `operators.default_nonlinearity`)
-    makes the system dissipative, so the attractor the window samples
-    exists, and a trajectory that leaves the float range is a BlowupError.
+    The ICs advance as one (2 dim, n_ics) block in one run of the
+    integrator's step loop, which writes each image into its table slot as
+    the block passes the image's step; the last step run is the last
+    image's.  Nothing waits for the energy to settle: a scenario's
+    nonlinearity (a > |b|, `operators.default_nonlinearity`) makes the
+    system dissipative, so the attractor the window samples exists, and a
+    trajectory that leaves the float range is a BlowupError.
     """
-    if cfg.pool_size > cfg.max_points:
+    op, dt = integ.op, integ.dt
+    if (pool := cfg.pool_size(dt)) > cfg.max_points:
         raise ValueError(
-            f"{cfg.n_ics} ICs x {cfg.pool_size // cfg.n_ics} snapshots = {cfg.pool_size} points "
-            f"exceeds max_points = {cfg.max_points}"
+            f"{cfg.n_ics} ICs x {pool // cfg.n_ics} snapshots = {pool} points exceeds max_points = {cfg.max_points}"
         )
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5A17]))
-    integ = WaveIntegrator(op, f, cfg.dt)
     n_ics, m = cfg.n_ics, cfg.flow_grid_m
     # all ICs advance together, one column each
     z = np.column_stack([random_state(op, rng, cfg.radius, cfg.n_modes) for _ in range(n_ics)])
-    window_start = int(round(cfg.t_transient / cfg.dt))
-    n_snaps = cfg.pool_size // n_ics
-    lags = [round(j / (m * cfg.dt)) for j in range(1 if states_only else m + 1)]
+    window_start = int(round(cfg.t_transient / dt))
+    n_snaps = pool // n_ics
+    lags = [round(j / (m * dt)) for j in range(1 if states_only else m + 1)]
     table = np.empty((n_ics, n_snaps, len(lags), 2 * op.n))
-    # the (snapshot, image) slots due at each step: a flow span longer than
+    # every (snapshot, image) slot by its due step: a flow span longer than
     # `stride` interleaves the images of successive snapshots, and one as
     # long puts a snapshot's last image on the next snapshot's step
-    due: dict[int, list[tuple[int, int]]] = {}
-    for i in range(n_snaps):
-        for j, lag in enumerate(lags):
-            due.setdefault(window_start + cfg.stride * i + lag, []).append((i, j))
-    done = 0
-    for step in sorted(due):  # not np.unique, which loads numpy.ma
-        z = integ._steps(z, [step - done])
-        done = step
-        for i, j in due[step]:
-            table[:, i, j] = z.T
+    slots = sorted((window_start + cfg.stride * i + lag, i, j) for i in range(n_snaps) for j, lag in enumerate(lags))
+    integ._steps(z, [step for step, _, _ in slots], [table[:, i, j].T for _, i, j in slots])
     rows = table.reshape(-1, len(lags), 2 * op.n)
     return rows[:, 0] if states_only else rows
 

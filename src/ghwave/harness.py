@@ -128,33 +128,34 @@ class ContinuityResult(_StudyResult):
 def run_continuity_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | None = None) -> ContinuityResult:
     """Sampled-attractor GH distance against perturbation size.
 
-    The reference operator is resampled with seed+1 as a same-distribution
+    The reference integrator samples again with seed+1 as a same-distribution
     control; the resulting gh_upper value is the sampling noise floor that
     the smallest perturbation is compared against.  Every row is sampled
-    first; then the control search and the row searches, each independent
-    of the others, run on `cfg.threads` workers, and the CSV rows are
-    written in schedule order as their results arrive, so the output is the
-    same for any worker count.  `timer` collects the wall clock of the
-    assembly, sampling and GH-search stages.
+    first, one integrator per operator; then the control search and the row
+    searches, each independent of the others, run on `cfg.threads` workers,
+    and the CSV rows are written in schedule order as their results arrive,
+    so the output is the same for any worker count.  `timer` collects the
+    wall clock of the assembly, sampling and GH-search stages.
     """
     clock = timer or StudyTimer()
     mesh = cfg.make_mesh()
     f = cfg.make_nonlinearity()
     op_ref = cfg.reference_operator()
 
-    def sample_dist(op: DiscreteOperator, seed: int) -> np.ndarray:
-        return x0_dist(sample_attractor(op, f, cfg.sampler, seed, states_only=True), op)
+    def sample_dists(op: DiscreteOperator, *seeds: int) -> list[np.ndarray]:
+        # one integrator per operator, freed before the searches
+        integ = WaveIntegrator(op, f, cfg.dt)
+        return [x0_dist(sample_attractor(integ, cfg.sampler, seed, states_only=True), op) for seed in seeds]
 
     with clock.stage("continuity.sample"):
-        dist_ref = sample_dist(op_ref, cfg.seed)
-        dists = [sample_dist(op_ref, cfg.seed + 1)]
+        dist_ref, *dists = sample_dists(op_ref, cfg.seed, cfg.seed + 1)
     devs: list[tuple[float, float, float]] = []
     for h in cfg.maps():
         with clock.stage("continuity.assemble"):
             op = pullback_operator(mesh, h)
         devs.append((h.delta, *deviation_norms(op.coeffs)))
         with clock.stage("continuity.sample"):
-            dists.append(sample_dist(op, cfg.seed))
+            dists += sample_dists(op, cfg.seed)
 
     def search(dist: np.ndarray):
         return gh_upper(dist_ref, dist, cfg.budget, cfg.seed)
@@ -235,8 +236,8 @@ def run_stability_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
     amplitude midpoint, which for amplitude-linear families halves the C^2
     distance exactly.  Both estimates must come with verified witnesses and
     the half-gap epsilon must not exceed the full-gap one.  Each system's
-    flow table is its sample as `sample_attractor` returns it, read off the
-    sampler's own trajectory, so each sample is stepped once.  The two
+    flow table is its sample as `sample_attractor` returns it, read off
+    its integrator's trajectory, so each sample is stepped once.  The two
     estimates run one after the other on one thread, so that one flow pair
     is alive at a time; `cfg.threads` does not enter this study.  `timer`
     collects the wall clock of the sampling, flow-pair and GH-search stages.
@@ -260,7 +261,8 @@ def run_stability_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | N
 
     with clock.stage("stability.sample"):
         flow_anchor, flow_full, flow_half = (
-            sample_attractor(op, f, cfg.sampler, cfg.seed) for op in (op_anchor, op_full, op_half)
+            sample_attractor(WaveIntegrator(op, f, cfg.dt), cfg.sampler, cfg.seed)
+            for op in (op_anchor, op_full, op_half)
         )
 
     def estimate(flow_other: np.ndarray):

@@ -123,26 +123,33 @@ def test_sampler_dt_follows_solver_dt():
     # half the default dt with twice the default stride keeps the 96-point pool
     cfg, diags = parse_config("[solver]\ndt = 0.002\n[sampler]\nstride = 500\n[run]\nseed = 1\n")
     assert diags == []
-    assert cfg.sampler.dt == 0.002
+    assert cfg.dt == 0.002
+    assert cfg.sampler.pool_size(cfg.dt) == 96
 
 
 def test_sampler_pool_above_max_points_rejected():
-    # the pool is counted at the sampler's effective dt: halving the solver dt
-    # doubles the snapshots per IC, 8 x 23 = 184 points against max_points 96
+    # the pool is counted at the solver dt: halving it doubles the snapshots
+    # per IC, 8 x 23 = 184 points against max_points 96
     cfg, diags = parse_config("[solver]\ndt = 0.002\n[run]\nseed = 1\n")
     assert cfg is None
     (d,) = diags
     assert d.key == "sampler.max_points"
     assert "184 points exceeds max_points (96)" in d.message
-    cfg, diags = parse_config("[solver]\ndt = 0.002\n[sampler]\ndt = 0.004\n[run]\nseed = 1\n")
-    assert diags == []
-    assert cfg.sampler.pool_size == 96
 
 
-def test_sampler_dt_override_kept():
-    cfg, diags = parse_config("[solver]\ndt = 0.002\n[sampler]\ndt = 0.005\n[run]\nseed = 1\n")
-    assert diags == []
-    assert cfg.sampler.dt == 0.005
+def test_sampler_dt_key_is_unknown(tmp_path):
+    # a scenario has one dt, the solver's: a file that still sets a sampler
+    # dt is refused rather than sampled at a dt other than the one it names
+    text = "[solver]\ndt = 0.002\n[sampler]\ndt = 0.005\n[run]\nseed = 1\n"
+    cfg, diags = parse_config(text)
+    assert cfg is None
+    (d,) = diags
+    assert d.key == "sampler.dt"
+    assert d.message.startswith("unknown key")
+    p = tmp_path / "sampler_dt.cfg"
+    p.write_text(text)
+    assert main(["stability", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_retired_sampler_keys_are_ignored():
@@ -159,10 +166,10 @@ def test_retired_sampler_keys_are_ignored():
 
 def test_dt_above_reference_stability_cap_rejected(tmp_path):
     # at resolution 48 on [0, pi] the cap is 0.5/sqrt(4/h^2) = h/4, about 0.016
-    text = "[domain]\nresolution = 48\n[solver]\ndt = 0.05\n[sampler]\ndt = 0.05\n[run]\nseed = 1\n"
+    text = "[domain]\nresolution = 48\n[solver]\ndt = 0.05\n[run]\nseed = 1\n"
     cfg, diags = parse_config(text)
     assert cfg is None
-    assert _diag_keys(diags) == {"solver.dt", "sampler.dt"}
+    assert _diag_keys(diags) == {"solver.dt"}
     assert all("stability cap" in d.message for d in diags)
     p = tmp_path / "fast.cfg"
     p.write_text(text)
@@ -224,7 +231,6 @@ _SAMPLER_JUST_OUTSIDE = {
     "t_window": 0.0,
     "stride": 0,
     "max_points": 0,
-    "dt": 0.0,
     "flow_grid_m": 0,
     "n_modes": 0,
 }

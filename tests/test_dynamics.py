@@ -474,7 +474,7 @@ def test_sampler_raises_blowup():
     cfg = dataclasses.replace(_FAST, radius=40.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowupError, match="^non-finite state after step$"):
-            sample_attractor(op, _ANTI, cfg, seed=1)
+            sample_attractor(WaveIntegrator(op, _ANTI, _DT), cfg, seed=1)
 
 
 def test_energy_nonincreasing_per_step_without_forcing():
@@ -629,26 +629,25 @@ _FAST = SamplerConfig(
     t_window=1.0,
     stride=50,
     max_points=8,
-    dt=0.01,
     flow_grid_m=3,
     n_modes=4,
 )
+_DT = 0.01  # the step the fast sampler configs are sampled with
 
 
 def test_sampler_deterministic_for_fixed_seed():
     op = identity_operator(Mesh(UNIT, 16))
-    f = default_nonlinearity()
-    a = sample_attractor(op, f, _FAST, seed=99)
-    b = sample_attractor(op, f, _FAST, seed=99)
+    integ = WaveIntegrator(op, default_nonlinearity(), _DT)
+    a = sample_attractor(integ, _FAST, seed=99)
+    b = sample_attractor(integ, _FAST, seed=99)
     assert np.array_equal(a, b)
     assert np.array_equal(x0_dist(a[:, 0], op), x0_dist(b[:, 0], op))
 
 
 def test_sampler_seed_changes_sample():
-    op = identity_operator(Mesh(UNIT, 16))
-    f = default_nonlinearity()
-    a = sample_attractor(op, f, _FAST, seed=99)
-    b = sample_attractor(op, f, _FAST, seed=100)
+    integ = WaveIntegrator(identity_operator(Mesh(UNIT, 16)), default_nonlinearity(), _DT)
+    a = sample_attractor(integ, _FAST, seed=99)
+    b = sample_attractor(integ, _FAST, seed=100)
     assert not np.array_equal(a, b)
 
 
@@ -662,12 +661,11 @@ def test_sampler_linear_attractor_is_origin():
         t_window=1.0,
         stride=25,
         max_points=12,
-        dt=0.01,
         flow_grid_m=2,
         n_modes=3,
     )
     op = identity_operator(Mesh(UNIT, 16))
-    sample = sample_attractor(op, _linear_f(), cfg, seed=4)[:, 0]
+    sample = sample_attractor(WaveIntegrator(op, _linear_f(), _DT), cfg, seed=4)[:, 0]
     pack = NormPack(op)
     worst = max(x_norm(s, pack, 0) for s in sample)
     assert worst < 1e-3
@@ -712,16 +710,16 @@ def _full_sqdist(states, op):
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _lags(cfg):
+def _lags(cfg, dt):
     """The steps from a snapshot to each of its flow images: j / (m dt) rounded."""
-    return [round(j / (cfg.flow_grid_m * cfg.dt)) for j in range(cfg.flow_grid_m + 1)]
+    return [round(j / (cfg.flow_grid_m * dt)) for j in range(cfg.flow_grid_m + 1)]
 
 
-def _flow_end(cfg):
+def _flow_end(cfg, dt):
     """The step of the last snapshot's last flow image."""
-    window_start = round(cfg.t_transient / cfg.dt)
-    last_snap = window_start + round(cfg.t_window / cfg.dt) // cfg.stride * cfg.stride
-    return last_snap + _lags(cfg)[-1]
+    window_start = round(cfg.t_transient / dt)
+    last_snap = window_start + round(cfg.t_window / dt) // cfg.stride * cfg.stride
+    return last_snap + _lags(cfg, dt)[-1]
 
 
 def _sampler_ics(op, cfg, seed):
@@ -730,44 +728,45 @@ def _sampler_ics(op, cfg, seed):
     return np.column_stack([random_state(op, rng, cfg.radius, cfg.n_modes) for _ in range(cfg.n_ics)])
 
 
-def _sample_per_step(op, f, cfg, seed):
+def _sample_per_step(integ, cfg, seed):
     """The flow table (n, m+1, 2 dim) of `sample_attractor`'s ICs, stepped
-    one step per run of the step loop on the same (2 dim, n_ics) block: the
-    sampler must reproduce it bit for bit."""
-    integ = WaveIntegrator(op, f, cfg.dt)
+    one step per run of `integ`'s step loop on the same (2 dim, n_ics)
+    block: the sampler must reproduce it bit for bit."""
+    op, dt = integ.op, integ.dt
     z = _sampler_ics(op, cfg, seed)
-    window_start = round(cfg.t_transient / cfg.dt)
-    snaps = [window_start + cfg.stride * i for i in range(cfg.pool_size // cfg.n_ics)]
-    wanted = {s + lag for s in snaps for lag in _lags(cfg)}
+    window_start = round(cfg.t_transient / dt)
+    snaps = [window_start + cfg.stride * i for i in range(cfg.pool_size(dt) // cfg.n_ics)]
+    wanted = {s + lag for s in snaps for lag in _lags(cfg, dt)}
     kept = {0: z}
-    for k in range(1, _flow_end(cfg) + 1):
+    for k in range(1, _flow_end(cfg, dt) + 1):
         z = integ._steps(z, [1])  # each run returns a buffer of its own
         if k in wanted:
             kept[k] = z
-    flow = np.array([[kept[s + lag] for lag in _lags(cfg)] for s in snaps])  # (n_snaps, m+1, 2 dim, n_ics)
+    flow = np.array([[kept[s + lag] for lag in _lags(cfg, dt)] for s in snaps])  # (n_snaps, m+1, 2 dim, n_ics)
     return flow.transpose(3, 0, 1, 2).reshape(-1, cfg.flow_grid_m + 1, 2 * op.n)
 
 
 def _count_steps(monkeypatch):
-    """A list whose one entry sums the steps of every later run of the step loop."""
-    count, real = [0], WaveIntegrator._steps
+    """A list of the step count of every later run of the step loop."""
+    runs, real = [], WaveIntegrator._steps
 
     def steps(self, z, marks, out=None):
-        count[0] += marks[-1]
+        runs.append(marks[-1])
         return real(self, z, marks, out)
 
     monkeypatch.setattr(WaveIntegrator, "_steps", steps)
-    return count
+    return runs
 
 
 def _shipped_stability():
     cfg, diags = load_config(Path(__file__).resolve().parents[1] / "configs" / "stability_1d.cfg")
     assert not diags
-    return cfg.reference_operator(), cfg.make_nonlinearity(), cfg.sampler, cfg.seed
+    return WaveIntegrator(cfg.reference_operator(), cfg.make_nonlinearity(), cfg.dt), cfg.sampler, cfg.seed
 
 
 def _fast(domain, resolution, **changes):
-    return identity_operator(Mesh(domain, resolution)), default_nonlinearity(), dataclasses.replace(_FAST, **changes), 5
+    integ = WaveIntegrator(identity_operator(Mesh(domain, resolution)), default_nonlinearity(), _DT)
+    return integ, dataclasses.replace(_FAST, **changes), 5
 
 
 def _three_ics(domain, resolution, **changes):
@@ -788,7 +787,7 @@ def _three_ics(domain, resolution, **changes):
         # a window shorter than one step holds one snapshot, at step 1000
         lambda: _three_ics(UNIT, 16, t_transient=10.0, t_window=0.004, max_points=3),
         # windows that start at step 30, 49 and 50
-        *(lambda s=s: _three_ics(UNIT, 16, t_transient=s * _FAST.dt) for s in (30, 49, 50)),
+        *(lambda s=s: _three_ics(UNIT, 16, t_transient=s * _DT) for s in (30, 49, 50)),
     ],
     ids=[
         "stability-shipped",
@@ -802,37 +801,38 @@ def _three_ics(domain, resolution, **changes):
     ],
 )
 def test_sampler_matches_per_step_reference(case, monkeypatch):
-    # the sampler steps its ICs straight to each due flow step: its table
-    # holds the per-step bits, from exactly the steps to the last flow image,
-    # and it evaluates no E2
-    op, f, cfg, seed = case()
-    want = _sample_per_step(op, f, cfg, seed)
+    # the sampler steps its ICs through every due flow step in one run of
+    # the step loop: its table holds the per-step bits, from exactly the
+    # steps to the last flow image, and it evaluates no E2
+    integ, cfg, seed = case()
+    op, dt = integ.op, integ.dt
+    want = _sample_per_step(integ, cfg, seed)
     dist = np.sqrt(_full_sqdist(want[:, 0], op))
     dist = 0.5 * (dist + dist.T)
     np.fill_diagonal(dist, 0.0)
-    steps = _count_steps(monkeypatch)
+    runs = _count_steps(monkeypatch)
     e2_calls = []
     monkeypatch.setattr(dynamics, "_e2", lambda *args: e2_calls.append(args) or _e2(*args))
-    table = sample_attractor(op, f, cfg, seed)
+    table = sample_attractor(integ, cfg, seed)
     assert np.array_equal(table, want)
-    assert steps[0] == _flow_end(cfg)
+    assert runs == [_flow_end(cfg, dt)]
     # the states alone stop at the last snapshot, with the same bits
-    steps[0] = 0
-    states = sample_attractor(op, f, cfg, seed, states_only=True)
+    runs.clear()
+    states = sample_attractor(integ, cfg, seed, states_only=True)
     assert np.array_equal(states, want[:, 0])
     assert np.array_equal(x0_dist(states, op), dist)
-    assert steps[0] == _flow_end(cfg) - _lags(cfg)[-1]
+    assert runs == [_flow_end(cfg, dt) - _lags(cfg, dt)[-1]]
     assert e2_calls == []
 
 
-def _settling_steps(op, f, cfg, seed, floor=1e-12, tol=1e-4, window=50, last=5000):
+def _settling_steps(integ, cfg, seed, floor=1e-12, tol=1e-4, window=50, last=5000):
     """The step each IC's energy settles at, by the test the sampler once
     stepped on for: the first step k with k dt >= t_transient that ends
     `window` consecutive steps whose slope |dE2/dt| is below tol E2 + floor
     (-1 if none by step `last`).  Steps the sampler's ICs as one block, one
     step and one E2 evaluation at a time."""
+    op, f, dt = integ.op, integ.f, integ.dt
     pack = NormPack(op)
-    integ = WaveIntegrator(op, f, cfg.dt)
     z = _sampler_ics(op, cfg, seed)
     e_prev = _e2(z, pack, f)
     consec = np.zeros(cfg.n_ics, dtype=np.intp)
@@ -840,32 +840,32 @@ def _settling_steps(op, f, cfg, seed, floor=1e-12, tol=1e-4, window=50, last=500
     for k in range(1, last + 1):
         z = integ._steps(z, [1])
         e_now = _e2(z, pack, f)
-        consec = np.where(np.abs(e_now - e_prev) / cfg.dt < tol * e_now + floor, consec + 1, 0)
+        consec = np.where(np.abs(e_now - e_prev) / dt < tol * e_now + floor, consec + 1, 0)
         e_prev = e_now
-        if k * cfg.dt >= cfg.t_transient:
+        if k * dt >= cfg.t_transient:
             settled[(consec >= window) & (settled < 0)] = k
         if (settled >= 0).all():
             break
     return settled
 
 
-def _check_sampler(op, f, cfg, seed, monkeypatch):
+def _check_sampler(integ, cfg, seed, monkeypatch):
     """`sample_attractor`'s table against the per-step reference, bit for
-    bit, from exactly `_flow_end` steps and without one E2 evaluation."""
-    want = _sample_per_step(op, f, cfg, seed)
-    steps = _count_steps(monkeypatch)
+    bit, from one run of `_flow_end` steps and without one E2 evaluation."""
+    want = _sample_per_step(integ, cfg, seed)
+    runs = _count_steps(monkeypatch)
     e2_calls = []
     monkeypatch.setattr(dynamics, "_e2", lambda *args: e2_calls.append(args) or _e2(*args))
-    assert np.array_equal(sample_attractor(op, f, cfg, seed), want)
-    assert steps[0] == _flow_end(cfg)
+    assert np.array_equal(sample_attractor(integ, cfg, seed), want)
+    assert runs == [_flow_end(cfg, integ.dt)]
     assert e2_calls == []
 
 
 def _parsed_sampler(cfg, **retired):
-    """The sampler config parsed from a file that sets every field of `cfg`
-    and the retired keys `retired`."""
+    """The sampler config parsed from a file that steps with `_DT` and sets
+    every field of `cfg` and the retired keys `retired`."""
     keys = {**dataclasses.asdict(cfg), **retired}
-    text = "[sampler]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "[run]\nseed = 1\n"
+    text = f"[solver]\ndt = {_DT}\n[sampler]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "[run]\nseed = 1\n"
     parsed, diags = parse_config(text)
     assert diags == []
     return parsed.sampler
@@ -891,19 +891,19 @@ _SETTLE = dataclasses.replace(_FAST, n_ics=3, max_points=9)
 )
 def test_chunked_settling_matches_per_step_loop(domain, resolution, changes, settles, monkeypatch):
     # the sampler steps its ICs through the transient and the window in one
-    # run of the step loop per due step: its table holds the per-step bits,
+    # run of the step loop: its table holds the per-step bits,
     # and when each IC's energy settles moves neither them nor the stop
-    op, f = identity_operator(Mesh(domain, resolution)), default_nonlinearity()
+    integ = WaveIntegrator(identity_operator(Mesh(domain, resolution)), default_nonlinearity(), _DT)
     cfg = dataclasses.replace(_SETTLE, **changes)
     if settles is not None:
         floor, where = settles
-        settled = _settling_steps(op, f, cfg, 5, floor=floor)
+        settled = _settling_steps(integ, cfg, 5, floor=floor)
         assert (settled >= 0).all()
         if where == "before window end":
-            assert settled.max() < round(cfg.t_transient / cfg.dt) + round(cfg.t_window / cfg.dt)
+            assert settled.max() < round(cfg.t_transient / _DT) + round(cfg.t_window / _DT)
         else:
-            assert settled.min() > _flow_end(cfg) + 10 * 50
-    _check_sampler(op, f, cfg, 5, monkeypatch)
+            assert settled.min() > _flow_end(cfg, _DT) + 10 * 50
+    _check_sampler(integ, cfg, 5, monkeypatch)
 
 
 @pytest.mark.parametrize("t_cap", [8.0, 11.5], ids=["cap-in-window", "cap-in-flow-span"])
@@ -912,12 +912,12 @@ def test_settling_cap_past_every_plateau_stops_at_the_flow_end(t_cap, monkeypatc
     # window ends at step 1100 and its last flow image lies at step 1200; a
     # file that still sets that floor and a t_cap at step 800 or 1150, both
     # retired keys, parses to the same sampler, which stops at the flow end
-    op, f = identity_operator(Mesh(UNIT, 16)), default_nonlinearity()
+    integ = WaveIntegrator(identity_operator(Mesh(UNIT, 16)), default_nonlinearity(), _DT)
     cfg = dataclasses.replace(_SETTLE, t_window=10.0, stride=1000)
     assert _parsed_sampler(cfg, plateau_floor=1e-3, t_cap=t_cap) == cfg
-    assert list(_settling_steps(op, f, cfg, 5, floor=1e-3)) == [794, 652, 749]
-    assert round(t_cap / cfg.dt) < _flow_end(cfg) == 1200
-    _check_sampler(op, f, cfg, 5, monkeypatch)
+    assert list(_settling_steps(integ, cfg, 5, floor=1e-3)) == [794, 652, 749]
+    assert round(t_cap / _DT) < _flow_end(cfg, _DT) == 1200
+    _check_sampler(integ, cfg, 5, monkeypatch)
 
 
 @pytest.mark.parametrize(
@@ -948,8 +948,8 @@ def test_stability_sample_flow_images_chain_into_the_next_snapshot():
     cfg, diags = load_config(Path(__file__).resolve().parents[1] / "configs" / "stability_1d.cfg")
     assert not diags
     sampler = cfg.sampler
-    assert round(1 / sampler.dt) == sampler.stride
-    table = sample_attractor(cfg.reference_operator(), cfg.make_nonlinearity(), sampler, cfg.seed)
+    assert round(1 / cfg.dt) == sampler.stride
+    table = sample_attractor(WaveIntegrator(cfg.reference_operator(), cfg.make_nonlinearity(), cfg.dt), sampler, cfg.seed)
     per_ic = table.reshape(sampler.n_ics, -1, *table.shape[1:])  # (n_ics, n_snaps, m+1, 2 dim)
     assert per_ic.shape[1] == 12
     assert np.array_equal(per_ic[:, :-1, -1], per_ic[:, 1:, 0])
@@ -958,10 +958,11 @@ def test_stability_sample_flow_images_chain_into_the_next_snapshot():
 def test_sampler_rejects_pool_above_max_points():
     # two ICs x three snapshots: one point over the bound, refused before stepping
     op = identity_operator(Mesh(UNIT, 16))
+    integ = WaveIntegrator(op, default_nonlinearity(), _DT)
     small = dataclasses.replace(_FAST, max_points=5)
     with pytest.raises(ValueError, match="6 points exceeds max_points = 5"):
-        sample_attractor(op, default_nonlinearity(), small, seed=1)
-    assert sample_attractor(op, default_nonlinearity(), _FAST, seed=1).shape == (6, _FAST.flow_grid_m + 1, 2 * op.n)
+        sample_attractor(integ, small, seed=1)
+    assert sample_attractor(integ, _FAST, seed=1).shape == (6, _FAST.flow_grid_m + 1, 2 * op.n)
 
 
 # --- conjugated flows ----------------------------------------------------------

@@ -36,7 +36,6 @@ _FAST_SAMPLER = SamplerConfig(
     t_window=1.0,
     stride=50,
     max_points=8,
-    dt=0.01,
     flow_grid_m=3,
     n_modes=4,
 )
@@ -112,9 +111,9 @@ def test_timing_sidecar_records_study_stages(tmp_path):
 
 def test_build_flow_pair_universe_indices():
     op = identity_operator(Mesh(UNIT, 16))
-    f = default_nonlinearity()
-    fa = sample_attractor(op, f, _FAST_SAMPLER, seed=1)
-    fb = sample_attractor(op, f, _FAST_SAMPLER, seed=2)
+    integ = WaveIntegrator(op, default_nonlinearity(), 0.01)
+    fa = sample_attractor(integ, _FAST_SAMPLER, seed=1)
+    fb = sample_attractor(integ, _FAST_SAMPLER, seed=2)
     cost, dx, dy = build_flow_pair(fa, fb, op)
     na, nb = len(fa), len(fb)
     # one flow cost for every base point of one sample against every one of the other's
@@ -154,7 +153,10 @@ def test_build_flow_pair_matches_the_universe():
     cfg, diags = load_config(Path(__file__).resolve().parents[1] / "configs" / "stability_1d.cfg")
     assert not diags
     mesh, f = cfg.make_mesh(), cfg.make_nonlinearity()
-    fa, fb = (sample_attractor(pullback_operator(mesh, h), f, cfg.sampler, cfg.seed) for h in cfg.maps()[:2])
+    fa, fb = (
+        sample_attractor(WaveIntegrator(pullback_operator(mesh, h), f, cfg.dt), cfg.sampler, cfg.seed)
+        for h in cfg.maps()[:2]
+    )
     op = cfg.reference_operator()
     cost, dx, dy = build_flow_pair(fa, fb, op)
     n, q = fa.shape[:2]
@@ -202,16 +204,20 @@ def test_build_flow_pair_refuses_different_time_grids():
     # two samples recorded at different numbers of flow times: the flow
     # columns would not be comparable
     op = identity_operator(Mesh(UNIT, 16))
-    f = default_nonlinearity()
-    fa = sample_attractor(op, f, _FAST_SAMPLER, seed=1)
-    fb = sample_attractor(op, f, dataclasses.replace(_FAST_SAMPLER, flow_grid_m=4), seed=1)
+    integ = WaveIntegrator(op, default_nonlinearity(), 0.01)
+    fa = sample_attractor(integ, _FAST_SAMPLER, seed=1)
+    fb = sample_attractor(integ, dataclasses.replace(_FAST_SAMPLER, flow_grid_m=4), seed=1)
     with pytest.raises(ValueError, match="share the time grid"):
         build_flow_pair(fa, fb, op)
 
 
-def test_stability_study_steps_each_sample_once(monkeypatch):
-    # the sampler keeps each flow table off its own trajectory: one
-    # integrator per sample (anchor, full gap, half gap) and no record call
+@pytest.mark.parametrize("study", ["continuity", "stability"])
+def test_sampling_study_steps_each_sample_once(study, monkeypatch):
+    # the sampler keeps each sample off the trajectory of the integrator it
+    # is given, with no record call: one integrator per operator, so the
+    # continuity study's reference integrator samples both the seed and the
+    # seed+1 control (1 + one per schedule row), and the stability study
+    # builds one per sample (anchor, full gap, half gap)
     cfg, diags = load_config(Path(__file__).resolve().parents[1] / "configs" / "determinism_tiny.cfg")
     assert not diags
     calls = []
@@ -227,7 +233,8 @@ def test_stability_study_steps_each_sample_once(monkeypatch):
 
     monkeypatch.setattr(WaveIntegrator, "__init__", init)
     monkeypatch.setattr(WaveIntegrator, "record", record)
-    run_stability_study(cfg)
+    {"continuity": run_continuity_study, "stability": run_stability_study}[study](cfg)
+    assert len(cfg.schedule) == 2
     assert calls == ["init"] * 3
 
 
@@ -240,9 +247,11 @@ def test_stability_pairs_certified_whatever_the_budget():
     mesh, f = cfg.make_mesh(), cfg.make_nonlinearity()
     h_anchor, h_full = cfg.maps()[:2]
     h_half = cfg.make_map(0.5 * (cfg.schedule[0] + cfg.schedule[1]))
-    flow_anchor = sample_attractor(pullback_operator(mesh, h_anchor), f, cfg.sampler, cfg.seed)
-    for h in (h_full, h_half):
-        flow_other = sample_attractor(pullback_operator(mesh, h), f, cfg.sampler, cfg.seed)
+    flow_anchor, flow_full, flow_half = (
+        sample_attractor(WaveIntegrator(pullback_operator(mesh, h), f, cfg.dt), cfg.sampler, cfg.seed)
+        for h in (h_anchor, h_full, h_half)
+    )
+    for flow_other in (flow_full, flow_half):
         pair = build_flow_pair(flow_anchor, flow_other, cfg.reference_operator())
         ests = [dgh_dynamical(*pair, budget, cfg.seed) for budget in (1, 4, 32)]
         assert all(e.exact and e.certified for e in ests)
@@ -389,7 +398,7 @@ def test_shipped_configs_parse():
         cfg, diags = load_config(p)
         assert cfg is not None, (p.name, diags)
         # every shipped cloud fills max_points exactly
-        assert cfg.sampler.pool_size == cfg.sampler.max_points, p.name
+        assert cfg.sampler.pool_size(cfg.dt) == cfg.sampler.max_points, p.name
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
