@@ -4,15 +4,16 @@ block shapes the shipped studies run and across the kernels' crossover.
 
     python3 scripts/step_cost.py
 
-Four shipped shapes, each on its config's reference operator and time step:
+Five shipped shapes, each on its config's reference operator and time step:
 47x8 (`stability_1d.cfg`, the sampler's IC block), 121x4 (`shear_2d.cfg`),
-and 47x2 and one 47-vector (`estimates_1d.cfg`: Gronwall pairs, and single
-trajectories).  Four more put the sampler blocks of `stability_1d.cfg` and
+and 20x47x2, 47x2 and one 47-vector (`estimates_1d.cfg`: its 20 Gronwall
+pairs stepped as one stack, one pair alone, and single trajectories; the
+stack's cost a step is to be read against 20 times one pair's).  Four more put the sampler blocks of `stability_1d.cfg` and
 `shear_2d.cfg` on finer meshes, 111x8 and 127x8 (resolutions 112 and 128)
 and 144x4 and 225x4 (resolutions 13 and 16), at the config's dt or the
 mesh's stability cap if that is smaller; these bracket
 `operators.DENSE_MAX_DIM`.  The block is random low-mode states (fixed
-seed).  Per shape and kernel (the sparse step, one product with the
+seed); a stack is B such blocks, stepped in one run.  Per shape and kernel (the sparse step, one product with the
 integrator's right-hand-side operator R' and one sparse LU solve, and the
 dense step, one product with G) it prints the
 best of REPEATS runs, in microseconds per step, of two loops: CHUNKS `record`
@@ -47,17 +48,18 @@ from ghwave.operators import DENSE_MAX_DIM
 REPEATS, CHUNKS, STEPS = 15, 20, 50
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 KERNELS = ("sparse", "dense")
-# (label, config, columns or None for a single (2 dim,) state, mesh
-# resolution or None for the config's)
+# (label, config, blocks of a stack or None for no stack, columns or None
+# for a single (2 dim,) state, mesh resolution or None for the config's)
 SHAPES = (
-    ("stability_1d sampler", "stability_1d.cfg", 8, None),
-    ("shear_2d sampler", "shear_2d.cfg", 4, None),
-    ("estimates_1d pair", "estimates_1d.cfg", 2, None),
-    ("estimates_1d single", "estimates_1d.cfg", None, None),
-    ("stability_1d res 112", "stability_1d.cfg", 8, 112),
-    ("stability_1d res 128", "stability_1d.cfg", 8, 128),
-    ("shear_2d res 13", "shear_2d.cfg", 4, 13),
-    ("shear_2d res 16", "shear_2d.cfg", 4, 16),
+    ("stability_1d sampler", "stability_1d.cfg", None, 8, None),
+    ("shear_2d sampler", "shear_2d.cfg", None, 4, None),
+    ("estimates_1d pairs", "estimates_1d.cfg", 20, 2, None),
+    ("estimates_1d pair", "estimates_1d.cfg", None, 2, None),
+    ("estimates_1d single", "estimates_1d.cfg", None, None, None),
+    ("stability_1d res 112", "stability_1d.cfg", None, 8, 112),
+    ("stability_1d res 128", "stability_1d.cfg", None, 8, 128),
+    ("shear_2d res 13", "shear_2d.cfg", None, 4, 13),
+    ("shear_2d res 16", "shear_2d.cfg", None, 4, 16),
 )
 
 
@@ -72,8 +74,9 @@ def integrator(op, f, dt: float, kernel: str) -> WaveIntegrator:
     return integ
 
 
-def workload(name: str, k: int | None, resolution: int | None):
-    """Both kernels' integrators on a shipped config's reference operator (at `resolution`), and a fixed random start block."""
+def workload(name: str, b: int | None, k: int | None, resolution: int | None):
+    """Both kernels' integrators on a shipped config's reference operator (at `resolution`), and a fixed random start:
+    a stack of b blocks of k columns, a block, or one state."""
     cfg, diags = load_config(CONFIGS / name)
     if cfg is None:
         raise SystemExit(f"{name}: " + "; ".join(map(str, diags)))
@@ -83,9 +86,11 @@ def workload(name: str, k: int | None, resolution: int | None):
     dt = min(cfg.dt, stability_cap(op))
     integs = {kernel: integrator(op, cfg.make_nonlinearity(), dt, kernel) for kernel in KERNELS}
     rng = np.random.default_rng(2026)
-    ics = [random_state(op, rng, cfg.sampler.radius, cfg.sampler.n_modes) for _ in range(k or 1)]
-    start = ics[0] if k is None else np.column_stack(ics)
-    return integs, start
+    ics = [random_state(op, rng, cfg.sampler.radius, cfg.sampler.n_modes) for _ in range((b or 1) * (k or 1))]
+    if k is None:
+        return integs, ics[0]
+    blocks = [np.column_stack(ics[i : i + k]) for i in range(0, len(ics), k)]
+    return integs, blocks[0] if b is None else np.stack(blocks)
 
 
 def recorded(integ: WaveIntegrator, start: np.ndarray) -> None:
@@ -105,25 +110,27 @@ LOOPS = (recorded, bare)
 
 
 def main() -> None:
-    runs = [(label, k, *workload(name, k, res)) for label, name, k, res in SHAPES]
+    runs = [(label, *workload(name, b, k, res)) for label, name, b, k, res in SHAPES]
     best = {(label, kernel, loop): float("inf") for label, *_ in runs for kernel in KERNELS for loop in LOOPS}
     # the repeats go round the shapes, so a burst of load elsewhere on the
     # machine spoils one sample of each shape rather than every sample of one
     for _ in range(REPEATS):
-        for label, _k, integs, start in runs:
+        for label, integs, start in runs:
             for kernel, integ in integs.items():
                 for loop in LOOPS:
                     t0 = time.perf_counter()
                     loop(integ, start)
                     best[label, kernel, loop] = min(best[label, kernel, loop], time.perf_counter() - t0)
     print(f"best of {REPEATS} x {CHUNKS} chunks of {STEPS} steps, microseconds per step; DENSE_MAX_DIM = {DENSE_MAX_DIM}")
-    print(f"{'shape':>7}  {'workload':<20} {'dt':>9} {'kernel':<7} {'record':>8} {'step':>8}")
-    for label, k, integs, start in runs:
+    print(f"{'shape':>8}  {'workload':<20} {'dt':>9} {'kernel':<7} {'record':>8} {'step':>8}")
+    for label, integs, start in runs:
         n = integs["dense"].op.n
+        # a stack (B, 2 dim, k) prints as Bxnxk, a block as nxk, a state as nx1
+        shape = "x".join(map(str, (*start.shape[:-2], n, start.shape[-1] if start.ndim > 1 else 1)))
         for kernel, integ in integs.items():
             us = [best[label, kernel, loop] / (CHUNKS * STEPS) * 1e6 for loop in LOOPS]
             picked = "*" if (kernel == "dense") == (n <= DENSE_MAX_DIM) else " "
-            print(f"{f'{n}x{k or 1}':>7}  {label:<20} {integ.dt:>9.3g} {kernel + picked:<7} {us[0]:>8.1f} {us[1]:>8.1f}")
+            print(f"{shape:>8}  {label:<20} {integ.dt:>9.3g} {kernel + picked:<7} {us[0]:>8.1f} {us[1]:>8.1f}")
 
 
 if __name__ == "__main__":

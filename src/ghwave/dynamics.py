@@ -41,10 +41,11 @@ bits for the same block shape; only the sparse kernel gives each column the
 bits it would get alone.
 
 A state is one array z = (u; v): (2 dim,) for one state, (2 dim, k) for a
-block of k states, one per column.  Both kernels are written once, in one
-step loop over z that steps into preallocated buffers; `step` and `record`
-are runs of it (a record is one run that keeps only its grid's states),
-and the sampler runs it directly: it steps its block of ICs straight from
+block of k states, one per column, and (B, 2 dim, k) for a stack of B
+blocks, each stepped as it would be alone.  Both kernels are written once,
+in one step loop over z that steps into preallocated buffers; `step` and
+`record` are runs of it (a record is one run that keeps only its grid's
+states), and the sampler runs it directly: it steps its block of ICs straight from
 one step a flow image is due at to the next and copies each image into its
 table, so no state of a sample is stepped twice.
 
@@ -86,6 +87,7 @@ __all__ = [
     "solve_trajectory",
     "energy_profile",
     "gronwall_rate",
+    "pair_separations",
     "lipschitz_envelope_check",
     "sample_attractor",
     "conjugated_flow_error",
@@ -113,10 +115,10 @@ def stability_cap(op: DiscreteOperator) -> float:
 class WaveIntegrator:
     """Prefactorized one-step map for a fixed (operator, nonlinearity, dt).
 
-    Every method takes a single state z = (u; v) or a block of states, one
-    per column.  Both kernels apply the right-hand-side operator with f's
-    linear part folded in, R' (see the module docstring), to w = (u; v;
-    sin(u + dt/2 v)), so a step evaluates one sin.  On a dense operator
+    Every method takes a single state z = (u; v), a block of states, one
+    per column, or a stack of blocks.  Both kernels apply the right-hand-side
+    operator with f's linear part folded in, R' (see the module docstring),
+    to w = (u; v; sin(u + dt/2 v)), so a step evaluates one sin.  On a dense operator
     (`dense`, at most `operators.DENSE_MAX_DIM` unknowns) the step is one
     product z+ = G w: G = [P + a [Q | (dt/2) Q] | b Q], with P z + Q f the
     step of the unfolded system, is formed once here, from S^-1 R by S's
@@ -180,10 +182,11 @@ class WaveIntegrator:
             self._R = sp.hstack(R).tocsr()
 
     def _steps(self, z: Array, marks: Sequence[int], out: Sequence[Array] | None = None) -> Array:
-        """The step loop: z = (u; v), (2 dim,) or (2 dim, k), stepped
-        marks[-1] times; the state after marks[i] steps (a nondecreasing
-        count, 0 for z itself) is written into out[i], a row of an array or
-        an array view of a list.  Returns the last state; z is left as it is.
+        """The step loop: z = (u; v), (2 dim,), (2 dim, k) or a stack of
+        blocks (B, 2 dim, k), stepped marks[-1] times; the state after
+        marks[i] steps (a nondecreasing count, 0 for z itself) is written
+        into out[i], a row of an array or an array view of a list.  Returns
+        the last state; z is left as it is.
 
         The states live in two work buffers of this call that take turns,
         w = (u; v; s) in C order, so the dense step allocates nothing and
@@ -191,7 +194,11 @@ class WaveIntegrator:
         `out`.  A step writes s = sin(u + dt/2 v) into its own buffer and the
         next state into the other: one product with G on the dense kernel,
         the product with R' and the S solve on the sparse one (see
-        `WaveIntegrator`).  A kept state is copied to its slot of `out`.
+        `WaveIntegrator`).  A kept state is copied to its slot of `out`.  On
+        a stack the dense product broadcasts G over the blocks, one product
+        per block, so that each block gets the bits it gets alone; the
+        sparse kernel, whose products treat columns independently, steps the
+        stack as one (2 dim, B k) block.
 
         BlowupError if a step ran and the last state is not finite.  One
         check per call suffices: a non-finite entry of u or v makes the same
@@ -200,9 +207,23 @@ class WaveIntegrator:
         to u+ = u + dt (theta v+ + (1 - theta) v)).
         """
         n = self.op.n
-        shape = (3 * n,) + z.shape[1:]
-        # per work buffer: w itself, its state z = (u; v), and u, v and s
-        cur, nxt = [(w, w[: 2 * n], w[:n], w[n : 2 * n], w[2 * n :]) for w in (np.empty(shape), np.empty(shape))]
+        stack = len(z) if z.ndim == 3 else 0
+        if stack and self.dense:
+            # the rows of a stack's blocks are its second axis
+            shape, rows = (stack, 3 * n, z.shape[2]), lambda w, a, b: w[:, a:b]
+        else:
+            # the blocks of a stack side by side, one (3 dim, B k) block
+            shape = (3 * n, stack * z.shape[2]) if stack else (3 * n, *z.shape[1:])
+            rows = lambda w, a, b: w[a:b]
+
+        def parts(w: Array) -> tuple[Array, ...]:
+            """w itself, its state z = (u; v) in the shape of the state stepped, and u, v and s."""
+            state = rows(w, 0, 2 * n)
+            if stack and not self.dense:
+                state = state.reshape(2 * n, stack, -1).transpose(1, 0, 2)
+            return w, state, rows(w, 0, n), rows(w, n, 2 * n), rows(w, 2 * n, 3 * n)
+
+        cur, nxt = parts(np.empty(shape)), parts(np.empty(shape))
         cur[1][...] = z
         half_dt, dense, done = self._half_dt, self.dense, 0
         for i, mark in enumerate(marks):
@@ -229,8 +250,9 @@ class WaveIntegrator:
     def _entry(self, z: Array) -> Array:
         """z as a float array of a state's shape; the step loop copies it into its own buffers."""
         z = np.asarray(z, dtype=float)
-        if z.ndim not in (1, 2) or z.shape[0] != 2 * self.op.n:
-            raise ValueError(f"a state must have shape ({2 * self.op.n},) or ({2 * self.op.n}, k), got {z.shape}")
+        dim2 = 2 * self.op.n
+        if z.ndim not in (1, 2, 3) or z.shape[1 if z.ndim == 3 else 0] != dim2:
+            raise ValueError(f"a state must have shape ({dim2},), ({dim2}, k) or (B, {dim2}, k), got {z.shape}")
         return z
 
     def step(self, z: Array) -> Array:
@@ -242,10 +264,12 @@ class WaveIntegrator:
         (>= 0, 0 for z itself), on a trailing axis.
 
         One run of the step loop, which writes each kept state straight into
-        the result: (2 dim, T) for one state and (2 dim, k, T) for a block,
-        never sharing memory with `z`.  A grid that is not whole numbers, or
-        is negative or decreasing, is a ValueError: a time is a count of
-        steps, which the caller rounds from its own times.
+        the result: (2 dim, T) for one state, (2 dim, k, T) for a block and
+        (B, 2 dim, k, T) for a stack of B blocks, never sharing memory with
+        `z`; each block of a stack gets the bits it gets alone.  A grid that
+        is not whole numbers, or is negative or decreasing, is a ValueError:
+        a time is a count of steps, which the caller rounds from its own
+        times.
         """
         steps = np.asarray(steps)
         if steps.ndim != 1 or steps.dtype.kind not in "iu" or (np.diff(steps, prepend=0) < 0).any():
@@ -373,32 +397,67 @@ def gronwall_rate(f: NonlinearitySpec, op: DiscreteOperator) -> float:
     return f.l / (2 * op.lambda1) + 0.5
 
 
-def lipschitz_envelope_check(
-    s0: Array,
-    s1: Array,
-    t_final: float,
-    integ: WaveIntegrator,
-) -> float:
-    """Largest ratio of the two-trajectory separation to ||Z(0)|| exp(C t) over every step t >= integ.dt.
+def pair_separations(pairs: Array, t_final: float, integ: WaveIntegrator) -> Array:
+    """X^0 separation ||z_0(t) - z_1(t)|| of each pair of a stack of state
+    pairs (B, 2 dim, 2), pair i the block (z_0 | z_1) = pairs[i], at every
+    step 0, 1, ..., round(t_final / dt) of `integ`: (B, steps + 1), a row
+    per pair.
 
-    Time 0 is left out: its ratio is 1 by construction, so a maximum over it
-    would never show how close the envelope comes.  One integrator serves
-    every pair of a study: the pair's trajectory depends only on its
-    operator, f and dt.
+    The stack steps as one, in chunks of whole steps, and each chunk is
+    reduced to its separations before the next is stepped, so no trajectory
+    is held whole: a chunk of max(1, steps // B) steps records no more
+    floats than one pair's whole trajectory.  Each pair gets the bits it
+    gets stepped alone (see `WaveIntegrator.record`), and each separation
+    the bits of its own `x_norm`.
     """
-    op, f, dt = integ.op, integ.f, integ.dt
-    n_steps = int(round(t_final / dt))
+    n_steps = int(round(t_final / integ.dt))
     if n_steps < 1:
-        raise ValueError(f"t_final = {t_final} is shorter than one step of dt = {dt}")
-    pack = NormPack(op)
-    z0 = x_norm(s0 - s1, pack, 0)
-    if z0 == 0.0:
+        raise ValueError(f"t_final = {t_final} is shorter than one step of dt = {integ.dt}")
+    pairs = np.asarray(pairs, dtype=float)
+    if pairs.ndim != 3 or not len(pairs) or pairs.shape[1:] != (2 * integ.op.n, 2):
+        raise ValueError(f"pairs must have shape (B, {2 * integ.op.n}, 2), B >= 1, got {pairs.shape}")
+    pack = NormPack(integ.op)
+
+    def differences(states: Array) -> Array:
+        """z_0 - z_1 per pair and state of a record (B, 2 dim, 2, c) of the stack, as the columns of one block (2 dim, B c)."""
+        # pair by pair: one subtraction over the whole stack would also
+        # allocate numpy's iteration buffers, 128 KB
+        diff = np.empty((states.shape[1], len(states), states.shape[-1]))
+        for i, pair in enumerate(states):
+            np.subtract(pair[:, 0], pair[:, 1], out=diff[:, i])
+        return diff.reshape(len(diff), -1)
+
+    def advance(z: Array, steps: int) -> tuple[Array, Array]:
+        """The stack `steps` steps on from z, and its separations (B, steps) after each of them."""
+        rec = integ.record(z, np.arange(1, steps + 1))
+        last, diff = rec[..., -1].copy(), differences(rec)
+        del rec  # before the norms, so that the record and their temporaries are not alive at once
+        return last, x_norm(diff, pack, 0).reshape(len(pairs), steps)
+
+    chunk = max(1, n_steps // len(pairs))
+    sep = np.empty((len(pairs), n_steps + 1))
+    sep[:, 0] = x_norm(differences(pairs[..., None]), pack, 0)
+    z = pairs
+    for done in range(0, n_steps, chunk):
+        steps = min(chunk, n_steps - done)
+        z, sep[:, done + 1 : done + 1 + steps] = advance(z, steps)
+    return sep
+
+
+def lipschitz_envelope_check(sep: Array, integ: WaveIntegrator) -> float:
+    """Largest ratio of a pair's separation to ||Z(0)|| exp(C t) over every step t >= integ.dt.
+
+    `sep` is the pair's X^0 separation at steps 0, 1, ... of `integ`, a row
+    of `pair_separations`, so ||Z(0)|| = sep[0].  Time 0 is left out: its
+    ratio is 1 by construction, so a maximum over it would never show how
+    close the envelope comes.
+    """
+    if len(sep) < 2:
+        raise ValueError(f"the separation series is shorter than one step of dt = {integ.dt}")
+    if sep[0] == 0.0:
         raise ValueError("initial states coincide; the envelope ratio is undefined")
-    steps = np.arange(1, n_steps + 1)
-    times = steps * dt
-    pair = integ.record(np.column_stack([s0, s1]), steps)
-    sep = x_norm(pair[:, 0] - pair[:, 1], pack, 0)
-    return float((sep / (z0 * np.exp(gronwall_rate(f, op) * times))).max())
+    times = np.arange(1, len(sep)) * integ.dt
+    return float((sep[1:] / (sep[0] * np.exp(gronwall_rate(integ.f, integ.op) * times))).max())
 
 
 # SamplerConfig field -> (predicate, description of the valid range); the
@@ -582,15 +641,19 @@ def sample_attractor(integ: WaveIntegrator, cfg: SamplerConfig, seed: int, state
     return rows[:, 0] if states_only else rows
 
 
-def conjugated_flow_error(integ_0: WaveIntegrator, integ_n: WaveIntegrator, v0: Array, steps: Sequence[int]) -> Array:
+def conjugated_flow_error(
+    integ_0: WaveIntegrator, flow_0: Array, integ_n: WaveIntegrator, v0: Array, steps: Sequence[int]
+) -> Array:
     """||T_n(t) V0 - T_0(t) V0|| in the X^0 norm of integ_0's operator after each whole step count of `steps`.
 
-    T_0 is `integ_0`'s flow, on the reference operator, and T_n `integ_n`'s,
-    on a pullback of it; the shared discrete space makes the pullback
-    identification the identity on coefficients.  Both must step with the
-    same dt, so that each count is the same time t on both flows; `record`
-    checks the grid.
+    T_0 is `integ_0`'s flow, on the reference operator, given as `flow_0`,
+    its record `integ_0.record(v0, steps)`, which a caller comparing several
+    perturbed flows records once; T_n is `integ_n`'s flow, on a pullback of
+    the reference, recorded here.  The shared discrete space makes the
+    pullback identification the identity on coefficients.  Both must step
+    with the same dt, so that each count is the same time t on both flows;
+    `record` checks the grid.
     """
     if integ_n.dt != integ_0.dt:
         raise ValueError(f"the two flows step with dt = {integ_0.dt} and {integ_n.dt}, not one dt")
-    return x_norm(integ_0.record(v0, steps) - integ_n.record(v0, steps), NormPack(integ_0.op), 0)
+    return x_norm(flow_0 - integ_n.record(v0, steps), NormPack(integ_0.op), 0)

@@ -20,6 +20,7 @@ from ghwave.dynamics import (
     conjugated_flow_error,
     energy_profile,
     lipschitz_envelope_check,
+    pair_separations,
     random_state,
     solve_trajectory,
 )
@@ -82,13 +83,13 @@ def test_pairwise_growth_envelope(verdict):
     op = identity_operator(cfg.make_mesh())
     f = cfg.make_nonlinearity()
     integ = WaveIntegrator(op, f, cfg.dt)
-    worst = 0.0
     n_pairs = 20
+    pairs = []
     for k in range(n_pairs):
         rng = np.random.default_rng(np.random.SeedSequence([99, k]))
-        s0 = random_state(op, rng, radius=1.0, n_modes=8)
-        s1 = random_state(op, rng, radius=1.0, n_modes=8)
-        worst = max(worst, lipschitz_envelope_check(s0, s1, 2.0, integ))
+        pairs.append(np.column_stack([random_state(op, rng, radius=1.0, n_modes=8) for _ in range(2)]))
+    # the estimates study's pair path: every pair in one stack, one ratio per pair
+    worst = max(lipschitz_envelope_check(sep, integ) for sep in pair_separations(np.stack(pairs), 2.0, integ))
     verdict(
         worst <= 1.05,
         f"max separation ratio {worst:.4f} over {n_pairs} pairs (<= 1.05)",
@@ -118,8 +119,9 @@ def test_conjugated_flow_convergence(verdict):
     v0 = random_state(op, rng, radius=1.0, n_modes=4)
     integ_0 = WaveIntegrator(op, f, cfg.dt)
     steps = [round(0.1 * k / cfg.dt) for k in range(1, 11)]
+    flow_0 = integ_0.record(v0, steps)
     errs = [
-        conjugated_flow_error(integ_0, WaveIntegrator(pullback_operator(op.mesh, h), f, cfg.dt), v0, steps).max()
+        conjugated_flow_error(integ_0, flow_0, WaveIntegrator(pullback_operator(op.mesh, h), f, cfg.dt), v0, steps).max()
         for h in cfg.maps()
     ]
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
@@ -189,11 +191,13 @@ def test_stability_study(verdict, tmp_path):
 
 def test_reproducibility_across_threads(verdict, tmp_path):
     # continuity runs its control and row searches on the worker threads;
-    # stability runs single-threaded whatever the count, and is compared so
-    # that it stays so.  tests/test_harness.py checks the continuity pool
-    # with searches that finish out of order.  shear_2d.cfg is the 2D scenario
+    # stability and estimates run single-threaded whatever the count, and
+    # are compared so that they stay so (estimates steps its Gronwall pairs
+    # as one stack).  tests/test_harness.py checks the continuity pool with
+    # searches that finish out of order.  shear_2d.cfg is the 2D scenario
     compared, identical = [], True
-    for cfg_name, study in [(c, s) for c in ("determinism_tiny.cfg", "shear_2d.cfg") for s in ("continuity", "stability")]:
+    studies = ("continuity", "stability", "estimates")
+    for cfg_name, study in [(c, s) for c in ("determinism_tiny.cfg", "shear_2d.cfg") for s in studies]:
         outs = []
         for threads in ("1", "4"):
             out = tmp_path / f"{Path(cfg_name).stem}-{study}-t{threads}"

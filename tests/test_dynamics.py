@@ -44,6 +44,7 @@ from ghwave.dynamics import (
     energy_profile,
     gronwall_rate,
     lipschitz_envelope_check,
+    pair_separations,
     random_state,
     sample_attractor,
     solve_trajectory,
@@ -407,14 +408,45 @@ def test_step_loop_matches_chained_steps(domain, resolution, dt, k):
     assert np.array_equal(_advance(integ, fortran, 40), chained[40])
 
 
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("kernel", ["dense", "sparse"])
+@pytest.mark.parametrize("config, k", [("estimates_1d.cfg", 2), ("shear_2d.cfg", 4)])
+def test_record_of_a_stack_matches_each_block_alone(config, k, kernel):
+    # a stack (B, 2 dim, k) is B blocks stepped in one run: the dense product
+    # broadcasts G over the stack, one product per block, and the sparse
+    # kernel steps it as one (2 dim, B k) block; either way every block gets
+    # the bits its own record gives it, at the Gronwall pairs' 47 x 2 and the
+    # shear_2d block's 121 x 4.  The sparse kernel is forced by holding M and
+    # K as CSR matrices, as scripts/step_cost.py does
+    cfg, diags = load_config(_CONFIGS / config)
+    assert not diags
+    op = cfg.reference_operator()
+    if kernel == "sparse":
+        op = dataclasses.replace(op, M=sp.csr_matrix(op.M), K=sp.csr_matrix(op.K))
+    integ = WaveIntegrator(op, cfg.make_nonlinearity(), cfg.dt)
+    assert integ.dense == (kernel == "dense")
+    rng = np.random.default_rng(43)
+    stack = np.stack([np.column_stack([random_state(op, rng, radius=1.0) for _ in range(k)]) for _ in range(5)])
+    steps = [0, 1, 7, 7, 60]
+    rec = integ.record(stack, steps)
+    assert rec.shape == stack.shape + (len(steps),) and rec.flags.c_contiguous
+    assert np.array_equal(rec, np.stack([integ.record(block, steps) for block in stack]))
+    assert np.array_equal(integ.step(stack), np.stack([integ.step(block) for block in stack]))
+
+
 def test_step_and_record_refuse_a_misshapen_state():
-    # a state is (2 dim,) and a block (2 dim, k): one entry too many, or a
-    # block of u's alone, is refused with its shape, not stepped
+    # a state is (2 dim,), a block (2 dim, k) and a stack (B, 2 dim, k): one
+    # entry too many, a block or a stack of u's alone, or one axis too many,
+    # is refused with the accepted shapes and its own, not stepped
     op = identity_operator(Mesh(UNIT, 16))
     integ = WaveIntegrator(op, default_nonlinearity(), 0.01)
-    for bad in (np.zeros(2 * op.n + 1), np.zeros((op.n, 3))):
+    dim2 = 2 * op.n
+    accepted = f"({dim2},), ({dim2}, k) or (B, {dim2}, k)"
+    for bad in (np.zeros(dim2 + 1), np.zeros((op.n, 3)), np.zeros((2, op.n, 3)), np.zeros((1, 2, dim2, 1))):
         for run in (integ.step, lambda z: integ.record(z, [0, 5])):
-            with pytest.raises(ValueError, match=re.escape(f"got {bad.shape}")):
+            with pytest.raises(ValueError, match=re.escape(f"{accepted}, got {bad.shape}")):
                 run(bad)
 
 
@@ -568,6 +600,11 @@ def test_lipschitz_constant_formula():
         assert slopes.max() <= f.l and slopes.max() > f.l - 1e-4
 
 
+def _pair_ratio(s0, s1, t_final, integ):
+    """The Gronwall ratio of one pair, stepped as a stack of one."""
+    return lipschitz_envelope_check(pair_separations(np.column_stack([s0, s1])[None], t_final, integ)[0], integ)
+
+
 def test_gronwall_ratio_linear_case_below_one():
     op = identity_operator(Mesh(UNIT, 24))
     rng = np.random.default_rng(23)
@@ -577,7 +614,7 @@ def test_gronwall_ratio_linear_case_below_one():
     # exceeds the linear system's, so the ratio falls below 1 from the first
     # step on (time 0, where it is 1 by construction, is not in the maximum)
     linear = NonlinearitySpec(1.5, 0.0)
-    assert lipschitz_envelope_check(s0, s1, 1.5, WaveIntegrator(op, linear, 0.005)) < 1.0
+    assert _pair_ratio(s0, s1, 1.5, WaveIntegrator(op, linear, 0.005)) < 1.0
 
 
 def test_gronwall_ratio_default_nonlinearity():
@@ -586,25 +623,28 @@ def test_gronwall_ratio_default_nonlinearity():
     rng = np.random.default_rng(29)
     s0 = random_state(op, rng, radius=1.0)
     s1 = random_state(op, rng, radius=1.0)
-    assert lipschitz_envelope_check(s0, s1, 2.0, WaveIntegrator(op, f, 0.005)) <= 1.05
+    assert _pair_ratio(s0, s1, 2.0, WaveIntegrator(op, f, 0.005)) <= 1.05
 
 
 def test_gronwall_rejects_identical_start():
     op = identity_operator(Mesh(UNIT, 16))
     s = calibration_state(op, 1.0)
-    with pytest.raises(ValueError):
-        lipschitz_envelope_check(s, s.copy(), 1.0, WaveIntegrator(op, default_nonlinearity(), 0.01))
+    with pytest.raises(ValueError, match="initial states coincide"):
+        _pair_ratio(s, s.copy(), 1.0, WaveIntegrator(op, default_nonlinearity(), 0.01))
 
 
 def test_gronwall_rejects_horizon_below_one_step():
-    # the ratio's maximum runs over t >= dt, so a horizon with no step has none
+    # the ratio's maximum runs over t >= dt, so a horizon with no step has
+    # none: the pairs are not stepped, and a series of time 0 alone is refused
     op = identity_operator(Mesh(UNIT, 16))
     rng = np.random.default_rng(31)
     s0, s1 = random_state(op, rng, radius=1.0), random_state(op, rng, radius=1.0)
     integ = WaveIntegrator(op, default_nonlinearity(), 0.01)
     with pytest.raises(ValueError, match="shorter than one step"):
-        lipschitz_envelope_check(s0, s1, 0.004, integ)
-    assert lipschitz_envelope_check(s0, s1, 0.01, integ) < 1.0
+        pair_separations(np.column_stack([s0, s1])[None], 0.004, integ)
+    with pytest.raises(ValueError, match="shorter than one step"):
+        lipschitz_envelope_check(np.array([x_norm(s0 - s1, NormPack(op), 0)]), integ)
+    assert _pair_ratio(s0, s1, 0.01, integ) < 1.0
 
 
 def test_gronwall_shared_integrator_matches_fresh_ones():
@@ -616,8 +656,37 @@ def test_gronwall_shared_integrator_matches_fresh_ones():
     rng = np.random.default_rng(37)
     for _ in range(4):
         s0, s1 = random_state(op, rng, radius=1.0), random_state(op, rng, radius=1.0)
-        got = lipschitz_envelope_check(s0, s1, 1.0, shared)
-        assert got == lipschitz_envelope_check(s0, s1, 1.0, WaveIntegrator(op, f, 0.005))
+        got = _pair_ratio(s0, s1, 1.0, shared)
+        assert got == _pair_ratio(s0, s1, 1.0, WaveIntegrator(op, f, 0.005))
+
+
+@pytest.mark.parametrize("resolution, dt", [(24, 0.005), (256, 0.0005)], ids=["dense", "sparse"])
+@pytest.mark.parametrize("n_pairs", [1, 3, 7, 20])
+def test_pair_separations_match_each_pair_recorded_alone(resolution, dt, n_pairs):
+    # the stack steps in chunks of max(1, steps // B) steps (200 steps: one
+    # chunk of 200, chunks of 66 and a last one of 2, of 28 and 4, of 10), and
+    # each row holds the bits of its pair's whole trajectory recorded alone as
+    # a (2 dim, 2) block, its separation the x_norm of the difference block:
+    # a pair's bits do not depend on how many pairs share its stack
+    op = identity_operator(Mesh(UNIT, resolution))
+    integ = WaveIntegrator(op, default_nonlinearity(), dt)
+    pack = NormPack(op)
+    rng = np.random.default_rng(41)
+    pairs = np.stack([np.column_stack([random_state(op, rng, radius=1.0) for _ in range(2)]) for _ in range(n_pairs)])
+    sep = pair_separations(pairs, 200 * dt, integ)
+    assert sep.shape == (n_pairs, 201)
+    for row, pair in zip(sep, pairs):
+        rec = integ.record(pair, np.arange(201))
+        assert np.array_equal(row, x_norm(rec[:, 0] - rec[:, 1], pack, 0))
+        assert row[0] == x_norm(pair[:, 0] - pair[:, 1], pack, 0)
+
+
+def test_pair_separations_refuse_what_is_not_a_stack_of_pairs():
+    op = identity_operator(Mesh(UNIT, 16))
+    integ = WaveIntegrator(op, default_nonlinearity(), 0.01)
+    for bad in (np.zeros((2 * op.n, 2)), np.zeros((3, 2 * op.n, 3)), np.zeros((3, op.n, 2)), np.zeros((0, 2 * op.n, 2))):
+        with pytest.raises(ValueError, match=re.escape(f"(B, {2 * op.n}, 2), B >= 1, got {bad.shape}")):
+            pair_separations(bad, 1.0, integ)
 
 
 # --- attractor sampling -------------------------------------------------------
@@ -981,20 +1050,23 @@ def test_conjugated_error_zero_for_identical_maps():
     f = default_nonlinearity()
     v0 = calibration_state(op0, 1.0)
     integ_0 = WaveIntegrator(op0, f, 0.005)
-    errs = conjugated_flow_error(integ_0, _pullback_flow(op0, identity_map(UNIT), f), v0, _CONJ_STEPS)
+    flow_0 = integ_0.record(v0, _CONJ_STEPS)
+    errs = conjugated_flow_error(integ_0, flow_0, _pullback_flow(op0, identity_map(UNIT), f), v0, _CONJ_STEPS)
     assert errs.shape == (5,)
     assert errs.max() == 0.0
 
 
 def test_conjugated_error_shrinks_with_amplitude():
-    # one reference integrator serves every amplitude
+    # one reference flow, recorded once, serves every amplitude
     f = default_nonlinearity()
     op0 = identity_operator(Mesh(UNIT, 24))
     v0 = calibration_state(op0, 1.0)
     integ_0 = WaveIntegrator(op0, f, 0.005)
+    flow_0 = integ_0.record(v0, _CONJ_STEPS)
     errs = []
     for amp in (0.04, 0.02, 0.01):
-        errs.append(conjugated_flow_error(integ_0, _pullback_flow(op0, bump_map_1d(UNIT, amp), f), v0, _CONJ_STEPS).max())
+        integ_n = _pullback_flow(op0, bump_map_1d(UNIT, amp), f)
+        errs.append(conjugated_flow_error(integ_0, flow_0, integ_n, v0, _CONJ_STEPS).max())
     assert errs[0] > errs[1] > errs[2]
 
 
@@ -1005,11 +1077,12 @@ def test_conjugated_error_requires_increasing_grid():
     f = default_nonlinearity()
     v0 = calibration_state(op, 1.0)
     integ_0, integ_n = WaveIntegrator(op, f, 0.01), _pullback_flow(op, bump_map_1d(UNIT, 0.02), f, 0.01)
+    flow_0 = integ_0.record(v0, [20, 50])
     for steps in ([50, 20], [0.2, 0.5]):
         with pytest.raises(ValueError, match="whole step counts"):
-            conjugated_flow_error(integ_0, integ_n, v0, steps)
+            conjugated_flow_error(integ_0, flow_0, integ_n, v0, steps)
     with pytest.raises(ValueError, match="not one dt"):
-        conjugated_flow_error(integ_0, _pullback_flow(op, bump_map_1d(UNIT, 0.02), f, 0.005), v0, [20, 50])
+        conjugated_flow_error(integ_0, flow_0, _pullback_flow(op, bump_map_1d(UNIT, 0.02), f, 0.005), v0, [20, 50])
 
 
 def test_calibration_state_hits_requested_radius():

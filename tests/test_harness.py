@@ -12,7 +12,17 @@ import pytest
 
 from ghwave.cli import main
 from ghwave.config import ScenarioConfig, load_config, parse_config
-from ghwave.dynamics import SamplerConfig, WaveIntegrator, sample_attractor, x0_dist, x0_sqdist
+from ghwave.dynamics import (
+    SamplerConfig,
+    WaveIntegrator,
+    gronwall_rate,
+    lipschitz_envelope_check,
+    pair_separations,
+    random_state,
+    sample_attractor,
+    x0_dist,
+    x0_sqdist,
+)
 from ghwave import harness
 from ghwave.harness import (
     CsvWriter,
@@ -24,7 +34,7 @@ from ghwave.harness import (
     write_timing,
 )
 from ghwave.ghmetric import dgh_dynamical, gh_upper
-from ghwave.operators import Mesh, default_nonlinearity, identity_operator, pullback_operator
+from ghwave.operators import Mesh, NormPack, default_nonlinearity, identity_operator, pullback_operator, x_norm
 from ghwave.domains import ReferenceDomain
 
 UNIT = ReferenceDomain("interval", ((0.0, 1.0),))
@@ -236,6 +246,95 @@ def test_sampling_study_steps_each_sample_once(study, monkeypatch):
     {"continuity": run_continuity_study, "stability": run_stability_study}[study](cfg)
     assert len(cfg.schedule) == 2
     assert calls == ["init"] * 3
+
+
+_TINY = Path(__file__).resolve().parents[1] / "configs" / "determinism_tiny.cfg"
+
+
+def test_estimates_study_steps_the_pairs_as_one_stack_and_v0_once(monkeypatch):
+    # the estimates study on determinism_tiny.cfg: the 20 Gronwall pairs are
+    # stepped only as one stack of (2 dim, 2) blocks, in chunks that cover
+    # the horizon once, and no pair is stepped alone; the reference flow
+    # T_0 V0 is recorded once, beside the calibration trajectory, and each
+    # perturbed integrator records V0 once
+    cfg, diags = load_config(_TINY)
+    assert not diags
+    integs, records, stepped = [], [], []
+    real_init, real_record, real_steps = WaveIntegrator.__init__, WaveIntegrator.record, WaveIntegrator._steps
+
+    def init(self, *args):
+        integs.append(self)
+        real_init(self, *args)
+
+    def record(self, z, steps):
+        records.append((integs.index(self), np.shape(z), list(steps)))
+        return real_record(self, z, steps)
+
+    def steps_loop(self, z, marks, out=None):
+        stepped.append(z.shape)
+        return real_steps(self, z, marks, out)
+
+    monkeypatch.setattr(WaveIntegrator, "__init__", init)
+    monkeypatch.setattr(WaveIntegrator, "record", record)
+    monkeypatch.setattr(WaveIntegrator, "_steps", steps_loop)
+    run_estimate_checks(cfg)
+    dim2 = 2 * cfg.reference_operator().n
+    assert len(integs) == 1 + len(cfg.schedule)
+    stack = [r for r in records if len(r[1]) == 3]
+    assert {(i, shape) for i, shape, _ in stack} == {(0, (cfg.n_pairs, dim2, 2))}
+    assert sum(len(steps) for *_, steps in stack) == round(cfg.estimate_t_final / cfg.dt)
+    assert (dim2, 2) not in stepped
+    conj_steps = [round(0.1 * k / cfg.dt) for k in range(1, 11)]
+    singles = [(i, steps == conj_steps) for i, shape, steps in records if shape == (dim2,)]
+    assert sorted(singles) == [(0, False), *((i, True) for i in range(len(integs)))]
+    assert len(records) == len(stack) + len(singles)
+
+
+def _per_pair_ratio(s0, s1, t_final, integ):
+    """The Gronwall ratio as each pair was measured before pairs were stepped as one
+    stack: the pair's whole trajectory recorded alone as a (2 dim, 2) block."""
+    op, dt = integ.op, integ.dt
+    pack = NormPack(op)
+    z0 = x_norm(s0 - s1, pack, 0)
+    steps = np.arange(1, int(round(t_final / dt)) + 1)
+    pair = integ.record(np.column_stack([s0, s1]), steps)
+    sep = x_norm(pair[:, 0] - pair[:, 1], pack, 0)
+    return float((sep / (z0 * np.exp(gronwall_rate(integ.f, op) * steps * dt))).max())
+
+
+def test_gronwall_stage_peak_memory_below_the_per_pair_loop():
+    # the study's 20 pairs on determinism_tiny.cfg (23 unknowns, 200 steps),
+    # each path measured alone with tracemalloc: the stack in chunks of 10
+    # steps peaks at 299 KB and the per-pair loop it replaced at 356 KB, a
+    # margin of 57 KB (16%).  A chunk's record, the size of one pair's whole
+    # record, is freed before its norms are taken
+    cfg, diags = load_config(_TINY)
+    assert not diags
+    op = cfg.reference_operator()
+    integ = WaveIntegrator(op, cfg.make_nonlinearity(), cfg.dt)
+    gronwall_rate(integ.f, op)  # lambda1 is computed once, on first use
+    pairs = []
+    for k in range(cfg.n_pairs):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7, k]))
+        pairs.append(np.column_stack([random_state(op, rng, 1.0, cfg.sampler.n_modes) for _ in range(2)]))
+    stack = np.stack(pairs)
+
+    def stacked():
+        return max(lipschitz_envelope_check(sep, integ) for sep in pair_separations(stack, cfg.estimate_t_final, integ))
+
+    def per_pair():
+        return max(_per_pair_ratio(*pair.T, cfg.estimate_t_final, integ) for pair in pairs)
+
+    peaks, ratios = {}, {}
+    for run in (per_pair, stacked):
+        tracemalloc.start()
+        try:
+            ratios[run] = run()
+            peaks[run] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert ratios[stacked] == ratios[per_pair]
+    assert peaks[stacked] <= peaks[per_pair]
 
 
 def test_stability_pairs_certified_whatever_the_budget():
