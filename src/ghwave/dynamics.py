@@ -528,15 +528,18 @@ def random_state(
     n_modes: int = 6,
 ) -> Array:
     """Random low-mode state z = (u; v) scaled to a uniform fraction of the X^1 ball."""
-    shapes = _mode_shapes(op.mesh, n_modes)
+    return _low_mode_state(_mode_shapes(op.mesh, n_modes), NormPack(op), rng, radius)
+
+
+def _low_mode_state(shapes: Array, pack: NormPack, rng: np.random.Generator, radius: float) -> Array:
+    """`random_state` on the mode shapes and norms of its operator, formed once by a caller drawing many states."""
     decay = 1.0 / (np.arange(1, shapes.shape[0] + 1) ** 2)
     cu = rng.standard_normal(shapes.shape[0]) * decay
     cv = rng.standard_normal(shapes.shape[0]) * decay
     z = np.concatenate([cu @ shapes, cv @ shapes])
-    pack = NormPack(op)
     nrm = x_norm(z, pack, 1)
     if nrm == 0.0:
-        z[: op.n] = shapes[0]
+        z[: pack.op.n] = shapes[0]
         nrm = x_norm(z, pack, 1)
     target = radius * rng.uniform(0.3, 1.0)
     return target / nrm * z
@@ -626,8 +629,9 @@ def sample_attractor(integ: WaveIntegrator, cfg: SamplerConfig, seed: int, state
         )
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5A17]))
     n_ics, m = cfg.n_ics, cfg.flow_grid_m
-    # all ICs advance together, one column each
-    z = np.column_stack([random_state(op, rng, cfg.radius, cfg.n_modes) for _ in range(n_ics)])
+    # all ICs advance together, one column each, drawn on one set of mode shapes and norms
+    shapes, pack = _mode_shapes(op.mesh, cfg.n_modes), NormPack(op)
+    z = np.column_stack([_low_mode_state(shapes, pack, rng, cfg.radius) for _ in range(n_ics)])
     window_start = int(round(cfg.t_transient / dt))
     n_snaps = pool // n_ics
     lags = [round(j / (m * dt)) for j in range(1 if states_only else m + 1)]

@@ -23,6 +23,7 @@ contains the identity.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,11 +307,12 @@ class GHEstimate:
     """Two-sided upper estimate with the certifying maps and its lower bound.
 
     `forward` (X -> Y) and `backward` (Y -> X) are the index maps with the
-    best objective max(distortion, deficit) in each direction, and `value`
-    the larger of their objectives.  `lower` is `gh_lower` of the two spaces
-    and `restarts_used` counts the descents run, both directions together;
-    `exact` when the estimate meets the bound, so that it is the optimum
-    over all map pairs.
+    best objective max(distortion, deficit) each direction found before it
+    stopped, and `value` the larger of their objectives.  `lower` is
+    `gh_lower` of the two spaces, or a direction's value where arc
+    consistency proved it optimal, and `restarts_used` counts the descents
+    run, both directions together; `exact` when the estimate meets the
+    bound, so that it is the optimum over all map pairs.
     """
 
     value: float
@@ -330,6 +332,24 @@ def _check_budget(budget: int) -> None:
         raise ValueError("budget must be at least 1")
 
 
+def _descents(dx: Array, dy: Array, restarts: int, seed: int, dirflag: int) -> Iterator[tuple[float, IntArray]]:
+    """Each restart's descent X -> Y in restart order, as (objective, map) from `_descend`.
+
+    Restart 0 starts at `_start_map`, restart 1 at the greedy matching, the
+    rest at random maps; restart r draws from its own seeded stream.
+    """
+    nx, ny = dx.shape[0], dy.shape[0]
+    for r in range(restarts):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, r, dirflag]))
+        if r == 0:
+            m0 = _start_map(dx, dy)
+        elif r == 1:
+            m0 = _greedy_init(dx, dy)
+        else:
+            m0 = rng.integers(0, ny, size=nx).astype(np.intp)
+        yield _descend(dx, dy, m0, rng, kicks=2)
+
+
 def _one_sided_search(
     dx: Array, dy: Array, restarts: int, seed: int, dirflag: int, bound: float = -np.inf
 ) -> tuple[list[tuple[float, IntArray]], int]:
@@ -343,17 +363,8 @@ def _one_sided_search(
     can then beat that restart's map, or tie it with a smaller restart
     index, so the winner is that of the full budget.
     """
-    nx, ny = dx.shape[0], dy.shape[0]
     results: list[tuple[float, int, IntArray]] = []
-    for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, r, dirflag]))
-        if r == 0:
-            m0 = _start_map(dx, dy)
-        elif r == 1:
-            m0 = _greedy_init(dx, dy)
-        else:
-            m0 = rng.integers(0, ny, size=nx).astype(np.intp)
-        val, m = _descend(dx, dy, m0, rng, kicks=2)
+    for r, (val, m) in enumerate(_descents(dx, dy, restarts, seed, dirflag)):
         results.append((val, r, m))
         if val <= bound:
             break
@@ -363,22 +374,89 @@ def _one_sided_search(
     return list(unique.values()), len(results)
 
 
+def _none_below(dx: Array, dy: Array, v: float) -> bool:
+    """True when arc consistency proves that no map X -> Y has max(distortion, deficit) < v.
+
+    A map m with objective below v sends each x into its domain D[x], where
+    D[x] holds the y with, for every x' != x, some y' in D[x'] such that
+    |d_X(x, x') - d_Y(y, y')| < v (take y' = m(x')).  The domains start as
+    {y : H(R_X(x) -> R_Y(y)) < v}, the first term of `gh_lower`'s row bound,
+    and lose their unsupported points until none is left (AC-3: Mackworth,
+    Artif. Intell. 8, 1977).  If a domain empties, no map has distortion
+    below v; if some y of Y lies at v or more from every point of every
+    domain, none has deficit below v.  Every comparison is a float
+    |d_X - d_Y| < v or d_Y < v on the operands `distortion` and
+    `coverage_deficit` read, so the proof holds for their float values and
+    needs no rounding margin.  One x's (x', y, y') block is alive at a time.
+    """
+    nx = dx.shape[0]
+    dom = _row_hausdorff(dx, dy) < v
+    changed = True
+    while changed:
+        changed = False
+        for x in range(nx):
+            ys = np.flatnonzero(dom[x])
+            if ys.size == 0:
+                return True
+            others = np.arange(nx) != x
+            fits = np.abs(dx[x, others, None, None] - dy[ys][None]) < v  # (x', y, y')
+            fits &= dom[others, None, :]
+            keep = fits.any(axis=2).all(axis=0)
+            if not keep.all():
+                dom[x, ys[~keep]] = False
+                changed = True
+    return not (dy[:, dom.any(axis=0)] < v).any(axis=1).all()
+
+
+def _stopped_search(
+    dx: Array, dy: Array, budget: int, seed: int, dirflag: int, low: float, other: float
+) -> tuple[float, IntArray, float, int]:
+    """One direction X -> Y of `gh_upper`: its best objective and map, its lower bound, and the descents run.
+
+    The restarts of `_descents` run in order, and the best is the first to
+    reach the least objective.  The search stops once the best is at most
+    max(low, other), where `low` bounds this direction's objective from
+    below and `other` is a value the two-sided result cannot fall below
+    (see `gh_upper`).  When a restart improves the best, the best still lies
+    above that stop and restarts remain, `_none_below` tries to prove the
+    best optimal; a proof raises `low` to it, and the search stops.
+    """
+    best_val, best_m, used = np.inf, None, 0
+    for val, m in _descents(dx, dy, budget, seed, dirflag):
+        used += 1
+        if val < best_val:
+            best_val, best_m = val, m
+            if best_val > max(low, other) and used < budget and _none_below(dx, dy, best_val):
+                low = best_val
+        if best_val <= max(low, other):
+            break
+    return best_val, best_m, low, used
+
+
 def gh_upper(dx: Array, dy: Array, budget: int = 32, seed: int = 0) -> GHEstimate:
-    """Seeded multistart estimate of the two-sided objective, bracketed by `gh_lower`.
+    """Seeded multistart estimate of the two-sided objective, bracketed from below.
 
     Restart 0 starts at the identity when both spaces have the same size
     (index-matched samples) and at the deterministic greedy matching
     otherwise, restart 1 at the greedy matching, the rest at random maps.
-    Each direction runs its restarts one by one and stops at the first whose
-    objective meets that direction's bound (see `_one_sided_search`), which
-    leaves its result as the full budget's.  Increasing `budget` with the
-    same seed never worsens the value.  `budget` below 1 is a ValueError.
+    Each direction runs its restarts one by one (see `_stopped_search`).
+    The forward direction stops once its best is at most
+    max(low_f, low_b), the larger of the two directions' `gh_lower` bounds;
+    the backward one once its best is at most max(low_b, forward value).
+    Either stop leaves `value` that of the full budget, bit for bit: a best
+    at most its own bound is that direction's optimum, and one at most the
+    other side's bound or value cannot be the larger of the two.  A
+    direction that arc consistency proves optimal stops too, and its bound
+    rises to its value, so `lower` can exceed `gh_lower`.  The stops change
+    only `restarts_used` and the maps, which are then maps whose objective
+    is at most `value` rather than the full budget's winners.  Increasing
+    `budget` with the same seed never worsens the value.  `budget` below 1
+    is a ValueError.
     """
     _check_budget(budget)
     low_f, low_b = _direction_bounds(dx, dy)
-    fwd, used_f = _one_sided_search(dx, dy, budget, seed, 1, low_f)
-    bwd, used_b = _one_sided_search(dy, dx, budget, seed, 2, low_b)
-    (val_f, m_f), (val_b, m_b) = fwd[0], bwd[0]
+    val_f, m_f, low_f, used_f = _stopped_search(dx, dy, budget, seed, 1, low_f, low_b)
+    val_b, m_b, low_b, used_b = _stopped_search(dy, dx, budget, seed, 2, low_b, val_f)
     return GHEstimate(max(val_f, val_b), m_f, m_b, max(low_f, low_b), used_f + used_b)
 
 

@@ -116,9 +116,11 @@ class _StudyResult:
 class ContinuityResult(_StudyResult):
     study: ClassVar[str] = "continuity"
     rows: list[ContinuityRow]
-    noise_floor: float
+    noise_floor: float  # the control's upper estimate
+    noise_floor_low: float  # the control's certified lower bound, which the floor verdict reads
     monotone: bool
     below_floor: bool
+    floor_margin: float | None  # 3 * noise_floor_low - last row's gh_up: positive iff below_floor
     gh_up_slope: float | None  # least-squares slope of log gh_up against log delta; reported, not judged
 
     @property
@@ -130,13 +132,17 @@ def run_continuity_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | 
     """Sampled-attractor GH distance against perturbation size.
 
     The reference integrator samples again with seed+1 as a same-distribution
-    control; the resulting gh_upper value is the sampling noise floor that
-    the smallest perturbation is compared against.  Every row is sampled
-    first, one integrator per operator; then the control search and the row
-    searches, each independent of the others, run on `cfg.threads` workers,
-    and the CSV rows are written in schedule order as their results arrive,
-    so the output is the same for any worker count.  `timer` collects the
-    wall clock of the assembly, sampling and GH-search stages.
+    control, the sampling noise floor that the smallest perturbation is
+    compared against.  `below_floor` reads the control's certified lower
+    bound (`gh_lower`), so the control needs no multistart: its search runs
+    restart 0 alone in each direction, and its value, the upper end of the
+    floor, is reported as `noise_floor` beside the lower end
+    `noise_floor_low`.  Every row is sampled first, one integrator per
+    operator; then the control search and the row searches, each
+    independent of the others, run on `cfg.threads` workers, and the CSV
+    rows are written in schedule order as their results arrive, so the
+    output is the same for any worker count.  `timer` collects the wall
+    clock of the assembly, sampling and GH-search stages.
     """
     clock = timer or StudyTimer()
     mesh = cfg.make_mesh()
@@ -158,9 +164,10 @@ def run_continuity_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | 
         with clock.stage("continuity.sample"):
             dists += sample_dists(op, cfg.seed)
 
-    def search(dist: np.ndarray):
-        return gh_upper(dist_ref, dist, cfg.budget, cfg.seed)
+    def search(dist: np.ndarray, budget: int):
+        return gh_upper(dist_ref, dist, budget, cfg.seed)
 
+    budgets = [1] + [cfg.budget] * len(devs)  # the control first
     header = ["delta", "det_dev", "hbar_dev", "gh_lower", "gh_upper", "restarts_used", "exact"]
     writer = CsvWriter(Path(out_dir) / "continuity.csv", header) if out_dir else None
     rows: list[ContinuityRow] = []
@@ -168,8 +175,8 @@ def run_continuity_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | 
     # the pool starts no thread when the plain map runs instead
     try:
         with clock.stage("continuity.search"), ThreadPoolExecutor(cfg.threads) as pool:
-            ests = pool.map(search, dists) if cfg.threads > 1 else map(search, dists)
-            floor = next(ests).value
+            ests = pool.map(search, dists, budgets) if cfg.threads > 1 else map(search, dists, budgets)
+            control = next(ests)
             for dev, est in zip(devs, ests):
                 row = ContinuityRow(*dev, est.lower, est.value, est.restarts_used, est.exact)
                 rows.append(row)
@@ -180,8 +187,10 @@ def run_continuity_study(cfg: ScenarioConfig, out_dir=None, timer: StudyTimer | 
             writer.close()
     ups = [r.gh_up for r in rows]
     monotone = all(b <= a + 1e-15 for a, b in zip(ups, ups[1:]))
-    below = ups[-1] < 3.0 * floor if rows else False
-    return ContinuityResult(rows, floor, monotone, below, _log_slope([r.delta for r in rows], ups))
+    below = ups[-1] < 3.0 * control.lower if rows else False
+    margin = 3.0 * control.lower - ups[-1] if rows else None
+    slope = _log_slope([r.delta for r in rows], ups)
+    return ContinuityResult(rows, control.value, control.lower, monotone, below, margin, slope)
 
 
 def _log_slope(x: list[float], y: list[float]) -> float | None:

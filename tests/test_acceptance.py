@@ -173,7 +173,7 @@ def test_continuity_study(verdict, tmp_path):
     verdict(
         res.monotone and res.below_floor,
         f"gh_upper {', '.join(f'{u:.2e}' for u in ups)} nonincreasing, "
-        f"final vs 3x floor {3 * res.noise_floor:.2e}",
+        f"final vs 3x the control's lower bound {3 * res.noise_floor_low:.2e}",
         budget=600.0,
     )
 

@@ -26,6 +26,8 @@ from ghwave.ghmetric import (
     _deficit_after_move,
     _descend,
     _direction_bounds,
+    _none_below,
+    _one_sided_exact,
     _one_sided_search,
     _row_hausdorff,
     _excl_max,
@@ -210,6 +212,58 @@ def test_upper_stops_at_certified_scaled_copy():
     full_b = _one_sided_search(Y, X, 32, 3, 2)[0][0]
     assert np.array_equal(est.forward, full_f[1])
     assert np.array_equal(est.backward, full_b[1])
+
+
+def _plane_space(rng):
+    """The distance-estimator fixture's spaces: 1 to 6 uniform points in the unit square."""
+    pts = rng.uniform(size=(int(rng.integers(1, 7)), 2))
+    return np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+
+
+def test_arc_consistency_proves_only_what_holds():
+    # a proof at v says every map has objective >= v: checked against the
+    # enumerated one-sided optimum at the optimum itself, where a proof is
+    # allowed, one ulp above it, where the optimal map refutes any proof,
+    # and at random levels below twice the optimum; integer metrics give
+    # ties between the distance differences and v
+    rng = np.random.default_rng(23)
+    proved_at_opt = 0
+    for trial in range(200):
+        if trial % 2:
+            X, Y = _plane_space(rng), _plane_space(rng)
+        else:
+            X, Y = (_line_space(*rng.integers(0, 4, size=int(rng.integers(1, 7)))) for _ in range(2))
+        opt, m = _one_sided_exact(X, Y)
+        assert opt == max(distortion(X, Y, m), coverage_deficit(Y, m))
+        proved_at_opt += _none_below(X, Y, opt)
+        assert not _none_below(X, Y, np.nextafter(opt, np.inf))
+        for v in rng.uniform(0.0, 2.0 * opt, size=4):
+            assert opt >= v or not _none_below(X, Y, v)
+    assert proved_at_opt >= 100
+
+
+def test_two_sided_stop_keeps_every_value():
+    # on spaces like the distance-estimator fixture's, the two stops leave
+    # each value that of the full budget bit for bit (both directions run all
+    # their restarts), keep every exact flag the row bound gave, and keep the
+    # lower end a lower bound; arc consistency raises it on some pairs
+    rng = np.random.default_rng(20260816)
+    raised = 0
+    for _ in range(60):
+        X, Y = _plane_space(rng), _plane_space(rng)
+        est = gh_upper(X, Y, budget=24, seed=7)
+        full_f = _one_sided_search(X, Y, 24, 7, 1)[0][0]
+        full_b = _one_sided_search(Y, X, 24, 7, 2)[0][0]
+        full = max(full_f[0], full_b[0])
+        low = gh_lower(X, Y)
+        assert est.value == full
+        assert est.exact or full > low
+        assert low <= est.lower <= gh_exact(X, Y)
+        assert max(distortion(X, Y, est.forward), coverage_deficit(Y, est.forward)) <= est.value
+        assert max(distortion(Y, X, est.backward), coverage_deficit(X, est.backward)) <= est.value
+        assert 2 <= est.restarts_used <= 48
+        raised += est.lower > low
+    assert raised >= 1
 
 
 def test_upper_witnesses_verify():

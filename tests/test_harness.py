@@ -380,6 +380,49 @@ def test_studies_report_brackets_and_exact_flags(tmp_path):
     assert {"exact_full", "exact_half", "certified_full", "certified_half"} <= set(st.payload())
 
 
+def _floor_checks(res):
+    """The floor fields of a continuity result, against the formula they report."""
+    last = res.rows[-1].gh_up
+    assert res.noise_floor_low <= res.noise_floor
+    assert res.below_floor == (last < 3.0 * res.noise_floor_low)
+    assert res.floor_margin == 3.0 * res.noise_floor_low - last
+    assert res.passed == (res.monotone and res.below_floor)
+    assert {"noise_floor", "noise_floor_low", "floor_margin"} <= set(res.payload())
+
+
+def test_continuity_floor_reads_the_control_lower_bound(monkeypatch):
+    # the control runs one restart per direction and reports its bracket
+    # [gh_lower, that estimate]; the rows keep the configured budget
+    cfg, diags = load_config(_TINY)
+    assert not diags
+    budgets = []
+
+    def recording_gh_upper(dx, dy, budget, seed):
+        budgets.append(budget)
+        return gh_upper(dx, dy, budget, seed)
+
+    monkeypatch.setattr(harness, "gh_upper", recording_gh_upper)
+    res = run_continuity_study(cfg)
+    assert budgets == [1] + [cfg.budget] * len(cfg.schedule)
+    _floor_checks(res)
+    assert res.below_floor and res.floor_margin > 0
+
+
+def test_continuity_floor_verdict_can_fail():
+    # one IC per sample and a scaling of the interval with C2 distance
+    # close to 1: the perturbed sample lies farther from the reference than
+    # three times the control's lower bound, so below_floor fails
+    cfg, diags = load_config(_TINY)
+    assert not diags
+    sampler = dataclasses.replace(cfg.sampler, n_ics=1)
+    cfg = dataclasses.replace(cfg, family="scale1d", family_params={}, schedule=(0.2366,), seed=22, sampler=sampler)
+    assert cfg.maps()[0].delta < 1.0
+    res = run_continuity_study(cfg)
+    _floor_checks(res)
+    assert not res.below_floor and res.floor_margin < 0 and not res.passed
+    assert res.rows[-1].gh_up > res.noise_floor
+
+
 def test_continuity_searches_finish_out_of_order_and_report_in_order(tmp_path, monkeypatch):
     # the earlier a search starts, the longer it sleeps, so at 3 workers the
     # control and the two rows finish last-started first; the study must still
