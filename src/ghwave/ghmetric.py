@@ -23,7 +23,6 @@ contains the identity.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,13 +331,31 @@ def _check_budget(budget: int) -> None:
         raise ValueError("budget must be at least 1")
 
 
-def _descents(dx: Array, dy: Array, restarts: int, seed: int, dirflag: int) -> Iterator[tuple[float, IntArray]]:
-    """Each restart's descent X -> Y in restart order, as (objective, map) from `_descend`.
+def _one_sided_search(
+    dx: Array, dy: Array, restarts: int, seed: int, dirflag: int, bound: float | None = None
+) -> tuple[list[tuple[float, IntArray]], int]:
+    """Multistart descent X -> Y: the per-restart bests, best first, and the restarts run.
 
     Restart 0 starts at `_start_map`, restart 1 at the greedy matching, the
-    rest at random maps; restart r draws from its own seeded stream.
+    rest at random maps; restart r draws from its own seeded stream.  Each
+    best is an (objective, map) pair, the objective max(distortion,
+    deficit) as `_descend` computed it; the pairs are sorted by objective,
+    then restart, and a map that an earlier pair holds is dropped.
+
+    With no `bound`, every restart runs.  Otherwise the search stops after
+    the first restart that brings the best to at most `bound`.  When a
+    restart improves the best, the best still lies above `bound` and
+    restarts remain, `_none_below` tries to prove it optimal; a proof raises
+    `bound` to it, so the search stops there.  A search that stops before
+    its budget with its best above the `bound` it was given has therefore
+    proved that best the optimum over all maps.  If `bound` is a lower bound
+    on the objective of every map, no later restart can beat the best at
+    the stop, or tie it with a smaller restart index, so the winner is that
+    of the full budget; a proved best is such a bound.
     """
     nx, ny = dx.shape[0], dy.shape[0]
+    results: list[tuple[float, int, IntArray]] = []
+    best = np.inf
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, r, dirflag]))
         if r == 0:
@@ -347,26 +364,14 @@ def _descents(dx: Array, dy: Array, restarts: int, seed: int, dirflag: int) -> I
             m0 = _greedy_init(dx, dy)
         else:
             m0 = rng.integers(0, ny, size=nx).astype(np.intp)
-        yield _descend(dx, dy, m0, rng, kicks=2)
-
-
-def _one_sided_search(
-    dx: Array, dy: Array, restarts: int, seed: int, dirflag: int, bound: float = -np.inf
-) -> tuple[list[tuple[float, IntArray]], int]:
-    """Multistart descent X -> Y: the per-restart bests, best first, and the restarts run.
-
-    Each best is an (objective, map) pair, the objective max(distortion,
-    deficit) as `_descend` computed it; the pairs are sorted by objective,
-    then restart, and a map that an earlier pair holds is dropped.  The
-    search stops after the first restart whose objective is at most
-    `bound`, a lower bound on the objective of every map: no later restart
-    can then beat that restart's map, or tie it with a smaller restart
-    index, so the winner is that of the full budget.
-    """
-    results: list[tuple[float, int, IntArray]] = []
-    for r, (val, m) in enumerate(_descents(dx, dy, restarts, seed, dirflag)):
+        val, m = _descend(dx, dy, m0, rng, kicks=2)
         results.append((val, r, m))
-        if val <= bound:
+        if bound is None or val >= best:
+            continue
+        best = val
+        if best > bound and r + 1 < restarts and _none_below(dx, dy, best):
+            bound = best
+        if best <= bound:
             break
     unique: dict[bytes, tuple[float, IntArray]] = {}
     for val, _r, m in sorted(results, key=lambda t: t[:2]):
@@ -387,10 +392,15 @@ def _none_below(dx: Array, dy: Array, v: float) -> bool:
     domain, none has deficit below v.  Every comparison is a float
     |d_X - d_Y| < v or d_Y < v on the operands `distortion` and
     `coverage_deficit` read, so the proof holds for their float values and
-    needs no rounding margin.  One x's (x', y, y') block is alive at a time.
+    needs no rounding margin.  One x's (x', y, y') block is alive at a time,
+    as floats and as booleans, in two buffers allocated once: the float one
+    holds at most (nx - 1) ny^2 values, about the size of `_descend`'s pair
+    table.
     """
-    nx = dx.shape[0]
+    nx, ny = dx.shape[0], dy.shape[0]
     dom = _row_hausdorff(dx, dy) < v
+    diff = np.empty((nx - 1) * ny * ny)  # |d_X(x, x') - d_Y(y, y')| over (x', y in D[x], y')
+    fits = np.empty(diff.size, dtype=bool)
     changed = True
     while changed:
         changed = False
@@ -399,38 +409,17 @@ def _none_below(dx: Array, dy: Array, v: float) -> bool:
             if ys.size == 0:
                 return True
             others = np.arange(nx) != x
-            fits = np.abs(dx[x, others, None, None] - dy[ys][None]) < v  # (x', y, y')
-            fits &= dom[others, None, :]
-            keep = fits.any(axis=2).all(axis=0)
+            shape = (nx - 1, ys.size, ny)
+            d = diff[: (nx - 1) * ys.size * ny].reshape(shape)
+            ok = fits[: d.size].reshape(shape)
+            np.subtract(dx[x, others, None, None], dy[ys][None], out=d)
+            np.less(np.abs(d, out=d), v, out=ok)
+            ok &= dom[others, None, :]
+            keep = ok.any(axis=2).all(axis=0)
             if not keep.all():
                 dom[x, ys[~keep]] = False
                 changed = True
     return not (dy[:, dom.any(axis=0)] < v).any(axis=1).all()
-
-
-def _stopped_search(
-    dx: Array, dy: Array, budget: int, seed: int, dirflag: int, low: float, other: float
-) -> tuple[float, IntArray, float, int]:
-    """One direction X -> Y of `gh_upper`: its best objective and map, its lower bound, and the descents run.
-
-    The restarts of `_descents` run in order, and the best is the first to
-    reach the least objective.  The search stops once the best is at most
-    max(low, other), where `low` bounds this direction's objective from
-    below and `other` is a value the two-sided result cannot fall below
-    (see `gh_upper`).  When a restart improves the best, the best still lies
-    above that stop and restarts remain, `_none_below` tries to prove the
-    best optimal; a proof raises `low` to it, and the search stops.
-    """
-    best_val, best_m, used = np.inf, None, 0
-    for val, m in _descents(dx, dy, budget, seed, dirflag):
-        used += 1
-        if val < best_val:
-            best_val, best_m = val, m
-            if best_val > max(low, other) and used < budget and _none_below(dx, dy, best_val):
-                low = best_val
-        if best_val <= max(low, other):
-            break
-    return best_val, best_m, low, used
 
 
 def gh_upper(dx: Array, dy: Array, budget: int = 32, seed: int = 0) -> GHEstimate:
@@ -439,7 +428,7 @@ def gh_upper(dx: Array, dy: Array, budget: int = 32, seed: int = 0) -> GHEstimat
     Restart 0 starts at the identity when both spaces have the same size
     (index-matched samples) and at the deterministic greedy matching
     otherwise, restart 1 at the greedy matching, the rest at random maps.
-    Each direction runs its restarts one by one (see `_stopped_search`).
+    Each direction runs its restarts one by one (see `_one_sided_search`).
     The forward direction stops once its best is at most
     max(low_f, low_b), the larger of the two directions' `gh_lower` bounds;
     the backward one once its best is at most max(low_b, forward value).
@@ -455,9 +444,17 @@ def gh_upper(dx: Array, dy: Array, budget: int = 32, seed: int = 0) -> GHEstimat
     """
     _check_budget(budget)
     low_f, low_b = _direction_bounds(dx, dy)
-    val_f, m_f, low_f, used_f = _stopped_search(dx, dy, budget, seed, 1, low_f, low_b)
-    val_b, m_b, low_b, used_b = _stopped_search(dy, dx, budget, seed, 2, low_b, val_f)
-    return GHEstimate(max(val_f, val_b), m_f, m_b, max(low_f, low_b), used_f + used_b)
+    lower = max(low_f, low_b)
+    fwd, used_f = _one_sided_search(dx, dy, budget, seed, 1, lower)
+    val_f, m_f = fwd[0]
+    stop_b = max(low_b, val_f)
+    bwd, used_b = _one_sided_search(dy, dx, budget, seed, 2, stop_b)
+    val_b, m_b = bwd[0]
+    # a direction that stopped early above its stop was proved optimal
+    for val, stop, used in ((val_f, lower, used_f), (val_b, stop_b, used_b)):
+        if used < budget and val > stop:
+            lower = max(lower, val)
+    return GHEstimate(max(val_f, val_b), m_f, m_b, lower, used_f + used_b)
 
 
 # ---------------------------------------------------------------------------
